@@ -468,7 +468,7 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 				tElems[owner] += int64(e - s)
 				tBytes[owner] += int64(e-s) * es
 				if rec && p.fcov != nil && owner != d.node {
-					p.fcov[id] = append(p.fcov[id], intRun{lo: s, hi: e})
+					p.noteFetch(owner, id, s, e)
 				}
 				s = e
 			}
@@ -494,7 +494,7 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 				tElems[owner]++
 				tBytes[owner] += es
 				if rec && p.fcov != nil && owner != d.node {
-					p.fcov[id] = append(p.fcov[id], intRun{lo: ix, hi: ix + 1})
+					p.noteFetch(owner, id, ix, ix+1)
 				}
 			}
 		}

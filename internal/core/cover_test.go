@@ -39,7 +39,15 @@ func coverBits(t *testing.T, cov []intRun) [coverUniverse]bool {
 func TestCoverPropertyVsBitmapOracle(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 50; trial++ {
+		// The operations work in place. Even trials start from a nil
+		// cover, so inserts and splits must grow it; odd trials start
+		// with room for any canonical cover over the universe, so every
+		// operation must stay inside the one backing array.
 		var cov []intRun
+		if trial%2 == 1 {
+			cov = make([]intRun, 0, coverUniverse/2+1)
+		}
+		roomy := cov
 		var oracle [coverUniverse]bool
 		for step := 0; step < 200; step++ {
 			lo := r.Intn(coverUniverse)
@@ -83,7 +91,33 @@ func TestCoverPropertyVsBitmapOracle(t *testing.T) {
 			if got := coverBits(t, cov); got != oracle {
 				t.Fatalf("trial %d step %d: cover %v diverged from oracle", trial, step, cov)
 			}
+			if roomy != nil && len(cov) > 0 && &cov[0] != &roomy[:1][0] {
+				t.Fatalf("trial %d step %d: cover with spare capacity was reallocated", trial, step)
+			}
 		}
+	}
+}
+
+// A cover that has reached its working size is maintained without
+// allocating: the fetch single-flight adds and subtracts a claim per
+// miss, and a warm phase open adds every prefetched range.
+func TestCoverOpsDoNotAllocate(t *testing.T) {
+	cov := make([]intRun, 0, 16)
+	allocs := testing.AllocsPerRun(100, func() {
+		cov = cov[:0]
+		for i := 0; i < 8; i++ {
+			cov = coverAdd(cov, 10*i, 10*i+4) // sorted appends, as a prefetch makes them
+		}
+		cov = coverAdd(cov, 35, 36)  // mid-slice insert
+		cov = coverSub(cov, 11, 13)  // split
+		cov = coverAdd(cov, 4, 70)   // merge across many runs
+		cov = coverSub(cov, 0, 1000) // remove everything
+	})
+	if allocs != 0 {
+		t.Fatalf("cover operations within capacity allocated %v times per run", allocs)
+	}
+	if len(cov) != 0 {
+		t.Fatalf("cover after removing everything: %v", cov)
 	}
 }
 

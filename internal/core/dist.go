@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"ppm/internal/mp"
@@ -22,7 +23,10 @@ type DistEngine interface {
 	// SetReadServer installs the callback that serves peers' remote
 	// reads of this process's partitions; it must return a copy.
 	SetReadServer(fn func(array, lo, hi int) ([]byte, error))
-	// Fetch reads elements [lo, hi) of the identified array from owner.
+	// FetchRanges reads any number of ranges from the one rank that owns
+	// them all, in one round trip; the reply is the ranges' bytes
+	// concatenated in request order. Fetch is its one-range form.
+	FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, error)
 	Fetch(array, owner, lo, hi int) ([]byte, error)
 	// CommitExchange ships outgoing[dst] (a wire commit stream; empty
 	// and self entries are skipped) to every peer and blocks until every
@@ -220,12 +224,76 @@ func (d *doRun) openPhaseDist() {
 	// (The array-count guard is belt and braces: a plan recorded over a
 	// different array population must not drive prefetches.)
 	if p := d.peekPlan(); p != nil && p.fcov != nil && p.na == len(gs.arrays) {
-		for id, runs := range p.fcov {
-			if len(runs) > 0 {
-				gs.arrays[id].prefetchCover(d.node, runs)
-			}
+		d.prefetchPlan(p)
+	}
+}
+
+// prefetchPlan fetches a replayed plan's recorded remote cover with one
+// request per owner, whatever the number of arrays and ranges, and all
+// owners in flight at once. It runs before any VP resumes, so nothing
+// else touches the covers or the remote images meanwhile; the recorded
+// ranges are remote-owned and disjoint, so the concurrent installs
+// overlap neither each other nor the partitions the read server serves.
+func (d *doRun) prefetchPlan(p *phasePlan) {
+	gs := d.rt.gs
+	errs := make([]error, len(p.fcov))
+	var wg sync.WaitGroup
+	for owner, ranges := range p.fcov {
+		if len(ranges) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[owner] = gs.fetchInstall(owner, ranges)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			panic(AbortError{Err: err})
 		}
 	}
+	for _, ranges := range p.fcov {
+		for _, r := range ranges {
+			gs.arrays[r.Array].addCover(r.Lo, r.Hi)
+		}
+	}
+}
+
+// fetchInstall reads ranges from owner in one round trip and lands the
+// reply in the local images of the arrays they name.
+func (gs *globalState) fetchInstall(owner int, ranges []wire.ReadRange) error {
+	data, err := gs.dist.FetchRanges(owner, ranges)
+	if err != nil {
+		return err
+	}
+	return gs.installReply(owner, ranges, data)
+}
+
+// installReply slices a read reply by the ranges requested. The reply
+// carries no lengths of its own: each range's size follows from its
+// array's element size, every slice is length-checked by installRange,
+// and bytes missing or left over are a fatal protocol error.
+func (gs *globalState) installReply(owner int, ranges []wire.ReadRange, data []byte) error {
+	off := 0
+	for _, r := range ranges {
+		arr := gs.arrays[r.Array]
+		end := off + (r.Hi-r.Lo)*arr.elemBytes()
+		if end > len(data) {
+			return fmt.Errorf("core: read reply from node %d is %d bytes, short of %s[%d:%d) at offset %d",
+				owner, len(data), arr.label(), r.Lo, r.Hi, off)
+		}
+		if err := arr.installRange(r.Lo, r.Hi, data[off:end]); err != nil {
+			return err
+		}
+		off = end
+	}
+	if off != len(data) {
+		return fmt.Errorf("core: read reply from node %d is %d bytes, %d more than the %d ranges requested",
+			owner, len(data), len(data)-off, len(ranges))
+	}
+	return nil
 }
 
 // commitCursor walks one peer's commit stream block by block during the
@@ -547,24 +615,11 @@ func (g *Global[T]) restoreCheckpoint(node int, rd *wire.CommitReader, nRuns int
 	return err
 }
 
-// prefetchCover implements registeredArray: fetch a replayed plan's
-// recorded remote ranges before the phase's VPs run, so every one of
-// their reads is a cache hit. Called at phase open, after the open
-// allgather (all peers can serve reads) and before any VP resumes (no
-// concurrent cover mutation); the recorded runs are remote-owned, so
-// installRange writes only ranges disjoint from the partitions the
-// read server serves.
-func (g *Global[T]) prefetchCover(self int, runs []intRun) {
-	if g.gs.dist == nil {
-		return
-	}
-	if err := g.fetchRuns(self, runs); err != nil {
-		panic(AbortError{Err: err})
-	}
+// addCover implements registeredArray: mark a range a plan prefetch has
+// installed as locally valid, so every VP read of it is a cache hit.
+func (g *Global[T]) addCover(lo, hi int) {
 	g.dmu.Lock()
-	for _, r := range runs {
-		g.dcov = coverAdd(g.dcov, r.lo, r.hi)
-	}
+	g.dcov = coverAdd(g.dcov, lo, hi)
 	g.dmu.Unlock()
 }
 
@@ -632,33 +687,50 @@ func (g *Global[T]) distFetch(self, lo, hi int) {
 	}
 }
 
-// fetchRuns pulls the given uncovered ranges from their owners, without
-// holding the cover mutex. Self-owned stretches need no wire traffic
-// (the backing store is authoritative); they are claimed and covered by
-// the caller like any other range.
+// fetchRuns pulls the given uncovered ranges (sorted, as coverMissing
+// returns them) from their owners, without holding the cover mutex: one
+// round trip per owner, however many gaps it fills. Self-owned stretches
+// need no wire traffic (the backing store is authoritative); they are
+// claimed and covered by the caller like any other range.
 func (g *Global[T]) fetchRuns(self int, runs []intRun) error {
 	gs := g.gs
+	var reqs []wire.ReadRange
+	owner := -1
+	flush := func() error {
+		var err error
+		switch len(reqs) {
+		case 0:
+		case 1: // the engine's one-range form
+			var data []byte
+			if data, err = gs.dist.Fetch(g.id, owner, reqs[0].Lo, reqs[0].Hi); err == nil {
+				err = gs.installReply(owner, reqs, data)
+			}
+		default:
+			err = gs.fetchInstall(owner, reqs)
+		}
+		reqs = reqs[:0]
+		return err
+	}
 	for _, gap := range runs {
 		for s := gap.lo; s < gap.hi; {
-			owner := g.part.Owner(s)
-			_, oend := g.part.Range(owner)
+			o, oend := g.ownerSpan(s)
 			e := gap.hi
 			if e > oend {
 				e = oend
 			}
-			if owner != self {
-				data, err := gs.dist.Fetch(g.id, owner, s, e)
-				if err == nil {
-					err = g.installRange(s, e, data)
+			if o != self {
+				if o != owner {
+					if err := flush(); err != nil {
+						return err
+					}
+					owner = o
 				}
-				if err != nil {
-					return err
-				}
+				reqs = append(reqs, wire.ReadRange{Array: g.id, Lo: s, Hi: e})
 			}
 			s = e
 		}
 	}
-	return nil
+	return flush()
 }
 
 // coverMissing returns the subranges of [lo, hi) not covered by cov
@@ -688,61 +760,70 @@ func coverMissing(cov []intRun, lo, hi int) []intRun {
 	return out
 }
 
-// coverAdd inserts [lo, hi) into cov, keeping it sorted and disjoint.
-// The result is freshly allocated: building into cov[:0] would overwrite
-// entries the loop has not read yet when an insert lands mid-slice.
+// coverAdd inserts [lo, hi) into cov in place, keeping it sorted,
+// disjoint and canonical (runs that overlap or touch are merged).
 func coverAdd(cov []intRun, lo, hi int) []intRun {
 	if lo >= hi {
 		return cov
 	}
-	out := make([]intRun, 0, len(cov)+1)
-	inserted := false
-	for _, r := range cov {
-		switch {
-		case r.hi < lo:
-			out = append(out, r)
-		case r.lo > hi:
-			if !inserted {
-				out = append(out, intRun{lo: lo, hi: hi})
-				inserted = true
-			}
-			out = append(out, r)
-		default:
-			// Overlaps or touches: merge into the pending range.
-			if r.lo < lo {
-				lo = r.lo
-			}
-			if r.hi > hi {
-				hi = r.hi
-			}
-		}
+	// Runs [i, j) overlap or touch [lo, hi): i is the first run ending at
+	// or after lo, j the first run starting after hi.
+	i := sort.Search(len(cov), func(k int) bool { return cov[k].hi >= lo })
+	j := i
+	for j < len(cov) && cov[j].lo <= hi {
+		j++
 	}
-	if !inserted {
-		out = append(out, intRun{lo: lo, hi: hi})
+	if i == j {
+		cov = append(cov, intRun{})
+		copy(cov[i+1:], cov[i:])
+		cov[i] = intRun{lo: lo, hi: hi}
+		return cov
 	}
-	return out
+	if cov[i].lo < lo {
+		lo = cov[i].lo
+	}
+	if cov[j-1].hi > hi {
+		hi = cov[j-1].hi
+	}
+	cov[i] = intRun{lo: lo, hi: hi}
+	return append(cov[:i+1], cov[j:]...)
 }
 
-// coverSub removes [lo, hi) from cov, splitting runs that straddle an
-// endpoint. Like coverAdd the result is freshly allocated.
+// coverSub removes [lo, hi) from cov in place, splitting runs that
+// straddle an endpoint.
 func coverSub(cov []intRun, lo, hi int) []intRun {
 	if lo >= hi {
 		return cov
 	}
-	out := make([]intRun, 0, len(cov)+1)
-	for _, r := range cov {
-		if r.hi <= lo || r.lo >= hi {
-			out = append(out, r)
-			continue
-		}
-		if r.lo < lo {
-			out = append(out, intRun{lo: r.lo, hi: lo})
-		}
-		if r.hi > hi {
-			out = append(out, intRun{lo: hi, hi: r.hi})
-		}
+	// Runs [i, j) intersect [lo, hi); of them only a left part of the
+	// first and a right part of the last can survive.
+	i := sort.Search(len(cov), func(k int) bool { return cov[k].hi > lo })
+	j := i
+	for j < len(cov) && cov[j].lo < hi {
+		j++
 	}
-	return out
+	if i == j {
+		return cov
+	}
+	left, right := cov[i], cov[j-1]
+	if left.lo < lo && right.hi > hi && j-i == 1 {
+		// One run splits in two: the only case that grows the cover.
+		cov = append(cov, intRun{})
+		copy(cov[i+2:], cov[i+1:])
+		cov[i] = intRun{lo: left.lo, hi: lo}
+		cov[i+1] = intRun{lo: hi, hi: right.hi}
+		return cov
+	}
+	k := i
+	if left.lo < lo {
+		cov[k] = intRun{lo: left.lo, hi: lo}
+		k++
+	}
+	if right.hi > hi {
+		cov[k] = intRun{lo: hi, hi: right.hi}
+		k++
+	}
+	return append(cov[:k], cov[j:]...)
 }
 
 // --- Node[T]'s distributed-side methods ---------------------------------
@@ -753,7 +834,7 @@ func coverSub(cov []intRun, lo, hi int) []intRun {
 
 func (a *Node[T]) resetDistCache() {}
 
-func (a *Node[T]) prefetchCover(self int, runs []intRun) {}
+func (a *Node[T]) addCover(lo, hi int) {}
 
 func (a *Node[T]) encodeRange(node, lo, hi int) ([]byte, error) {
 	return nil, fmt.Errorf("core: remote read of node-shared %q", a.name)

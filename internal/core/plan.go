@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"ppm/internal/vtime"
+	"ppm/internal/wire"
 )
 
 // Steady-state phase-plan cache.
@@ -223,10 +224,10 @@ type phasePlan struct {
 	rrElems []int64
 	rrBytes []int64
 
-	// Distributed runs only: the merged remote cover per array id,
-	// prefetched at the next phase open so VPs find every range already
-	// cached and fetch nothing.
-	fcov [][]intRun
+	// Distributed runs only: the merged remote cover, grouped by owner
+	// as the read request each owner is sent at the next phase open, so
+	// VPs find every range already cached and fetch nothing.
+	fcov [][]wire.ReadRange
 
 	// Replay savings accounting (PlanCacheStats).
 	runs        int64
@@ -278,16 +279,29 @@ func (p *phasePlan) beginRecord(kind phaseKind, k, na, nodes int, dist bool) {
 	p.rrBytes = resetInt64(p.rrBytes, nodes)
 	p.runs = 0
 	if dist {
-		if cap(p.fcov) < na {
-			p.fcov = make([][]intRun, na)
+		if cap(p.fcov) < nodes {
+			p.fcov = make([][]wire.ReadRange, nodes)
 		}
-		p.fcov = p.fcov[:na]
+		p.fcov = p.fcov[:nodes]
 		for i := range p.fcov {
 			p.fcov[i] = p.fcov[i][:0]
 		}
 	} else {
 		p.fcov = nil
 	}
+}
+
+// noteFetch records that the phase reads [lo, hi) of array id from owner,
+// extending the owner's previous range when this one continues it: runs
+// of adjacent scalar reads (a halo plane read element by element) become
+// one range of the request, not one each.
+func (p *phasePlan) noteFetch(owner, id, lo, hi int) {
+	q := p.fcov[owner]
+	if n := len(q); n > 0 && q[n-1].Array == id && q[n-1].Hi == lo {
+		q[n-1].Hi = hi
+		return
+	}
+	p.fcov[owner] = append(q, wire.ReadRange{Array: id, Lo: lo, Hi: hi})
 }
 
 // matches reports whether the phase the VPs just finished has exactly

@@ -97,9 +97,8 @@ type registeredArray interface {
 	resetDistCache()
 	encodeRange(node, lo, hi int) ([]byte, error)
 	installRange(lo, hi int, data []byte) error
-	// prefetchCover fetches the recorded remote cover of a replayed
-	// phase plan before VPs run, so their reads hit the local cache.
-	prefetchCover(self int, runs []intRun)
+	// addCover marks a range a plan prefetch installed as locally valid.
+	addCover(lo, hi int)
 	encodeStagedWire(self, dst int, buf []byte) []byte
 	applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error)
 

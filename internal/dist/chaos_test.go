@@ -135,6 +135,15 @@ func TestChaosMatrix(t *testing.T) {
 		{"dup-delta", "seed=5; dup=0.3", true, false, []string{"-wire-codec", "delta"}},
 		{"delay-adaptive", "seed=3; delay=0.2:2ms", true, false, []string{"-bundle-adaptive", "-flush-stagger", "100us"}},
 		{"killhost-rescale-delta", "killhost=1@phase:3", true, true, []string{"-wire-codec", "delta"}},
+		// Both apps run one Do per iteration, so from the third phase on
+		// every phase replays a plan and opens with the vectored prefetch:
+		// frame faults armed from there hit its request and its one
+		// many-range reply. A lost or cut reply must end in an attributed
+		// error (op deadline, or the reply length check), a duplicated one
+		// must be ignored; none may hang or install a wrong byte.
+		{"drop-warm-prefetch", "seed=7; drop=0.4@phase:3", false, false, nil},
+		{"dup-warm-prefetch", "seed=5; dup=0.3@phase:3", true, false, nil},
+		{"trunc-warm-prefetch", "seed=9; trunc=0.5@phase:3", false, false, nil},
 	}
 	for _, app := range []string{"jacobi", "cg"} {
 		for _, f := range faults {

@@ -176,8 +176,18 @@ func (p *peer) tryEnqueue(f outFrame) bool {
 
 // serveReq is a peer's remote read awaiting the server goroutine.
 type serveReq struct {
-	dst, array, lo, hi int
-	id                 uint64
+	dst    int
+	id     uint64
+	ranges []wire.ReadRange
+}
+
+// fetchWait is one in-flight remote read: the slot its reply lands in and
+// the timer bounding the wait. Both are reused across reads through
+// Engine.waitPool — but only by a read that received its reply, because a
+// read abandoned on timeout or mesh death may still be sent a late reply.
+type fetchWait struct {
+	ch chan []byte
+	tm *time.Timer
 }
 
 // Engine is one process's connection mesh. It is created by Connect,
@@ -204,10 +214,11 @@ type Engine struct {
 	wsBytes    atomic.Int64
 	wsReadReqs atomic.Int64
 
-	// curOp names the operation currently blocked on the mesh (one of
-	// possibly several — VPs fetch concurrently), purely to make detector
-	// errors precise. Best-effort by design.
-	curOp atomic.Value // string
+	// ops holds the operations currently blocked on the mesh (several at
+	// once when VPs fetch concurrently), purely to make detector errors
+	// precise.
+	opMu sync.Mutex
+	ops  []wireOp
 
 	hbStop chan struct{}
 	hbWg   sync.WaitGroup
@@ -220,7 +231,9 @@ type Engine struct {
 
 	reqSeq atomic.Uint64
 	pendMu sync.Mutex
-	pend   map[uint64]chan []byte
+	pend   map[uint64]*fetchWait
+	// waitPool recycles fetchWaits; see the type for who may return one.
+	waitPool sync.Pool
 
 	serveCh chan serveReq
 	// server is installed by core.RunDist — once per run, so on a
@@ -268,7 +281,7 @@ func Connect(cfg Config) (*Engine, error) {
 		drainTimeout: cfg.DrainTimeout,
 		faults:       cfg.Faults,
 		peers:        make([]*peer, cfg.Nodes),
-		pend:         make(map[uint64]chan []byte),
+		pend:         make(map[uint64]*fetchWait),
 		serveCh:      make(chan serveReq, 1024),
 		serverReady:  make(chan struct{}),
 		byeCh:        make(chan int, cfg.Nodes),
@@ -556,26 +569,87 @@ func (e *Engine) fatalErr() error {
 
 // --- failure detector ---------------------------------------------------
 
-// setOp records (and its returned func clears) the mesh operation this
-// rank is currently blocked on, so detector errors can name it.
-func (e *Engine) setOp(op string) func() {
-	e.curOp.Store(op)
-	return func() { e.curOp.Store("") }
+// wireOp is one blocking mesh operation, kept as its operands so the hot
+// paths record it without formatting anything; String runs only when an
+// error is built.
+type wireOp struct {
+	kind opKind
+	// opFetch: peer is the owner, n the range count, first the first range.
+	// opRecv: peer is the source, tag the tag. opCommit: phase.
+	peer, n int
+	first   wire.ReadRange
+	tag     int
+	phase   int64
 }
 
-func (e *Engine) currentOp() string {
-	if s, _ := e.curOp.Load().(string); s != "" {
-		return s
+type opKind uint8
+
+const (
+	opFetch opKind = iota + 1
+	opRecv
+	opCommit
+)
+
+func (o wireOp) String() string {
+	switch o.kind {
+	case opFetch:
+		s := fmt.Sprintf("remote read of array %d [%d:%d)", o.first.Array, o.first.Lo, o.first.Hi)
+		if o.n > 1 {
+			s += fmt.Sprintf(" and %d more ranges", o.n-1)
+		}
+		return fmt.Sprintf("%s from rank %d", s, o.peer)
+	case opRecv:
+		return fmt.Sprintf("node-level recv (src=%d, tag=%d)", o.peer, o.tag)
+	default:
+		return fmt.Sprintf("commit exchange for phase %d", o.phase)
 	}
-	return "local compute (no wire op in flight)"
+}
+
+// beginOp records a mesh operation this rank is about to block on, so
+// detector errors can name it; endOp removes it (any equal record: equal
+// operations are interchangeable).
+func (e *Engine) beginOp(op wireOp) {
+	e.opMu.Lock()
+	e.ops = append(e.ops, op)
+	e.opMu.Unlock()
+}
+
+func (e *Engine) endOp(op wireOp) {
+	e.opMu.Lock()
+	for i := range e.ops {
+		if e.ops[i] == op {
+			last := len(e.ops) - 1
+			e.ops[i] = e.ops[last]
+			e.ops = e.ops[:last]
+			break
+		}
+	}
+	e.opMu.Unlock()
+}
+
+// currentOp describes what this rank is blocked on: one in-flight
+// operation and how many others are in flight beside it.
+func (e *Engine) currentOp() string {
+	e.opMu.Lock()
+	defer e.opMu.Unlock()
+	switch n := len(e.ops); n {
+	case 0:
+		return "local compute (no wire op in flight)"
+	case 1:
+		return e.ops[0].String()
+	default:
+		return fmt.Sprintf("%s (and %d more wire ops in flight)", e.ops[0], n-1)
+	}
 }
 
 // heartbeatLoop is the failure detector: it probes links that have been
 // idle outbound for HeartbeatInterval and declares a peer dead when
 // nothing at all has arrived from it for HeartbeatTimeout. Any inbound
 // frame counts as life, so probes only flow on otherwise-quiet links
-// (long pure-compute phases). A dead peer's connection is closed to
-// unblock its reader and writer goroutines.
+// (long pure-compute phases). A dead peer's connection gets an expired
+// deadline, which unblocks its reader and writer goroutines without
+// sending the FIN a Close would: a peer that is alive behind a partition
+// then reaches its own verdict instead of reporting a bare EOF.
 func (e *Engine) heartbeatLoop() {
 	defer e.hbWg.Done()
 	tick := e.hbInterval / 2
@@ -601,7 +675,7 @@ func (e *Engine) heartbeatLoop() {
 			if silent > e.hbTimeout {
 				e.setFatal(fmt.Errorf("dist: rank %d: rank %d unresponsive for %v (heartbeat timeout %v) during %s",
 					e.rank, p.id, silent.Round(time.Millisecond), e.hbTimeout, e.currentOp()))
-				p.conn.Close()
+				p.conn.SetDeadline(time.Now())
 				continue
 			}
 			if time.Duration(now-p.lastSent.Load()) >= e.hbInterval {
@@ -735,13 +809,13 @@ func (e *Engine) readLoop(p *peer) {
 			}
 			e.mail.put(mailMsg{src: p.id, tag: int(tag), data: data, hasData: hasData})
 		case wire.KindReadReq:
-			id, array, lo, hi, err := wire.DecodeReadReq(payload)
+			id, ranges, err := wire.DecodeReadReq(payload)
 			if err != nil {
 				e.protocolFatal(p.id, err)
 				return
 			}
 			select {
-			case e.serveCh <- serveReq{dst: p.id, array: array, lo: lo, hi: hi, id: id}:
+			case e.serveCh <- serveReq{dst: p.id, id: id, ranges: ranges}:
 			case <-e.fatalCh:
 				return
 			case <-e.done:
@@ -754,11 +828,11 @@ func (e *Engine) readLoop(p *peer) {
 				return
 			}
 			e.pendMu.Lock()
-			ch := e.pend[id]
+			w := e.pend[id]
 			delete(e.pend, id)
 			e.pendMu.Unlock()
-			if ch != nil {
-				ch <- data
+			if w != nil {
+				w.ch <- data // capacity 1, one reply per id: never blocks
 			}
 		case wire.KindCommitData:
 			phase, chunk, err := wire.DecodeCommitData(payload)
@@ -813,12 +887,16 @@ func (e *Engine) serveLoop() {
 			e.serverMu.RLock()
 			server := e.server
 			e.serverMu.RUnlock()
-			data, err := server(req.array, req.lo, req.hi)
-			if err != nil {
-				e.Abort(fmt.Errorf("dist: rank %d: serving read for rank %d: %w", e.rank, req.dst, err))
-				return
+			reply := wire.AppendReadRespHeader(nil, req.id)
+			for _, r := range req.ranges {
+				data, err := server(r.Array, r.Lo, r.Hi)
+				if err != nil {
+					e.Abort(fmt.Errorf("dist: rank %d: serving read for rank %d: %w", e.rank, req.dst, err))
+					return
+				}
+				reply = append(reply, data...)
 			}
-			if e.send(req.dst, wire.KindReadResp, wire.EncodeReadResp(req.id, data)) != nil {
+			if e.send(req.dst, wire.KindReadResp, reply) != nil {
 				return
 			}
 		case <-e.fatalCh:
@@ -876,7 +954,9 @@ func (e *Engine) Send(dst, tag int, payload any, bytes int) {
 // bounded by OpTimeout like every other remote wait — a peer that lost
 // the message (or its mind) must not park this rank until the watchdog.
 func (e *Engine) Recv(src, tag int) *cluster.Message {
-	defer e.setOp(fmt.Sprintf("node-level recv (src=%d, tag=%d)", src, tag))()
+	op := wireOp{kind: opRecv, peer: src, tag: tag}
+	e.beginOp(op)
+	defer e.endOp(op)
 	m, ok, timedOut := e.mail.recv(src, tag, e.opTimeout)
 	if timedOut {
 		panic(core.AbortError{Err: fmt.Errorf("dist: rank %d: recv (src=%d, tag=%d) timed out after %v",
@@ -941,43 +1021,68 @@ func (e *Engine) WireStats() core.WireStats {
 	}
 }
 
-// Fetch implements core.DistEngine: one synchronous remote read,
-// bounded by OpTimeout so a wedged owner cannot park the fleet until
-// the launcher's watchdog.
+// Fetch implements core.DistEngine: FetchRanges for one range.
 func (e *Engine) Fetch(array, owner, lo, hi int) ([]byte, error) {
-	defer e.setOp(fmt.Sprintf("remote read of array %d [%d:%d) from rank %d", array, lo, hi, owner))()
+	r := [1]wire.ReadRange{{Array: array, Lo: lo, Hi: hi}}
+	return e.FetchRanges(owner, r[:])
+}
+
+// FetchRanges implements core.DistEngine: one synchronous remote read of
+// any number of ranges owner holds — one request frame, one reply frame
+// carrying the ranges' bytes in request order — bounded by OpTimeout so
+// a wedged owner cannot park the fleet until the launcher's watchdog.
+func (e *Engine) FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, error) {
+	if len(ranges) == 0 {
+		return nil, nil
+	}
+	op := wireOp{kind: opFetch, peer: owner, n: len(ranges), first: ranges[0]}
+	e.beginOp(op)
+	defer e.endOp(op)
+	w, _ := e.waitPool.Get().(*fetchWait)
+	if w == nil {
+		w = &fetchWait{ch: make(chan []byte, 1)}
+	}
 	id := e.reqSeq.Add(1)
-	ch := make(chan []byte, 1)
 	e.pendMu.Lock()
-	e.pend[id] = ch
+	e.pend[id] = w
 	e.pendMu.Unlock()
 	drop := func() {
 		e.pendMu.Lock()
 		delete(e.pend, id)
 		e.pendMu.Unlock()
 	}
-	if err := e.send(owner, wire.KindReadReq, wire.EncodeReadReq(id, array, lo, hi)); err != nil {
+	if err := e.send(owner, wire.KindReadReq, wire.EncodeReadReq(id, ranges)); err != nil {
 		drop()
 		return nil, err
 	}
 	e.wsReadReqs.Add(1)
 	var timeoutCh <-chan time.Time
 	if e.opTimeout > 0 {
-		tm := time.NewTimer(e.opTimeout)
-		defer tm.Stop()
-		timeoutCh = tm.C
+		if w.tm == nil {
+			w.tm = time.NewTimer(e.opTimeout)
+		} else {
+			w.tm.Reset(e.opTimeout)
+		}
+		timeoutCh = w.tm.C
 	}
+	var data []byte
+	var err error
 	select {
-	case data := <-ch:
-		return data, nil
+	case data = <-w.ch:
 	case <-e.fatalCh:
-		drop()
-		return nil, e.fatalErr()
+		err = e.fatalErr()
 	case <-timeoutCh:
-		drop()
-		return nil, fmt.Errorf("dist: rank %d: remote read of array %d [%d:%d) from rank %d timed out after %v",
-			e.rank, array, lo, hi, owner, e.opTimeout)
+		err = fmt.Errorf("dist: rank %d: %s timed out after %v", e.rank, op, e.opTimeout)
 	}
+	if w.tm != nil {
+		w.tm.Stop()
+	}
+	if err != nil {
+		drop()
+		return nil, err
+	}
+	e.waitPool.Put(w)
+	return data, nil
 }
 
 // CommitExchange implements core.DistEngine: chunk each destination's
@@ -1004,7 +1109,9 @@ func (e *Engine) CommitExchange(phase int64, outgoing [][]byte) ([][]byte, error
 			}
 		}
 	}
-	defer e.setOp(fmt.Sprintf("commit exchange for phase %d", phase))()
+	op := wireOp{kind: opCommit, phase: phase}
+	e.beginOp(op)
+	defer e.endOp(op)
 	for dst := 0; dst < e.nodes; dst++ {
 		if dst == e.rank {
 			continue

@@ -74,6 +74,8 @@ func mustPlan(t *testing.T, spec string, rank int) *faultinject.Plan {
 // error naming the unresponsive rank.
 func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 	start := time.Now()
+	var detected sync.WaitGroup
+	detected.Add(2)
 	errs := runMeshCfg(t, 2,
 		func(rank int, c *Config) {
 			c.HeartbeatInterval = 50 * time.Millisecond
@@ -84,7 +86,12 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 		},
 		func(rank int, eng *Engine) error {
 			// Block on a message the partition guarantees never arrives.
-			return recoverAbort(func() { eng.Recv(1-rank, 7) })
+			err := recoverAbort(func() { eng.Recv(1-rank, 7) })
+			// The partition swallows frames, not a FIN: keep this engine
+			// open until the other rank's own detector has fired too.
+			detected.Done()
+			detected.Wait()
+			return err
 		})
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
 		t.Errorf("detection took %v — watchdog territory, detector did not fire", elapsed)

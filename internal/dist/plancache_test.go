@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ppm/internal/apps/cg"
@@ -99,6 +100,119 @@ func TestDistPlanCacheInvalidationScatter(t *testing.T) {
 			samePerNode(t, onStats, simRep.PerNode)
 			samePerNode(t, offStats, simRep.PerNode)
 		})
+	}
+}
+
+// mixedReadProg is a shape-stable phase whose remote cover mixes every
+// kind of read over two arrays of different element size and three
+// remote owners: from each other node, every VP block-reads a stretch of
+// a, scalar-reads four adjacent elements of b (one range once coalesced)
+// and two scattered elements of a. VPs read disjoint stretches, so the
+// cold request count is deterministic; every node then writes elements
+// its peers read next iteration, so a stale prefetch would show.
+const (
+	mixN     = 256
+	mixVPs   = 3
+	mixIters = 5
+)
+
+func mixedReadProg(outA [][]float64, outB [][]int32) func(rt *core.Runtime) {
+	return func(rt *core.Runtime) {
+		a := core.AllocGlobal[float64](rt, "mix.a", mixN)
+		b := core.AllocGlobal[int32](rt, "mix.b", mixN)
+		lo, _ := a.OwnerRange(rt)
+		la, lb := a.Local(rt), b.Local(rt)
+		for i := range la {
+			la[i] = float64(lo+i) * 0.5
+			lb[i] = int32(3 * (lo + i))
+		}
+		for it := 0; it < mixIters; it++ {
+			iter := it
+			rt.Do(mixVPs, func(vp *core.VP) {
+				vp.GlobalPhase(func() {
+					nodes, me, v := vp.Nodes(), vp.Node(), vp.NodeRank()
+					var sum float64
+					var isum int32
+					for d := 1; d < nodes; d++ {
+						olo, ohi := core.ChunkRange(mixN, nodes, (me+d)%nodes)
+						w := (ohi - olo) / mixVPs
+						s := olo + v*w
+						buf := make([]float64, w/2)
+						a.ReadBlock(vp, s, s+w/2, buf)
+						for _, x := range buf {
+							sum += x
+						}
+						for i := s; i < s+4; i++ {
+							isum += b.Read(vp, i)
+						}
+						sum += a.Read(vp, s+w/2+1) + a.Read(vp, s+w/2+3)
+					}
+					mylo, _ := core.ChunkRange(mixN, nodes, me)
+					a.Write(vp, mylo+v, sum*1e-3+float64(iter))
+					b.Add(vp, mylo+v, isum%7)
+				})
+			})
+		}
+		outA[rt.NodeID()] = append([]float64(nil), a.Local(rt)...)
+		outB[rt.NodeID()] = append([]int32(nil), b.Local(rt)...)
+	}
+}
+
+// TestDistPlanCacheMixedCoverOneRequestPerOwner replays that plan on a
+// four-node mesh: cache on, cache off and the simulator must agree bit
+// for bit and counter for counter, every warm phase must be a plan hit,
+// and a warm phase must cost each rank at most one read request per
+// owner where a cold phase costs one per range.
+func TestDistPlanCacheMixedCoverOneRequestPerOwner(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "") // the two runs below differ by Options alone
+	const nodes = 4
+	runProg := func(noCache bool) ([][]float64, [][]int32, []core.NodeStats) {
+		opt := distOpt(nodes)
+		opt.NoPlanCache = noCache
+		outA, outB := make([][]float64, nodes), make([][]int32, nodes)
+		stats := make([]core.NodeStats, nodes)
+		runMesh(t, nodes, func(rank int, eng *Engine) error {
+			rep, err := core.RunDist(opt, eng, mixedReadProg(outA, outB))
+			if err != nil {
+				return err
+			}
+			stats[rank] = rep.PerNode[rank]
+			return nil
+		})
+		return outA, outB, stats
+	}
+	simA, simB := make([][]float64, nodes), make([][]int32, nodes)
+	simRep, err := core.Run(distOpt(nodes), mixedReadProg(simA, simB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onA, onB, onStats := runProg(false)
+	offA, offB, offStats := runProg(true)
+	for n := 0; n < nodes; n++ {
+		sameF64(t, fmt.Sprintf("node %d a, cache-on vs sim", n), onA[n], simA[n])
+		sameF64(t, fmt.Sprintf("node %d a, cache-off vs sim", n), offA[n], simA[n])
+		if !slices.Equal(onB[n], simB[n]) || !slices.Equal(offB[n], simB[n]) {
+			t.Fatalf("node %d b diverges:\n  on %v\n off %v\n sim %v", n, onB[n], offB[n], simB[n])
+		}
+	}
+	samePerNode(t, onStats, simRep.PerNode)
+	samePerNode(t, offStats, simRep.PerNode)
+
+	const owners = nodes - 1
+	for n := 0; n < nodes; n++ {
+		if h := onStats[n].PlanCache.Hits; h != mixIters-1 {
+			t.Errorf("node %d: %d plan hits, want %d (every phase after the first)", n, h, mixIters-1)
+		}
+		off := offStats[n].Wire.ReadReqsSent
+		cold := off / mixIters
+		if off%mixIters != 0 || cold <= owners {
+			t.Fatalf("node %d: cache-off run sent %d read requests over %d identical phases; want a multiple, above %d a phase",
+				n, off, mixIters, owners)
+		}
+		if on, max := onStats[n].Wire.ReadReqsSent, cold+owners*(mixIters-1); on > max {
+			t.Errorf("node %d: cache-on run sent %d read requests, want at most %d (one cold phase of %d, then %d warm phases of one per owner)",
+				n, on, max, cold, mixIters-1)
+		}
 	}
 }
 

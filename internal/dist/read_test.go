@@ -1,0 +1,245 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ppm/internal/wire"
+)
+
+// rangeBytes is the test read server's answer for one range: hi-lo
+// little-endian uint32 values array<<16|index, so a reply's position and
+// content both say which range it answers.
+func rangeBytes(array, lo, hi int) []byte {
+	var b []byte
+	for i := lo; i < hi; i++ {
+		b = binary.LittleEndian.AppendUint32(b, uint32(array<<16|i))
+	}
+	return b
+}
+
+// TestFetchRangesOneRoundTrip checks the vectored read end to end on a
+// real mesh: any number of ranges travel as one request and one reply,
+// the owner's read server runs once per range, the reply is the ranges'
+// bytes in request order, and Fetch is the same path with one range.
+func TestFetchRangesOneRoundTrip(t *testing.T) {
+	var served atomic.Int64
+	done := make(chan struct{})
+	noPings := func(rank int, c *Config) { c.HeartbeatInterval = -1 } // the frame counts below are exact
+	runMeshWith(t, 2, noPings, func(rank int, eng *Engine) error {
+		eng.SetReadServer(func(array, lo, hi int) ([]byte, error) {
+			served.Add(1)
+			return rangeBytes(array, lo, hi), nil
+		})
+		if rank == 1 {
+			<-done
+			return nil
+		}
+		defer close(done)
+		for _, ranges := range [][]wire.ReadRange{
+			{{Array: 3, Lo: 0, Hi: 8}},
+			{{Array: 1, Lo: 5, Hi: 6}, {Array: 0, Lo: 100, Hi: 164}, {Array: 1, Lo: 7, Hi: 7}, {Array: 2, Lo: 0, Hi: 3}},
+		} {
+			before, servedBefore := eng.WireStats(), served.Load()
+			got, err := eng.FetchRanges(1, ranges)
+			if err != nil {
+				return err
+			}
+			var want []byte
+			for _, r := range ranges {
+				want = append(want, rangeBytes(r.Array, r.Lo, r.Hi)...)
+			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("reply for %v is %d bytes %x, want %d bytes %x", ranges, len(got), got, len(want), want)
+			}
+			after := eng.WireStats()
+			if n := after.ReadReqsSent - before.ReadReqsSent; n != 1 {
+				return fmt.Errorf("%d ranges took %d read requests, want 1", len(ranges), n)
+			}
+			if n := after.FramesOut - before.FramesOut; n != 1 {
+				return fmt.Errorf("%d ranges took %d outgoing frames, want 1", len(ranges), n)
+			}
+			if n := served.Load() - servedBefore; n != int64(len(ranges)) {
+				return fmt.Errorf("read server ran %d times for %d ranges", n, len(ranges))
+			}
+		}
+		one, err := eng.Fetch(3, 1, 2, 4)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(one, rangeBytes(3, 2, 4)) {
+			return fmt.Errorf("Fetch reply %x", one)
+		}
+		if none, err := eng.FetchRanges(1, nil); err != nil || none != nil {
+			return fmt.Errorf("empty FetchRanges = (%x, %v), want nothing and no traffic", none, err)
+		}
+		return nil
+	})
+}
+
+// TestFetchRangesConcurrent has many goroutines fetch through one engine
+// at once, as VPs do on cold misses: replies must reach their own
+// requesters although reply slots and timers are reused between reads.
+func TestFetchRangesConcurrent(t *testing.T) {
+	done := make(chan struct{})
+	runMesh(t, 2, func(rank int, eng *Engine) error {
+		eng.SetReadServer(func(array, lo, hi int) ([]byte, error) {
+			return rangeBytes(array, lo, hi), nil
+		})
+		if rank == 1 {
+			<-done
+			return nil
+		}
+		defer close(done)
+		const workers, reads = 8, 200
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < reads; i++ {
+					ranges := []wire.ReadRange{{Array: w, Lo: i, Hi: i + 3}, {Array: w + 100, Lo: 2 * i, Hi: 2*i + 1}}
+					got, err := eng.FetchRanges(1, ranges)
+					if err != nil {
+						errs[w] = err
+						return
+					}
+					want := append(rangeBytes(w, i, i+3), rangeBytes(w+100, 2*i, 2*i+1)...)
+					if !bytes.Equal(got, want) {
+						errs[w] = fmt.Errorf("worker %d read %d got another read's reply: %x, want %x", w, i, got, want)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// TestReadServerErrorAbortsNamingRange: when the installed read server
+// refuses one range of a request (core refuses ranges outside the
+// partition it owns), the owner aborts the fleet with the refusal, and
+// the requester's read fails with it instead of waiting out OpTimeout.
+func TestReadServerErrorAbortsNamingRange(t *testing.T) {
+	errs := runMeshCfg(t, 2,
+		func(rank int, c *Config) {
+			c.OpTimeout = 20 * time.Second // the abort, not the deadline, must end the read
+			c.DrainTimeout = 100 * time.Millisecond
+		},
+		func(rank int, eng *Engine) error {
+			eng.SetReadServer(func(array, lo, hi int) ([]byte, error) {
+				if hi > 50 {
+					return nil, fmt.Errorf("remote read of x[%d:%d) outside node 1's partition [0:50)", lo, hi)
+				}
+				return rangeBytes(array, lo, hi), nil
+			})
+			if rank == 1 {
+				<-eng.fatalCh
+				return nil
+			}
+			_, err := eng.FetchRanges(1, []wire.ReadRange{{Array: 0, Lo: 0, Hi: 10}, {Array: 0, Lo: 40, Hi: 60}})
+			return err
+		})
+	if errs[0] == nil {
+		t.Fatal("read of a refused range returned no error")
+	}
+	for _, want := range []string{"x[40:60)", "serving read for rank 0"} {
+		if !strings.Contains(errs[0].Error(), want) {
+			t.Errorf("requester's error %q lacks %q", errs[0], want)
+		}
+	}
+}
+
+// TestMalformedReadReqIsProtocolFatal feeds the owner's demultiplexer
+// hand-built ReadReq frames no encoder produces; each must kill the mesh
+// with a protocol error naming the sender, not reach the read server.
+func TestMalformedReadReqIsProtocolFatal(t *testing.T) {
+	good := wire.EncodeReadReq(1, []wire.ReadRange{{Array: 0, Lo: 0, Hi: 4}})
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"no ranges", good[:8]},
+		{"length not 8+20n", good[:len(good)-1]},
+		{"inverted range", wire.EncodeReadReq(1, []wire.ReadRange{{Array: 0, Lo: 4, Hi: 0}})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var served atomic.Int64
+			ownerFailed := make(chan struct{})
+			errs := runMeshCfg(t, 2,
+				func(rank int, c *Config) { c.DrainTimeout = 100 * time.Millisecond },
+				func(rank int, eng *Engine) error {
+					eng.SetReadServer(func(array, lo, hi int) ([]byte, error) {
+						served.Add(1)
+						return rangeBytes(array, lo, hi), nil
+					})
+					if rank == 0 {
+						err := eng.send(1, wire.KindReadReq, tc.payload)
+						<-ownerFailed
+						return err
+					}
+					defer close(ownerFailed)
+					<-eng.fatalCh
+					return eng.fatalErr()
+				})
+			if errs[1] == nil || !strings.Contains(errs[1].Error(), "protocol error from rank 0") {
+				t.Errorf("owner's error = %v, want a protocol error naming rank 0", errs[1])
+			}
+			if n := served.Load(); n != 0 {
+				t.Errorf("read server ran %d times on a malformed request", n)
+			}
+		})
+	}
+}
+
+// TestCurrentOpCountsConcurrentReads pins the detector's attribution
+// with several reads blocked at once: the first read to return used to
+// clear one shared slot, so an error raised while the others were still
+// blocked blamed "local compute".
+func TestCurrentOpCountsConcurrentReads(t *testing.T) {
+	e := &Engine{}
+	if got := e.currentOp(); !strings.Contains(got, "local compute") {
+		t.Fatalf("idle engine reports %q", got)
+	}
+	a := wireOp{kind: opFetch, peer: 1, n: 1, first: wire.ReadRange{Array: 3, Lo: 0, Hi: 8}}
+	b := wireOp{kind: opFetch, peer: 2, n: 4, first: wire.ReadRange{Array: 5, Lo: 16, Hi: 32}}
+	e.beginOp(a)
+	e.beginOp(b)
+	e.beginOp(a) // equal records may be in flight together; endOp removes one of them
+	if got := e.currentOp(); !strings.Contains(got, "remote read of array 3 [0:8) from rank 1") || !strings.Contains(got, "2 more wire ops") {
+		t.Errorf("three reads in flight reported as %q", got)
+	}
+	e.endOp(a)
+	e.endOp(a)
+	if got := e.currentOp(); got != "remote read of array 5 [16:32) and 3 more ranges from rank 2" {
+		t.Errorf("after the first reads returned, the one still blocked is reported as %q", got)
+	}
+	e.endOp(b)
+	if got := e.currentOp(); !strings.Contains(got, "local compute") {
+		t.Errorf("all reads returned, engine reports %q", got)
+	}
+	for _, tc := range []struct {
+		op   wireOp
+		want string
+	}{
+		{wireOp{kind: opRecv, peer: 1, tag: 7}, "node-level recv (src=1, tag=7)"},
+		{wireOp{kind: opCommit, phase: 12}, "commit exchange for phase 12"},
+	} {
+		if got := tc.op.String(); got != tc.want {
+			t.Errorf("op = %q, want %q", got, tc.want)
+		}
+	}
+}

@@ -102,8 +102,10 @@ func Stencil27Rows(nx, ny, nz, lo, hi int) *CSR {
 		panic(fmt.Sprintf("sparse: Stencil27Rows: row range [%d,%d) out of [0,%d)", lo, hi, n))
 	}
 	a := New(hi-lo, n)
-	var cols []int
-	var vals []float64
+	// A row has at most 27 entries; sizing for that up front replaces a
+	// doubling series that copies the arrays about twice over.
+	cols := make([]int, 0, 27*(hi-lo))
+	vals := make([]float64, 0, 27*(hi-lo))
 	for g := lo; g < hi; g++ {
 		x := g % nx
 		y := (g / nx) % ny

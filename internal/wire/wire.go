@@ -30,8 +30,9 @@ import (
 
 // Protocol identity, checked during the handshake.
 const (
-	Magic   = 0x5050_4d31 // "PPM1"
-	Version = 1
+	Magic = 0x5050_4d31 // "PPM1"
+	// Version 2 made ReadReq vectored (n >= 1 ranges per request).
+	Version = 2
 )
 
 // MaxFrame bounds one frame (length prefix excluded); a peer announcing
@@ -188,37 +189,61 @@ func DecodeMsg(p []byte) (tag int64, data []byte, hasData bool, err error) {
 	return tag, p[9:], hasData, nil
 }
 
-// EncodeReadReq builds a ReadReq payload: fetch elements [lo, hi) of the
-// identified shared array from their owner.
-func EncodeReadReq(id uint64, array, lo, hi int) []byte {
-	buf := make([]byte, 0, 28)
+// ReadRange names elements [Lo, Hi) of one shared array in a remote read.
+type ReadRange struct {
+	Array, Lo, Hi int
+}
+
+// readRangeBytes is one encoded ReadRange: u32 array, u64 lo, u64 hi.
+const readRangeBytes = 20
+
+// EncodeReadReq builds a ReadReq payload: the request id followed by the
+// ranges to fetch from their owner, at least one.
+//
+//	readreq := u64(id) range^n      n >= 1
+//	range   := u32(array) u64(lo) u64(hi)
+func EncodeReadReq(id uint64, ranges []ReadRange) []byte {
+	buf := make([]byte, 0, 8+readRangeBytes*len(ranges))
 	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(array))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(lo))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(hi))
+	for _, r := range ranges {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Array))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Lo))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Hi))
+	}
 	return buf
 }
 
-// DecodeReadReq parses a ReadReq payload.
-func DecodeReadReq(p []byte) (id uint64, array, lo, hi int, err error) {
-	if len(p) != 28 {
-		return 0, 0, 0, 0, fmt.Errorf("wire: read request is %d bytes, want 28", len(p))
+// DecodeReadReq parses a ReadReq payload. A request with no range, with
+// trailing bytes, or with an inverted range is protocol corruption.
+func DecodeReadReq(p []byte) (id uint64, ranges []ReadRange, err error) {
+	if len(p) < 8+readRangeBytes || (len(p)-8)%readRangeBytes != 0 {
+		return 0, nil, fmt.Errorf("wire: read request is %d bytes, want 8+%dn with n >= 1", len(p), readRangeBytes)
 	}
 	id = binary.LittleEndian.Uint64(p)
-	array = int(int32(binary.LittleEndian.Uint32(p[8:])))
-	lo = int(int64(binary.LittleEndian.Uint64(p[12:])))
-	hi = int(int64(binary.LittleEndian.Uint64(p[20:])))
-	return id, array, lo, hi, nil
+	ranges = make([]ReadRange, (len(p)-8)/readRangeBytes)
+	for i := range ranges {
+		q := p[8+readRangeBytes*i:]
+		r := ReadRange{
+			Array: int(int32(binary.LittleEndian.Uint32(q))),
+			Lo:    int(int64(binary.LittleEndian.Uint64(q[4:]))),
+			Hi:    int(int64(binary.LittleEndian.Uint64(q[12:]))),
+		}
+		if r.Lo > r.Hi {
+			return 0, nil, fmt.Errorf("wire: read request range %d is inverted: array %d [%d:%d)", i, r.Array, r.Lo, r.Hi)
+		}
+		ranges[i] = r
+	}
+	return id, ranges, nil
 }
 
-// EncodeReadResp builds a ReadResp payload carrying the requested bytes.
-func EncodeReadResp(id uint64, data []byte) []byte {
-	buf := make([]byte, 0, 8+len(data))
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	return append(buf, data...)
+// AppendReadRespHeader starts a ReadResp payload; the caller appends the
+// requested ranges' bytes after it, concatenated in request order.
+func AppendReadRespHeader(buf []byte, id uint64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, id)
 }
 
-// DecodeReadResp parses a ReadResp payload. data aliases p.
+// DecodeReadResp parses a ReadResp payload. data aliases p; only the
+// requester knows the ranges' element sizes, so it checks the length.
 func DecodeReadResp(p []byte) (id uint64, data []byte, err error) {
 	if len(p) < 8 {
 		return 0, nil, fmt.Errorf("wire: read response is %d bytes, want >= 8", len(p))

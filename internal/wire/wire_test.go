@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -104,13 +105,47 @@ func TestMsgRoundTrip(t *testing.T) {
 }
 
 func TestReadReqRespRoundTrip(t *testing.T) {
-	id, array, lo, hi, err := DecodeReadReq(EncodeReadReq(99, 2, 10, 250))
-	if err != nil || id != 99 || array != 2 || lo != 10 || hi != 250 {
-		t.Fatalf("read req = (%d, %d, %d, %d, %v)", id, array, lo, hi, err)
+	for _, ranges := range [][]ReadRange{
+		{{Array: 2, Lo: 10, Hi: 250}},
+		{{Array: 0, Lo: 0, Hi: 0}}, // an empty range is legal: it carries no bytes
+		{{Array: 7, Lo: 1 << 40, Hi: 1<<40 + 3}, {Array: 0, Lo: 5, Hi: 6}, {Array: 7, Lo: 0, Hi: 9}},
+	} {
+		p := EncodeReadReq(99, ranges)
+		if len(p) != 8+20*len(ranges) {
+			t.Fatalf("%d ranges encode to %d bytes, want %d", len(ranges), len(p), 8+20*len(ranges))
+		}
+		id, got, err := DecodeReadReq(p)
+		if err != nil || id != 99 || !slices.Equal(got, ranges) {
+			t.Fatalf("read req %v = (%d, %v, %v)", ranges, id, got, err)
+		}
 	}
-	gotID, data, err := DecodeReadResp(EncodeReadResp(99, []byte{5, 6}))
+	resp := append(AppendReadRespHeader(nil, 99), 5, 6)
+	gotID, data, err := DecodeReadResp(resp)
 	if err != nil || gotID != 99 || !bytes.Equal(data, []byte{5, 6}) {
 		t.Fatalf("read resp = (%d, %v, %v)", gotID, data, err)
+	}
+}
+
+func TestReadReqRespMalformed(t *testing.T) {
+	good := EncodeReadReq(1, []ReadRange{{Array: 1, Lo: 2, Hi: 3}, {Array: 1, Lo: 8, Hi: 9}})
+	for _, tc := range []struct {
+		name string
+		p    []byte
+		want string
+	}{
+		{"empty", nil, "want 8+20n"},
+		{"no range", good[:8], "n >= 1"},
+		{"cut inside a range", good[:8+20+7], "want 8+20n"},
+		{"trailing byte", append(append([]byte(nil), good...), 0), "want 8+20n"},
+		{"inverted range", EncodeReadReq(1, []ReadRange{{Array: 1, Lo: 2, Hi: 3}, {Array: 4, Lo: 9, Hi: 8}}), "range 1 is inverted: array 4 [9:8)"},
+	} {
+		_, _, err := DecodeReadReq(tc.p)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+	if _, _, err := DecodeReadResp(good[:7]); err == nil {
+		t.Error("7-byte read response: want error")
 	}
 }
 
