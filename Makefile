@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench-hotpath bench-parallel bench-wire bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures
+.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-hotpath bench-parallel bench-wire bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
@@ -53,6 +53,18 @@ race:
 ## the sequential one on every golden test in the repo.
 race-parallel:
 	PPM_PARALLEL=1 $(GO) test -race ./...
+
+## bench: the repo's one benchmark (benchmark/, described to the driver
+## by BENCHMARK.json): all four workloads, end-to-end metrics. Pass flags
+## through ARGS, e.g. `make bench ARGS="-workload mesh-commits -trace 1"`.
+bench:
+	$(GO) run -C benchmark . $(ARGS)
+
+## bench-check: the benchmark's A/A check — every workload twice, failing
+## if an end-to-end metric differs between the two sets by more than its
+## bound (the noise floor a claimed gain has to clear on this host).
+bench-check:
+	$(GO) run -C benchmark . -check $(ARGS)
 
 ## bench-hotpath: regenerate BENCH_hotpath.json (host costs of the
 ## shared-access hot path; see bench_test.go).

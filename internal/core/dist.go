@@ -31,8 +31,13 @@ type DistEngine interface {
 	// CommitExchange ships outgoing[dst] (a wire commit stream; empty
 	// and self entries are skipped) to every peer and blocks until every
 	// peer's complete stream for the same phase has arrived, returned
-	// indexed by source.
+	// indexed by source. The engine borrows the outgoing streams until
+	// the call returns and lends the incoming ones until ReleaseCommit:
+	// the caller may overwrite the former at once, and must neither keep
+	// a reference into the latter past the release nor write to them.
 	CommitExchange(phase int64, outgoing [][]byte) ([][]byte, error)
+	// ReleaseCommit hands back what the last CommitExchange returned.
+	ReleaseCommit(in [][]byte)
 	// CommitCodec returns the negotiated codec for commit streams this
 	// rank sends to dst; PeerCommitCodec the codec src's streams arrive
 	// in. Core transcodes around CommitExchange — the engine stays a
@@ -307,6 +312,14 @@ type commitCursor struct {
 	live  bool
 }
 
+// drop lets go of the cursor's stream, which is about to go back to the
+// engine (a doRun cached by a warm session would otherwise pin its last
+// commit's streams for the fleet's lifetime).
+func (c *commitCursor) drop() {
+	c.rd.Reset(nil)
+	c.live, c.valid = false, false
+}
+
 func (c *commitCursor) advance() error {
 	if !c.rd.More() {
 		c.valid = false
@@ -376,7 +389,8 @@ func (d *doRun) commitGlobalDist() error {
 	// and apply below through the same path the simulator uses. The
 	// outgoing stream, per-destination encode buffers, decode buffers,
 	// and cursors are doRun scratch reused across commits (the engine
-	// copies frames before queueing, so reuse never races the wire).
+	// borrows the outgoing streams only until CommitExchange returns, so
+	// reuse never races the wire).
 	if cap(d.cout) < nodes {
 		d.cout = make([][]byte, nodes)
 		d.coutRaw = make([][]byte, nodes)
@@ -411,33 +425,30 @@ func (d *doRun) commitGlobalDist() error {
 	if err != nil {
 		return err
 	}
-	for src := 0; src < nodes; src++ {
-		if src == d.node || len(incoming[src]) == 0 {
-			continue
-		}
-		if gs.dist.PeerCommitCodec(src) == wire.CodecDelta {
-			raw, err := wire.DecodeCommitDeltaInto(d.cdec[src], incoming[src], gs.arrayElemBytes)
-			if err != nil {
-				return fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
-			}
-			d.cdec[src] = raw
-			incoming[src] = raw
-		}
-	}
 
 	// Every peer has finished its phase body (its complete delta is
 	// here), so no remote read of our partitions is outstanding: take the
-	// memory mutex and mutate.
+	// memory mutex and mutate. The incoming streams are the engine's, lent
+	// until the release below; a delta stream is decoded into doRun
+	// scratch and walked there.
 	gs.memMu.Lock()
 	gs.memHeld = true
 	curs := d.ccurs[:nodes]
 	for src := 0; src < nodes; src++ {
 		c := &curs[src]
 		c.live, c.valid = false, false
-		if src == d.node || len(incoming[src]) == 0 {
+		stream := incoming[src]
+		if src == d.node || len(stream) == 0 {
 			continue
 		}
-		c.rd.Reset(incoming[src])
+		if gs.dist.PeerCommitCodec(src) == wire.CodecDelta {
+			stream, err = wire.DecodeCommitDeltaInto(d.cdec[src], stream, gs.arrayElemBytes)
+			if err != nil {
+				return fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
+			}
+			d.cdec[src] = stream
+		}
+		c.rd.Reset(stream)
 		c.live = true
 		if err := c.advance(); err != nil {
 			return fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
@@ -471,10 +482,13 @@ func (d *doRun) commitGlobalDist() error {
 		}
 	}
 	for src := range curs {
-		if c := &curs[src]; c.live && c.valid {
+		c := &curs[src]
+		if c.live && c.valid {
 			return fmt.Errorf("core: node %d: delta from node %d addresses unknown array id %d", d.node, src, c.array)
 		}
+		c.drop()
 	}
+	gs.dist.ReleaseCommit(incoming)
 	var inBundles, inWire int64
 	for n := 0; n < nodes; n++ {
 		if n == d.node || inElems[n] == 0 {

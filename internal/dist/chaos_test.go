@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"math"
 	"os"
 	"strings"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"ppm/internal/apps/cg"
 	"ppm/internal/apps/jacobi"
+	"ppm/internal/apps/scatter"
 )
 
 // End-to-end fault tolerance over real processes: ppm-node fleets with
@@ -95,13 +95,16 @@ func TestSubprocessPartitionAbortsFast(t *testing.T) {
 }
 
 // TestChaosMatrix is the seeded fault matrix behind `make chaos`
-// (PPM_CHAOS=1): every fault class against two checkpoint-aware apps
-// (jacobi, whose tag is the sweep count, and cg, whose tag is the
-// iteration count — a kill recovery resumes both from the last common
-// checkpoint). Benign faults (delay, dup) and recoverable ones (kill,
-// and killhost once the supervisor rescales the dead host away) must
-// end bit-identical to the simulator; lossy ones (drop, partition)
-// must end in a clean, attributed error well before the watchdog.
+// (PPM_CHAOS=1): every fault class against three checkpoint-aware apps
+// (jacobi, whose tag is the sweep count, cg, whose tag is the iteration
+// count, and scatter, whose tag is the phase count — a kill recovery
+// resumes each from the last common checkpoint). jacobi and cg write
+// owner-locally, so their commit streams are empty; scatter is the app
+// whose faults land on CommitData frames. Benign faults (delay, dup)
+// and recoverable ones (kill, and killhost once the supervisor rescales
+// the dead host away) must end bit-identical to the simulator; lossy
+// ones (drop, trunc, partition) must end in a clean, attributed error
+// well before the watchdog.
 func TestChaosMatrix(t *testing.T) {
 	if os.Getenv("PPM_CHAOS") == "" {
 		t.Skip("set PPM_CHAOS=1 (or run `make chaos`) for the full fault matrix")
@@ -145,7 +148,7 @@ func TestChaosMatrix(t *testing.T) {
 		{"dup-warm-prefetch", "seed=5; dup=0.3@phase:3", true, false, nil},
 		{"trunc-warm-prefetch", "seed=9; trunc=0.5@phase:3", false, false, nil},
 	}
-	for _, app := range []string{"jacobi", "cg"} {
+	for _, app := range []string{"jacobi", "cg", "scatter"} {
 		for _, f := range faults {
 			t.Run(app+"/"+f.name, func(t *testing.T) {
 				runChaosCase(t, app, f.spec, f.recover, f.rescale, f.args)
@@ -174,6 +177,12 @@ func runChaosCase(t *testing.T, app, spec string, expectRecover, rescale bool, e
 		appSpec = AppSpec{App: "cg", CG: prm}
 		opts.NodeArgs = append([]string{"-app", "cg", "-cores", "2",
 			"-cg-grid", "8x8x8", "-cg-iters", "6"}, detectorArgs...)
+	case "scatter":
+		// Six phases, so the faults armed from phase 3 have streams to hit.
+		prm := scatter.Params{N: 3000, VPs: 6, Iters: 6, Seed: 7}
+		appSpec = AppSpec{App: "scatter", Scatter: prm}
+		opts.NodeArgs = append([]string{"-app", "scatter", "-cores", "2", "-scatter-n", "3000",
+			"-scatter-vps", "6", "-scatter-iters", "6", "-scatter-seed", "7"}, detectorArgs...)
 	}
 	opts.NodeArgs = append(opts.NodeArgs, extraArgs...)
 	if expectRecover {
@@ -201,6 +210,9 @@ func runChaosCase(t *testing.T, app, spec string, expectRecover, rescale bool, e
 		if elapsed > 60*time.Second {
 			t.Fatalf("abort took %v — the detector/deadlines did not fire", elapsed)
 		}
+		if !strings.Contains(err.Error(), "rank") {
+			t.Errorf("abort is not attributed to a rank:\n%v", err)
+		}
 		return
 	}
 	if err != nil {
@@ -210,23 +222,7 @@ func runChaosCase(t *testing.T, app, spec string, expectRecover, rescale bool, e
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch app {
-	case "jacobi":
-		want, wrep, err := jacobi.RunPPM(distOpt(2), appSpec.Jacobi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameF64(t, "u", m.Jacobi, want)
-		samePerNode(t, m.PerNode, wrep.PerNode)
-	case "cg":
-		want, wrep, err := cg.RunPPM(distOpt(2), appSpec.CG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.CG.Iters != want.Iters || math.Float64bits(m.CG.Residual) != math.Float64bits(want.Residual) {
-			t.Fatalf("cg = (%d, %v), want (%d, %v)", m.CG.Iters, m.CG.Residual, want.Iters, want.Residual)
-		}
-		sameF64(t, "x", m.CG.X, want.X)
-		samePerNode(t, m.PerNode, wrep.PerNode)
-	}
+	want, wstats := simReference(t, 2, appSpec)
+	sameAppOutput(t, appSpec, m, want)
+	samePerNode(t, m.PerNode, wstats)
 }

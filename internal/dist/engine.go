@@ -14,6 +14,7 @@ package dist
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -129,9 +130,25 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // outFrame is one queued wire frame awaiting the writer's next batch.
+// A commit frame's payload is not owned by the frame: it is the chunk
+// stream[off:end] of the stream CommitExchange was handed, borrowed until
+// the writer has copied it into its bundling buffer, and the header that
+// precedes it on the wire travels here in hdr.
 type outFrame struct {
 	kind    byte
 	payload []byte
+	hdr     wire.CommitHeader // KindCommitData and KindCommitEnd only
+}
+
+// appendTo appends f's wire form to buf: the writer's one copy.
+func (f outFrame) appendTo(buf []byte) []byte {
+	switch f.kind {
+	case wire.KindCommitData:
+		return wire.AppendCommitData(buf, f.hdr, f.payload)
+	case wire.KindCommitEnd:
+		return wire.AppendCommitEnd(buf, f.hdr)
+	}
+	return wire.AppendFrame(buf, f.kind, f.payload)
 }
 
 // kindStop is an in-process sentinel (never a wire kind, which start at
@@ -150,6 +167,8 @@ type peer struct {
 	// Connect). Core consults them through CommitCodec/PeerCommitCodec.
 	sendCodec wire.Codec
 	recvCodec wire.Codec
+	// scratch is the reader goroutine's: payloads it decodes and drops.
+	scratch []byte
 	// sawBye is set by the peer's reader goroutine when the peer
 	// announces orderly shutdown: a subsequent EOF (and silence) is then
 	// expected, not a failure. Read by the heartbeat checker too.
@@ -159,6 +178,14 @@ type peer struct {
 	// nothing — traffic or pong — has arrived for HeartbeatTimeout.
 	lastRecv atomic.Int64
 	lastSent atomic.Int64
+}
+
+// scratchFor returns n bytes of the reader goroutine's scratch.
+func (p *peer) scratchFor(n int) []byte {
+	if cap(p.scratch) < n {
+		p.scratch = make([]byte, n)
+	}
+	return p.scratch[:n]
 }
 
 // tryEnqueue queues a frame without blocking (pongs, abort notices,
@@ -228,6 +255,9 @@ type Engine struct {
 
 	mail   mailbox
 	commit commitPlane
+	// commitAck carries one token per CommitEnd frame a writer has copied
+	// out: what ends CommitExchange's borrow of the caller's streams.
+	commitAck chan struct{}
 
 	reqSeq atomic.Uint64
 	pendMu sync.Mutex
@@ -284,6 +314,7 @@ func Connect(cfg Config) (*Engine, error) {
 		pend:         make(map[uint64]*fetchWait),
 		serveCh:      make(chan serveReq, 1024),
 		serverReady:  make(chan struct{}),
+		commitAck:    make(chan struct{}, cfg.Nodes-1), // one token per peer for the one exchange in flight
 		byeCh:        make(chan int, cfg.Nodes),
 		fatalCh:      make(chan struct{}),
 		done:         make(chan struct{}),
@@ -730,30 +761,40 @@ func (e *Engine) writeLoop(p *peer) {
 	}
 	appendFrame := func(f outFrame) {
 		e.wsFrames.Add(1)
-		if e.faults != nil {
-			if e.faults.Blackholed(p.id) {
-				return
-			}
-			fault := e.faults.Frame(p.id, f.kind)
-			if fault.Delay > 0 {
-				flush(false)
-				time.Sleep(fault.Delay)
-			}
-			if fault.Drop {
-				return
-			}
-			if fault.Trunc && len(f.payload) > 0 {
-				// Re-framed truncation: the shortened payload gets a
-				// correct length prefix, so the receiver sees a cleanly
-				// corrupted frame (decode error) rather than a desynced
-				// byte stream that hangs in ReadFrame forever.
-				f.payload = f.payload[:len(f.payload)/2]
-			}
-			if fault.Dup {
-				buf = wire.AppendFrame(buf, f.kind, f.payload)
-			}
+		if f.kind == wire.KindCommitEnd {
+			// Whatever becomes of the frame below, this phase's streams
+			// toward p are no longer referenced from the queue.
+			defer e.ackCommit()
 		}
-		buf = wire.AppendFrame(buf, f.kind, f.payload)
+		if e.faults == nil {
+			buf = f.appendTo(buf)
+			return
+		}
+		if e.faults.Blackholed(p.id) {
+			return
+		}
+		fault := e.faults.Frame(p.id, f.kind)
+		if fault.Delay > 0 {
+			flush(false)
+			time.Sleep(fault.Delay)
+		}
+		if fault.Drop {
+			return
+		}
+		start := len(buf)
+		buf = f.appendTo(buf)
+		if n := len(buf) - start - wire.FrameHeaderBytes; fault.Trunc && n > 0 {
+			// Re-framed truncation: the payload (for a commit frame,
+			// header and chunk taken together) is cut to half and gets a
+			// correct length prefix, so the receiver sees a cleanly
+			// corrupted frame (decode error) rather than a desynced byte
+			// stream that hangs in ReadFrame forever.
+			buf = buf[:start+wire.FrameHeaderBytes+n/2]
+			binary.LittleEndian.PutUint32(buf[start:], uint32(1+n/2))
+		}
+		if fault.Dup {
+			buf = append(buf, buf[start:]...)
+		}
 	}
 	for {
 		f := <-p.out
@@ -790,11 +831,17 @@ func (e *Engine) writeLoop(p *peer) {
 func (e *Engine) readLoop(p *peer) {
 	defer e.wg.Done()
 	for {
-		kind, payload, err := wire.ReadFrame(p.br)
+		kind, n, err := wire.ReadFrameHeader(p.br)
+		var payload []byte
+		if err == nil {
+			payload, err = e.readPayload(p, kind, n)
+		}
 		if err != nil {
 			// EOF after the peer's bye (or once we are closing ourselves)
 			// is the orderly end of the link, not a failure.
-			if !p.sawBye.Load() && !e.closing.Load() {
+			if pe := (protocolError{}); errors.As(err, &pe) {
+				e.protocolFatal(p.id, pe.error)
+			} else if !p.sawBye.Load() && !e.closing.Load() {
 				e.setFatal(fmt.Errorf("dist: rank %d: read from rank %d (during %s): %w", e.rank, p.id, e.currentOp(), err))
 			}
 			return
@@ -835,19 +882,16 @@ func (e *Engine) readLoop(p *peer) {
 				w.ch <- data // capacity 1, one reply per id: never blocks
 			}
 		case wire.KindCommitData:
-			phase, chunk, err := wire.DecodeCommitData(payload)
-			if err != nil {
-				e.protocolFatal(p.id, err)
-				return
-			}
-			e.commit.addData(p.id, phase, chunk)
+			// readPayload put the chunk where it belongs.
 		case wire.KindCommitEnd:
-			phase, err := wire.DecodeCommitEnd(payload)
+			h, err := wire.DecodeCommitEnd(payload)
+			if err == nil {
+				err = e.commit.end(p.id, h)
+			}
 			if err != nil {
 				e.protocolFatal(p.id, err)
 				return
 			}
-			e.commit.end(p.id, phase)
 		case wire.KindAbort:
 			e.setFatal(fmt.Errorf("dist: rank %d aborted: %s", p.id, wire.DecodeAbort(payload)))
 			return
@@ -858,12 +902,52 @@ func (e *Engine) readLoop(p *peer) {
 		case wire.KindBye:
 			p.sawBye.Store(true)
 			e.byeCh <- p.id // capacity nodes: never blocks
-		default:
-			e.protocolFatal(p.id, fmt.Errorf("unknown frame kind %d", kind))
-			return
 		}
 	}
 }
+
+// readPayload consumes the n payload bytes of the frame whose header was
+// just read. Only a payload that changes goroutine (Msg, ReadResp) gets a
+// slice of its own; a commit chunk is read straight into the tail of the
+// stream the commit plane is assembling (and nothing is returned), and a
+// payload that is decoded and dropped lands in the reader's one scratch.
+func (e *Engine) readPayload(p *peer, kind byte, n int) ([]byte, error) {
+	switch kind {
+	case wire.KindMsg, wire.KindReadResp:
+		payload := make([]byte, n)
+		return payload, wire.ReadPayload(p.br, payload)
+	case wire.KindCommitData:
+		if n < wire.CommitHeaderBytes {
+			return nil, protocolError{fmt.Errorf("commit chunk is %d bytes, want >= %d", n, wire.CommitHeaderBytes)}
+		}
+		hdr := p.scratchFor(wire.CommitHeaderBytes)
+		if err := wire.ReadPayload(p.br, hdr); err != nil {
+			return nil, err
+		}
+		h, err := wire.DecodeCommitHeader(hdr)
+		if err != nil {
+			return nil, protocolError{err}
+		}
+		n -= wire.CommitHeaderBytes
+		dst, err := e.commit.reserve(p.id, h, n)
+		if err != nil {
+			return nil, protocolError{err}
+		}
+		if dst == nil { // a repeat, or a stream nobody waits for any more
+			_, err := p.br.Discard(n)
+			return nil, err
+		}
+		return nil, wire.ReadPayload(p.br, dst)
+	case wire.KindReadReq, wire.KindCommitEnd, wire.KindAbort, wire.KindBye, wire.KindPing, wire.KindPong:
+		payload := p.scratchFor(n)
+		return payload, wire.ReadPayload(p.br, payload)
+	}
+	return nil, protocolError{fmt.Errorf("unknown frame kind %d", kind)}
+}
+
+// protocolError marks a frame the peer should never have sent, as opposed
+// to a link that failed under a well-formed one.
+type protocolError struct{ error }
 
 func (e *Engine) protocolFatal(from int, err error) {
 	e.setFatal(fmt.Errorf("dist: rank %d: protocol error from rank %d: %w", e.rank, from, err))
@@ -907,18 +991,32 @@ func (e *Engine) serveLoop() {
 	}
 }
 
-// send queues one frame for dst's writer.
+// send queues one frame that owns its payload for dst's writer.
 func (e *Engine) send(dst int, kind byte, payload []byte) error {
+	return e.enqueue(dst, outFrame{kind: kind, payload: payload})
+}
+
+// enqueue queues one frame for dst's writer.
+func (e *Engine) enqueue(dst int, f outFrame) error {
 	if e.closing.Load() {
 		return fmt.Errorf("dist: rank %d: send to rank %d after close", e.rank, dst)
 	}
 	p := e.peers[dst]
 	select {
-	case p.out <- outFrame{kind: kind, payload: payload}:
+	case p.out <- f:
 		p.lastSent.Store(time.Now().UnixNano())
 		return nil
 	case <-e.fatalCh:
 		return e.fatalErr()
+	}
+}
+
+// ackCommit reports that a writer has copied a CommitEnd frame, and with
+// it everything of that stream, out of the queue.
+func (e *Engine) ackCommit() {
+	select {
+	case e.commitAck <- struct{}{}:
+	case <-e.fatalCh:
 	}
 }
 
@@ -1090,6 +1188,15 @@ func (e *Engine) FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, error)
 // block until every peer's complete stream for this phase is in (bounded
 // by OpTimeout, naming the missing ranks on expiry).
 //
+// Streams cross the engine by reference. The queued frames borrow
+// outgoing[dst] — the one copy is the writer's, into its bundling buffer —
+// so the call returns only once every peer's writer has taken this
+// phase's last frame, and the caller may overwrite its streams the moment
+// it does. The streams returned are lent from the commit plane's pool
+// until ReleaseCommit. After an error the engine is finished (the caller
+// aborts it) and the borrow may be outstanding: the streams of a failed
+// exchange must not be reused. One exchange runs at a time.
+//
 // The phase boundary is also where phase-targeted faults trigger: the
 // injection plan learns the current phase here, and kill/sever items
 // fire on entry — a rank dying exactly at the Nth boundary is the
@@ -1112,30 +1219,45 @@ func (e *Engine) CommitExchange(phase int64, outgoing [][]byte) ([][]byte, error
 	op := wireOp{kind: opCommit, phase: phase}
 	e.beginOp(op)
 	defer e.endOp(op)
+	seq := e.commit.next()
 	for dst := 0; dst < e.nodes; dst++ {
 		if dst == e.rank {
 			continue
 		}
 		stream := outgoing[dst]
-		for off := 0; off < len(stream); off += e.bundle {
-			end := off + e.bundle
-			if end > len(stream) {
-				end = len(stream)
-			}
-			if err := e.send(dst, wire.KindCommitData, wire.EncodeCommitData(phase, stream[off:end])); err != nil {
+		if len(stream) > wire.MaxFrame {
+			return nil, fmt.Errorf("dist: rank %d: commit stream of phase %d for rank %d is %d bytes, above the %d-byte bound",
+				e.rank, phase, dst, len(stream), wire.MaxFrame)
+		}
+		f := outFrame{kind: wire.KindCommitData, hdr: wire.CommitHeader{Seq: seq, Phase: phase, Total: len(stream)}}
+		for ; f.hdr.Off < len(stream); f.hdr.Off += e.bundle {
+			f.payload = stream[f.hdr.Off:min(f.hdr.Off+e.bundle, len(stream))]
+			if err := e.enqueue(dst, f); err != nil {
 				return nil, err
 			}
 		}
-		if err := e.send(dst, wire.KindCommitEnd, wire.EncodeCommitEnd(phase)); err != nil {
+		f.kind, f.payload = wire.KindCommitEnd, nil
+		if err := e.enqueue(dst, f); err != nil {
 			return nil, err
 		}
 	}
-	in, err := e.commit.wait(phase, e.rank, e.opTimeout)
+	for n := 1; n < e.nodes; n++ {
+		select {
+		case <-e.commitAck:
+		case <-e.fatalCh:
+			return nil, e.fatalErr()
+		}
+	}
+	in, err := e.commit.wait(seq, phase, e.rank, e.opTimeout)
 	if errors.Is(err, errCommitPlaneDead) {
 		return nil, e.fatalErr()
 	}
 	return in, err
 }
+
+// ReleaseCommit implements core.DistEngine: the caller is done with the
+// streams its last CommitExchange returned, and they go back to the pool.
+func (e *Engine) ReleaseCommit(in [][]byte) { e.commit.release(in) }
 
 // Abort implements core.DistEngine: best-effort notification of every
 // peer, then local shutdown of all blocking operations.
@@ -1237,6 +1359,9 @@ type mailbox struct {
 	cond *sync.Cond
 	q    []mailMsg
 	dead bool
+	// timers recycles the deadline timers of receives that had to block
+	// (several may, concurrently); each only wakes cond's waiters.
+	timers sync.Pool
 }
 
 func (mb *mailbox) init() { mb.cond = sync.NewCond(&mb.mu) }
@@ -1248,23 +1373,38 @@ func (mb *mailbox) put(m mailMsg) {
 	mb.cond.Broadcast()
 }
 
+// wakeAt arms tm (nil: a new timer) to wake every waiter on cond, which
+// mu guards, after d. The timer carries no verdict: a waiter it wakes
+// compares the clock with its own deadline, so one that fires late, for a
+// wait that is already over, costs a spurious wake-up and nothing else —
+// which is what lets the timer be reused without draining it.
+func wakeAt(tm *time.Timer, d time.Duration, mu *sync.Mutex, cond *sync.Cond) *time.Timer {
+	if tm != nil {
+		tm.Reset(d)
+		return tm
+	}
+	return time.AfterFunc(d, func() {
+		mu.Lock() // a waiter is either before its deadline check or inside Wait
+		mu.Unlock()
+		cond.Broadcast()
+	})
+}
+
 // recv blocks until a matching message arrives, the mailbox dies, or the
 // timeout expires (0 disables it, matching the other op deadlines). The
-// timed-out flag is per call: an expiry wakes only its own waiter, not
-// every Recv in flight.
+// deadline is per call, and armed only by a call that has to block: a
+// message that is already queued costs no timer.
 func (mb *mailbox) recv(src, tag int, timeout time.Duration) (mailMsg, bool, bool) {
-	timedOut := false
-	if timeout > 0 {
-		tm := time.AfterFunc(timeout, func() {
-			mb.mu.Lock()
-			timedOut = true
-			mb.mu.Unlock()
-			mb.cond.Broadcast()
-		})
-		defer tm.Stop()
-	}
+	var tm *time.Timer
+	var deadline time.Time
 	mb.mu.Lock()
-	defer mb.mu.Unlock()
+	defer func() {
+		mb.mu.Unlock()
+		if tm != nil {
+			tm.Stop()
+			mb.timers.Put(tm)
+		}
+	}()
 	for {
 		for i := range mb.q {
 			m := mb.q[i]
@@ -1276,8 +1416,14 @@ func (mb *mailbox) recv(src, tag int, timeout time.Duration) (mailMsg, bool, boo
 		if mb.dead {
 			return mailMsg{}, false, false
 		}
-		if timedOut {
-			return mailMsg{}, false, true
+		if timeout > 0 {
+			if tm == nil {
+				deadline = time.Now().Add(timeout)
+				tm, _ = mb.timers.Get().(*time.Timer)
+				tm = wakeAt(tm, timeout, &mb.mu, mb.cond)
+			} else if !time.Now().Before(deadline) {
+				return mailMsg{}, false, true
+			}
 		}
 		mb.cond.Wait()
 	}
@@ -1297,18 +1443,35 @@ func (mb *mailbox) kill() {
 // the dead rank and operation, not just "a peer was lost".
 var errCommitPlaneDead = errors.New("dist: commit plane killed")
 
-// commitPlane assembles peers' phase-commit delta streams. Phases are
-// keyed by sequence number so a fast peer's next-phase chunks can arrive
-// before this node finishes waiting on the current phase.
+// commitPlane assembles peers' phase-commit delta streams, each peer's
+// reader appending its chunks where they belong. Exchanges are keyed by
+// their ordinal on the mesh (wire.CommitHeader.Seq), so a fast peer's
+// next-exchange chunks can arrive before this node finishes waiting on
+// the current one, and a frame that arrives after its exchange completed
+// is recognized as such even when the next job reuses the phase number.
 type commitPlane struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	nodes  int
-	phases map[int64]*commitBuf
-	dead   bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	nodes int
+	open  map[int64]*commitBuf
+	// completed is the ordinal of the last exchange wait handed out:
+	// frames at or below it are late repeats, and nothing legitimate is
+	// more than two ahead of it (a peer cannot finish an exchange without
+	// this rank's stream for it).
+	completed int64
+	// lent is the buffer whose streams the last wait handed out, until
+	// release; pool holds the ones between uses. A lent buffer that is
+	// never released is simply left to the collector.
+	lent *commitBuf
+	pool sync.Pool
+	tm   *time.Timer // the one wait deadline timer, see wakeAt
+	dead bool
 }
 
+// commitBuf is one exchange's incoming streams. It is recycled whole:
+// data[src] keeps its capacity from one exchange to the next.
 type commitBuf struct {
+	phase int64
 	data  [][]byte
 	done  []bool
 	nDone int
@@ -1317,53 +1480,117 @@ type commitBuf struct {
 func (cp *commitPlane) init(nodes int) {
 	cp.cond = sync.NewCond(&cp.mu)
 	cp.nodes = nodes
-	cp.phases = make(map[int64]*commitBuf)
+	cp.open = make(map[int64]*commitBuf)
 }
 
-func (cp *commitPlane) buf(phase int64) *commitBuf {
-	b := cp.phases[phase]
+// next returns the ordinal of the exchange about to start.
+func (cp *commitPlane) next() int64 {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return cp.completed + 1
+}
+
+// buf returns the buffer of exchange seq, which every rank must be
+// running as the same phase. Call with mu held.
+func (cp *commitPlane) buf(seq, phase int64) (*commitBuf, error) {
+	b := cp.open[seq]
 	if b == nil {
-		b = &commitBuf{data: make([][]byte, cp.nodes), done: make([]bool, cp.nodes)}
-		cp.phases[phase] = b
+		b, _ = cp.pool.Get().(*commitBuf)
+		if b == nil {
+			b = &commitBuf{data: make([][]byte, cp.nodes), done: make([]bool, cp.nodes)}
+		}
+		b.phase = phase
+		cp.open[seq] = b
 	}
-	return b
+	if b.phase != phase {
+		return nil, fmt.Errorf("commit exchange %d is phase %d to one rank and phase %d to another: the ranks are out of step", seq, b.phase, phase)
+	}
+	return b, nil
 }
 
-func (cp *commitPlane) addData(src int, phase int64, chunk []byte) {
-	cp.mu.Lock()
-	b := cp.buf(phase)
-	b.data[src] = append(b.data[src], chunk...)
-	cp.mu.Unlock()
+// frameBuf returns the buffer a commit frame from src belongs to, or nil
+// for a frame that arrived after its exchange completed (a duplicate:
+// ignore it); an ordinal no peer can have reached is an error. Call with
+// mu held.
+func (cp *commitPlane) frameBuf(src int, h wire.CommitHeader) (*commitBuf, error) {
+	if h.Seq <= cp.completed {
+		return nil, nil
+	}
+	if h.Seq > cp.completed+2 {
+		return nil, fmt.Errorf("rank %d sent a commit frame of phase %d as exchange %d while this rank has completed %d", src, h.Phase, h.Seq, cp.completed)
+	}
+	return cp.buf(h.Seq, h.Phase)
 }
 
-func (cp *commitPlane) end(src int, phase int64) {
+// reserve places a chunk of n bytes at h.Off of src's stream and returns
+// where the reader is to put it; nil means drop it (a repeat). The first
+// chunk sizes the stream for its announced total. Only src's reader
+// appends to the stream, and the waiter does not see it before src's end,
+// so the reader fills the reservation without the lock.
+func (cp *commitPlane) reserve(src int, h wire.CommitHeader, n int) ([]byte, error) {
 	cp.mu.Lock()
-	b := cp.buf(phase)
+	defer cp.mu.Unlock()
+	b, err := cp.frameBuf(src, h)
+	if b == nil {
+		return nil, err
+	}
+	s := b.data[src]
+	switch {
+	case b.done[src]:
+		return nil, fmt.Errorf("rank %d sent %d more bytes of its phase %d commit stream after ending it at %d", src, n, h.Phase, len(s))
+	case h.Off+n <= len(s):
+		return nil, nil // lies wholly inside what is already here: a repeat
+	case h.Off != len(s):
+		return nil, fmt.Errorf("rank %d's phase %d commit stream continues at offset %d with %d bytes received: a frame was lost or cut", src, h.Phase, h.Off, len(s))
+	case h.Off+n > h.Total:
+		return nil, fmt.Errorf("rank %d's phase %d commit stream overruns its announced %d bytes by %d", src, h.Phase, h.Total, h.Off+n-h.Total)
+	}
+	if cap(s) < h.Total {
+		s = append(make([]byte, 0, h.Total), s...)
+	}
+	s = s[:h.Off+n]
+	b.data[src] = s
+	return s[h.Off:], nil
+}
+
+// end marks src's stream complete at h.Total bytes.
+func (cp *commitPlane) end(src int, h wire.CommitHeader) error {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	b, err := cp.frameBuf(src, h)
+	if b == nil {
+		return err
+	}
+	if got := len(b.data[src]); got != h.Total {
+		return fmt.Errorf("rank %d ended its phase %d commit stream at %d bytes with %d received: a frame was lost or cut", src, h.Phase, h.Total, got)
+	}
 	if !b.done[src] {
 		b.done[src] = true
 		b.nDone++
+		cp.cond.Broadcast()
 	}
-	cp.mu.Unlock()
-	cp.cond.Broadcast()
+	return nil
 }
 
-func (cp *commitPlane) wait(phase int64, self int, timeout time.Duration) ([][]byte, error) {
-	timedOut := false
-	if timeout > 0 {
-		tm := time.AfterFunc(timeout, func() {
-			cp.mu.Lock()
-			timedOut = true
-			cp.mu.Unlock()
-			cp.cond.Broadcast()
-		})
-		defer tm.Stop()
-	}
+// wait blocks until every peer's stream of exchange seq is complete and
+// returns them indexed by source, lent until release. The deadline timer
+// is armed only if the streams are not all here yet.
+func (cp *commitPlane) wait(seq, phase int64, self int, timeout time.Duration) ([][]byte, error) {
+	var deadline time.Time
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	for {
-		b := cp.buf(phase)
+		b, err := cp.buf(seq, phase)
+		if err != nil {
+			return nil, fmt.Errorf("dist: rank %d: %w", self, err)
+		}
 		if b.nDone == cp.nodes-1 {
-			delete(cp.phases, phase)
+			delete(cp.open, seq)
+			cp.completed = seq
+			cp.lent = b
+			if !deadline.IsZero() {
+				cp.tm.Stop()
+			}
 			return b.data, nil
 		}
 		if cp.dead {
@@ -1372,18 +1599,41 @@ func (cp *commitPlane) wait(phase int64, self int, timeout time.Duration) ([][]b
 			// it for this sentinel.
 			return nil, errCommitPlaneDead
 		}
-		if timedOut {
-			var missing []int
-			for n := 0; n < cp.nodes; n++ {
-				if n != self && !b.done[n] {
-					missing = append(missing, n)
+		if timeout > 0 {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(timeout)
+				cp.tm = wakeAt(cp.tm, timeout, &cp.mu, cp.cond)
+			} else if !time.Now().Before(deadline) {
+				var missing []int
+				for n := 0; n < cp.nodes; n++ {
+					if n != self && !b.done[n] {
+						missing = append(missing, n)
+					}
 				}
+				return nil, fmt.Errorf("dist: rank %d: commit of phase %d timed out after %v waiting for rank(s) %v",
+					self, phase, timeout, missing)
 			}
-			return nil, fmt.Errorf("dist: rank %d: commit of phase %d timed out after %v waiting for rank(s) %v",
-				self, phase, timeout, missing)
 		}
 		cp.cond.Wait()
 	}
+}
+
+// release takes back the streams the last wait handed out.
+func (cp *commitPlane) release(in [][]byte) {
+	cp.mu.Lock()
+	b := cp.lent
+	if b == nil || len(in) == 0 || &in[0] != &b.data[0] {
+		cp.mu.Unlock()
+		return
+	}
+	cp.lent = nil
+	cp.mu.Unlock()
+	for src := range b.data {
+		b.data[src] = b.data[src][:0]
+		b.done[src] = false
+	}
+	b.nDone = 0
+	cp.pool.Put(b)
 }
 
 func (cp *commitPlane) kill() {

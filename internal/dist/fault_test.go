@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"ppm/internal/apps/jacobi"
+	"ppm/internal/apps/scatter"
 	"ppm/internal/core"
 	"ppm/internal/faultinject"
+	"ppm/internal/wire"
 )
 
 // runMeshCfg is runMesh with per-rank Config customization and errors
@@ -290,41 +292,93 @@ func writeTemp(t *testing.T, content string) string {
 	return p
 }
 
-// TestFrameFaultsPreserveResults runs a real app under heavy duplicate +
+// TestFrameFaultsPreserveResults runs real apps under heavy duplicate +
 // delay injection. Dup and delay are *benign* faults for a correct
-// protocol — commit streams are idempotently framed per phase and reads
-// are request/response — so the run must still complete bit-identically.
+// protocol — reads are request/response, and every commit frame says
+// where in which stream it belongs, so a repeat is recognized whether it
+// lands before or after its exchange completes — so the run must still
+// complete bit-identically: jacobi with its empty commit streams, and
+// scatter, whose duplicated CommitData frames used to be appended twice,
+// under both codecs.
 func TestFrameFaultsPreserveResults(t *testing.T) {
-	opt := distOpt(2)
-	prm := jacobi.Params{NX: 10, NY: 6, NZ: 4, Sweeps: 5}
-	want, wrep, err := jacobi.RunPPM(opt, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	results := make([]NodeResult, 2)
-	errs := runMeshCfg(t, 2,
-		func(rank int, c *Config) {
-			c.Faults = mustPlan(t, "seed=11; dup=0.2; delay=0.05:2ms", rank)
-		},
-		func(rank int, eng *Engine) error {
-			results[rank] = *RunApp(eng, opt, AppSpec{App: "jacobi", Jacobi: prm})
-			if results[rank].Err != "" {
-				return fmt.Errorf("%s", results[rank].Err)
+	for _, tc := range []struct {
+		name  string
+		spec  AppSpec
+		codec wire.Codec
+	}{
+		{"jacobi", AppSpec{App: "jacobi", Jacobi: jacobi.Params{NX: 10, NY: 6, NZ: 4, Sweeps: 5}}, wire.CodecRaw},
+		{"scatter", AppSpec{App: "scatter", Scatter: scatter.Params{N: 3000, VPs: 6, Iters: 6, Seed: 7}}, wire.CodecRaw},
+		{"scatter-delta", AppSpec{App: "scatter", Scatter: scatter.Params{N: 3000, VPs: 6, Iters: 6, Seed: 7}}, wire.CodecDelta},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := distOpt(2)
+			want, wstats := simReference(t, 2, tc.spec)
+			results := make([]NodeResult, 2)
+			errs := runMeshCfg(t, 2,
+				func(rank int, c *Config) {
+					c.Codec = tc.codec
+					c.Faults = mustPlan(t, "seed=11; dup=0.2; delay=0.05:2ms", rank)
+				},
+				func(rank int, eng *Engine) error {
+					results[rank] = *RunApp(eng, opt, tc.spec)
+					if results[rank].Err != "" {
+						return fmt.Errorf("%s", results[rank].Err)
+					}
+					return nil
+				})
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
 			}
-			return nil
+			m, merr := Merge(tc.spec, results)
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			sameAppOutput(t, tc.spec, m, want)
+			samePerNode(t, m.PerNode, wstats)
 		})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
 	}
-	m, merr := Merge(AppSpec{App: "jacobi", Jacobi: prm}, results)
-	if merr != nil {
-		t.Fatal(merr)
+}
+
+// TestLostCommitFramesFailAttributed drops and cuts frames of a run whose
+// commit streams are not empty. Without positions on the frames a lost
+// middle chunk surfaced only if the run grammar happened to break; now
+// the receiver names the sender, and the run ends long before any
+// deadline.
+func TestLostCommitFramesFailAttributed(t *testing.T) {
+	spec := AppSpec{App: "scatter", Scatter: scatter.Params{N: 3000, VPs: 6, Iters: 6, Seed: 7}}
+	for _, fault := range []string{"seed=7; drop=0.4@phase:2", "seed=9; trunc=0.5@phase:2"} {
+		t.Run(fault, func(t *testing.T) {
+			start := time.Now()
+			errs := runMeshCfg(t, 2,
+				func(rank int, c *Config) {
+					c.HeartbeatInterval = 50 * time.Millisecond
+					c.HeartbeatTimeout = 2 * time.Second
+					c.OpTimeout = 5 * time.Second
+					c.DrainTimeout = 100 * time.Millisecond
+					c.Faults = mustPlan(t, fault, rank)
+				},
+				func(rank int, eng *Engine) error {
+					if res := RunApp(eng, distOpt(2), spec); res.Err != "" {
+						return fmt.Errorf("%s", res.Err)
+					}
+					return nil
+				})
+			for rank, err := range errs {
+				if err == nil {
+					t.Fatalf("rank %d finished a run that lost frames", rank)
+				}
+				t.Logf("rank %d: %v", rank, err)
+				if !strings.Contains(err.Error(), "rank") {
+					t.Errorf("rank %d: error names no rank: %v", rank, err)
+				}
+			}
+			if d := time.Since(start); d > 30*time.Second {
+				t.Errorf("the run took %v to fail", d)
+			}
+		})
 	}
-	sameF64(t, "u", m.Jacobi, want)
-	samePerNode(t, m.PerNode, wrep.PerNode)
 }
 
 // TestTruncationFaultFailsCleanly corrupts frames on the wire (re-framed

@@ -31,13 +31,18 @@ import (
 // Protocol identity, checked during the handshake.
 const (
 	Magic = 0x5050_4d31 // "PPM1"
-	// Version 2 made ReadReq vectored (n >= 1 ranges per request).
-	Version = 2
+	// Version 2 made ReadReq vectored (n >= 1 ranges per request);
+	// version 3 gave commit frames their exchange ordinal and position.
+	Version = 3
 )
 
 // MaxFrame bounds one frame (length prefix excluded); a peer announcing
 // more is protocol corruption, not a large payload.
 const MaxFrame = 1 << 30
+
+// FrameHeaderBytes is what precedes a frame's payload: the length prefix
+// and the kind byte.
+const FrameHeaderBytes = 5
 
 // Frame kinds.
 const (
@@ -70,25 +75,57 @@ func AppendFrame(buf []byte, kind byte, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// ReadFrameHeader reads a frame's length prefix and kind and returns the
+// payload length n; the caller must consume exactly n more bytes from br
+// before the next frame. Nothing is allocated: the prefix is inspected in
+// br's own buffer.
+func ReadFrameHeader(br *bufio.Reader) (kind byte, n int, err error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, err
+	}
+	total := binary.LittleEndian.Uint32(hdr)
+	if total < 1 || total > MaxFrame {
+		return 0, 0, fmt.Errorf("wire: frame length %d out of range [1, %d]", total, MaxFrame)
+	}
+	br.Discard(4) // cannot fail: the bytes were just peeked
+	kind, err = br.ReadByte()
+	if err != nil {
+		return 0, 0, truncated(err)
+	}
+	return kind, int(total) - 1, nil
+}
+
+// ReadPayload fills p, a frame's payload or a part of it, from br.
+func ReadPayload(br *bufio.Reader, p []byte) error {
+	if _, err := io.ReadFull(br, p); err != nil {
+		return truncated(err)
+	}
+	return nil
+}
+
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("wire: truncated frame: %w", err)
+}
+
 // ReadFrame reads one frame from br, returning its kind and payload. The
 // payload is freshly allocated (the caller may retain it).
 func ReadFrame(br *bufio.Reader) (kind byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	kind, n, err := ReadFrameHeader(br)
+	if err != nil {
 		return 0, nil, err
 	}
-	total := binary.LittleEndian.Uint32(hdr[:])
-	if total < 1 || total > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame length %d out of range [1, %d]", total, MaxFrame)
+	payload = make([]byte, n)
+	if err := ReadPayload(br, payload); err != nil {
+		return 0, nil, err
 	}
-	body := make([]byte, total)
-	if _, err := io.ReadFull(br, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("wire: truncated frame: %w", err)
-	}
-	return body[0], body[1:], nil
+	return kind, payload, nil
 }
 
 // Hello is the handshake payload exchanged on every connection before
@@ -251,33 +288,86 @@ func DecodeReadResp(p []byte) (id uint64, data []byte, err error) {
 	return binary.LittleEndian.Uint64(p), p[8:], nil
 }
 
-// EncodeCommitData builds a CommitData payload: one chunk of the commit
-// stream for the given phase sequence number.
-func EncodeCommitData(phase int64, chunk []byte) []byte {
-	buf := make([]byte, 0, 8+len(chunk))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(phase))
-	return append(buf, chunk...)
+// CommitHeader opens both commit payloads. It names the stream a frame
+// belongs to, how long that stream is and where in it the frame sits, so
+// the receiver can size the stream once, and tell a repeated frame from
+// new data and a lost frame from the end.
+//
+//	commitdata := header chunk      the chunk is stream[off : off+len(chunk)]
+//	commitend  := header            off = total
+//	header     := u64(seq) u64(phase) u64(off) u64(total)
+type CommitHeader struct {
+	// Seq is the exchange's ordinal on this mesh, counted from 1 over the
+	// engines' lifetime: every rank's n-th exchange is the same phase of
+	// the same job, and unlike Phase it never repeats when the next job
+	// restarts its phase numbers.
+	Seq int64
+	// Phase is the runtime's phase number, carried so that ranks that
+	// disagree on it fail with both numbers named.
+	Phase int64
+	// Off is the frame's position in the stream, Total the stream's
+	// length: Off <= Total <= MaxFrame (a stream is bounded like a frame).
+	Off, Total int
 }
 
-// DecodeCommitData parses a CommitData payload. chunk aliases p.
-func DecodeCommitData(p []byte) (phase int64, chunk []byte, err error) {
-	if len(p) < 8 {
-		return 0, nil, fmt.Errorf("wire: commit chunk is %d bytes, want >= 8", len(p))
+// CommitHeaderBytes is the encoded size of a CommitHeader.
+const CommitHeaderBytes = 32
+
+func appendCommitFrame(buf []byte, kind byte, h CommitHeader, chunkLen int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+CommitHeaderBytes+chunkLen))
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.Seq))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.Phase))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.Off))
+	return binary.LittleEndian.AppendUint64(buf, uint64(h.Total))
+}
+
+// AppendCommitData appends a complete CommitData frame — the chunk at
+// h.Off of a commit stream — to buf. chunk is copied, once.
+func AppendCommitData(buf []byte, h CommitHeader, chunk []byte) []byte {
+	return append(appendCommitFrame(buf, KindCommitData, h, len(chunk)), chunk...)
+}
+
+// AppendCommitEnd appends a complete CommitEnd frame to buf: the stream
+// of h.Total bytes is over (h.Off is ignored).
+func AppendCommitEnd(buf []byte, h CommitHeader) []byte {
+	h.Off = h.Total
+	return appendCommitFrame(buf, KindCommitEnd, h, 0)
+}
+
+// DecodeCommitHeader parses the header at the start of a commit payload.
+func DecodeCommitHeader(p []byte) (CommitHeader, error) {
+	if len(p) < CommitHeaderBytes {
+		return CommitHeader{}, fmt.Errorf("wire: commit frame is %d bytes, want >= %d", len(p), CommitHeaderBytes)
 	}
-	return int64(binary.LittleEndian.Uint64(p)), p[8:], nil
-}
-
-// EncodeCommitEnd builds a CommitEnd payload.
-func EncodeCommitEnd(phase int64) []byte {
-	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), uint64(phase))
+	h := CommitHeader{
+		Seq:   int64(binary.LittleEndian.Uint64(p)),
+		Phase: int64(binary.LittleEndian.Uint64(p[8:])),
+	}
+	off, total := binary.LittleEndian.Uint64(p[16:]), binary.LittleEndian.Uint64(p[24:])
+	if h.Seq < 1 {
+		return CommitHeader{}, fmt.Errorf("wire: commit frame of phase %d has exchange ordinal %d", h.Phase, h.Seq)
+	}
+	if total > MaxFrame {
+		return CommitHeader{}, fmt.Errorf("wire: commit stream of phase %d announces %d bytes, above the %d-byte bound", h.Phase, total, MaxFrame)
+	}
+	if off > total {
+		return CommitHeader{}, fmt.Errorf("wire: commit frame of phase %d is at offset %d of a %d-byte stream", h.Phase, off, total)
+	}
+	h.Off, h.Total = int(off), int(total)
+	return h, nil
 }
 
 // DecodeCommitEnd parses a CommitEnd payload.
-func DecodeCommitEnd(p []byte) (phase int64, err error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("wire: commit end is %d bytes, want 8", len(p))
+func DecodeCommitEnd(p []byte) (CommitHeader, error) {
+	if len(p) != CommitHeaderBytes {
+		return CommitHeader{}, fmt.Errorf("wire: commit end is %d bytes, want %d", len(p), CommitHeaderBytes)
 	}
-	return int64(binary.LittleEndian.Uint64(p)), nil
+	h, err := DecodeCommitHeader(p)
+	if err == nil && h.Off != h.Total {
+		err = fmt.Errorf("wire: commit end of phase %d is at offset %d of a %d-byte stream", h.Phase, h.Off, h.Total)
+	}
+	return h, err
 }
 
 // EncodeAbort builds an Abort payload from the fatal error's message.

@@ -36,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameStreamsBackToBack(t *testing.T) {
 	var buf []byte
 	buf = AppendFrame(buf, KindMsg, []byte("one"))
-	buf = AppendFrame(buf, KindCommitEnd, EncodeCommitEnd(7))
+	buf = AppendCommitEnd(buf, CommitHeader{Seq: 3, Phase: 7, Total: 4096})
 	br := bufio.NewReader(bytes.NewReader(buf))
 	k1, p1, err := ReadFrame(br)
 	if err != nil || k1 != KindMsg || string(p1) != "one" {
@@ -46,8 +46,8 @@ func TestFrameStreamsBackToBack(t *testing.T) {
 	if err != nil || k2 != KindCommitEnd {
 		t.Fatalf("second frame = (%d, %v)", k2, err)
 	}
-	if phase, err := DecodeCommitEnd(p2); err != nil || phase != 7 {
-		t.Fatalf("commit end = (%d, %v)", phase, err)
+	if h, err := DecodeCommitEnd(p2); err != nil || h != (CommitHeader{Seq: 3, Phase: 7, Off: 4096, Total: 4096}) {
+		t.Fatalf("commit end = (%+v, %v)", h, err)
 	}
 	if _, _, err := ReadFrame(br); err != io.EOF {
 		t.Fatalf("trailing read err = %v, want io.EOF", err)
@@ -146,6 +146,129 @@ func TestReadReqRespMalformed(t *testing.T) {
 	}
 	if _, _, err := DecodeReadResp(good[:7]); err == nil {
 		t.Error("7-byte read response: want error")
+	}
+}
+
+// The two commit frames, byte for byte: length prefix, kind, then the
+// 32-byte header (exchange ordinal, phase, offset, stream total) and, for
+// data, the chunk. The appenders write whole frames, so this is also the
+// wire table.
+func TestCommitFramesWireTable(t *testing.T) {
+	le64 := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		kind  byte
+		h     CommitHeader // as decoded
+		chunk []byte
+	}{
+		{"data", AppendCommitData(nil, CommitHeader{Seq: 2, Phase: 9, Off: 8192, Total: 8197}, []byte("chunk")), KindCommitData,
+			CommitHeader{Seq: 2, Phase: 9, Off: 8192, Total: 8197}, []byte("chunk")},
+		{"data, empty chunk", AppendCommitData(nil, CommitHeader{Seq: 1, Phase: 1}, nil), KindCommitData,
+			CommitHeader{Seq: 1, Phase: 1}, nil},
+		{"end", AppendCommitEnd(nil, CommitHeader{Seq: 1 << 40, Phase: 5, Total: MaxFrame}), KindCommitEnd,
+			CommitHeader{Seq: 1 << 40, Phase: 5, Off: MaxFrame, Total: MaxFrame}, nil},
+		{"end of an empty stream", AppendCommitEnd(nil, CommitHeader{Seq: 7, Phase: 3}), KindCommitEnd,
+			CommitHeader{Seq: 7, Phase: 3}, nil},
+	} {
+		want := binary.LittleEndian.AppendUint32(nil, uint32(1+CommitHeaderBytes+len(tc.chunk)))
+		want = append(want, tc.kind)
+		want = append(want, le64(tc.h.Seq)...)
+		want = append(want, le64(tc.h.Phase)...)
+		want = append(want, le64(int64(tc.h.Off))...)
+		want = append(want, le64(int64(tc.h.Total))...)
+		want = append(want, tc.chunk...)
+		if !bytes.Equal(tc.frame, want) {
+			t.Errorf("%s: frame = %x, want %x", tc.name, tc.frame, want)
+			continue
+		}
+		kind, payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(tc.frame)))
+		if err != nil || kind != tc.kind {
+			t.Errorf("%s: ReadFrame = (%d, %v)", tc.name, kind, err)
+			continue
+		}
+		h, err := DecodeCommitHeader(payload)
+		if err != nil || h != tc.h || !bytes.Equal(payload[CommitHeaderBytes:], tc.chunk) {
+			t.Errorf("%s: decoded (%+v, %q, %v), want (%+v, %q)", tc.name, h, payload[CommitHeaderBytes:], err, tc.h, tc.chunk)
+		}
+		if tc.kind == KindCommitEnd {
+			if h, err := DecodeCommitEnd(payload); err != nil || h != tc.h {
+				t.Errorf("%s: DecodeCommitEnd = (%+v, %v)", tc.name, h, err)
+			}
+		}
+	}
+}
+
+func TestCommitFramesMalformed(t *testing.T) {
+	payload := func(seq, phase, off, total uint64, tail ...byte) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, seq)
+		p = binary.LittleEndian.AppendUint64(p, phase)
+		p = binary.LittleEndian.AppendUint64(p, off)
+		return append(binary.LittleEndian.AppendUint64(p, total), tail...)
+	}
+	for _, tc := range []struct {
+		name string
+		p    []byte
+		end  bool
+		want string
+	}{
+		{"empty", nil, false, "want >= 32"},
+		{"short header", payload(1, 1, 0, 0)[:31], false, "want >= 32"},
+		{"header cut to half", payload(1, 1, 0, 0)[:16], true, "want 32"},
+		{"end with a tail", payload(1, 1, 0, 0, 9), true, "want 32"},
+		{"ordinal zero", payload(0, 4, 0, 0), false, "exchange ordinal 0"},
+		{"ordinal negative", payload(1<<63, 4, 0, 0), true, "exchange ordinal"},
+		{"offset beyond total", payload(1, 4, 8193, 8192), false, "phase 4 is at offset 8193 of a 8192-byte stream"},
+		{"total above the bound", payload(1, 4, 0, MaxFrame+1), false, "above the 1073741824-byte bound"},
+		{"total that would go negative", payload(1, 4, 0, 1<<63), true, "above the"},
+		{"end before the total", payload(1, 4, 100, 8192), true, "end of phase 4 is at offset 100"},
+	} {
+		var err error
+		if tc.end {
+			_, err = DecodeCommitEnd(tc.p)
+		} else {
+			_, err = DecodeCommitHeader(tc.p)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Reading a frame in pieces — header, then the payload into a buffer the
+// caller already has — allocates nothing; ReadFrame pays for the payload
+// it hands out and for nothing else.
+func TestReadFrameHeaderAllocatesNothing(t *testing.T) {
+	frame := AppendCommitData(nil, CommitHeader{Seq: 1, Phase: 1}, bytes.Repeat([]byte{7}, 8192))
+	src := bytes.NewReader(frame)
+	br := bufio.NewReaderSize(src, 64<<10)
+	dst := make([]byte, len(frame)-FrameHeaderBytes)
+	piecewise := testing.AllocsPerRun(100, func() {
+		src.Reset(frame)
+		br.Reset(src)
+		kind, n, err := ReadFrameHeader(br)
+		if err != nil || kind != KindCommitData || n != len(dst) {
+			t.Fatalf("ReadFrameHeader = (%d, %d, %v)", kind, n, err)
+		}
+		if err := ReadPayload(br, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if piecewise != 0 {
+		t.Errorf("header + payload into a caller's buffer: %v allocs, want 0", piecewise)
+	}
+	whole := testing.AllocsPerRun(100, func() {
+		src.Reset(frame)
+		br.Reset(src)
+		if _, _, err := ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if whole != 1 {
+		t.Errorf("ReadFrame: %v allocs, want 1 (the payload)", whole)
+	}
+	if !bytes.Equal(dst[CommitHeaderBytes:], frame[FrameHeaderBytes+CommitHeaderBytes:]) {
+		t.Error("payload read in pieces differs from the frame's")
 	}
 }
 
