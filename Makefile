@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-hotpath bench-parallel bench-wire bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures
+.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-hotpath bench-parallel bench-wire bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
@@ -65,6 +65,15 @@ bench:
 ## bound (the noise floor a claimed gain has to clear on this host).
 bench-check:
 	$(GO) run -C benchmark . -check $(ARGS)
+
+## bench-pairs: the change (this working tree) against BASE in N
+## alternated pairs of benchmark runs, identical benchmark/ on both
+## sides: `make bench-pairs BASE=HEAD~1 N=10 ARGS="-workload sim-figures"`.
+## Prints each side's median and quartiles and the pairs won, per metric
+## (see scripts/bench_pairs.go).
+N ?= 10
+bench-pairs:
+	$(GO) run scripts/bench_pairs.go -base $(BASE) -n $(N) -- $(ARGS)
 
 ## bench-hotpath: regenerate BENCH_hotpath.json (host costs of the
 ## shared-access hot path; see bench_test.go).

@@ -100,8 +100,10 @@ func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 		r := &b.recs[ri]
 		lo, rest := r.lo, r.n
 		for rest > 0 {
-			dst := g.part.Owner(lo)
-			_, phi := g.part.Range(dst)
+			dst, phi := node, g.bnd[node+1]
+			if lo < g.bnd[node] || lo >= phi {
+				dst, phi = g.ownerSpan(lo)
+			}
 			n := rest
 			if lo+n > phi {
 				n = phi - lo
@@ -391,15 +393,8 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 				p.segs = append(p.segs, rs...)
 				p.offs = append(p.offs, int32(len(p.segs)))
 			}
-			var m map[readKey]struct{}
-			if len(vp.rdIdx) > 0 {
-				m = make(map[readKey]struct{}, len(vp.rdIdx))
-				for k := range vp.rdIdx {
-					m[k] = struct{}{}
-				}
-				p.runs += int64(len(m))
-			}
-			p.idx = append(p.idx, m)
+			p.keys = append(p.keys, vp.rdIdx...)
+			p.koffs = append(p.koffs, int32(len(p.keys)))
 		}
 		for id, rs := range vp.rdRuns {
 			if len(rs) > 0 {
@@ -409,15 +404,15 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 			}
 		}
 		if len(vp.rdIdx) > 0 {
-			for k := range vp.rdIdx {
+			for _, k := range vp.rdIdx {
 				d.mrIdx[k.array] = append(d.mrIdx[k.array], k.idx)
 			}
-			clear(vp.rdIdx)
+			vp.clearReadLog()
 			cached = true
 		}
 	}
 	if rec {
-		p.runs += int64(len(p.segs))
+		p.runs = int64(len(p.segs) + len(p.keys))
 		p.bytesSaved = int64(len(p.segs)) * 16
 	}
 	if !cached {

@@ -157,3 +157,68 @@ func TestCoverAdjacentRunMerges(t *testing.T) {
 		t.Fatalf("missing over full cover = %v", got)
 	}
 }
+
+// coverMissingLinear is coverMissing as it was before it bisected to its
+// first relevant run: the reference for a large cover.
+func coverMissingLinear(cov []intRun, lo, hi int) []intRun {
+	var out []intRun
+	for _, r := range cov {
+		if r.hi <= lo {
+			continue
+		}
+		if r.lo >= hi {
+			break
+		}
+		if r.lo > lo {
+			out = append(out, intRun{lo: lo, hi: r.lo})
+		}
+		if lo = r.hi; lo >= hi {
+			return out
+		}
+	}
+	if lo < hi {
+		out = append(out, intRun{lo: lo, hi: hi})
+	}
+	return out
+}
+
+// search and nbody grow a cover of thousands of one-element runs per
+// phase and query it on every remote read; the query must find its place
+// in such a cover without changing what it answers.
+func TestCoverMissingOnLargeCover(t *testing.T) {
+	const runs = 10000
+	var cov []intRun
+	for i := 0; i < runs; i++ {
+		cov = coverAdd(cov, 3*i, 3*i+1) // one element covered, two not
+	}
+	if len(cov) != runs {
+		t.Fatalf("cover has %d runs, want %d", len(cov), runs)
+	}
+	same := func(lo, hi int) {
+		t.Helper()
+		got, want := coverMissing(cov, lo, hi), coverMissingLinear(cov, lo, hi)
+		if len(got) != len(want) {
+			t.Fatalf("coverMissing(%d, %d) = %v, want %v", lo, hi, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("coverMissing(%d, %d) = %v, want %v", lo, hi, got, want)
+			}
+		}
+	}
+	for i := 0; i < runs-1; i++ {
+		if m := coverMissing(cov, 3*i, 3*i+1); len(m) != 0 {
+			t.Fatalf("covered element %d reported missing: %v", 3*i, m)
+		}
+		// A gap and the run after it.
+		if m := coverMissing(cov, 3*i+1, 3*i+4); len(m) != 1 || m[0] != (intRun{lo: 3*i + 1, hi: 3*i + 3}) {
+			t.Fatalf("coverMissing(%d, %d) = %v, want the two-element gap", 3*i+1, 3*i+4, m)
+		}
+	}
+	r := rng.New(7)
+	for q := 0; q < 2000; q++ {
+		lo := r.Intn(3*runs + 10)
+		same(lo-5, lo+r.Intn(40))
+	}
+	same(-10, 3*runs+10)
+}

@@ -751,20 +751,17 @@ func (g *Global[T]) fetchRuns(self int, runs []intRun) error {
 // (sorted, disjoint).
 func coverMissing(cov []intRun, lo, hi int) []intRun {
 	var out []intRun
-	for _, r := range cov {
-		if r.hi <= lo {
-			continue
-		}
+	// Runs ending at or before lo cannot matter; skip them by bisection
+	// (a phase of scattered scalar reads grows a cover of thousands).
+	first := sort.Search(len(cov), func(k int) bool { return cov[k].hi > lo })
+	for _, r := range cov[first:] {
 		if r.lo >= hi {
 			break
 		}
 		if r.lo > lo {
 			out = append(out, intRun{lo: lo, hi: r.lo})
 		}
-		if r.hi > lo {
-			lo = r.hi
-		}
-		if lo >= hi {
+		if lo = r.hi; lo >= hi {
 			return out
 		}
 	}

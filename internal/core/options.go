@@ -273,8 +273,10 @@ func (r *RescaleStats) add(o RescaleStats) {
 // node: how often a committed phase replayed a recorded plan (Hits),
 // had to build one cold (Misses), or found a previously valid plan no
 // longer matching the phase's access shape (Invalidations, a subset of
-// Misses). RunsReplayed totals the read-set runs whose sort/merge/
-// owner-split was skipped on hits; AllocsSaved and BytesSaved estimate
+// Misses). RunsReplayed totals the read-set entries (block-read runs
+// plus scalar read-log keys, a key a VP rereads later in the phase
+// counting each time it is logged) whose sort/merge/owner-split was
+// skipped on hits; AllocsSaved and BytesSaved estimate
 // the host allocations and bytes of merge scratch those replays avoided
 // (modeled from the recorded plan's size, not measured).
 type PlanCacheStats struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"unsafe"
 
 	"ppm/internal/vtime"
@@ -29,12 +30,16 @@ import (
 //     recorded fetch cover is prefetched at phase open. On any
 //     mismatch the plan is invalidated and rebuilt cold.
 //
-// Validation is exact (run-by-run comparison, set equality for scalar
-// indices), never a hash: a collision would silently corrupt modeled
-// counters, and the comparison is linear in the data the cold path
-// would sort anyway. Correctness therefore never depends on the cache;
-// it only short-circuits recomputation of a result it has verified to
-// be identical.
+// Validation is exact (run-by-run comparison of block reads, key-by-key
+// comparison of each VP's scalar read log), never a hash: a collision
+// would silently corrupt modeled counters, and the comparison is linear
+// in the data the cold path would sort anyway. Comparing the logs as
+// sequences is stricter than the set equality the merge result depends
+// on: a phase that reads the same keys in another order misses and pays
+// a cold merge, but equal sequences are equal sets, so a hit can never
+// replay a wrong count. Correctness therefore never depends on the
+// cache; it only short-circuits recomputation of a result it has
+// verified to be identical.
 
 // doKey identifies a Do shape: the VP count and the body closure's code
 // pointer. Distinct source closures get distinct code pointers, so two
@@ -101,6 +106,7 @@ func (rt *Runtime) warmDoRun(k int, body func(*VP)) *doRun {
 			vp.rdRuns = append(vp.rdRuns, make([][]intRun, na-len(vp.rdRuns))...)
 		}
 	}
+	d.pending.Store(int32(k))
 	for _, vp := range d.vps {
 		vp.resume <- true
 	}
@@ -169,7 +175,7 @@ func (ws *WarmSession) adopt(rt *Runtime) {
 		for _, vp := range d.vps {
 			vp.bufs = nil
 			vp.rdRuns = nil
-			vp.rdIdx = nil
+			vp.rdIdx = nil // no reference, but an idle session keeps no logs
 			vp.rrElems, vp.rrBytes = nil, nil
 		}
 	}
@@ -216,8 +222,10 @@ type phasePlan struct {
 	// VP v's runs for array a are segs[offs[v*na+a] : offs[v*na+a+1]].
 	segs []intRun
 	offs []int32
-	// Recorded per-VP scalar read keys (nil when that VP had none).
-	idx []map[readKey]struct{}
+	// Recorded per-VP scalar read logs, flattened the same way: VP v's
+	// keys are keys[koffs[v] : koffs[v+1]].
+	keys  []readKey
+	koffs []int32
 
 	// The merge result: per-owner remote-read traffic deltas this
 	// phase contributes, replayed into the commit's counters on a hit.
@@ -274,10 +282,10 @@ func (p *phasePlan) beginRecord(kind phaseKind, k, na, nodes int, dist bool) {
 	p.na = na
 	p.segs = p.segs[:0]
 	p.offs = append(p.offs[:0], 0)
-	p.idx = p.idx[:0]
+	p.keys = p.keys[:0]
+	p.koffs = append(p.koffs[:0], 0)
 	p.rrElems = resetInt64(p.rrElems, nodes)
 	p.rrBytes = resetInt64(p.rrBytes, nodes)
-	p.runs = 0
 	if dist {
 		if cap(p.fcov) < nodes {
 			p.fcov = make([][]wire.ReadRange, nodes)
@@ -308,14 +316,16 @@ func (p *phasePlan) noteFetch(owner, id, lo, hi int) {
 // the access shape p recorded: same phase kind, same array count, the
 // same run lists per (VP, array) in recorded order (VP bodies are
 // deterministic, so a shape-stable program reproduces the order), and
-// the same scalar read-key sets (order-independent: map iteration is
-// not deterministic, so sets compare by size and membership).
+// the same scalar read log per VP, key by key.
 func (d *doRun) planMatches(p *phasePlan, na int) bool {
 	if p.kind != d.openKind || p.na != na {
 		return false
 	}
 	base := 0
-	for _, vp := range d.vps {
+	for v, vp := range d.vps {
+		if !slices.Equal(vp.rdIdx, p.keys[p.koffs[v]:p.koffs[v+1]]) {
+			return false
+		}
 		for id := 0; id < na; id++ {
 			var rs []intRun
 			if id < len(vp.rdRuns) {
@@ -333,24 +343,13 @@ func (d *doRun) planMatches(p *phasePlan, na int) bool {
 		}
 		base += na
 	}
-	for v, vp := range d.vps {
-		m := p.idx[v]
-		if len(vp.rdIdx) != len(m) {
-			return false
-		}
-		for k := range vp.rdIdx {
-			if _, ok := m[k]; !ok {
-				return false
-			}
-		}
-	}
 	return true
 }
 
 // replay applies p's merge result: adds the recorded per-owner traffic
 // deltas and clears the VPs' read tracking exactly as the cold harvest
-// would have (truncating runs, clearing index sets), without sorting,
-// merging, or owner-splitting anything.
+// would have (truncating runs and read logs), without sorting, merging,
+// or owner-splitting anything.
 func (d *doRun) replay(p *phasePlan, rrElems, rrBytes []int64) {
 	for n := range rrElems {
 		rrElems[n] += p.rrElems[n]
@@ -363,7 +362,7 @@ func (d *doRun) replay(p *phasePlan, rrElems, rrBytes []int64) {
 			}
 		}
 		if len(vp.rdIdx) > 0 {
-			clear(vp.rdIdx)
+			vp.clearReadLog()
 		}
 	}
 	pc := &d.rt.stats().PlanCache

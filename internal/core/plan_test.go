@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"ppm/internal/machine"
@@ -212,5 +213,202 @@ func TestPlanCacheNodeCountRanges(t *testing.T) {
 		if want := int64(nodes * (iters - 1)); warmT.PlanCache.Hits != want {
 			t.Errorf("nodes=%d: Hits = %d, want %d", nodes, warmT.PlanCache.Hits, want)
 		}
+	}
+}
+
+// Scalar remote reads are validated as a per-VP sequence (see the note in
+// plan.go): the same keys in the same order replay, and the same set in
+// another order, one key more, or one key fewer each invalidate the plan
+// once, record the new shape, and replay that. Whatever the cache
+// decides, the run stays bit-identical to one without it.
+func TestPlanCacheScalarReadSequence(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "")
+	const nodes, k, iters, n = 2, 3, 4, 48
+	// Each VP reads keysOf(it) of the neighbour's partition, by offset.
+	cases := []struct {
+		name   string
+		keysOf func(it int) []int
+	}{
+		{"another order", func(it int) []int {
+			if it < iters/2 {
+				return []int{3, 11, 7}
+			}
+			return []int{7, 3, 11}
+		}},
+		{"one key more", func(it int) []int {
+			if it < iters/2 {
+				return []int{3, 11}
+			}
+			return []int{3, 11, 7}
+		}},
+		{"one key fewer", func(it int) []int {
+			if it < iters/2 {
+				return []int{3, 11, 7}
+			}
+			return []int{3, 11}
+		}},
+	}
+	for _, c := range cases {
+		phase := func(it int, vp *VP, g *Global[float64], buf []float64) {
+			rlo, _ := ChunkRange(n, vp.Nodes(), (vp.Node()+1)%vp.Nodes())
+			var s float64
+			for _, off := range c.keysOf(it) {
+				s += g.Read(vp, rlo+off+vp.NodeRank())
+			}
+			lo, _ := ChunkRange(n, vp.Nodes(), vp.Node())
+			g.Write(vp, lo+vp.NodeRank(), s+float64(it))
+		}
+		warmV, warmS, warmT := planRun(t, nodes, k, iters, n, false, phase)
+		coldV, coldS, _ := planRun(t, nodes, k, iters, n, true, phase)
+		samePlanOutcome(t, c.name, warmV, coldV, warmS, coldS)
+		pc := warmT.PlanCache
+		// Per node: record, hit, invalidate + record, hit.
+		if pc.Misses != 2*nodes || pc.Hits != 2*nodes || pc.Invalidations != nodes {
+			t.Errorf("%s: misses %d hits %d invalidations %d, want %d %d %d", c.name,
+				pc.Misses, pc.Hits, pc.Invalidations, 2*nodes, 2*nodes, nodes)
+		}
+		// RunsReplayed counts log entries: the hit of each half replays
+		// every VP's keys of that half.
+		want := int64(nodes * k * (len(c.keysOf(0)) + len(c.keysOf(iters-1))))
+		if pc.RunsReplayed != want {
+			t.Errorf("%s: RunsReplayed = %d, want %d", c.name, pc.RunsReplayed, want)
+		}
+	}
+}
+
+// A VP that rereads two remote scalars forever holds a bounded log, as
+// it held a two-entry set before, and the node still fetches two
+// elements.
+func TestReadLogStaysBounded(t *testing.T) {
+	const n, rereads = 16, 100000
+	longest := 0
+	rep := mustRun(t, opts(2), func(rt *Runtime) {
+		g := AllocGlobal[float64](rt, "log.g", n) // node 1 owns [8, 16)
+		rt.Do(1, func(vp *VP) {
+			vp.GlobalPhase(func() {
+				if vp.Node() != 0 {
+					return
+				}
+				for i := 0; i < rereads; i++ {
+					g.Read(vp, 9)
+					g.Read(vp, 12)
+					longest = max(longest, len(vp.rdIdx))
+				}
+			})
+		})
+	})
+	if longest > readLogCompactMin+1 {
+		t.Errorf("the read log reached %d entries for 2 distinct keys", longest)
+	}
+	if longest <= 2 {
+		t.Errorf("the read log never exceeded %d entries: the test does not reach a compaction", longest)
+	}
+	if got := rep.Totals.RemoteReadElems; got != 2 {
+		t.Errorf("RemoteReadElems = %d, want 2", got)
+	}
+	if got := rep.Totals.SharedReads; got != 2*rereads {
+		t.Errorf("SharedReads = %d, want %d", got, 2*rereads)
+	}
+}
+
+// Crossing the compaction threshold mid-phase changes no counter: one VP
+// that reads 2500 remote keys twice over (5000 log appends, one
+// compaction on the way) produces the traffic of two VPs that read them
+// once each (2500 appends apiece, none), and its own warm replay, which
+// must reproduce the compacted log key for key, matches the cold run.
+func TestReadLogCompactionIsInvisible(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "")
+	const n, distinct, iters = 8192, 2500, 3
+	run := func(k, passes int, noCache bool) NodeStats {
+		var crossed atomic.Bool
+		o := opts(2)
+		o.NoPlanCache = noCache
+		rep := mustRun(t, o, func(rt *Runtime) {
+			g := AllocGlobal[float64](rt, "log.g", n) // node 1 owns [4096, 8192)
+			body := func(vp *VP) {
+				vp.GlobalPhase(func() {
+					if vp.Node() != 0 {
+						return
+					}
+					for p := 0; p < passes; p++ {
+						for i := 0; i < distinct; i++ {
+							g.Read(vp, n/2+(i*7)%distinct) // scattered, not ascending
+						}
+					}
+					if vp.rdMark > 0 {
+						crossed.Store(true)
+					}
+				})
+			}
+			for it := 0; it < iters; it++ {
+				rt.Do(k, body)
+			}
+		})
+		if want := passes > 1; crossed.Load() != want {
+			t.Fatalf("k=%d passes=%d: compacted mid-phase = %v, want %v", k, passes, crossed.Load(), want)
+		}
+		return rep.Totals
+	}
+	one := run(1, 2, false)
+	two := run(2, 1, false)
+	cold := run(1, 2, true)
+	if one.RemoteReadElems != iters*distinct {
+		t.Errorf("RemoteReadElems = %d, want %d", one.RemoteReadElems, iters*distinct)
+	}
+	if one.PlanCache.Hits != 2*(iters-1) || one.PlanCache.Invalidations != 0 {
+		t.Errorf("crossing run: plan hits %d invalidations %d, want %d and 0: the compacted log did not reproduce",
+			one.PlanCache.Hits, one.PlanCache.Invalidations, 2*(iters-1))
+	}
+	traffic := func(s NodeStats) [5]int64 {
+		return [5]int64{s.SharedReads, s.RemoteReadElems, s.BundlesOut, s.BytesOut, s.GlobalPhases}
+	}
+	if traffic(one) != traffic(two) {
+		t.Errorf("crossing the threshold moved a counter: %v, without crossing %v", traffic(one), traffic(two))
+	}
+	one.PlanCache = PlanCacheStats{}
+	if one != cold {
+		t.Errorf("crossing run diverges from its uncached twin:\n cache-on  %+v\n cache-off %+v", one, cold)
+	}
+}
+
+// A warm Do allocates nothing once its plans are recorded, scalar remote
+// reads included: K = 1024 VPs, two global phases, 16 remote scalar
+// reads per VP, the logs at their working size from the recording pass.
+func TestWarmDoWithScalarReadsDoesNotAllocate(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "")
+	const nodes, k, n, runs = 2, 1024, 1 << 14, 10
+	var allocs float64
+	mustRun(t, opts(nodes), func(rt *Runtime) {
+		g := AllocGlobal[float64](rt, "warm.g", n)
+		out := AllocNode[float64](rt, "warm.out", k)
+		body := func(vp *VP) {
+			rlo, rhi := ChunkRange(n, nodes, (vp.Node()+1)%nodes)
+			for ph := 0; ph < 2; ph++ {
+				vp.GlobalPhase(func() {
+					var s float64
+					for j := 0; j < 8; j++ {
+						s += g.Read(vp, rlo+(vp.NodeRank()*131+j*977+ph)%(rhi-rlo))
+					}
+					out.Write(vp, vp.NodeRank(), s)
+				})
+			}
+		}
+		for i := 0; i < 3; i++ {
+			rt.Do(k, body)
+		}
+		rt.Barrier()
+		// AllocsPerRun counts the whole process, so measuring on node 0
+		// covers node 1's half of every phase as well; node 1 just keeps
+		// step (one warm-up call plus the measured runs).
+		if rt.NodeID() == 0 {
+			allocs = testing.AllocsPerRun(runs, func() { rt.Do(k, body) })
+		} else {
+			for i := 0; i <= runs; i++ {
+				rt.Do(k, body)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm Do allocated %v times", allocs)
 	}
 }

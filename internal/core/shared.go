@@ -174,6 +174,10 @@ type Global[T Elem] struct {
 	n    int
 	es   int
 	part partition.Block
+	// bnd is the partition as a table: node p owns [bnd[p], bnd[p+1]).
+	// The access paths test an index against the calling node's two
+	// entries before anything else, so a local access divides nothing.
+	bnd  []int
 	base []T
 	// stage[dst][src] holds runs written by src's VPs this phase,
 	// destined for dst's partition; dst applies them after the phase's
@@ -215,6 +219,7 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 			part: partition.NewBlock(n, nodes),
 			base: make([]T, n),
 		}
+		g.bnd = append(g.part.Displs(), n)
 		g.stage = make([][][]stageRec[T], nodes)
 		for d := range g.stage {
 			g.stage[d] = make([][]stageRec[T], nodes)
@@ -276,18 +281,28 @@ func (g *Global[T]) Read(vp *VP, i int) T {
 	vp.accessCheck(g.name, "Read")
 	vp.reads++
 	vp.charge += vp.d.sharedReadCost
-	owner := g.part.Owner(i)
-	if owner != vp.d.node {
-		if vp.phaseKind != phaseGlobal {
-			panic(fmt.Sprintf("core: Global(%q).Read(%d): remote access (owner %d) inside a node phase on node %d",
-				g.name, i, owner, vp.d.node))
-		}
-		vp.noteRemoteRead(g.id, i, owner, g.es)
-		if g.gs.dist != nil {
-			g.distFetch(vp.d.node, i, i+1)
-		}
+	if node := vp.d.node; i < g.bnd[node] || i >= g.bnd[node+1] {
+		g.readRemote(vp, i)
 	}
 	return g.base[i]
+}
+
+// readRemote is Read's path for an index outside the calling node's
+// partition: out of range altogether, or owned by another node.
+func (g *Global[T]) readRemote(vp *VP, i int) {
+	if i < 0 || i >= g.n {
+		panic(fmt.Sprintf("core: Global(%q).Read(%d): index out of range [0,%d)", g.name, i, g.n))
+	}
+	node := vp.d.node
+	owner := g.part.Owner(i)
+	if vp.phaseKind != phaseGlobal {
+		panic(fmt.Sprintf("core: Global(%q).Read(%d): remote access (owner %d) inside a node phase on node %d",
+			g.name, i, owner, node))
+	}
+	vp.noteRemoteRead(g.id, i, owner, g.es)
+	if g.gs.dist != nil {
+		g.distFetch(node, i, i+1)
+	}
 }
 
 // Write sets element i to v, taking effect after the end of the current
@@ -307,10 +322,9 @@ func (g *Global[T]) put(vp *VP, i int, v T, add bool) {
 	}
 	vp.writes++
 	vp.charge += vp.d.sharedWriteCost
-	owner := g.part.Owner(i)
-	if owner != vp.d.node && vp.phaseKind != phaseGlobal {
+	if node := vp.d.node; vp.phaseKind != phaseGlobal && (i < g.bnd[node] || i >= g.bnd[node+1]) {
 		panic(fmt.Sprintf("core: Global(%q).Write(%d): remote access (owner %d) inside a node phase on node %d",
-			g.name, i, owner, vp.d.node))
+			g.name, i, g.part.Owner(i), node))
 	}
 	bufFor[T](vp, g).push(i, v, add)
 }
@@ -339,13 +353,21 @@ func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 		// to n scalar Reads.
 		vp.charge += rc
 	}
+	if node := vp.d.node; lo < g.bnd[node] || hi > g.bnd[node+1] {
+		g.readBlockRemote(vp, lo, hi)
+	}
+	copy(dst, g.base[lo:hi])
+}
+
+// readBlockRemote is ReadBlock's path for a block that leaves the calling
+// node's partition: it splits [lo, hi) by owner and records (and, on the
+// mesh, fetches) every remote stretch.
+func (g *Global[T]) readBlockRemote(vp *VP, lo, hi int) {
 	node := vp.d.node
 	for s := lo; s < hi; {
-		owner := g.part.Owner(s)
-		_, ohi := g.part.Range(owner)
-		e := hi
-		if e > ohi {
-			e = ohi
+		owner, e := g.ownerSpan(s)
+		if e > hi {
+			e = hi
 		}
 		if owner != node {
 			if vp.phaseKind != phaseGlobal {
@@ -359,7 +381,6 @@ func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 		}
 		s = e
 	}
-	copy(dst, g.base[lo:hi])
 }
 
 // WriteBlock writes src over elements [lo, lo+len(src)), committing at
@@ -385,21 +406,14 @@ func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 	for i := 0; i < n; i++ {
 		vp.charge += wc
 	}
-	if vp.phaseKind != phaseGlobal {
-		node := vp.d.node
-		for s := lo; s < lo+n; {
-			owner := g.part.Owner(s)
-			if owner != node {
-				panic(fmt.Sprintf("core: Global(%q).Write(%d): remote access (owner %d) inside a node phase on node %d",
-					g.name, s, owner, node))
-			}
-			_, ohi := g.part.Range(owner)
-			if ohi < lo+n {
-				s = ohi
-			} else {
-				break
-			}
+	if node := vp.d.node; vp.phaseKind != phaseGlobal && (lo < g.bnd[node] || lo+n > g.bnd[node+1]) {
+		// Report the block's first remote element.
+		s := lo
+		if s >= g.bnd[node] && s < g.bnd[node+1] {
+			s = g.bnd[node+1]
 		}
+		panic(fmt.Sprintf("core: Global(%q).Write(%d): remote access (owner %d) inside a node phase on node %d",
+			g.name, s, g.part.Owner(s), node))
 	}
 	bufFor[T](vp, g).pushRun(lo, src, add)
 }
@@ -417,8 +431,7 @@ func (g *Global[T]) elemBytes() int { return g.es }
 // end of that owner's partition, for splitting interval runs by owner.
 func (g *Global[T]) ownerSpan(i int) (owner, end int) {
 	owner = g.part.Owner(i)
-	_, end = g.part.Range(owner)
-	return owner, end
+	return owner, g.bnd[owner+1]
 }
 
 // applyIncoming applies all staged runs destined for node, in
@@ -534,6 +547,9 @@ func (a *Node[T]) Local(rt *Runtime) []T {
 // beginning of the current phase.
 func (a *Node[T]) Read(vp *VP, i int) T {
 	vp.accessCheck(a.name, "Read")
+	if i < 0 || i >= a.n {
+		panic(fmt.Sprintf("core: Node(%q).Read(%d): index out of range [0,%d)", a.name, i, a.n))
+	}
 	vp.reads++
 	vp.charge += vp.d.sharedReadCost
 	return a.base[vp.d.node][i]

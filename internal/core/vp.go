@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"ppm/internal/vtime"
 )
@@ -45,13 +48,6 @@ const (
 	evPanic
 )
 
-type vpEvent struct {
-	vp   *VP
-	kind vpEventKind
-	pk   phaseKind
-	err  error
-}
-
 // vpAbort unwinds a VP goroutine during teardown.
 type vpAbort struct{}
 
@@ -72,6 +68,13 @@ type VP struct {
 	// coordinator-only state
 	status vpStatus
 
+	// The VP's latest event, written by its own goroutine just before it
+	// counts itself off doRun.pending (see report); the coordinator reads
+	// it only after the idle token, which orders every such write first.
+	evKind vpEventKind
+	evPk   phaseKind // requested kind at evBoundary, for the shape check
+	evErr  error     // evPanic only
+
 	inPhase   bool
 	phaseKind phaseKind
 
@@ -85,12 +88,22 @@ type VP struct {
 
 	// Per-VP remote-read tracking for the phase-local read cache: block
 	// reads record interval runs per array (indexed by array id), scalar
-	// reads record scattered indices. VP goroutines only ever touch their
-	// own set — no lock — and the coordinator merges the sets into the
-	// node-level dedup counts at commit.
+	// reads append to an ordered log of keys. VP goroutines only ever touch
+	// their own tracking — no lock — and the coordinator merges it into the
+	// node-level dedup counts at commit. rdMark is the log's length after
+	// its last in-phase compaction (0 when there was none; see
+	// noteRemoteRead).
 	rdRuns [][]intRun
-	rdIdx  map[readKey]struct{}
+	rdIdx  []readKey
+	rdMark int
 }
+
+// A scalar read log starts sized for a binary search's worth of probes
+// and is first compacted at readLogCompactMin keys.
+const (
+	readLogInitCap    = 24
+	readLogCompactMin = 4096
+)
 
 // readKey identifies one element of one shared array for the read cache.
 type readKey struct {
@@ -185,9 +198,21 @@ func (vp *VP) phase(pk phaseKind, f func()) {
 
 // park announces a transition to the coordinator and waits to be resumed.
 func (vp *VP) park(kind vpEventKind, pk phaseKind) {
-	vp.d.events <- vpEvent{vp: vp, kind: kind, pk: pk}
+	vp.report(kind, pk, nil)
 	if !<-vp.resume {
 		panic(vpAbort{})
+	}
+}
+
+// report stores the VP's event in its own fields and counts the VP off
+// the boundary latch; the VP that brings the latch to zero hands the
+// coordinator its one idle token. The atomic decrement publishes the
+// fields: the last decrement observes every earlier one, and the token
+// send follows it.
+func (vp *VP) report(kind vpEventKind, pk phaseKind, err error) {
+	vp.evKind, vp.evPk, vp.evErr = kind, pk, err
+	if vp.d.pending.Add(-1) == 0 {
+		vp.d.idle <- struct{}{}
 	}
 }
 
@@ -202,18 +227,42 @@ func (vp *VP) accessCheck(array, op string) {
 // noteRemoteRead accounts one remote element read for bundling. The
 // runtime keeps a node-level cache of remote values in node shared
 // memory: within a phase the element is immutable, so the node fetches it
-// at most once no matter how many VPs read it. Each VP records its own
-// read set without locking; the commit merges the sets, so the traffic
-// counts are the same union the old global map computed — contention-free.
+// at most once no matter how many VPs read it. Each VP appends to its own
+// log without locking (skipping an immediate repeat); the commit sorts
+// and dedups the logs' union, so a key logged twice counts once.
+//
+// The log stays O(distinct keys): once it has doubled since its last
+// compaction it is sorted and deduplicated in place, so a VP rereading a
+// few remote scalars forever holds a few keys. Compaction points depend
+// only on the VP's own read sequence, so a deterministic body reproduces
+// the same log and plan validation (plan.go) still matches.
 func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
 	if vp.d.rt.gs.opt.NoReadCache {
 		vp.countRemote(owner, 1, int64(elemBytes))
 		return
 	}
-	if vp.rdIdx == nil {
-		vp.rdIdx = make(map[readKey]struct{})
+	key := readKey{array: array, idx: idx}
+	n := len(vp.rdIdx)
+	if n > 0 && vp.rdIdx[n-1] == key {
+		return
 	}
-	vp.rdIdx[readKey{array: array, idx: idx}] = struct{}{}
+	if vp.rdIdx == nil {
+		vp.rdIdx = make([]readKey, 0, readLogInitCap)
+	}
+	if n >= max(2*vp.rdMark, readLogCompactMin) {
+		slices.SortFunc(vp.rdIdx, func(a, b readKey) int {
+			return cmp.Or(cmp.Compare(a.array, b.array), cmp.Compare(a.idx, b.idx))
+		})
+		vp.rdIdx = slices.Compact(vp.rdIdx)
+		vp.rdMark = len(vp.rdIdx)
+	}
+	vp.rdIdx = append(vp.rdIdx, key)
+}
+
+// clearReadLog empties the scalar read log at the end of a phase.
+func (vp *VP) clearReadLog() {
+	vp.rdIdx = vp.rdIdx[:0]
+	vp.rdMark = 0
 }
 
 // noteRemoteRun accounts a remote block read of [lo, hi) as one interval
@@ -257,11 +306,17 @@ func (vp *VP) countRemote(owner int, elems, bytes int64) {
 // scratch and recorded phase plans carry over, which is what makes warm
 // iterations allocation-free.
 type doRun struct {
-	rt     *Runtime
-	node   int
-	k      int
-	vps    []*VP
-	events chan vpEvent
+	rt   *Runtime
+	node int
+	k    int
+	vps  []*VP
+
+	// Boundary latch: the coordinator sets pending to the number of VPs
+	// it is about to resume, before the first resume is sent; each VP
+	// counts itself off when it next parks, ends its phase, exits or
+	// panics, and the one that reaches zero puts the token on idle.
+	pending atomic.Int32
+	idle    chan struct{}
 
 	// Warm-cache state (plan.go). persistent marks a cached doRun whose
 	// workers park at the start gate between Dos; body is the current
@@ -341,6 +396,7 @@ func (rt *Runtime) Do(k int, body func(vp *VP)) {
 		return
 	}
 	d := newDoRun(rt, k)
+	d.pending.Store(int32(k))
 	for _, vp := range d.vps {
 		go d.vpMain(vp, body)
 	}
@@ -354,7 +410,7 @@ func newDoRun(rt *Runtime, k int) *doRun {
 		node:            rt.node,
 		k:               k,
 		vps:             make([]*VP, k),
-		events:          make(chan vpEvent, k),
+		idle:            make(chan struct{}, 1),
 		sharedReadCost:  vtime.Duration(rt.gs.mach.SharedReadCost),
 		sharedWriteCost: vtime.Duration(rt.gs.mach.SharedWriteCost),
 	}
@@ -369,19 +425,22 @@ func newDoRun(rt *Runtime, k int) *doRun {
 // vpMain is the goroutine body of one VP in a one-shot (plan cache off)
 // doRun: run the body once, report, exit.
 func (d *doRun) vpMain(vp *VP, body func(*VP)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(vpAbort); ok {
-				d.events <- vpEvent{vp: vp, kind: evExit}
-				return
-			}
-			d.events <- vpEvent{vp: vp, kind: evPanic,
-				err: fmt.Errorf("core: VP %d on node %d panicked: %v", vp.nodeRank, d.node, r)}
-			return
-		}
-		d.events <- vpEvent{vp: vp, kind: evExit}
-	}()
+	defer func() { vp.reportExit(recover()) }()
 	body(vp)
+}
+
+// reportExit reports the end of a VP body: r is what recover returned,
+// nil for a normal return. It tells whether the body ran to completion
+// (a warm worker then survives for another invocation).
+func (vp *VP) reportExit(r any) (completed bool) {
+	_, aborted := r.(vpAbort)
+	if r != nil && !aborted {
+		vp.report(evPanic, phaseInvalid,
+			fmt.Errorf("core: VP %d on node %d panicked: %v", vp.nodeRank, vp.d.node, r))
+		return false
+	}
+	vp.report(evExit, phaseInvalid, nil)
+	return !aborted
 }
 
 // vpWorker is the goroutine body of one VP in a persistent (warm)
@@ -402,19 +461,7 @@ func (d *doRun) vpWorker(vp *VP) {
 // reports the exit event. It returns whether the worker survives for
 // another invocation.
 func (d *doRun) runBody(vp *VP) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isAbort := r.(vpAbort); isAbort {
-				d.events <- vpEvent{vp: vp, kind: evExit}
-				return
-			}
-			d.events <- vpEvent{vp: vp, kind: evPanic,
-				err: fmt.Errorf("core: VP %d on node %d panicked: %v", vp.nodeRank, d.node, r)}
-			return
-		}
-		ok = true
-		d.events <- vpEvent{vp: vp, kind: evExit}
-	}()
+	defer func() { ok = vp.reportExit(recover()) }()
 	d.body(vp)
 	return
 }
@@ -424,51 +471,43 @@ func (d *doRun) runBody(vp *VP) (ok bool) {
 // exited. A phase-shape violation (VPs disagreeing on the next phase) or
 // a VP panic aborts the Do by panicking on the proc goroutine, which the
 // cluster converts into a run error.
+//
+// Each step waits once, for the idle token of the boundary latch: by
+// then every VP released for the step (status stRunning) has stored its
+// event and parked or returned, so one scan over d.vps both collects the
+// events and classifies the population.
 func (d *doRun) coordinate() {
-	running := d.k
 	alive := d.k
 	var firstErr error
 
-	for {
-		// Wait until no VP is on CPU.
-		for running > 0 {
-			ev := <-d.events
-			running--
-			switch ev.kind {
-			case evExit:
-				ev.vp.status = stDead
-				alive--
-			case evPanic:
-				ev.vp.status = stDead
-				alive--
-				if firstErr == nil {
-					firstErr = ev.err
-				}
-			case evBoundary:
-				ev.vp.status = stAtBoundary
-				ev.vp.phaseKind = ev.pk // remember requested kind for shape check
-			case evPhaseEnd:
-				ev.vp.status = stAtPhaseEnd
-			}
-		}
-		if firstErr != nil {
-			break
-		}
-		if alive == 0 {
-			d.finish()
-			return
-		}
-		// Classify the parked population.
+	for firstErr == nil {
+		<-d.idle
 		nBoundary, nEnd := 0, 0
 		kind := phaseInvalid
 		uniform := true
 		for _, vp := range d.vps {
+			if vp.status == stRunning {
+				switch vp.evKind {
+				case evBoundary:
+					vp.status = stAtBoundary
+				case evPhaseEnd:
+					vp.status = stAtPhaseEnd
+				case evPanic:
+					if firstErr == nil {
+						firstErr = vp.evErr
+					}
+					fallthrough
+				case evExit:
+					vp.status = stDead
+					alive--
+				}
+			}
 			switch vp.status {
 			case stAtBoundary:
 				nBoundary++
 				if kind == phaseInvalid {
-					kind = vp.phaseKind
-				} else if kind != vp.phaseKind {
+					kind = vp.evPk
+				} else if kind != vp.evPk {
 					uniform = false
 				}
 			case stAtPhaseEnd:
@@ -476,61 +515,54 @@ func (d *doRun) coordinate() {
 			}
 		}
 		switch {
+		case firstErr != nil:
+			// a VP panicked: abort below
+		case alive == 0:
+			d.finish()
+			return
 		case nBoundary == alive && nEnd == 0 && uniform:
 			// All alive VPs agree on the next phase: open it.
 			d.openPhase(kind)
-			running = d.resumeParked(stAtBoundary)
+			d.release(stAtBoundary, alive)
 		case nEnd == alive && nBoundary == 0:
 			// All alive VPs completed the phase body: commit.
-			if err := d.commit(d.openKind); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if firstErr != nil {
-				// abort below
-			} else {
-				running = d.resumeParked(stAtPhaseEnd)
-				continue
+			if firstErr = d.commit(d.openKind); firstErr == nil {
+				d.release(stAtPhaseEnd, alive)
 			}
 		default:
 			firstErr = fmt.Errorf(
 				"core: phase shape mismatch on node %d: %d VPs at a phase boundary, %d at a phase end, %d exited — all K VPs of a Do must execute the same phase sequence",
 				d.node, nBoundary, nEnd, d.k-alive)
 		}
-		if firstErr != nil {
-			break
-		}
 	}
-	// Teardown: abort all parked VPs and drain their exits. A warm
+	// Teardown: abort all parked VPs and wait for their exits. A warm
 	// doRun's workers retire on abort, so the doRun cannot serve another
 	// invocation; mark it broken so the cache rebuilds instead of
 	// reusing dead workers (only reachable if user code swallows the
 	// panic below).
 	d.broken = true
-	for _, vp := range d.vps {
-		if vp.status == stAtBoundary || vp.status == stAtPhaseEnd {
-			vp.resume <- false
-			running++
+	if alive > 0 {
+		d.pending.Store(int32(alive))
+		for _, vp := range d.vps {
+			if vp.status != stDead {
+				vp.resume <- false
+			}
 		}
-	}
-	for running > 0 {
-		<-d.events
-		running--
+		<-d.idle
 	}
 	panic(firstErr)
 }
 
-// resumeParked resumes every VP with the given status and returns how
-// many were resumed.
-func (d *doRun) resumeParked(s vpStatus) int {
-	n := 0
+// release resumes the n VPs parked with status s, arming the boundary
+// latch for them before the first one can run.
+func (d *doRun) release(s vpStatus, n int) {
+	d.pending.Store(int32(n))
 	for _, vp := range d.vps {
 		if vp.status == s {
 			vp.status = stRunning
 			vp.resume <- true
-			n++
 		}
 	}
-	return n
 }
 
 // openPhase performs the phase-entry synchronization: global phases
