@@ -109,12 +109,16 @@ plancache-equiv:
 ## dist-smoke: real multi-process runs — 2 ppm-node processes over
 ## loopback TCP solving a small cg point, launched by ppm-run; once
 ## with the default wire path, once with the delta commit codec, and
-## once with adaptive bundling plus a flush stagger.
+## once with adaptive bundling plus a flush stagger. Then the two apps
+## that live on the demand-read path, whose phases no recorded plan can
+## prefetch: the Section 5 search and one Barnes-Hut step.
 dist-smoke:
 	$(GO) build -o bin/ ./cmd/ppm-run ./cmd/ppm-node
 	./bin/ppm-run -distributed -app cg -nodes 2 -cores 2 -cg-grid 8x8x8 -cg-iters 6
 	./bin/ppm-run -distributed -app cg -nodes 2 -cores 2 -cg-grid 8x8x8 -cg-iters 6 -wire-codec delta
 	./bin/ppm-run -distributed -app jacobi -nodes 2 -cores 2 -jacobi-grid 10x6x4 -jacobi-sweeps 6 -bundle-adaptive -flush-stagger 100us
+	./bin/ppm-run -distributed -app search -nodes 2 -search-n 65536 -search-k 512
+	./bin/ppm-run -distributed -app nbody -nodes 2 -bh-n 600 -bh-steps 1
 
 ## server-smoke: the full-binary serving path — a real ppm-server
 ## process fronting warm serve-mode ppm-node fleets, driven over HTTP:

@@ -21,7 +21,8 @@ type DistEngine interface {
 	// (reductions, barriers, broadcasts).
 	Endpoint() mp.Endpoint
 	// SetReadServer installs the callback that serves peers' remote
-	// reads of this process's partitions; it must return a copy.
+	// reads of this process's partitions; it must return a copy, which
+	// the engine keeps and sends as (the start of) the reply.
 	SetReadServer(fn func(array, lo, hi int) ([]byte, error))
 	// FetchRanges reads any number of ranges from the one rank that owns
 	// them all, in one round trip; the reply is the ranges' bytes
@@ -234,29 +235,51 @@ func (d *doRun) openPhaseDist() {
 }
 
 // prefetchPlan fetches a replayed plan's recorded remote cover with one
-// request per owner, whatever the number of arrays and ranges, and all
-// owners in flight at once. It runs before any VP resumes, so nothing
-// else touches the covers or the remote images meanwhile; the recorded
-// ranges are remote-owned and disjoint, so the concurrent installs
-// overlap neither each other nor the partitions the read server serves.
+// request per owner, whatever the number of arrays and ranges. One owner
+// (every 2-rank mesh, most stencil neighbours) is fetched right here on
+// the coordinator; several are all in flight at once, a goroutine each. It
+// runs before any VP resumes, so nothing else touches the covers or the
+// remote images meanwhile; the recorded ranges are remote-owned and
+// disjoint, so the concurrent installs overlap neither each other nor the
+// partitions the read server serves.
 func (d *doRun) prefetchPlan(p *phasePlan) {
 	gs := d.rt.gs
-	errs := make([]error, len(p.fcov))
-	var wg sync.WaitGroup
+	owners, only := 0, -1
 	for owner, ranges := range p.fcov {
-		if len(ranges) == 0 {
-			continue
+		if len(ranges) > 0 {
+			owners++
+			only = owner
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[owner] = gs.fetchInstall(owner, ranges)
-		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	switch owners {
+	case 0:
+		return
+	case 1:
+		if err := gs.fetchInstall(only, p.fcov[only]); err != nil {
 			panic(AbortError{Err: err})
+		}
+	default:
+		if cap(d.pferrs) < len(p.fcov) {
+			d.pferrs = make([]error, len(p.fcov))
+		}
+		errs := d.pferrs[:len(p.fcov)]
+		clear(errs)
+		var wg sync.WaitGroup
+		for owner, ranges := range p.fcov {
+			if len(ranges) == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[owner] = gs.fetchInstall(owner, ranges)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				panic(AbortError{Err: err})
+			}
 		}
 	}
 	for _, ranges := range p.fcov {
@@ -637,58 +660,62 @@ func (g *Global[T]) addCover(lo, hi int) {
 	g.dmu.Unlock()
 }
 
-// distFetch ensures [lo, hi) of g is locally valid, fetching uncovered
-// remote subranges from their owners. The per-array cover doubles as the
-// fetch cache: within a phase a shared variable is immutable, so every
-// range is fetched at most once per node per phase, mirroring the
+// fetchLineBytes is the transfer unit of a demand miss. A message costs a
+// fixed latency plus its bytes over the bandwidth (the two-level model of
+// arXiv:0810.2150), and on every link the fleet runs on 4 KiB moves in
+// less time than one frame costs to send: a VP that has to pay a round
+// trip anyway brings the whole aligned line back with it, so its
+// neighbours in index space (the rest of a halo plane, the next probes of
+// a search) are hits. It is a constant of the cost model, not a window:
+// nothing adapts it and nothing configures it (512 bytes won as clearly).
+const fetchLineBytes = 4096
+
+// distFetch ensures [lo, hi) of g, a range inside owner's partition
+// (owner is not this node), is locally valid. The per-array cover doubles
+// as the fetch cache: within a phase a shared variable is immutable, so
+// every element is fetched at most once per node per phase, mirroring the
 // simulator's modeled read cache.
 //
-// The single flight is fleet-wide across this node's VPs: a VP claims
-// the sub-gaps nobody else is fetching (dpend), releases the cover
-// mutex, and fetches over the wire concurrently with other claimants;
-// VPs whose whole gap is already in flight wait on the cover's
-// condition and are fanned the result — one wire ReadReq however many
-// VPs need the range. Claimed ranges are disjoint by construction, so
-// the unlocked installRange calls never overlap each other or a reader
-// (a VP only reads ranges the cover already includes).
-func (g *Global[T]) distFetch(self, lo, hi int) {
-	gs := g.gs
+// A VP that misses claims the aligned lines around what it is missing
+// (claimLines) and fetches them in the one round trip it was going to pay
+// anyway. The single flight is fleet-wide across this node's VPs: a VP
+// claims what nobody else is fetching (dpend), releases the cover mutex,
+// and fetches over the wire concurrently with other claimants; a VP whose
+// whole gap is already in flight waits on the cover's condition and is
+// fanned the result without widening anything. Claimed ranges are
+// disjoint by construction, so the unlocked installRange calls never
+// overlap each other or a reader (a VP only reads ranges the cover
+// already includes).
+func (g *Global[T]) distFetch(owner, lo, hi int) {
 	g.dmu.Lock()
 	if g.dcnd == nil {
 		g.dcnd = sync.NewCond(&g.dmu)
 	}
 	waited := false
 	for {
-		missing := coverMissing(g.dcov, lo, hi)
-		if len(missing) == 0 {
+		if len(coverMissing(g.dcov, lo, hi)) == 0 {
 			g.dmu.Unlock()
 			if waited {
-				gs.wireCoalesced.Add(1)
+				g.gs.wireCoalesced.Add(1)
 			}
 			return
 		}
-		var mine []intRun
-		for _, gap := range missing {
-			mine = append(mine, coverMissing(g.dpend, gap.lo, gap.hi)...)
-		}
+		mine := g.claimLines(owner, lo, hi)
 		if len(mine) == 0 {
 			// Everything still missing is in flight from other VPs.
 			waited = true
 			g.dcnd.Wait()
 			continue
 		}
-		for _, r := range mine {
-			g.dpend = coverAdd(g.dpend, r.lo, r.hi)
-		}
 		g.dmu.Unlock()
 
-		err := g.fetchRuns(self, mine)
+		err := g.fetchRuns(owner, mine)
 
 		g.dmu.Lock()
 		for _, r := range mine {
-			g.dpend = coverSub(g.dpend, r.lo, r.hi)
+			g.dpend = coverSub(g.dpend, r.Lo, r.Hi)
 			if err == nil {
-				g.dcov = coverAdd(g.dcov, r.lo, r.hi)
+				g.dcov = coverAdd(g.dcov, r.Lo, r.Hi)
 			}
 		}
 		// Wake waiters even on failure: they re-claim the ranges, hit the
@@ -701,50 +728,51 @@ func (g *Global[T]) distFetch(self, lo, hi int) {
 	}
 }
 
-// fetchRuns pulls the given uncovered ranges (sorted, as coverMissing
-// returns them) from their owners, without holding the cover mutex: one
-// round trip per owner, however many gaps it fills. Self-owned stretches
-// need no wire traffic (the backing store is authoritative); they are
-// claimed and covered by the caller like any other range.
-func (g *Global[T]) fetchRuns(self int, runs []intRun) error {
-	gs := g.gs
-	var reqs []wire.ReadRange
-	owner := -1
-	flush := func() error {
-		var err error
-		switch len(reqs) {
-		case 0:
-		case 1: // the engine's one-range form
-			var data []byte
-			if data, err = gs.dist.Fetch(g.id, owner, reqs[0].Lo, reqs[0].Hi); err == nil {
-				err = gs.installReply(owner, reqs, data)
-			}
-		default:
-			err = gs.fetchInstall(owner, reqs)
+// claimLines marks in flight, and returns, what the caller must fetch to
+// make [lo, hi) valid: for every stretch of it neither covered nor already
+// in flight, the lines it touches (fetchLineBytes of elements, aligned on
+// the global index, clipped to owner's partition) minus what the cover
+// holds or another VP is fetching. The claims are sorted and disjoint;
+// none means the whole gap is in flight elsewhere. Caller holds dmu.
+func (g *Global[T]) claimLines(owner, lo, hi int) []wire.ReadRange {
+	line := fetchLineBytes / g.es
+	plo, phi := g.bnd[owner], g.bnd[owner+1]
+	var mine []wire.ReadRange
+	for _, need := range g.unclaimed(lo, hi) {
+		wlo := max(need.lo-need.lo%line, plo)
+		whi := min((need.hi+line-1)/line*line, phi)
+		// Widening an earlier stretch may have claimed this one's lines.
+		for _, r := range g.unclaimed(wlo, whi) {
+			g.dpend = coverAdd(g.dpend, r.lo, r.hi)
+			mine = append(mine, wire.ReadRange{Array: g.id, Lo: r.lo, Hi: r.hi})
 		}
-		reqs = reqs[:0]
+	}
+	return mine
+}
+
+// unclaimed returns the subranges of [lo, hi) neither covered nor in
+// flight (sorted, disjoint). Caller holds dmu.
+func (g *Global[T]) unclaimed(lo, hi int) []intRun {
+	var out []intRun
+	for _, gap := range coverMissing(g.dcov, lo, hi) {
+		out = append(out, coverMissing(g.dpend, gap.lo, gap.hi)...)
+	}
+	return out
+}
+
+// fetchRuns pulls the claimed ranges from owner without holding the cover
+// mutex: one round trip, however many gaps it fills.
+func (g *Global[T]) fetchRuns(owner int, reqs []wire.ReadRange) error {
+	gs := g.gs
+	if len(reqs) > 1 {
+		return gs.fetchInstall(owner, reqs)
+	}
+	// The engine's one-range form.
+	data, err := gs.dist.Fetch(g.id, owner, reqs[0].Lo, reqs[0].Hi)
+	if err != nil {
 		return err
 	}
-	for _, gap := range runs {
-		for s := gap.lo; s < gap.hi; {
-			o, oend := g.ownerSpan(s)
-			e := gap.hi
-			if e > oend {
-				e = oend
-			}
-			if o != self {
-				if o != owner {
-					if err := flush(); err != nil {
-						return err
-					}
-					owner = o
-				}
-				reqs = append(reqs, wire.ReadRange{Array: g.id, Lo: s, Hi: e})
-			}
-			s = e
-		}
-	}
-	return flush()
+	return gs.installReply(owner, reqs, data)
 }
 
 // coverMissing returns the subranges of [lo, hi) not covered by cov

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"ppm/internal/cluster"
 	"ppm/internal/machine"
@@ -32,6 +34,10 @@ type loopEngine struct {
 	server   func(array, lo, hi int) ([]byte, error)
 	lent     [][]byte // what the last CommitExchange returned, until released
 	released int
+	// reqs is every read request this rank sent, ranges in request order;
+	// fetchDelay, if set, holds each one in flight that long.
+	reqs       [][]wire.ReadRange
+	fetchDelay time.Duration
 }
 
 func newLoopMesh(nodes int) *loopMesh {
@@ -93,7 +99,9 @@ func (e *loopEngine) Fetch(array, owner, lo, hi int) ([]byte, error) {
 func (e *loopEngine) FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, error) {
 	e.m.mu.Lock()
 	server := e.m.engs[owner].server
+	e.reqs = append(e.reqs, slices.Clone(ranges))
 	e.m.mu.Unlock()
+	time.Sleep(e.fetchDelay)
 	var reply []byte
 	for _, r := range ranges {
 		data, err := server(r.Array, r.Lo, r.Hi)

@@ -268,7 +268,7 @@ func (g *Global[T]) At(rt *Runtime, i int) T {
 			// partitions; fetch the owner's full block once and serve the
 			// rest of the loop from the cache.
 			lo, hi := g.part.Range(owner)
-			g.distFetch(rt.node, lo, hi)
+			g.distFetch(owner, lo, hi)
 		}
 	}
 	return g.base[i]
@@ -301,7 +301,7 @@ func (g *Global[T]) readRemote(vp *VP, i int) {
 	}
 	vp.noteRemoteRead(g.id, i, owner, g.es)
 	if g.gs.dist != nil {
-		g.distFetch(node, i, i+1)
+		g.distFetch(owner, i, i+1)
 	}
 }
 
@@ -376,7 +376,7 @@ func (g *Global[T]) readBlockRemote(vp *VP, lo, hi int) {
 			}
 			vp.noteRemoteRun(g.id, s, e, owner, g.es)
 			if g.gs.dist != nil {
-				g.distFetch(node, s, e)
+				g.distFetch(owner, s, e)
 			}
 		}
 		s = e

@@ -364,6 +364,9 @@ type doRun struct {
 	cdec    [][]byte
 	ccurs   []commitCursor
 
+	// Phase-open scratch: per-owner results of a several-owner prefetch.
+	pferrs []error
+
 	sharedReadCost  vtime.Duration
 	sharedWriteCost vtime.Duration
 }

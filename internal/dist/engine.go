@@ -133,11 +133,14 @@ func (c Config) withDefaults() (Config, error) {
 // A commit frame's payload is not owned by the frame: it is the chunk
 // stream[off:end] of the stream CommitExchange was handed, borrowed until
 // the writer has copied it into its bundling buffer, and the header that
-// precedes it on the wire travels here in hdr.
+// precedes it on the wire travels here in hdr. A read reply's payload is
+// the read server's own copy of the data, with the request id that
+// precedes it on the wire in id.
 type outFrame struct {
 	kind    byte
 	payload []byte
 	hdr     wire.CommitHeader // KindCommitData and KindCommitEnd only
+	id      uint64            // KindReadResp only
 }
 
 // appendTo appends f's wire form to buf: the writer's one copy.
@@ -147,6 +150,8 @@ func (f outFrame) appendTo(buf []byte) []byte {
 		return wire.AppendCommitData(buf, f.hdr, f.payload)
 	case wire.KindCommitEnd:
 		return wire.AppendCommitEnd(buf, f.hdr)
+	case wire.KindReadResp:
+		return wire.AppendReadResp(buf, f.id, f.payload)
 	}
 	return wire.AppendFrame(buf, f.kind, f.payload)
 }
@@ -971,16 +976,22 @@ func (e *Engine) serveLoop() {
 			e.serverMu.RLock()
 			server := e.server
 			e.serverMu.RUnlock()
-			reply := wire.AppendReadRespHeader(nil, req.id)
-			for _, r := range req.ranges {
+			// The server returns copies: the first range's is the reply, and
+			// a one-range request (a demand miss's line) copies nothing more.
+			var reply []byte
+			for i, r := range req.ranges {
 				data, err := server(r.Array, r.Lo, r.Hi)
 				if err != nil {
 					e.Abort(fmt.Errorf("dist: rank %d: serving read for rank %d: %w", e.rank, req.dst, err))
 					return
 				}
-				reply = append(reply, data...)
+				if i == 0 {
+					reply = data
+				} else {
+					reply = append(reply, data...)
+				}
 			}
-			if e.send(req.dst, wire.KindReadResp, reply) != nil {
+			if e.enqueue(req.dst, outFrame{kind: wire.KindReadResp, id: req.id, payload: reply}) != nil {
 				return
 			}
 		case <-e.fatalCh:

@@ -107,9 +107,10 @@ func TestDistPlanCacheInvalidationScatter(t *testing.T) {
 // kind of read over two arrays of different element size and three
 // remote owners: from each other node, every VP block-reads a stretch of
 // a, scalar-reads four adjacent elements of b (one range once coalesced)
-// and two scattered elements of a. VPs read disjoint stretches, so the
-// cold request count is deterministic; every node then writes elements
-// its peers read next iteration, so a stale prefetch would show.
+// and two scattered elements of a. Each partition is smaller than a
+// line, so a cold phase fetches it whole, once per array: the cold
+// request count is deterministic; every node then writes elements its
+// peers read next iteration, so a stale prefetch would show.
 const (
 	mixN     = 256
 	mixVPs   = 3
@@ -162,7 +163,7 @@ func mixedReadProg(outA [][]float64, outB [][]int32) func(rt *core.Runtime) {
 // four-node mesh: cache on, cache off and the simulator must agree bit
 // for bit and counter for counter, every warm phase must be a plan hit,
 // and a warm phase must cost each rank at most one read request per
-// owner where a cold phase costs one per range.
+// owner where a cold phase costs one per owner and array.
 func TestDistPlanCacheMixedCoverOneRequestPerOwner(t *testing.T) {
 	t.Setenv("PPM_PLAN_CACHE", "") // the two runs below differ by Options alone
 	const nodes = 4

@@ -273,10 +273,14 @@ func DecodeReadReq(p []byte) (id uint64, ranges []ReadRange, err error) {
 	return id, ranges, nil
 }
 
-// AppendReadRespHeader starts a ReadResp payload; the caller appends the
-// requested ranges' bytes after it, concatenated in request order.
-func AppendReadRespHeader(buf []byte, id uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, id)
+// AppendReadResp appends a complete ReadResp frame to buf: the request id
+// and after it data, the requested ranges' bytes concatenated in request
+// order. data is copied, once.
+func AppendReadResp(buf []byte, id uint64, data []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+8+len(data)))
+	buf = append(buf, KindReadResp)
+	buf = binary.LittleEndian.AppendUint64(buf, id)
+	return append(buf, data...)
 }
 
 // DecodeReadResp parses a ReadResp payload. data aliases p; only the

@@ -119,7 +119,16 @@ func TestReadReqRespRoundTrip(t *testing.T) {
 			t.Fatalf("read req %v = (%d, %v, %v)", ranges, id, got, err)
 		}
 	}
-	resp := append(AppendReadRespHeader(nil, 99), 5, 6)
+	// AppendReadResp writes the frame whole, id beside data; on the wire it
+	// is the ordinary frame of an id-then-data payload, as in version 3.
+	frame := AppendReadResp([]byte{0xAA}, 99, []byte{5, 6})
+	if want := AppendFrame([]byte{0xAA}, KindReadResp, []byte{99, 0, 0, 0, 0, 0, 0, 0, 5, 6}); !bytes.Equal(frame, want) {
+		t.Fatalf("read resp frame = %v, want %v", frame, want)
+	}
+	kind, resp, err := ReadFrame(bufio.NewReader(bytes.NewReader(frame[1:])))
+	if err != nil || kind != KindReadResp {
+		t.Fatalf("read resp frame reads back as kind %d, err %v", kind, err)
+	}
 	gotID, data, err := DecodeReadResp(resp)
 	if err != nil || gotID != 99 || !bytes.Equal(data, []byte{5, 6}) {
 		t.Fatalf("read resp = (%d, %v, %v)", gotID, data, err)
