@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-hotpath bench-parallel bench-wire bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures
+.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
@@ -75,27 +75,10 @@ N ?= 10
 bench-pairs:
 	$(GO) run scripts/bench_pairs.go -base $(BASE) -n $(N) -- $(ARGS)
 
-## bench-hotpath: regenerate BENCH_hotpath.json (host costs of the
-## shared-access hot path; see bench_test.go).
-bench-hotpath:
-	BENCH_HOTPATH=1 $(GO) test -run TestHotpathBenchArtifact -v .
-
-## bench-parallel: regenerate BENCH_parallel.json (host wall-clock of
-## the full Figure 1 sweep, sequential vs the parallel harness; see
-## parallel_bench_test.go).
-bench-parallel:
-	BENCH_PARALLEL=1 $(GO) test -run TestParallelBenchArtifact -v .
-
-## bench-wire: regenerate BENCH_wire.json (bytes on wire, frames,
-## flushes, and wall-clock of the distributed wire path: fixed bundling
-## vs adaptive vs the delta commit codec; see internal/dist/wire_bench_test.go).
-bench-wire:
-	BENCH_WIRE=1 $(GO) test -run TestWireBenchArtifact -v ./internal/dist/
-
-## bench-steady: regenerate BENCH_steady.json (cold vs warm steady-state
-## phase iteration costs; see steady_bench_test.go). The artifact test
-## enforces the contract: warm CG and Jacobi iterations allocate nothing
-## and run at least 1.5x faster than cold (plan cache off).
+## bench-steady: the steady-state gate (cold vs warm phase iteration
+## costs; see steady_bench_test.go): warm CG and Jacobi iterations
+## allocate nothing and run at least 1.5x faster than cold (plan cache
+## off).
 bench-steady:
 	BENCH_STEADY=1 $(GO) test -run TestSteadyBenchArtifact -v .
 
@@ -107,16 +90,16 @@ plancache-equiv:
 	PPM_PLAN_CACHE=1 $(GO) test -count=1 -run 'Equivalence|MatchesSimulator|TestPlanCache|TestFleetPlanCache' . ./internal/core/ ./internal/dist/
 
 ## dist-smoke: real multi-process runs — 2 ppm-node processes over
-## loopback TCP solving a small cg point, launched by ppm-run; once
-## with the default wire path, once with the delta commit codec, and
-## once with adaptive bundling plus a flush stagger. Then the two apps
-## that live on the demand-read path, whose phases no recorded plan can
-## prefetch: the Section 5 search and one Barnes-Hut step.
+## loopback TCP solving a small cg point, launched by ppm-run, once
+## with the default wire path and once with the delta commit codec; a
+## jacobi run; then the two apps that live on the demand-read path,
+## whose phases no recorded plan can prefetch: the Section 5 search and
+## one Barnes-Hut step.
 dist-smoke:
 	$(GO) build -o bin/ ./cmd/ppm-run ./cmd/ppm-node
 	./bin/ppm-run -distributed -app cg -nodes 2 -cores 2 -cg-grid 8x8x8 -cg-iters 6
 	./bin/ppm-run -distributed -app cg -nodes 2 -cores 2 -cg-grid 8x8x8 -cg-iters 6 -wire-codec delta
-	./bin/ppm-run -distributed -app jacobi -nodes 2 -cores 2 -jacobi-grid 10x6x4 -jacobi-sweeps 6 -bundle-adaptive -flush-stagger 100us
+	./bin/ppm-run -distributed -app jacobi -nodes 2 -cores 2 -jacobi-grid 10x6x4 -jacobi-sweeps 6
 	./bin/ppm-run -distributed -app search -nodes 2 -search-n 65536 -search-k 512
 	./bin/ppm-run -distributed -app nbody -nodes 2 -bh-n 600 -bh-steps 1
 

@@ -18,11 +18,7 @@
 package ppm_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
 	"ppm/internal/apps/cg"
@@ -33,7 +29,6 @@ import (
 	"ppm/internal/bench"
 	"ppm/internal/core"
 	"ppm/internal/machine"
-	"ppm/internal/sparse"
 )
 
 // benchNodes are the cluster sizes exercised per figure benchmark (the
@@ -384,11 +379,7 @@ func BenchmarkRuntimeSharedWrite(b *testing.B) {
 	}
 }
 
-// --- Hot-path benchmarks: block accessors vs element-wise loops, and
-// the commit-machinery data structures old vs new. A checked-in summary
-// lives in BENCH_hotpath.json; regenerate it with
-//
-//	BENCH_HOTPATH=1 go test -run TestHotpathBenchArtifact .
+// --- Hot-path benchmarks: block accessors vs element-wise loops. ---
 
 // hotElems is the phase payload of the hot-path cycles: 8 rows of 1024
 // elements, written/read through one Do+phase+commit per op.
@@ -460,236 +451,4 @@ func BenchmarkHotpathWriteCycle(b *testing.B) {
 func BenchmarkHotpathReadCycle(b *testing.B) {
 	b.Run("element", func(b *testing.B) { benchReadCycle(b, false) })
 	b.Run("block", func(b *testing.B) { benchReadCycle(b, true) })
-}
-
-// benchCGIteration is one Figure-1 CG matrix-vector phase (the solver's
-// hot loop) at 4 nodes: local stencil rows gathered from the shared
-// search direction, either an element at a time or through the stencil's
-// run-length column structure with ReadBlock.
-func benchCGIteration(b *testing.B, block bool) {
-	prm, _, _ := benchParams()
-	_, err := core.Run(core.Options{Nodes: 4, Machine: machine.Franklin()}, func(rt *core.Runtime) {
-		n := prm.N()
-		p := core.AllocGlobal[float64](rt, "hot.p", n)
-		lo, hi := p.OwnerRange(rt)
-		nLocal := hi - lo
-		w := core.AllocNode[float64](rt, "hot.spmv", n/rt.NodeCount()+1)
-		a := sparse.Stencil27Rows(prm.NX, prm.NY, prm.NZ, lo, hi)
-		runPtr, runs, maxRun := a.ColRuns()
-		pl := p.Local(rt)
-		for i := range pl {
-			pl[i] = float64(lo+i) * 1e-3
-		}
-		k := rt.CoresPerNode() * 4
-		rt.Barrier()
-		if rt.NodeID() == 0 {
-			b.ReportAllocs()
-			b.ResetTimer()
-		}
-		for it := 0; it < b.N; it++ {
-			rt.Do(k, func(vp *core.VP) {
-				vp.GlobalPhase(func() {
-					vlo, vhi := core.ChunkRange(nLocal, k, vp.NodeRank())
-					var buf []float64
-					if block {
-						buf = make([]float64, maxRun)
-					}
-					for row := vlo; row < vhi; row++ {
-						var s float64
-						kk := a.RowPtr[row]
-						if block {
-							for _, cr := range runs[runPtr[row]:runPtr[row+1]] {
-								p.ReadBlock(vp, cr.Col, cr.Col+cr.N, buf)
-								for j := 0; j < cr.N; j++ {
-									s += a.Val[kk] * buf[j]
-									kk++
-								}
-							}
-						} else {
-							for _, c := range a.Col[a.RowPtr[row]:a.RowPtr[row+1]] {
-								s += a.Val[kk] * p.Read(vp, c)
-								kk++
-							}
-						}
-						w.Write(vp, row, s)
-					}
-				})
-			})
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkHotpathCGIteration(b *testing.B) {
-	b.Run("element", func(b *testing.B) { benchCGIteration(b, false) })
-	b.Run("block", func(b *testing.B) { benchCGIteration(b, true) })
-}
-
-// benchReadTracking contrasts the two remote-read dedup structures: the
-// seed's node-level map guarded by one mutex (every VP read locks it)
-// against the current per-VP interval runs (no sharing until commit).
-// Each parallel worker records a contiguous index stream, which is what
-// a VP's chunk of a gather looks like.
-func benchReadTracking(b *testing.B, locked bool) {
-	b.ReportAllocs()
-	if locked {
-		type rk struct{ arr, idx int }
-		var mu sync.Mutex
-		seen := make(map[rk]struct{}, 1<<16)
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				k := rk{arr: 0, idx: i & 0xFFFF}
-				mu.Lock()
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-				}
-				mu.Unlock()
-				i++
-			}
-		})
-	} else {
-		b.RunParallel(func(pb *testing.PB) {
-			type run struct{ lo, hi int }
-			var runs []run
-			i := 0
-			for pb.Next() {
-				if n := len(runs); n > 0 && runs[n-1].hi == i {
-					runs[n-1].hi = i + 1
-				} else {
-					if len(runs) == 1<<12 {
-						runs = runs[:0] // phase commit truncates in place
-					}
-					runs = append(runs, run{lo: i, hi: i + 1})
-				}
-				i++
-			}
-		})
-	}
-}
-
-func BenchmarkHotpathReadTracking(b *testing.B) {
-	b.Run("locked-map", func(b *testing.B) { benchReadTracking(b, true) })
-	b.Run("per-vp-runs", func(b *testing.B) { benchReadTracking(b, false) })
-}
-
-// benchStaging replays the two write-staging schemes outside the runtime
-// so their allocation behavior is isolated. The seed staged one record
-// per written element and dropped the destination slice after every
-// apply (stage = nil), so each phase re-grew it element by element; the
-// current scheme stages one run-length record per contiguous run, keeps
-// values in a reused arena, and truncates stage slices in place.
-func benchStaging(b *testing.B, legacy bool) {
-	base := make([]float64, hotElems)
-	row := make([]float64, hotElems)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if legacy {
-		type rec struct {
-			idx    int
-			val    float64
-			add    bool
-			writer int64
-		}
-		var recs, stage []rec
-		for i := 0; i < b.N; i++ {
-			recs = recs[:0]
-			for j := 0; j < hotElems; j++ {
-				recs = append(recs, rec{idx: j, val: row[j], writer: 7})
-			}
-			stage = nil
-			stage = append(stage, recs...)
-			for _, r := range stage {
-				if r.add {
-					base[r.idx] += r.val
-				} else {
-					base[r.idx] = r.val
-				}
-			}
-		}
-	} else {
-		type rec struct {
-			lo, n, off int
-			add        bool
-			writer     int64
-		}
-		var arena []float64
-		var recs, stage []rec
-		for i := 0; i < b.N; i++ {
-			recs, arena = recs[:0], arena[:0]
-			off := len(arena)
-			arena = append(arena, row...)
-			recs = append(recs, rec{lo: 0, n: hotElems, off: off, writer: 7})
-			stage = stage[:0]
-			stage = append(stage, recs...)
-			for _, r := range stage {
-				copy(base[r.lo:r.lo+r.n], arena[r.off:r.off+r.n])
-			}
-		}
-	}
-}
-
-func BenchmarkHotpathStaging(b *testing.B) {
-	b.Run("seed-per-element", func(b *testing.B) { benchStaging(b, true) })
-	b.Run("arena-runs", func(b *testing.B) { benchStaging(b, false) })
-}
-
-// TestHotpathBenchArtifact regenerates BENCH_hotpath.json, the checked-in
-// snapshot of the hot-path host costs. Gated behind an environment
-// variable so routine test runs stay fast.
-func TestHotpathBenchArtifact(t *testing.T) {
-	if os.Getenv("BENCH_HOTPATH") == "" {
-		t.Skip("set BENCH_HOTPATH=1 to regenerate BENCH_hotpath.json")
-	}
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-		BytesPerOp  int64   `json:"bytes_per_op"`
-	}
-	run := func(name string, f func(*testing.B)) entry {
-		r := testing.Benchmark(f)
-		return entry{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-	}
-	doc := struct {
-		Note    string  `json:"note"`
-		Go      string  `json:"go"`
-		Results []entry `json:"results"`
-	}{
-		Note: "Host costs of the shared-access hot path. *_cycle ops move 8192 elements " +
-			"through one Do+phase+commit; figure1_cg_iteration ops are one 4-node SpMV phase " +
-			"of the Figure 1 CG solve; write_staging ops replay the seed's per-element staging " +
-			"against the current arena/run scheme; read_tracking ops record one remote read " +
-			"per worker under the seed's locked map vs per-VP runs.",
-		Go: runtime.Version(),
-		Results: []entry{
-			run("global_write_cycle/element", func(b *testing.B) { benchWriteCycle(b, false) }),
-			run("global_write_cycle/block", func(b *testing.B) { benchWriteCycle(b, true) }),
-			run("global_read_cycle/element", func(b *testing.B) { benchReadCycle(b, false) }),
-			run("global_read_cycle/block", func(b *testing.B) { benchReadCycle(b, true) }),
-			run("write_staging/seed-per-element", func(b *testing.B) { benchStaging(b, true) }),
-			run("write_staging/arena-runs", func(b *testing.B) { benchStaging(b, false) }),
-			run("read_tracking/locked-map", func(b *testing.B) { benchReadTracking(b, true) }),
-			run("read_tracking/per-vp-runs", func(b *testing.B) { benchReadTracking(b, false) }),
-			run("figure1_cg_iteration/element", func(b *testing.B) { benchCGIteration(b, false) }),
-			run("figure1_cg_iteration/block", func(b *testing.B) { benchCGIteration(b, true) }),
-		},
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_hotpath.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range doc.Results {
-		t.Logf("%-36s %12.1f ns/op %8d allocs/op %10d B/op", e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
-	}
 }

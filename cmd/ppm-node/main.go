@@ -18,7 +18,7 @@
 //	         [-procs P -proc J [-restore-rescale]]
 //	         [-run-id ID] [-hb-interval 500ms] [-hb-timeout 5s]
 //	         [-op-timeout 60s] [-checkpoint-dir DIR [-checkpoint-every K] [-restore]]
-//	         [-bundle-adaptive] [-wire-codec raw|delta] [-flush-stagger 0]
+//	         [-wire-codec raw|delta]
 //	         -app cg|colloc|nbody|jacobi|search|scatter [-cores 4]
 //	         [-no-bundling] [-no-overlap] [-no-readcache] [-static]
 //	         [app-specific flags, see -h]
@@ -85,10 +85,7 @@ func main() {
 	rendezvous := flag.String("rendezvous", "", "shared directory where peers publish their listen addresses")
 	listen := flag.String("listen", "", "TCP listen address (default 127.0.0.1:0)")
 	connectTimeout := flag.Duration("connect-timeout", 30*time.Second, "deadline for the full mesh to come up")
-	bundleBytes := flag.Int("bundle-bytes", 0, "wire-level bundle coalescing threshold in bytes (default 8192)")
-	bundleAdaptive := flag.Bool("bundle-adaptive", false, "adaptive bundling: flush critical-path frames immediately, grow the cap under sustained commit throughput")
 	wireCodec := flag.String("wire-codec", "raw", "commit-stream encoding to offer peers: raw or delta")
-	flushStagger := flag.Duration("flush-stagger", 0, "minimum spacing between this process's per-peer flushes (0 disables NIC-contention pacing)")
 	runID := flag.String("run-id", "", "launch identity tag; rendezvous files from other launches are ignored")
 	hbInterval := flag.Duration("hb-interval", 0, "failure-detector probe interval on idle links (default 500ms, negative disables)")
 	hbTimeout := flag.Duration("hb-timeout", 0, "declare a silent peer dead after this long (default 5s, negative disables)")
@@ -254,10 +251,7 @@ func main() {
 					Nodes:             *nodes,
 					RendezvousDir:     *rendezvous,
 					ListenAddr:        *listen,
-					BundleBytes:       *bundleBytes,
-					BundleAdaptive:    *bundleAdaptive,
 					Codec:             codec,
-					FlushStagger:      *flushStagger,
 					ConnectTimeout:    *connectTimeout,
 					RunID:             *runID,
 					HeartbeatInterval: *hbInterval,

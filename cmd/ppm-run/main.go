@@ -107,9 +107,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "distributed: minimum committed global phases between checkpoints (default 1)")
 	perRankRestarts := flag.Int("per-rank-restarts", 0, "distributed: declare a host permanently dead after it is blamed for this many consecutive failed attempts (default 2)")
 	minNodes := flag.Int("min-nodes", 0, "distributed: never rescale the fleet below this many host processes (default 1)")
-	bundleAdaptive := flag.Bool("bundle-adaptive", false, "distributed: adaptive wire bundling (immediate critical-path flushes, growing commit bundles)")
 	wireCodec := flag.String("wire-codec", "", "distributed: commit-stream encoding to offer peers (raw or delta; node default raw)")
-	flushStagger := flag.Duration("flush-stagger", 0, "distributed: minimum spacing between one process's per-peer flushes (0 disables)")
 	hbInterval := flag.Duration("hb-interval", 0, "distributed: failure-detector probe interval (node default 500ms, negative disables)")
 	hbTimeout := flag.Duration("hb-timeout", 0, "distributed: declare a silent peer dead after this long (node default 5s)")
 	opTimeout := flag.Duration("op-timeout", 0, "distributed: deadline for one remote read or commit wait (node default 60s)")
@@ -170,8 +168,7 @@ func main() {
 		for _, f := range []struct {
 			on   bool
 			name string
-		}{{*noBundling, "-no-bundling"}, {*noOverlap, "-no-overlap"}, {*noReadCache, "-no-readcache"}, {*static, "-static"},
-			{*bundleAdaptive, "-bundle-adaptive"}} {
+		}{{*noBundling, "-no-bundling"}, {*noOverlap, "-no-overlap"}, {*noReadCache, "-no-readcache"}, {*static, "-static"}} {
 			if f.on {
 				args = append(args, f.name)
 			}
@@ -183,7 +180,7 @@ func main() {
 			v    time.Duration
 			name string
 		}{{*hbInterval, "-hb-interval"}, {*hbTimeout, "-hb-timeout"}, {*opTimeout, "-op-timeout"},
-			{*flushStagger, "-flush-stagger"}, {*timeout, "-job-deadline"}} {
+			{*timeout, "-job-deadline"}} {
 			if d.v != 0 {
 				args = append(args, d.name, d.v.String())
 			}

@@ -132,11 +132,9 @@ func TestChaosMatrix(t *testing.T) {
 		{"killhost-early-rescale", "killhost=1@phase:1", true, true, nil},
 		// Wire-tuning interactions: truncation hits post-codec frames, so
 		// a delta-encoded fleet must fail just as cleanly (a corrupt
-		// delta stream is a decode error, never a wrong answer); benign
-		// faults under adaptive bundling must stay bit-identical.
+		// delta stream is a decode error, never a wrong answer).
 		{"trunc-delta", "seed=9; trunc=0.5", false, false, []string{"-wire-codec", "delta"}},
 		{"dup-delta", "seed=5; dup=0.3", true, false, []string{"-wire-codec", "delta"}},
-		{"delay-adaptive", "seed=3; delay=0.2:2ms", true, false, []string{"-bundle-adaptive", "-flush-stagger", "100us"}},
 		{"killhost-rescale-delta", "killhost=1@phase:3", true, true, []string{"-wire-codec", "delta"}},
 		// Both apps run one Do per iteration, so from the third phase on
 		// every phase replays a plan and opens with the vectored prefetch:

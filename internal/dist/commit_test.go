@@ -549,6 +549,58 @@ func TestCommitFramesOverTheWire(t *testing.T) {
 	}
 }
 
+// TestCommitStreamLeavesInBundleSizedFrames reads the other direction off
+// the socket: a stream longer than bundleBytes must leave as
+// ceil(len/bundleBytes) CommitData frames at consecutive offsets, each
+// announcing the stream's total, then one CommitEnd — and reassemble to
+// exactly what was handed to CommitExchange.
+func TestCommitStreamLeavesInBundleSizedFrames(t *testing.T) {
+	eng, conn := rawPeer(t)
+	stream := make([]byte, 2*bundleBytes+100)
+	fillPattern(stream, 0, 1, 4)
+	// Rank 1's own (empty) stream, so the exchange can complete.
+	if _, err := conn.Write(wire.AppendCommitEnd(nil, wire.CommitHeader{Seq: 1, Phase: 4})); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		in, err := eng.CommitExchange(4, [][]byte{nil, stream})
+		if err == nil {
+			eng.ReleaseCommit(in)
+		}
+		done <- err
+	}()
+	br := bufio.NewReader(conn)
+	var got []byte
+	for frames := 0; ; frames++ {
+		kind, payload, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == wire.KindCommitEnd {
+			if want := (len(stream) + bundleBytes - 1) / bundleBytes; frames != want {
+				t.Errorf("%d CommitData frames before the end, want %d", frames, want)
+			}
+			break
+		}
+		h, err := wire.DecodeCommitHeader(payload)
+		if kind != wire.KindCommitData || err != nil {
+			t.Fatalf("frame %d: kind %d, header error %v", frames, kind, err)
+		}
+		chunk := payload[wire.CommitHeaderBytes:]
+		if h.Off != len(got) || h.Total != len(stream) || len(chunk) != min(bundleBytes, len(stream)-h.Off) {
+			t.Fatalf("frame %d: offset %d of %d with %d bytes, after %d bytes received", frames, h.Off, h.Total, len(chunk), len(got))
+		}
+		got = append(got, chunk...)
+	}
+	if err := checkPattern(got, len(stream), 0, 1, 4); err != nil {
+		t.Error(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("CommitExchange: %v", err)
+	}
+}
+
 // TestLateCommitEndLeavesNothingBehind repeats a CommitEnd after the
 // exchange it ends was handed out — the race a duplicating link loses
 // half the time — and then runs the next job's exchange under the same

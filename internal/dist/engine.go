@@ -8,7 +8,7 @@
 // Wire-level bundling happens in the per-peer writer goroutine: every
 // frame queued while a send is in flight — fine-grained messages, read
 // requests and replies, commit-delta chunks — coalesces into a single
-// TCP write of up to BundleBytes. VPs keep computing while the writer
+// TCP write of up to bundleBytes. VPs keep computing while the writer
 // ships, which is the overlap the paper's bundling layer exists for.
 package dist
 
@@ -48,23 +48,10 @@ type Config struct {
 	// ListenAddr is the address to listen on when using the rendezvous
 	// (default "127.0.0.1:0").
 	ListenAddr string
-	// BundleBytes caps the bytes coalesced into one TCP write (default
-	// 8192, matching core's modeled bundle size).
-	BundleBytes int
-	// BundleAdaptive replaces the fixed cap with the adaptive controller
-	// (see bundler.go): critical-path frames flush immediately and the
-	// cap grows under sustained bulk throughput, BundleBytes remaining
-	// the floor.
-	BundleAdaptive bool
 	// Codec is the commit-stream codec this rank prefers to send with;
 	// each link falls back to raw unless the peer advertises support
 	// (negotiated in the Hello handshake, see wire.Negotiate).
 	Codec wire.Codec
-	// FlushStagger, when positive, paces the start of TCP writes across
-	// this rank's per-peer writers so they do not burst into the NIC in
-	// lockstep at phase boundaries; each flush waits for a slot on a
-	// shared clock with this gap. Zero disables pacing.
-	FlushStagger time.Duration
 	// ConnectTimeout bounds rendezvous plus mesh establishment (default
 	// 30s).
 	ConnectTimeout time.Duration
@@ -108,9 +95,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
 	}
-	if c.BundleBytes <= 0 {
-		c.BundleBytes = 8192
-	}
 	if c.ConnectTimeout <= 0 {
 		c.ConnectTimeout = 30 * time.Second
 	}
@@ -128,6 +112,12 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
+
+// bundleBytes caps the bytes coalesced into one TCP write and the chunk
+// a commit stream is cut into. It equals the default of core's modeled
+// Options.BundleBytes, so a default run's real frames are the size of
+// the bundles the simulator charges for.
+const bundleBytes = 8192
 
 // outFrame is one queued wire frame awaiting the writer's next batch.
 // A commit frame's payload is not owned by the frame: it is the chunk
@@ -225,12 +215,9 @@ type fetchWait struct {
 // Engine is one process's connection mesh. It is created by Connect,
 // passed to core.RunDist, and closed after the run.
 type Engine struct {
-	rank     int
-	nodes    int
-	bundle   int
-	adaptive bool
-	codec    wire.Codec // preferred send codec, before per-link negotiation
-	pace     *pacer     // nil unless FlushStagger > 0
+	rank  int
+	nodes int
+	codec wire.Codec // preferred send codec, before per-link negotiation
 
 	hbInterval   time.Duration
 	hbTimeout    time.Duration
@@ -242,7 +229,6 @@ type Engine struct {
 	// per-peer writers and Fetch, read whole by WireStats.
 	wsFrames   atomic.Int64
 	wsFlushes  atomic.Int64
-	wsForced   atomic.Int64
 	wsBytes    atomic.Int64
 	wsReadReqs atomic.Int64
 
@@ -306,10 +292,7 @@ func Connect(cfg Config) (*Engine, error) {
 	e := &Engine{
 		rank:         cfg.Rank,
 		nodes:        cfg.Nodes,
-		bundle:       cfg.BundleBytes,
-		adaptive:     cfg.BundleAdaptive,
 		codec:        cfg.Codec,
-		pace:         newPacer(cfg.FlushStagger),
 		hbInterval:   cfg.HeartbeatInterval,
 		hbTimeout:    cfg.HeartbeatTimeout,
 		opTimeout:    cfg.OpTimeout,
@@ -724,32 +707,23 @@ func (e *Engine) heartbeatLoop() {
 // --- per-peer goroutines ------------------------------------------------
 
 // writeLoop ships queued frames, coalescing everything already waiting
-// into one buffered write: the wire-level bundling. The bundler decides
-// the coalescing cap and which frames cut a bundle short (with adaptive
-// bundling off it reproduces the fixed BundleBytes drain exactly), and
-// the engine's pacer — when flush staggering is on — spaces the actual
-// TCP writes across this rank's writers. The loop exits on the kindStop
-// sentinel (the out channel is never closed).
+// into one TCP write: the wire-level bundling. It appends what is queued
+// until bundleBytes or an empty queue, then writes once. The loop exits
+// on the kindStop sentinel (the out channel is never closed).
 // The fault-injection seam sits here, under the bundling layer and
 // after core's codec transcode, so an injected drop/dup/truncation
 // affects exactly one post-codec wire frame.
 func (e *Engine) writeLoop(p *peer) {
 	defer e.sendWg.Done()
-	bw := bufio.NewWriterSize(p.conn, 64<<10)
-	bu := newBundler(e.bundle, e.adaptive)
 	var buf []byte
 	dead := false
-	flush := func(forced bool) {
+	flush := func() {
 		if dead || len(buf) == 0 {
 			buf = buf[:0]
 			return
 		}
-		e.pace.wait()
 		n := len(buf)
-		_, err := bw.Write(buf)
-		if err == nil {
-			err = bw.Flush()
-		}
+		_, err := p.conn.Write(buf)
 		buf = buf[:0]
 		if err != nil {
 			dead = true
@@ -760,9 +734,6 @@ func (e *Engine) writeLoop(p *peer) {
 		}
 		e.wsFlushes.Add(1)
 		e.wsBytes.Add(int64(n))
-		if forced {
-			e.wsForced.Add(1)
-		}
 	}
 	appendFrame := func(f outFrame) {
 		e.wsFrames.Add(1)
@@ -780,7 +751,7 @@ func (e *Engine) writeLoop(p *peer) {
 		}
 		fault := e.faults.Frame(p.id, f.kind)
 		if fault.Delay > 0 {
-			flush(false)
+			flush()
 			time.Sleep(fault.Delay)
 		}
 		if fault.Drop {
@@ -803,31 +774,22 @@ func (e *Engine) writeLoop(p *peer) {
 	}
 	for {
 		f := <-p.out
-		if f.kind == kindStop {
-			flush(false)
-			return
-		}
-		appendFrame(f)
-		urgent := bu.urgent(f.kind)
-		hitCap := false
 	drain:
-		for !urgent && len(buf) < bu.limit() {
+		for f.kind != kindStop {
+			appendFrame(f)
+			if len(buf) >= bundleBytes {
+				break
+			}
 			select {
-			case f2 := <-p.out:
-				if f2.kind == kindStop {
-					bu.note(len(buf), false)
-					flush(false)
-					return
-				}
-				appendFrame(f2)
-				urgent = bu.urgent(f2.kind)
+			case f = <-p.out:
 			default:
 				break drain
 			}
 		}
-		hitCap = !urgent && len(buf) >= bu.limit()
-		bu.note(len(buf), hitCap)
-		flush(urgent)
+		flush()
+		if f.kind == kindStop {
+			return
+		}
 	}
 }
 
@@ -1122,11 +1084,10 @@ func (e *Engine) PeerCommitCodec(src int) wire.Codec {
 // counters accumulated so far (core adds its own fields on top).
 func (e *Engine) WireStats() core.WireStats {
 	return core.WireStats{
-		FramesOut:     e.wsFrames.Load(),
-		Flushes:       e.wsFlushes.Load(),
-		ForcedFlushes: e.wsForced.Load(),
-		BytesOnWire:   e.wsBytes.Load(),
-		ReadReqsSent:  e.wsReadReqs.Load(),
+		FramesOut:    e.wsFrames.Load(),
+		Flushes:      e.wsFlushes.Load(),
+		BytesOnWire:  e.wsBytes.Load(),
+		ReadReqsSent: e.wsReadReqs.Load(),
 	}
 }
 
@@ -1241,8 +1202,8 @@ func (e *Engine) CommitExchange(phase int64, outgoing [][]byte) ([][]byte, error
 				e.rank, phase, dst, len(stream), wire.MaxFrame)
 		}
 		f := outFrame{kind: wire.KindCommitData, hdr: wire.CommitHeader{Seq: seq, Phase: phase, Total: len(stream)}}
-		for ; f.hdr.Off < len(stream); f.hdr.Off += e.bundle {
-			f.payload = stream[f.hdr.Off:min(f.hdr.Off+e.bundle, len(stream))]
+		for ; f.hdr.Off < len(stream); f.hdr.Off += bundleBytes {
+			f.payload = stream[f.hdr.Off:min(f.hdr.Off+bundleBytes, len(stream))]
 			if err := e.enqueue(dst, f); err != nil {
 				return nil, err
 			}

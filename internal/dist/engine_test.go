@@ -23,7 +23,7 @@ func runMesh(t *testing.T, nodes int, body func(rank int, eng *Engine) error) {
 }
 
 // runMeshWith is runMesh with a per-rank Config hook (wire codec,
-// adaptive bundling, flush stagger — the rank is already filled in);
+// timeouts — the rank is already filled in);
 // unlike runMeshCfg (fault_test.go) every rank error fails the test.
 func runMeshWith(t *testing.T, nodes int, mod func(rank int, cfg *Config), body func(rank int, eng *Engine) error) {
 	t.Helper()

@@ -2,11 +2,8 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"testing"
-	"time"
 
-	"ppm/internal/apps/cg"
 	"ppm/internal/apps/scatter"
 	"ppm/internal/core"
 	"ppm/internal/wire"
@@ -54,9 +51,8 @@ func runScatterMesh(t *testing.T, nodes int, mod func(rank int, cfg *Config)) ([
 }
 
 // TestDistScatterCodecMatchesSimulator checks bit-identity of the
-// scatter workload against the simulator under every wire
-// configuration: raw commit streams, delta-compressed commit streams,
-// and adaptive bundling with a flush stagger.
+// scatter workload against the simulator under both commit codecs:
+// raw commit streams and delta-compressed commit streams.
 func TestDistScatterCodecMatchesSimulator(t *testing.T) {
 	for _, nodes := range []int{2, 3} {
 		want, wrep := runScatterSim(t, nodes)
@@ -66,10 +62,6 @@ func TestDistScatterCodecMatchesSimulator(t *testing.T) {
 		}{
 			{"raw", nil},
 			{"delta", func(_ int, cfg *Config) { cfg.Codec = wire.CodecDelta }},
-			{"adaptive-staggered", func(_ int, cfg *Config) {
-				cfg.BundleAdaptive = true
-				cfg.FlushStagger = 200 * time.Microsecond
-			}},
 		} {
 			t.Run(fmt.Sprintf("nodes=%d/%s", nodes, tc.name), func(t *testing.T) {
 				got, stats := runScatterMesh(t, nodes, tc.mod)
@@ -83,8 +75,10 @@ func TestDistScatterCodecMatchesSimulator(t *testing.T) {
 }
 
 // TestDistScatterWireCounters pins down the observable effects: the
-// delta codec must actually shrink the commit stream, and concurrent
-// identical remote reads must actually coalesce onto one wire fetch.
+// delta codec must actually shrink the commit stream, concurrent
+// identical remote reads must actually coalesce onto one wire fetch,
+// and the writer only ever coalesces (a flush carries at least one
+// frame, and nothing forces one early).
 func TestDistScatterWireCounters(t *testing.T) {
 	_, raw := runScatterMesh(t, 2, nil)
 	_, delta := runScatterMesh(t, 2, func(_ int, cfg *Config) { cfg.Codec = wire.CodecDelta })
@@ -94,6 +88,9 @@ func TestDistScatterWireCounters(t *testing.T) {
 		w := s.Wire
 		if w.FramesOut == 0 || w.Flushes == 0 || w.BytesOnWire == 0 || w.ReadReqsSent == 0 {
 			t.Errorf("rank %d: empty wire counters under load: %+v", rank, w)
+		}
+		if w.Flushes > w.FramesOut || w.ForcedFlushes != 0 {
+			t.Errorf("rank %d: %d flushes (%d forced) for %d frames", rank, w.Flushes, w.ForcedFlushes, w.FramesOut)
 		}
 		if w.CommitBytesRaw == 0 {
 			t.Errorf("rank %d: scatter workload produced no remote commit bytes", rank)
@@ -141,36 +138,4 @@ func TestDistScatterMixedCodecFleet(t *testing.T) {
 		sameF64(t, fmt.Sprintf("node %d partition", n), got[n], want[n])
 	}
 	samePerNode(t, stats, wrep.PerNode)
-}
-
-// TestDistCGAdaptiveBundling reruns the strictest figure-app
-// equivalence check (CG at 2 nodes) with the adaptive bundler and a
-// flush stagger enabled, confirming the new writer path changes no
-// result bits even on fetch-dominated traffic.
-func TestDistCGAdaptiveBundling(t *testing.T) {
-	opt := distOpt(2)
-	prm := cg.Params{NX: 8, NY: 8, NZ: 8, MaxIter: 6}
-	want, wrep, err := cg.RunPPM(opt, prm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]NodeResult, 2)
-	runMeshWith(t, 2, func(_ int, cfg *Config) {
-		cfg.BundleAdaptive = true
-		cfg.FlushStagger = 100 * time.Microsecond
-	}, func(rank int, eng *Engine) error {
-		results[rank] = *RunApp(eng, opt, AppSpec{App: "cg", CG: prm})
-		return nil
-	})
-	m, err := Merge(AppSpec{App: "cg", CG: prm}, results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CG.Iters != want.Iters ||
-		math.Float64bits(m.CG.Residual) != math.Float64bits(want.Residual) {
-		t.Fatalf("cg under adaptive bundling: iters=%d res=%v, want iters=%d res=%v",
-			m.CG.Iters, m.CG.Residual, want.Iters, want.Residual)
-	}
-	sameF64(t, "x", m.CG.X, want.X)
-	samePerNode(t, m.PerNode, wrep.PerNode)
 }

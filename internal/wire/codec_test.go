@@ -78,7 +78,7 @@ func TestCommitDeltaRoundTrip(t *testing.T) {
 // cgScatterStream models the write set the delta codec targets: a CG /
 // stencil transpose scatter — single-element Add runs at small
 // ascending strides, long stretches from one writer, offsets deep in a
-// large array. This is also the stream shape BENCH_wire measures.
+// large array.
 func cgScatterStream(r *rng.RNG, nRuns int) []byte {
 	var buf []byte
 	buf = AppendBlockHeader(buf, 0, nRuns)

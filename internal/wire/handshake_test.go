@@ -41,7 +41,8 @@ func TestDecodeHelloShortAndLong(t *testing.T) {
 	if len(good) != 17 {
 		t.Fatalf("hello payload is %d bytes, want 17", len(good))
 	}
-	for _, n := range []int{0, 1, 7, 14, 16} {
+	// 15 is the identity block alone, without the codec bytes.
+	for _, n := range []int{0, 1, 7, 14, 15, 16} {
 		if _, err := DecodeHello(good[:n], 2); err == nil {
 			t.Errorf("%d-byte hello accepted", n)
 		}
@@ -51,7 +52,7 @@ func TestDecodeHelloShortAndLong(t *testing.T) {
 	}
 }
 
-func TestDecodeHelloLegacyAndCodecBytes(t *testing.T) {
+func TestDecodeHelloCodecBytes(t *testing.T) {
 	h := Hello{Rank: 1, Nodes: 4, LittleEndian: NativeLittleEndian(),
 		Caps: SupportedCaps, Prefer: CodecDelta}
 	p := EncodeHello(h)
@@ -64,25 +65,12 @@ func TestDecodeHelloLegacyAndCodecBytes(t *testing.T) {
 		t.Errorf("caps/prefer = %v/%v, want %v/%v", got.Caps, got.Prefer, SupportedCaps, CodecDelta)
 	}
 
-	// The first 15 bytes are the pre-codec hello: an old peer's payload
-	// must still decode, as a raw-only speaker.
-	legacy, err := DecodeHello(p[:15], 4)
-	if err != nil {
-		t.Fatalf("legacy 15-byte hello rejected: %v", err)
-	}
-	if legacy.Prefer != CodecRaw || !legacy.Caps.Has(CodecRaw) || legacy.Caps.Has(CodecDelta) {
-		t.Errorf("legacy hello decoded as caps=%v prefer=%v, want raw-only", legacy.Caps, legacy.Prefer)
-	}
-	if legacy.Rank != 1 || legacy.Nodes != 4 {
-		t.Errorf("legacy hello identity = rank %d / %d nodes, want 1 / 4", legacy.Rank, legacy.Nodes)
-	}
-
 	// Negotiation is symmetric: the sender evaluates the peer's caps, the
 	// receiver its own, and both land on the same codec.
 	if c := Negotiate(CodecDelta, SupportedCaps); c != CodecDelta {
 		t.Errorf("delta vs delta-capable peer negotiated %v", c)
 	}
-	if c := Negotiate(CodecDelta, legacy.Caps); c != CodecRaw {
+	if c := Negotiate(CodecDelta, 1<<CodecRaw); c != CodecRaw {
 		t.Errorf("delta vs raw-only peer negotiated %v", c)
 	}
 	if c := Negotiate(Codec(9), SupportedCaps); c != CodecRaw {
@@ -91,9 +79,9 @@ func TestDecodeHelloLegacyAndCodecBytes(t *testing.T) {
 }
 
 func TestDecodeHelloGarbage(t *testing.T) {
-	// 15 bytes of noise: right length, wrong everything. Must fail on
+	// 17 bytes of noise: right length, wrong everything. Must fail on
 	// magic, not be misread as a rank.
-	garbage := bytes.Repeat([]byte{0x5a}, 15)
+	garbage := bytes.Repeat([]byte{0x5a}, 17)
 	_, err := DecodeHello(garbage, 4)
 	if err == nil {
 		t.Fatal("garbage hello accepted")

@@ -136,14 +136,14 @@ type Hello struct {
 	Nodes        int
 	LittleEndian bool
 	// Caps is the set of commit-stream codecs this side can decode;
-	// Prefer is the codec it wants to send with. Peers speaking the
-	// 15-byte pre-codec hello decode raw only (see DecodeHello).
+	// Prefer is the codec it wants to send with.
 	Caps   CodecCaps
 	Prefer Codec
 }
 
-// EncodeHello builds a Hello (or HelloAck) payload: the 15-byte
-// identity block followed by the two codec-negotiation bytes.
+// EncodeHello builds a Hello (or HelloAck) payload: 17 bytes, the
+// identity block followed by the two codec-negotiation bytes. Zero Caps
+// advertise raw only.
 func EncodeHello(h Hello) []byte {
 	buf := make([]byte, 0, 17)
 	buf = binary.LittleEndian.AppendUint32(buf, Magic)
@@ -163,12 +163,10 @@ func EncodeHello(h Hello) []byte {
 }
 
 // DecodeHello parses and validates a Hello payload against this side's
-// view of the cluster. A 15-byte payload is the pre-codec hello: it is
-// accepted as a raw-only peer, so commit streams toward (and from) such
-// a build fall back to the raw codec.
+// view of the cluster.
 func DecodeHello(p []byte, wantNodes int) (Hello, error) {
-	if len(p) != 15 && len(p) != 17 {
-		return Hello{}, fmt.Errorf("wire: hello payload is %d bytes, want 15 or 17", len(p))
+	if len(p) != 17 {
+		return Hello{}, fmt.Errorf("wire: hello payload is %d bytes, want 17", len(p))
 	}
 	if m := binary.LittleEndian.Uint32(p[0:]); m != Magic {
 		return Hello{}, fmt.Errorf("wire: bad magic %#x (not a PPM node?)", m)
@@ -180,12 +178,8 @@ func DecodeHello(p []byte, wantNodes int) (Hello, error) {
 		LittleEndian: p[6] == 1,
 		Rank:         int(int32(binary.LittleEndian.Uint32(p[7:]))),
 		Nodes:        int(int32(binary.LittleEndian.Uint32(p[11:]))),
-		Caps:         1 << CodecRaw,
-		Prefer:       CodecRaw,
-	}
-	if len(p) == 17 {
-		h.Caps = CodecCaps(p[15]) | 1<<CodecRaw
-		h.Prefer = Codec(p[16])
+		Caps:         CodecCaps(p[15]) | 1<<CodecRaw,
+		Prefer:       Codec(p[16]),
 	}
 	if h.LittleEndian != NativeLittleEndian() {
 		return Hello{}, fmt.Errorf("wire: byte-order mismatch with peer rank %d", h.Rank)
