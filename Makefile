@@ -44,15 +44,22 @@ langcheck:
 test:
 	$(GO) test ./...
 
+## race: the suite under the race detector, then the VP scheduler's own
+## tests again at 1, 2 and 4 CPUs: the pool has min(K, GOMAXPROCS)
+## workers, and with one worker every multi-phase body must still make
+## progress.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo' ./internal/core/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing
 ## means the parallel scheduler is data-race-free AND bit-identical to
-## the sequential one on every golden test in the repo.
+## the sequential one on every golden test in the repo. -count=1: the
+## variable is read in a package initializer, where the test cache does
+## not see it, so a cached `make race` result would otherwise stand in.
 race-parallel:
-	PPM_PARALLEL=1 $(GO) test -race ./...
+	PPM_PARALLEL=1 $(GO) test -race -count=1 ./...
 
 ## bench: the repo's one benchmark (benchmark/, described to the driver
 ## by BENCHMARK.json): all four workloads, end-to-end metrics. Pass flags
@@ -77,8 +84,8 @@ bench-pairs:
 
 ## bench-steady: the steady-state gate (cold vs warm phase iteration
 ## costs; see steady_bench_test.go): warm CG and Jacobi iterations
-## allocate nothing and run at least 1.5x faster than cold (plan cache
-## off).
+## allocate nothing and run at least 1.5x (CG) and 1.25x (Jacobi) faster
+## than cold (plan cache off).
 bench-steady:
 	BENCH_STEADY=1 $(GO) test -run TestSteadyBenchArtifact -v .
 

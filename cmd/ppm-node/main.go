@@ -335,7 +335,7 @@ func main() {
 // phase progress and each rank's terminal result) leaves as one
 // jobspec.NodeReply line on stdout, routed downstream by Result.Rank.
 // Each hosted rank keeps its own WarmSession keyed by the job's
-// canonical spec hash, carrying the plan cache and parked VP workers
+// canonical spec hash, carrying the plan cache and the warm doRuns
 // across identical submissions so repeat jobs skip the cold start.
 // stdin EOF means the operator (the fleet pool) is done with this
 // fleet: drain and exit 0. SIGINT/SIGTERM finish the job in flight and

@@ -280,13 +280,15 @@ func nodeBufFor[T Elem](vp *VP, a *Node[T]) *nBuf[T] {
 	return b
 }
 
-// makespan maps the VPs' accumulated per-phase work onto the node's
-// cores and returns the modeled elapsed time. extra is added to every
-// VP's cost (per-VP dispatch overhead). The runtime's dynamic scheduler
-// achieves the greedy bound max(total/cores, max VP); StaticSchedule
-// models the naive compiler loop transform, which assigns contiguous
-// VP blocks to cores.
-func (d *doRun) makespan(extra vtime.Duration) vtime.Duration {
+// makespan maps the work the VPs accumulated up to ordinal p's parity
+// slot (what each held when it passed the ordinal: pre-phase plus in-phase
+// charge, or what it had left when it returned) onto the node's cores and
+// returns the modeled elapsed time, taking the snapshots as it reads
+// them. extra is added to every VP's cost (per-VP dispatch overhead). The
+// runtime's dynamic scheduler achieves the greedy bound max(total/cores,
+// max VP); StaticSchedule models the naive compiler loop transform, which
+// assigns contiguous VP blocks to cores.
+func (d *doRun) makespan(p int32, extra vtime.Duration) vtime.Duration {
 	cores := d.rt.gs.cores
 	if d.rt.gs.opt.StaticSchedule {
 		var worst vtime.Duration
@@ -294,7 +296,8 @@ func (d *doRun) makespan(extra vtime.Duration) vtime.Duration {
 			lo, hi := ChunkRange(d.k, cores, c)
 			var sum vtime.Duration
 			for i := lo; i < hi; i++ {
-				sum += d.vps[i].charge + extra
+				sum += d.vps[i].snap[p] + extra
+				d.vps[i].snap[p] = 0
 			}
 			if sum > worst {
 				worst = sum
@@ -303,8 +306,9 @@ func (d *doRun) makespan(extra vtime.Duration) vtime.Duration {
 		return worst
 	}
 	var total, maxVP vtime.Duration
-	for _, vp := range d.vps {
-		c := vp.charge + extra
+	for i := range d.vps {
+		c := d.vps[i].snap[p] + extra
+		d.vps[i].snap[p] = 0
 		total += c
 		if c > maxVP {
 			maxVP = c
@@ -359,8 +363,8 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 	}
 	// Direct counters are already per-owner sums; fold and clear them
 	// first — they bypass planning entirely.
-	for _, vp := range d.vps {
-		if vp.rrElems != nil {
+	for i := range d.vps {
+		if vp := &d.vps[i]; vp.rrElems != nil {
 			for n := range rrElems {
 				rrElems[n] += vp.rrElems[n]
 				rrBytes[n] += vp.rrBytes[n]
@@ -383,7 +387,8 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 		p.beginRecord(d.openKind, d.k, na, gs.nodes, gs.dist != nil)
 	}
 	cached := false
-	for _, vp := range d.vps {
+	for i := range d.vps {
+		vp := &d.vps[i]
 		if rec {
 			for id := 0; id < na; id++ {
 				var rs []intRun
@@ -526,7 +531,8 @@ func (d *doRun) resetCommitScratch(nodes int) {
 func (d *doRun) drainGlobal(seq int64) error {
 	st := d.rt.stats()
 	var firstErr error
-	for _, vp := range d.vps {
+	for i := range d.vps {
+		vp := &d.vps[i]
 		st.SharedReads += vp.reads
 		st.SharedWrites += vp.writes
 		vp.reads, vp.writes = 0, 0
@@ -535,7 +541,6 @@ func (d *doRun) drainGlobal(seq int64) error {
 				firstErr = err
 			}
 		}
-		vp.charge = 0
 	}
 	return firstErr
 }
@@ -571,17 +576,17 @@ func (d *doRun) applyGlobalIncomingSerial(seq int64) error {
 	return err
 }
 
-// commit finalizes one phase: merges VP accounting, models the bundled
-// communication, exchanges and applies staged writes (global phases), and
-// resets per-VP state.
-func (d *doRun) commit(kind phaseKind) error {
+// commit finalizes one phase: merges VP accounting (the VPs' charges from
+// snapshot slot p), models the bundled communication, exchanges and
+// applies staged writes (global phases), and resets per-VP state.
+func (d *doRun) commit(kind phaseKind, p int32) error {
 	if kind == phaseGlobal {
 		if d.rt.gs.dist != nil {
 			return d.commitGlobalDist()
 		}
-		return d.commitGlobal()
+		return d.commitGlobal(p)
 	}
-	return d.commitNode()
+	return d.commitNode(p)
 }
 
 // drainNode drains and applies every VP's write buffers in rank order
@@ -591,10 +596,11 @@ func (d *doRun) drainNode(seq int64) (int64, error) {
 	st := d.rt.stats()
 	var applyBytes int64
 	var firstErr error
-	for _, vp := range d.vps {
+	for i := range d.vps {
+		vp := &d.vps[i]
 		st.SharedReads += vp.reads
 		st.SharedWrites += vp.writes
-		vp.reads, vp.writes, vp.charge = 0, 0, 0
+		vp.reads, vp.writes = 0, 0
 		for _, b := range vp.bufs {
 			bytes, err := b.flushNode(d, seq)
 			if err != nil && firstErr == nil {
@@ -614,7 +620,7 @@ func (d *doRun) drainNodeSerial(seq int64) (int64, error) {
 	return bytes, err
 }
 
-func (d *doRun) commitNode() error {
+func (d *doRun) commitNode(p int32) error {
 	rt := d.rt
 	gs := rt.gs
 	mach := gs.mach
@@ -624,7 +630,7 @@ func (d *doRun) commitNode() error {
 	seq := gs.phaseSeqs[d.node]
 
 	if rt.proc != nil {
-		span := d.makespan(vtime.Duration(mach.VPStartCost))
+		span := d.makespan(p, vtime.Duration(mach.VPStartCost))
 		st.PhaseComputeTime += vtime.Duration(mach.PhaseFixedCost) + span
 		rt.proc.AdvanceTo(d.phaseStart.
 			Add(vtime.Duration(mach.PhaseFixedCost)).
@@ -654,7 +660,7 @@ func (d *doRun) commitNode() error {
 	return nil // strict errors surface at the end of the run
 }
 
-func (d *doRun) commitGlobal() error {
+func (d *doRun) commitGlobal(p int32) error {
 	rt := d.rt
 	gs := rt.gs
 	mach := gs.mach
@@ -666,7 +672,7 @@ func (d *doRun) commitGlobal() error {
 	nodes := gs.nodes
 
 	// 1. Computation span of the phase body.
-	span := d.makespan(vtime.Duration(mach.VPStartCost))
+	span := d.makespan(p, vtime.Duration(mach.VPStartCost))
 	computeEnd := d.phaseStart.
 		Add(vtime.Duration(mach.PhaseFixedCost)).
 		Add(span)

@@ -114,9 +114,9 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 	// on a reused engine this run's share is the delta from here.
 	wsBase := eng.WireStats()
 
-	// A warm session hands the previous run's parked workers and
+	// A warm session hands the previous run's warm doRuns and
 	// recorded plans to this one (or is discarded if its key changed);
-	// without one, warm state is torn down when the program ends, as
+	// without one, warm state is dropped when the program ends, as
 	// always.
 	warm := o.Warm
 	if o.NoPlanCache {
@@ -125,20 +125,15 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 	if warm != nil {
 		warm.adopt(rt)
 	}
-	runErr := runRecovered(rt.node, func() {
-		if warm == nil {
-			defer rt.releaseWarm()
-		}
-		prog(rt)
-	})
+	runErr := runRecovered(rt.node, func() { prog(rt) })
 	if warm != nil {
 		if runErr != nil {
-			rt.releaseWarm()
 			warm.Discard()
 		} else {
 			warm.stash(rt)
 		}
 	}
+	rt.warm = nil // the engine's read server holds rt beyond this run
 	if gs.memHeld {
 		gs.memMu.Unlock()
 		gs.memHeld = false

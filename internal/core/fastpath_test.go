@@ -32,7 +32,7 @@ func newFastpathRig(n, parts int) *fastpathRig {
 	for node := 0; node < parts; node++ {
 		rt := &Runtime{gs: gs, node: node}
 		rig.g = AllocGlobal[float64](rt, "fp", n)
-		rig.vps = append(rig.vps, newDoRun(rt, 1).vps[0])
+		rig.vps = append(rig.vps, &newDoRun(rt, 1).vps[0])
 	}
 	return rig
 }

@@ -67,7 +67,7 @@ type Options struct {
 
 	// NoPlanCache disables the steady-state phase-plan cache. With the
 	// cache on (the default), each Do shape — keyed by (K, body code
-	// pointer) — keeps its VP workers warm between invocations and
+	// pointer) — keeps its doRun (VPs, write arenas) between invocations and
 	// records a per-phase plan of the read-set merge (run lists, merged
 	// per-owner traffic, remote fetch cover); repeated phases validate
 	// the recorded shape against what the VPs actually accessed and
@@ -81,7 +81,7 @@ type Options struct {
 	NoPlanCache bool
 
 	// Warm, if non-nil, carries the plan cache across RunDist calls on
-	// one engine: warm Do workers, their arenas, and recorded phase
+	// one engine: warm doRuns, their VPs' arenas, and recorded phase
 	// plans survive the end of the run and are re-adopted by the next
 	// RunDist handed the same session — provided the session's key (set
 	// with WarmSession.SetKey) is unchanged, which callers use to scope

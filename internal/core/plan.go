@@ -4,7 +4,6 @@ import (
 	"slices"
 	"unsafe"
 
-	"ppm/internal/vtime"
 	"ppm/internal/wire"
 )
 
@@ -15,10 +14,9 @@ import (
 // layers, both free of any effect on modeled results:
 //
 //   - Warm doRuns: Do invocations are keyed by (K, body code pointer).
-//     The first invocation of a shape builds a doRun and starts its K
-//     VP goroutines; between invocations the workers park at a start
-//     gate instead of exiting, so warm Dos spawn no goroutines and
-//     allocate no coordinator state.
+//     The first invocation of a shape builds a doRun; later ones reuse
+//     it, with its VP slab and its scratch, so warm Dos allocate no
+//     coordinator state. No goroutine outlives a Do.
 //
 //   - Phase plans: at each global-phase commit the read-set merge
 //     (sort, dedup, owner split — the metadata-dominated part of the
@@ -60,28 +58,22 @@ func funcID(body func(*VP)) uintptr {
 }
 
 // warmCap bounds how many doRun shapes a Runtime keeps warm. Each warm
-// shape holds K parked goroutines and its plan scratch; programs with
-// more distinct shapes than this (none of the figure apps come close)
-// evict an arbitrary shape, which costs a rebuild, never correctness.
+// shape holds its VP slab and plan scratch; programs with more distinct
+// shapes than this (none of the figure apps come close) evict an
+// arbitrary shape, which costs a rebuild, never correctness.
 const warmCap = 32
 
 // warmDoRun returns the cached doRun for (k, body), building and
-// caching one on first use, and resets it for a new invocation with its
-// workers released from the start gate.
+// caching one on first use.
 func (rt *Runtime) warmDoRun(k int, body func(*VP)) *doRun {
 	key := doKey{k: k, body: funcID(body)}
 	d := rt.warm[key]
-	if d != nil && d.broken {
-		delete(rt.warm, key)
-		d = nil
-	}
 	if d == nil {
 		if rt.warm == nil {
 			rt.warm = make(map[doKey]*doRun)
 		}
 		for len(rt.warm) >= warmCap {
-			for ek, ed := range rt.warm {
-				ed.shutdown()
+			for ek := range rt.warm {
 				delete(rt.warm, ek)
 				break
 			}
@@ -89,41 +81,20 @@ func (rt *Runtime) warmDoRun(k int, body func(*VP)) *doRun {
 		d = newDoRun(rt, k)
 		d.persistent = true
 		rt.warm[key] = d
-		for _, vp := range d.vps {
-			go d.vpWorker(vp)
-		}
-	}
-	d.body = body
-	d.phases = 0
-	d.openKind = phaseInvalid
-	d.rankValid = false
-	na := len(rt.gs.arrays)
-	for _, vp := range d.vps {
-		vp.status = stRunning
-		// Arrays may have been allocated since this shape last ran;
-		// regrow the per-array read tracking so ids stay in range.
-		if vp.rdRuns != nil && len(vp.rdRuns) < na {
-			vp.rdRuns = append(vp.rdRuns, make([][]intRun, na-len(vp.rdRuns))...)
-		}
-	}
-	d.pending.Store(int32(k))
-	for _, vp := range d.vps {
-		vp.resume <- true
 	}
 	return d
 }
 
 // WarmSession carries a Runtime's warm doRun cache across RunDist calls
-// on one engine, so a long-lived fleet serves repeated jobs with its VP
-// workers parked and its phase plans recorded instead of cold-starting
+// on one engine, so a long-lived fleet serves repeated jobs with its
+// phase plans recorded and its doRuns built instead of cold-starting
 // every submission. It is single-run-at-a-time state (the engine runs
 // one job at a time), not a concurrent structure.
 //
 // Reuse is scoped by key: the caller sets the key describing the next
 // job (a canonical spec hash) before RunDist; a session stashed under a
-// different key is discarded — its workers retired — and the new run
-// starts cold. Keyed reuse is what keeps adoption safe without any
-// cross-job validation subtleties: an identical spec re-registers the
+// different key is discarded and the new run starts cold. Keyed reuse is
+// what keeps adoption safe without any cross-job validation subtleties: an identical spec re-registers the
 // same arrays, with the same ids, lengths, and partitions, in the same
 // order, so every recorded plan's ids, ranges, and per-owner deltas
 // mean exactly what they meant when recorded (and the usual exact
@@ -141,11 +112,8 @@ func NewWarmSession() *WarmSession { return &WarmSession{} }
 // it matches the key the cached state was stashed under.
 func (ws *WarmSession) SetKey(key string) { ws.key = key }
 
-// Discard retires any cached workers and empties the session.
+// Discard empties the session.
 func (ws *WarmSession) Discard() {
-	for _, d := range ws.warm {
-		d.shutdown()
-	}
 	ws.warm = nil
 	ws.owner = ""
 }
@@ -162,20 +130,15 @@ func (ws *WarmSession) adopt(rt *Runtime) {
 		ws.Discard()
 		return
 	}
-	for key, d := range ws.warm {
-		if d.broken {
-			d.shutdown()
-			delete(ws.warm, key)
-			continue
-		}
-		d.rt = rt
-		d.sharedReadCost = vtime.Duration(rt.gs.mach.SharedReadCost)
-		d.sharedWriteCost = vtime.Duration(rt.gs.mach.SharedWriteCost)
+	for _, d := range ws.warm {
+		d.bind(rt)
 		d.mrRuns, d.mrIdx = nil, nil
-		for _, vp := range d.vps {
+		d.logs = nil // no reference, but an idle session keeps no logs
+		for i := range d.vps {
+			vp := &d.vps[i]
 			vp.bufs = nil
 			vp.rdRuns = nil
-			vp.rdIdx = nil // no reference, but an idle session keeps no logs
+			vp.rdIdx = nil
 			vp.rrElems, vp.rrBytes = nil, nil
 		}
 	}
@@ -190,25 +153,6 @@ func (ws *WarmSession) stash(rt *Runtime) {
 	ws.warm = rt.warm
 	ws.owner = ws.key
 	rt.warm = nil
-}
-
-// releaseWarm retires every cached doRun's workers. It runs (deferred)
-// when a node's program returns or unwinds: all surviving workers are
-// parked at the start gate and exit on the false; workers that died on
-// an abort path have already retired, and the buffered send is simply
-// absorbed by their gate channel.
-func (rt *Runtime) releaseWarm() {
-	for _, d := range rt.warm {
-		d.shutdown()
-	}
-	rt.warm = nil
-}
-
-// shutdown retires this doRun's workers via the start gate.
-func (d *doRun) shutdown() {
-	for _, vp := range d.vps {
-		vp.resume <- false
-	}
 }
 
 // phasePlan is the recorded read-set merge of one phase ordinal of one
@@ -322,7 +266,8 @@ func (d *doRun) planMatches(p *phasePlan, na int) bool {
 		return false
 	}
 	base := 0
-	for v, vp := range d.vps {
+	for v := range d.vps {
+		vp := &d.vps[v]
 		if !slices.Equal(vp.rdIdx, p.keys[p.koffs[v]:p.koffs[v+1]]) {
 			return false
 		}
@@ -355,7 +300,8 @@ func (d *doRun) replay(p *phasePlan, rrElems, rrBytes []int64) {
 		rrElems[n] += p.rrElems[n]
 		rrBytes[n] += p.rrBytes[n]
 	}
-	for _, vp := range d.vps {
+	for i := range d.vps {
+		vp := &d.vps[i]
 		for id := range vp.rdRuns {
 			if len(vp.rdRuns[id]) > 0 {
 				vp.rdRuns[id] = vp.rdRuns[id][:0]

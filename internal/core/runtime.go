@@ -15,7 +15,7 @@ import (
 
 // globalState is the host-shared state of one PPM run. Under the
 // simulator it is mutated only under the cluster's cooperative turn
-// discipline (one node at a time), so it needs no locks and VP goroutines
+// discipline (one node at a time), so it needs no locks and VP bodies
 // never touch it directly. Under the distributed runtime (dist != nil)
 // each process holds its own globalState for its single node; the
 // per-node slices are indexed by rank but only this rank's entries are
@@ -160,7 +160,6 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 		Parallel:     o.Parallel,
 	}, func(p *cluster.Proc) {
 		rt := &Runtime{gs: gs, proc: p, comm: mp.New(p), node: p.Rank()}
-		defer rt.releaseWarm()
 		prog(rt)
 	})
 	rep := &Report{

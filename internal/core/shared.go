@@ -347,11 +347,12 @@ func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 	vp.accessCheck(g.name, "Read")
 	n := hi - lo
 	vp.reads += int64(n)
-	rc := vp.d.sharedReadCost
-	for i := 0; i < n; i++ {
-		// Element-wise additions keep the float accumulation bit-identical
-		// to n scalar Reads.
-		vp.charge += rc
+	if rc := vp.d.sharedReadCost; rc != 0 {
+		for i := 0; i < n; i++ {
+			// Element-wise additions keep the float accumulation
+			// bit-identical to n scalar Reads; a real run charges nothing.
+			vp.charge += rc
+		}
 	}
 	if node := vp.d.node; lo < g.bnd[node] || hi > g.bnd[node+1] {
 		g.readBlockRemote(vp, lo, hi)
@@ -402,9 +403,10 @@ func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 	vp.accessCheck(g.name, "Write")
 	n := len(src)
 	vp.writes += int64(n)
-	wc := vp.d.sharedWriteCost
-	for i := 0; i < n; i++ {
-		vp.charge += wc
+	if wc := vp.d.sharedWriteCost; wc != 0 {
+		for i := 0; i < n; i++ {
+			vp.charge += wc
+		}
 	}
 	if node := vp.d.node; vp.phaseKind != phaseGlobal && (lo < g.bnd[node] || lo+n > g.bnd[node+1]) {
 		// Report the block's first remote element.
@@ -586,9 +588,10 @@ func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 	vp.accessCheck(a.name, "Read")
 	n := hi - lo
 	vp.reads += int64(n)
-	rc := vp.d.sharedReadCost
-	for i := 0; i < n; i++ {
-		vp.charge += rc
+	if rc := vp.d.sharedReadCost; rc != 0 {
+		for i := 0; i < n; i++ {
+			vp.charge += rc
+		}
 	}
 	copy(dst, a.base[vp.d.node][lo:hi])
 }
@@ -611,9 +614,10 @@ func (a *Node[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 	vp.accessCheck(a.name, "Write")
 	n := len(src)
 	vp.writes += int64(n)
-	wc := vp.d.sharedWriteCost
-	for i := 0; i < n; i++ {
-		vp.charge += wc
+	if wc := vp.d.sharedWriteCost; wc != 0 {
+		for i := 0; i < n; i++ {
+			vp.charge += wc
+		}
 	}
 	nodeBufFor[T](vp, a).pushRun(lo, src, add)
 }

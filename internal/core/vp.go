@@ -3,7 +3,9 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"ppm/internal/vtime"
@@ -29,26 +31,7 @@ func (k phaseKind) String() string {
 	}
 }
 
-// vpStatus is the coordinator's view of one VP.
-type vpStatus int
-
-const (
-	stRunning vpStatus = iota
-	stAtBoundary
-	stAtPhaseEnd
-	stDead
-)
-
-type vpEventKind int
-
-const (
-	evBoundary vpEventKind = iota
-	evPhaseEnd
-	evExit
-	evPanic
-)
-
-// vpAbort unwinds a VP goroutine during teardown.
+// vpAbort unwinds a VP body whose Do is being torn down.
 type vpAbort struct{}
 
 // intRun is a half-open interval [lo, hi) of shared-array indices.
@@ -63,23 +46,28 @@ type VP struct {
 	d        *doRun
 	nodeRank int
 	wid      int64 // (node<<32)|nodeRank, precomputed writer id
-	resume   chan bool
 
-	// coordinator-only state
-	status vpStatus
-
-	// The VP's latest event, written by its own goroutine just before it
-	// counts itself off doRun.pending (see report); the coordinator reads
-	// it only after the idle token, which orders every such write first.
-	evKind vpEventKind
-	evPk   phaseKind // requested kind at evBoundary, for the shape check
-	evErr  error     // evPanic only
+	// ord is the ordinal of the next phase this VP enters: how many it has
+	// ended in the current Do.
+	ord int32
+	// own marks a VP that had to wait for other ranks in this Do and so
+	// took its pool worker's goroutine over (see doRun.awaitOpen); the
+	// goroutine ends when the body returns.
+	own bool
 
 	inPhase   bool
 	phaseKind phaseKind
 
+	// charge is the VP's live accumulator of modeled work: only the VP
+	// touches it. When the VP passes ordinal o (ends phase o, or returns
+	// without entering it) it moves the sum into snap[o&1], which the
+	// coordinator takes at the commit of phase o (or in finish). A VP is
+	// never more than one ordinal ahead of the coordinator, so the two
+	// slots never collide.
+	charge vtime.Duration
+	snap   [2]vtime.Duration
+
 	// accounting, merged and reset at each phase commit
-	charge  vtime.Duration
 	reads   int64
 	writes  int64
 	rrElems []int64 // remote read elements per owner node (NoReadCache)
@@ -88,8 +76,8 @@ type VP struct {
 
 	// Per-VP remote-read tracking for the phase-local read cache: block
 	// reads record interval runs per array (indexed by array id), scalar
-	// reads append to an ordered log of keys. VP goroutines only ever touch
-	// their own tracking — no lock — and the coordinator merges it into the
+	// reads append to an ordered log of keys. A VP only ever touches its
+	// own tracking — no lock — and the coordinator merges it into the
 	// node-level dedup counts at commit. rdMark is the log's length after
 	// its last in-phase compaction (0 when there was none; see
 	// noteRemoteRead).
@@ -131,31 +119,25 @@ func (vp *VP) Cores() int { return vp.d.rt.gs.cores }
 // (PPM_VP_global_rank): the sum of the K values of lower-numbered nodes
 // plus NodeRank. It is well defined only inside a global phase, when all
 // nodes are synchronously inside their Do; the prefix sum is computed
-// once at phase open instead of per call.
+// once at phase open instead of per call. Anywhere else (before the Do's
+// first global phase, or outside a phase, where the coordinator may be
+// opening the next one) the answer assumes that every node's Do started
+// this node's K, which is all a VP can know without synchronizing.
 func (vp *VP) GlobalRank() int {
-	if vp.d.rankValid {
-		return vp.d.rankBase + vp.nodeRank
+	if d := vp.d; vp.inPhase && d.rankValid {
+		return d.rankBase + vp.nodeRank
 	}
-	gs := vp.d.rt.gs
-	s := 0
-	for n := 0; n < vp.d.node; n++ {
-		s += gs.doK[n]
-	}
-	return s + vp.nodeRank
+	return vp.d.node*vp.d.k + vp.nodeRank
 }
 
 // GlobalK returns the total VP count across all nodes' current Do calls.
-// Like GlobalRank, it is well defined only inside a global phase.
+// Like GlobalRank, it is well defined only inside a global phase, and
+// assumes equal K on every node elsewhere.
 func (vp *VP) GlobalK() int {
-	if vp.d.rankValid {
-		return vp.d.globalK
+	if d := vp.d; vp.inPhase && d.rankValid {
+		return d.globalK
 	}
-	gs := vp.d.rt.gs
-	s := 0
-	for n := 0; n < gs.nodes; n++ {
-		s += gs.doK[n]
-	}
-	return s
+	return vp.d.rt.gs.nodes * vp.d.k
 }
 
 // Charge adds d of modeled computation to this VP's work in the current
@@ -187,32 +169,33 @@ func (vp *VP) phase(pk phaseKind, f func()) {
 	if vp.inPhase {
 		panic(fmt.Sprintf("core: nested phase construct (VP %d on node %d)", vp.nodeRank, vp.d.node))
 	}
-	vp.park(evBoundary, pk)
+	d, o := vp.d, vp.ord
+	if d.opened.Load() <= o {
+		d.awaitOpen(vp, o, pk)
+	}
+	if kind := phaseKind(d.kind[o&1].Load()); kind != pk {
+		d.fail(fmt.Errorf(
+			"core: phase shape mismatch on node %d: VP %d enters a %v phase where another VP entered a %v phase (phase %d of the Do; VPs that returned earlier do not count) — all K VPs of a Do must execute the same phase sequence",
+			d.node, vp.nodeRank, pk, kind, o))
+		panic(vpAbort{})
+	}
 	vp.inPhase = true
 	vp.phaseKind = pk
 	f()
 	vp.inPhase = false
 	vp.phaseKind = phaseInvalid
-	vp.park(evPhaseEnd, pk)
+	vp.ord = o + 1
+	vp.pass(o)
 }
 
-// park announces a transition to the coordinator and waits to be resumed.
-func (vp *VP) park(kind vpEventKind, pk phaseKind) {
-	vp.report(kind, pk, nil)
-	if !<-vp.resume {
-		panic(vpAbort{})
-	}
-}
-
-// report stores the VP's event in its own fields and counts the VP off
-// the boundary latch; the VP that brings the latch to zero hands the
-// coordinator its one idle token. The atomic decrement publishes the
-// fields: the last decrement observes every earlier one, and the token
-// send follows it.
-func (vp *VP) report(kind vpEventKind, pk phaseKind, err error) {
-	vp.evKind, vp.evPk, vp.evErr = kind, pk, err
-	if vp.d.pending.Add(-1) == 0 {
-		vp.d.idle <- struct{}{}
+// pass counts the VP off ordinal o: it has ended phase o, or (from exit)
+// returned without entering it. The atomic decrement publishes the charge
+// snapshot and everything else the VP wrote; the VP that completes the
+// tally wakes the coordinator. Nobody waits here: the VP runs on.
+func (vp *VP) pass(o int32) {
+	vp.snap[o&1], vp.charge = vp.charge, 0
+	if vp.d.rem[o&1].Add(-1) == 0 {
+		vp.d.wake()
 	}
 }
 
@@ -247,7 +230,7 @@ func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
 		return
 	}
 	if vp.rdIdx == nil {
-		vp.rdIdx = make([]readKey, 0, readLogInitCap)
+		vp.rdIdx = vp.d.logPiece(vp.nodeRank)
 	}
 	if n >= max(2*vp.rdMark, readLogCompactMin) {
 		slices.SortFunc(vp.rdIdx, func(a, b readKey) int {
@@ -257,6 +240,21 @@ func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
 		vp.rdMark = len(vp.rdIdx)
 	}
 	vp.rdIdx = append(vp.rdIdx, key)
+}
+
+// logPiece returns rank's piece of the doRun's read-log slab: an empty
+// log of capacity readLogInitCap that grows, if it must, into memory of
+// its own. The slab is made when the first VP of the doRun logs a scalar
+// remote read, so shapes that read none never pay for it.
+func (d *doRun) logPiece(rank int) []readKey {
+	d.mu.Lock()
+	if d.logs == nil {
+		d.logs = make([]readKey, d.k*readLogInitCap)
+	}
+	logs := d.logs
+	d.mu.Unlock()
+	lo := rank * readLogInitCap
+	return logs[lo : lo : lo+readLogInitCap]
 }
 
 // clearReadLog empties the scalar read log at the end of a phase.
@@ -302,30 +300,65 @@ func (vp *VP) countRemote(owner int, elems, bytes int64) {
 
 // doRun coordinates one Do invocation on one node. With the plan cache
 // on it is reused across Do invocations of the same shape (see plan.go):
-// its VP goroutines stay parked at a start gate between Dos, and its
-// scratch and recorded phase plans carry over, which is what makes warm
-// iterations allocation-free.
+// its VP slab, its scratch and its recorded phase plans carry across,
+// which is what makes warm iterations allocation-free.
+//
+// Scheduling (DESIGN.md §4.4). VP bodies run as plain calls on pool
+// workers, min(K, GOMAXPROCS) goroutines that take ranks from next. Phases
+// are opened and committed by the coordinator alone (coordinate, on the
+// node's proc goroutine, which owns the cluster barrier and the
+// transport): the first VP to reach ordinal o posts the kind it wants in
+// kind[o&1], the coordinator opens it and advances opened, and every VP
+// that ends the phase body counts itself off rem[o&1] and keeps running.
+// A VP waits only at a phase entry the coordinator has not opened yet.
 type doRun struct {
 	rt   *Runtime
 	node int
 	k    int
-	vps  []*VP
+	vps  []VP
 
-	// Boundary latch: the coordinator sets pending to the number of VPs
-	// it is about to resume, before the first resume is sent; each VP
-	// counts itself off when it next parks, ends its phase, exits or
-	// panics, and the one that reaches zero puts the token on idle.
-	pending atomic.Int32
-	idle    chan struct{}
-
-	// Warm-cache state (plan.go). persistent marks a cached doRun whose
-	// workers park at the start gate between Dos; body is the current
+	// persistent marks a cached (warm) doRun; body is the current
 	// invocation's body (re-set per Do: closures with the same code
-	// pointer may capture different state); broken marks a doRun whose
-	// workers died on an error path and must not be reused.
+	// pointer may capture different state).
 	persistent bool
-	broken     bool
 	body       func(*VP)
+	workFn     func() // d.work, bound once so that starting a worker allocates nothing
+
+	// next is the lowest rank no worker has taken yet.
+	next atomic.Int32
+	// opened counts the phases opened in this Do: ordinal o is open once
+	// opened > o. Only the coordinator stores it, under mu.
+	opened atomic.Int32
+	// Per-ordinal state, indexed by the ordinal's parity: a VP enters
+	// phase o+1 only after phase o has committed, so nobody is more than
+	// one ordinal ahead of the coordinator and ordinal o+2 reuses o's slot
+	// only after o is done with it. kind is what ordinal o was asked for
+	// (stored once from zero by the first VP to reach it, cleared by the
+	// coordinator after the commit). rem is how many VPs have yet to pass
+	// the ordinal: VPs count down, and the coordinator adds the number
+	// alive once it knows it, so the sum is zero exactly when all have
+	// passed, whichever came first. exits is how many of them passed by
+	// returning.
+	kind  [2]atomic.Int32
+	rem   [2]atomic.Int32
+	exits [2]atomic.Int32
+	// active counts the goroutines inside this Do (pool workers, and the
+	// goroutines VPs took over from them); the one that brings it to zero
+	// wakes the coordinator.
+	active atomic.Int32
+
+	// wakeup is the coordinator's one-slot wake token: whoever changes
+	// something the coordinator may be waiting for drops a token in (or
+	// finds one there), and the coordinator re-reads the state after it.
+	wakeup chan struct{}
+
+	// cond (over mu) is what VPs wait on for a phase to open. mu guards
+	// err and logs; aborted and opened change only under it.
+	mu      sync.Mutex
+	cond    sync.Cond
+	aborted atomic.Bool // the Do is being torn down: waiters unwind, workers stop
+	err     error       // first VP failure
+	logs    []readKey   // the scalar read logs' slab, cut into readLogInitCap pieces
 
 	// plans[i] is the recorded plan of the i-th phase of this Do shape
 	// (node phases occupy slots but are never consulted).
@@ -337,7 +370,9 @@ type doRun struct {
 
 	// Global-rank cache: the doK prefix sums are stable while a global
 	// phase is open (every node is synchronously inside its Do), so they
-	// are computed once at phase open.
+	// are computed once at phase open. The coordinator writes them before
+	// it advances opened, and a VP reads them only inside a phase, after
+	// its load of opened; the next write comes after that VP has passed.
 	rankBase  int
 	globalK   int
 	rankValid bool
@@ -367,6 +402,8 @@ type doRun struct {
 	// Phase-open scratch: per-owner results of a several-owner prefetch.
 	pferrs []error
 
+	// Per-access modeled costs; zero on a real run, which charges no
+	// virtual time.
 	sharedReadCost  vtime.Duration
 	sharedWriteCost vtime.Duration
 }
@@ -394,176 +431,265 @@ func (rt *Runtime) Do(k int, body func(vp *VP)) {
 	st.VPsStarted += int64(k)
 	rt.gs.doK[rt.node] = k
 
-	if !rt.gs.opt.NoPlanCache {
-		rt.warmDoRun(k, body).coordinate()
+	if rt.gs.opt.NoPlanCache {
+		newDoRun(rt, k).run(body)
 		return
 	}
-	d := newDoRun(rt, k)
-	d.pending.Store(int32(k))
-	for _, vp := range d.vps {
-		go d.vpMain(vp, body)
-	}
-	d.coordinate()
+	rt.warmDoRun(k, body).run(body)
 }
 
-// newDoRun builds a doRun with its K VPs (goroutines not yet started).
+// newDoRun builds a doRun with its K VPs as one slab.
 func newDoRun(rt *Runtime, k int) *doRun {
 	d := &doRun{
-		rt:              rt,
-		node:            rt.node,
-		k:               k,
-		vps:             make([]*VP, k),
-		idle:            make(chan struct{}, 1),
-		sharedReadCost:  vtime.Duration(rt.gs.mach.SharedReadCost),
-		sharedWriteCost: vtime.Duration(rt.gs.mach.SharedWriteCost),
+		rt:     rt,
+		node:   rt.node,
+		k:      k,
+		vps:    make([]VP, k),
+		wakeup: make(chan struct{}, 1),
 	}
+	d.cond.L = &d.mu
+	d.workFn = d.work
+	d.bind(rt)
 	widBase := int64(rt.node) << 32
-	for i := 0; i < k; i++ {
-		vp := &VP{d: d, nodeRank: i, wid: widBase | int64(i), resume: make(chan bool, 1)}
-		d.vps[i] = vp
+	for i := range d.vps {
+		d.vps[i] = VP{d: d, nodeRank: i, wid: widBase | int64(i)}
 	}
 	return d
 }
 
-// vpMain is the goroutine body of one VP in a one-shot (plan cache off)
-// doRun: run the body once, report, exit.
-func (d *doRun) vpMain(vp *VP, body func(*VP)) {
-	defer func() { vp.reportExit(recover()) }()
-	body(vp)
-}
-
-// reportExit reports the end of a VP body: r is what recover returned,
-// nil for a normal return. It tells whether the body ran to completion
-// (a warm worker then survives for another invocation).
-func (vp *VP) reportExit(r any) (completed bool) {
-	_, aborted := r.(vpAbort)
-	if r != nil && !aborted {
-		vp.report(evPanic, phaseInvalid,
-			fmt.Errorf("core: VP %d on node %d panicked: %v", vp.nodeRank, vp.d.node, r))
-		return false
+// bind attaches d to rt's run. A real run (no simulated process) never
+// reads a VP's charge, so its per-access costs stay zero and the block
+// accessors skip their charging loops.
+func (d *doRun) bind(rt *Runtime) {
+	d.rt = rt
+	d.sharedReadCost, d.sharedWriteCost = 0, 0
+	if rt.proc != nil {
+		d.sharedReadCost = vtime.Duration(rt.gs.mach.SharedReadCost)
+		d.sharedWriteCost = vtime.Duration(rt.gs.mach.SharedWriteCost)
 	}
-	vp.report(evExit, phaseInvalid, nil)
-	return !aborted
 }
 
-// vpWorker is the goroutine body of one VP in a persistent (warm)
-// doRun: it parks at the start gate between Dos and runs d.body once
-// per true it receives. A false at the gate — sent by releaseWarm at
-// run end or doRun teardown — retires the worker; so does any abort or
-// panic inside the body, since both only happen while the run is dying
-// and the doRun is then marked broken.
-func (d *doRun) vpWorker(vp *VP) {
-	for <-vp.resume {
-		if !d.runBody(vp) {
-			return
+// run executes one Do invocation on d: it resets the per-invocation
+// state, starts the pool workers, and coordinates until every VP has
+// returned and every goroutine has left. A VP
+// failure, a commit error or a panic out of the coordinator's own calls
+// (a transport abort) tears the Do down before it propagates.
+func (d *doRun) run(body func(*VP)) {
+	d.body = body
+	d.phases, d.openKind, d.rankValid = 0, phaseInvalid, false
+	na := len(d.rt.gs.arrays)
+	for i := range d.vps {
+		// Arrays may have been allocated since this shape last ran;
+		// regrow the per-array read tracking so ids stay in range.
+		if vp := &d.vps[i]; vp.rdRuns != nil && len(vp.rdRuns) < na {
+			vp.rdRuns = append(vp.rdRuns, make([][]intRun, na-len(vp.rdRuns))...)
 		}
 	}
+	d.next.Store(0)
+	d.opened.Store(0)
+	for p := range d.rem {
+		d.kind[p].Store(0)
+		d.rem[p].Store(0)
+		d.exits[p].Store(0)
+	}
+	d.rem[0].Store(int32(d.k))
+
+	workers := min(d.k, runtime.GOMAXPROCS(0))
+	d.active.Store(int32(workers))
+	for i := 0; i < workers; i++ {
+		go d.workFn()
+	}
+
+	clean := false
+	defer func() {
+		if !clean {
+			d.teardown()
+		}
+	}()
+	if err := d.coordinate(); err != nil {
+		panic(err)
+	}
+	clean = true
 }
 
-// runBody executes one Do invocation's body on a warm worker and
-// reports the exit event. It returns whether the worker survives for
-// another invocation.
-func (d *doRun) runBody(vp *VP) (ok bool) {
-	defer func() { ok = vp.reportExit(recover()) }()
+// work is a pool worker: it runs the bodies of the ranks it takes, one
+// after another, as plain calls.
+func (d *doRun) work() {
+	for !d.aborted.Load() {
+		r := int(d.next.Add(1)) - 1
+		if r >= d.k {
+			break
+		}
+		vp := &d.vps[r]
+		d.runVP(vp)
+		if vp.own {
+			// The VP had to wait for other ranks and handed its place in
+			// the pool to a new worker: this goroutine ends with its body.
+			vp.own = false
+			break
+		}
+	}
+	d.leave()
+}
+
+// leave counts the calling goroutine out of the Do.
+func (d *doRun) leave() {
+	if d.active.Add(-1) == 0 {
+		d.wake()
+	}
+}
+
+// wake makes the coordinator look at the doRun's state again.
+func (d *doRun) wake() {
+	select {
+	case d.wakeup <- struct{}{}:
+	default: // a token is waiting: the coordinator has yet to look
+	}
+}
+
+// runVP runs the current body once for vp and counts the VP off.
+func (d *doRun) runVP(vp *VP) {
+	vp.ord = 0
+	defer vp.exit()
 	d.body(vp)
-	return
 }
 
-// coordinate runs on the node's proc goroutine: it alternates between
-// letting VPs run and performing phase opens/commits, until every VP has
-// exited. A phase-shape violation (VPs disagreeing on the next phase) or
-// a VP panic aborts the Do by panicking on the proc goroutine, which the
-// cluster converts into a run error.
+// exit ends a VP body (deferred by runVP). A normal return passes the
+// VP's current ordinal as an exit; a panic fails the Do; vpAbort is the
+// unwinding of a Do that has already failed.
+func (vp *VP) exit() {
+	switch r := recover(); r.(type) {
+	case nil:
+		vp.d.exits[vp.ord&1].Add(1)
+		vp.pass(vp.ord)
+	case vpAbort:
+	default:
+		vp.d.fail(fmt.Errorf("core: VP %d on node %d panicked: %v", vp.nodeRank, vp.d.node, r))
+	}
+}
+
+// fail records the Do's first failure and aborts it.
+func (d *doRun) fail(err error) {
+	d.mu.Lock()
+	if d.err == nil {
+		d.err = err
+	}
+	d.mu.Unlock()
+	d.abort()
+}
+
+// abort starts the teardown of the Do: waiters unwind, workers take no
+// further rank, the coordinator is woken.
+func (d *doRun) abort() {
+	d.mu.Lock()
+	d.aborted.Store(true)
+	d.mu.Unlock()
+	d.cond.Broadcast()
+	d.wake()
+}
+
+// failure returns the error the Do failed with, nil while it has not.
+func (d *doRun) failure() error {
+	if !d.aborted.Load() {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
+}
+
+// awaitOpen is the slow path of a phase entry: ordinal o is not open.
+// The first VP here posts the kind it wants, which is what the
+// coordinator waits for once phase o-1 has committed.
 //
-// Each step waits once, for the idle token of the boundary latch: by
-// then every VP released for the step (status stRunning) has stored its
-// event and parked or returned, so one scan over d.vps both collects the
-// events and classifies the population.
-func (d *doRun) coordinate() {
-	alive := d.k
-	var firstErr error
-
-	for firstErr == nil {
-		<-d.idle
-		nBoundary, nEnd := 0, 0
-		kind := phaseInvalid
-		uniform := true
-		for _, vp := range d.vps {
-			if vp.status == stRunning {
-				switch vp.evKind {
-				case evBoundary:
-					vp.status = stAtBoundary
-				case evPhaseEnd:
-					vp.status = stAtPhaseEnd
-				case evPanic:
-					if firstErr == nil {
-						firstErr = vp.evErr
-					}
-					fallthrough
-				case evExit:
-					vp.status = stDead
-					alive--
-				}
-			}
-			switch vp.status {
-			case stAtBoundary:
-				nBoundary++
-				if kind == phaseInvalid {
-					kind = vp.evPk
-				} else if kind != vp.evPk {
-					uniform = false
-				}
-			case stAtPhaseEnd:
-				nEnd++
-			}
-		}
-		switch {
-		case firstErr != nil:
-			// a VP panicked: abort below
-		case alive == 0:
-			d.finish()
-			return
-		case nBoundary == alive && nEnd == 0 && uniform:
-			// All alive VPs agree on the next phase: open it.
-			d.openPhase(kind)
-			d.release(stAtBoundary, alive)
-		case nEnd == alive && nBoundary == 0:
-			// All alive VPs completed the phase body: commit.
-			if firstErr = d.commit(d.openKind); firstErr == nil {
-				d.release(stAtPhaseEnd, alive)
-			}
-		default:
-			firstErr = fmt.Errorf(
-				"core: phase shape mismatch on node %d: %d VPs at a phase boundary, %d at a phase end, %d exited — all K VPs of a Do must execute the same phase sequence",
-				d.node, nBoundary, nEnd, d.k-alive)
-		}
+// Waiting occupies the goroutine the body is running on. At ordinal 0,
+// or once every rank has been taken, that is harmless: the open depends
+// on the coordinator alone, so the worker just blocks (handing it over
+// would only put a goroutine under every VP again). But while ranks
+// remain untaken, phase o-1 cannot commit before they have run through
+// it, and they need a worker: the VP then keeps this goroutine for itself
+// and starts a replacement worker in its place.
+func (d *doRun) awaitOpen(vp *VP, o int32, pk phaseKind) {
+	if d.kind[o&1].CompareAndSwap(0, int32(pk)) {
+		d.wake()
 	}
-	// Teardown: abort all parked VPs and wait for their exits. A warm
-	// doRun's workers retire on abort, so the doRun cannot serve another
-	// invocation; mark it broken so the cache rebuilds instead of
-	// reusing dead workers (only reachable if user code swallows the
-	// panic below).
-	d.broken = true
-	if alive > 0 {
-		d.pending.Store(int32(alive))
-		for _, vp := range d.vps {
-			if vp.status != stDead {
-				vp.resume <- false
-			}
-		}
-		<-d.idle
+	if o > 0 && !vp.own && int(d.next.Load()) < d.k {
+		vp.own = true
+		d.active.Add(1)
+		go d.workFn()
 	}
-	panic(firstErr)
+	d.mu.Lock()
+	for d.opened.Load() <= o && !d.aborted.Load() {
+		d.cond.Wait()
+	}
+	d.mu.Unlock()
+	if d.opened.Load() <= o {
+		panic(vpAbort{})
+	}
 }
 
-// release resumes the n VPs parked with status s, arming the boundary
-// latch for them before the first one can run.
-func (d *doRun) release(s vpStatus, n int) {
-	d.pending.Store(int32(n))
-	for _, vp := range d.vps {
-		if vp.status == s {
-			vp.status = stRunning
-			vp.resume <- true
+// coordinate runs on the node's proc goroutine: it opens each phase some
+// VP asks for, commits it once every VP alive has passed it, and returns
+// when all goroutines have left the Do. It returns the error of a failed
+// Do (a VP panic, a phase-shape violation, a commit error), which run
+// raises on the proc goroutine, where the cluster converts it into a run
+// error.
+func (d *doRun) coordinate() error {
+	alive := int32(d.k)
+	for o := int32(0); ; o++ {
+		p := o & 1
+		// Phase o opens when the first VP reaches it; if every VP alive
+		// returns instead, the Do drains.
+		var kind phaseKind
+		for {
+			if err := d.failure(); err != nil {
+				return err
+			}
+			if kind = phaseKind(d.kind[p].Load()); kind != phaseInvalid {
+				break
+			}
+			if d.active.Load() == 0 {
+				d.finish(p)
+				return nil
+			}
+			<-d.wakeup
+		}
+		d.openPhase(kind)
+		d.mu.Lock()
+		d.opened.Store(o + 1)
+		d.mu.Unlock()
+		d.cond.Broadcast()
+
+		for d.rem[p].Load() != 0 {
+			if err := d.failure(); err != nil {
+				return err
+			}
+			<-d.wakeup
+		}
+		// Every VP alive at ordinal o has passed it. Those that returned
+		// are gone for good; the others are what ordinal o+1 waits for
+		// (some may have passed it already, by returning).
+		alive -= d.exits[p].Swap(0)
+		d.rem[1-p].Add(alive)
+		if err := d.commit(kind, p); err != nil {
+			return err
+		}
+		d.kind[p].Store(0)
+	}
+}
+
+// teardown ends a Do that did not run to completion: it aborts every
+// waiting VP, waits until the last goroutine has left the Do and drops d
+// from the warm cache, so that nothing of it outlives the error that
+// follows.
+func (d *doRun) teardown() {
+	d.abort()
+	for d.active.Load() != 0 {
+		<-d.wakeup
+	}
+	for key, w := range d.rt.warm {
+		if w == d {
+			delete(d.rt.warm, key)
 		}
 	}
 }
@@ -598,23 +724,25 @@ func (d *doRun) openPhase(kind phaseKind) {
 	d.phases++
 }
 
-// finish charges any leftover VP work accumulated after the last phase
-// (or in a phase-less Do), merges residual counters, and returns the
-// VPs' write buffers to their arrays' pools for the next Do.
-func (d *doRun) finish() {
+// finish charges the VP work accumulated after the last phase (or in a
+// phase-less Do), which the VPs left in snapshot slot p when they
+// returned, merges residual counters, and returns the VPs' write buffers
+// to their arrays' pools for the next Do.
+func (d *doRun) finish(p int32) {
 	mach := d.rt.gs.mach
 	extra := vtime.Duration(0)
 	if d.phases == 0 {
 		extra = vtime.Duration(mach.VPStartCost)
 	}
 	if d.rt.proc != nil {
-		d.rt.proc.Charge(d.makespan(extra))
+		d.rt.proc.Charge(d.makespan(p, extra))
 	}
 	st := d.rt.stats()
-	for _, vp := range d.vps {
+	for i := range d.vps {
+		vp := &d.vps[i]
 		st.SharedReads += vp.reads
 		st.SharedWrites += vp.writes
-		vp.charge, vp.reads, vp.writes = 0, 0, 0
+		vp.reads, vp.writes = 0, 0
 		if d.persistent {
 			// Keep the write buffers attached: the next warm invocation
 			// of this Do shape reuses them (same VP, same writer id)

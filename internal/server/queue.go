@@ -6,7 +6,7 @@
 //   - a bounded priority queue with per-tenant admission quotas and
 //     per-job deadlines (queue.go),
 //   - a fleet pool that keeps warm serve-mode ppm-node fleets alive
-//     between jobs so the plan cache and parked VP workers survive
+//     between jobs so the plan cache and the warm doRuns survive
 //     across submissions (pool.go),
 //   - a content-addressed result cache keyed by the canonical spec
 //     hash, serving bit-identical repeats without running anything

@@ -6,12 +6,12 @@
 //
 //	go run scripts/bench_pairs.go -base <rev> [-n 10] -- [benchmark flags...]
 //
-// It checks <rev> out into a git worktree under .bench_build/, refuses
-// to compare if benchmark/ or BENCHMARK.json differ between the two
-// trees, builds benchmark/ against each tree once, runs the pairs
-// (switching which side goes first every pair) and prints, per workload
-// and metric, each side's median and quartiles and the pairs won. The
-// worktree is removed again on exit. `make bench-pairs` wraps it.
+// It unpacks <rev> (git archive) under .bench_build/, refuses to compare
+// if benchmark/ or BENCHMARK.json differ between the two trees, builds
+// benchmark/ against each tree once, runs the pairs (switching which side
+// goes first every pair) and prints, per workload and metric, each side's
+// median and quartiles and the pairs won. The unpacked tree is removed
+// again on exit. `make bench-pairs` wraps it.
 package main
 
 import (
@@ -101,11 +101,10 @@ func run(base string, n int, args []string) error {
 	}
 
 	baseTree := filepath.Join(root, ".bench_build", "pairs-base")
-	_, _ = git(root, "worktree", "remove", "--force", baseTree) // left by an interrupted run
-	if _, err := git(root, "worktree", "add", "--detach", "--force", baseTree, base); err != nil {
+	if err := unpack(root, base, baseTree); err != nil {
 		return err
 	}
-	defer git(root, "worktree", "remove", "--force", baseTree)
+	defer os.RemoveAll(baseTree)
 
 	sides := [2]*side{
 		{label: "base", tree: baseTree},
@@ -148,6 +147,36 @@ func git(dir string, args ...string) (string, error) {
 		return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
 	}
 	return strings.TrimSpace(string(out)), nil
+}
+
+// unpack extracts revision rev of the checkout at root into dir, replacing
+// whatever an interrupted run left there.
+func unpack(root, rev, dir string) error {
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	archive := exec.Command("git", "archive", "--format=tar", rev)
+	archive.Dir = root
+	untar := exec.Command("tar", "-x", "-C", dir)
+	var stderr bytes.Buffer
+	archive.Stderr, untar.Stderr = &stderr, &stderr
+	pipe, err := archive.StdoutPipe()
+	if err != nil {
+		return err
+	}
+	untar.Stdin = pipe
+	if err := untar.Start(); err != nil {
+		return err
+	}
+	aerr := archive.Run()
+	uerr := untar.Wait()
+	if aerr != nil || uerr != nil {
+		return fmt.Errorf("git archive %s | tar -x: %v, %v: %s", rev, aerr, uerr, strings.TrimSpace(stderr.String()))
+	}
+	return nil
 }
 
 // measure runs the side's benchmark once and files every
