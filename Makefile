@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures
+.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
@@ -140,3 +140,8 @@ rescale-smoke:
 ## figures: print the paper's figure sweeps.
 figures:
 	$(GO) run ./cmd/ppm-figures
+
+## codesize: print Table 1 (counted lines of each app's ppm.go and
+## mpi.go). TestTable1FromRepo requires PPM < 0.95 x MPI per app.
+codesize:
+	$(GO) run ./cmd/ppm-codesize

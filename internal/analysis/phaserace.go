@@ -255,7 +255,8 @@ func singleChunkPair(lo, hi affine) (int, bool) {
 }
 
 // injectiveIntSlice reports whether every assignment to obj is either an
-// empty declaration or the single statement `obj = append(obj, k)` with
+// empty declaration (`var obj []int`, or `obj := make([]int, 0, n)` with a
+// literal zero length) or the single statement `obj = append(obj, k)` with
 // k the key variable of the enclosing range loop — making obj's values
 // strictly increasing, hence injective.
 func injectiveIntSlice(px *PkgIndex, obj types.Object) bool {
@@ -292,6 +293,11 @@ func injectiveIntSlice(px *PkgIndex, obj types.Object) bool {
 				return false
 			}
 			fid, isIdent := call.Fun.(*ast.Ident)
+			if isIdent && fid.Name == "make" && len(call.Args) >= 2 {
+				if l, ok := call.Args[1].(*ast.BasicLit); ok && l.Value == "0" {
+					continue // empty, however much room it reserves
+				}
+			}
 			if !isIdent || fid.Name != "append" || len(call.Args) != 2 {
 				okSoFar = false
 				return false

@@ -87,3 +87,33 @@ func Disjoint(rt *ppm.Runtime) {
 		})
 	})
 }
+
+// ChunkElems ranges over chunk windows of an index list: disjoint when the
+// list is strictly increasing (declared empty, appended range keys only),
+// whether or not its capacity was reserved up front.
+func ChunkElems(rt *ppm.Runtime, keep []bool) {
+	v := ppm.AllocNode[float64](rt, "v", 64)
+	w := ppm.AllocNode[float64](rt, "w", 64)
+	mine := make([]int, 0, len(keep))
+	for s, k := range keep {
+		if k {
+			mine = append(mine, s)
+		}
+	}
+	twice := make([]int, len(keep))
+	for s := range keep {
+		twice = append(twice, s)
+	}
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.NodePhase(func() {
+			lo, hi := ppm.ChunkRange(len(mine), vp.K(), vp.NodeRank())
+			for _, s := range mine[lo:hi] {
+				v.Write(vp, s, 1.0)
+			}
+			lo2, hi2 := ppm.ChunkRange(len(twice), vp.K(), vp.NodeRank())
+			for _, s := range twice[lo2:hi2] {
+				w.Write(vp, s, 1.0) // want `cannot prove VP write sets of w disjoint`
+			}
+		})
+	})
+}

@@ -121,11 +121,14 @@ type ColRef struct {
 // RowPattern returns row i's structural nonzeros in increasing column
 // order: columns (lj, kj) whose collocation point is within
 // Delta*(h_li + h_lj) of t_i.
-func RowPattern(p Params, i int) []ColRef {
+func RowPattern(p Params, i int) []ColRef { return AppendRowPattern(nil, p, i) }
+
+// AppendRowPattern appends row i's pattern (see RowPattern) to out, so a
+// caller walking many rows can reuse one scratch slice.
+func AppendRowPattern(out []ColRef, p Params, i int) []ColRef {
 	li, _ := p.levelOf(i)
 	ti := p.point(li, i-p.offset(li))
 	hi := 1 / float64(p.m(li))
-	var out []ColRef
 	for lj := 0; lj < p.Levels; lj++ {
 		hj := 1 / float64(p.m(lj))
 		radius := p.Delta * (hi + hj)

@@ -77,10 +77,21 @@ func mpiNode(c *mp.Comm, p Params, out *Matrix) {
 		row int
 		c   ColRef
 	}
-	var pat []slot
+	// Two passes over one scratch row: sizes first, so that pat is
+	// allocated once.
+	var scratch []ColRef
+	total := 0
 	for _, i := range myRows {
-		for _, cr := range RowPattern(p, i) {
+		scratch = AppendRowPattern(scratch[:0], p, i)
+		total += len(scratch)
+	}
+	pat := make([]slot, 0, total)
+	perLevel := make([]int, p.Levels)
+	for _, i := range myRows {
+		scratch = AppendRowPattern(scratch[:0], p, i)
+		for _, cr := range scratch {
 			pat = append(pat, slot{row: i, c: cr})
+			perLevel[cr.Lq]++
 		}
 	}
 	c.Proc().ChargeFlops(int64(len(pat) * 8))
@@ -101,7 +112,7 @@ func mpiNode(c *mp.Comm, p Params, out *Matrix) {
 		// Which table indices do my level-l entries need, and who owns
 		// them? Dedupe, then exchange request lists and packed replies.
 		needSet := make(map[int]bool)
-		var mine []int
+		mine := make([]int, 0, perLevel[l])
 		for s, sl := range pat {
 			if sl.c.Lq != l {
 				continue

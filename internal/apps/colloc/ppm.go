@@ -40,13 +40,22 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 			row int
 			c   ColRef
 		}
-		var pat []slot
+		// Two passes over one scratch row: sizes first, so that pat is
+		// allocated once.
+		var scratch []ColRef
 		rowStart := make([]int, len(myRows)+1)
 		for r, i := range myRows {
-			for _, c := range RowPattern(p, i) {
+			scratch = AppendRowPattern(scratch[:0], p, i)
+			rowStart[r+1] = rowStart[r] + len(scratch)
+		}
+		pat := make([]slot, 0, rowStart[len(myRows)])
+		perLevel := make([]int, p.Levels)
+		for _, i := range myRows {
+			scratch = AppendRowPattern(scratch[:0], p, i)
+			for _, c := range scratch {
 				pat = append(pat, slot{row: i, c: c})
+				perLevel[c.Lq]++
 			}
-			rowStart[r+1] = len(pat)
 		}
 		rt.ChargeFlops(int64(len(pat) * 8))
 
@@ -68,7 +77,7 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 			g := tables[l]
 			glo, ghi := g.OwnerRange(rt)
 			// Entries of this level in the local pattern.
-			var mine []int
+			mine := make([]int, 0, perLevel[l])
 			for s, sl := range pat {
 				if sl.c.Lq == l {
 					mine = append(mine, s)

@@ -120,16 +120,15 @@ func buildFlops(n int) int64 {
 const interactionFlops = 20
 
 // step advances one partition-decomposed time step given record access to
-// every partition's flattened tree. sourceOf must return the tree source
-// for partition r. Bodies [lo, hi) are updated in place. Returns the
-// interaction count (for cost accounting).
-func step(p Params, s *State, part partition.Block, lo, hi int,
-	sourceOf func(r int) octree.Source) int64 {
+// every partition's flattened tree: trees[r] is the source of partition r's
+// tree. Bodies [lo, hi) are updated in place. Returns the interaction count
+// (for cost accounting).
+func step(p Params, s *State, part partition.Block, lo, hi int, trees []octree.Source) int64 {
 	var inter int64
 	for i := lo; i < hi; i++ {
 		var ax, ay, az float64
 		for r := 0; r < part.Parts; r++ {
-			gx, gy, gz, n := octree.Accel(sourceOf(r), s.PX[i], s.PY[i], s.PZ[i], p.Theta, p.Eps)
+			gx, gy, gz, n := octree.Accel(trees[r], s.PX[i], s.PY[i], s.PZ[i], p.Theta, p.Eps)
 			ax += gx
 			ay += gy
 			az += gz
@@ -163,16 +162,14 @@ func RunPartitioned(p Params, parts int) (*State, error) {
 	s := InitState(p)
 	part := partition.NewBlock(p.N, parts)
 	for st := 0; st < p.Steps; st++ {
-		flats := make([][]float64, parts)
+		trees := make([]octree.Source, parts)
 		for r := 0; r < parts; r++ {
 			rlo, rhi := part.Range(r)
 			bodies := s.Bodies(rlo, rhi)
 			cx, cy, cz, h := octree.Bounds(bodies)
-			flats[r] = octree.Build(bodies, cx, cy, cz, h).Flatten()
+			trees[r] = octree.NewSliceSource(octree.Build(bodies, cx, cy, cz, h).Flatten())
 		}
-		step(p, s, part, 0, p.N, func(r int) octree.Source {
-			return octree.SliceSource{Flat: flats[r]}
-		})
+		step(p, s, part, 0, p.N, trees)
 	}
 	return s, nil
 }
@@ -183,5 +180,3 @@ func RunPartitioned(p Params, parts int) (*State, error) {
 func segCap(nLocalMax int) int {
 	return 3*nLocalMax + 64
 }
-
-// treeReader adapts a PPM global shared array to octree.Reader, with a

@@ -84,16 +84,14 @@ func RunMPI(opt MPIOptions, p Params) (*State, *cluster.Report, error) {
 				counts[r] = int(lens[r])
 			}
 			forest := mp.Allgatherv(c, flat, counts)
-			offs := make([]int, ranks)
+			trees := make([]octree.Source, ranks)
 			off := 0
 			for r := 0; r < ranks; r++ {
-				offs[r] = off
+				trees[r] = octree.NewSliceSource(forest[off : off+counts[r]])
 				off += counts[r]
 			}
 			proc.ChargeMem(int64(8 * len(forest)))
-			inter := step(p, s, part, 0, nLocal, func(r int) octree.Source {
-				return octree.SliceSource{Flat: forest, Off: offs[r]}
-			})
+			inter := step(p, s, part, 0, nLocal, trees)
 			proc.ChargeFlops(inter * interactionFlops)
 			c.Barrier()
 		}

@@ -1,6 +1,8 @@
 package nbody
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -70,7 +72,7 @@ func TestForcesAccurateVsDirect(t *testing.T) {
 	for i := 0; i < p.N; i += 17 {
 		var ax, ay, az float64
 		for r := 0; r < parts; r++ {
-			gx, gy, gz, _ := octree.Accel(octree.SliceSource{Flat: flats[r]},
+			gx, gy, gz, _ := octree.Accel(octree.NewSliceSource(flats[r]),
 				s.PX[i], s.PY[i], s.PZ[i], p.Theta, p.Eps)
 			ax += gx
 			ay += gy
@@ -113,6 +115,48 @@ func TestPPMMatchesPartitionedReferenceBitwise(t *testing.T) {
 		}
 		if nodes > 1 && rep.Totals.RemoteReadElems == 0 {
 			t.Errorf("nodes=%d: no remote tree reads", nodes)
+		}
+	}
+}
+
+// Pins the model around the tree traversal: the bits of the final positions
+// (FNV-1a over the Float64bits of PX, PY, PZ), of the modeled makespan, and
+// the counters a record's first touch feeds. Captured before the record
+// cache moved into octree; how records are cached on the host must not move
+// any of them, under either scheduler (PPM_PARALLEL=1).
+func TestPPMGoldenPositionsAndCounters(t *testing.T) {
+	golden := []struct {
+		nodes                                    int
+		pos, makespan                            uint64
+		reads, remoteReads, bundlesOut, bytesOut int64
+	}{
+		{1, 0x8315b08c8f613504, 0x3f67f84f06a35d8f, 72960, 0, 0, 0},
+		{2, 0x3ac07f741e0cf0ae, 0x3f5dc2ca072ef4e9, 135616, 8476, 20, 138176},
+		{4, 0x4dac9e891dfc9203, 0x3f548aa4a3f03360, 272576, 25554, 63, 416928},
+	}
+	for _, g := range golden {
+		s, rep, err := RunPPM(core.Options{Nodes: g.nodes, Machine: machine.Franklin()}, small)
+		if err != nil {
+			t.Fatalf("nodes=%d: %v", g.nodes, err)
+		}
+		h := fnv.New64a()
+		for _, a := range [][]float64{s.PX, s.PY, s.PZ} {
+			for _, v := range a {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+			}
+		}
+		if h.Sum64() != g.pos {
+			t.Errorf("nodes=%d: positions hash %#x, want %#x", g.nodes, h.Sum64(), g.pos)
+		}
+		if m := math.Float64bits(rep.Makespan().Seconds()); m != g.makespan {
+			t.Errorf("nodes=%d: makespan bits %#x, want %#x", g.nodes, m, g.makespan)
+		}
+		tt := rep.Totals
+		if tt.SharedReads != g.reads || tt.RemoteReadElems != g.remoteReads ||
+			tt.BundlesOut != g.bundlesOut || tt.BytesOut != g.bytesOut {
+			t.Errorf("nodes=%d: reads %d remote %d bundles %d bytes %d, want %d %d %d %d", g.nodes,
+				tt.SharedReads, tt.RemoteReadElems, tt.BundlesOut, tt.BytesOut,
+				g.reads, g.remoteReads, g.bundlesOut, g.bytesOut)
 		}
 	}
 }

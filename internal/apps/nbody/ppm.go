@@ -8,31 +8,20 @@ import (
 	"ppm/internal/partition"
 )
 
-// treeSource adapts a PPM global shared array to octree.Source, with a
-// VP-local record cache: within a phase the forest is immutable, so each
-// tree node is fetched through the runtime once per VP and reused across
-// all of the VP's bodies. Records (not scalars) are the fetch unit, which
-// is also what a real runtime would move.
-type treeSource struct {
-	g     *core.Global[float64]
-	vp    *core.VP
-	off   int
-	cache map[int]*octree.FlatNode // keyed by absolute flat offset
-}
-
-func (s *treeSource) Node(i int, out *octree.FlatNode) {
-	key := s.off + i*octree.Slots
-	if nd, ok := s.cache[key]; ok {
-		*out = *nd
-		return
+// treeSources binds the shared forest to one VP for one phase: the source of
+// each partition's tree, all backed by one octree.Cache that belongs to the
+// VP. The cache is per VP because the first touch is what the model charges:
+// a record goes through ReadBlock (two contiguous slot runs, the elements
+// and modeled costs of the scalar DecodeNode) once per VP and phase, and is
+// read in place, by reference, for every later body. The forest is immutable
+// within the phase, so the records stay valid until the phase ends.
+func treeSources(g *core.Global[float64], vp *core.VP, nodes, segLen int) []octree.Source {
+	cache := octree.NewCache(func(lo, hi int, dst []float64) { g.ReadBlock(vp, lo, hi, dst) })
+	trees := make([]octree.Source, nodes)
+	for r := range trees {
+		trees[r] = cache.Tree(r*segLen, segLen/octree.Slots)
 	}
-	nd := new(octree.FlatNode)
-	// A record is two contiguous slot runs (header, inline bodies), so it
-	// is fetched with block reads; the elements and their modeled costs
-	// match the scalar DecodeNode exactly.
-	octree.DecodeNodeRuns(func(lo, hi int, dst []float64) { s.g.ReadBlock(s.vp, lo, hi, dst) }, s.off, i, nd)
-	s.cache[key] = nd
-	*out = *nd
+	return trees
 }
 
 // RunPPM runs the simulation under the Parallel Phase Model.
@@ -98,18 +87,13 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*State, *core.Report
 			rt.Do(k, func(vp *core.VP) {
 				vp.GlobalPhase(func() {
 					vlo, vhi := core.ChunkRange(nLocal, k, vp.NodeRank())
-					cache := make(map[int]*octree.FlatNode)
-					sources := make([]*treeSource, nodes)
-					for r := range sources {
-						sources[r] = &treeSource{g: trees, vp: vp, off: r * segLen, cache: cache}
-					}
 					// step mutates only s.VX/VY/VZ/PX/PY/PZ[i] for i in
 					// this VP's [vlo, vhi) chunk, and ChunkRange windows
 					// of distinct VPs are disjoint — a per-element
 					// partition the analyzer cannot see through the
 					// *State indirection.
 					//ppmvet:ignore serialescape — writes are chunk-partitioned per VP
-					inter := step(p, s, part, vlo, vhi, func(r int) octree.Source { return sources[r] })
+					inter := step(p, s, part, vlo, vhi, treeSources(trees, vp, nodes, segLen))
 					vp.ChargeFlops(inter * interactionFlops)
 				})
 			})

@@ -156,6 +156,12 @@ func TestLineFetchErrorsNameTheLine(t *testing.T) {
 			errs := runMeshCfg(t, 2,
 				func(rank int, c *Config) {
 					c.OpTimeout = 300 * time.Millisecond
+					if rank == 1 {
+						// The owner waits in its commit for as long as rank
+						// 0 waits for the line; rank 0's timeout is the one
+						// under test and must fire first.
+						c.OpTimeout = 3 * time.Second
+					}
 					c.DrainTimeout = 100 * time.Millisecond
 				},
 				func(rank int, eng *Engine) error {

@@ -24,6 +24,11 @@ const LeafCap = 4
 // LeafCap (guards against coincident bodies).
 const maxDepth = 48
 
+// stackCap is the deepest Accel's traversal stack can get on a legal tree:
+// opening a node pops one entry and pushes at most 8, and only the nodes
+// at depths 0..maxDepth-1 of a root-to-leaf path can be internal.
+const stackCap = 7*maxDepth + 1
+
 // Slots is the number of float64 slots one node occupies in the flat
 // encoding.
 const Slots = 32
@@ -276,8 +281,15 @@ func DecodeNode(at func(i int) float64, off, i int, out *FlatNode) {
 // runtime with block access fetches a record in at most two range reads.
 // The elements touched, and their order, are exactly DecodeNode's.
 func DecodeNodeRuns(read func(lo, hi int, dst []float64), off, i int, out *FlatNode) {
-	base := off + i*Slots
 	var hdr [slotBodies]float64
+	decodeNodeRuns(read, &hdr, off, i, out)
+}
+
+// decodeNodeRuns is DecodeNodeRuns with the header's landing buffer
+// supplied by the caller: a buffer handed to read escapes, so a caller that
+// decodes many records keeps one instead of allocating one per record.
+func decodeNodeRuns(read func(lo, hi int, dst []float64), hdr *[slotBodies]float64, off, i int, out *FlatNode) {
+	base := off + i*Slots
 	read(base, base+slotBodies, hdr[:])
 	out.Mass = hdr[slotMass]
 	out.ComX = hdr[slotComX]
@@ -293,21 +305,119 @@ func DecodeNodeRuns(read func(lo, hi int, dst []float64), off, i int, out *FlatN
 	}
 }
 
-// Source provides decoded node records of one flattened tree. Node must
-// fill out with record i; implementations may cache.
+// Source provides the decoded records of one flattened tree by reference.
+// Node returns record i; the pointer is valid until the next call on the
+// same Source, and the record must not be modified through it. A forest is
+// immutable while it is being traversed, which is what lets an
+// implementation keep decoded records and hand out the one it holds.
 type Source interface {
-	Node(i int, out *FlatNode)
+	Node(i int) *FlatNode
 }
 
-// SliceSource reads records from a local flat buffer at a given offset.
-type SliceSource struct {
-	Flat []float64
-	Off  int
+// SliceSource is the records of a flat tree held in local memory, decoded
+// once; build it once per tree and traverse it as often as needed.
+type SliceSource []FlatNode
+
+// NewSliceSource decodes every record of flat (len(flat)/Slots of them).
+func NewSliceSource(flat []float64) SliceSource {
+	s := make(SliceSource, len(flat)/Slots)
+	for i := range s {
+		DecodeNode(func(j int) float64 { return flat[j] }, 0, i, &s[i])
+	}
+	return s
 }
 
 // Node implements Source.
-func (s SliceSource) Node(i int, out *FlatNode) {
-	DecodeNode(func(j int) float64 { return s.Flat[j] }, s.Off, i, out)
+func (s SliceSource) Node(i int) *FlatNode { return &s[i] }
+
+// cacheChunk is the number of records per slab chunk: large enough that a
+// traversal allocates once per 64 first touches, small enough (13 KiB) that
+// a reader touching a handful of records of a far tree wastes little.
+const (
+	cacheChunkShift = 6
+	cacheChunk      = 1 << cacheChunkShift
+)
+
+// Cache is one reader's software cache of records from a forest of flat
+// trees that live behind a bulk reader (a PPM global shared array, say).
+// Every record is fetched through the reader on its first touch, with
+// exactly DecodeNodeRuns' range reads, and served from the cache after
+// that: records go into an append-only slab of fixed-size chunks, which
+// never move, and each tree keeps an index from record number to slab
+// position. A hit is an indexed load and copies nothing; a miss allocates
+// only when a chunk fills up or a tree's index has to grow.
+//
+// A Cache and its trees belong to one reader and are not safe for
+// concurrent use. It is valid for as long as the forest is immutable (one
+// phase, in a PPM program).
+type Cache struct {
+	read   func(lo, hi int, dst []float64)
+	chunks [][]FlatNode
+	n      int                 // records stored
+	hdr    [slotBodies]float64 // where a miss lands its header run
+}
+
+// NewCache returns an empty cache that fills misses through read, which
+// must copy elements [lo, hi) of the forest's address space into dst.
+func NewCache(read func(lo, hi int, dst []float64)) *Cache {
+	return &Cache{read: read}
+}
+
+// CachedTree is the Source of one tree of a Cache's forest.
+type CachedTree struct {
+	c       *Cache
+	off     int
+	records int
+	// idx[i] is 1 + the slab position of record i, or 0 if it has not been
+	// fetched. It grows on demand up to records entries, so it costs 4
+	// bytes per record up to the highest one touched.
+	idx []int32
+}
+
+// Tree returns the Source of the flat tree that starts at element off of
+// the reader's address space and has room for at most records records.
+func (c *Cache) Tree(off, records int) *CachedTree {
+	return &CachedTree{c: c, off: off, records: records}
+}
+
+// Node implements Source. Pointers stay valid for the life of the Cache.
+func (t *CachedTree) Node(i int) *FlatNode {
+	if uint(i) < uint(len(t.idx)) {
+		if p := t.idx[i]; p != 0 {
+			return &t.c.chunks[(p-1)>>cacheChunkShift][(p-1)&(cacheChunk-1)]
+		}
+	}
+	return t.fetch(i)
+}
+
+func (t *CachedTree) fetch(i int) *FlatNode {
+	if uint(i) >= uint(t.records) {
+		panic(fmt.Sprintf("octree: record %d outside a tree of at most %d", i, t.records))
+	}
+	if i >= len(t.idx) {
+		n := 2 * len(t.idx)
+		if n < i+1 {
+			n = i + 1
+		}
+		if n < 16 {
+			n = 16
+		}
+		if n > t.records {
+			n = t.records
+		}
+		idx := make([]int32, n)
+		copy(idx, t.idx)
+		t.idx = idx
+	}
+	c := t.c
+	if c.n == len(c.chunks)*cacheChunk {
+		c.chunks = append(c.chunks, make([]FlatNode, cacheChunk))
+	}
+	nd := &c.chunks[c.n>>cacheChunkShift][c.n&(cacheChunk-1)]
+	decodeNodeRuns(c.read, &c.hdr, t.off, i, nd)
+	c.n++
+	t.idx[i] = int32(c.n)
+	return nd
 }
 
 // Accel accumulates the acceleration at point (px, py, pz) due to the
@@ -316,14 +426,13 @@ func (s SliceSource) Node(i int, out *FlatNode) {
 // interactions evaluated (for flop accounting: roughly 20 flops each).
 func Accel(src Source, px, py, pz, theta, eps float64) (ax, ay, az float64, interactions int64) {
 	eps2 := eps * eps
-	var stack [128]int32
+	var stack [stackCap]int32
 	sp := 0
 	stack[sp] = 0
 	sp++
-	var nd FlatNode
 	for sp > 0 {
 		sp--
-		src.Node(int(stack[sp]), &nd)
+		nd := src.Node(int(stack[sp]))
 		if nd.Mass == 0 {
 			continue
 		}

@@ -142,7 +142,7 @@ func TestCoincidentBodiesDoNotRecurseForever(t *testing.T) {
 func TestAccelThetaZeroMatchesDirect(t *testing.T) {
 	bodies := randomBodies(23, 128)
 	tr := buildOf(bodies)
-	flat := SliceSource{Flat: tr.Flatten()}
+	flat := NewSliceSource(tr.Flatten())
 	for i := 0; i < 16; i++ {
 		b := bodies[i*7]
 		ax, ay, az, _ := Accel(flat, b.X, b.Y, b.Z, 0, 0.05)
@@ -157,7 +157,7 @@ func TestAccelThetaZeroMatchesDirect(t *testing.T) {
 func TestAccelThetaTradeoff(t *testing.T) {
 	bodies := randomBodies(31, 1000)
 	tr := buildOf(bodies)
-	flat := SliceSource{Flat: tr.Flatten()}
+	flat := NewSliceSource(tr.Flatten())
 	var worstRel float64
 	var exactInter, approxInter int64
 	for i := 0; i < 50; i++ {
@@ -202,13 +202,13 @@ func TestEmptyAndSingle(t *testing.T) {
 	if tr.NumNodes() != 1 {
 		t.Fatal("empty tree shape")
 	}
-	ax, ay, az, n := Accel(SliceSource{Flat: tr.Flatten()}, 1, 1, 1, 0.5, 0.1)
+	ax, ay, az, n := Accel(NewSliceSource(tr.Flatten()), 1, 1, 1, 0.5, 0.1)
 	if ax != 0 || ay != 0 || az != 0 || n != 0 {
 		t.Error("empty tree exerts force")
 	}
 	one := []Body{{X: 0.1, Y: 0.2, Z: 0.3, M: 2}}
 	tr1 := buildOf(one)
-	gx, gy, gz, _ := Accel(SliceSource{Flat: tr1.Flatten()}, 0.6, 0.2, 0.3, 0.5, 0)
+	gx, gy, gz, _ := Accel(NewSliceSource(tr1.Flatten()), 0.6, 0.2, 0.3, 0.5, 0)
 	// Pull should point in -x from the probe toward the body.
 	if gx >= 0 || math.Abs(gy) > 1e-12 || math.Abs(gz) > 1e-12 {
 		t.Errorf("single-body pull wrong: (%v,%v,%v)", gx, gy, gz)
@@ -237,8 +237,8 @@ func TestSubtreeOffsets(t *testing.T) {
 	buf := make([]float64, 1000+len(flat))
 	copy(buf[1000:], flat)
 	b := bodies[3]
-	ax1, ay1, az1, _ := Accel(SliceSource{Flat: flat}, b.X, b.Y, b.Z, 0.5, 0.05)
-	ax2, ay2, az2, _ := Accel(SliceSource{Flat: buf, Off: 1000}, b.X, b.Y, b.Z, 0.5, 0.05)
+	ax1, ay1, az1, _ := Accel(NewSliceSource(flat), b.X, b.Y, b.Z, 0.5, 0.05)
+	ax2, ay2, az2, _ := Accel(sliceCache(buf).Tree(1000, len(flat)/Slots), b.X, b.Y, b.Z, 0.5, 0.05)
 	if ax1 != ax2 || ay1 != ay2 || az1 != az2 {
 		t.Error("offset traversal differs")
 	}

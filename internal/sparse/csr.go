@@ -216,7 +216,17 @@ type ColRun struct {
 // x-direction triples), which lets gather loops read each run with one
 // block access instead of an element at a time.
 func (a *CSR) ColRuns() (runPtr []int, runs []ColRun, maxN int) {
+	// Count first, so that runs is allocated once at its final size.
+	total := 0
+	for r := 0; r < a.Rows; r++ {
+		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+			if k == a.RowPtr[r] || a.Col[k] != a.Col[k-1]+1 {
+				total++
+			}
+		}
+	}
 	runPtr = make([]int, a.Rows+1)
+	runs = make([]ColRun, 0, total)
 	for r := 0; r < a.Rows; r++ {
 		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; {
 			c := a.Col[k]

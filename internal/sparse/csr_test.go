@@ -180,3 +180,37 @@ func TestRowSumsInteriorZeroish(t *testing.T) {
 		t.Errorf("interior row sum = %v, want 1", s)
 	}
 }
+
+// ColRuns re-expands to the stored columns, row by row, and allocates its
+// two result slices and nothing else.
+func TestColRunsRoundTripAndAllocs(t *testing.T) {
+	a := Stencil27(5, 4, 3)
+	runPtr, runs, maxN := a.ColRuns()
+	if len(runs) != cap(runs) {
+		t.Errorf("runs sized %d for %d", cap(runs), len(runs))
+	}
+	longest := 0
+	for r := 0; r < a.Rows; r++ {
+		k := a.RowPtr[r]
+		for _, run := range runs[runPtr[r]:runPtr[r+1]] {
+			for j := 0; j < run.N; j++ {
+				if a.Col[k] != run.Col+j {
+					t.Fatalf("row %d: column %d, want %d", r, run.Col+j, a.Col[k])
+				}
+				k++
+			}
+			if run.N > longest {
+				longest = run.N
+			}
+		}
+		if k != a.RowPtr[r+1] {
+			t.Fatalf("row %d: runs cover %d of %d columns", r, k-a.RowPtr[r], a.RowPtr[r+1]-a.RowPtr[r])
+		}
+	}
+	if maxN != longest || maxN != 3 {
+		t.Errorf("maxN %d, longest run %d, want 3", maxN, longest)
+	}
+	if n := testing.AllocsPerRun(10, func() { a.ColRuns() }); n != 2 {
+		t.Errorf("ColRuns allocates %v times, want 2", n)
+	}
+}
