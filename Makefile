@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
@@ -95,6 +95,20 @@ bench-steady:
 plancache-equiv:
 	PPM_PLAN_CACHE=0 $(GO) test -count=1 -run 'Equivalence|MatchesSimulator|TestPlanCache|TestFleetPlanCache' . ./internal/core/ ./internal/dist/
 	PPM_PLAN_CACHE=1 $(GO) test -count=1 -run 'Equivalence|MatchesSimulator|TestPlanCache|TestFleetPlanCache' . ./internal/core/ ./internal/dist/
+
+## fuzz-smoke: every native fuzz target of the wire decoders for 5 s
+## each (internal/wire/fuzz_test.go; `go test -fuzz` takes one target
+## per invocation). The seed corpora already run as ordinary tests under
+## `go test ./...`; this lets the engine mutate them. A crasher lands in
+## internal/wire/testdata/fuzz and is checked in with its fix. Listing
+## no target at all is a failure, not a pass.
+fuzz-smoke:
+	@targets=$$($(GO) test -list '^Fuzz' ./internal/wire/ | grep '^Fuzz'); \
+	test -n "$$targets" || { echo "fuzz-smoke: no fuzz target listed in ./internal/wire"; exit 1; }; \
+	for f in $$targets; do \
+		echo "== $$f"; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s ./internal/wire/ || exit 1; \
+	done
 
 ## dist-smoke: real multi-process runs — 2 ppm-node processes over
 ## loopback TCP solving a small cg point, launched by ppm-run, once

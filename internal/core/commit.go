@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"ppm/internal/vtime"
@@ -360,6 +361,7 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 	if len(d.mrRuns) < na {
 		d.mrRuns = append(d.mrRuns, make([][]intRun, na-len(d.mrRuns))...)
 		d.mrIdx = append(d.mrIdx, make([][]int, na-len(d.mrIdx))...)
+		d.mrCnt = append(d.mrCnt, make([]mergeCount, na-len(d.mrCnt))...)
 	}
 	// Direct counters are already per-owner sums; fold and clear them
 	// first — they bypass planning entirely.
@@ -381,12 +383,34 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 		p.valid = false
 		d.rt.stats().PlanCache.Invalidations++
 	}
+	// Size the scratch before filling it: one counting pass over the VPs'
+	// tracking, then every slice below grows at most once, to its final
+	// size, instead of by doubling.
+	nsegs, nkeys := 0, 0
+	for i := range d.vps {
+		vp := &d.vps[i]
+		for id, rs := range vp.rdRuns {
+			d.mrCnt[id].runs += len(rs)
+		}
+		for _, k := range vp.rdIdx {
+			d.mrCnt[k.array].keys++
+		}
+	}
+	for id, c := range d.mrCnt[:na] {
+		nsegs += c.runs
+		nkeys += c.keys
+		d.mrRuns[id] = slices.Grow(d.mrRuns[id], c.runs)
+		d.mrIdx[id] = slices.Grow(d.mrIdx[id], c.keys)
+		d.mrCnt[id] = mergeCount{}
+	}
 	rec := p != nil
 	if rec {
 		d.rt.stats().PlanCache.Misses++
-		p.beginRecord(d.openKind, d.k, na, gs.nodes, gs.dist != nil)
+		p.beginRecord(d.openKind, d.k, na, nsegs, gs.nodes, gs.dist != nil)
+		if p.vlog == nil && nkeys > 0 {
+			p.vlog = make([][]readKey, d.k)
+		}
 	}
-	cached := false
 	for i := range d.vps {
 		vp := &d.vps[i]
 		if rec {
@@ -398,29 +422,31 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 				p.segs = append(p.segs, rs...)
 				p.offs = append(p.offs, int32(len(p.segs)))
 			}
-			p.keys = append(p.keys, vp.rdIdx...)
-			p.koffs = append(p.koffs, int32(len(p.keys)))
 		}
 		for id, rs := range vp.rdRuns {
 			if len(rs) > 0 {
 				d.mrRuns[id] = append(d.mrRuns[id], rs...)
 				vp.rdRuns[id] = rs[:0]
-				cached = true
 			}
 		}
-		if len(vp.rdIdx) > 0 {
-			for _, k := range vp.rdIdx {
-				d.mrIdx[k.array] = append(d.mrIdx[k.array], k.idx)
-			}
+		for _, k := range vp.rdIdx {
+			d.mrIdx[k.array] = append(d.mrIdx[k.array], k.idx)
+		}
+		if rec && p.vlog != nil {
+			// The plan takes the log it will validate against and hands
+			// back the one it held (empty the first time: the VP then
+			// draws a fresh piece on its next scalar read).
+			p.vlog[i], vp.rdIdx = vp.rdIdx, p.vlog[i]
 			vp.clearReadLog()
-			cached = true
+		} else if len(vp.rdIdx) > 0 {
+			vp.clearReadLog()
 		}
 	}
 	if rec {
-		p.runs = int64(len(p.segs) + len(p.keys))
-		p.bytesSaved = int64(len(p.segs)) * 16
+		p.runs = int64(nsegs + nkeys)
+		p.bytesSaved = int64(nsegs) * 16
 	}
-	if !cached {
+	if nsegs+nkeys == 0 {
 		if rec {
 			p.valid = true // empty shape: replays as a no-op
 		}

@@ -185,6 +185,35 @@ func TestLatchFailuresKeepTheirErrors(t *testing.T) {
 	}
 }
 
+// A VP that panics and leaves after the coordinator has looked for a
+// failure, and before it looks at active, is the last goroutine out: the
+// coordinator must return its error, not drain the Do as finished. The
+// seam puts exactly that between the two looks, on a hand-built doRun
+// whose one worker is the seam itself.
+func TestLatchFailureInTheDrainWindowIsNotDropped(t *testing.T) {
+	d := &doRun{k: 1, wakeup: make(chan struct{}, 1)}
+	d.cond.L = &d.mu
+	d.active.Store(1)
+	d.rem[0].Store(1)
+	coordinateGap = func(x *doRun) {
+		if x == d && x.active.Load() == 1 {
+			x.fail(fmt.Errorf("core: VP 0 on node 0 panicked: late"))
+			x.active.Add(-1)
+		}
+	}
+	defer func() {
+		coordinateGap = nil
+		if r := recover(); r != nil {
+			// No rt behind d: finish was reached, so the Do drained clean.
+			t.Fatalf("coordinate drained a failed Do as finished (%v)", r)
+		}
+	}()
+	err := d.coordinate()
+	if err == nil || !strings.Contains(err.Error(), "panicked: late") {
+		t.Fatalf("coordinate returned %v, want the VP's failure", err)
+	}
+}
+
 // All VPs alive must agree on the next phase; a VP that has returned is
 // not a party to it. Ranks leave after zero, one, two and three phases,
 // on a doRun reused ten times, and every survivor's phases still commit.

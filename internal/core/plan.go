@@ -21,12 +21,17 @@ import (
 //   - Phase plans: at each global-phase commit the read-set merge
 //     (sort, dedup, owner split — the metadata-dominated part of the
 //     hot path) records its inputs and its result into the doRun's
-//     plan for that phase ordinal. The next time the same ordinal
+//     plan for that phase ordinal. The block-read runs are copied; the
+//     scalar read logs are taken: the plan swaps each VP's log for the
+//     one it held before (none, the first time), so recording copies no
+//     key and a VP whose log was taken starts its next one in a fresh
+//     piece of the slab (doRun.logPiece). The next time the same ordinal
 //     commits, the recorded inputs are compared element-wise against
 //     what the VPs actually accessed; on a match the merged per-owner
 //     traffic deltas are replayed and, in distributed runs, the
 //     recorded fetch cover is prefetched at phase open. On any
-//     mismatch the plan is invalidated and rebuilt cold.
+//     mismatch the plan is invalidated and rebuilt cold, and the swap
+//     hands the stale logs back to the VPs.
 //
 // Validation is exact (run-by-run comparison of block reads, key-by-key
 // comparison of each VP's scalar read log), never a hash: a collision
@@ -118,13 +123,10 @@ func (ws *WarmSession) Discard() {
 	ws.owner = ""
 }
 
-// adopt hands the session's cached doRuns to rt at run start. State
-// recorded under a different key is discarded. Adopted doRuns are
-// re-bound to the new run: the Runtime (and through it the new
-// globalState), the machine-derived access costs, and every per-array
-// or per-arena reference into the previous run's memory are dropped —
-// write buffers and read tracking are rebuilt on first use, while the
-// recorded phase plans (the expensive part) carry over.
+// adopt hands the session's cached doRuns to rt at run start, re-bound
+// to the new run (the Runtime, and through it the new globalState and
+// the machine-derived access costs). State recorded under a different
+// key is discarded.
 func (ws *WarmSession) adopt(rt *Runtime) {
 	if ws.owner != ws.key || ws.key == "" {
 		ws.Discard()
@@ -132,8 +134,24 @@ func (ws *WarmSession) adopt(rt *Runtime) {
 	}
 	for _, d := range ws.warm {
 		d.bind(rt)
-		d.mrRuns, d.mrIdx = nil, nil
-		d.logs = nil // no reference, but an idle session keeps no logs
+	}
+	rt.warm = ws.warm
+	ws.warm = nil
+	ws.owner = ""
+}
+
+// stash takes rt's warm cache back into the session at successful run
+// end, recording the key it is now valid for. Everything that refers
+// into the finished run goes here, so that a session idling between
+// jobs pins none of it: the Runtime, the write buffers (and through them
+// the arrays), the read tracking and the merge scratch are dropped and
+// rebuilt on first use, while the recorded phase plans (the expensive
+// part, which own their logs) carry over.
+func (ws *WarmSession) stash(rt *Runtime) {
+	for _, d := range rt.warm {
+		d.rt, d.body = nil, nil
+		d.mrRuns, d.mrIdx, d.mrCnt = nil, nil, nil
+		d.logs = nil
 		for i := range d.vps {
 			vp := &d.vps[i]
 			vp.bufs = nil
@@ -142,14 +160,6 @@ func (ws *WarmSession) adopt(rt *Runtime) {
 			vp.rrElems, vp.rrBytes = nil, nil
 		}
 	}
-	rt.warm = ws.warm
-	ws.warm = nil
-	ws.owner = ""
-}
-
-// stash takes rt's warm cache back into the session at successful run
-// end, recording the key it is now valid for.
-func (ws *WarmSession) stash(rt *Runtime) {
 	ws.warm = rt.warm
 	ws.owner = ws.key
 	rt.warm = nil
@@ -166,10 +176,13 @@ type phasePlan struct {
 	// VP v's runs for array a are segs[offs[v*na+a] : offs[v*na+a+1]].
 	segs []intRun
 	offs []int32
-	// Recorded per-VP scalar read logs, flattened the same way: VP v's
-	// keys are keys[koffs[v] : koffs[v+1]].
-	keys  []readKey
-	koffs []int32
+	// Recorded per-VP scalar read logs, taken from the VPs, not copied:
+	// vlog[v] is the log VP v wrote in the recorded phase, and the plan
+	// is its only owner (see doRun.logPiece). nil when no VP of the phase
+	// has logged a scalar read, so a block-read plan carries none; else
+	// one entry per VP, each at most the piece or the grown log that VP
+	// handed over.
+	vlog [][]readKey
 
 	// The merge result: per-owner remote-read traffic deltas this
 	// phase contributes, replayed into the commit's counters on a hit.
@@ -218,16 +231,16 @@ func (d *doRun) peekPlan() *phasePlan {
 	return p
 }
 
-// beginRecord resets p to record a fresh merge for k VPs over na
-// arrays, keeping slice capacity.
-func (p *phasePlan) beginRecord(kind phaseKind, k, na, nodes int, dist bool) {
+// beginRecord resets p to record a fresh merge of nsegs block-read runs
+// for k VPs over na arrays, keeping slice capacity and growing segs and
+// offs at most once, to their final sizes. vlog stays: the recording pass
+// swaps it log by log.
+func (p *phasePlan) beginRecord(kind phaseKind, k, na, nsegs, nodes int, dist bool) {
 	p.valid = false
 	p.kind = kind
 	p.na = na
-	p.segs = p.segs[:0]
-	p.offs = append(p.offs[:0], 0)
-	p.keys = p.keys[:0]
-	p.koffs = append(p.koffs[:0], 0)
+	p.segs = slices.Grow(p.segs[:0], nsegs)
+	p.offs = append(slices.Grow(p.offs[:0], k*na+1), 0)
 	p.rrElems = resetInt64(p.rrElems, nodes)
 	p.rrBytes = resetInt64(p.rrBytes, nodes)
 	if dist {
@@ -268,7 +281,11 @@ func (d *doRun) planMatches(p *phasePlan, na int) bool {
 	base := 0
 	for v := range d.vps {
 		vp := &d.vps[v]
-		if !slices.Equal(vp.rdIdx, p.keys[p.koffs[v]:p.koffs[v+1]]) {
+		var log []readKey
+		if p.vlog != nil {
+			log = p.vlog[v]
+		}
+		if !slices.Equal(vp.rdIdx, log) {
 			return false
 		}
 		for id := 0; id < na; id++ {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -410,5 +412,228 @@ func TestWarmDoWithScalarReadsDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a warm Do allocated %v times", allocs)
+	}
+}
+
+// Ownership of the taken logs. The scalar keys go A, A, B, B, A, A over
+// six iterations, so each node records, hits, invalidates and re-records
+// twice, the second time swapping the plan's log of the other shape back
+// to the VP. VP 0 logs past readLogCompactMin (its log has grown out of
+// the slab and is compacted in place on the way), VP 1 past
+// readLogInitCap, VP 2 stays inside its piece. A piece shared by a plan
+// and a VP, or by two VPs, would have one of them overwrite the keys the
+// other validates against: a false hit or a wrong count, which the
+// comparison with the cache-off run and the exact counters below catch.
+func TestPlanCacheLogOwnership(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "")
+	const nodes, k, iters, n = 2, 3, 6, 1 << 14
+	reads := [k]int{readLogCompactMin + 900, readLogInitCap + 16, 3}
+	phase := func(it int, vp *VP, g *Global[float64], buf []float64) {
+		rlo, rhi := ChunkRange(n, vp.Nodes(), (vp.Node()+1)%vp.Nodes())
+		shift := (it / 2 % 2) * 5 // A, A, B, B, A, A
+		var s float64
+		for j := 0; j < reads[vp.NodeRank()]; j++ {
+			s += g.Read(vp, rlo+(j*7+shift+vp.NodeRank())%(rhi-rlo))
+		}
+		lo, _ := ChunkRange(n, vp.Nodes(), vp.Node())
+		g.Write(vp, lo+vp.NodeRank(), s+float64(it))
+	}
+	warmV, warmS, _ := planRun(t, nodes, k, iters, n, false, phase)
+	coldV, coldS, _ := planRun(t, nodes, k, iters, n, true, phase)
+	samePlanOutcome(t, "log ownership", warmV, coldV, warmS, coldS)
+	for nd, s := range warmS {
+		if pc := s.PlanCache; pc.Misses != 3 || pc.Hits != 3 || pc.Invalidations != 2 {
+			t.Errorf("node %d: misses %d hits %d invalidations %d, want 3 3 2",
+				nd, pc.Misses, pc.Hits, pc.Invalidations)
+		}
+	}
+}
+
+// Recording a phase copies no key. A cold, never-repeated Do of K = 1024
+// VPs with 16 scalar remote reads each may allocate its log slab plus a
+// fixed budget, and its plan then holds exactly the pieces the VPs drew;
+// a plan of block reads holds no log at all.
+func TestPlanRecordTakesLogsWithoutCopying(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "")
+	const nodes, k, n, perVP = 2, 1024, 1 << 14, 16
+	const slab = nodes * k * readLogInitCap * 16 // 16 bytes a readKey
+	// What else the run allocates: the VP slabs (about 220 KB a node), the
+	// merge's index scratch at its exact size (8 bytes a key, 130 KB a
+	// node), the array and the simulated cluster: 0.9 MB when measured,
+	// 1.2 MB under the race detector. Copying the keys into the plan and
+	// filling the scratch by doubling append, as recording once did, came
+	// to 4.0 MB beside the slab.
+	const budget = 3 << 19
+	var pieces, held atomic.Int64
+	prog := func(rt *Runtime) {
+		g := AllocGlobal[float64](rt, "cold.g", n)
+		rlo, rhi := ChunkRange(n, nodes, (rt.NodeID()+1)%nodes)
+		rt.Do(k, func(vp *VP) {
+			vp.GlobalPhase(func() {
+				for j := 0; j < perVP; j++ {
+					g.Read(vp, rlo+(vp.NodeRank()*131+j*977)%(rhi-rlo))
+				}
+			})
+		})
+		for _, d := range rt.warm {
+			for _, log := range d.plans[0].vlog {
+				pieces.Add(1)
+				held.Add(int64(cap(log)))
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mustRun(t, opts(nodes), prog)
+	runtime.ReadMemStats(&after)
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > slab+budget {
+		t.Errorf("the cold run allocated %d bytes, want at most the %d of its log slabs plus %d", got, slab, budget)
+	}
+	if pieces.Load() != nodes*k || held.Load() != nodes*k*readLogInitCap {
+		t.Errorf("the plans hold %d logs of %d keys in all, want %d pieces of %d keys",
+			pieces.Load(), held.Load(), nodes*k, readLogInitCap)
+	}
+
+	mustRun(t, opts(nodes), func(rt *Runtime) {
+		g := AllocGlobal[float64](rt, "cold.g", n)
+		rlo, _ := ChunkRange(n, nodes, (rt.NodeID()+1)%nodes)
+		rt.Do(4, func(vp *VP) {
+			var buf [8]float64
+			vp.GlobalPhase(func() { g.ReadBlock(vp, rlo, rlo+8, buf[:]) })
+		})
+		for _, d := range rt.warm {
+			if p := &d.plans[0]; !p.valid || p.vlog != nil || d.logs != nil {
+				t.Errorf("node %d: a block-read plan (valid=%v) holds %d logs, its doRun a %d-key slab",
+					rt.NodeID(), p.valid, len(p.vlog), len(d.logs))
+			}
+		}
+	})
+}
+
+// Once a plan and its VPs have a log each, invalidating and re-recording
+// swaps them and allocates nothing: after a warm-up of A, B, A, B a
+// further A, B pair (two invalidations, two recordings per node) is free.
+func TestPlanReRecordSwapsLogsWithoutAllocating(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "")
+	const nodes, k, n, runs = 2, 64, 1 << 12, 10
+	var allocs float64
+	rep := mustRun(t, opts(nodes), func(rt *Runtime) {
+		g := AllocGlobal[float64](rt, "swap.g", n)
+		out := AllocNode[float64](rt, "swap.out", k)
+		rlo, rhi := ChunkRange(n, nodes, (rt.NodeID()+1)%nodes)
+		shift := 0
+		body := func(vp *VP) {
+			vp.GlobalPhase(func() {
+				var s float64
+				for j := 0; j < 16; j++ {
+					s += g.Read(vp, rlo+(vp.NodeRank()*131+j*977+shift)%(rhi-rlo))
+				}
+				out.Write(vp, vp.NodeRank(), s)
+			})
+		}
+		pair := func() {
+			shift = 0
+			rt.Do(k, body)
+			shift = 3
+			rt.Do(k, body)
+		}
+		pair()
+		pair()
+		rt.Barrier()
+		// As in TestWarmDoWithScalarReadsDoesNotAllocate: node 0 measures
+		// the whole process, node 1 keeps step.
+		if rt.NodeID() == 0 {
+			allocs = testing.AllocsPerRun(runs, pair)
+		} else {
+			for i := 0; i <= runs; i++ {
+				pair()
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an invalidate / re-record pair allocated %v times", allocs)
+	}
+	const pairs = 2 + 1 + runs
+	if pc := rep.Totals.PlanCache; pc.Hits != 0 || pc.Misses != nodes*2*pairs || pc.Invalidations != nodes*(2*pairs-1) {
+		t.Errorf("misses %d hits %d invalidations %d, want %d 0 %d: the pairs did not re-record",
+			pc.Misses, pc.Hits, pc.Invalidations, nodes*2*pairs, nodes*(2*pairs-1))
+	}
+}
+
+// An idle warm session keeps its plans and nothing of the run that
+// recorded them: no write buffer (and through it no array), no read
+// tracking, no merge scratch, no Runtime. The next run under the same
+// key still replays every plan.
+func TestIdleWarmSessionPinsNothingOfTheRun(t *testing.T) {
+	t.Setenv("PPM_PLAN_CACHE", "")
+	const nodes, k, n = 2, 4, 256
+	sessions := make([]*WarmSession, nodes)
+	for r := range sessions {
+		sessions[r] = NewWarmSession()
+	}
+	job := func() []*Report {
+		mesh := newLoopMesh(nodes) // its commit slots are keyed by phase: one job each
+		reps := make([]*Report, nodes)
+		errs := make([]error, nodes)
+		var wg sync.WaitGroup
+		for r := 0; r < nodes; r++ {
+			sessions[r].SetKey("job")
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				opt := Options{Nodes: nodes, CoresPerNode: 2, Machine: machine.Generic(), Warm: sessions[r]}
+				reps[r], errs[r] = RunDist(opt, mesh.engs[r], func(rt *Runtime) {
+					g := AllocGlobal[float64](rt, "idle.g", n)
+					rlo, _ := ChunkRange(n, nodes, (rt.NodeID()+1)%nodes)
+					lo, _ := g.OwnerRange(rt)
+					rt.Do(k, func(vp *VP) {
+						var buf [8]float64
+						vp.GlobalPhase(func() {
+							// A block read, scalar reads and a write: every
+							// kind of per-VP state a doRun can hold.
+							g.ReadBlock(vp, rlo, rlo+8, buf[:])
+							s := g.Read(vp, rlo+16+vp.NodeRank()) + g.Read(vp, rlo+40+vp.NodeRank())
+							g.Write(vp, lo+vp.NodeRank(), s+buf[0])
+						})
+					})
+				})
+			}()
+		}
+		wg.Wait()
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+		return reps
+	}
+
+	job()
+	for r, ws := range sessions {
+		if len(ws.warm) == 0 {
+			t.Fatalf("rank %d: the session stashed no doRun", r)
+		}
+		for _, d := range ws.warm {
+			if d.rt != nil || d.body != nil || d.logs != nil || d.mrRuns != nil || d.mrIdx != nil {
+				t.Errorf("rank %d: an idle doRun keeps rt=%v body=%v logs=%v mrRuns=%v mrIdx=%v (true: still set)",
+					r, d.rt != nil, d.body != nil, d.logs != nil, d.mrRuns != nil, d.mrIdx != nil)
+			}
+			for i := range d.vps {
+				if vp := &d.vps[i]; vp.bufs != nil || vp.rdRuns != nil || vp.rdIdx != nil || vp.rrElems != nil {
+					t.Errorf("rank %d: idle VP %d keeps bufs=%v rdRuns=%v rdIdx=%v rrElems=%v (true: still set)",
+						r, i, vp.bufs != nil, vp.rdRuns != nil, vp.rdIdx != nil, vp.rrElems != nil)
+				}
+			}
+			if len(d.plans) != 1 || !d.plans[0].valid || len(d.plans[0].vlog) != k {
+				t.Errorf("rank %d: the idle doRun's plan did not survive the stash: %+v", r, d.plans)
+			}
+		}
+	}
+	for r, rep := range job() {
+		if pc := rep.PerNode[r].PlanCache; pc.Hits != 1 || pc.Misses != 0 || pc.Invalidations != 0 {
+			t.Errorf("rank %d: the second job under the same key had hits %d misses %d invalidations %d, want 1 0 0",
+				r, pc.Hits, pc.Misses, pc.Invalidations)
+		}
 	}
 }

@@ -34,6 +34,12 @@ func (k phaseKind) String() string {
 // vpAbort unwinds a VP body whose Do is being torn down.
 type vpAbort struct{}
 
+// mergeCount is how many block-read runs and scalar read keys the VPs of
+// a Do hold for one array at a commit.
+type mergeCount struct {
+	runs, keys int
+}
+
 // intRun is a half-open interval [lo, hi) of shared-array indices.
 type intRun struct {
 	lo, hi int
@@ -230,7 +236,7 @@ func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
 		return
 	}
 	if vp.rdIdx == nil {
-		vp.rdIdx = vp.d.logPiece(vp.nodeRank)
+		vp.rdIdx = vp.d.logPiece()
 	}
 	if n >= max(2*vp.rdMark, readLogCompactMin) {
 		slices.SortFunc(vp.rdIdx, func(a, b readKey) int {
@@ -242,19 +248,24 @@ func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
 	vp.rdIdx = append(vp.rdIdx, key)
 }
 
-// logPiece returns rank's piece of the doRun's read-log slab: an empty
+// logPiece cuts an unused piece off the doRun's read-log slab: an empty
 // log of capacity readLogInitCap that grows, if it must, into memory of
-// its own. The slab is made when the first VP of the doRun logs a scalar
-// remote read, so shapes that read none never pay for it.
-func (d *doRun) logPiece(rank int) []readKey {
+// its own. A piece has exactly one owner at a time, the VP that drew it
+// or the phase plan that took that VP's log at record time (plan.go), and
+// is never drawn twice; so a VP whose log was taken draws a fresh piece
+// on its next scalar read, and a new K-piece slab is started only when
+// the current one is used up. The first slab is made when the first VP of
+// the doRun logs a scalar remote read, so shapes that read none never pay
+// for it.
+func (d *doRun) logPiece() []readKey {
 	d.mu.Lock()
-	if d.logs == nil {
+	if len(d.logs) < readLogInitCap {
 		d.logs = make([]readKey, d.k*readLogInitCap)
 	}
-	logs := d.logs
+	piece := d.logs[:0:readLogInitCap]
+	d.logs = d.logs[readLogInitCap:]
 	d.mu.Unlock()
-	lo := rank * readLogInitCap
-	return logs[lo : lo : lo+readLogInitCap]
+	return piece
 }
 
 // clearReadLog empties the scalar read log at the end of a phase.
@@ -358,7 +369,7 @@ type doRun struct {
 	cond    sync.Cond
 	aborted atomic.Bool // the Do is being torn down: waiters unwind, workers stop
 	err     error       // first VP failure
-	logs    []readKey   // the scalar read logs' slab, cut into readLogInitCap pieces
+	logs    []readKey   // what is left of the scalar read logs' slab (see logPiece)
 
 	// plans[i] is the recorded plan of the i-th phase of this Do shape
 	// (node phases occupy slots but are never consulted).
@@ -377,9 +388,12 @@ type doRun struct {
 	globalK   int
 	rankValid bool
 
-	// Commit-time scratch for merging the per-VP read sets (per array id).
+	// Commit-time scratch for merging the per-VP read sets (per array id);
+	// mrCnt counts what the VPs hold for an array so that mrRuns and mrIdx
+	// are each sized once.
 	mrRuns [][]intRun
 	mrIdx  [][]int
+	mrCnt  []mergeCount
 
 	// Commit-time scratch reused across phases (and, for a persistent
 	// doRun, across Dos): the per-peer send tally, the merged per-owner
@@ -628,6 +642,11 @@ func (d *doRun) awaitOpen(vp *VP, o int32, pk phaseKind) {
 	}
 }
 
+// coordinateGap is a test seam, nil outside one test: coordinate calls it
+// between its failure check and its look at active, the window in which a
+// VP can fail and leave.
+var coordinateGap func(*doRun)
+
 // coordinate runs on the node's proc goroutine: it opens each phase some
 // VP asks for, commits it once every VP alive has passed it, and returns
 // when all goroutines have left the Do. It returns the error of a failed
@@ -648,7 +667,15 @@ func (d *doRun) coordinate() error {
 			if kind = phaseKind(d.kind[p].Load()); kind != phaseInvalid {
 				break
 			}
+			if coordinateGap != nil {
+				coordinateGap(d)
+			}
 			if d.active.Load() == 0 {
+				// A VP that failed between the check above and this one
+				// did so before it left, so the failure is visible now.
+				if err := d.failure(); err != nil {
+					return err
+				}
 				d.finish(p)
 				return nil
 			}

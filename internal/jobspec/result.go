@@ -66,7 +66,7 @@ func FromMerged(s *Spec, m *dist.Merged) (*Result, error) {
 		if m.CG == nil {
 			return nil, fmt.Errorf("jobspec: cg run produced no result")
 		}
-		r.Series = append(append([]float64{}, m.CG.X...), m.CG.Residual)
+		r.Series = append(append(make([]float64, 0, len(m.CG.X)+1), m.CG.X...), m.CG.Residual)
 		r.ISeries = []int64{int64(m.CG.Iters)}
 		r.Summary = fmt.Sprintf("cg: %d iterations, residual %.3e", m.CG.Iters, m.CG.Residual)
 	case "jacobi":
@@ -77,6 +77,9 @@ func FromMerged(s *Spec, m *dist.Merged) (*Result, error) {
 		if m.Colloc == nil {
 			return nil, fmt.Errorf("jobspec: colloc run produced no result")
 		}
+		nnz := m.Colloc.NNZ()
+		r.Series = sized[float64](nnz)
+		r.ISeries = sized[int64](nnz + 2*len(m.Colloc.Rows))
 		for i, row := range m.Colloc.Rows {
 			r.ISeries = append(r.ISeries, int64(i), int64(len(row)))
 			for _, e := range row {
@@ -85,18 +88,23 @@ func FromMerged(s *Spec, m *dist.Merged) (*Result, error) {
 			}
 		}
 		r.Summary = fmt.Sprintf("colloc: %d x %d matrix, %d nonzeros",
-			m.Colloc.N, m.Colloc.N, m.Colloc.NNZ())
+			m.Colloc.N, m.Colloc.N, nnz)
 	case "nbody":
 		st := m.Nbody
 		if st == nil {
 			return nil, fmt.Errorf("jobspec: nbody run produced no result")
 		}
+		r.Series = sized[float64](7 * len(st.PX))
 		for _, col := range [][]float64{st.PX, st.PY, st.PZ, st.VX, st.VY, st.VZ, st.M} {
 			r.Series = append(r.Series, col...)
 		}
 		r.Summary = fmt.Sprintf("nbody: %d bodies, %d steps", s.Nbody.N, s.Nbody.Steps)
 	case "search":
-		r.ISeries = append(r.ISeries, int64(len(m.Search)))
+		n := 1 + len(m.Search)
+		for _, keys := range m.Search {
+			n += len(keys)
+		}
+		r.ISeries = append(sized[int64](n), int64(len(m.Search)))
 		for _, keys := range m.Search {
 			r.ISeries = append(r.ISeries, int64(len(keys)))
 		}
@@ -105,7 +113,12 @@ func FromMerged(s *Spec, m *dist.Merged) (*Result, error) {
 		}
 		r.Summary = fmt.Sprintf("search: %d keys/node in array of %d", s.Search.K, s.Search.N)
 	case "scatter":
-		r.ISeries = append(r.ISeries, int64(len(m.Scatter)))
+		n := 0
+		for _, part := range m.Scatter {
+			n += len(part)
+		}
+		r.Series = sized[float64](n)
+		r.ISeries = append(sized[int64](1+len(m.Scatter)), int64(len(m.Scatter)))
 		for _, part := range m.Scatter {
 			r.ISeries = append(r.ISeries, int64(len(part)))
 			r.Series = append(r.Series, part...)
@@ -115,6 +128,17 @@ func FromMerged(s *Spec, m *dist.Merged) (*Result, error) {
 		return nil, fmt.Errorf("jobspec: unknown app %q", s.App)
 	}
 	return r, nil
+}
+
+// sized returns an empty slice with room for n elements: the flattening
+// loops above append into their final size instead of regrowing. It is
+// nil for n == 0, as appending nothing to a nil slice leaves it, so an
+// empty payload still encodes as before.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // RunLocal executes a normalized sim or parallel spec in-process through

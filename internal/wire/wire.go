@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"unsafe"
 )
 
@@ -114,16 +115,34 @@ func truncated(err error) error {
 	return fmt.Errorf("wire: truncated frame: %w", err)
 }
 
+// readFrameStep is how far ReadFrame's buffer may run ahead of the bytes
+// that have arrived.
+const readFrameStep = 64 << 10
+
 // ReadFrame reads one frame from br, returning its kind and payload. The
-// payload is freshly allocated (the caller may retain it).
+// payload is freshly allocated (the caller may retain it): at once when
+// it is short, and otherwise as its bytes arrive, since the handshake
+// reads through here what anybody who connects cares to send, and five
+// bytes announcing MaxFrame must not cost a gigabyte.
+//
+// It is the package's one reader whose allocation is bounded by the bytes
+// that arrived, not by the length announced. The engine's readPayload
+// (internal/dist), which runs only behind a completed handshake, still
+// allocates the announced length; it moves onto this loop with the rest
+// of ROADMAP item 1(a).
 func ReadFrame(br *bufio.Reader) (kind byte, payload []byte, err error) {
 	kind, n, err := ReadFrameHeader(br)
 	if err != nil {
 		return 0, nil, err
 	}
-	payload = make([]byte, n)
-	if err := ReadPayload(br, payload); err != nil {
-		return 0, nil, err
+	payload = make([]byte, 0, min(n, readFrameStep))
+	for len(payload) < n {
+		payload = slices.Grow(payload, min(n-len(payload), readFrameStep))
+		m := min(n, cap(payload))
+		if err := ReadPayload(br, payload[len(payload):m]); err != nil {
+			return 0, nil, err
+		}
+		payload = payload[:m]
 	}
 	return kind, payload, nil
 }
@@ -207,12 +226,16 @@ func EncodeMsg(tag int64, data []byte, hasData bool) []byte {
 	return append(buf, data...)
 }
 
-// DecodeMsg parses a Msg payload. data aliases p.
+// DecodeMsg parses a Msg payload. data aliases p. The has-data byte is 0
+// or 1; anything else is protocol corruption, not a nil payload.
 func DecodeMsg(p []byte) (tag int64, data []byte, hasData bool, err error) {
 	if len(p) < 9 {
 		return 0, nil, false, fmt.Errorf("wire: msg payload is %d bytes, want >= 9", len(p))
 	}
 	tag = int64(binary.LittleEndian.Uint64(p))
+	if p[8] > 1 {
+		return 0, nil, false, fmt.Errorf("wire: msg has-data byte is %d, want 0 or 1", p[8])
+	}
 	hasData = p[8] == 1
 	if !hasData && len(p) != 9 {
 		return 0, nil, false, fmt.Errorf("wire: nil-payload msg carries %d data bytes", len(p)-9)

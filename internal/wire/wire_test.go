@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -70,6 +71,28 @@ func TestFrameTruncatedAndOversized(t *testing.T) {
 	}
 }
 
+// A frame that announces MaxFrame bytes and sends a few fails as
+// truncated without the gigabyte having been allocated, and a long frame
+// that does arrive comes back whole.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	liar := append(binary.LittleEndian.AppendUint32(nil, MaxFrame), KindHello, 1, 2, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(liar)))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want a truncated frame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*readFrameStep {
+		t.Errorf("a 5-byte header and 3 bytes of payload cost %d bytes of allocation", got)
+	}
+	long := bytes.Repeat([]byte("0123456789abcdef"), 3*readFrameStep/16+1)
+	kind, payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(AppendFrame(nil, KindReadResp, long))))
+	if err != nil || kind != KindReadResp || !bytes.Equal(payload, long) {
+		t.Fatalf("a %d-byte frame came back as kind %d, %d bytes, err %v", len(long), kind, len(payload), err)
+	}
+}
+
 func TestHelloRoundTrip(t *testing.T) {
 	h := Hello{Rank: 3, Nodes: 8, LittleEndian: NativeLittleEndian(), Caps: SupportedCaps, Prefer: CodecDelta}
 	got, err := DecodeHello(EncodeHello(h), 8)
@@ -101,6 +124,11 @@ func TestMsgRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := DecodeMsg([]byte{1, 2}); err == nil {
 		t.Fatal("short msg: want error")
+	}
+	// A has-data byte that is neither 0 nor 1 (the fuzzer's first find:
+	// testdata/fuzz/FuzzDecodeMsg) used to pass for a nil payload.
+	if _, _, _, err := DecodeMsg(append(EncodeMsg(5, nil, false)[:8], 2)); err == nil || !strings.Contains(err.Error(), "has-data byte is 2") {
+		t.Fatalf("has-data byte 2: err = %v", err)
 	}
 }
 
@@ -209,12 +237,7 @@ func TestCommitFramesWireTable(t *testing.T) {
 }
 
 func TestCommitFramesMalformed(t *testing.T) {
-	payload := func(seq, phase, off, total uint64, tail ...byte) []byte {
-		p := binary.LittleEndian.AppendUint64(nil, seq)
-		p = binary.LittleEndian.AppendUint64(p, phase)
-		p = binary.LittleEndian.AppendUint64(p, off)
-		return append(binary.LittleEndian.AppendUint64(p, total), tail...)
-	}
+	payload := commitPayload // fuzz_test.go: the fuzz target's seeds are these rows
 	for _, tc := range []struct {
 		name string
 		p    []byte
