@@ -47,10 +47,11 @@ test:
 ## race: the suite under the race detector, then the VP scheduler's own
 ## tests again at 1, 2 and 4 CPUs: the pool has min(K, GOMAXPROCS)
 ## workers, and with one worker every multi-phase body must still make
-## progress.
+## progress. TestBoundaryLine rides along: two owners' concurrent installs
+## into the line their partition bound cuts.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo' ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing

@@ -63,6 +63,10 @@ func Prog(p Params, out [][]float64) func(rt *core.Runtime) {
 		if tag, ok := rt.RestoreCheckpoint(); ok {
 			start = int(tag)
 		}
+		// One read window per VP rank, made once: a target partition holds
+		// at most N/nodes+1 elements.
+		win := p.N/rt.NodeCount() + 1
+		slab := make([]float64, p.VPs*win)
 		for it := start; it < p.Iters; it++ {
 			iter := it
 			rt.Do(p.VPs, func(vp *core.VP) {
@@ -70,7 +74,7 @@ func Prog(p Params, out [][]float64) func(rt *core.Runtime) {
 					nodes := vp.Nodes()
 					tgt := (vp.Node() + 1) % nodes
 					rlo, rhi := core.ChunkRange(p.N, nodes, tgt)
-					buf := make([]float64, rhi-rlo)
+					buf := slab[vp.NodeRank()*win:][:rhi-rlo]
 					g.ReadBlock(vp, rlo, rhi, buf)
 					var sum float64
 					for _, v := range buf {

@@ -4,7 +4,9 @@ import (
 	"slices"
 	"sort"
 
+	"ppm/internal/mp"
 	"ppm/internal/vtime"
+	"ppm/internal/wire"
 )
 
 // sendTally accumulates, per destination node, the outgoing write traffic
@@ -41,6 +43,9 @@ type gBuf[T Elem] struct {
 	wid   int64 // owning VP's writer id, set when the buffer is acquired
 	recs  []writeRec[T]
 	arena []T
+	// one is flushGlobal's view of an inline scalar as a run of values (a
+	// local array would escape through the encoder, an allocation a flush).
+	one [1]T
 }
 
 func (b *gBuf[T]) owner() any { return b.g }
@@ -92,7 +97,9 @@ func (b *gBuf[T]) pushRun(lo int, src []T, add bool) {
 }
 
 // flushGlobal stages this buffer's runs, splitting each at partition
-// boundaries so every staged run has a single destination node.
+// boundaries so every staged run has a single destination node. On a mesh
+// rank a run for another node is not staged but encoded, here and once,
+// into the array's wire buffer for that node.
 func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 	node := d.node
 	g := b.g
@@ -109,20 +116,28 @@ func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 			if lo+n > phi {
 				n = phi - lo
 			}
-			sr := stageRec[T]{lo: lo, n: n, add: r.add, writer: r.writer}
+			var vals []T // nil for an inline scalar
 			if r.off >= 0 {
 				o := r.off + (lo - r.lo)
-				sr.vals = b.arena[o : o+n : o+n]
-			} else {
-				sr.val = r.val
+				vals = b.arena[o : o+n : o+n]
 			}
-			g.stage[dst][node] = append(g.stage[dst][node], sr)
 			if dst != node {
 				t.elems[dst] += int64(n)
 				t.bytes[dst] += int64(n) * es8
 			} else {
 				t.localElems += int64(n)
 				t.localBytes += int64(n) * es8
+			}
+			if dst != node && g.wout != nil {
+				if vals == nil {
+					b.one[0] = r.val
+					vals = b.one[:]
+				}
+				w := wire.AppendRunHeader(g.wout[dst], wire.RunHeader{Lo: lo, N: n, Writer: r.writer, Add: r.add})
+				g.wout[dst] = mp.AppendElems(w, vals)
+				g.wruns[dst]++
+			} else {
+				g.stage[dst][node] = append(g.stage[dst][node], stageRec[T]{lo: lo, n: n, vals: vals, val: r.val, add: r.add, writer: r.writer})
 			}
 			lo += n
 			rest -= n

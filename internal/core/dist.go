@@ -401,10 +401,10 @@ func (d *doRun) commitGlobalDist() error {
 	st.BundlesOut += bundles
 	st.BytesOut += wireBytes
 
-	// Encode the remote-destined staged runs per destination (array
-	// order, VP/program order within each array — the stage cells were
-	// filled in that order) and exchange. Self-destined runs stay staged
-	// and apply below through the same path the simulator uses. The
+	// Assemble the stream for each destination from the runs the drain
+	// encoded (array order, VP/program order within each array: the order
+	// the drain appended them in) and exchange. Self-destined runs stay
+	// staged and apply below through the same path the simulator uses. The
 	// outgoing stream, per-destination encode buffers, decode buffers,
 	// and cursors are doRun scratch reused across commits (the engine
 	// borrows the outgoing streams only until CommitExchange returns, so
@@ -424,7 +424,7 @@ func (d *doRun) commitGlobalDist() error {
 		}
 		buf := d.coutRaw[dst][:0]
 		for _, arr := range gs.arrays {
-			buf = arr.encodeStagedWire(d.node, dst, buf)
+			buf = arr.encodeStagedWire(dst, buf)
 		}
 		d.coutRaw[dst] = buf
 		gs.wireCommitRaw += int64(len(buf))
@@ -561,39 +561,48 @@ func (g *Global[T]) encodeRange(node, lo, hi int) ([]byte, error) {
 		return nil, fmt.Errorf("core: remote read of %s[%d:%d) outside node %d's partition [%d:%d)",
 			g.name, lo, hi, node, plo, phi)
 	}
-	return mp.AppendElems(make([]byte, 0, (hi-lo)*g.es), g.base[lo:hi]), nil
+	return mp.AppendElems(make([]byte, 0, (hi-lo)*g.es), g.base[lo-g.off:hi-g.off]), nil
 }
 
-// installRange implements registeredArray: land fetched bytes in the
-// local image of a remote partition.
+// installRange implements registeredArray: land fetched bytes in the line
+// image. The lines they fall in are allocated first, under the cover
+// mutex: a line that straddles a partition boundary takes installs from
+// two owners, and a plan prefetch runs those concurrently. The bytes then
+// land without the mutex (ranges in flight are disjoint, see distFetch).
 func (g *Global[T]) installRange(lo, hi int, data []byte) error {
 	if lo < 0 || hi > g.n || lo > hi || len(data) != (hi-lo)*g.es {
 		return fmt.Errorf("core: bad remote read reply for %s[%d:%d): %d bytes", g.name, lo, hi, len(data))
 	}
-	mp.DecodeElemsInto(g.base[lo:hi], data)
+	if lo == hi {
+		return nil
+	}
+	line := g.lmask + 1
+	g.dmu.Lock()
+	for k := lo >> g.lshift; k <= (hi-1)>>g.lshift; k++ {
+		if g.lines[k] == nil {
+			g.lines[k] = make([]T, min(line, g.n-k<<g.lshift))
+		}
+	}
+	g.dmu.Unlock()
+	for s := lo; s < hi; {
+		e := min(hi, (s>>g.lshift+1)<<g.lshift)
+		mp.DecodeElemsInto(g.lines[s>>g.lshift][s&g.lmask:][:e-s], data[:(e-s)*g.es])
+		data = data[(e-s)*g.es:]
+		s = e
+	}
 	return nil
 }
 
-// encodeStagedWire implements registeredArray: serialize (and clear) the
-// runs this node's VPs staged for dst, preserving their order.
-func (g *Global[T]) encodeStagedWire(self, dst int, buf []byte) []byte {
-	recs := g.stage[dst][self]
-	if len(recs) == 0 {
+// encodeStagedWire implements registeredArray: append to buf the block of
+// runs this node's VPs wrote to dst this phase, which flushGlobal already
+// put in wire form, and empty it.
+func (g *Global[T]) encodeStagedWire(dst int, buf []byte) []byte {
+	if g.wruns[dst] == 0 {
 		return buf
 	}
-	buf = wire.AppendBlockHeader(buf, g.id, len(recs))
-	var one [1]T
-	for i := range recs {
-		r := &recs[i]
-		buf = wire.AppendRunHeader(buf, wire.RunHeader{Lo: r.lo, N: r.n, Writer: r.writer, Add: r.add})
-		if r.vals == nil {
-			one[0] = r.val
-			buf = mp.AppendElems(buf, one[:])
-		} else {
-			buf = mp.AppendElems(buf, r.vals)
-		}
-	}
-	g.stage[dst][self] = recs[:0]
+	buf = wire.AppendBlockHeader(buf, g.id, g.wruns[dst])
+	buf = append(buf, g.wout[dst]...)
+	g.wout[dst], g.wruns[dst] = g.wout[dst][:0], 0
 	return buf
 }
 
@@ -609,8 +618,10 @@ func (g *Global[T]) applyWireRuns(node int, strict bool, phaseSeq int64, rd *wir
 		if err != nil {
 			return elems, strictErr, err
 		}
-		if h.Lo < 0 || h.N < 0 || h.Lo+h.N > g.n {
-			return elems, strictErr, fmt.Errorf("core: commit run for %s[%d:%d) out of range [0,%d)", g.name, h.Lo, h.Lo+h.N, g.n)
+		// A run aimed at anything but this rank's partition (a peer split by
+		// another table, or corruption) has nowhere to land.
+		if plo, phi := g.off, g.off+len(g.base); h.N < 0 || h.Lo < plo || h.Lo+h.N > phi {
+			return elems, strictErr, fmt.Errorf("core: commit run for %s[%d:%d) outside node %d's partition [%d:%d)", g.name, h.Lo, h.Lo+h.N, node, plo, phi)
 		}
 		if cap(g.wscratch) < h.N {
 			g.wscratch = make([]T, h.N)
@@ -636,7 +647,7 @@ func (g *Global[T]) encodeCheckpoint(node int, buf []byte) []byte {
 	}
 	buf = wire.AppendBlockHeader(buf, g.id, 1)
 	buf = wire.AppendRunHeader(buf, wire.RunHeader{Lo: lo, N: hi - lo, Writer: int64(node)})
-	return mp.AppendElems(buf, g.base[lo:hi])
+	return mp.AppendElems(buf, g.base[lo-g.off:hi-g.off])
 }
 
 // restoreCheckpoint implements registeredArray: reinstall a checkpoint
@@ -878,7 +889,7 @@ func (a *Node[T]) installRange(lo, hi int, data []byte) error {
 	return fmt.Errorf("core: remote install into node-shared %q", a.name)
 }
 
-func (a *Node[T]) encodeStagedWire(self, dst int, buf []byte) []byte { return buf }
+func (a *Node[T]) encodeStagedWire(dst int, buf []byte) []byte { return buf }
 
 func (a *Node[T]) applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (int, error, error) {
 	return 0, nil, fmt.Errorf("core: commit delta addressed to node-shared %q", a.name)

@@ -1,0 +1,65 @@
+package core
+
+// What the tests of package core_test, which may import dist and the
+// apps where package core's own tests may not, need to see of a rank.
+
+// FetchLineBytes is the transfer line, and the storage unit of the image.
+const FetchLineBytes = fetchLineBytes
+
+// ArrayFootprint is what one rank stores of one shared array.
+type ArrayFootprint struct {
+	Name string
+	N    int  // declared length
+	Node bool // a Node array
+	// Held is the elements stored in place: a Global's base, or every
+	// instance of a Node array that exists (Instances of them).
+	Held, Instances int
+	// Lines is how many lines of a Global's image exist, LineElems the
+	// elements they hold.
+	Lines, LineElems int
+}
+
+// Footprints reports every array of rt's run, in allocation order.
+func Footprints(rt *Runtime) []ArrayFootprint {
+	var out []ArrayFootprint
+	for _, a := range rt.gs.arrays {
+		out = append(out, a.(interface{ footprint() ArrayFootprint }).footprint())
+	}
+	return out
+}
+
+func (g *Global[T]) footprint() ArrayFootprint {
+	f := ArrayFootprint{Name: g.name, N: g.n, Held: len(g.base)}
+	for _, l := range g.lines {
+		if l != nil {
+			f.Lines++
+			f.LineElems += len(l)
+		}
+	}
+	return f
+}
+
+func (a *Node[T]) footprint() ArrayFootprint {
+	f := ArrayFootprint{Name: a.name, N: a.n, Node: true}
+	for _, inst := range a.base {
+		if inst != nil {
+			f.Instances++
+			f.Held += len(inst)
+		}
+	}
+	return f
+}
+
+// held is what this rank holds for element i: its partition in place,
+// anything else in the line image (zero where no line was ever installed).
+// Whether a line's element is valid is the cover's business, not held's.
+func (g *Global[T]) held(i int) T {
+	if i >= g.off && i < g.off+len(g.base) {
+		return g.base[i-g.off]
+	}
+	if l := g.lines[i>>g.lshift]; l != nil {
+		return l[i&g.lmask]
+	}
+	var zero T
+	return zero
+}

@@ -282,7 +282,10 @@ func TestMissWhollyInFlightWaits(t *testing.T) {
 	gs := &globalState{dist: mesh.engs[0], nodes: 2}
 	g := testGlobal[float64](gs, 4096)
 	g.dpend = coverAdd(nil, 2048, 2560) // some other VP is fetching line 4
-	g.base[2100] = 42                   // what that VP's install will have landed
+	// What that VP's install will have landed.
+	if err := g.installRange(2100, 2101, mp.AppendElems(nil, []float64{42})); err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -311,6 +314,9 @@ func TestMissWhollyInFlightWaits(t *testing.T) {
 	}
 	if c := gs.wireCoalesced.Load(); c != 1 {
 		t.Errorf("ReadsCoalesced = %d, want the one waiter", c)
+	}
+	if g.held(2100) != 42 || g.footprint().Lines != 1 {
+		t.Errorf("the waiter was released onto %v in %d lines, want the 42 installed in line 4 alone", g.held(2100), g.footprint().Lines)
 	}
 }
 
@@ -348,8 +354,8 @@ func TestWarmPhaseOpenOneOwnerDoesNotAllocate(t *testing.T) {
 		d.prefetchPlan(p)
 	}
 	open()
-	if eng.calls.Load() != 1 || b.base[3003] != 10 || a.base[4000] != -3 {
-		t.Fatalf("prefetch made %d requests and landed b[3003]=%d a[4000]=%v", eng.calls.Load(), b.base[3003], a.base[4000])
+	if eng.calls.Load() != 1 || b.held(3003) != 10 || a.held(4000) != -3 {
+		t.Fatalf("prefetch made %d requests and landed b[3003]=%d a[4000]=%v", eng.calls.Load(), b.held(3003), a.held(4000))
 	}
 	if got := fmt.Sprint(a.dcov, b.dcov); got != "[{2048 2624} {4000 4001}] [{3000 3004}]" {
 		t.Fatalf("covers after the prefetch: %s", got)
@@ -370,8 +376,8 @@ func TestWarmPhaseOpenSeveralOwners(t *testing.T) {
 	eng.reply[1] = mp.AppendElems(nil, []float64{1, 2})
 	eng.reply[2] = mp.AppendElems(nil, []float64{3})
 	d.prefetchPlan(p)
-	if a.base[101] != 2 || a.base[250] != 3 || fmt.Sprint(a.dcov) != "[{100 102} {250 251}]" {
-		t.Fatalf("prefetch landed a[101]=%v a[250]=%v cover %v", a.base[101], a.base[250], a.dcov)
+	if a.held(101) != 2 || a.held(250) != 3 || fmt.Sprint(a.dcov) != "[{100 102} {250 251}]" {
+		t.Fatalf("prefetch landed a[101]=%v a[250]=%v cover %v", a.held(101), a.held(250), a.dcov)
 	}
 	scratch := &d.pferrs[0]
 	eng.err[2] = errors.New("owner 2 is gone")

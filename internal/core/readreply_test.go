@@ -14,42 +14,42 @@ import (
 // array, and must reject a reply that is short or long by even a byte —
 // a truncated or duplicated frame may never become a wrong value.
 func TestInstallReplySlicesByRange(t *testing.T) {
-	mustRun(t, Options{Nodes: 1, Machine: machine.Generic()}, func(rt *Runtime) {
-		a := AllocGlobal[float64](rt, "rr.a", 16)
-		b := AllocGlobal[int32](rt, "rr.b", 16)
-		gs := rt.gs
-		ranges := []wire.ReadRange{
-			{Array: a.id, Lo: 2, Hi: 5},
-			{Array: b.id, Lo: 0, Hi: 4},
-			{Array: a.id, Lo: 9, Hi: 9}, // empty: contributes no bytes
-			{Array: a.id, Lo: 15, Hi: 16},
-		}
-		var data []byte
-		data = mp.AppendElems(data, []float64{2.5, 3.5, 4.5})
-		data = mp.AppendElems(data, []int32{10, 11, 12, 13})
-		data = mp.AppendElems(data, []float64{-1})
-		if err := gs.installReply(3, ranges, data); err != nil {
-			t.Errorf("exact reply rejected: %v", err)
-		}
-		if a.base[2] != 2.5 || a.base[4] != 4.5 || a.base[15] != -1 || b.base[0] != 10 || b.base[3] != 13 {
-			t.Errorf("reply landed wrong: a=%v b=%v", a.base, b.base)
-		}
-		if a.base[5] != 0 || a.base[9] != 0 || b.base[4] != 0 {
-			t.Errorf("reply spilled outside its ranges: a=%v b=%v", a.base, b.base)
-		}
+	// Rank 0 of 2 owns [0:16) of each array; the reply lands in its line
+	// image of rank 1's [16:32).
+	gs := &globalState{dist: newLoopMesh(2).engs[0], nodes: 2}
+	a := testGlobal[float64](gs, 32)
+	b := testGlobal[int32](gs, 32)
+	ranges := []wire.ReadRange{
+		{Array: a.id, Lo: 18, Hi: 21},
+		{Array: b.id, Lo: 16, Hi: 20},
+		{Array: a.id, Lo: 25, Hi: 25}, // empty: contributes no bytes
+		{Array: a.id, Lo: 31, Hi: 32},
+	}
+	var data []byte
+	data = mp.AppendElems(data, []float64{2.5, 3.5, 4.5})
+	data = mp.AppendElems(data, []int32{10, 11, 12, 13})
+	data = mp.AppendElems(data, []float64{-1})
+	if err := gs.installReply(1, ranges, data); err != nil {
+		t.Errorf("exact reply rejected: %v", err)
+	}
+	if a.held(18) != 2.5 || a.held(20) != 4.5 || a.held(31) != -1 || b.held(16) != 10 || b.held(19) != 13 {
+		t.Errorf("reply landed wrong: a=%v b=%v", a.lines, b.lines)
+	}
+	if a.held(21) != 0 || a.held(25) != 0 || b.held(20) != 0 || a.held(15) != 0 {
+		t.Errorf("reply spilled outside its ranges: a=%v %v b=%v", a.base, a.lines, b.lines)
+	}
 
-		err := gs.installReply(3, ranges, data[:len(data)-1])
-		if err == nil || !strings.Contains(err.Error(), "short of rr.a[15:16)") || !strings.Contains(err.Error(), "node 3") {
-			t.Errorf("short reply: err = %v, want it to name the range it ran out at and the owner", err)
-		}
-		err = gs.installReply(3, ranges, append(data, 0))
-		if err == nil || !strings.Contains(err.Error(), "1 more than") {
-			t.Errorf("long reply: err = %v, want the surplus reported", err)
-		}
-		if err := gs.installReply(3, []wire.ReadRange{{Array: a.id, Lo: 10, Hi: 17}}, make([]byte, 56)); err == nil {
-			t.Error("range past the end of the array was installed")
-		}
-	})
+	err := gs.installReply(1, ranges, data[:len(data)-1])
+	if err == nil || !strings.Contains(err.Error(), "short of a0[31:32)") || !strings.Contains(err.Error(), "node 1") {
+		t.Errorf("short reply: err = %v, want it to name the range it ran out at and the owner", err)
+	}
+	err = gs.installReply(1, ranges, append(data, 0))
+	if err == nil || !strings.Contains(err.Error(), "1 more than") {
+		t.Errorf("long reply: err = %v, want the surplus reported", err)
+	}
+	if err := gs.installReply(1, []wire.ReadRange{{Array: a.id, Lo: 26, Hi: 33}}, make([]byte, 56)); err == nil {
+		t.Error("range past the end of the array was installed")
+	}
 }
 
 // The read server refuses a range outside the partition it owns, and

@@ -99,7 +99,7 @@ type registeredArray interface {
 	installRange(lo, hi int, data []byte) error
 	// addCover marks a range a plan prefetch installed as locally valid.
 	addCover(lo, hi int)
-	encodeStagedWire(self, dst int, buf []byte) []byte
+	encodeStagedWire(dst int, buf []byte) []byte
 	applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error)
 
 	// Checkpoint hooks (see checkpoint.go): this node's authoritative

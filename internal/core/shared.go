@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"ppm/internal/mp"
@@ -177,19 +178,41 @@ type Global[T Elem] struct {
 	// bnd is the partition as a table: node p owns [bnd[p], bnd[p+1]).
 	// The access paths test an index against the calling node's two
 	// entries before anything else, so a local access divides nothing.
-	bnd  []int
+	bnd []int
+	// base holds elements [off, off+len(base)) in place. Under the
+	// simulator every node shares this object, so that is the whole array
+	// and off is 0; a mesh rank holds its own partition and nothing else.
 	base []T
+	off  int
+	// lines is a mesh rank's image of what it fetched from other ranks'
+	// partitions: slot k holds elements [k<<lshift, (k+1)<<lshift), a
+	// fetchLineBytes transfer line, allocated (under dmu) at the first
+	// install into it and kept for the run. Which of a line's elements are
+	// valid is the cover's business alone: nothing clears a line between
+	// phases. A line holds a power of two of elements (es is 1, 4 or 8),
+	// so i>>lshift and i&lmask locate element i. nil under the simulator.
+	lines  [][]T
+	lshift uint
+	lmask  int
 	// stage[dst][src] holds runs written by src's VPs this phase,
 	// destined for dst's partition; dst applies them after the phase's
-	// all-staged barrier.
+	// all-staged barrier. A mesh rank stages only what it writes to itself
+	// (stage[node][node], the one row it has); what it writes to others
+	// goes to wout.
 	stage [][][]stageRec[T]
+	// wout[dst] is, on a mesh rank, this phase's runs for dst's partition
+	// already in the wire commit grammar (wruns[dst] of them), appended at
+	// flush in VP-then-program order; encodeStagedWire puts a block header
+	// in front and empties it.
+	wout  [][]byte
+	wruns []int
 	// strict-mode conflict tracking, allocated at first strict commit.
 	ct *conflictTracker
 	// bufPool recycles per-VP write buffers across Do invocations.
 	bufPool sync.Pool
 	// Distributed mode: dcov (under dmu) is the set of index ranges of
-	// g.base that are locally valid this phase — the local partition plus
-	// every remotely fetched range. dpend is the set currently being
+	// other ranks' partitions whose elements in lines are valid this phase
+	// (every remotely fetched range). dpend is the set currently being
 	// fetched by some VP, and dcnd (lazily built) fans fetched ranges out
 	// to the VPs waiting on them. See distFetch in dist.go.
 	dmu   sync.Mutex
@@ -217,13 +240,25 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 			n:    n,
 			es:   mp.SizeOf[T](),
 			part: partition.NewBlock(n, nodes),
-			base: make([]T, n),
 		}
 		g.bnd = append(g.part.Displs(), n)
 		g.stage = make([][][]stageRec[T], nodes)
-		for d := range g.stage {
-			g.stage[d] = make([][]stageRec[T], nodes)
+		if rt.gs.dist == nil {
+			g.base = make([]T, n)
+			for d := range g.stage {
+				g.stage[d] = make([][]stageRec[T], nodes)
+			}
+			return g
 		}
+		g.off = g.bnd[rt.node]
+		g.base = make([]T, g.bnd[rt.node+1]-g.off)
+		line := fetchLineBytes / g.es
+		g.lshift = uint(bits.TrailingZeros(uint(line)))
+		g.lmask = line - 1
+		g.lines = make([][]T, (n+line-1)/line)
+		g.stage[rt.node] = make([][]stageRec[T], nodes)
+		g.wout = make([][]byte, nodes)
+		g.wruns = make([]int, nodes)
 		return g
 	})
 	// Zeroing the local partition costs streaming time.
@@ -251,7 +286,7 @@ func (g *Global[T]) Local(rt *Runtime) []T {
 	if rt.inDo {
 		panic(fmt.Sprintf("core: Global(%q).Local while Do is active", g.name))
 	}
-	lo, hi := g.part.Range(rt.node)
+	lo, hi := g.bnd[rt.node]-g.off, g.bnd[rt.node+1]-g.off
 	return g.base[lo:hi:hi]
 }
 
@@ -269,9 +304,10 @@ func (g *Global[T]) At(rt *Runtime, i int) T {
 			// rest of the loop from the cache.
 			lo, hi := g.part.Range(owner)
 			g.distFetch(owner, lo, hi)
+			return g.lines[i>>g.lshift][i&g.lmask]
 		}
 	}
-	return g.base[i]
+	return g.base[i-g.off]
 }
 
 // Read returns element i as observed at the beginning of the current
@@ -282,14 +318,16 @@ func (g *Global[T]) Read(vp *VP, i int) T {
 	vp.reads++
 	vp.charge += vp.d.sharedReadCost
 	if node := vp.d.node; i < g.bnd[node] || i >= g.bnd[node+1] {
-		g.readRemote(vp, i)
+		return g.readRemote(vp, i)
 	}
-	return g.base[i]
+	return g.base[i-g.off]
 }
 
 // readRemote is Read's path for an index outside the calling node's
-// partition: out of range altogether, or owned by another node.
-func (g *Global[T]) readRemote(vp *VP, i int) {
+// partition: out of range altogether, or owned by another node. The value
+// comes from the line image on a mesh rank and from the shared array under
+// the simulator.
+func (g *Global[T]) readRemote(vp *VP, i int) T {
 	if i < 0 || i >= g.n {
 		panic(fmt.Sprintf("core: Global(%q).Read(%d): index out of range [0,%d)", g.name, i, g.n))
 	}
@@ -302,7 +340,9 @@ func (g *Global[T]) readRemote(vp *VP, i int) {
 	vp.noteRemoteRead(g.id, i, owner, g.es)
 	if g.gs.dist != nil {
 		g.distFetch(owner, i, i+1)
+		return g.lines[i>>g.lshift][i&g.lmask]
 	}
+	return g.base[i]
 }
 
 // Write sets element i to v, taking effect after the end of the current
@@ -355,15 +395,16 @@ func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 		}
 	}
 	if node := vp.d.node; lo < g.bnd[node] || hi > g.bnd[node+1] {
-		g.readBlockRemote(vp, lo, hi)
+		g.readBlockRemote(vp, lo, hi, dst)
+		return
 	}
-	copy(dst, g.base[lo:hi])
+	copy(dst, g.base[lo-g.off:hi-g.off])
 }
 
 // readBlockRemote is ReadBlock's path for a block that leaves the calling
-// node's partition: it splits [lo, hi) by owner and records (and, on the
-// mesh, fetches) every remote stretch.
-func (g *Global[T]) readBlockRemote(vp *VP, lo, hi int) {
+// node's partition: it splits [lo, hi) by owner, records (and, on the
+// mesh, fetches) every remote stretch, and copies the block out.
+func (g *Global[T]) readBlockRemote(vp *VP, lo, hi int, dst []T) {
 	node := vp.d.node
 	for s := lo; s < hi; {
 		owner, e := g.ownerSpan(s)
@@ -381,6 +422,31 @@ func (g *Global[T]) readBlockRemote(vp *VP, lo, hi int) {
 			}
 		}
 		s = e
+	}
+	if g.gs.dist == nil {
+		copy(dst, g.base[lo:hi])
+		return
+	}
+	plo, phi := g.bnd[node], g.bnd[node+1]
+	if k := lo >> g.lshift; k == (hi-1)>>g.lshift && (hi <= plo || lo >= phi) {
+		// A remote block inside one line (a halo row's few columns).
+		copy(dst, g.lines[k][lo&g.lmask:][:hi-lo])
+		return
+	}
+	// Piecewise: the partition in place, the rest line by line.
+	for s := lo; s < hi; {
+		var n int
+		if s >= plo && s < phi {
+			n = copy(dst[:min(hi, phi)-s], g.base[s-g.off:])
+		} else {
+			e := min(hi, (s>>g.lshift+1)<<g.lshift)
+			if s < plo {
+				e = min(e, plo)
+			}
+			n = copy(dst[:e-s], g.lines[s>>g.lshift][s&g.lmask:])
+		}
+		dst = dst[n:]
+		s += n
 	}
 }
 
@@ -461,7 +527,8 @@ func (g *Global[T]) applyIncoming(node int, strict bool, phaseSeq int64, inElems
 	return err
 }
 
-// applyRun applies one resolved run to the node's base image.
+// applyRun applies one resolved run, which lies inside node's partition,
+// to it.
 func (g *Global[T]) applyRun(node int, strict bool, phaseSeq int64, r *stageRec[T]) error {
 	var err error
 	if strict {
@@ -470,20 +537,21 @@ func (g *Global[T]) applyRun(node int, strict bool, phaseSeq int64, r *stageRec[
 		}
 		err = g.ct.check(&g.gs.conflicts, g.name, node, phaseSeq, r.lo, r.n, r.writer, r.add)
 	}
+	lo := r.lo - g.off
 	switch {
 	case r.vals == nil:
 		if r.add {
-			g.base[r.lo] += r.val
+			g.base[lo] += r.val
 		} else {
-			g.base[r.lo] = r.val
+			g.base[lo] = r.val
 		}
 	case r.add:
-		dst := g.base[r.lo : r.lo+r.n]
+		dst := g.base[lo : lo+r.n]
 		for i, v := range r.vals {
 			dst[i] += v
 		}
 	default:
-		copy(g.base[r.lo:r.lo+r.n], r.vals)
+		copy(g.base[lo:lo+r.n], r.vals)
 	}
 	return err
 }
@@ -498,6 +566,8 @@ type Node[T Elem] struct {
 	name string
 	n    int
 	es   int
+	// base[node] is node's instance. Under the simulator every node shares
+	// this object and all are present; a mesh rank holds only its own.
 	base [][]T
 	// strict-mode conflict tracking, allocated at first strict commit.
 	ct *conflictTracker
@@ -522,7 +592,9 @@ func AllocNode[T Elem](rt *Runtime, name string, n int) *Node[T] {
 			base: make([][]T, nodes),
 		}
 		for i := range a.base {
-			a.base[i] = make([]T, n)
+			if rt.gs.dist == nil || i == rt.node {
+				a.base[i] = make([]T, n)
+			}
 		}
 		return a
 	})
