@@ -1,14 +1,24 @@
 GO ?= go
 
-.PHONY: check build vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
-## findings baseline) and race-test.
-check: build vet vet-all ppmvet-examples langcheck race
+## findings baseline, and the one-descriptor-per-application rule) and
+## race-test.
+check: build app-sites vet vet-all ppmvet-examples langcheck race
 
 build:
 	$(GO) build ./...
+
+## app-sites: an application is described once — its package under
+## internal/apps and its entries in the two apps.go tables — and
+## everything else looks it up. A `case "cg"` or a second "cg-grid"
+## anywhere else in product code is a switch or a flag growing back;
+## the offending lines are printed.
+app-sites:
+	@! grep -rn --include='*.go' -e 'case "cg"' -e '"cg-grid"' cmd internal \
+		| grep -v -e '_test\.go:' -e '^internal/apps/' -e '^internal/dist/apps\.go:' -e '^internal/jobspec/apps\.go:'
 
 vet:
 	$(GO) vet ./...
@@ -112,11 +122,12 @@ fuzz-smoke:
 	done
 
 ## dist-smoke: real multi-process runs — 2 ppm-node processes over
-## loopback TCP solving a small cg point, launched by ppm-run, once
-## with the default wire path and once with the delta commit codec; a
-## jacobi run; then the two apps that live on the demand-read path,
-## whose phases no recorded plan can prefetch: the Section 5 search and
-## one Barnes-Hut step.
+## loopback TCP solving a small cg point, launched by ppm-run (which
+## hands each the job as -spec-json), once with the default wire path
+## and once with the delta commit codec; a jacobi run; the two apps that
+## live on the demand-read path, whose phases no recorded plan can
+## prefetch: the Section 5 search and one Barnes-Hut step; then colloc
+## and scatter, the one app whose commit streams are not empty.
 dist-smoke:
 	$(GO) build -o bin/ ./cmd/ppm-run ./cmd/ppm-node
 	./bin/ppm-run -distributed -app cg -nodes 2 -cores 2 -cg-grid 8x8x8 -cg-iters 6
@@ -124,6 +135,8 @@ dist-smoke:
 	./bin/ppm-run -distributed -app jacobi -nodes 2 -cores 2 -jacobi-grid 10x6x4 -jacobi-sweeps 6
 	./bin/ppm-run -distributed -app search -nodes 2 -search-n 65536 -search-k 512
 	./bin/ppm-run -distributed -app nbody -nodes 2 -bh-n 600 -bh-steps 1
+	./bin/ppm-run -distributed -app colloc -nodes 2 -cores 2 -colloc-levels 4 -colloc-m0 6
+	./bin/ppm-run -distributed -app scatter -nodes 2 -cores 2 -scatter-n 1200 -scatter-iters 3
 
 ## server-smoke: the full-binary serving path — a real ppm-server
 ## process fronting warm serve-mode ppm-node fleets, driven over HTTP:

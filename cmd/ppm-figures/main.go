@@ -11,9 +11,11 @@
 //	            [-colloc-levels 7] [-colloc-m0 12]
 //	            [-bh-n 3000] [-bh-steps 2]
 //
-// -fig 0 (default) runs all three figures. The default workload sizes are
-// laptop-scale; raise them toward the paper's (see DESIGN.md) if you have
-// the patience.
+// -fig 0 (default) runs all three figures and the supplementary Jacobi
+// one (-fig 4, at its default size). The workload flags are the ones the
+// three applications declare for every command (a flag left at zero
+// means its default); the default sizes are laptop-scale, raise them
+// toward the paper's (see DESIGN.md) if you have the patience.
 //
 // Sweep points run concurrently on a bounded worker pool (-parallel,
 // default GOMAXPROCS); -par-run additionally runs each point's simulator
@@ -27,8 +29,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -38,42 +38,8 @@ import (
 	"ppm/internal/apps/nbody"
 	"ppm/internal/bench"
 	"ppm/internal/machine"
+	"ppm/internal/prof"
 )
-
-// startProfiles arms the optional pprof outputs and returns the function
-// that finalizes them (stops the CPU profile, snapshots the heap).
-func startProfiles(cpu, mem string) func() {
-	var stopCPU func()
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		stopCPU = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	return func() {
-		if stopCPU != nil {
-			stopCPU()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-		}
-	}
-}
 
 func parseNodeList(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
@@ -88,21 +54,6 @@ func parseNodeList(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseGrid(s string) (nx, ny, nz int, err error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("grid must be NXxNYxNZ, got %q", s)
-	}
-	dims := make([]int, 3)
-	for i, p := range parts {
-		dims[i], err = strconv.Atoi(p)
-		if err != nil || dims[i] <= 0 {
-			return 0, 0, 0, fmt.Errorf("bad grid dimension %q", p)
-		}
-	}
-	return dims[0], dims[1], dims[2], nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ppm-figures: ")
@@ -112,12 +63,15 @@ func main() {
 	cores := flag.Int("cores", 4, "cores (and MPI ranks) per node")
 	emitCSV := flag.Bool("csv", false, "emit CSV instead of tables")
 	emitChart := flag.Bool("chart", false, "also emit ASCII charts")
-	cgGrid := flag.String("cg-grid", "24x24x48", "Figure 1 grid (chimney: NXxNYxNZ)")
-	cgIters := flag.Int("cg-iters", 20, "Figure 1 CG iterations")
-	collocLevels := flag.Int("colloc-levels", 7, "Figure 2 multi-scale levels")
-	collocM0 := flag.Int("colloc-m0", 12, "Figure 2 level-0 basis count")
-	bhN := flag.Int("bh-n", 3000, "Figure 3 body count")
-	bhSteps := flag.Int("bh-steps", 2, "Figure 3 time steps")
+	// The workloads of Figures 1, 2 and 3.
+	var (
+		cgPrm     cg.Params
+		collocPrm colloc.Params
+		bhPrm     nbody.Params
+	)
+	cgPrm.Flags(flag.CommandLine)
+	collocPrm.Flags(flag.CommandLine)
+	bhPrm.Flags(flag.CommandLine)
 	parallel := flag.Int("parallel", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential); results identical for every value")
 	parRun := flag.Bool("par-run", false, "run each point's simulator on the parallel scheduler (bit-identical results)")
 	quiet := flag.Bool("quiet", false, "suppress per-point progress lines on stderr")
@@ -125,7 +79,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles := prof.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
 	nodes, err := parseNodeList(*nodeList)
@@ -161,51 +115,23 @@ func main() {
 		}
 	}
 
-	run1 := func() {
-		nx, ny, nz, err := parseGrid(*cgGrid)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s, err := bench.Figure1CG(cfg, cg.Params{NX: nx, NY: ny, NZ: nz, MaxIter: *cgIters, Tol: 0})
-		exitOn(err)
-		emit(s)
+	// -fig N runs figures[N]; 0 runs them all.
+	figures := []func() (*bench.Series, error){
+		1: func() (*bench.Series, error) { return bench.Figure1CG(cfg, cgPrm.WithDefaults()) },
+		2: func() (*bench.Series, error) { return bench.Figure2Colloc(cfg, collocPrm.WithDefaults()) },
+		3: func() (*bench.Series, error) { return bench.Figure3BarnesHut(cfg, bhPrm.WithDefaults()) },
+		4: func() (*bench.Series, error) { return bench.FigureS1Jacobi(cfg, jacobi.Params{}.WithDefaults()) },
 	}
-	run2 := func() {
-		s, err := bench.Figure2Colloc(cfg, colloc.Params{Levels: *collocLevels, M0: *collocM0, Delta: 3})
-		exitOn(err)
-		emit(s)
-	}
-	run3 := func() {
-		s, err := bench.Figure3BarnesHut(cfg, nbody.Params{
-			N: *bhN, Steps: *bhSteps, Theta: 0.5, Eps: 0.05, DT: 0.01, Seed: 42,
-		})
-		exitOn(err)
-		emit(s)
-	}
-
-	runS1 := func() {
-		s, err := bench.FigureS1Jacobi(cfg, jacobi.Params{NX: 24, NY: 24, NZ: 48, Sweeps: 10})
-		exitOn(err)
-		emit(s)
-	}
-
-	switch *fig {
-	case 0:
-		run1()
-		run2()
-		run3()
-		runS1()
-	case 1:
-		run1()
-	case 2:
-		run2()
-	case 3:
-		run3()
-	case 4:
-		runS1()
-	default:
+	if *fig < 0 || *fig >= len(figures) {
 		fmt.Fprintln(os.Stderr, "ppm-figures: -fig must be 0, 1, 2, 3 or 4")
 		os.Exit(2)
+	}
+	for n, run := range figures {
+		if run != nil && (*fig == 0 || *fig == n) {
+			s, err := run()
+			exitOn(err)
+			emit(s)
+		}
 	}
 }
 

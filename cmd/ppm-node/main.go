@@ -21,7 +21,8 @@
 //	         [-wire-codec raw|delta]
 //	         -app cg|colloc|nbody|jacobi|search|scatter [-cores 4]
 //	         [-no-bundling] [-no-overlap] [-no-readcache] [-static]
-//	         [app-specific flags, see -h]
+//	         [the applications' parameter flags, as ppm-run lists them]
+//	         | -spec-json JSON | -serve
 //
 // A silent or crashed peer is detected by the engine's heartbeat/deadline
 // machinery and aborts the run with an error naming the rank, rather than
@@ -37,10 +38,13 @@
 // checkpoint from a full fleet's set, which is how the supervisor
 // finishes a run after permanently losing a host.
 //
-// Two spec-driven modes complement the flag-driven one-shot run:
+// Whatever the command line, the process runs a jobspec.Spec: the flag
+// form above builds one from -app and the parameter flags the
+// applications declare (a flag left at zero means its default) and is
+// checked like any other. Two modes take the spec as it is:
 //
-//   - -spec-json JSON runs a single jobspec.Spec (app, params, preset,
-//     ablations) instead of the app flags; ppm-run -spec uses it.
+//   - -spec-json JSON runs the jobspec.Spec it is given (app, params,
+//     preset, ablations); every distributed ppm-run launch uses it.
 //   - -serve turns the process into a long-lived worker: it reads
 //     jobspec.NodeJob lines from stdin, runs each under the shared
 //     engine with a keyed plan-cache session, and writes
@@ -59,22 +63,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"ppm/internal/apps/cg"
-	"ppm/internal/apps/colloc"
-	"ppm/internal/apps/jacobi"
-	"ppm/internal/apps/nbody"
-	"ppm/internal/apps/scatter"
-	"ppm/internal/apps/search"
 	"ppm/internal/core"
 	"ppm/internal/dist"
 	"ppm/internal/faultinject"
 	"ppm/internal/jobspec"
-	"ppm/internal/machine"
 	"ppm/internal/partition"
 	"ppm/internal/wire"
 )
@@ -102,27 +100,13 @@ func main() {
 	specJSON := flag.String("spec-json", "", "run one job described by this jobspec JSON instead of the app flags")
 	jobDeadline := flag.Duration("job-deadline", 0, "abort the run if it exceeds this wall-clock bound (0 disables)")
 
-	app := flag.String("app", "cg", "application: cg, colloc, nbody, jacobi, search, scatter")
+	app := flag.String("app", "cg", "application: "+strings.Join(dist.AppNames(), ", "))
 	cores := flag.Int("cores", 4, "cores per node (VP scheduling width)")
 	noBundling := flag.Bool("no-bundling", false, "disable remote-access bundling counters")
 	noOverlap := flag.Bool("no-overlap", false, "disable comm/compute overlap counters")
 	noReadCache := flag.Bool("no-readcache", false, "disable the node-level read cache")
 	static := flag.Bool("static", false, "static VP-to-core schedule")
-
-	cgGrid := flag.String("cg-grid", "24x24x48", "cg: grid NXxNYxNZ")
-	cgIters := flag.Int("cg-iters", 20, "cg: iterations (tol=0)")
-	collocLevels := flag.Int("colloc-levels", 7, "colloc: levels")
-	collocM0 := flag.Int("colloc-m0", 12, "colloc: level-0 basis count")
-	bhN := flag.Int("bh-n", 3000, "nbody: bodies")
-	bhSteps := flag.Int("bh-steps", 2, "nbody: steps")
-	jacGrid := flag.String("jacobi-grid", "24x24x48", "jacobi: grid NXxNYxNZ")
-	jacSweeps := flag.Int("jacobi-sweeps", 10, "jacobi: sweeps")
-	searchN := flag.Int("search-n", 1<<20, "search: sorted array length")
-	searchK := flag.Int("search-k", 1<<14, "search: keys per node")
-	scatterN := flag.Int("scatter-n", 3000, "scatter: global accumulator length")
-	scatterVPs := flag.Int("scatter-vps", 6, "scatter: virtual processors per node")
-	scatterIters := flag.Int("scatter-iters", 4, "scatter: scatter-add phases")
-	scatterSeed := flag.Uint64("scatter-seed", 7, "scatter: workload seed")
+	pick := jobspec.Flags(flag.CommandLine)
 	flag.Parse()
 
 	fail := func(err error) {
@@ -159,60 +143,32 @@ func main() {
 	if *restoreRescale {
 		*restore = true
 	}
-	spec := dist.AppSpec{App: *app}
-	switch *app {
-	case "cg":
-		var nx, ny, nz int
-		if _, err := fmt.Sscanf(*cgGrid, "%dx%dx%d", &nx, &ny, &nz); err != nil {
-			fail(fmt.Errorf("bad -cg-grid %q", *cgGrid))
-		}
-		spec.CG = cg.Params{NX: nx, NY: ny, NZ: nz, MaxIter: *cgIters, Tol: 0}
-	case "colloc":
-		spec.Colloc = colloc.Params{Levels: *collocLevels, M0: *collocM0, Delta: 3}
-	case "nbody":
-		spec.Nbody = nbody.Params{N: *bhN, Steps: *bhSteps, Theta: 0.5, Eps: 0.05, DT: 0.01, Seed: 42}
-	case "jacobi":
-		var nx, ny, nz int
-		if _, err := fmt.Sscanf(*jacGrid, "%dx%dx%d", &nx, &ny, &nz); err != nil {
-			fail(fmt.Errorf("bad -jacobi-grid %q", *jacGrid))
-		}
-		spec.Jacobi = jacobi.Params{NX: nx, NY: ny, NZ: nz, Sweeps: *jacSweeps}
-	case "search":
-		spec.Search = search.Params{N: *searchN, K: *searchK, Seed: 42}
-	case "scatter":
-		spec.Scatter = scatter.Params{N: *scatterN, VPs: *scatterVPs, Iters: *scatterIters, Seed: *scatterSeed}
-	default:
-		fail(fmt.Errorf("unknown -app %q (want cg, colloc, nbody, jacobi, search, scatter)", *app))
-	}
-	opt := core.Options{
-		Nodes:          *nodes,
-		CoresPerNode:   *cores,
-		Machine:        machine.Franklin(),
-		NoBundling:     *noBundling,
-		NoOverlap:      *noOverlap,
-		NoReadCache:    *noReadCache,
-		StaticSchedule: *static,
-	}
+	// The job: the spec handed over, or the one the flags describe.
+	var js *jobspec.Spec
 	if *specJSON != "" {
-		var js jobspec.Spec
-		if err := json.Unmarshal([]byte(*specJSON), &js); err != nil {
+		js = new(jobspec.Spec)
+		if err := json.Unmarshal([]byte(*specJSON), js); err != nil {
 			fail(fmt.Errorf("-spec-json: %v", err))
 		}
-		js.Normalize()
-		if err := js.Validate(); err != nil {
-			fail(err)
-		}
-		if js.Nodes != *nodes {
-			fail(fmt.Errorf("-spec-json wants %d nodes but this fleet has %d", js.Nodes, *nodes))
-		}
-		spec = js.AppSpec()
-		opt = js.Options()
-		// The node always runs the distributed runtime, whatever backend
-		// the spec names for local execution.
-		opt.Parallel = false
-		if *jobDeadline == 0 && js.DeadlineMS > 0 {
-			*jobDeadline = time.Duration(js.DeadlineMS) * time.Millisecond
-		}
+	} else {
+		js = pick(*app)
+		js.Nodes, js.Cores = *nodes, *cores
+		js.NoBundling, js.NoOverlap, js.NoReadCache, js.Static = *noBundling, *noOverlap, *noReadCache, *static
+	}
+	js.Normalize()
+	if err := js.Validate(); err != nil {
+		fail(err)
+	}
+	if js.Nodes != *nodes {
+		fail(fmt.Errorf("-spec-json wants %d nodes but this fleet has %d", js.Nodes, *nodes))
+	}
+	spec := js.AppSpec()
+	opt := js.Options()
+	// The node always runs the distributed runtime, whatever backend the
+	// spec names for local execution.
+	opt.Parallel = false
+	if *jobDeadline == 0 && js.DeadlineMS > 0 {
+		*jobDeadline = time.Duration(js.DeadlineMS) * time.Millisecond
 	}
 	if *ckptDir != "" {
 		cc := &core.CheckpointConfig{Dir: *ckptDir, EveryPhases: *ckptEvery, Restore: *restore}

@@ -3,21 +3,33 @@
 // and the run report. It is the quickest way to poke at the simulator
 // interactively.
 //
-// With -distributed the run leaves the simulator entirely: ppm-run forks
-// one ppm-node process per node on localhost, the processes connect into
-// a TCP mesh, and the same application produces bit-identical results
-// over real sockets (the report then counts real traffic, not modeled
-// time).
+// Every run is one jobspec.Spec: read from -spec, or built from -app,
+// the shape and ablation flags and the application's parameter flags
+// (each application declares its own; -h lists them). A flag left at
+// zero means its default, as an absent field does in a JSON spec.
+//
+// With -distributed (or a spec whose backend is dist) the run leaves the
+// simulator entirely: ppm-run forks one ppm-node process per node on
+// localhost and hands each the spec (-spec-json); the processes connect
+// into a TCP mesh and the same application produces bit-identical
+// results over real sockets (the report then counts real traffic, not
+// modeled time).
 //
 // Usage:
 //
-//	ppm-run -app cg|colloc|nbody|jacobi|search [-model ppm|mpi] [-nodes 8] [-cores 4]
+//	ppm-run -app cg|colloc|nbody|jacobi|search|scatter | -spec job.json
+//	        [-model ppm|mpi] [-nodes 8] [-cores 4]
 //	        [-no-bundling] [-no-overlap] [-no-readcache] [-static] [-smartmap]
-//	        [-parallel] [-distributed [-node-bin path/to/ppm-node]]
+//	        [-parallel] [-timeline] [-json] [-timeout D]
+//	        [-distributed [-node-bin path/to/ppm-node]] [-wire-codec raw|delta]
 //	        [-max-restarts N] [-checkpoint-dir DIR [-checkpoint-every K]]
+//	        [-per-rank-restarts N] [-min-nodes N]
 //	        [-hb-interval D] [-hb-timeout D] [-op-timeout D]
 //	        [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
-//	        [app-specific flags, see -h]
+//	        [-cg-grid NXxNYxNZ] [-cg-iters N] [-colloc-levels N] [-colloc-m0 N]
+//	        [-bh-n N] [-bh-steps N] [-jacobi-grid NXxNYxNZ] [-jacobi-sweeps N]
+//	        [-search-n N] [-search-k N]
+//	        [-scatter-n N] [-scatter-vps N] [-scatter-iters N] [-scatter-seed S]
 //
 // With -max-restarts the distributed launcher supervises the fleet: when
 // a rank dies the survivors self-abort (failure detector), everything is
@@ -33,63 +45,21 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
+	"strings"
 	"time"
 
-	"ppm/internal/apps/cg"
-	"ppm/internal/apps/colloc"
-	"ppm/internal/apps/jacobi"
-	"ppm/internal/apps/nbody"
-	"ppm/internal/apps/search"
 	"ppm/internal/core"
 	"ppm/internal/dist"
 	"ppm/internal/jobspec"
-	"ppm/internal/machine"
+	"ppm/internal/prof"
 	"ppm/internal/trace"
 )
-
-// startProfiles arms the optional pprof outputs and returns the function
-// that finalizes them (stops the CPU profile, snapshots the heap).
-func startProfiles(cpu, mem string) func() {
-	var stopCPU func()
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		stopCPU = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	return func() {
-		if stopCPU != nil {
-			stopCPU()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-		}
-	}
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ppm-run: ")
 
-	app := flag.String("app", "cg", "application: cg, colloc, nbody, jacobi, search")
+	app := flag.String("app", "cg", "application: "+strings.Join(dist.AppNames(), ", "))
 	model := flag.String("model", "ppm", "programming model: ppm or mpi")
 	nodes := flag.Int("nodes", 8, "cluster nodes")
 	cores := flag.Int("cores", 4, "cores per node")
@@ -98,249 +68,119 @@ func main() {
 	noReadCache := flag.Bool("no-readcache", false, "disable the node-level read cache (PPM)")
 	static := flag.Bool("static", false, "static VP-to-core schedule (PPM)")
 	smartMap := flag.Bool("smartmap", false, "enable SmartMap-style intra-node MPI optimization")
-	timeline := flag.Bool("timeline", false, "print a communication summary and per-rank timeline (PPM runs)")
+	timeline := flag.Bool("timeline", false, "print a communication summary and per-rank timeline (PPM simulator runs)")
 	parallel := flag.Bool("parallel", false, "run the simulator on the parallel host scheduler (bit-identical results)")
 	distributed := flag.Bool("distributed", false, "run as real node processes over loopback TCP instead of the simulator (PPM)")
-	nodeBin := flag.String("node-bin", "", "ppm-node binary for -distributed (default: next to this binary, else $PATH)")
-	maxRestarts := flag.Int("max-restarts", 0, "distributed: relaunch the fleet up to this many times after a rank failure")
-	ckptDir := flag.String("checkpoint-dir", "", "distributed: write phase-boundary checkpoints here; restarts resume from them")
-	ckptEvery := flag.Int("checkpoint-every", 0, "distributed: minimum committed global phases between checkpoints (default 1)")
-	perRankRestarts := flag.Int("per-rank-restarts", 0, "distributed: declare a host permanently dead after it is blamed for this many consecutive failed attempts (default 2)")
-	minNodes := flag.Int("min-nodes", 0, "distributed: never rescale the fleet below this many host processes (default 1)")
-	wireCodec := flag.String("wire-codec", "", "distributed: commit-stream encoding to offer peers (raw or delta; node default raw)")
-	hbInterval := flag.Duration("hb-interval", 0, "distributed: failure-detector probe interval (node default 500ms, negative disables)")
-	hbTimeout := flag.Duration("hb-timeout", 0, "distributed: declare a silent peer dead after this long (node default 5s)")
-	opTimeout := flag.Duration("op-timeout", 0, "distributed: deadline for one remote read or commit wait (node default 60s)")
+	nodeBin := flag.String("node-bin", "", "ppm-node binary for distributed runs (default: next to this binary, else $PATH)")
+	var lo dist.LaunchOpts
+	flag.IntVar(&lo.MaxRestarts, "max-restarts", 0, "distributed: relaunch the fleet up to this many times after a rank failure")
+	flag.StringVar(&lo.CheckpointDir, "checkpoint-dir", "", "distributed: write phase-boundary checkpoints here; restarts resume from them")
+	flag.IntVar(&lo.CheckpointEvery, "checkpoint-every", 0, "distributed: minimum committed global phases between checkpoints (default 1)")
+	flag.IntVar(&lo.PerRankRestarts, "per-rank-restarts", 0, "distributed: declare a host permanently dead after it is blamed for this many consecutive failed attempts (default 2)")
+	flag.IntVar(&lo.MinNodes, "min-nodes", 0, "distributed: never rescale the fleet below this many host processes (default 1)")
+	flag.String("wire-codec", "", "distributed: commit-stream encoding to offer peers (raw or delta; node default raw)")
+	flag.Duration("hb-interval", 0, "distributed: failure-detector probe interval (node default 500ms, negative disables)")
+	flag.Duration("hb-timeout", 0, "distributed: declare a silent peer dead after this long (node default 5s)")
+	flag.Duration("op-timeout", 0, "distributed: deadline for one remote read or commit wait (node default 60s)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	specPath := flag.String("spec", "", "run the job described by this jobspec JSON file (app/model flags are ignored)")
-	jsonOut := flag.Bool("json", false, "with -spec: print the flattened jobspec result as one JSON line")
-	timeout := flag.Duration("timeout", 0, "abort the run past this wall-clock bound (distributed: the engine deadline names the rank and in-flight operation)")
-
-	cgGrid := flag.String("cg-grid", "24x24x48", "cg: grid NXxNYxNZ")
-	cgIters := flag.Int("cg-iters", 20, "cg: iterations (tol=0)")
-	collocLevels := flag.Int("colloc-levels", 7, "colloc: levels")
-	collocM0 := flag.Int("colloc-m0", 12, "colloc: level-0 basis count")
-	bhN := flag.Int("bh-n", 3000, "nbody: bodies")
-	bhSteps := flag.Int("bh-steps", 2, "nbody: steps")
-	jacGrid := flag.String("jacobi-grid", "24x24x48", "jacobi: grid NXxNYxNZ")
-	jacSweeps := flag.Int("jacobi-sweeps", 10, "jacobi: sweeps")
-	searchN := flag.Int("search-n", 1<<20, "search: sorted array length")
-	searchK := flag.Int("search-k", 1<<14, "search: keys per node")
+	specPath := flag.String("spec", "", "run the job described by this jobspec JSON file (-app, the shape, ablation and parameter flags are ignored)")
+	jsonOut := flag.Bool("json", false, "print the flattened jobspec result as one JSON line")
+	timeout := flag.Duration("timeout", 0, "abort the run past this wall-clock bound (distributed: the job deadline, whose abort names the rank and in-flight operation)")
+	pick := jobspec.Flags(flag.CommandLine)
 	flag.Parse()
 
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles := prof.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
+	// One job description whatever the command line looked like.
+	var s *jobspec.Spec
 	if *specPath != "" {
-		runSpec(*specPath, *jsonOut, *nodeBin, launchCfg{
-			maxRestarts: *maxRestarts, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-			perRankRestarts: *perRankRestarts, minNodes: *minNodes,
-		}, *timeout)
-		return
+		data, err := os.ReadFile(*specPath)
+		exitOn(err)
+		s = new(jobspec.Spec)
+		if err := json.Unmarshal(data, s); err != nil {
+			exitOn(fmt.Errorf("parsing -spec %s: %v", *specPath, err))
+		}
+	} else {
+		s = pick(*app)
+		s.Nodes, s.Cores = *nodes, *cores
+		s.NoBundling, s.NoOverlap, s.NoReadCache, s.Static = *noBundling, *noOverlap, *noReadCache, *static
+		switch {
+		case *distributed:
+			s.Backend = jobspec.BackendDist
+		case *parallel:
+			s.Backend = jobspec.BackendParallel
+		}
 	}
-	if *timeout > 0 && !*distributed {
-		// Simulator watchdog. Distributed runs instead forward a
-		// per-rank engine deadline, whose abort names the rank and the
-		// in-flight operation.
+	s.Normalize()
+	exitOn(s.Validate())
+
+	opt := s.Options()
+	opt.Machine.SmartMap = *smartMap
+	if *timeout > 0 && s.Backend != jobspec.BackendDist {
+		// Simulator watchdog. A distributed run carries the bound in the
+		// spec instead, as the job deadline every rank enforces.
 		time.AfterFunc(*timeout, func() {
 			fmt.Fprintf(os.Stderr, "ppm-run: run exceeded -timeout %v\n", *timeout)
 			os.Exit(1)
 		})
 	}
 
-	if *distributed {
+	var res *jobspec.Result
+	var rep fmt.Stringer
+	var err error
+	tag := "job " + s.Hash()
+	switch {
+	case s.Backend == jobspec.BackendDist:
 		if *model != "ppm" {
-			exitOn(fmt.Errorf("-distributed runs the PPM runtime; use -model ppm"))
+			exitOn(fmt.Errorf("distributed runs use the PPM runtime; use -model ppm"))
 		}
-		// Forward the app and ablation selection verbatim to every node
-		// process; ppm-node resolves them into the same Params this
-		// binary would use, so the two paths stay comparable.
-		args := []string{
-			"-app", *app,
-			"-cores", strconv.Itoa(*cores),
-			"-cg-grid", *cgGrid, "-cg-iters", strconv.Itoa(*cgIters),
-			"-colloc-levels", strconv.Itoa(*collocLevels), "-colloc-m0", strconv.Itoa(*collocM0),
-			"-bh-n", strconv.Itoa(*bhN), "-bh-steps", strconv.Itoa(*bhSteps),
-			"-jacobi-grid", *jacGrid, "-jacobi-sweeps", strconv.Itoa(*jacSweeps),
-			"-search-n", strconv.Itoa(*searchN), "-search-k", strconv.Itoa(*searchK),
+		if *timeout > 0 && s.DeadlineMS == 0 {
+			s.DeadlineMS = timeout.Milliseconds()
 		}
-		for _, f := range []struct {
-			on   bool
-			name string
-		}{{*noBundling, "-no-bundling"}, {*noOverlap, "-no-overlap"}, {*noReadCache, "-no-readcache"}, {*static, "-static"}} {
-			if f.on {
-				args = append(args, f.name)
+		// The spec is the whole job; the transport flags that were set
+		// are the only other thing a node is told.
+		for _, name := range []string{"wire-codec", "hb-interval", "hb-timeout", "op-timeout"} {
+			if f := flag.Lookup(name); f.Value.String() != f.DefValue {
+				lo.NodeArgs = append(lo.NodeArgs, "-"+name, f.Value.String())
 			}
 		}
-		if *wireCodec != "" {
-			args = append(args, "-wire-codec", *wireCodec)
-		}
-		for _, d := range []struct {
-			v    time.Duration
-			name string
-		}{{*hbInterval, "-hb-interval"}, {*hbTimeout, "-hb-timeout"}, {*opTimeout, "-op-timeout"},
-			{*timeout, "-job-deadline"}} {
-			if d.v != 0 {
-				args = append(args, d.name, d.v.String())
-			}
-		}
-		runDistributed(*app, *nodes, *nodeBin, args, launchCfg{
-			maxRestarts: *maxRestarts, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-			perRankRestarts: *perRankRestarts, minNodes: *minNodes,
-		}, distParams{
-			cgGrid: *cgGrid, cgIters: *cgIters,
-			collocLevels: *collocLevels, collocM0: *collocM0,
-			bhN: *bhN, bhSteps: *bhSteps,
-			jacGrid: *jacGrid, jacSweeps: *jacSweeps,
-			searchN: *searchN, searchK: *searchK,
-		})
-		return
-	}
+		res = runDistributed(s, *nodeBin, lo)
+		rep = &core.Report{PerNode: res.PerNode, Totals: res.Totals}
 
-	mach := machine.Franklin()
-	mach.SmartMap = *smartMap
-	popt := core.Options{
-		Nodes:          *nodes,
-		CoresPerNode:   *cores,
-		Machine:        mach,
-		NoBundling:     *noBundling,
-		NoOverlap:      *noOverlap,
-		NoReadCache:    *noReadCache,
-		StaticSchedule: *static,
-		Parallel:       *parallel,
-	}
-	var collector *trace.Collector
-	if *timeline {
-		collector = trace.NewCollector()
-		popt.Observer = collector.Observer()
-		defer func() {
-			fmt.Println()
-			fmt.Print(collector.Summarize())
-			fmt.Print(collector.Timeline(72))
-		}()
-	}
-
-	switch *app {
-	case "cg":
-		var nx, ny, nz int
-		if _, err := fmt.Sscanf(*cgGrid, "%dx%dx%d", &nx, &ny, &nz); err != nil {
-			log.Fatalf("bad -cg-grid %q", *cgGrid)
-		}
-		prm := cg.Params{NX: nx, NY: ny, NZ: nz, MaxIter: *cgIters, Tol: 0}
-		if *model == "mpi" {
-			res, rep, err := cg.RunMPI(cg.MPIOptions{Nodes: *nodes, CoresPerNode: *cores, Machine: mach, Parallel: *parallel}, prm)
-			exitOn(err)
-			fmt.Printf("cg/mpi: %d iterations, residual %.3e\n%v\n", res.Iters, res.Residual, rep)
-			return
-		}
-		res, rep, err := cg.RunPPM(popt, prm)
+	case *model == "mpi":
+		var m *dist.Merged
+		m, rep, err = dist.RunMPI(dist.MPIOptions{
+			Nodes: opt.Nodes, CoresPerNode: opt.CoresPerNode, Machine: opt.Machine, Parallel: opt.Parallel,
+		}, s.AppSpec())
 		exitOn(err)
-		fmt.Printf("cg/ppm: %d iterations, residual %.3e\n%v\n", res.Iters, res.Residual, rep)
-
-	case "colloc":
-		prm := colloc.Params{Levels: *collocLevels, M0: *collocM0, Delta: 3}
-		if *model == "mpi" {
-			m, rep, err := colloc.RunMPI(colloc.MPIOptions{Nodes: *nodes, CoresPerNode: *cores, Machine: mach, Parallel: *parallel}, prm)
-			exitOn(err)
-			fmt.Printf("colloc/mpi: %d x %d matrix, %d nonzeros\n%v\n", m.N, m.N, m.NNZ(), rep)
-			return
-		}
-		m, rep, err := colloc.RunPPM(popt, prm)
+		res, err = jobspec.FromMerged(s, m)
 		exitOn(err)
-		fmt.Printf("colloc/ppm: %d x %d matrix, %d nonzeros\n%v\n", m.N, m.N, m.NNZ(), rep)
-
-	case "nbody":
-		prm := nbody.Params{N: *bhN, Steps: *bhSteps, Theta: 0.5, Eps: 0.05, DT: 0.01, Seed: 42}
-		if *model == "mpi" {
-			_, rep, err := nbody.RunMPI(nbody.MPIOptions{Nodes: *nodes, CoresPerNode: *cores, Machine: mach, Parallel: *parallel}, prm)
-			exitOn(err)
-			fmt.Printf("nbody/mpi: %d bodies, %d steps\n%v\n", prm.N, prm.Steps, rep)
-			return
-		}
-		_, rep, err := nbody.RunPPM(popt, prm)
-		exitOn(err)
-		fmt.Printf("nbody/ppm: %d bodies, %d steps\n%v\n", prm.N, prm.Steps, rep)
-
-	case "jacobi":
-		var nx, ny, nz int
-		if _, err := fmt.Sscanf(*jacGrid, "%dx%dx%d", &nx, &ny, &nz); err != nil {
-			log.Fatalf("bad -jacobi-grid %q", *jacGrid)
-		}
-		prm := jacobi.Params{NX: nx, NY: ny, NZ: nz, Sweeps: *jacSweeps}
-		if *model == "mpi" {
-			_, rep, err := jacobi.RunMPI(jacobi.MPIOptions{Nodes: *nodes, CoresPerNode: *cores, Machine: mach, Parallel: *parallel}, prm)
-			exitOn(err)
-			fmt.Printf("jacobi/mpi: %dx%dx%d grid, %d sweeps\n%v\n", nx, ny, nz, prm.Sweeps, rep)
-			return
-		}
-		_, rep, err := jacobi.RunPPM(popt, prm)
-		exitOn(err)
-		fmt.Printf("jacobi/ppm: %dx%dx%d grid, %d sweeps\n%v\n", nx, ny, nz, prm.Sweeps, rep)
-
-	case "search":
-		if *model == "mpi" {
-			log.Fatal("search has no message-passing variant (it is the paper's PPM code example)")
-		}
-		prm := search.Params{N: *searchN, K: *searchK, Seed: 42}
-		_, rep, err := search.RunPPM(popt, prm)
-		exitOn(err)
-		fmt.Printf("search/ppm: %d keys/node in array of %d\n%v\n", prm.K, prm.N, rep)
+		// Not the job the hash names: the baseline of its application.
+		tag, res.Hash, res.Backend = "mpi", "", "mpi"
 
 	default:
-		fmt.Fprintf(os.Stderr, "ppm-run: unknown -app %q (want cg, colloc, nbody, jacobi, search)\n", *app)
-		os.Exit(2)
-	}
-}
-
-// distParams carries the app-parameter flags into the distributed path so
-// the launcher can rebuild the same AppSpec the node processes use.
-type distParams struct {
-	cgGrid       string
-	cgIters      int
-	collocLevels int
-	collocM0     int
-	bhN          int
-	bhSteps      int
-	jacGrid      string
-	jacSweeps    int
-	searchN      int
-	searchK      int
-}
-
-// spec resolves the flags into the AppSpec ppm-node will derive from the
-// same arguments (Merge needs it to reassemble fragments).
-func (d distParams) spec(app string) (dist.AppSpec, error) {
-	spec := dist.AppSpec{App: app}
-	parseGrid := func(flagName, s string) (nx, ny, nz int, err error) {
-		if _, err = fmt.Sscanf(s, "%dx%dx%d", &nx, &ny, &nz); err != nil {
-			err = fmt.Errorf("bad %s %q", flagName, s)
+		if *timeline {
+			collector := trace.NewCollector()
+			opt.Observer = collector.Observer()
+			defer func() {
+				fmt.Println()
+				fmt.Print(collector.Summarize())
+				fmt.Print(collector.Timeline(72))
+			}()
 		}
+		res, rep, err = jobspec.Run(s, opt)
+		exitOn(err)
+	}
+
+	if *jsonOut {
+		out, err := json.Marshal(res)
+		exitOn(err)
+		fmt.Println(string(out))
 		return
 	}
-	switch app {
-	case "cg":
-		nx, ny, nz, err := parseGrid("-cg-grid", d.cgGrid)
-		if err != nil {
-			return spec, err
-		}
-		spec.CG = cg.Params{NX: nx, NY: ny, NZ: nz, MaxIter: d.cgIters, Tol: 0}
-	case "colloc":
-		spec.Colloc = colloc.Params{Levels: d.collocLevels, M0: d.collocM0, Delta: 3}
-	case "nbody":
-		spec.Nbody = nbody.Params{N: d.bhN, Steps: d.bhSteps, Theta: 0.5, Eps: 0.05, DT: 0.01, Seed: 42}
-	case "jacobi":
-		nx, ny, nz, err := parseGrid("-jacobi-grid", d.jacGrid)
-		if err != nil {
-			return spec, err
-		}
-		spec.Jacobi = jacobi.Params{NX: nx, NY: ny, NZ: nz, Sweeps: d.jacSweeps}
-	case "search":
-		spec.Search = search.Params{N: d.searchN, K: d.searchK, Seed: 42}
-	default:
-		return spec, fmt.Errorf("unknown -app %q (want cg, colloc, nbody, jacobi, search)", app)
-	}
-	return spec, nil
+	fmt.Printf("%s [%s]\n%v\n", res.Summary, tag, rep)
 }
 
 // findNodeBin locates the ppm-node binary: an explicit -node-bin wins,
@@ -361,113 +201,32 @@ func findNodeBin(explicit string) (string, error) {
 	return "", fmt.Errorf("ppm-node binary not found (build it with `go build ./cmd/ppm-node` and pass -node-bin, or put it next to ppm-run)")
 }
 
-// launchCfg carries the supervision flags into the distributed path.
-type launchCfg struct {
-	maxRestarts     int
-	ckptDir         string
-	ckptEvery       int
-	perRankRestarts int
-	minNodes        int
-}
-
-// launchOpts builds the shared supervision options, including the
-// elastic-rescale callbacks that narrate restarts and shrinks.
-func (lc launchCfg) launchOpts() dist.LaunchOpts {
-	return dist.LaunchOpts{
-		MaxRestarts: lc.maxRestarts, CheckpointDir: lc.ckptDir, CheckpointEvery: lc.ckptEvery,
-		PerRankRestarts: lc.perRankRestarts, MinNodes: lc.minNodes,
-		OnRestart: func(attempt int, cause error) {
-			fmt.Fprintf(os.Stderr, "ppm-run: supervisor: relaunching fleet (attempt %d) after: %v\n", attempt, cause)
-		},
-		OnRescale: func(procs int, cause error) {
-			fmt.Fprintf(os.Stderr, "ppm-run: supervisor: host permanently dead; rescaling fleet to %d host processes after: %v\n", procs, cause)
-		},
-	}
-}
-
-// runDistributed forks one ppm-node per node over loopback TCP, merges
-// the per-rank results, and prints the same summary the simulator path
-// would. With -max-restarts the launcher supervises: a failed fleet is
-// relaunched (resuming from -checkpoint-dir when set) until an attempt
-// succeeds or the budget is spent.
-func runDistributed(app string, nodes int, nodeBin string, nodeArgs []string, lc launchCfg, d distParams) {
-	spec, err := d.spec(app)
-	exitOn(err)
+// runDistributed forks one ppm-node per node over loopback TCP, each
+// running the spec it is handed via -spec-json (ahead of lo's transport
+// flags), and merges and flattens the per-rank results. With
+// -max-restarts the launcher supervises: a failed fleet is relaunched
+// (resuming from -checkpoint-dir when set) until an attempt succeeds or
+// the budget is spent, and restarts and shrinks are narrated on stderr.
+func runDistributed(s *jobspec.Spec, nodeBin string, lo dist.LaunchOpts) *jobspec.Result {
 	bin, err := findNodeBin(nodeBin)
 	exitOn(err)
-	lo := lc.launchOpts()
-	lo.Nodes, lo.NodeBin, lo.NodeArgs = nodes, bin, nodeArgs
+	payload, err := json.Marshal(s)
+	exitOn(err)
+	lo.Nodes, lo.NodeBin = s.Nodes, bin
+	lo.NodeArgs = append([]string{"-spec-json", string(payload)}, lo.NodeArgs...)
+	lo.OnRestart = func(attempt int, cause error) {
+		fmt.Fprintf(os.Stderr, "ppm-run: supervisor: relaunching fleet (attempt %d) after: %v\n", attempt, cause)
+	}
+	lo.OnRescale = func(procs int, cause error) {
+		fmt.Fprintf(os.Stderr, "ppm-run: supervisor: host permanently dead; rescaling fleet to %d host processes after: %v\n", procs, cause)
+	}
 	results, err := dist.LaunchLocal(lo)
 	exitOn(err)
-	m, err := dist.Merge(spec, results)
+	m, err := dist.Merge(s.AppSpec(), results)
 	exitOn(err)
-	rep := &core.Report{PerNode: m.PerNode, Totals: m.Totals}
-	switch app {
-	case "cg":
-		fmt.Printf("cg/ppm-dist: %d iterations, residual %.3e\n%v\n", m.CG.Iters, m.CG.Residual, rep)
-	case "colloc":
-		fmt.Printf("colloc/ppm-dist: %d x %d matrix, %d nonzeros\n%v\n", m.Colloc.N, m.Colloc.N, m.Colloc.NNZ(), rep)
-	case "nbody":
-		fmt.Printf("nbody/ppm-dist: %d bodies, %d steps\n%v\n", spec.Nbody.N, spec.Nbody.Steps, rep)
-	case "jacobi":
-		fmt.Printf("jacobi/ppm-dist: %dx%dx%d grid, %d sweeps\n%v\n",
-			spec.Jacobi.NX, spec.Jacobi.NY, spec.Jacobi.NZ, spec.Jacobi.Sweeps, rep)
-	case "search":
-		fmt.Printf("search/ppm-dist: %d keys/node in array of %d\n%v\n", spec.Search.K, spec.Search.N, rep)
-	}
-}
-
-// runSpec executes a jobspec file: sim and parallel backends run
-// in-process, the dist backend launches a loopback fleet whose nodes run
-// the same spec via -spec-json. The flattened result prints as one JSON
-// line with -json (the server and the equivalence harness diff that
-// form), else as the usual human summary. A -timeout without a spec
-// deadline becomes the job's deadline_ms, so distributed overruns tear
-// the fleet down with the rank and in-flight operation named.
-func runSpec(path string, jsonOut bool, nodeBin string, lc launchCfg, timeout time.Duration) {
-	data, err := os.ReadFile(path)
+	res, err := jobspec.FromMerged(s, m)
 	exitOn(err)
-	var s jobspec.Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		exitOn(fmt.Errorf("parsing -spec %s: %v", path, err))
-	}
-	s.Normalize()
-	exitOn(s.Validate())
-	if timeout > 0 && s.DeadlineMS == 0 {
-		s.DeadlineMS = timeout.Milliseconds()
-	}
-	var res *jobspec.Result
-	if s.Backend == jobspec.BackendDist {
-		bin, err := findNodeBin(nodeBin)
-		exitOn(err)
-		payload, err := json.Marshal(&s)
-		exitOn(err)
-		lo := lc.launchOpts()
-		lo.Nodes, lo.NodeBin = s.Nodes, bin
-		lo.NodeArgs = []string{"-spec-json", string(payload)}
-		results, err := dist.LaunchLocal(lo)
-		exitOn(err)
-		m, err := dist.Merge(s.AppSpec(), results)
-		exitOn(err)
-		res, err = jobspec.FromMerged(&s, m)
-		exitOn(err)
-	} else {
-		if timeout > 0 {
-			time.AfterFunc(timeout, func() {
-				fmt.Fprintf(os.Stderr, "ppm-run: run exceeded -timeout %v\n", timeout)
-				os.Exit(1)
-			})
-		}
-		res, err = jobspec.RunLocal(&s)
-		exitOn(err)
-	}
-	if jsonOut {
-		out, err := json.Marshal(res)
-		exitOn(err)
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Printf("%s [job %s]\n%v\n", res.Summary, res.Hash, &core.Report{PerNode: res.PerNode, Totals: res.Totals})
+	return res
 }
 
 // exitOn reports a failed run on stderr — including the scheduler's full

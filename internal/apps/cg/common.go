@@ -18,9 +18,11 @@
 package cg
 
 import (
+	"flag"
 	"fmt"
 	"math"
 
+	"ppm/internal/apps/appflag"
 	"ppm/internal/linalg"
 	"ppm/internal/sparse"
 )
@@ -34,7 +36,20 @@ type Params struct {
 // N returns the number of unknowns.
 func (p Params) N() int { return p.NX * p.NY * p.NZ }
 
-func (p Params) validate() error {
+// WithDefaults fills zero fields with the Figure 1 workload (a 24x24x48
+// chimney, 20 iterations).
+func (p Params) WithDefaults() Params {
+	if p.NX == 0 && p.NY == 0 && p.NZ == 0 {
+		p.NX, p.NY, p.NZ = 24, 24, 48
+	}
+	if p.MaxIter == 0 {
+		p.MaxIter = 20
+	}
+	return p
+}
+
+// Validate reports the first parameter no run could use.
+func (p Params) Validate() error {
 	if p.NX <= 0 || p.NY <= 0 || p.NZ <= 0 {
 		return fmt.Errorf("cg: grid %dx%dx%d invalid", p.NX, p.NY, p.NZ)
 	}
@@ -42,6 +57,19 @@ func (p Params) validate() error {
 		return fmt.Errorf("cg: MaxIter must be positive, got %d", p.MaxIter)
 	}
 	return nil
+}
+
+// Flags binds p to its command-line flags on fs, defaulted as WithDefaults.
+func (p *Params) Flags(fs *flag.FlagSet) {
+	*p = p.WithDefaults()
+	fs.Var(appflag.Grid{NX: &p.NX, NY: &p.NY, NZ: &p.NZ}, "cg-grid", "cg: grid NXxNYxNZ")
+	fs.IntVar(&p.MaxIter, "cg-iters", p.MaxIter, "cg: iterations (tol=0)")
+}
+
+// Canonical is what a job hash covers: every field as a 64-bit word
+// (floats as their bit pattern), in a fixed order.
+func (p Params) Canonical() []uint64 {
+	return []uint64{uint64(p.NX), uint64(p.NY), uint64(p.NZ), uint64(p.MaxIter), math.Float64bits(p.Tol)}
 }
 
 // Result carries the solver outcome.
@@ -68,7 +96,7 @@ func rhsRows(a *sparse.CSR) []float64 {
 // Solve runs sequential CG on the full operator: the reference the
 // parallel versions are validated against.
 func Solve(p Params) (*Result, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	a := sparse.Stencil27(p.NX, p.NY, p.NZ)

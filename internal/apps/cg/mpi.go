@@ -46,7 +46,7 @@ func RunMPI(opt MPIOptions, prm Params) (*Result, *cluster.Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := prm.validate(); err != nil {
+	if err := prm.Validate(); err != nil {
 		return nil, nil, err
 	}
 	res := &Result{}

@@ -17,7 +17,7 @@ func RunPPM(opt core.Options, prm Params) (*Result, *core.Report, error) {
 // program text for both modes is what makes their results comparable
 // bit for bit.
 func RunPPMOn(run core.Runner, opt core.Options, prm Params) (*Result, *core.Report, error) {
-	if err := prm.validate(); err != nil {
+	if err := prm.Validate(); err != nil {
 		return nil, nil, err
 	}
 	res := &Result{}

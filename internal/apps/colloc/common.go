@@ -17,6 +17,7 @@
 package colloc
 
 import (
+	"flag"
 	"fmt"
 	"math"
 )
@@ -30,7 +31,42 @@ type Params struct {
 // DefaultQuad is the inner-quadrature point count for table entries.
 const DefaultQuad = 32
 
-func (p Params) validate() error {
+// WithDefaults fills zero fields with the Figure 2 workload (7 levels
+// over 12 level-0 functions, truncation radius 3).
+func (p Params) WithDefaults() Params {
+	if p.Levels == 0 {
+		p.Levels = 7
+	}
+	if p.M0 == 0 {
+		p.M0 = 12
+	}
+	if p.Delta == 0 {
+		p.Delta = 3
+	}
+	return p
+}
+
+// Flags binds p to its command-line flags on fs, defaulted as WithDefaults.
+func (p *Params) Flags(fs *flag.FlagSet) {
+	*p = p.WithDefaults()
+	fs.IntVar(&p.Levels, "colloc-levels", p.Levels, "colloc: levels")
+	fs.IntVar(&p.M0, "colloc-m0", p.M0, "colloc: level-0 basis count")
+}
+
+// Canonical is what a job hash covers: every field as a 64-bit word, in
+// a fixed order. Delta has always been hashed as its integer part, and
+// cached results are keyed by those bytes, so that stays; a fractional
+// radius, which used to hash like its integer part, follows in full.
+func (p Params) Canonical() []uint64 {
+	words := []uint64{uint64(p.Levels), uint64(p.M0), uint64(int64(p.Delta))}
+	if p.Delta != math.Trunc(p.Delta) {
+		words = append(words, math.Float64bits(p.Delta))
+	}
+	return words
+}
+
+// Validate reports the first parameter no run could use.
+func (p Params) Validate() error {
 	if p.Levels <= 0 || p.Levels > 24 {
 		return fmt.Errorf("colloc: Levels must be in [1,24], got %d", p.Levels)
 	}
@@ -233,7 +269,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 
 // Generate builds the matrix sequentially: the reference implementation.
 func Generate(p Params) (*Matrix, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	n := p.N()

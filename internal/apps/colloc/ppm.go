@@ -19,7 +19,7 @@ func RunPPM(opt core.Options, p Params) (*Matrix, *core.Report, error) {
 // populated only for the calling process's cyclic rows in the latter
 // case; the launcher merges the fragments.
 func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Report, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	n := p.N()

@@ -12,7 +12,12 @@
 // same shared array in one phase.
 package jacobi
 
-import "fmt"
+import (
+	"flag"
+	"fmt"
+
+	"ppm/internal/apps/appflag"
+)
 
 // Params describes one relaxation problem.
 type Params struct {
@@ -23,7 +28,33 @@ type Params struct {
 // N returns the number of grid points.
 func (p Params) N() int { return p.NX * p.NY * p.NZ }
 
-func (p Params) validate() error {
+// WithDefaults fills zero fields with the Figure S1 workload (a 24x24x48
+// grid, 10 sweeps).
+func (p Params) WithDefaults() Params {
+	if p.NX == 0 && p.NY == 0 && p.NZ == 0 {
+		p.NX, p.NY, p.NZ = 24, 24, 48
+	}
+	if p.Sweeps == 0 {
+		p.Sweeps = 10
+	}
+	return p
+}
+
+// Flags binds p to its command-line flags on fs, defaulted as WithDefaults.
+func (p *Params) Flags(fs *flag.FlagSet) {
+	*p = p.WithDefaults()
+	fs.Var(appflag.Grid{NX: &p.NX, NY: &p.NY, NZ: &p.NZ}, "jacobi-grid", "jacobi: grid NXxNYxNZ")
+	fs.IntVar(&p.Sweeps, "jacobi-sweeps", p.Sweeps, "jacobi: sweeps")
+}
+
+// Canonical is what a job hash covers: every field as a 64-bit word
+// (floats as their bit pattern), in a fixed order.
+func (p Params) Canonical() []uint64 {
+	return []uint64{uint64(p.NX), uint64(p.NY), uint64(p.NZ), uint64(p.Sweeps)}
+}
+
+// Validate reports the first parameter no run could use.
+func (p Params) Validate() error {
 	if p.NX <= 0 || p.NY <= 0 || p.NZ <= 0 {
 		return fmt.Errorf("jacobi: grid %dx%dx%d invalid", p.NX, p.NY, p.NZ)
 	}
@@ -71,7 +102,7 @@ const relaxFlops = 9
 
 // Solve runs the sequential reference and returns the final grid.
 func Solve(p Params) ([]float64, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	n := p.N()

@@ -44,7 +44,7 @@ func RunMPI(opt MPIOptions, p Params) ([]float64, *cluster.Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	n := p.N()

@@ -15,7 +15,7 @@ func RunPPM(opt core.Options, p Params) ([]float64, *core.Report, error) {
 // RunPPMOn executes the same PPM program under any core.Runner — the
 // simulator (core.Run) or one process of a distributed run.
 func RunPPMOn(run core.Runner, opt core.Options, p Params) ([]float64, *core.Report, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	n := p.N()

@@ -21,6 +21,7 @@
 package nbody
 
 import (
+	"flag"
 	"fmt"
 	"math"
 
@@ -38,7 +39,46 @@ type Params struct {
 	Seed  uint64  // initial-condition seed
 }
 
-func (p Params) validate() error {
+// WithDefaults fills zero fields with the Figure 3 workload (3000 bodies,
+// 2 steps of 0.01, theta 0.5, softening 0.05, seed 42).
+func (p Params) WithDefaults() Params {
+	if p.N == 0 {
+		p.N = 3000
+	}
+	if p.Steps == 0 {
+		p.Steps = 2
+	}
+	if p.Theta == 0 {
+		p.Theta = 0.5
+	}
+	if p.Eps == 0 {
+		p.Eps = 0.05
+	}
+	if p.DT == 0 {
+		p.DT = 0.01
+	}
+	if p.Seed == 0 {
+		p.Seed = 42
+	}
+	return p
+}
+
+// Flags binds p to its command-line flags on fs, defaulted as WithDefaults.
+func (p *Params) Flags(fs *flag.FlagSet) {
+	*p = p.WithDefaults()
+	fs.IntVar(&p.N, "bh-n", p.N, "nbody: bodies")
+	fs.IntVar(&p.Steps, "bh-steps", p.Steps, "nbody: steps")
+}
+
+// Canonical is what a job hash covers: every field as a 64-bit word
+// (floats as their bit pattern), in a fixed order.
+func (p Params) Canonical() []uint64 {
+	return []uint64{uint64(p.N), uint64(p.Steps),
+		math.Float64bits(p.Theta), math.Float64bits(p.Eps), math.Float64bits(p.DT), p.Seed}
+}
+
+// Validate reports the first parameter no run could use.
+func (p Params) Validate() error {
 	if p.N <= 0 {
 		return fmt.Errorf("nbody: N must be positive, got %d", p.N)
 	}
@@ -153,7 +193,7 @@ func step(p Params, s *State, part partition.Block, lo, hi int, trees []octree.S
 // partition decomposition the parallel versions use: the bitwise
 // reference for `parts` partitions.
 func RunPartitioned(p Params, parts int) (*State, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if parts <= 0 {

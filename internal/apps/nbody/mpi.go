@@ -41,7 +41,7 @@ func RunMPI(opt MPIOptions, p Params) (*State, *cluster.Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	init := InitState(p)

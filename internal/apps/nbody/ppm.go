@@ -34,7 +34,7 @@ func RunPPM(opt core.Options, p Params) (*State, *core.Report, error) {
 // latter case only the calling process's block of the position/velocity
 // arrays is populated; the launcher merges the fragments.
 func RunPPMOn(run core.Runner, opt core.Options, p Params) (*State, *core.Report, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	init := InitState(p)

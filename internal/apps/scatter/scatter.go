@@ -9,6 +9,7 @@
 package scatter
 
 import (
+	"flag"
 	"fmt"
 
 	"ppm/internal/core"
@@ -41,7 +42,23 @@ func (p Params) WithDefaults() Params {
 	return p
 }
 
-func (p Params) validate() error {
+// Flags binds p to its command-line flags on fs, defaulted as WithDefaults.
+func (p *Params) Flags(fs *flag.FlagSet) {
+	*p = p.WithDefaults()
+	fs.IntVar(&p.N, "scatter-n", p.N, "scatter: global accumulator length")
+	fs.IntVar(&p.VPs, "scatter-vps", p.VPs, "scatter: virtual processors per node")
+	fs.IntVar(&p.Iters, "scatter-iters", p.Iters, "scatter: scatter-add phases")
+	fs.Uint64Var(&p.Seed, "scatter-seed", p.Seed, "scatter: workload seed")
+}
+
+// Canonical is what a job hash covers: every field as a 64-bit word
+// (floats as their bit pattern), in a fixed order.
+func (p Params) Canonical() []uint64 {
+	return []uint64{uint64(p.N), uint64(p.VPs), uint64(p.Iters), p.Seed}
+}
+
+// Validate reports the first parameter no run could use.
+func (p Params) Validate() error {
 	if p.N <= 0 || p.VPs <= 0 || p.Iters <= 0 {
 		return fmt.Errorf("scatter: N, VPs, and Iters must be positive, got %d, %d, %d",
 			p.N, p.VPs, p.Iters)
@@ -104,7 +121,7 @@ func RunPPM(opt core.Options, p Params) ([][]float64, *core.Report, error) {
 // only its own node's partition slice).
 func RunPPMOn(run core.Runner, opt core.Options, p Params) ([][]float64, *core.Report, error) {
 	p = p.WithDefaults()
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	out := make([][]float64, opt.Nodes)

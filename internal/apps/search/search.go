@@ -8,6 +8,7 @@
 package search
 
 import (
+	"flag"
 	"fmt"
 	"sort"
 
@@ -22,7 +23,34 @@ type Params struct {
 	Seed uint64 // workload seed
 }
 
-func (p Params) validate() error {
+// WithDefaults fills zero fields with the Section 5 workload (2^14 keys
+// per node in an array of 2^20, seed 42).
+func (p Params) WithDefaults() Params {
+	if p.N == 0 {
+		p.N = 1 << 20
+	}
+	if p.K == 0 {
+		p.K = 1 << 14
+	}
+	if p.Seed == 0 {
+		p.Seed = 42
+	}
+	return p
+}
+
+// Flags binds p to its command-line flags on fs, defaulted as WithDefaults.
+func (p *Params) Flags(fs *flag.FlagSet) {
+	*p = p.WithDefaults()
+	fs.IntVar(&p.N, "search-n", p.N, "search: sorted array length")
+	fs.IntVar(&p.K, "search-k", p.K, "search: keys per node")
+}
+
+// Canonical is what a job hash covers: every field as a 64-bit word
+// (floats as their bit pattern), in a fixed order.
+func (p Params) Canonical() []uint64 { return []uint64{uint64(p.N), uint64(p.K), p.Seed} }
+
+// Validate reports the first parameter no run could use.
+func (p Params) Validate() error {
 	if p.N <= 0 || p.K <= 0 {
 		return fmt.Errorf("search: N and K must be positive, got %d, %d", p.N, p.K)
 	}
@@ -69,7 +97,7 @@ func RunPPM(opt core.Options, p Params) ([][]int64, *core.Report, error) {
 // simulator (core.Run) or one process of a distributed run (which fills
 // only its own node's rank slice).
 func RunPPMOn(run core.Runner, opt core.Options, p Params) ([][]int64, *core.Report, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
 	a := MakeArray(p)

@@ -22,6 +22,7 @@ import (
 	"ppm/internal/apps/jacobi"
 	"ppm/internal/apps/nbody"
 	"ppm/internal/core"
+	"ppm/internal/dist"
 	"ppm/internal/machine"
 )
 
@@ -282,32 +283,26 @@ func (s *Series) CrossoverNodes() int {
 	return 0
 }
 
-// Figure1CG regenerates the paper's Figure 1: CG solver runtime vs node
-// count, PPM vs the tuned MPI implementation.
-func Figure1CG(cfg SweepConfig, prm cg.Params) (*Series, error) {
-	c := cfg.fill()
-	s := &Series{
-		Figure: "Figure 1",
-		Name: fmt.Sprintf("CG solver, %dx%dx%d grid (%d rows), %d iterations",
-			prm.NX, prm.NY, prm.NZ, prm.N(), prm.MaxIter),
-	}
+// sweep fills s with one point per node count: the named application
+// under PPM on the simulator and under its message-passing baseline.
+func (c SweepConfig) sweep(s *Series, spec dist.AppSpec) (*Series, error) {
 	err := c.runPoints(s, func(nodes int, pt *Point) error {
-		_, prep, err := cg.RunPPM(core.Options{
+		_, prep, err := dist.RunSim(core.Options{
 			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
+		}, spec)
 		if err != nil {
-			return fmt.Errorf("figure 1: PPM at %d nodes: %w", nodes, err)
+			return fmt.Errorf("%s: PPM at %d nodes: %w", s.Figure, nodes, err)
 		}
 		pt.PPMSec = prep.Makespan().Seconds()
 		pt.PPMBytes = prep.Totals.BytesOut + prep.Cluster.Totals.BytesSent
 		pt.PPMMsgs = prep.Totals.BundlesOut + prep.Cluster.Totals.MsgsSent
 		return nil
 	}, func(nodes int, pt *Point) error {
-		_, mrep, err := cg.RunMPI(cg.MPIOptions{
+		_, mrep, err := dist.RunMPI(dist.MPIOptions{
 			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
+		}, spec)
 		if err != nil {
-			return fmt.Errorf("figure 1: MPI at %d nodes: %w", nodes, err)
+			return fmt.Errorf("%s: MPI at %d nodes: %w", s.Figure, nodes, err)
 		}
 		pt.MPISec = mrep.Makespan.Seconds()
 		pt.MPIBytes = mrep.Totals.BytesSent
@@ -320,117 +315,41 @@ func Figure1CG(cfg SweepConfig, prm cg.Params) (*Series, error) {
 	return s, nil
 }
 
+// Figure1CG regenerates the paper's Figure 1: CG solver runtime vs node
+// count, PPM vs the tuned MPI implementation.
+func Figure1CG(cfg SweepConfig, prm cg.Params) (*Series, error) {
+	return cfg.fill().sweep(&Series{
+		Figure: "Figure 1",
+		Name: fmt.Sprintf("CG solver, %dx%dx%d grid (%d rows), %d iterations",
+			prm.NX, prm.NY, prm.NZ, prm.N(), prm.MaxIter),
+	}, dist.AppSpec{App: "cg", CG: prm})
+}
+
 // Figure2Colloc regenerates the paper's Figure 2: collocation sparse-
 // matrix generation runtime vs node count.
 func Figure2Colloc(cfg SweepConfig, prm colloc.Params) (*Series, error) {
-	c := cfg.fill()
-	s := &Series{
+	return cfg.fill().sweep(&Series{
 		Figure: "Figure 2",
-		Name: fmt.Sprintf("collocation matrix generation, %d levels, n=%d",
-			prm.Levels, prm.N()),
-	}
-	err := c.runPoints(s, func(nodes int, pt *Point) error {
-		_, prep, err := colloc.RunPPM(core.Options{
-			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
-		if err != nil {
-			return fmt.Errorf("figure 2: PPM at %d nodes: %w", nodes, err)
-		}
-		pt.PPMSec = prep.Makespan().Seconds()
-		pt.PPMBytes = prep.Totals.BytesOut + prep.Cluster.Totals.BytesSent
-		pt.PPMMsgs = prep.Totals.BundlesOut + prep.Cluster.Totals.MsgsSent
-		return nil
-	}, func(nodes int, pt *Point) error {
-		_, mrep, err := colloc.RunMPI(colloc.MPIOptions{
-			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
-		if err != nil {
-			return fmt.Errorf("figure 2: MPI at %d nodes: %w", nodes, err)
-		}
-		pt.MPISec = mrep.Makespan.Seconds()
-		pt.MPIBytes = mrep.Totals.BytesSent
-		pt.MPIMsgs = mrep.Totals.MsgsSent
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+		Name:   fmt.Sprintf("collocation matrix generation, %d levels, n=%d", prm.Levels, prm.N()),
+	}, dist.AppSpec{App: "colloc", Colloc: prm})
 }
 
 // Figure3BarnesHut regenerates the paper's Figure 3: Barnes-Hut runtime
 // vs node count, PPM (in-place bundled tree access) vs MPI (whole-tree
 // replication).
 func Figure3BarnesHut(cfg SweepConfig, prm nbody.Params) (*Series, error) {
-	c := cfg.fill()
-	s := &Series{
+	return cfg.fill().sweep(&Series{
 		Figure: "Figure 3",
-		Name: fmt.Sprintf("Barnes-Hut, %d bodies, theta=%.2f, %d steps",
-			prm.N, prm.Theta, prm.Steps),
-	}
-	err := c.runPoints(s, func(nodes int, pt *Point) error {
-		_, prep, err := nbody.RunPPM(core.Options{
-			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
-		if err != nil {
-			return fmt.Errorf("figure 3: PPM at %d nodes: %w", nodes, err)
-		}
-		pt.PPMSec = prep.Makespan().Seconds()
-		pt.PPMBytes = prep.Totals.BytesOut + prep.Cluster.Totals.BytesSent
-		pt.PPMMsgs = prep.Totals.BundlesOut + prep.Cluster.Totals.MsgsSent
-		return nil
-	}, func(nodes int, pt *Point) error {
-		_, mrep, err := nbody.RunMPI(nbody.MPIOptions{
-			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
-		if err != nil {
-			return fmt.Errorf("figure 3: MPI at %d nodes: %w", nodes, err)
-		}
-		pt.MPISec = mrep.Makespan.Seconds()
-		pt.MPIBytes = mrep.Totals.BytesSent
-		pt.MPIMsgs = mrep.Totals.MsgsSent
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+		Name:   fmt.Sprintf("Barnes-Hut, %d bodies, theta=%.2f, %d steps", prm.N, prm.Theta, prm.Steps),
+	}, dist.AppSpec{App: "nbody", Nbody: prm})
 }
 
 // FigureS1Jacobi regenerates the supplementary structured counterpoint
 // (DESIGN.md experiment S1): Jacobi relaxation runtime vs node count.
 func FigureS1Jacobi(cfg SweepConfig, prm jacobi.Params) (*Series, error) {
-	c := cfg.fill()
-	s := &Series{
+	return cfg.fill().sweep(&Series{
 		Figure: "Figure S1",
 		Name: fmt.Sprintf("Jacobi relaxation (structured counterpoint), %dx%dx%d grid, %d sweeps",
 			prm.NX, prm.NY, prm.NZ, prm.Sweeps),
-	}
-	err := c.runPoints(s, func(nodes int, pt *Point) error {
-		_, prep, err := jacobi.RunPPM(core.Options{
-			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
-		if err != nil {
-			return fmt.Errorf("figure S1: PPM at %d nodes: %w", nodes, err)
-		}
-		pt.PPMSec = prep.Makespan().Seconds()
-		pt.PPMBytes = prep.Totals.BytesOut + prep.Cluster.Totals.BytesSent
-		pt.PPMMsgs = prep.Totals.BundlesOut + prep.Cluster.Totals.MsgsSent
-		return nil
-	}, func(nodes int, pt *Point) error {
-		_, mrep, err := jacobi.RunMPI(jacobi.MPIOptions{
-			Nodes: nodes, CoresPerNode: c.CoresPerNode, Machine: c.Machine, Parallel: c.ParallelRun,
-		}, prm)
-		if err != nil {
-			return fmt.Errorf("figure S1: MPI at %d nodes: %w", nodes, err)
-		}
-		pt.MPISec = mrep.Makespan.Seconds()
-		pt.MPIBytes = mrep.Totals.BytesSent
-		pt.MPIMsgs = mrep.Totals.MsgsSent
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	}, dist.AppSpec{App: "jacobi", Jacobi: prm})
 }

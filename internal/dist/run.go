@@ -10,8 +10,8 @@ import (
 	"ppm/internal/apps/nbody"
 	"ppm/internal/apps/scatter"
 	"ppm/internal/apps/search"
+	"ppm/internal/cluster"
 	"ppm/internal/core"
-	"ppm/internal/partition"
 )
 
 // AppSpec names one of the repository's figure apps and its parameters.
@@ -68,68 +68,58 @@ func RunApp(eng core.DistEngine, opt core.Options, spec AppSpec) *NodeResult {
 	runner := core.Runner(func(o core.Options, prog func(rt *core.Runtime)) (*core.Report, error) {
 		return core.RunDist(o, eng, prog)
 	})
-	var rep *core.Report
-	var err error
-	switch spec.App {
-	case "cg":
-		var out *cg.Result
-		out, rep, err = cg.RunPPMOn(runner, opt, spec.CG)
-		if err == nil && eng.Rank() == 0 {
-			res.CG = out
+	a, err := lookup(spec.App)
+	if err == nil {
+		var m Merged
+		var rep *core.Report
+		if rep, err = a.run(runner, opt, spec, &m); err == nil {
+			a.fragment(spec, &m, eng.Rank(), eng.Nodes(), res)
 		}
-	case "jacobi":
-		var out []float64
-		out, rep, err = jacobi.RunPPMOn(runner, opt, spec.Jacobi)
-		if err == nil && eng.Rank() == 0 {
-			res.Jacobi = out
+		if rep != nil && eng.Rank() < len(rep.PerNode) {
+			res.Stats = rep.PerNode[eng.Rank()]
 		}
-	case "colloc":
-		var out *colloc.Matrix
-		out, rep, err = colloc.RunPPMOn(runner, opt, spec.Colloc)
-		if err == nil {
-			res.CollocN = out.N
-			for i := eng.Rank(); i < out.N; i += eng.Nodes() {
-				res.CollocRows = append(res.CollocRows, RowFrag{I: i, Row: out.Rows[i]})
-			}
-		}
-	case "nbody":
-		var out *nbody.State
-		out, rep, err = nbody.RunPPMOn(runner, opt, spec.Nbody)
-		if err == nil {
-			part := partition.NewBlock(spec.Nbody.N, eng.Nodes())
-			lo, hi := part.Range(eng.Rank())
-			f := &NbodyFrag{
-				Lo: lo, Hi: hi,
-				PX: out.PX[lo:hi], PY: out.PY[lo:hi], PZ: out.PZ[lo:hi],
-				VX: out.VX[lo:hi], VY: out.VY[lo:hi], VZ: out.VZ[lo:hi],
-			}
-			if eng.Rank() == 0 {
-				f.M = out.M
-			}
-			res.Nbody = f
-		}
-	case "search":
-		var out [][]int64
-		out, rep, err = search.RunPPMOn(runner, opt, spec.Search)
-		if err == nil {
-			res.Search = out[eng.Rank()]
-		}
-	case "scatter":
-		var out [][]float64
-		out, rep, err = scatter.RunPPMOn(runner, opt, spec.Scatter)
-		if err == nil {
-			res.Scatter = out[eng.Rank()]
-		}
-	default:
-		err = fmt.Errorf("dist: unknown app %q (want cg, colloc, nbody, jacobi, search, or scatter)", spec.App)
-	}
-	if rep != nil && eng.Rank() < len(rep.PerNode) {
-		res.Stats = rep.PerNode[eng.Rank()]
 	}
 	if err != nil {
 		res.Err = err.Error()
 	}
 	return res
+}
+
+// RunSim runs the named app on the simulator under opt (sequential or
+// parallel, observed or not: the caller's options are used as given) and
+// shapes the native output like a distributed merge, so one flattening
+// path serves every backend. The report keeps its cluster half.
+func RunSim(opt core.Options, spec AppSpec) (*Merged, *core.Report, error) {
+	a, err := lookup(spec.App)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := &Merged{}
+	rep, err := a.run(core.Run, opt, spec, m)
+	if err != nil {
+		return nil, rep, err
+	}
+	m.PerNode, m.Totals = rep.PerNode, rep.Totals
+	return m, rep, nil
+}
+
+// RunMPI runs the named app's message-passing baseline, its output in
+// the same merged shape (without per-node statistics: the baseline has
+// no PPM runtime to count).
+func RunMPI(opt MPIOptions, spec AppSpec) (*Merged, *cluster.Report, error) {
+	a, err := lookup(spec.App)
+	if err != nil {
+		return nil, nil, err
+	}
+	if a.runMPI == nil {
+		return nil, nil, fmt.Errorf("%s has no message-passing variant", spec.App)
+	}
+	m := &Merged{}
+	rep, err := a.runMPI(opt, spec, m)
+	if err != nil {
+		return nil, rep, err
+	}
+	return m, rep, nil
 }
 
 // Merged is the reassembled cross-node result of a distributed run,
@@ -167,63 +157,12 @@ func Merge(spec AppSpec, results []NodeResult) (*Merged, error) {
 		m.PerNode[i] = r.Stats
 		m.Totals.Add(r.Stats)
 	}
-	switch spec.App {
-	case "cg":
-		m.CG = results[0].CG
-		if m.CG == nil {
-			return nil, fmt.Errorf("dist: rank 0 reported no cg result")
-		}
-	case "jacobi":
-		m.Jacobi = results[0].Jacobi
-		if m.Jacobi == nil {
-			return nil, fmt.Errorf("dist: rank 0 reported no jacobi result")
-		}
-	case "colloc":
-		n := results[0].CollocN
-		out := &colloc.Matrix{N: n, Rows: make([][]colloc.Entry, n)}
-		for _, r := range results {
-			for _, f := range r.CollocRows {
-				if f.I < 0 || f.I >= n {
-					return nil, fmt.Errorf("dist: rank %d reported row %d of %d", r.Rank, f.I, n)
-				}
-				out.Rows[f.I] = f.Row
-			}
-		}
-		m.Colloc = out
-	case "nbody":
-		n := spec.Nbody.N
-		out := &nbody.State{
-			PX: make([]float64, n), PY: make([]float64, n), PZ: make([]float64, n),
-			VX: make([]float64, n), VY: make([]float64, n), VZ: make([]float64, n),
-		}
-		for _, r := range results {
-			f := r.Nbody
-			if f == nil || f.Hi-f.Lo != len(f.PX) {
-				return nil, fmt.Errorf("dist: rank %d reported a malformed nbody fragment", r.Rank)
-			}
-			copy(out.PX[f.Lo:f.Hi], f.PX)
-			copy(out.PY[f.Lo:f.Hi], f.PY)
-			copy(out.PZ[f.Lo:f.Hi], f.PZ)
-			copy(out.VX[f.Lo:f.Hi], f.VX)
-			copy(out.VY[f.Lo:f.Hi], f.VY)
-			copy(out.VZ[f.Lo:f.Hi], f.VZ)
-			if f.M != nil {
-				out.M = f.M
-			}
-		}
-		m.Nbody = out
-	case "search":
-		m.Search = make([][]int64, len(results))
-		for i, r := range results {
-			m.Search[i] = r.Search
-		}
-	case "scatter":
-		m.Scatter = make([][]float64, len(results))
-		for i, r := range results {
-			m.Scatter[i] = r.Scatter
-		}
-	default:
-		return nil, fmt.Errorf("dist: unknown app %q", spec.App)
+	a, err := lookup(spec.App)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.merge(spec, results, m); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

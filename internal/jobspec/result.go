@@ -3,12 +3,6 @@ package jobspec
 import (
 	"fmt"
 
-	"ppm/internal/apps/cg"
-	"ppm/internal/apps/colloc"
-	"ppm/internal/apps/jacobi"
-	"ppm/internal/apps/nbody"
-	"ppm/internal/apps/scatter"
-	"ppm/internal/apps/search"
 	"ppm/internal/core"
 	"ppm/internal/dist"
 )
@@ -26,7 +20,7 @@ type Result struct {
 	Backend string `json:"backend"`
 
 	// Series is the flattened float64 payload; ISeries the integer
-	// payload (lengths, indices, int outputs). See flatten* below for
+	// payload (lengths, indices, int outputs). See FromMerged for
 	// the per-app layout.
 	Series  []float64 `json:"series"`
 	ISeries []int64   `json:"iseries,omitempty"`
@@ -61,90 +55,20 @@ func FromMerged(s *Spec, m *dist.Merged) (*Result, error) {
 		PerNode: m.PerNode,
 		Totals:  m.Totals,
 	}
-	switch s.App {
-	case "cg":
-		if m.CG == nil {
-			return nil, fmt.Errorf("jobspec: cg run produced no result")
-		}
-		r.Series = append(append(make([]float64, 0, len(m.CG.X)+1), m.CG.X...), m.CG.Residual)
-		r.ISeries = []int64{int64(m.CG.Iters)}
-		r.Summary = fmt.Sprintf("cg: %d iterations, residual %.3e", m.CG.Iters, m.CG.Residual)
-	case "jacobi":
-		r.Series = m.Jacobi
-		r.Summary = fmt.Sprintf("jacobi: %dx%dx%d grid, %d sweeps",
-			s.Jacobi.NX, s.Jacobi.NY, s.Jacobi.NZ, s.Jacobi.Sweeps)
-	case "colloc":
-		if m.Colloc == nil {
-			return nil, fmt.Errorf("jobspec: colloc run produced no result")
-		}
-		nnz := m.Colloc.NNZ()
-		r.Series = sized[float64](nnz)
-		r.ISeries = sized[int64](nnz + 2*len(m.Colloc.Rows))
-		for i, row := range m.Colloc.Rows {
-			r.ISeries = append(r.ISeries, int64(i), int64(len(row)))
-			for _, e := range row {
-				r.ISeries = append(r.ISeries, int64(e.Col))
-				r.Series = append(r.Series, e.Val)
-			}
-		}
-		r.Summary = fmt.Sprintf("colloc: %d x %d matrix, %d nonzeros",
-			m.Colloc.N, m.Colloc.N, nnz)
-	case "nbody":
-		st := m.Nbody
-		if st == nil {
-			return nil, fmt.Errorf("jobspec: nbody run produced no result")
-		}
-		r.Series = sized[float64](7 * len(st.PX))
-		for _, col := range [][]float64{st.PX, st.PY, st.PZ, st.VX, st.VY, st.VZ, st.M} {
-			r.Series = append(r.Series, col...)
-		}
-		r.Summary = fmt.Sprintf("nbody: %d bodies, %d steps", s.Nbody.N, s.Nbody.Steps)
-	case "search":
-		n := 1 + len(m.Search)
-		for _, keys := range m.Search {
-			n += len(keys)
-		}
-		r.ISeries = append(sized[int64](n), int64(len(m.Search)))
-		for _, keys := range m.Search {
-			r.ISeries = append(r.ISeries, int64(len(keys)))
-		}
-		for _, keys := range m.Search {
-			r.ISeries = append(r.ISeries, keys...)
-		}
-		r.Summary = fmt.Sprintf("search: %d keys/node in array of %d", s.Search.K, s.Search.N)
-	case "scatter":
-		n := 0
-		for _, part := range m.Scatter {
-			n += len(part)
-		}
-		r.Series = sized[float64](n)
-		r.ISeries = append(sized[int64](1+len(m.Scatter)), int64(len(m.Scatter)))
-		for _, part := range m.Scatter {
-			r.ISeries = append(r.ISeries, int64(len(part)))
-			r.Series = append(r.Series, part...)
-		}
-		r.Summary = fmt.Sprintf("scatter: %d elements, %d iterations", s.Scatter.N, s.Scatter.Iters)
-	default:
-		return nil, fmt.Errorf("jobspec: unknown app %q", s.App)
+	a, ok := apps[s.App]
+	if !ok {
+		return nil, fmt.Errorf("jobspec: %w", dist.CheckApp(s.App))
+	}
+	if err := a.flatten(s, m, r); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// sized returns an empty slice with room for n elements: the flattening
-// loops above append into their final size instead of regrowing. It is
-// nil for n == 0, as appending nothing to a nil slice leaves it, so an
-// empty payload still encodes as before.
-func sized[T any](n int) []T {
-	if n == 0 {
-		return nil
-	}
-	return make([]T, 0, n)
-}
-
-// RunLocal executes a normalized sim or parallel spec in-process through
-// dist.RunApp's single-node-shaped path — the simulator — and flattens
-// the output. Distributed specs are the caller's business (they need a
-// fleet); passing one is an error.
+// RunLocal executes a normalized sim or parallel spec in-process, on the
+// simulator under the spec's own options, and flattens the output.
+// Distributed specs are the caller's business (they need a fleet);
+// passing one is an error.
 func RunLocal(s *Spec) (*Result, error) {
 	if s.Backend == BackendDist {
 		return nil, fmt.Errorf("jobspec: RunLocal cannot run a dist-backend spec")
@@ -152,41 +76,19 @@ func RunLocal(s *Spec) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := runSim(s)
-	if err != nil {
-		return nil, err
-	}
-	return FromMerged(s, m)
+	res, _, err := Run(s, s.Options())
+	return res, err
 }
 
-// runSim runs the spec under the simulator (sequential or parallel per
-// Options) and shapes the native output like a distributed merge, so
-// FromMerged is the single flattening path for every backend.
-func runSim(s *Spec) (*dist.Merged, error) {
-	opt := s.Options()
-	m := &dist.Merged{}
-	var rep *core.Report
-	var err error
-	switch s.App {
-	case "cg":
-		m.CG, rep, err = cg.RunPPM(opt, *s.CG)
-	case "jacobi":
-		m.Jacobi, rep, err = jacobi.RunPPM(opt, *s.Jacobi)
-	case "colloc":
-		m.Colloc, rep, err = colloc.RunPPM(opt, *s.Colloc)
-	case "nbody":
-		m.Nbody, rep, err = nbody.RunPPM(opt, *s.Nbody)
-	case "search":
-		m.Search, rep, err = search.RunPPM(opt, *s.Search)
-	case "scatter":
-		m.Scatter, rep, err = scatter.RunPPM(opt, *s.Scatter)
-	default:
-		return nil, fmt.Errorf("jobspec: unknown app %q", s.App)
-	}
+// Run executes a normalized, validated sim- or parallel-backend spec on
+// the simulator under opt: s.Options(), or the caller's variation of it
+// (an Observer, a machine switch). It returns the flattened output and
+// the full report, cluster half included.
+func Run(s *Spec, opt core.Options) (*Result, *core.Report, error) {
+	m, rep, err := dist.RunSim(opt, s.AppSpec())
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
-	m.PerNode = rep.PerNode
-	m.Totals = rep.Totals
-	return m, nil
+	res, err := FromMerged(s, m)
+	return res, rep, err
 }

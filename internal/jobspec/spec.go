@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 
 	"ppm/internal/apps/cg"
 	"ppm/internal/apps/colloc"
@@ -38,11 +37,12 @@ const (
 )
 
 // Spec describes one job. The zero value is not runnable; Normalize
-// fills defaults (the same defaults the ppm-run flags use, so a spec
-// submitted over HTTP and the equivalent CLI invocation hash equal).
+// fills defaults. The commands' parameter flags are bound to the same
+// blocks and default the same way (Flags), so a spec submitted over HTTP
+// and the equivalent CLI invocation hash equal.
 type Spec struct {
-	// App selects the application: cg, colloc, nbody, jacobi, search,
-	// or scatter. Exactly one of the parameter blocks below is consulted.
+	// App names a registered application (dist.AppNames). Exactly one of
+	// the parameter blocks below, its own, is consulted.
 	App string `json:"app"`
 	// Backend selects the execution substrate: sim (default), parallel,
 	// or dist.
@@ -73,10 +73,10 @@ type Spec struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// Normalize fills defaults in place — the same values the ppm-run and
-// ppm-node flag defaults would supply — and returns the spec. Callers
-// must normalize before hashing or running, so equivalent submissions
-// canonicalize identically.
+// Normalize fills defaults in place, the application's block by its
+// Params.WithDefaults, and returns the spec. Callers must normalize
+// before hashing or running, so equivalent submissions canonicalize
+// identically.
 func (s *Spec) Normalize() *Spec {
 	if s.Backend == "" {
 		s.Backend = BackendSim
@@ -90,91 +90,21 @@ func (s *Spec) Normalize() *Spec {
 	if s.Preset == "" {
 		s.Preset = "franklin"
 	}
-	switch s.App {
-	case "cg":
-		if s.CG == nil {
-			s.CG = &cg.Params{}
-		}
-		if s.CG.NX == 0 && s.CG.NY == 0 && s.CG.NZ == 0 {
-			s.CG.NX, s.CG.NY, s.CG.NZ = 24, 24, 48
-		}
-		if s.CG.MaxIter == 0 {
-			s.CG.MaxIter = 20
-		}
-	case "colloc":
-		if s.Colloc == nil {
-			s.Colloc = &colloc.Params{}
-		}
-		if s.Colloc.Levels == 0 {
-			s.Colloc.Levels = 7
-		}
-		if s.Colloc.M0 == 0 {
-			s.Colloc.M0 = 12
-		}
-		if s.Colloc.Delta == 0 {
-			s.Colloc.Delta = 3
-		}
-	case "nbody":
-		if s.Nbody == nil {
-			s.Nbody = &nbody.Params{}
-		}
-		if s.Nbody.N == 0 {
-			s.Nbody.N = 3000
-		}
-		if s.Nbody.Steps == 0 {
-			s.Nbody.Steps = 2
-		}
-		if s.Nbody.Theta == 0 {
-			s.Nbody.Theta = 0.5
-		}
-		if s.Nbody.Eps == 0 {
-			s.Nbody.Eps = 0.05
-		}
-		if s.Nbody.DT == 0 {
-			s.Nbody.DT = 0.01
-		}
-		if s.Nbody.Seed == 0 {
-			s.Nbody.Seed = 42
-		}
-	case "jacobi":
-		if s.Jacobi == nil {
-			s.Jacobi = &jacobi.Params{}
-		}
-		if s.Jacobi.NX == 0 && s.Jacobi.NY == 0 && s.Jacobi.NZ == 0 {
-			s.Jacobi.NX, s.Jacobi.NY, s.Jacobi.NZ = 24, 24, 48
-		}
-		if s.Jacobi.Sweeps == 0 {
-			s.Jacobi.Sweeps = 10
-		}
-	case "search":
-		if s.Search == nil {
-			s.Search = &search.Params{}
-		}
-		if s.Search.N == 0 {
-			s.Search.N = 1 << 20
-		}
-		if s.Search.K == 0 {
-			s.Search.K = 1 << 14
-		}
-		if s.Search.Seed == 0 {
-			s.Search.Seed = 42
-		}
-	case "scatter":
-		if s.Scatter == nil {
-			s.Scatter = &scatter.Params{}
-		}
-		p := s.Scatter.WithDefaults()
-		*s.Scatter = p
+	if a, ok := apps[s.App]; ok {
+		a.normalize(s)
 	}
 	return s
 }
 
-// Validate reports the first structural problem with a normalized spec.
+// Validate reports the first problem with a normalized spec, structural
+// or in the application's parameters (the application's own message, as
+// it would give at the top of a run). A spec that passes is one the
+// application will start on, so a bad submission is refused before it
+// reaches a queue or an engine.
 func (s *Spec) Validate() error {
-	switch s.App {
-	case "cg", "colloc", "nbody", "jacobi", "search", "scatter":
-	default:
-		return fmt.Errorf("jobspec: unknown app %q (want cg, colloc, nbody, jacobi, search, or scatter)", s.App)
+	a, ok := apps[s.App]
+	if !ok {
+		return fmt.Errorf("jobspec: %w", dist.CheckApp(s.App))
 	}
 	switch s.Backend {
 	case BackendSim, BackendParallel, BackendDist:
@@ -193,7 +123,7 @@ func (s *Spec) Validate() error {
 	if s.DeadlineMS < 0 {
 		return fmt.Errorf("jobspec: deadline_ms must be non-negative, got %d", s.DeadlineMS)
 	}
-	return nil
+	return a.params(s).Validate()
 }
 
 // Machine resolves the preset name into a cost model.
@@ -224,29 +154,14 @@ func (s *Spec) Options() core.Options {
 	}
 }
 
-// AppSpec converts the per-app parameter block into the distributed
-// runtime's AppSpec (value semantics; nil blocks become zero params).
+// AppSpec converts the application's parameter block into the
+// distributed runtime's AppSpec (value semantics; an absent block
+// becomes zero params).
 func (s *Spec) AppSpec() dist.AppSpec {
-	out := dist.AppSpec{App: s.App}
-	if s.CG != nil {
-		out.CG = *s.CG
+	if a, ok := apps[s.App]; ok {
+		return a.appSpec(s)
 	}
-	if s.Colloc != nil {
-		out.Colloc = *s.Colloc
-	}
-	if s.Nbody != nil {
-		out.Nbody = *s.Nbody
-	}
-	if s.Jacobi != nil {
-		out.Jacobi = *s.Jacobi
-	}
-	if s.Search != nil {
-		out.Search = *s.Search
-	}
-	if s.Scatter != nil {
-		out.Scatter = *s.Scatter
-	}
-	return out
+	return dist.AppSpec{App: s.App}
 }
 
 // Canonical returns the canonical byte encoding of a normalized spec: a
@@ -260,34 +175,11 @@ func (s *Spec) Canonical() []byte {
 	c.str("ppm-jobspec-v1")
 	c.str(s.App)
 	c.str(s.Backend)
-	c.i64(int64(s.Nodes))
-	c.i64(int64(s.Cores))
+	c.u64(uint64(s.Nodes), uint64(s.Cores))
 	c.str(s.Preset)
 	c.bools(s.NoBundling, s.NoOverlap, s.NoReadCache, s.Static)
-	switch s.App {
-	case "cg":
-		p := s.CG
-		c.i64(int64(p.NX), int64(p.NY), int64(p.NZ), int64(p.MaxIter))
-		c.f64(p.Tol)
-	case "colloc":
-		p := s.Colloc
-		c.i64(int64(p.Levels), int64(p.M0), int64(p.Delta))
-	case "nbody":
-		p := s.Nbody
-		c.i64(int64(p.N), int64(p.Steps))
-		c.f64(p.Theta, p.Eps, p.DT)
-		c.u64(p.Seed)
-	case "jacobi":
-		p := s.Jacobi
-		c.i64(int64(p.NX), int64(p.NY), int64(p.NZ), int64(p.Sweeps))
-	case "search":
-		p := s.Search
-		c.i64(int64(p.N), int64(p.K))
-		c.u64(p.Seed)
-	case "scatter":
-		p := s.Scatter
-		c.i64(int64(p.N), int64(p.VPs), int64(p.Iters))
-		c.u64(p.Seed)
+	if a, ok := apps[s.App]; ok {
+		c.u64(a.params(s).Canonical()...)
 	}
 	return c.buf
 }
@@ -304,21 +196,13 @@ func (s *Spec) Hash() string {
 type canon struct{ buf []byte }
 
 func (c *canon) str(s string) {
-	c.i64(int64(len(s)))
+	c.u64(uint64(len(s)))
 	c.buf = append(c.buf, s...)
 }
 
-func (c *canon) i64(vs ...int64) {
+func (c *canon) u64(vs ...uint64) {
 	for _, v := range vs {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(v))
-	}
-}
-
-func (c *canon) u64(v uint64) { c.buf = binary.LittleEndian.AppendUint64(c.buf, v) }
-
-func (c *canon) f64(vs ...float64) {
-	for _, v := range vs {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(v))
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
 	}
 }
 

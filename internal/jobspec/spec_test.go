@@ -6,13 +6,18 @@ import (
 	"testing"
 )
 
-// mustSpec parses and normalizes a JSON spec.
+func mustUnmarshal(t *testing.T, raw string, s *Spec) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(raw), s); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustSpec parses, normalizes and validates a JSON spec.
 func mustSpec(t *testing.T, raw string) *Spec {
 	t.Helper()
 	var s Spec
-	if err := json.Unmarshal([]byte(raw), &s); err != nil {
-		t.Fatal(err)
-	}
+	mustUnmarshal(t, raw, &s)
 	s.Normalize()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

@@ -178,3 +178,34 @@ func TestSubmitQueueFullRetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want %q (backlog-proportional)", retryAfter, "2")
 	}
 }
+
+// A submission whose parameters the application would refuse is answered
+// 400 with the application's message and never reaches the queue or a
+// fleet. (Admitted, it used to fail on the nodes, which retired a warm
+// fleet and spent the whole retry budget booting fresh ones.)
+func TestSubmitBadParamsRefused(t *testing.T) {
+	s := startServer(t, Config{Workers: 1})
+	base := "http://" + s.Addr()
+	var before, after Metrics
+	getJSON(t, base+"/metrics", &before)
+	for raw, want := range map[string]string{
+		`{"app":"nbody","backend":"dist","nodes":2,"nbody":{"N":-5}}`:       "nbody: N must be positive, got -5",
+		`{"app":"scatter","backend":"dist","nodes":2,"scatter":{"VPs":-1}}`: "scatter: N, VPs, and Iters must be positive, got 3000, -1, 4",
+		`{"app":"cg","cg":{"MaxIter":-3}}`:                                  "cg: MaxIter must be positive, got -3",
+	} {
+		var sp jobspec.Spec
+		if err := json.Unmarshal([]byte(raw), &sp); err != nil {
+			t.Fatal(err)
+		}
+		var reply map[string]string
+		code, _ := postJSON(t, base+"/v1/jobs", SubmitRequest{Tenant: "eve", NoCache: true, Spec: sp}, &reply)
+		if code != http.StatusBadRequest || reply["error"] != want {
+			t.Errorf("%s: status %d, error %q; want 400, %q", raw, code, reply["error"], want)
+		}
+	}
+	getJSON(t, base+"/metrics", &after)
+	if after.Fleets.Spawned != before.Fleets.Spawned || after.Jobs.Submitted != before.Jobs.Submitted ||
+		after.Jobs.Failed != before.Jobs.Failed || after.Jobs.Retried != before.Jobs.Retried {
+		t.Errorf("refused submissions moved the metrics:\nbefore %+v\n after %+v", before, after)
+	}
+}
