@@ -107,19 +107,24 @@ plancache-equiv:
 	PPM_PLAN_CACHE=0 $(GO) test -count=1 -run 'Equivalence|MatchesSimulator|TestPlanCache|TestFleetPlanCache' . ./internal/core/ ./internal/dist/
 	PPM_PLAN_CACHE=1 $(GO) test -count=1 -run 'Equivalence|MatchesSimulator|TestPlanCache|TestFleetPlanCache' . ./internal/core/ ./internal/dist/
 
-## fuzz-smoke: every native fuzz target of the wire decoders for 5 s
-## each (internal/wire/fuzz_test.go; `go test -fuzz` takes one target
-## per invocation). The seed corpora already run as ordinary tests under
-## `go test ./...`; this lets the engine mutate them. A crasher lands in
-## internal/wire/testdata/fuzz and is checked in with its fix. Listing
-## no target at all is a failure, not a pass.
+## fuzz-smoke: every native fuzz target, in every package that has
+## one, for 5 s each (`go test -fuzz` takes one target per invocation):
+## the wire decoders (internal/wire/fuzz_test.go) and the job protocol
+## (internal/jobspec/fuzz_test.go). The seed corpora already run as
+## ordinary tests under `go test ./...`; this lets the engine mutate
+## them. A crasher lands in the package's testdata/fuzz and is checked
+## in with its fix. Listing no target at all is a failure, not a pass.
 fuzz-smoke:
-	@targets=$$($(GO) test -list '^Fuzz' ./internal/wire/ | grep '^Fuzz'); \
-	test -n "$$targets" || { echo "fuzz-smoke: no fuzz target listed in ./internal/wire"; exit 1; }; \
-	for f in $$targets; do \
-		echo "== $$f"; \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s ./internal/wire/ || exit 1; \
-	done
+	@found=; \
+	for pkg in $$(grep -rl --include='*_test.go' '^func Fuzz' cmd internal | xargs -r -n1 dirname | sort -u); do \
+		list=$$($(GO) test -list '^Fuzz' ./$$pkg/) || exit 1; \
+		for f in $$(echo "$$list" | grep '^Fuzz'); do \
+			found=1; \
+			echo "== $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s ./$$pkg/ || exit 1; \
+		done; \
+	done; \
+	test -n "$$found" || { echo "fuzz-smoke: no fuzz target listed under cmd/ or internal/"; exit 1; }
 
 ## dist-smoke: real multi-process runs — 2 ppm-node processes over
 ## loopback TCP solving a small cg point, launched by ppm-run (which

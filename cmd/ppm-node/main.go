@@ -1,28 +1,49 @@
-// Command ppm-node is one node process of a distributed PPM run. It is
-// normally forked by `ppm-run -distributed`, which assigns ranks, points
-// every process at a shared rendezvous directory, and collects results —
-// but it can be started by hand (or by a process manager across real
-// machines, with -listen and a shared -rendezvous path on a network
-// filesystem).
-//
-// The process connects to its peers over TCP, runs its share of the
-// selected application under the distributed runtime, and prints a
-// single-line JSON NodeResult on stdout: its runtime counters plus its
-// fragment of the application output. Any failure is reported both in
-// that JSON (so the launcher can attribute it to a rank) and on stderr,
-// with a non-zero exit.
+// Command ppm-node is one host process of a distributed PPM fleet: it
+// hosts a logical rank (or a block of them), connects each to its peers
+// over TCP, and runs jobs on them under the distributed runtime. It is
+// normally started by `ppm-run -distributed` or by ppm-server's fleet
+// pool, both through dist.LaunchOpts.StartHost, which assigns ranks and
+// points every process at a shared rendezvous directory; it can be
+// started by hand too (or by a process manager across real machines,
+// with -listen and a shared -rendezvous path on a network filesystem).
 //
 // Usage:
 //
 //	ppm-node -rank R -nodes N -rendezvous DIR [-listen 127.0.0.1:0]
-//	         [-procs P -proc J [-restore-rescale]]
-//	         [-run-id ID] [-hb-interval 500ms] [-hb-timeout 5s]
-//	         [-op-timeout 60s] [-checkpoint-dir DIR [-checkpoint-every K] [-restore]]
-//	         [-wire-codec raw|delta]
-//	         -app cg|colloc|nbody|jacobi|search|scatter [-cores 4]
-//	         [-no-bundling] [-no-overlap] [-no-readcache] [-static]
-//	         [the applications' parameter flags, as ppm-run lists them]
-//	         | -spec-json JSON | -serve
+//	         [-procs P -proc J] [-run-id ID] [-connect-timeout 30s]
+//	         [-hb-interval 500ms] [-hb-timeout 5s] [-op-timeout 60s]
+//	         [-drain-timeout 10s] [-wire-codec raw|delta]
+//	         [-checkpoint-dir DIR [-checkpoint-every K] [-restore | -restore-rescale]]
+//	         -serve | -spec-json JSON
+//	         | -app cg|colloc|nbody|jacobi|search|scatter [-cores 4]
+//	           [-no-bundling] [-no-overlap] [-no-readcache] [-static]
+//	           [the applications' parameter flags, as ppm-run lists them]
+//
+// One session, two job sources. Every launch runs one session over the
+// engines it hosts, taking jobspec.NodeJob values from a channel. -serve
+// fills it from newline-delimited NodeJob JSON on stdin until EOF (the
+// protocol of ppm-server's fleet pool); any other launch puts in the one
+// job that -spec-json (a jobspec.Spec, what ppm-run hands every node) or
+// the app flags describe, and closes it. A job runs on every hosted rank
+// at once, under a warm session keyed by its spec's hash (a repeated job
+// on a long-lived fleet replays its recorded phase plans) and bounded by
+// its spec's deadline_ms. A spec the node refuses fails that job only;
+// an error during a run ends the session, since a distributed abort
+// poisons the engines. Checkpoint files are keyed by rank and phase, not
+// by job, so -serve with -checkpoint-dir is refused before connecting.
+//
+// One reply format. Everything on stdout is dist.NodeReply lines: rank 0
+// reports each committed global phase, and each hosted rank ends each job
+// with one terminal reply carrying its NodeResult (counters and its
+// fragment of the output, or its error). A process that cannot start
+// (ranks out of range, a spec that does not parse, a failed connect)
+// answers with terminal error replies as well. Errors also go to stderr.
+//
+// One stop rule. SIGINT or SIGTERM aborts the job in flight on every
+// hosted engine; its terminal replies are written, and the process exits
+// dist.StopExitCode, which supervisors count as a stop rather than a
+// crash. Otherwise the session ends when its jobs do, the hosted engines
+// close together, and the process exits 1 if a job failed, else 0.
 //
 // A silent or crashed peer is detected by the engine's heartbeat/deadline
 // machinery and aborts the run with an error naming the rank, rather than
@@ -31,36 +52,20 @@
 //
 // Elastic hosting: with -procs P (< -nodes N) and -proc J, this process
 // hosts the block of logical ranks partition.NewBlock(N, P).Range(J) —
-// one engine, fault plan, and result line per hosted rank, with -rank
+// one engine, fault plan, and terminal reply per hosted rank, with -rank
 // naming the first of them. The logical N-rank mesh is unchanged (some
 // links are loopback), so results are bit-identical to native hosting;
 // -restore-rescale additionally restores each hosted rank's own
 // checkpoint from a full fleet's set, which is how the supervisor
 // finishes a run after permanently losing a host.
-//
-// Whatever the command line, the process runs a jobspec.Spec: the flag
-// form above builds one from -app and the parameter flags the
-// applications declare (a flag left at zero means its default) and is
-// checked like any other. Two modes take the spec as it is:
-//
-//   - -spec-json JSON runs the jobspec.Spec it is given (app, params,
-//     preset, ablations); every distributed ppm-run launch uses it.
-//   - -serve turns the process into a long-lived worker: it reads
-//     jobspec.NodeJob lines from stdin, runs each under the shared
-//     engine with a keyed plan-cache session, and writes
-//     jobspec.NodeReply lines to stdout (rank 0 also streams phase
-//     progress). EOF on stdin drains and exits 0; ppm-server's fleet
-//     pool speaks this protocol.
-//
-// SIGINT/SIGTERM request an operator stop: the process finishes (or
-// aborts) the job in flight and exits with dist.StopExitCode so the
-// supervisor knows not to count the stop as a crash.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -96,9 +101,8 @@ func main() {
 	proc := flag.Int("proc", -1, "this process's host index in [0, procs) (default rank)")
 	restoreRescale := flag.Bool("restore-rescale", false, "restore the full fleet's checkpoints into this rescaled hosting (implies -restore)")
 
-	serve := flag.Bool("serve", false, "serve mode: run jobspec jobs from stdin until EOF or an operator stop")
+	serve := flag.Bool("serve", false, "take jobs from stdin (jobspec.NodeJob lines) until EOF or an operator stop")
 	specJSON := flag.String("spec-json", "", "run one job described by this jobspec JSON instead of the app flags")
-	jobDeadline := flag.Duration("job-deadline", 0, "abort the run if it exceeds this wall-clock bound (0 disables)")
 
 	app := flag.String("app", "cg", "application: "+strings.Join(dist.AppNames(), ", "))
 	cores := flag.Int("cores", 4, "cores per node (VP scheduling width)")
@@ -109,10 +113,9 @@ func main() {
 	pick := jobspec.Flags(flag.CommandLine)
 	flag.Parse()
 
+	h := &host{ranks: []int{*rank}, nodes: *nodes, reply: replyTo(os.Stdout)}
 	fail := func(err error) {
-		out, _ := json.Marshal(dist.NodeResult{Rank: *rank, Err: err.Error()})
-		fmt.Println(string(out))
-		fmt.Fprintf(os.Stderr, "ppm-node[%d]: %v\n", *rank, err)
+		h.answer("", err)
 		os.Exit(1)
 	}
 
@@ -136,47 +139,39 @@ func main() {
 	if *rank != hostLo {
 		fail(fmt.Errorf("-rank %d is not host %d's first hosted rank (%d)", *rank, *proc, hostLo))
 	}
-	hostedRanks := make([]int, 0, hostHi-hostLo)
+	h.ranks = h.ranks[:0]
 	for r := hostLo; r < hostHi; r++ {
-		hostedRanks = append(hostedRanks, r)
-	}
-	if *restoreRescale {
-		*restore = true
-	}
-	// The job: the spec handed over, or the one the flags describe.
-	var js *jobspec.Spec
-	if *specJSON != "" {
-		js = new(jobspec.Spec)
-		if err := json.Unmarshal([]byte(*specJSON), js); err != nil {
-			fail(fmt.Errorf("-spec-json: %v", err))
-		}
-	} else {
-		js = pick(*app)
-		js.Nodes, js.Cores = *nodes, *cores
-		js.NoBundling, js.NoOverlap, js.NoReadCache, js.Static = *noBundling, *noOverlap, *noReadCache, *static
-	}
-	js.Normalize()
-	if err := js.Validate(); err != nil {
-		fail(err)
-	}
-	if js.Nodes != *nodes {
-		fail(fmt.Errorf("-spec-json wants %d nodes but this fleet has %d", js.Nodes, *nodes))
-	}
-	spec := js.AppSpec()
-	opt := js.Options()
-	// The node always runs the distributed runtime, whatever backend the
-	// spec names for local execution.
-	opt.Parallel = false
-	if *jobDeadline == 0 && js.DeadlineMS > 0 {
-		*jobDeadline = time.Duration(js.DeadlineMS) * time.Millisecond
+		h.ranks = append(h.ranks, r)
 	}
 	if *ckptDir != "" {
-		cc := &core.CheckpointConfig{Dir: *ckptDir, EveryPhases: *ckptEvery, Restore: *restore}
-		if *procs < *nodes {
-			cc.HostProcs = *procs
-			cc.HostProc = *proc
+		if *serve {
+			fail(fmt.Errorf("-checkpoint-dir cannot be used with -serve: checkpoint files are keyed by rank and phase, not by job"))
 		}
-		opt.Checkpoint = cc
+		h.ckpt = &core.CheckpointConfig{Dir: *ckptDir, EveryPhases: *ckptEvery, Restore: *restore || *restoreRescale}
+		if *procs < *nodes {
+			h.ckpt.HostProcs, h.ckpt.HostProc = *procs, *proc
+		}
+	}
+
+	// The session's jobs: stdin's, or the one the command line describes.
+	var jobs <-chan jobspec.NodeJob
+	if *serve {
+		jobs = readJobs(os.Stdin)
+	} else {
+		js := new(jobspec.Spec)
+		if *specJSON != "" {
+			if err := json.Unmarshal([]byte(*specJSON), js); err != nil {
+				fail(fmt.Errorf("-spec-json: %v", err))
+			}
+		} else {
+			js = pick(*app)
+			js.Nodes, js.Cores = *nodes, *cores
+			js.NoBundling, js.NoOverlap, js.NoReadCache, js.Static = *noBundling, *noOverlap, *noReadCache, *static
+		}
+		one := make(chan jobspec.NodeJob, 1)
+		one <- jobspec.NodeJob{Spec: *js}
+		close(one)
+		jobs = one
 	}
 
 	codec, err := wire.ParseCodec(*wireCodec)
@@ -189,216 +184,201 @@ func main() {
 	// process. Each rank gets its own fault plan (PPM_FAULT carries the
 	// spec, PPM_FAULT_ATTEMPT the supervisor's relaunch count; killhost=
 	// items key on this process's -proc index).
-	engs := make([]*dist.Engine, len(hostedRanks))
-	{
-		connErrs := make([]error, len(hostedRanks))
-		var wg sync.WaitGroup
-		for i, r := range hostedRanks {
-			wg.Add(1)
-			go func(i, r int) {
-				defer wg.Done()
-				plan, err := faultinject.FromEnvHost(r, *proc)
-				if err != nil {
-					connErrs[i] = err
-					return
-				}
-				engs[i], connErrs[i] = dist.Connect(dist.Config{
-					Rank:              r,
-					Nodes:             *nodes,
-					RendezvousDir:     *rendezvous,
-					ListenAddr:        *listen,
-					Codec:             codec,
-					ConnectTimeout:    *connectTimeout,
-					RunID:             *runID,
-					HeartbeatInterval: *hbInterval,
-					HeartbeatTimeout:  *hbTimeout,
-					OpTimeout:         *opTimeout,
-					DrainTimeout:      *drainTimeout,
-					Faults:            plan,
-				})
-			}(i, r)
-		}
-		wg.Wait()
-		for _, err := range connErrs {
-			if err != nil {
-				fail(err)
-			}
-		}
-	}
-
-	if *serve {
-		serveJobs(engs, hostedRanks, *nodes)
-		return // unreachable; serveJobs exits
-	}
-
-	// One-shot run. An operator signal aborts every hosted engine (so
-	// every rank unblocks with an error naming the stop) and turns the
-	// exit status into StopExitCode so the supervisor does not spend a
-	// restart on it.
-	var stopReq atomic.Bool
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigCh
-		stopReq.Store(true)
-		for _, eng := range engs {
-			eng.Abort(fmt.Errorf("operator stop (%v)", s))
-		}
-	}()
-	results := make([]*dist.NodeResult, len(hostedRanks))
+	h.engs = make([]*dist.Engine, len(h.ranks))
+	connErrs := make([]error, len(h.ranks))
 	var wg sync.WaitGroup
-	for i := range hostedRanks {
+	for i, r := range h.ranks {
 		wg.Add(1)
-		go func(i int) {
+		go func(i, r int) {
 			defer wg.Done()
-			eng := engs[i]
-			cancelDeadline := eng.StartJobDeadline(*jobDeadline)
-			res := dist.RunApp(eng, opt, spec)
-			cancelDeadline()
-			if err := eng.Close(); err != nil && res.Err == "" {
-				res.Err = err.Error()
+			plan, err := faultinject.FromEnvHost(r, *proc)
+			if err != nil {
+				connErrs[i] = err
+				return
 			}
-			results[i] = res
-		}(i)
+			h.engs[i], connErrs[i] = dist.Connect(dist.Config{
+				Rank:              r,
+				Nodes:             *nodes,
+				RendezvousDir:     *rendezvous,
+				ListenAddr:        *listen,
+				Codec:             codec,
+				ConnectTimeout:    *connectTimeout,
+				RunID:             *runID,
+				HeartbeatInterval: *hbInterval,
+				HeartbeatTimeout:  *hbTimeout,
+				OpTimeout:         *opTimeout,
+				DrainTimeout:      *drainTimeout,
+				Faults:            plan,
+			})
+		}(i, r)
 	}
 	wg.Wait()
-	// One NodeResult line per hosted rank, rank order: the supervisor
-	// decodes the stream and routes each result by its Rank field.
-	failed := false
-	for _, res := range results {
-		out, err := json.Marshal(res)
-		if err != nil {
-			fail(fmt.Errorf("encoding result: %v", err))
-		}
-		fmt.Println(string(out))
-		if res.Err != "" {
-			fmt.Fprintf(os.Stderr, "ppm-node[%d]: %s\n", res.Rank, res.Err)
-			failed = true
-		}
+	if err := errors.Join(connErrs...); err != nil {
+		fail(err)
 	}
-	if stopReq.Load() {
-		fmt.Fprintf(os.Stderr, "ppm-node[%d]: stopped by operator\n", *rank)
-		os.Exit(dist.StopExitCode)
-	}
-	if failed {
-		os.Exit(1)
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	os.Exit(h.session(jobs, sig))
+}
+
+// host is what this process runs jobs on: its logical ranks, one engine
+// and one warm session each.
+type host struct {
+	ranks []int
+	nodes int
+	engs  []*dist.Engine
+	warm  []*core.WarmSession
+	ckpt  *core.CheckpointConfig // per launch, never per job; nil under -serve
+	reply func(dist.NodeReply)
+}
+
+// replyTo returns a writer of NodeReply lines to w, safe to call from
+// every hosted rank at once.
+func replyTo(w io.Writer) func(dist.NodeReply) {
+	enc := json.NewEncoder(w)
+	var mu sync.Mutex
+	return func(r dist.NodeReply) {
+		mu.Lock()
+		enc.Encode(r)
+		mu.Unlock()
 	}
 }
 
-// serveJobs is the long-lived worker loop behind -serve. Jobs arrive as
-// jobspec.NodeJob lines on stdin and are run one at a time across every
-// engine this process hosts (one per hosted rank); every reply (rank-0
-// phase progress and each rank's terminal result) leaves as one
-// jobspec.NodeReply line on stdout, routed downstream by Result.Rank.
-// Each hosted rank keeps its own WarmSession keyed by the job's
-// canonical spec hash, carrying the plan cache and the warm doRuns
-// across identical submissions so repeat jobs skip the cold start.
-// stdin EOF means the operator (the fleet pool) is done with this
-// fleet: drain and exit 0. SIGINT/SIGTERM finish the job in flight and
-// exit StopExitCode.
-func serveJobs(engs []*dist.Engine, ranks []int, nodes int) {
-	self := ranks[0]
-	enc := json.NewEncoder(os.Stdout)
-	var outMu sync.Mutex
-	reply := func(r jobspec.NodeReply) {
-		outMu.Lock()
-		enc.Encode(r)
-		outMu.Unlock()
+// answer ends job id with err on every hosted rank.
+func (h *host) answer(id string, err error) {
+	for _, r := range h.ranks {
+		h.reply(dist.NodeReply{ID: id, Done: true, Result: &dist.NodeResult{Rank: r, Err: err.Error()}})
 	}
+	fmt.Fprintf(os.Stderr, "ppm-node[%d]: %v\n", h.ranks[0], err)
+}
 
+// readJobs feeds the NodeJob lines of r to the session, and closes the
+// channel at EOF or at a line that does not decode.
+func readJobs(r io.Reader) <-chan jobspec.NodeJob {
 	jobs := make(chan jobspec.NodeJob)
 	go func() {
-		dec := json.NewDecoder(os.Stdin)
+		defer close(jobs)
+		dec := json.NewDecoder(r)
 		for {
 			var j jobspec.NodeJob
-			if err := dec.Decode(&j); err != nil {
-				close(jobs)
+			if dec.Decode(&j) != nil {
 				return
 			}
 			jobs <- j
 		}
 	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	sessions := make([]*core.WarmSession, len(engs))
-	for i := range sessions {
-		sessions[i] = core.NewWarmSession()
-	}
-	exit := func(code int) {
-		for i, eng := range engs {
-			sessions[i].Discard()
-			if err := eng.Close(); err != nil && code == 0 {
-				fmt.Fprintf(os.Stderr, "ppm-node[%d]: close: %v\n", ranks[i], err)
-				code = 1
-			}
-		}
-		os.Exit(code)
-	}
-	for {
-		select {
-		case <-sigCh:
-			fmt.Fprintf(os.Stderr, "ppm-node[%d]: stopped by operator\n", self)
-			exit(dist.StopExitCode)
-		case j, ok := <-jobs:
-			if !ok {
-				exit(0) // stdin EOF: orderly drain
-			}
-			// All hosted ranks run the job together — they are peers in
-			// the same phase-synchronized mesh, so they must advance
-			// concurrently, not in sequence.
-			fatals := make([]bool, len(engs))
-			var wg sync.WaitGroup
-			for i := range engs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					fatals[i] = runServeJob(engs[i], sessions[i], ranks[i], nodes, j, reply)
-				}(i)
-			}
-			wg.Wait()
-			for _, fatal := range fatals {
-				if fatal {
-					// An engine is (or may be) fatally wounded; every
-					// further job would fail. Exit non-zero so the pool
-					// discards the fleet.
-					fmt.Fprintf(os.Stderr, "ppm-node[%d]: job %s failed; retiring\n", self, j.ID)
-					os.Exit(1)
-				}
-			}
-		}
-	}
+	return jobs
 }
 
-// runServeJob runs one queued job and reports whether the fleet must be
-// retired. Spec problems are job-local (the engine was never touched);
-// run errors are treated as fatal because a distributed abort poisons
-// the engine permanently.
-func runServeJob(eng *dist.Engine, session *core.WarmSession, rank, nodes int, j jobspec.NodeJob, reply func(jobspec.NodeReply)) (fatal bool) {
+// session runs jobs one at a time until the channel closes, a run fails
+// or an operator signal arrives, closes the hosted engines together, and
+// returns the process's exit status.
+func (h *host) session(jobs <-chan jobspec.NodeJob, sig <-chan os.Signal) int {
+	stopped := make(chan struct{})
+	go func() {
+		s := <-sig
+		close(stopped) // before the aborts, so a job they end reads as stopped
+		for _, eng := range h.engs {
+			eng.Abort(fmt.Errorf("operator stop (%v)", s))
+		}
+	}()
+	h.warm = make([]*core.WarmSession, len(h.engs))
+	for i := range h.warm {
+		h.warm[i] = core.NewWarmSession()
+	}
+	failed := false
+	for {
+		var j jobspec.NodeJob
+		ok := false
+		select {
+		case <-stopped:
+		case j, ok = <-jobs:
+		}
+		if !ok {
+			break
+		}
+		refused, runErr := h.run(j)
+		failed = failed || refused || runErr
+		if runErr {
+			break // the engines may be poisoned: no further job can run
+		}
+	}
+
+	// Close every hosted engine at once: Close waits for a Bye from each
+	// peer, co-hosted ranks included, so closing in turn would sit out
+	// the drain timeout once per rank.
+	errs := make([]error, len(h.engs))
+	var wg sync.WaitGroup
+	for i, eng := range h.engs {
+		h.warm[i].Discard()
+		wg.Add(1)
+		go func(i int, eng *dist.Engine) {
+			defer wg.Done()
+			errs[i] = eng.Close()
+		}(i, eng)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		fmt.Fprintf(os.Stderr, "ppm-node[%d]: close: %v\n", h.ranks[0], err)
+		failed = true
+	}
+	select {
+	case <-stopped:
+		fmt.Fprintf(os.Stderr, "ppm-node[%d]: stopped by operator\n", h.ranks[0])
+		return dist.StopExitCode
+	default:
+	}
+	if failed {
+		return 1
+	}
+	return 0
+}
+
+// run runs one job on every hosted rank at once (they are peers in one
+// phase-synchronized mesh, so they advance together, not in turn) and
+// writes each rank's terminal reply. refused reports a spec this fleet
+// cannot run, which touched no engine; runErr a failed run.
+func (h *host) run(j jobspec.NodeJob) (refused, runErr bool) {
 	spec := j.Spec
 	spec.Normalize()
 	err := spec.Validate()
-	if err == nil && spec.Nodes != nodes {
-		err = fmt.Errorf("job wants %d nodes but this fleet has %d", spec.Nodes, nodes)
+	if err == nil && spec.Nodes != h.nodes {
+		err = fmt.Errorf("job wants %d nodes but this fleet has %d", spec.Nodes, h.nodes)
 	}
 	if err != nil {
-		reply(jobspec.NodeReply{ID: j.ID, Done: true, Result: &dist.NodeResult{Rank: rank, Err: err.Error()}})
-		return false
+		h.answer(j.ID, err)
+		return true, false
 	}
 	opt := spec.Options()
+	// The node always runs the distributed runtime, whatever backend the
+	// spec names for local execution.
 	opt.Parallel = false
-	session.SetKey(spec.Hash())
-	opt.Warm = session
-	if rank == 0 {
-		id := j.ID
-		opt.OnPhase = func(ph int64) {
-			reply(jobspec.NodeReply{ID: id, Phase: ph})
-		}
+	opt.Checkpoint = h.ckpt
+	key, app := spec.Hash(), spec.AppSpec()
+	deadline := time.Duration(spec.DeadlineMS) * time.Millisecond
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for i, eng := range h.engs {
+		wg.Add(1)
+		go func(i int, eng *dist.Engine) {
+			defer wg.Done()
+			o := opt
+			h.warm[i].SetKey(key)
+			o.Warm = h.warm[i]
+			if h.ranks[i] == 0 {
+				o.OnPhase = func(ph int64) { h.reply(dist.NodeReply{ID: j.ID, Phase: ph}) }
+			}
+			cancel := eng.StartJobDeadline(deadline)
+			res := dist.RunApp(eng, o, app)
+			cancel()
+			h.reply(dist.NodeReply{ID: j.ID, Done: true, Result: res})
+			if res.Err != "" {
+				fmt.Fprintf(os.Stderr, "ppm-node[%d]: %s\n", res.Rank, res.Err)
+				failed.Store(true)
+			}
+		}(i, eng)
 	}
-	cancel := eng.StartJobDeadline(time.Duration(spec.DeadlineMS) * time.Millisecond)
-	res := dist.RunApp(eng, opt, spec.AppSpec())
-	cancel()
-	reply(jobspec.NodeReply{ID: j.ID, Done: true, Result: res})
-	return res.Err != ""
+	wg.Wait()
+	return false, failed.Load()
 }

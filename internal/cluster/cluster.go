@@ -47,9 +47,6 @@ type Config struct {
 	ProcsPerNode int
 	// Machine is the cost model. If nil, machine.Franklin() is used.
 	Machine *machine.Machine
-	// Trace, if non-nil, receives one line per scheduling event. Meant
-	// for debugging small runs; output volume is O(events).
-	Trace func(line string)
 	// Observer, if non-nil, receives structured events (sends, receives,
 	// barrier releases, exits) in deterministic schedule order. Used by
 	// the trace/timeline tooling.
@@ -151,12 +148,6 @@ type Cluster struct {
 	parkReq  chan *Proc
 	turnHeap []turnEnt
 
-	// tracing caches cfg.Trace != nil so hot scheduler paths can skip
-	// trace calls entirely: the variadic call site boxes its arguments
-	// before trace can test for a nil sink, which would put allocations
-	// on every turn grant even in untraced runs.
-	tracing bool
-
 	sendSeq    int64
 	barrierGen int64
 	inBarrier  int
@@ -181,7 +172,6 @@ func Run(cfg Config, prog Program) (*Report, error) {
 		mach:     mach,
 		yield:    make(chan *Proc),
 		parallel: cfg.Parallel || envParallel,
-		tracing:  cfg.Trace != nil,
 	}
 	if c.parallel {
 		c.parkReq = make(chan *Proc, cfg.Procs)
@@ -242,14 +232,8 @@ func (c *Cluster) schedule() error {
 			return err
 		}
 		p.state = stateRunning
-		if c.tracing {
-			c.trace("resume rank=%d clock=%v", p.rank, p.clock)
-		}
 		p.resume <- true
-		q := <-c.yield
-		if c.tracing {
-			c.trace("yield rank=%d state=%v clock=%v", q.rank, q.state, q.clock)
-		}
+		<-c.yield
 	}
 }
 
@@ -341,12 +325,6 @@ func fmtWild(v, wild int) string {
 	return fmt.Sprintf("%d", v)
 }
 
-func (c *Cluster) trace(format string, args ...any) {
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(fmt.Sprintf(format, args...))
-	}
-}
-
 // tryBarrierRelease releases all processes if every live process has
 // entered the barrier. Completed processes do not participate: a program
 // must make all ranks reach every barrier (like MPI_Barrier), and a rank
@@ -386,8 +364,5 @@ func (c *Cluster) tryBarrierRelease(releaser *Proc) {
 				p.resume <- true
 			}
 		}
-	}
-	if c.tracing {
-		c.trace("barrier released at %v (%d procs)", release, live)
 	}
 }

@@ -458,28 +458,6 @@ func TestNICAcquireVisibleAcrossRanksOnNode(t *testing.T) {
 	}
 }
 
-func TestTraceEmitsEvents(t *testing.T) {
-	var lines []string
-	cfg := genericCfg(2, 1)
-	cfg.Trace = func(s string) { lines = append(lines, s) }
-	_, err := Run(cfg, func(p *Proc) {
-		if p.Rank() == 0 {
-			p.Send(1, 0, nil, 8)
-		} else {
-			p.Recv(0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"resume", "send 0->1", "recv 1<-0"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("trace missing %q:\n%s", want, joined)
-		}
-	}
-}
-
 func TestManyProcsPingPong(t *testing.T) {
 	const P = 64
 	rep, err := Run(genericCfg(P, 4), func(p *Proc) {

@@ -89,9 +89,6 @@ func (c *Cluster) scheduleParallel() error {
 		}
 		cur.parked = false
 		cur.state = stateRunning
-		if c.tracing {
-			c.trace("resume rank=%d clock=%v op=%s", cur.rank, cur.pickClock, cur.pendingOp)
-		}
 		cur.turnCh <- true
 		// The turn ends when cur blocks, yields, or exits; park
 		// requests from other processes keep arriving meanwhile.
@@ -100,10 +97,7 @@ func (c *Cluster) scheduleParallel() error {
 			select {
 			case p := <-c.parkReq:
 				p.parked = true
-			case q := <-c.yield:
-				if c.tracing {
-					c.trace("yield rank=%d state=%v", q.rank, q.state)
-				}
+			case <-c.yield:
 				stop = true
 			}
 			if stop {

@@ -44,13 +44,11 @@ type Proc struct {
 	// sequential scheduler would compare, since a sequential process
 	// never advances its clock while runnable-but-not-running. parked
 	// is owned by the scheduler and tracks whether the process waits
-	// between parkReq and its turn grant; pendingOp names the
-	// operation the process is parked at, for diagnostics.
+	// between parkReq and its turn grant.
 	turnCh    chan bool
 	hasTurn   bool
 	pickClock vtime.Time
 	parked    bool
-	pendingOp string
 
 	mailbox []*Message
 	wantSrc int
@@ -64,17 +62,15 @@ type Proc struct {
 // process's own fields requires the turn; the process then keeps it
 // until it blocks, yields, or exits. In sequential mode holding the
 // turn is implicit in having been resumed, so this is a no-op.
-func (p *Proc) acquireTurn(op string) {
+func (p *Proc) acquireTurn() {
 	if !p.cluster.parallel || p.hasTurn {
 		return
 	}
-	p.pendingOp = op
 	p.cluster.parkReq <- p
 	if !<-p.turnCh {
 		panic(abortSignal{})
 	}
 	p.hasTurn = true
-	p.pendingOp = ""
 }
 
 // acquireTurnExit is acquireTurn for the exit path: instead of
@@ -84,13 +80,11 @@ func (p *Proc) acquireTurnExit() bool {
 	if !p.cluster.parallel || p.hasTurn {
 		return true
 	}
-	p.pendingOp = "exit"
 	p.cluster.parkReq <- p
 	if !<-p.turnCh {
 		return false
 	}
 	p.hasTurn = true
-	p.pendingOp = ""
 	return true
 }
 
@@ -102,7 +96,7 @@ func (p *Proc) acquireTurnExit() bool {
 // execute in exactly the order the sequential scheduler would run them.
 // In sequential mode it simply calls f.
 func (p *Proc) Serial(f func()) {
-	p.acquireTurn("serial")
+	p.acquireTurn()
 	f()
 }
 
@@ -216,13 +210,13 @@ func (p *Proc) AdvanceTo(t vtime.Time) {
 // every process on the node, so acquisition order is part of the
 // deterministic schedule and requires the turn.
 func (p *Proc) NICAcquire(at vtime.Time, d vtime.Duration) vtime.Time {
-	p.acquireTurn("nic-acquire")
+	p.acquireTurn()
 	return p.cluster.nics[p.node].Acquire(at, d)
 }
 
 // NICFreeAt returns the earliest idle time of this node's NIC.
 func (p *Proc) NICFreeAt() vtime.Time {
-	p.acquireTurn("nic-free")
+	p.acquireTurn()
 	return p.cluster.nics[p.node].FreeAt()
 }
 
@@ -251,7 +245,7 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("cluster: rank %d Send with negative bytes %d", p.rank, bytes))
 	}
-	p.acquireTurn("send")
+	p.acquireTurn()
 	c := p.cluster
 	m := c.mach
 	target := c.procs[dst]
@@ -280,9 +274,6 @@ func (p *Proc) Send(dst, tag int, payload any, bytes int) {
 	if intra {
 		p.stats.IntraMsgsSent++
 	}
-	if c.tracing {
-		c.trace("send %d->%d tag=%d bytes=%d arrival=%v", p.rank, dst, tag, bytes, arrival)
-	}
 	c.observe(Event{Kind: EvSend, Rank: p.rank, Peer: dst, Tag: tag, Bytes: bytes, Intra: intra, Time: p.clock})
 	// If the destination is parked on a matching receive, wake it. Its
 	// pick clock is the clock it blocked at (unchanged while blocked),
@@ -309,7 +300,7 @@ func matches(wantSrc, wantTag int, m *Message) bool {
 // keeps runs deterministic.
 func (p *Proc) Recv(src, tag int) *Message {
 	for {
-		p.acquireTurn("recv")
+		p.acquireTurn()
 		if msg := p.consumeMatch(src, tag); msg != nil {
 			return msg
 		}
@@ -321,7 +312,7 @@ func (p *Proc) Recv(src, tag int) *Message {
 // TryRecv returns a matching message if one is already available, without
 // blocking. It returns nil when none is queued.
 func (p *Proc) TryRecv(src, tag int) *Message {
-	p.acquireTurn("recv")
+	p.acquireTurn()
 	return p.consumeMatch(src, tag)
 }
 
@@ -343,9 +334,6 @@ func (p *Proc) consumeMatch(src, tag int) *Message {
 		}
 		p.stats.MsgsRecvd++
 		p.stats.BytesRecvd += int64(msg.Bytes)
-		if p.cluster.tracing {
-			p.cluster.trace("recv %d<-%d tag=%d bytes=%d at %v", p.rank, msg.Src, msg.Tag, msg.Bytes, p.clock)
-		}
 		p.cluster.observe(Event{Kind: EvRecv, Rank: p.rank, Peer: msg.Src, Tag: msg.Tag, Bytes: msg.Bytes, Intra: intra, Time: p.clock})
 		return msg
 	}
@@ -357,7 +345,7 @@ func (p *Proc) consumeMatch(src, tag int) *Message {
 // arrival plus the machine's modeled barrier cost. Processes that have
 // already finished do not participate.
 func (p *Proc) Barrier() {
-	p.acquireTurn("barrier")
+	p.acquireTurn()
 	c := p.cluster
 	p.state = stateBlockedBarrier
 	c.inBarrier++
@@ -381,7 +369,7 @@ func (p *Proc) Yield() {
 	if p.cluster.parallel {
 		// Give up the turn but keep computing; the next operation
 		// parks until the turn comes around again at this clock.
-		p.acquireTurn("yield")
+		p.acquireTurn()
 		p.state = stateRunnable
 		p.pickClock = p.clock
 		p.cluster.noteRunnable(p)

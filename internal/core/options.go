@@ -105,8 +105,6 @@ type Options struct {
 	// run. Host-time optimization only; modeled results never change.
 	Parallel bool
 
-	// Trace, if non-nil, receives scheduler events (see cluster.Config).
-	Trace func(string)
 	// Observer, if non-nil, receives structured cluster events (sends,
 	// receives, barriers, exits) for the trace/timeline tooling.
 	Observer func(cluster.Event)

@@ -155,7 +155,6 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 		Procs:        o.Nodes,
 		ProcsPerNode: 1,
 		Machine:      o.Machine,
-		Trace:        o.Trace,
 		Observer:     o.Observer,
 		Parallel:     o.Parallel,
 	}, func(p *cluster.Proc) {

@@ -42,9 +42,6 @@ type Config struct {
 	// exchange their listen addresses (each rank publishes
 	// node-<rank>.addr). The usual choice for localhost launches.
 	RendezvousDir string
-	// Peers gives every rank's listen address explicitly, bypassing the
-	// rendezvous. Peers[Rank] is this process's listen address.
-	Peers []string
 	// ListenAddr is the address to listen on when using the rendezvous
 	// (default "127.0.0.1:0").
 	ListenAddr string
@@ -86,11 +83,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Rank < 0 || c.Rank >= c.Nodes {
 		return c, fmt.Errorf("dist: Rank = %d out of [0, %d)", c.Rank, c.Nodes)
 	}
-	if len(c.Peers) > 0 && len(c.Peers) != c.Nodes {
-		return c, fmt.Errorf("dist: %d peer addresses for %d nodes", len(c.Peers), c.Nodes)
-	}
-	if len(c.Peers) == 0 && c.RendezvousDir == "" && c.Nodes > 1 {
-		return c, fmt.Errorf("dist: need RendezvousDir or Peers to find the other %d nodes", c.Nodes-1)
+	if c.RendezvousDir == "" && c.Nodes > 1 {
+		return c, fmt.Errorf("dist: need RendezvousDir to find the other %d nodes", c.Nodes-1)
 	}
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
@@ -315,21 +309,14 @@ func Connect(cfg Config) (*Engine, error) {
 	}
 
 	deadline := time.Now().Add(cfg.ConnectTimeout)
-	listenAddr := cfg.ListenAddr
-	if len(cfg.Peers) > 0 {
-		listenAddr = cfg.Peers[cfg.Rank]
-	}
-	e.ln, err = net.Listen("tcp", listenAddr)
+	e.ln, err = net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: rank %d listen: %w", cfg.Rank, err)
 	}
-	addrs := cfg.Peers
-	if len(addrs) == 0 {
-		addrs, err = rendezvous(cfg.RendezvousDir, cfg.RunID, cfg.Rank, cfg.Nodes, e.ln.Addr().String(), deadline)
-		if err != nil {
-			e.ln.Close()
-			return nil, err
-		}
+	addrs, err := rendezvous(cfg.RendezvousDir, cfg.RunID, cfg.Rank, cfg.Nodes, e.ln.Addr().String(), deadline)
+	if err != nil {
+		e.ln.Close()
+		return nil, err
 	}
 
 	fail := func(err error) (*Engine, error) {

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,23 @@ import (
 	"ppm/internal/faultinject"
 	"ppm/internal/partition"
 )
+
+// NodeReply is one line a ppm-node writes on stdout, whatever launched
+// it. Every hosted rank ends each job with one terminal reply (Done,
+// carrying that rank's NodeResult, error included); before it, rank 0
+// reports each committed global phase. A node that cannot start answers
+// with terminal replies too.
+type NodeReply struct {
+	// ID is the job's jobspec.NodeJob ID (empty for the one job a
+	// command line describes).
+	ID string `json:"id"`
+	// Phase is a progress reply's count of global phases committed so
+	// far on rank 0.
+	Phase int64 `json:"phase,omitempty"`
+	// Done marks the terminal reply, which carries Result.
+	Done   bool        `json:"done,omitempty"`
+	Result *NodeResult `json:"result,omitempty"`
+}
 
 // StopExitCode is the exit status of a node or server process stopped
 // by an operator signal (SIGINT/SIGTERM) after draining its in-flight
@@ -34,9 +50,10 @@ type LaunchOpts struct {
 	Nodes int
 	// NodeBin is the ppm-node binary to exec.
 	NodeBin string
-	// NodeArgs are appended to every node's command line (app selection,
-	// parameters, ablation flags). The launcher itself supplies -rank,
-	// -nodes, -rendezvous, -run-id, and the checkpoint flags.
+	// NodeArgs are appended to every node's command line: the job
+	// (-spec-json, or the app flags) or -serve, and transport flags.
+	// StartHost itself supplies -rank, -nodes, -rendezvous, -run-id,
+	// -procs / -proc and the checkpoint flags.
 	NodeArgs []string
 	// Timeout kills the whole fleet if one attempt exceeds it (default
 	// 120s). With the engine's failure detector on, a sick fleet aborts
@@ -95,13 +112,13 @@ type LaunchOpts struct {
 
 // LaunchLocal forks Nodes ppm-node processes wired together through a
 // temporary rendezvous directory on loopback TCP, waits for them, and
-// decodes each one's NodeResult from its stdout. The slice is indexed by
-// rank and always has Nodes entries; a non-nil error summarizes every
-// process that failed to run or report. With MaxRestarts > 0 it
-// supervises: a failed attempt is relaunched (all ranks, fresh run-id,
-// -restore when checkpointing) until an attempt succeeds or the restart
-// budget is spent, in which case the last attempt's results and error
-// are returned. The supervisor also attributes failures per host: a
+// takes each rank's NodeResult from its terminal reply. The slice is
+// indexed by rank and always has Nodes entries; a non-nil error
+// summarizes every process that failed to run or report. With
+// MaxRestarts > 0 it supervises: a failed attempt is relaunched (all
+// ranks, fresh run-id, -restore when checkpointing) until an attempt
+// succeeds or the restart budget is spent, in which case the last
+// attempt's results and error are returned. The supervisor also attributes failures per host: a
 // host blamed PerRankRestarts times in a row is permanently dead, and
 // the fleet is relaunched on one fewer host process (each surviving
 // process block-hosting several logical ranks, restoring their
@@ -181,6 +198,100 @@ func LaunchLocal(o LaunchOpts) ([]NodeResult, error) {
 	}
 }
 
+// Host is one started ppm-node process of a fleet, hosting the logical
+// ranks [Lo, Hi).
+type Host struct {
+	Lo, Hi int
+	// Stdin carries a -serve node's job lines; closing it ends the
+	// node's session.
+	Stdin io.WriteCloser
+	// Replies delivers the node's stdout lines in order. It is closed
+	// only after stdout reached EOF and the process was waited for, so no
+	// reply a dying node wrote is lost. The owner keeps receiving until
+	// then (Wait does), or the node blocks on a full pipe.
+	Replies <-chan NodeReply
+
+	cmd *exec.Cmd
+	err error // the process's exit status, set before Replies closes
+}
+
+// Wait drains h's remaining replies and returns the process's exit
+// status.
+func (h *Host) Wait() error {
+	for range h.Replies {
+	}
+	return h.err
+}
+
+// Kill kills the process. Its Replies still close, after the exit.
+func (h *Host) Kill() { h.cmd.Process.Kill() }
+
+// StartHost starts host process proc of a fleet attempt that
+// block-hosts o.Nodes logical ranks on procs processes (procs < o.Nodes
+// puts several ranks in each), meeting in the rendezvous directory dir
+// under runID. This is the one place a node's command line is built: the
+// fleet flags and, with o.CheckpointDir, the checkpoint flags (a restore
+// on every attempt after the first), then o.NodeArgs. The environment is
+// the inherited one plus o.Env plus PPM_FAULT_ATTEMPT=attempt, so
+// one-shot injected faults arm on attempt 0 only.
+func (o *LaunchOpts) StartHost(dir, runID string, attempt, procs, proc int) (*Host, error) {
+	lo, hi := partition.NewBlock(o.Nodes, procs).Range(proc)
+	args := []string{
+		"-rank", strconv.Itoa(lo),
+		"-nodes", strconv.Itoa(o.Nodes),
+		"-rendezvous", dir,
+		"-run-id", runID,
+	}
+	if procs < o.Nodes {
+		args = append(args, "-procs", strconv.Itoa(procs), "-proc", strconv.Itoa(proc))
+	}
+	if o.CheckpointDir != "" {
+		args = append(args, "-checkpoint-dir", o.CheckpointDir)
+		if o.CheckpointEvery > 0 {
+			args = append(args, "-checkpoint-every", strconv.Itoa(o.CheckpointEvery))
+		}
+		if attempt > 0 {
+			if procs < o.Nodes {
+				args = append(args, "-restore-rescale")
+			} else {
+				args = append(args, "-restore")
+			}
+		}
+	}
+	cmd := exec.Command(o.NodeBin, append(args, o.NodeArgs...)...)
+	cmd.Stderr = o.Stderr
+	cmd.Env = append(append(os.Environ(), o.Env...), fmt.Sprintf("PPM_FAULT_ATTEMPT=%d", attempt))
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	replies := make(chan NodeReply)
+	h := &Host{Lo: lo, Hi: hi, Stdin: stdin, Replies: replies, cmd: cmd}
+	go func() {
+		dec := json.NewDecoder(stdout)
+		for {
+			var rep NodeReply
+			if dec.Decode(&rep) != nil {
+				break
+			}
+			replies <- rep
+		}
+		// Read to EOF whatever did not decode: Wait closes the pipe, so it
+		// must not run before every read has returned.
+		io.Copy(io.Discard, stdout)
+		h.err = cmd.Wait()
+		close(replies)
+	}()
+	return h, nil
+}
+
 // launchOnce runs one fleet attempt on procs host processes (procs <
 // Nodes block-hosts several logical ranks per process). The rendezvous
 // dir is reused across attempts: the per-attempt run-id in the address
@@ -190,48 +301,18 @@ func LaunchLocal(o LaunchOpts) ([]NodeResult, error) {
 // peers self-aborted with precise errors) for per-host attribution.
 func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeResult, suspects []int, err error) {
 	runID := fmt.Sprintf("ppm-%d-a%d", os.Getpid(), attempt)
-	hosts := partition.NewBlock(o.Nodes, procs)
-	cmds := make([]*exec.Cmd, procs)
-	outs := make([]bytes.Buffer, procs)
-	waitErrs := make([]error, procs)
-	for p := 0; p < procs; p++ {
-		lo, _ := hosts.Range(p)
-		args := []string{
-			"-rank", strconv.Itoa(lo),
-			"-nodes", strconv.Itoa(o.Nodes),
-			"-rendezvous", dir,
-			"-run-id", runID,
-		}
-		if procs < o.Nodes {
-			args = append(args, "-procs", strconv.Itoa(procs), "-proc", strconv.Itoa(p))
-		}
-		if o.CheckpointDir != "" {
-			args = append(args, "-checkpoint-dir", o.CheckpointDir)
-			if o.CheckpointEvery > 0 {
-				args = append(args, "-checkpoint-every", strconv.Itoa(o.CheckpointEvery))
-			}
-			if attempt > 0 {
-				if procs < o.Nodes {
-					args = append(args, "-restore-rescale")
-				} else {
-					args = append(args, "-restore")
-				}
-			}
-		}
-		args = append(args, o.NodeArgs...)
-		cmd := exec.Command(o.NodeBin, args...)
-		cmd.Stdout = &outs[p]
-		cmd.Stderr = o.Stderr
-		cmd.Env = append(os.Environ(), o.Env...)
-		cmd.Env = append(cmd.Env, fmt.Sprintf("PPM_FAULT_ATTEMPT=%d", attempt))
-		if err := cmd.Start(); err != nil {
-			for _, c := range cmds[:p] {
-				c.Process.Kill()
-				c.Wait()
+	hosts := make([]*Host, procs)
+	for p := range hosts {
+		h, err := o.StartHost(dir, runID, attempt, procs, p)
+		if err != nil {
+			for _, h := range hosts[:p] {
+				h.Kill()
+				h.Wait()
 			}
 			return nil, nil, fmt.Errorf("dist: start host %d: %w", p, err)
 		}
-		cmds[p] = cmd
+		h.Stdin.Close() // the job is on the command line
+		hosts[p] = h
 	}
 
 	// Supervise the attempt: the watchdog backstops a fully hung fleet,
@@ -239,23 +320,42 @@ func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeRe
 	// failed rank (they normally self-abort via the failure detector with
 	// a much better error than a kill). Processes still alive at a
 	// supervisor kill are victims, not suspects: their silence was
-	// imposed, not evidence.
+	// imposed, not evidence. Each host's replies are drained while it
+	// runs (rank 0 reports every phase); its exit event carries the
+	// terminal results.
 	type exitEv struct {
-		proc int
-		err  error
+		proc    int
+		results []NodeResult
+		err     error
 	}
 	exits := make(chan exitEv, procs)
-	for p, c := range cmds {
-		go func(p int, c *exec.Cmd) { exits <- exitEv{proc: p, err: c.Wait()} }(p, c)
+	for p, h := range hosts {
+		go func(p int, h *Host) {
+			ev := exitEv{proc: p}
+			for rep := range h.Replies {
+				if rep.Done && rep.Result != nil {
+					ev.results = append(ev.results, *rep.Result)
+				}
+			}
+			ev.err = h.Wait()
+			exits <- ev
+		}(p, h)
 	}
+	results = make([]NodeResult, o.Nodes)
+	seen := make([]bool, o.Nodes)
+	for r := range results {
+		results[r].Rank = r
+	}
+	parsed := make([]int, procs)
+	waitErrs := make([]error, procs)
 	exited := make([]bool, procs)
 	victim := make([]bool, procs)
 	killAll := func() {
-		for p, c := range cmds {
+		for p, h := range hosts {
 			if !exited[p] {
 				victim[p] = true
 			}
-			c.Process.Kill()
+			h.Kill()
 		}
 	}
 	var timedOut, graceKilled bool
@@ -268,6 +368,14 @@ func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeRe
 			waitErrs[ev.proc] = ev.err
 			exited[ev.proc] = true
 			got++
+			// One terminal reply per hosted rank, routed by its Rank.
+			for _, res := range ev.results {
+				if res.Rank >= 0 && res.Rank < o.Nodes && !seen[res.Rank] {
+					results[res.Rank] = res
+					seen[res.Rank] = true
+					parsed[ev.proc]++
+				}
+			}
 			if ev.err != nil && grace == nil && got < procs {
 				grace = time.After(o.DetectGrace)
 			}
@@ -278,29 +386,6 @@ func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeRe
 			graceKilled = true
 			killAll()
 			grace = nil
-		}
-	}
-
-	// Decode each host's stdout: one NodeResult line per hosted rank,
-	// routed by the reported Rank field.
-	results = make([]NodeResult, o.Nodes)
-	seen := make([]bool, o.Nodes)
-	parsed := make([]int, procs)
-	for r := range results {
-		results[r].Rank = r
-	}
-	for p := 0; p < procs; p++ {
-		dec := json.NewDecoder(bytes.NewReader(outs[p].Bytes()))
-		for {
-			var res NodeResult
-			if err := dec.Decode(&res); err != nil {
-				break
-			}
-			if res.Rank >= 0 && res.Rank < o.Nodes && !seen[res.Rank] {
-				results[res.Rank] = res
-				seen[res.Rank] = true
-				parsed[p]++
-			}
 		}
 	}
 
@@ -326,8 +411,9 @@ func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeRe
 			suspects = append(suspects, p)
 		}
 	}
+	owner := partition.NewBlock(o.Nodes, procs)
 	for r := 0; r < o.Nodes; r++ {
-		p := hosts.Owner(r)
+		p := owner.Owner(r)
 		if seen[r] {
 			if results[r].Err != "" {
 				errs = append(errs, fmt.Sprintf("rank %d: %s", r, results[r].Err))
@@ -337,11 +423,7 @@ func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeRe
 		if stoppedProc[p] {
 			continue // the stop message already covers this host
 		}
-		detail := strings.TrimSpace(outs[p].String())
-		if len(detail) > 200 {
-			detail = detail[:200] + "..."
-		}
-		errs = append(errs, fmt.Sprintf("rank %d: no result (host %d exit: %v; stdout: %q)", r, p, waitErrs[p], detail))
+		errs = append(errs, fmt.Sprintf("rank %d: no result (host %d exit: %v)", r, p, waitErrs[p]))
 	}
 	if timedOut {
 		errs = append([]string{fmt.Sprintf("run exceeded %v and was killed", o.Timeout)}, errs...)

@@ -62,9 +62,9 @@ func TestSupervisorStillRestartsCrashes(t *testing.T) {
 	}
 }
 
-// A job deadline on the engine aborts a too-slow distributed run with
-// the rank and the in-flight operation named, and the launch surfaces
-// that teardown as an error rather than hanging.
+// A spec's deadline_ms aborts a too-slow distributed run with the rank
+// and the in-flight operation named, and the launch surfaces that
+// teardown as an error rather than hanging.
 func TestJobDeadlineTearsDownFleet(t *testing.T) {
 	if nodeBin == "" {
 		t.Fatal("ppm-node binary was not built; see TestMain output")
@@ -72,11 +72,8 @@ func TestJobDeadlineTearsDownFleet(t *testing.T) {
 	_, err := LaunchLocal(LaunchOpts{
 		Nodes:   2,
 		NodeBin: nodeBin,
-		NodeArgs: []string{
-			"-app", "cg", "-cores", "2",
-			"-cg-grid", "24x24x48", "-cg-iters", "40",
-			"-job-deadline", "30ms",
-		},
+		NodeArgs: []string{"-spec-json", `{"app":"cg","nodes":2,"cores":2,` +
+			`"cg":{"NX":24,"NY":24,"NZ":48,"MaxIter":40},"deadline_ms":30}`},
 		Timeout: 60 * time.Second,
 		Stderr:  io.Discard,
 	})

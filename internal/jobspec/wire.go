@@ -1,32 +1,14 @@
 package jobspec
 
-import "ppm/internal/dist"
-
-// NodeJob and NodeReply are the newline-delimited JSON protocol between
-// the server's fleet pool and a serve-mode ppm-node (`ppm-node -serve`):
-// the pool writes one NodeJob line to every rank's stdin, each rank
-// streams back progress replies and exactly one terminal reply per job
-// on stdout. Closing a rank's stdin drains the fleet: the rank finishes
-// its in-flight job, closes its links, and exits 0.
-
-// NodeJob asks a serve-mode node process to run its share of one job.
+// NodeJob asks a ppm-node session to run its share of one job. A -serve
+// node reads newline-delimited NodeJob JSON on stdin until EOF; any
+// other launch runs the one job its command line describes. Either way
+// the node answers on stdout with dist.NodeReply lines.
 type NodeJob struct {
 	// ID correlates replies with jobs; opaque to the node.
 	ID string `json:"id"`
-	// Spec is the normalized job. Its Nodes must match the fleet the
-	// node was launched into; its wire-level fields are ignored (those
-	// were fixed when the fleet's engine connected).
+	// Spec is the job. Its Nodes must match the fleet the node was
+	// launched into; its wire-level fields are ignored (those were fixed
+	// when the fleet's engines connected).
 	Spec Spec `json:"spec"`
-}
-
-// NodeReply is one stdout line from a serve-mode node.
-type NodeReply struct {
-	ID string `json:"id"`
-	// Phase reports progress: global phases committed so far on this
-	// rank (progress replies only; rank 0 is the fleet's reporter).
-	Phase int64 `json:"phase,omitempty"`
-	// Done marks the job's terminal reply, which carries the rank's
-	// NodeResult (including any error).
-	Done   bool             `json:"done,omitempty"`
-	Result *dist.NodeResult `json:"result,omitempty"`
 }

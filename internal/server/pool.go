@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"strconv"
 	"sync"
 	"time"
 
 	"ppm/internal/dist"
 	"ppm/internal/jobspec"
-	"ppm/internal/partition"
 )
 
 // fleetKey identifies a reusable fleet shape. Jobs only share a fleet
@@ -29,79 +26,69 @@ type fleetKey struct {
 	preset string
 }
 
-// nodeProc is one serve-mode ppm-node process of a fleet, hosting one
-// or more logical ranks.
-type nodeProc struct {
-	cmd     *exec.Cmd
-	stdin   io.WriteCloser
-	ranks   []int                  // logical ranks this process hosts
-	replies chan jobspec.NodeReply // decoded stdout lines; closed on EOF
-	dead    chan struct{}          // closed when the process exits
-}
-
 // fleet is a connected set of serve-mode node processes. One job runs
 // at a time (the pool hands a fleet to exactly one worker); between
 // jobs the processes idle with their TCP mesh up and their plan-cache
 // sessions parked, which is the whole point of pooling them.
 type fleet struct {
 	key    fleetKey
-	procs  []*nodeProc
+	hosts  []*dist.Host
 	dir    string // rendezvous dir, removed at stop
 	served int    // jobs completed on this fleet
 	broken bool   // a run errored; the engines may be poisoned
 }
 
 // run submits one job to every host process and gathers one terminal
-// reply per hosted rank, routed by the reported Result.Rank. Rank 0's
-// phase-progress replies (host 0 hosts it) stream through onPhase as
-// they arrive. Any host dying mid-job or replying with an error marks
-// the fleet broken; the caller must discard it.
+// reply per hosted rank. Rank 0's phase-progress replies (host 0 hosts
+// it) stream through onPhase as they arrive. Any host exiting mid-job
+// or replying with an error marks the fleet broken; the caller must
+// discard it.
 func (f *fleet) run(id string, spec *jobspec.Spec, onPhase func(int64)) ([]dist.NodeResult, error) {
 	line, err := json.Marshal(jobspec.NodeJob{ID: id, Spec: *spec})
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding job %s: %v", id, err)
 	}
 	line = append(line, '\n')
-	for pi, p := range f.procs {
-		if _, err := p.stdin.Write(line); err != nil {
+	for hi, h := range f.hosts {
+		if _, err := h.Stdin.Write(line); err != nil {
 			f.broken = true
-			return nil, fmt.Errorf("server: fleet write to host %d: %v", pi, err)
+			return nil, fmt.Errorf("server: fleet write to host %d: %v", hi, err)
 		}
 	}
 	results := make([]dist.NodeResult, f.key.nodes)
-	errs := make([]error, len(f.procs))
+	errs := make([]error, len(f.hosts))
 	var wg sync.WaitGroup
-	for pi, p := range f.procs {
+	for hi, h := range f.hosts {
 		wg.Add(1)
-		go func(pi int, p *nodeProc) {
+		go func(hi int, h *dist.Host) {
 			defer wg.Done()
 			got := 0
-			for rep := range p.replies {
+			for rep := range h.Replies {
 				if rep.ID != id {
-					continue // stale line from an aborted predecessor
+					continue // a reply to no job of ours, such as a start-up failure
 				}
 				if !rep.Done {
-					if pi == 0 && onPhase != nil {
+					if hi == 0 && onPhase != nil {
 						onPhase(rep.Phase)
 					}
 					continue
 				}
 				if rep.Result == nil {
-					errs[pi] = fmt.Errorf("host %d: terminal reply without a result", pi)
+					errs[hi] = fmt.Errorf("host %d: terminal reply without a result", hi)
 					return
 				}
 				r := rep.Result.Rank
-				if r < 0 || r >= len(results) {
-					errs[pi] = fmt.Errorf("host %d: terminal reply for unknown rank %d", pi, r)
+				if r < h.Lo || r >= h.Hi {
+					errs[hi] = fmt.Errorf("host %d: terminal reply for rank %d, which it does not host", hi, r)
 					return
 				}
 				results[r] = *rep.Result
-				if got++; got == len(p.ranks) {
+				if got++; got == h.Hi-h.Lo {
 					return
 				}
 			}
-			errs[pi] = fmt.Errorf("host %d (ranks %v): exited mid-job", pi, p.ranks)
-		}(pi, p)
+			errs[hi] = fmt.Errorf("host %d (ranks %d-%d): exited mid-job", hi, h.Lo, h.Hi-1)
+		}(hi, h)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -119,14 +106,16 @@ func (f *fleet) run(id string, spec *jobspec.Spec, onPhase func(int64)) ([]dist.
 	return results, nil
 }
 
-// healthy reports whether every rank is still running.
+// healthy reports whether every host is still idling. A host says
+// nothing between jobs, so a reply line or the close that follows its
+// exit both mean it is done.
 func (f *fleet) healthy() bool {
 	if f.broken {
 		return false
 	}
-	for _, p := range f.procs {
+	for _, h := range f.hosts {
 		select {
-		case <-p.dead:
+		case <-h.Replies:
 			return false
 		default:
 		}
@@ -134,26 +123,27 @@ func (f *fleet) healthy() bool {
 	return true
 }
 
-// stop retires the fleet: closing stdin is the drain signal (serve mode
-// exits 0 on EOF); ranks that linger past the grace are killed. Broken
-// fleets skip the grace — their engines are wedged or dead already.
+// stop retires the fleet: closing stdin ends each host's session (its
+// engines close and it exits), and hosts that linger past the grace are
+// killed. Broken fleets skip the grace: their engines are wedged or dead
+// already. Every host's replies are drained to their close.
 func (f *fleet) stop() {
-	for _, p := range f.procs {
-		p.stdin.Close()
+	for _, h := range f.hosts {
+		h.Stdin.Close()
 	}
 	grace := 5 * time.Second
 	if f.broken {
 		grace = 100 * time.Millisecond
 	}
-	deadline := time.Now().Add(grace)
-	for _, p := range f.procs {
-		select {
-		case <-p.dead:
-		case <-time.After(time.Until(deadline)):
-			p.cmd.Process.Kill()
-			<-p.dead
+	kill := time.AfterFunc(grace, func() {
+		for _, h := range f.hosts {
+			h.Kill()
 		}
+	})
+	for _, h := range f.hosts {
+		h.Wait()
 	}
+	kill.Stop()
 	os.RemoveAll(f.dir)
 }
 
@@ -168,8 +158,8 @@ type idleFleet struct {
 // likely to still match); release parks a healthy fleet, discard kills
 // a broken one; reap retires fleets idle past the configured timeout.
 type pool struct {
-	nodeBin string
-	stderr  io.Writer
+	// launch is every fleet's host command line; spawn sets Nodes.
+	launch dist.LaunchOpts
 
 	mu     sync.Mutex
 	idle   map[fleetKey][]idleFleet
@@ -183,7 +173,10 @@ func newPool(nodeBin string, stderr io.Writer) *pool {
 	if stderr == nil {
 		stderr = os.Stderr
 	}
-	return &pool{nodeBin: nodeBin, stderr: stderr, idle: make(map[fleetKey][]idleFleet)}
+	return &pool{
+		launch: dist.LaunchOpts{NodeBin: nodeBin, NodeArgs: []string{"-serve"}, Stderr: stderr},
+		idle:   make(map[fleetKey][]idleFleet),
+	}
 }
 
 // acquire returns a warm fleet for key, or spawns one. reused reports
@@ -318,10 +311,10 @@ func (p *pool) stats() (spawned, reused, reaped, discarded int64, idle int) {
 	return p.spawned, p.reused, p.reaped, p.discarded, idle
 }
 
-// spawn forks and connects one serve-mode fleet of key.procs host
-// processes (key.procs < key.nodes block-hosts several logical ranks
-// per process). attempt is passed to the children as PPM_FAULT_ATTEMPT
-// so one-shot injected faults arm only on a job's first fleet.
+// spawn forks one serve-mode fleet of key.procs host processes
+// (key.procs < key.nodes block-hosts several logical ranks per process).
+// attempt reaches the children as PPM_FAULT_ATTEMPT, so one-shot
+// injected faults arm only on a job's first fleet.
 func (p *pool) spawn(key fleetKey, seq, attempt int) (*fleet, error) {
 	dir, err := os.MkdirTemp("", "ppm-serve-")
 	if err != nil {
@@ -333,64 +326,16 @@ func (p *pool) spawn(key fleetKey, seq, attempt int) (*fleet, error) {
 	if procs <= 0 || procs > key.nodes {
 		procs = key.nodes
 	}
-	hosts := partition.NewBlock(key.nodes, procs)
-	for pi := 0; pi < procs; pi++ {
-		lo, hi := hosts.Range(pi)
-		args := []string{
-			"-serve",
-			"-rank", strconv.Itoa(lo),
-			"-nodes", strconv.Itoa(key.nodes),
-			"-rendezvous", dir,
-			"-run-id", runID,
+	lo := p.launch
+	lo.Nodes = key.nodes
+	for hi := 0; hi < procs; hi++ {
+		h, err := lo.StartHost(dir, runID, attempt, procs, hi)
+		if err != nil {
+			f.broken = true
+			f.stop()
+			return nil, fmt.Errorf("server: spawning host %d of fleet %v: %v", hi, key, err)
 		}
-		if procs < key.nodes {
-			args = append(args, "-procs", strconv.Itoa(procs), "-proc", strconv.Itoa(pi))
-		}
-		cmd := exec.Command(p.nodeBin, args...)
-		cmd.Env = append(os.Environ(), fmt.Sprintf("PPM_FAULT_ATTEMPT=%d", attempt))
-		stdin, err := cmd.StdinPipe()
-		if err == nil {
-			var stdout io.ReadCloser
-			stdout, err = cmd.StdoutPipe()
-			if err == nil {
-				cmd.Stderr = p.stderr
-				if err = cmd.Start(); err == nil {
-					ranks := make([]int, 0, hi-lo)
-					for r := lo; r < hi; r++ {
-						ranks = append(ranks, r)
-					}
-					proc := &nodeProc{
-						cmd:   cmd,
-						stdin: stdin,
-						ranks: ranks,
-						// Buffered so a fleet killed mid-job cannot wedge
-						// its reader goroutine on a send nobody drains.
-						replies: make(chan jobspec.NodeReply, 1024),
-						dead:    make(chan struct{}),
-					}
-					go func() {
-						dec := json.NewDecoder(stdout)
-						for {
-							var rep jobspec.NodeReply
-							if err := dec.Decode(&rep); err != nil {
-								close(proc.replies)
-								return
-							}
-							proc.replies <- rep
-						}
-					}()
-					go func() {
-						cmd.Wait()
-						close(proc.dead)
-					}()
-					f.procs = append(f.procs, proc)
-					continue
-				}
-			}
-		}
-		f.broken = true
-		f.stop()
-		return nil, fmt.Errorf("server: spawning host %d of fleet %v: %v", pi, key, err)
+		f.hosts = append(f.hosts, h)
 	}
 	return f, nil
 }
