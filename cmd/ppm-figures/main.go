@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -57,34 +58,45 @@ func parseNodeList(s string) ([]int, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ppm-figures: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	fig := flag.Int("fig", 0, "figure to regenerate (1, 2, 3; 4 = supplementary S1 Jacobi; 0 = all)")
-	nodeList := flag.String("nodes", "1,2,4,8,16,32,64", "comma-separated node counts")
-	cores := flag.Int("cores", 4, "cores (and MPI ranks) per node")
-	emitCSV := flag.Bool("csv", false, "emit CSV instead of tables")
-	emitChart := flag.Bool("chart", false, "also emit ASCII charts")
+// run is the command: tables on stdout, progress and errors on stderr,
+// and the exit status. Stdout is deterministic, so
+// testdata/nodes_1_2_4.golden pins it for `-nodes 1,2,4`.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ppm-figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 0, "figure to regenerate (1, 2, 3; 4 = supplementary S1 Jacobi; 0 = all)")
+	nodeList := fs.String("nodes", "1,2,4,8,16,32,64", "comma-separated node counts")
+	cores := fs.Int("cores", 4, "cores (and MPI ranks) per node")
+	emitCSV := fs.Bool("csv", false, "emit CSV instead of tables")
+	emitChart := fs.Bool("chart", false, "also emit ASCII charts")
 	// The workloads of Figures 1, 2 and 3.
 	var (
 		cgPrm     cg.Params
 		collocPrm colloc.Params
 		bhPrm     nbody.Params
 	)
-	cgPrm.Flags(flag.CommandLine)
-	collocPrm.Flags(flag.CommandLine)
-	bhPrm.Flags(flag.CommandLine)
-	parallel := flag.Int("parallel", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential); results identical for every value")
-	parRun := flag.Bool("par-run", false, "run each point's simulator on the parallel scheduler (bit-identical results)")
-	quiet := flag.Bool("quiet", false, "suppress per-point progress lines on stderr")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	cgPrm.Flags(fs)
+	collocPrm.Flags(fs)
+	bhPrm.Flags(fs)
+	parallel := fs.Int("parallel", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = sequential); results identical for every value")
+	parRun := fs.Bool("par-run", false, "run each point's simulator on the parallel scheduler (bit-identical results)")
+	quiet := fs.Bool("quiet", false, "suppress per-point progress lines on stderr")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	stopProfiles := prof.Start(*cpuprofile, *memprofile)
 	defer stopProfiles()
 
 	nodes, err := parseNodeList(*nodeList)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "ppm-figures: %v\n", err)
+		return 1
 	}
 	cfg := bench.SweepConfig{
 		NodeCounts:   nodes,
@@ -96,22 +108,22 @@ func main() {
 	if !*quiet {
 		// Stderr is unbuffered, so each point's line is visible the
 		// moment the point completes, even mid-sweep.
-		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
+		cfg.Progress = func(line string) { fmt.Fprintln(stderr, line) }
 	}
 
 	emit := func(s *bench.Series) {
 		if *emitCSV {
-			fmt.Printf("# %s: %s\n%s\n", s.Figure, s.Name, s.CSV())
+			fmt.Fprintf(stdout, "# %s: %s\n%s\n", s.Figure, s.Name, s.CSV())
 			return
 		}
-		fmt.Println(s.Table())
+		fmt.Fprintln(stdout, s.Table())
 		if *emitChart {
-			fmt.Println(s.Chart())
+			fmt.Fprintln(stdout, s.Chart())
 		}
 		if x := s.CrossoverNodes(); x > 0 {
-			fmt.Printf("PPM matches or beats MPI from %d node(s).\n\n", x)
+			fmt.Fprintf(stdout, "PPM matches or beats MPI from %d node(s).\n\n", x)
 		} else {
-			fmt.Printf("PPM does not overtake MPI in this sweep.\n\n")
+			fmt.Fprintf(stdout, "PPM does not overtake MPI in this sweep.\n\n")
 		}
 	}
 
@@ -123,26 +135,22 @@ func main() {
 		4: func() (*bench.Series, error) { return bench.FigureS1Jacobi(cfg, jacobi.Params{}.WithDefaults()) },
 	}
 	if *fig < 0 || *fig >= len(figures) {
-		fmt.Fprintln(os.Stderr, "ppm-figures: -fig must be 0, 1, 2, 3 or 4")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ppm-figures: -fig must be 0, 1, 2, 3 or 4")
+		return 2
 	}
-	for n, run := range figures {
-		if run != nil && (*fig == 0 || *fig == n) {
-			s, err := run()
-			exitOn(err)
+	for n, figure := range figures {
+		if figure != nil && (*fig == 0 || *fig == n) {
+			s, err := figure()
+			if err != nil {
+				// The error carries the scheduler's full multi-line
+				// per-process deadlock diagnostics, so a hang in any
+				// point is attributable; the command never exits 0
+				// after a failure.
+				fmt.Fprintf(stderr, "ppm-figures: run failed: %v\n", err)
+				return 1
+			}
 			emit(s)
 		}
 	}
-}
-
-// exitOn reports a failed sweep point on stderr — including the
-// scheduler's full multi-line per-process deadlock diagnostics, which
-// arrive embedded in the error — and exits non-zero. Every figure's run
-// path funnels through it, so a hang in any point is attributable and
-// the command never exits 0 after a failure.
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ppm-figures: run failed: %v\n", err)
-		os.Exit(1)
-	}
+	return 0
 }

@@ -37,3 +37,26 @@ func TestGridStrict(t *testing.T) {
 		t.Errorf("zero Grid String() = %q", got)
 	}
 }
+
+// A grid is refused past MaxGridPoints points, and a product that would
+// overflow an int (and wrap to a small or zero size) is refused too.
+func TestCheckGrid(t *testing.T) {
+	for _, g := range []struct {
+		nx, ny, nz int
+		ok         bool
+	}{
+		{24, 24, 48, true},
+		{4096, 4096, 1, true},
+		{1, 1, MaxGridPoints, true},
+		{4096, 4096, 2, false},
+		{MaxGridPoints + 1, 1, 1, false},
+		{1 << 22, 1 << 22, 1 << 22, false}, // product wraps to 0
+		{1 << 21, 1 << 21, 3, false},
+		{0, 4, 4, false},
+		{4, 4, -4, false},
+	} {
+		if err := CheckGrid("app", g.nx, g.ny, g.nz); (err == nil) != g.ok {
+			t.Errorf("%dx%dx%d: CheckGrid = %v, want ok %v", g.nx, g.ny, g.nz, err, g.ok)
+		}
+	}
+}

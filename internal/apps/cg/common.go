@@ -8,8 +8,10 @@
 //
 //   - Solve: sequential reference.
 //   - RunPPM: the PPM program — vectors in global shared memory, SpMV
-//     reads the search direction with fine-grained global indexing, and
-//     the runtime does the bundling (this is why the PPM source is a
+//     generates each row of the operator from the grid (the model
+//     charges the stored row it stands for) and reads the search
+//     direction with fine-grained global indexing, and the runtime does
+//     the bundling (this is why the PPM source is a
 //     fraction of the message-passing version's size, Table 1).
 //   - RunMPI: the "highly tuned" message-passing baseline — an explicit
 //     communication plan (which remote vector entries each neighbor
@@ -50,8 +52,8 @@ func (p Params) WithDefaults() Params {
 
 // Validate reports the first parameter no run could use.
 func (p Params) Validate() error {
-	if p.NX <= 0 || p.NY <= 0 || p.NZ <= 0 {
-		return fmt.Errorf("cg: grid %dx%dx%d invalid", p.NX, p.NY, p.NZ)
+	if err := appflag.CheckGrid("cg", p.NX, p.NY, p.NZ); err != nil {
+		return err
 	}
 	if p.MaxIter <= 0 {
 		return fmt.Errorf("cg: MaxIter must be positive, got %d", p.MaxIter)

@@ -31,16 +31,25 @@ func RunPPMOn(run core.Runner, opt core.Options, prm Params) (*Result, *core.Rep
 		w := core.AllocNode[float64](rt, "cg.w", maxLocal)
 		acc := core.AllocNode[float64](rt, "cg.acc", 1)
 
-		// Assemble the local row block; charge streaming cost.
-		a := sparse.Stencil27Rows(prm.NX, prm.NY, prm.NZ, lo, hi)
-		rt.ChargeMem(int64(a.NNZ() * 12))
-		// Run-length encode the column structure once: each stencil row's
-		// 27 columns are nine x-direction triples, so the gather below
-		// reads p through block accesses instead of an element at a time.
-		runPtr, runs, maxRun := a.ColRuns()
-
-		b := rhsRows(a)
-		rt.ChargeFlops(int64(a.NNZ()))
+		// The operator is generated, not stored: a row's runs of
+		// consecutive columns and its diagonal follow from the grid, and
+		// every other entry is -1. The model still charges streaming the
+		// stored block. b = A·1, so the exact solution is all ones and b's
+		// entries are row sums: 27 less the row's other entries.
+		var runBuf [9]sparse.ColRun
+		b := make([]float64, nLocal)
+		nnz := 0
+		for r := range b {
+			runs, _ := sparse.Stencil27RowRuns(prm.NX, prm.NY, prm.NZ, lo+r, runBuf[:0])
+			k := 0
+			for _, cr := range runs {
+				k += cr.N
+			}
+			b[r] = 28 - float64(k)
+			nnz += k
+		}
+		rt.ChargeMem(int64(nnz * 12))
+		rt.ChargeFlops(int64(nnz))
 		// x and r live in shared arrays (x doubles as the published
 		// solution) so the iteration state is covered by phase-boundary
 		// checkpoints and a restored run resumes mid-solve.
@@ -81,23 +90,31 @@ func RunPPMOn(run core.Runner, opt core.Options, prm Params) (*Result, *core.Rep
 			rt.Do(k, func(vp *core.VP) {
 				vp.GlobalPhase(func() {
 					vlo, vhi := core.ChunkRange(nLocal, k, vp.NodeRank())
-					buf := make([]float64, maxRun)
+					var runBuf [9]sparse.ColRun
+					var buf [27]float64
 					var dot float64
+					nnz := 0
 					for row := vlo; row < vhi; row++ {
+						runs, diag := sparse.Stencil27RowRuns(prm.NX, prm.NY, prm.NZ, lo+row, runBuf[:0])
 						var s float64
-						kk := a.RowPtr[row]
-						for _, cr := range runs[runPtr[row]:runPtr[row+1]] {
-							p.ReadBlock(vp, cr.Col, cr.Col+cr.N, buf)
+						kk := 0
+						for _, cr := range runs {
+							p.ReadBlock(vp, cr.Col, cr.Col+cr.N, buf[:])
 							for j := 0; j < cr.N; j++ {
-								s += a.Val[kk] * buf[j]
+								v := -1.0
+								if kk == diag {
+									v = 27.0
+								}
+								s += v * buf[j]
 								kk++
 							}
 						}
+						nnz += kk
 						w.Write(vp, row, s)
 						dot += s * p.Read(vp, lo+row)
 					}
 					acc.Add(vp, 0, dot)
-					vp.ChargeFlops(int64(2*a.RowNNZ(vlo, vhi) + 2*(vhi-vlo)))
+					vp.ChargeFlops(int64(2*nnz + 2*(vhi-vlo)))
 				})
 			})
 			pw := rt.AllReduce(acc.Local(rt)[0], core.OpSum)

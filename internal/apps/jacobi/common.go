@@ -55,8 +55,8 @@ func (p Params) Canonical() []uint64 {
 
 // Validate reports the first parameter no run could use.
 func (p Params) Validate() error {
-	if p.NX <= 0 || p.NY <= 0 || p.NZ <= 0 {
-		return fmt.Errorf("jacobi: grid %dx%dx%d invalid", p.NX, p.NY, p.NZ)
+	if err := appflag.CheckGrid("jacobi", p.NX, p.NY, p.NZ); err != nil {
+		return err
 	}
 	if p.Sweeps < 0 {
 		return fmt.Errorf("jacobi: Sweeps must be non-negative, got %d", p.Sweeps)

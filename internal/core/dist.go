@@ -304,7 +304,7 @@ func (gs *globalState) installReply(owner int, ranges []wire.ReadRange, data []b
 		arr := gs.arrays[r.Array]
 		end := off + (r.Hi-r.Lo)*arr.elemBytes()
 		if end > len(data) {
-			return fmt.Errorf("core: read reply from node %d is %d bytes, short of %s[%d:%d) at offset %d",
+			return fmt.Errorf("core: read reply from rank %d is %d bytes, short of %s[%d:%d) at offset %d",
 				owner, len(data), arr.label(), r.Lo, r.Hi, off)
 		}
 		if err := arr.installRange(r.Lo, r.Hi, data[off:end]); err != nil {
@@ -313,7 +313,7 @@ func (gs *globalState) installReply(owner int, ranges []wire.ReadRange, data []b
 		off = end
 	}
 	if off != len(data) {
-		return fmt.Errorf("core: read reply from node %d is %d bytes, %d more than the %d ranges requested",
+		return fmt.Errorf("core: read reply from rank %d is %d bytes, %d more than the %d ranges requested",
 			owner, len(data), len(data)-off, len(ranges))
 	}
 	return nil

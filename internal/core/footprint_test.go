@@ -61,12 +61,15 @@ func cgFootprints(t *testing.T, nodes int, prm cg.Params) [][]core.ArrayFootprin
 // of the stencil lying outside them: what cg's phases read of cg.p from
 // other ranks.
 func haloLines(prm cg.Params, lo, hi int) int {
-	_, runs, _ := sparse.Stencil27Rows(prm.NX, prm.NY, prm.NZ, lo, hi).ColRuns()
 	lines := map[int]bool{}
-	for _, cr := range runs {
-		for c := cr.Col; c < cr.Col+cr.N; c++ {
-			if c < lo || c >= hi {
-				lines[c/lineF64] = true
+	var runs []sparse.ColRun
+	for g := lo; g < hi; g++ {
+		runs, _ = sparse.Stencil27RowRuns(prm.NX, prm.NY, prm.NZ, g, runs[:0])
+		for _, cr := range runs {
+			for c := cr.Col; c < cr.Col+cr.N; c++ {
+				if c < lo || c >= hi {
+					lines[c/lineF64] = true
+				}
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func TestInstallReplySlicesByRange(t *testing.T) {
 	}
 
 	err := gs.installReply(1, ranges, data[:len(data)-1])
-	if err == nil || !strings.Contains(err.Error(), "short of a0[31:32)") || !strings.Contains(err.Error(), "node 1") {
+	if err == nil || !strings.Contains(err.Error(), "short of a0[31:32)") || !strings.Contains(err.Error(), "rank 1") {
 		t.Errorf("short reply: err = %v, want it to name the range it ran out at and the owner", err)
 	}
 	err = gs.installReply(1, ranges, append(data, 0))

@@ -175,25 +175,29 @@ func TestValidateChecksParameters(t *testing.T) {
 // badParamBlocks are specs whose parameter block the application
 // refuses, with its message.
 var badParamBlocks = map[string]string{
-	`{"app":"nbody","nbody":{"N":-5}}`:                          "nbody: N must be positive, got -5",
-	`{"app":"nbody","nbody":{"Steps":-1}}`:                      "nbody: Steps must be non-negative, got -1",
-	`{"app":"nbody","nbody":{"Theta":-0.5}}`:                    "nbody: Theta must be non-negative, got -0.5",
-	`{"app":"nbody","nbody":{"Eps":-1}}`:                        "nbody: Eps must be positive, got -1",
-	`{"app":"nbody","nbody":{"DT":-0.01}}`:                      "nbody: DT must be positive, got -0.01",
-	`{"app":"cg","cg":{"MaxIter":-3}}`:                          "cg: MaxIter must be positive, got -3",
-	`{"app":"cg","cg":{"NX":-4,"NY":4,"NZ":4}}`:                 "cg: grid -4x4x4 invalid",
-	`{"app":"cg","cg":{"NX":4}}`:                                "cg: grid 4x0x0 invalid",
-	`{"app":"colloc","colloc":{"Levels":-1}}`:                   "colloc: Levels must be in [1,24], got -1",
-	`{"app":"colloc","colloc":{"Levels":25}}`:                   "colloc: Levels must be in [1,24], got 25",
-	`{"app":"colloc","colloc":{"M0":-2}}`:                       "colloc: M0 must be positive, got -2",
-	`{"app":"colloc","colloc":{"Delta":-1}}`:                    "colloc: Delta must be positive, got -1",
-	`{"app":"jacobi","jacobi":{"Sweeps":-1}}`:                   "jacobi: Sweeps must be non-negative, got -1",
-	`{"app":"jacobi","jacobi":{"NX":8,"NY":8,"NZ":-8}}`:         "jacobi: grid 8x8x-8 invalid",
-	`{"app":"search","search":{"N":-1}}`:                        "search: N and K must be positive, got -1, 16384",
-	`{"app":"search","search":{"K":-7}}`:                        "search: N and K must be positive, got 1048576, -7",
-	`{"app":"scatter","scatter":{"VPs":-1}}`:                    "scatter: N, VPs, and Iters must be positive, got 3000, -1, 4",
-	`{"app":"scatter","scatter":{"N":-1}}`:                      "scatter: N, VPs, and Iters must be positive, got -1, 6, 4",
-	`{"app":"scatter","backend":"dist","scatter":{"Iters":-2}}`: "scatter: N, VPs, and Iters must be positive, got 3000, 6, -2",
+	`{"app":"nbody","nbody":{"N":-5}}`:                                   "nbody: N must be positive, got -5",
+	`{"app":"nbody","nbody":{"Steps":-1}}`:                               "nbody: Steps must be non-negative, got -1",
+	`{"app":"nbody","nbody":{"Theta":-0.5}}`:                             "nbody: Theta must be non-negative, got -0.5",
+	`{"app":"nbody","nbody":{"Eps":-1}}`:                                 "nbody: Eps must be positive, got -1",
+	`{"app":"nbody","nbody":{"DT":-0.01}}`:                               "nbody: DT must be positive, got -0.01",
+	`{"app":"cg","cg":{"MaxIter":-3}}`:                                   "cg: MaxIter must be positive, got -3",
+	`{"app":"cg","cg":{"NX":-4,"NY":4,"NZ":4}}`:                          "cg: grid -4x4x4 invalid",
+	`{"app":"cg","cg":{"NX":4}}`:                                         "cg: grid 4x0x0 invalid",
+	`{"app":"cg","cg":{"NX":4194304,"NY":4194304,"NZ":4194304}}`:         "cg: grid 4194304x4194304x4194304 exceeds 16777216 points",
+	`{"app":"cg","cg":{"NX":2097152,"NY":2097152,"NZ":3}}`:               "cg: grid 2097152x2097152x3 exceeds 16777216 points",
+	`{"app":"colloc","colloc":{"Levels":-1}}`:                            "colloc: Levels must be in [1,24], got -1",
+	`{"app":"colloc","colloc":{"Levels":25}}`:                            "colloc: Levels must be in [1,24], got 25",
+	`{"app":"colloc","colloc":{"M0":-2}}`:                                "colloc: M0 must be positive, got -2",
+	`{"app":"colloc","colloc":{"Delta":-1}}`:                             "colloc: Delta must be positive, got -1",
+	`{"app":"jacobi","jacobi":{"Sweeps":-1}}`:                            "jacobi: Sweeps must be non-negative, got -1",
+	`{"app":"jacobi","jacobi":{"NX":8,"NY":8,"NZ":-8}}`:                  "jacobi: grid 8x8x-8 invalid",
+	`{"app":"jacobi","jacobi":{"NX":4194304,"NY":4194304,"NZ":4194304}}`: "jacobi: grid 4194304x4194304x4194304 exceeds 16777216 points",
+	`{"app":"jacobi","jacobi":{"NX":2097152,"NY":2097152,"NZ":3}}`:       "jacobi: grid 2097152x2097152x3 exceeds 16777216 points",
+	`{"app":"search","search":{"N":-1}}`:                                 "search: N and K must be positive, got -1, 16384",
+	`{"app":"search","search":{"K":-7}}`:                                 "search: N and K must be positive, got 1048576, -7",
+	`{"app":"scatter","scatter":{"VPs":-1}}`:                             "scatter: N, VPs, and Iters must be positive, got 3000, -1, 4",
+	`{"app":"scatter","scatter":{"N":-1}}`:                               "scatter: N, VPs, and Iters must be positive, got -1, 6, 4",
+	`{"app":"scatter","backend":"dist","scatter":{"Iters":-2}}`:          "scatter: N, VPs, and Iters must be positive, got 3000, 6, -2",
 }
 
 // The result cache must not serve one truncation radius for another:

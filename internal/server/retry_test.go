@@ -192,6 +192,8 @@ func TestSubmitBadParamsRefused(t *testing.T) {
 		`{"app":"nbody","backend":"dist","nodes":2,"nbody":{"N":-5}}`:       "nbody: N must be positive, got -5",
 		`{"app":"scatter","backend":"dist","nodes":2,"scatter":{"VPs":-1}}`: "scatter: N, VPs, and Iters must be positive, got 3000, -1, 4",
 		`{"app":"cg","cg":{"MaxIter":-3}}`:                                  "cg: MaxIter must be positive, got -3",
+		`{"app":"cg","cg":{"NX":4194304,"NY":4194304,"NZ":4194304}}`:        "cg: grid 4194304x4194304x4194304 exceeds 16777216 points",
+		`{"app":"cg","cg":{"NX":2097152,"NY":2097152,"NZ":3}}`:              "cg: grid 2097152x2097152x3 exceeds 16777216 points",
 	} {
 		var sp jobspec.Spec
 		if err := json.Unmarshal([]byte(raw), &sp); err != nil {

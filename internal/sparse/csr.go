@@ -209,38 +209,41 @@ type ColRun struct {
 	Col, N int
 }
 
-// ColRuns returns a run-length encoding of the matrix's column structure:
-// runs[runPtr[r]:runPtr[r+1]] lists row r's maximal runs of consecutive
-// columns, preserving the stored column order. maxN is the longest run.
-// Stencil matrices compress well (the 27-point stencil's rows become nine
-// x-direction triples), which lets gather loops read each run with one
-// block access instead of an element at a time.
-func (a *CSR) ColRuns() (runPtr []int, runs []ColRun, maxN int) {
-	// Count first, so that runs is allocated once at its final size.
-	total := 0
-	for r := 0; r < a.Rows; r++ {
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			if k == a.RowPtr[r] || a.Col[k] != a.Col[k-1]+1 {
-				total++
+// Stencil27RowRuns appends row g of the Stencil27 operator on an
+// nx x ny x nz grid to runs, generated from the grid rather than read
+// from a stored matrix: the row's maximal runs of consecutive columns, in
+// column order, and diag, the diagonal's position among the row's
+// entries. Every other entry is -1 and the diagonal 27, so the runs and
+// diag are the whole row. A row is at most nine x-direction runs of up to
+// three columns; where they span a whole line (nx <= 3, or x at both
+// edges) a plane's lines merge into one run, and where those span a whole
+// plane too the planes merge, so a run is at most 27 columns. A gather
+// reads each run with one block access.
+func Stencil27RowRuns(nx, ny, nz, g int, runs []ColRun) ([]ColRun, int) {
+	if g < 0 || g >= nx*ny*nz {
+		panic(fmt.Sprintf("sparse: Stencil27RowRuns: row %d out of a %dx%dx%d grid", g, nx, ny, nz))
+	}
+	q := g / nx
+	z := q / ny
+	x, y := g-q*nx, q-z*ny
+	x0, x1 := max(x-1, 0), min(x+1, nx-1)
+	y0, y1 := max(y-1, 0), min(y+1, ny-1)
+	z0, z1 := max(z-1, 0), min(z+1, nz-1)
+	n, m := x1-x0+1, y1-y0+1
+	diag := ((z-z0)*m+y-y0)*n + x - x0
+	switch {
+	case n < nx: // one run per line
+		for zz := z0; zz <= z1; zz++ {
+			for c := (zz*ny+y0)*nx + x0; c <= (zz*ny+y1)*nx+x0; c += nx {
+				runs = append(runs, ColRun{Col: c, N: n})
 			}
 		}
-	}
-	runPtr = make([]int, a.Rows+1)
-	runs = make([]ColRun, 0, total)
-	for r := 0; r < a.Rows; r++ {
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; {
-			c := a.Col[k]
-			n := 1
-			for k+n < a.RowPtr[r+1] && a.Col[k+n] == c+n {
-				n++
-			}
-			runs = append(runs, ColRun{Col: c, N: n})
-			if n > maxN {
-				maxN = n
-			}
-			k += n
+	case m < ny: // whole lines: one run per plane
+		for zz := z0; zz <= z1; zz++ {
+			runs = append(runs, ColRun{Col: (zz*ny + y0) * nx, N: m * nx})
 		}
-		runPtr[r+1] = len(runs)
+	default: // whole planes: one run
+		runs = append(runs, ColRun{Col: z0 * ny * nx, N: (z1 - z0 + 1) * ny * nx})
 	}
-	return runPtr, runs, maxN
+	return runs, diag
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -181,36 +182,60 @@ func TestRowSumsInteriorZeroish(t *testing.T) {
 	}
 }
 
-// ColRuns re-expands to the stored columns, row by row, and allocates its
-// two result slices and nothing else.
-func TestColRunsRoundTripAndAllocs(t *testing.T) {
-	a := Stencil27(5, 4, 3)
-	runPtr, runs, maxN := a.ColRuns()
-	if len(runs) != cap(runs) {
-		t.Errorf("runs sized %d for %d", cap(runs), len(runs))
+// maximalRuns is the reference run-length encoding of a stored row: its
+// maximal runs of consecutive columns, in stored order.
+func maximalRuns(cols []int) []ColRun {
+	var runs []ColRun
+	for k := 0; k < len(cols); {
+		n := 1
+		for k+n < len(cols) && cols[k+n] == cols[k]+n {
+			n++
+		}
+		runs = append(runs, ColRun{Col: cols[k], N: n})
+		k += n
 	}
+	return runs
+}
+
+// The generated row is the stored row: on every grid up to 5x5x5,
+// degenerate sizes included (there lines and planes merge into longer
+// runs), each row's runs are the maximal encoding of Stencil27Rows'
+// columns, and its values are 27 at diag and -1 elsewhere. Generating
+// into a slice with room for nine runs allocates nothing.
+func TestStencil27RowRunsMatchesStored(t *testing.T) {
 	longest := 0
-	for r := 0; r < a.Rows; r++ {
-		k := a.RowPtr[r]
-		for _, run := range runs[runPtr[r]:runPtr[r+1]] {
-			for j := 0; j < run.N; j++ {
-				if a.Col[k] != run.Col+j {
-					t.Fatalf("row %d: column %d, want %d", r, run.Col+j, a.Col[k])
+	for nx := 1; nx <= 5; nx++ {
+		for ny := 1; ny <= 5; ny++ {
+			for nz := 1; nz <= 5; nz++ {
+				n := nx * ny * nz
+				a := Stencil27Rows(nx, ny, nz, 0, n)
+				buf := make([]ColRun, 0, 9)
+				for g := 0; g < n; g++ {
+					cols, vals := a.Col[a.RowPtr[g]:a.RowPtr[g+1]], a.Val[a.RowPtr[g]:a.RowPtr[g+1]]
+					want := maximalRuns(cols)
+					// Appending keeps what the slice already holds.
+					pre := append(buf[:0], ColRun{Col: cols[0] - 1, N: 1})
+					runs, diag := Stencil27RowRuns(nx, ny, nz, g, pre)
+					if runs[0] != pre[0] || !slices.Equal(runs[1:], want) {
+						t.Fatalf("%dx%dx%d row %d: runs %v, want %v", nx, ny, nz, g, runs[1:], want)
+					}
+					for k, v := range vals {
+						if (k == diag) != (v == 27) || (k != diag && v != -1) {
+							t.Fatalf("%dx%dx%d row %d: diag %d, values %v", nx, ny, nz, g, diag, vals)
+						}
+					}
+					for _, r := range want {
+						longest = max(longest, r.N)
+					}
 				}
-				k++
-			}
-			if run.N > longest {
-				longest = run.N
 			}
 		}
-		if k != a.RowPtr[r+1] {
-			t.Fatalf("row %d: runs cover %d of %d columns", r, k-a.RowPtr[r], a.RowPtr[r+1]-a.RowPtr[r])
-		}
 	}
-	if maxN != longest || maxN != 3 {
-		t.Errorf("maxN %d, longest run %d, want 3", maxN, longest)
+	if longest != 27 {
+		t.Errorf("longest run %d, want 27 (a 3x3 plane merged three deep)", longest)
 	}
-	if n := testing.AllocsPerRun(10, func() { a.ColRuns() }); n != 2 {
-		t.Errorf("ColRuns allocates %v times, want 2", n)
+	buf := make([]ColRun, 0, 9)
+	if n := testing.AllocsPerRun(10, func() { Stencil27RowRuns(5, 5, 5, 62, buf[:0]) }); n != 0 {
+		t.Errorf("Stencil27RowRuns allocates %v times, want 0", n)
 	}
 }

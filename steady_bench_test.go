@@ -23,8 +23,9 @@ import (
 // steadyCG runs b.N warm-loop iterations of the Figure-1 CG SpMV phase
 // (27-point stencil columns gathered through ReadBlock) at 4 nodes with
 // everything loop-invariant hoisted: the Do body, the phase closure
-// targets, and the per-VP gather buffers. With the plan cache on, every
-// iteration after the warmup replays its recorded plan.
+// targets. Each row is generated, as cg.RunPPM does: its runs and
+// diagonal come from the grid into fixed per-VP arrays. With the plan
+// cache on, every iteration after the warmup replays its recorded plan.
 func steadyCG(b *testing.B, cache bool) {
 	o := core.Options{Nodes: 4, Machine: machine.Franklin(), NoPlanCache: !cache}
 	const nx, ny, nz = 8, 8, 16
@@ -34,28 +35,28 @@ func steadyCG(b *testing.B, cache bool) {
 		lo, hi := p.OwnerRange(rt)
 		nLocal := hi - lo
 		w := core.AllocNode[float64](rt, "steady.w", n/rt.NodeCount()+1)
-		a := sparse.Stencil27Rows(nx, ny, nz, lo, hi)
-		runPtr, runs, maxRun := a.ColRuns()
 		pl := p.Local(rt)
 		for i := range pl {
 			pl[i] = float64(lo+i) * 1e-3
 		}
 		k := rt.CoresPerNode() * 4
-		bufs := make([][]float64, k)
-		for i := range bufs {
-			bufs[i] = make([]float64, maxRun)
-		}
 		body := func(vp *core.VP) {
 			vp.GlobalPhase(func() {
 				vlo, vhi := core.ChunkRange(nLocal, k, vp.NodeRank())
-				buf := bufs[vp.NodeRank()]
+				var runBuf [9]sparse.ColRun
+				var buf [27]float64
 				for row := vlo; row < vhi; row++ {
+					runs, diag := sparse.Stencil27RowRuns(nx, ny, nz, lo+row, runBuf[:0])
 					var s float64
-					kk := a.RowPtr[row]
-					for _, cr := range runs[runPtr[row]:runPtr[row+1]] {
-						p.ReadBlock(vp, cr.Col, cr.Col+cr.N, buf)
+					kk := 0
+					for _, cr := range runs {
+						p.ReadBlock(vp, cr.Col, cr.Col+cr.N, buf[:])
 						for j := 0; j < cr.N; j++ {
-							s += a.Val[kk] * buf[j]
+							v := -1.0
+							if kk == diag {
+								v = 27.0
+							}
+							s += v * buf[j]
 							kk++
 						}
 					}
