@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build app-sites vet ppmvet ppmvet-examples vet-all vet-report langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites vet ppmvet ppmvet-examples vet-all vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
@@ -46,6 +46,16 @@ vet-all:
 ## product, vet-all is the gate.
 vet-report:
 	$(GO) run ./cmd/ppmvet -json ./... > ppmvet-report.json; true
+
+## vet-score: the phase checkers scored against the runtime. The oracle
+## test labels a mutant corpus of .ppm programs with StrictWrites at 1-3
+## nodes and prints, per front end (ppmc check, and ppmvet on the Go
+## ppmc emit produces) and per rule, the conflicts caught and missed and
+## the false alarms; the full table is internal/analysis/testdata/
+## oracle.golden. The output is kept in vet-score.txt (a CI artifact).
+vet-score:
+	$(GO) test -count=1 -run 'TestOracleTable' -v ./internal/analysis/ > vet-score.txt; \
+		status=$$?; cat vet-score.txt; exit $$status
 
 ## langcheck: phase-semantics analysis of the example .ppm programs.
 langcheck:
@@ -109,8 +119,9 @@ plancache-equiv:
 
 ## fuzz-smoke: every native fuzz target, in every package that has
 ## one, for 5 s each (`go test -fuzz` takes one target per invocation):
-## the wire decoders (internal/wire/fuzz_test.go) and the job protocol
-## (internal/jobspec/fuzz_test.go). The seed corpora already run as
+## the wire decoders (internal/wire/fuzz_test.go), the job protocol
+## (internal/jobspec/fuzz_test.go) and the .ppm front end
+## (internal/lang/fuzz_test.go). The seed corpora already run as
 ## ordinary tests under `go test ./...`; this lets the engine mutate
 ## them. A crasher lands in the package's testdata/fuzz and is checked
 ## in with its fix. Listing no target at all is a failure, not a pass.

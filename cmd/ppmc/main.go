@@ -11,10 +11,10 @@
 //	ppmc check [-json] prog.ppm...             # full semantic + phase lint
 //
 // check reports every diagnostic with file:line:col positions — semantic
-// errors plus phase-semantics warnings (guaranteed strict-mode write
-// conflicts, overlapping VP write sets and index sets it cannot prove
-// disjoint [phaserace, phaserace.possible], stale same-phase reads,
-// unused shared arrays) — and exits nonzero when there are findings.
+// errors plus phase-semantics warnings (overlapping VP write sets, which
+// strict mode rejects, and index sets it cannot prove disjoint
+// [phaserace, phaserace.possible], stale same-phase reads, unused shared
+// arrays) — and exits nonzero when there are findings.
 // -json emits them as a JSON array for tooling.
 //
 // The language is documented in internal/lang; examples/language contains

@@ -37,8 +37,8 @@ func TestCheckBadFixture(t *testing.T) {
 	}
 	for _, want := range []string{
 		fixture + ":8:", "[phasebound]",
-		fixture + ":10:", "[constwrite]", "[phaserace]",
-		"problems (1 errors, 2 warnings)",
+		fixture + ":10:", "[phaserace]",
+		"problems (1 errors, 1 warnings)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -64,17 +64,14 @@ func TestCheckJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &diags); err != nil {
 		t.Fatalf("output is not a JSON array: %v\n%s", err, out)
 	}
-	if len(diags) != 3 {
-		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
+	if len(diags) != 2 {
+		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
 	}
 	if diags[0].Rule != "phasebound" || diags[0].Severity != "error" || diags[0].Line != 8 {
 		t.Errorf("unexpected first diagnostic: %+v", diags[0])
 	}
-	if diags[1].Rule != "constwrite" || diags[1].Severity != "warning" || diags[1].Line != 10 {
+	if diags[1].Rule != "phaserace" || diags[1].Severity != "warning" || diags[1].Line != 10 {
 		t.Errorf("unexpected second diagnostic: %+v", diags[1])
-	}
-	if diags[2].Rule != "phaserace" || diags[2].Severity != "warning" || diags[2].Line != 10 {
-		t.Errorf("unexpected third diagnostic: %+v", diags[2])
 	}
 }
 

@@ -1,10 +1,10 @@
 // Command ppmvet statically checks Go programs that use the ppm API for
 // phase-semantics misuse: the rules the runtime enforces dynamically
-// (access outside phases, guaranteed strict-mode write conflicts), plus
-// hazards it cannot see at all (stale same-phase reads, node-level
-// aliases leaking into VP code, discarded run errors, overlapping VP
-// write sets, host state mutated from VP code, block-transfer slices
-// escaping their phase).
+// (access outside phases, overlapping VP write sets that StrictWrites
+// aborts on), plus hazards it cannot see at all (stale same-phase reads,
+// node-level aliases leaking into VP code, discarded run errors, host
+// state mutated from VP code, block-transfer slices escaping their
+// phase).
 //
 // Usage:
 //

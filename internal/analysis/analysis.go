@@ -5,8 +5,7 @@
 // core, a package loader built on `go list -export` plus the standard
 // go/types importer, and the ppmvet rule suite that checks the phase
 // semantics of the paper's model statically: shared-variable accesses
-// outside phases, guaranteed strict-mode write conflicts, same-phase
-// read-after-write staleness, node-level aliases leaking into VP code,
+// outside phases, same-phase read-after-write staleness, node-level aliases leaking into VP code,
 // ignored run errors, overlapping VP write sets (an affine analysis of
 // index expressions over a CFG/dataflow/call-summary layer), host
 // state mutated from VP code without Serial, and block-transfer slices
@@ -173,7 +172,6 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []RuleTimin
 func Rules() []*Analyzer {
 	return []*Analyzer{
 		PhaseBoundAnalyzer,
-		ConstWriteAnalyzer,
 		StaleReadAnalyzer,
 		LocalAliasAnalyzer,
 		RunErrorAnalyzer,

@@ -14,10 +14,6 @@ func TestPhaseBound(t *testing.T) {
 	analysistest.Run(t, "testdata/src/phasebound", analysis.PhaseBoundAnalyzer)
 }
 
-func TestConstWrite(t *testing.T) {
-	analysistest.Run(t, "testdata/src/constwrite", analysis.ConstWriteAnalyzer)
-}
-
 func TestStaleRead(t *testing.T) {
 	analysistest.Run(t, "testdata/src/staleread", analysis.StaleReadAnalyzer)
 }
@@ -57,7 +53,7 @@ func TestCleanProgram(t *testing.T) {
 }
 
 // TestRulesComplete pins the advertised rule set (the vet suite's
-// public contract: the eight documented rules).
+// public contract: the seven documented rules).
 func TestRulesComplete(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range analysis.Rules() {
@@ -67,7 +63,7 @@ func TestRulesComplete(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"phasebound", "constwrite", "staleread", "localalias", "runerror",
+		"phasebound", "staleread", "localalias", "runerror",
 		"phaserace", "serialescape", "blockretain",
 	} {
 		if !names[want] {

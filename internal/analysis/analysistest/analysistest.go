@@ -5,7 +5,7 @@
 //
 // A fixture line carrying
 //
-//	a.Write(vp, 3, v) // want `constant index`
+//	a.Write(vp, 3, v) // want `overlapping elements of a`
 //
 // asserts that the analyzer reports a diagnostic on that line whose
 // message matches the back-quoted regular expression. Every expectation

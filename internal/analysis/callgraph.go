@@ -53,7 +53,8 @@ type PkgIndex struct {
 	// dropped.
 	litBind map[types.Object]*ast.FuncLit
 	// doK maps a VP body node (literal, or the declaration of a named VP
-	// function passed to Do) to the K expressions of its Do call sites.
+	// function passed to Do), and every function it calls, to the K
+	// expressions of the Do call sites that reach it.
 	doK map[ast.Node][]ast.Expr
 
 	summaries map[*types.Func]*funcSummary
@@ -171,12 +172,32 @@ func buildIndex(pkg *Package) *PkgIndex {
 				}
 			}
 			if body != nil {
-				px.doK[body] = append(px.doK[body], call.Args[0])
+				px.reachDo(body, call.Args[0], map[ast.Node]bool{body: true})
 			}
 			return true
 		})
 	}
 	return px
+}
+
+// reachDo records k for body and for every package-local function body
+// calls, transitively: a VP function that a Do(1, ...) reaches through
+// a helper runs in one VP per node too.
+func (px *PkgIndex) reachDo(body ast.Node, k ast.Expr, seen map[ast.Node]bool) {
+	px.doK[body] = append(px.doK[body], k)
+	u := px.units[body]
+	if u == nil {
+		return
+	}
+	ast.Inspect(u.body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := px.localCallee(call); callee != nil && !seen[callee.node] {
+				seen[callee.node] = true
+				px.reachDo(callee.node, k, seen)
+			}
+		}
+		return true
+	})
 }
 
 // unitFor returns the unit of fn, building lazy parts on demand.

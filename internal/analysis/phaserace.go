@@ -30,11 +30,18 @@ package analysis
 //
 // Add-vs-Add pairs never conflict (combining semantics); Write-vs-Write
 // and Write-vs-Add do.
+//
+// Guards decide how many VPs reach a write, and this rule is the only
+// one that decides it. GlobalRank() == c admits one writer in the
+// cluster. NodeRank() == c, and a Do(1, ...) that starts the phase
+// directly or through a helper, admit one writer per node: no race on a
+// Node array, still a race on a Global array at an index every node
+// shares. Any other rank-dependent guard exempts nothing, but an overlap
+// it would have proven becomes phaserace.possible.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -62,6 +69,7 @@ const (
 	formPoint wform = iota
 	formInterval
 	formChunkElems
+	formBlockAt // block of unresolved length at a uniform start idx
 	formUnknown
 )
 
@@ -85,11 +93,30 @@ type writeOp struct {
 	pos    token.Pos // position to report (outermost call site)
 	why    string    // non-affine reason for possible diagnostics
 	helper bool      // reached through helper expansion
+	// one bounds the VPs that run the write; partial is set when another
+	// rank-dependent condition also decides which VPs those are.
+	one     guardKind
+	partial bool
 }
+
+// guardKind is how many VPs a one-writer condition admits.
+type guardKind int
+
+const (
+	gNone    guardKind = iota // every VP
+	gNode                     // one per node: NodeRank() == c
+	gCluster                  // one in the cluster: GlobalRank() == c
+)
 
 func runPhaseRace(pass *Pass) error {
 	px := pass.Index()
 	rv := newResolver(px)
+	tainted := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		for obj := range taintedVars(pass.TypesInfo, f) {
+			tainted[obj] = true
+		}
+	}
 
 	for lit, isPhase := range px.ctx.phaseLits {
 		if !isPhase {
@@ -99,14 +126,65 @@ func runPhaseRace(pass *Pass) error {
 		if u == nil {
 			continue
 		}
-		ops := collectWrites(px, rv, u)
+		ops := collectWrites(px, rv, u, tainted)
 		checkPhaseRaces(pass, rv, u, ops)
 	}
 	return nil
 }
 
+// rankGuards reads the rank-dependent if-conditions enclosing op in
+// every frame of its helper expansion (the write runs where all hold):
+// the then-branch of a one-writer condition bounds its VPs, any other
+// branch of a rank-dependent condition makes the set partial.
+func rankGuards(rv *resolver, op opSite, tainted map[types.Object]bool) (one guardKind, partial bool) {
+	node := ast.Node(op.sc.call)
+	for f := op.fr; f != nil; f = f.parent {
+		inspectStack(f.unit.body, func(n ast.Node, stack []ast.Node) {
+			if n != node {
+				return
+			}
+			for i, anc := range stack[:len(stack)-1] {
+				ifs, ok := anc.(*ast.IfStmt)
+				if !ok || !rankDependent(rv.px.info, ifs.Cond, tainted) {
+					continue
+				}
+				k := gNone
+				if stack[i+1] == ast.Node(ifs.Body) {
+					k = oneWriter(rv, ifs.Cond, envOf(f, nil))
+				}
+				one, partial = max(one, k), partial || k == gNone
+			}
+		})
+		node = f.site
+	}
+	return one, partial
+}
+
+// oneWriter classifies a condition r == c, for one rank symbol r and a
+// uniform c: it holds in one VP (GlobalRank) or one VP per node
+// (NodeRank). Any other condition bounds nothing.
+func oneWriter(rv *resolver, cond ast.Expr, env resolveEnv) guardKind {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || b.Op != token.EQL {
+		return gNone
+	}
+	g := gNone
+	for s := range rv.exprAffine(b.X, env).sub(rv.exprAffine(b.Y, env)).t {
+		switch {
+		case s.kind == kUniform:
+		case g == gNone && s.kind == kGlobalRank:
+			g = gCluster
+		case g == gNone && s.kind == kNodeRank:
+			g = gNode
+		default:
+			return gNone
+		}
+	}
+	return g
+}
+
 // collectWrites expands the phase body and resolves each write op.
-func collectWrites(px *PkgIndex, rv *resolver, phase *unit) []writeOp {
+func collectWrites(px *PkgIndex, rv *resolver, phase *unit, tainted map[types.Object]bool) []writeOp {
 	var ops []writeOp
 	root := &frame{unit: phase}
 	px.walkOps(root, map[*unit]bool{}, func(op opSite) {
@@ -120,6 +198,7 @@ func collectWrites(px *PkgIndex, rv *resolver, phase *unit) []writeOp {
 			pos:    op.fr.reportPos(op.sc.call.Pos()),
 			helper: op.depth > 0,
 		}
+		w.one, w.partial = rankGuards(rv, op, tainted)
 		w.arr = rv.arrayObj(op.sc.recv, env)
 		if w.arr == nil {
 			w.why = "cannot identify the target array"
@@ -354,6 +433,9 @@ func resolveBlockForm(px *PkgIndex, rv *resolver, op opSite, env resolveEnv) dim
 	src := op.sc.call.Args[2]
 	n := sliceLenAffine(px, rv, src, env, 0)
 	if !n.ok {
+		if uniformOnly(lo) {
+			return dimForm{form: formBlockAt, idx: lo}
+		}
 		return dimForm{form: formUnknown}
 	}
 	return dimForm{form: formInterval, lo: lo, hi: lo.add(n)}
@@ -418,7 +500,8 @@ func sliceLenAffine(px *PkgIndex, rv *resolver, e ast.Expr, env resolveEnv, dept
 
 // checkPhaseRaces compares all write pairs per array and reports.
 func checkPhaseRaces(pass *Pass, rv *resolver, phase *unit, ops []writeOp) {
-	singleVP := phaseSingleVP(pass, rv.px, phase)
+	root := rv.px.vpRoot(phase)
+	singleVP := root != nil && vpEntrySingleVP(rv.px, root)
 	byArr := map[types.Object][]int{}
 	var order []types.Object
 	for i, op := range ops {
@@ -455,15 +538,25 @@ func checkPhaseRaces(pass *Pass, rv *resolver, phase *unit, ops []writeOp) {
 				if reported[key] {
 					continue
 				}
+				// A site's one writer per node, or in the cluster, has no
+				// same-node, or no, partner VP running that site.
+				self := i == j
 				v := vDisjoint
-				if !singleVP {
+				if !singleVP && !(self && ops[i].one >= gNode) {
 					v = pairVerdict(rv, &ops[i], &ops[j], true)
 				}
 				// Node arrays have per-node instances; everything else
 				// (Global, Global2D) is shared across nodes and must also
 				// be disjoint for cross-node instance pairs.
-				if v == vDisjoint && ops[i].typ != "Node" && ops[j].typ != "Node" {
+				if v == vDisjoint && ops[i].typ != "Node" && ops[j].typ != "Node" && !(self && ops[i].one == gCluster) {
 					v = pairVerdict(rv, &ops[i], &ops[j], false)
+				}
+				why := whyOf(ops[i], ops[j])
+				// The pair verdict assumed every VP runs both sites; a
+				// guard leaves that true only for one site's known writers.
+				guarded := ops[i].one != gNone || ops[j].one != gNone
+				if v == vOverlap && (ops[i].partial || ops[j].partial || guarded && !self) {
+					v, why = vUnknown, "a rank-dependent condition decides which VPs execute the write"
 				}
 				switch v {
 				case vOverlap:
@@ -476,7 +569,7 @@ func checkPhaseRaces(pass *Pass, rv *resolver, phase *unit, ops []writeOp) {
 					reported[key] = true
 					pass.reportTagged(ops[i].pos, "phaserace.possible",
 						"cannot prove VP write sets of %s disjoint%s: %s",
-						arr.Name(), otherSite(pass, ops[i], ops[j]), whyOf(ops[i], ops[j]))
+						arr.Name(), otherSite(pass, ops[i], ops[j]), why)
 				}
 			}
 		}
@@ -498,31 +591,6 @@ func otherSite(pass *Pass, a, b writeOp) string {
 		return ""
 	}
 	return fmt.Sprintf(" (with the write at line %d)", pass.Fset.Position(b.pos).Line)
-}
-
-// phaseSingleVP reports whether every Do site that can start this
-// phase's VP body uses a constant K of 1 — then no same-node pair
-// exists.
-func phaseSingleVP(pass *Pass, px *PkgIndex, phase *unit) bool {
-	root := px.vpRoot(phase)
-	if root == nil {
-		return false
-	}
-	ks := px.doK[root.node]
-	if len(ks) == 0 {
-		return false
-	}
-	for _, k := range ks {
-		tv, ok := px.info.Types[k]
-		if !ok || tv.Value == nil {
-			return false
-		}
-		v, exact := constant.Int64Val(constant.ToInt(tv.Value))
-		if !exact || v != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // pairVerdict decides the relation of two ops' write sets for a pair of
@@ -558,6 +626,8 @@ func dimVerdict(rv *resolver, a, b dimForm, sameNode bool) verdict {
 			return vDisjoint
 		}
 		return vUnknown
+	case a.form == formBlockAt && b.form == formBlockAt && a.idx.equal(b.idx):
+		return vOverlap // every VP's block starts at the same element
 	default:
 		return vUnknown
 	}

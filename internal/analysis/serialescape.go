@@ -55,7 +55,7 @@ func runSerialEscape(pass *Pass) error {
 	return nil
 }
 
-// vpEntrySingleVP reports whether every Do site starting this unit uses
+// vpEntrySingleVP reports whether every Do site reaching this unit uses
 // a constant K of 1.
 func vpEntrySingleVP(px *PkgIndex, u *unit) bool {
 	ks := px.doK[u.node]

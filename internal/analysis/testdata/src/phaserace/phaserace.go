@@ -1,10 +1,16 @@
 // Package phaserace exercises the phaserace rule: definite write
 // overlaps between VP instances (including one seeded through a
 // helper), provably-disjoint patterns that must stay silent, and
-// non-affine indices that degrade to phaserace.possible.
+// non-affine indices that degrade to phaserace.possible. The guard and
+// K = 1 shapes at the end are one program each, so that a test can run
+// them under StrictWrites and hold their // want lines to the runtime.
 package phaserace
 
 import "ppm"
+
+const slot = 7
+
+func buf() []float64 { return make([]float64, 4) }
 
 // smear writes a caller-chosen element; the overlap is only visible
 // once the call-site argument is substituted into the index.
@@ -22,12 +28,18 @@ func Overlaps(rt *ppm.Runtime) {
 	d := ppm.AllocNode[float64](rt, "d", 64)
 	e := ppm.AllocGlobal[float64](rt, "e", 64)
 	m := ppm.AllocGlobal2D[float64](rt, "m", 8, 8)
+	s := ppm.AllocGlobal[float64](rt, "s", 64)
+	bl := ppm.AllocGlobal[float64](rt, "bl", 64)
+	n := ppm.AllocNode[int64](rt, "n", 8)
 	rt.Do(4, func(vp *ppm.VP) {
 		vp.GlobalPhase(func() {
-			a.Write(vp, 0, 1.0)           // want `overlapping elements of a`
-			smear(vp, q, 3)               // want `overlapping elements of q`
-			h.Write(vp, scatter(vp), 1.0) // want `cannot prove VP write sets of h disjoint`
+			a.Write(vp, 0, 1.0)                // want `overlapping elements of a`
+			smear(vp, q, 3)                    // want `overlapping elements of q`
+			h.Write(vp, scatter(vp), 1.0)      // want `cannot prove VP write sets of h disjoint`
 			m.Write(vp, vp.NodeRank(), 0, 1.0) // want `overlapping elements of m`
+			s.Write(vp, slot, 2.0)             // want `overlapping elements of s`
+			// Whatever buf() returns, every VP's block starts at 0.
+			bl.WriteBlock(vp, 0, buf()) // want `overlapping elements of bl`
 		})
 		vp.NodePhase(func() {
 			lo, hi := ppm.ChunkRange(64, vp.K(), vp.NodeRank())
@@ -35,6 +47,7 @@ func Overlaps(rt *ppm.Runtime) {
 				d.Write(vp, i, 1.0) // want `overlapping elements of d`
 				d.Write(vp, i+1, 0.5)
 			}
+			n.Write(vp, 2, 1) // want `overlapping elements of n`
 		})
 		vp.GlobalPhase(func() {
 			// Chunking a Global by the node-local rank partitions within
@@ -116,4 +129,65 @@ func ChunkElems(rt *ppm.Runtime, keep []bool) {
 			}
 		})
 	})
+}
+
+// GuardNodeRankGlobal: one writer per node, but every node writes a[3].
+func GuardNodeRankGlobal(rt *ppm.Runtime) {
+	a := ppm.AllocGlobal[float64](rt, "a", 8)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			if vp.NodeRank() == 0 {
+				a.Write(vp, 3, 1.0) // want `overlapping elements of a`
+			}
+		})
+	})
+}
+
+// GuardGlobalRank: one writer in the cluster.
+func GuardGlobalRank(rt *ppm.Runtime) {
+	a := ppm.AllocGlobal[float64](rt, "a", 8)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			if vp.GlobalRank() == 0 {
+				a.Write(vp, 5, 1.0)
+			}
+		})
+	})
+}
+
+// GuardNodeRankNode: one writer per node of a node array.
+func GuardNodeRankNode(rt *ppm.Runtime) {
+	c := ppm.AllocNode[int64](rt, "c", 8)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			if vp.NodeRank() == 0 {
+				c.Write(vp, 2, 1)
+			}
+		})
+	})
+}
+
+// GuardRankRange: four writers on the first node; the analyzer cannot
+// count them.
+func GuardRankRange(rt *ppm.Runtime) {
+	a := ppm.AllocGlobal[float64](rt, "a", 8)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			if vp.GlobalRank() < 4 {
+				a.Write(vp, 0, 1.0) // want `cannot prove VP write sets of a disjoint`
+			}
+		})
+	})
+}
+
+// SingleVPHelper: Do(1) reaches the phase through a helper, the shape
+// `ppmc emit` gives a `do (1)`.
+func SingleVPHelper(rt *ppm.Runtime) {
+	c := ppm.AllocNode[int64](rt, "c", 8)
+	single := func(vp *ppm.VP) {
+		vp.NodePhase(func() {
+			c.Write(vp, 2, 1)
+		})
+	}
+	rt.Do(1, func(vp *ppm.VP) { single(vp) })
 }

@@ -11,8 +11,7 @@ import "ppm"
 
 // writeAt hides a shared write one level down. Called both outside any
 // phase (the phasebound seed reports here, inside the helper) and with
-// a constant index from a phase (constwrite and phaserace report at
-// that call site).
+// a constant index from a phase (phaserace reports at that call site).
 func writeAt(vp *ppm.VP, g *ppm.Global[float64], i int) {
 	g.Write(vp, i, 1.0) // SEED:phasebound
 }
@@ -50,7 +49,7 @@ func Host() {
 		rt.Do(4, func(vp *ppm.VP) {
 			writeAt(vp, g, vp.GlobalRank()) // outside any phase: phasebound fires in the helper
 			vp.GlobalPhase(func() {
-				writeAt(vp, g, 7)    // SEED:constwrite SEED:phaserace
+				writeAt(vp, g, 7)    // SEED:phaserace
 				_ = readAt(vp, g, 7) // SEED:staleread
 				_ = peekBase(rt, vp, g)
 				bumpHost(&count) // SEED:serialescape

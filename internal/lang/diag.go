@@ -10,8 +10,8 @@ import (
 // Severity classifies a diagnostic. Errors reject the program (Check
 // fails, the interpreter and code generator refuse to run it); warnings
 // flag phase-semantics hazards — code the runtime will execute but that
-// violates the model's intent (guaranteed strict-mode conflicts, reads
-// of values that have not committed yet).
+// violates the model's intent (VP writes that strict mode rejects as
+// conflicting, reads of values that have not committed yet).
 type Severity string
 
 // Severities.
@@ -22,8 +22,8 @@ const (
 
 // Diag is one positioned diagnostic produced by Analyze. Rule names the
 // check that fired, using the same vocabulary as the Go-side ppmvet
-// analyzers where the rules coincide (phasebound, constwrite,
-// staleread).
+// analyzers where the rules coincide (phasebound, staleread, phaserace,
+// phaserace.possible).
 type Diag struct {
 	Line int      `json:"line"`
 	Col  int      `json:"col"`
@@ -42,7 +42,7 @@ func (d Diag) String() string {
 // also reports warnings. The lint passes work on the bare syntax tree,
 // so hazards are still reported in programs that have type errors
 // elsewhere (a broken fixture can show both its write-outside-phase
-// error and its guaranteed write conflict at once).
+// error and its write race at once).
 func Analyze(prog *Program) []Diag {
 	c := newChecker(prog)
 	c.run()

@@ -23,7 +23,6 @@ func lintProgram(prog *Program) []Diag {
 	}
 
 	var diags []Diag
-	diags = append(diags, lintConstWrite(prog, consts, shared)...)
 	diags = append(diags, lintStaleRead(prog, shared)...)
 	diags = append(diags, lintPhaseRace(prog, consts, shared)...)
 	diags = append(diags, lintUnusedShared(prog)...)
@@ -85,106 +84,6 @@ func taintedVars(f *FuncDecl) map[string]bool {
 		})
 	}
 	return tainted
-}
-
-// evalConst resolves e to a compile-time integer if it is built from
-// literals and consts only.
-func evalConst(e Expr, consts map[string]int64) (int64, bool) {
-	switch ex := e.(type) {
-	case *IntLit:
-		return ex.Value, true
-	case *Ident:
-		v, ok := consts[ex.Name]
-		return v, ok
-	case *Unary:
-		if ex.Op == MINUS {
-			v, ok := evalConst(ex.X, consts)
-			return -v, ok
-		}
-	case *Binary:
-		l, lok := evalConst(ex.L, consts)
-		r, rok := evalConst(ex.R, consts)
-		if !lok || !rok {
-			return 0, false
-		}
-		switch ex.Op {
-		case PLUS:
-			return l + r, true
-		case MINUS:
-			return l - r, true
-		case STAR:
-			return l * r, true
-		case SLASH:
-			if r != 0 {
-				return l / r, true
-			}
-		case PERCENT:
-			if r != 0 {
-				return l % r, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// lintConstWrite flags plain writes (not +=) inside a phase whose index
-// is a rank-independent constant and which are not guarded by a
-// rank-dependent condition: every VP of the phase then writes the same
-// element, a guaranteed conflict under the runtime's strict mode. Node
-// arrays are exempt when every `do` of the function starts a single VP
-// per node; global arrays conflict across nodes regardless of K.
-func lintConstWrite(prog *Program, consts map[string]int64, shared map[string]*SharedDecl) []Diag {
-	alwaysSingleVP := singleVPFuncs(prog, consts)
-
-	var diags []Diag
-	for _, f := range prog.Funcs {
-		tainted := taintedVars(f)
-		var inPhase func(s Stmt, guarded bool)
-		inPhase = func(s Stmt, guarded bool) {
-			switch st := s.(type) {
-			case *Block:
-				for _, n := range st.Stmts {
-					inPhase(n, guarded)
-				}
-			case *If:
-				g := guarded || rankDependent(st.Cond, tainted)
-				inPhase(st.Then, g)
-				if st.Else != nil {
-					inPhase(st.Else, g)
-				}
-			case *While:
-				inPhase(st.Body, guarded)
-			case *For:
-				inPhase(st.Body, guarded)
-			case *Assign:
-				if st.Add || guarded || st.Target.Index == nil {
-					return
-				}
-				sh := shared[st.Target.Name]
-				if sh == nil {
-					return
-				}
-				v, isConst := evalConst(st.Target.Index, consts)
-				if !isConst {
-					return
-				}
-				if !sh.GlobalScope && alwaysSingleVP(f.Name) {
-					return
-				}
-				diags = append(diags, Diag{
-					Line: st.Target.Pos.Line, Col: st.Target.Pos.Col,
-					Rule: "constwrite", Sev: SevWarning,
-					Msg: fmt.Sprintf("every VP of the phase writes %s[%d]: guaranteed conflicting writes under strict mode — guard the write by rank or use +=", st.Target.Name, v),
-				})
-			}
-		}
-		walkStmt(f.Body, func(s Stmt) {
-			if p, ok := s.(*Phase); ok {
-				inPhase(p.Body, false)
-			}
-		})
-	}
-	return diags
 }
 
 // lintStaleRead flags a read of a shared element that an earlier

@@ -27,14 +27,6 @@ func TestAnalyzeFixtures(t *testing.T) {
 			{"phasebound", 6, SevError},
 			{"phasebound", 7, SevError},
 		}},
-		{"constwrite.ppm", []finding{
-			{"constwrite", 8, SevWarning},
-			{"phaserace", 8, SevWarning},
-			{"constwrite", 9, SevWarning},
-			{"phaserace", 9, SevWarning},
-			{"constwrite", 10, SevWarning},
-			{"phaserace", 10, SevWarning},
-		}},
 		{"staleread.ppm", []finding{
 			{"staleread", 8, SevWarning},
 			{"staleread", 10, SevWarning},
@@ -45,7 +37,6 @@ func TestAnalyzeFixtures(t *testing.T) {
 		}},
 		{"bad_phase.ppm", []finding{
 			{"phasebound", 8, SevError},
-			{"constwrite", 10, SevWarning},
 			{"phaserace", 10, SevWarning},
 		}},
 		{"phaserace.ppm", []finding{
@@ -54,6 +45,8 @@ func TestAnalyzeFixtures(t *testing.T) {
 			{"phaserace.possible", 16, SevWarning},
 			{"phaserace", 22, SevWarning},
 			{"phaserace.possible", 30, SevWarning},
+			{"phaserace", 48, SevWarning},
+			{"phaserace.possible", 49, SevWarning},
 		}},
 		{"clean.ppm", nil},
 	}

@@ -11,6 +11,13 @@ import "fmt"
 // the index sets of two distinct VPs intersect. Proven intersections
 // are reported as "phaserace", undecidable index sets as
 // "phaserace.possible".
+//
+// Rank guards follow the Go analyzer's rule. vp_global_rank == c admits
+// one writer in the cluster. vp_node_rank == c, and a function every
+// `do` starts with K = 1, admit one writer per node: no race on a node
+// array, still a race on a global array at an index every node shares.
+// Any other rank-dependent condition exempts nothing, but an overlap it
+// would have proven becomes phaserace.possible.
 
 // Symbol kinds of the affine forms. Each kind fixes how the symbol's
 // value differs between two VP instances of the same phase, which is
@@ -313,36 +320,73 @@ func (cx *raceCtx) vpCountMultiple(e Expr) (int64, bool) {
 	return 0, false
 }
 
+// Writers a one-writer condition admits.
+const (
+	oneNone    = iota // every VP
+	oneNode           // one per node: vp_node_rank == c
+	oneCluster        // one in the cluster: vp_global_rank == c
+)
+
 // wop is one plain (non-+=) write to a shared array inside a phase.
 type wop struct {
-	arr     *SharedDecl
-	idx     raff
-	pos     Token
-	inWhile bool // under a rank-dependent while: VPs run different
-	// iteration counts, so overlap claims are only "possible"
+	arr *SharedDecl
+	idx raff
+	pos Token
+	one int // the strongest one-writer guard enclosing the write
+	// approx: another rank-dependent if or while decides which VPs run
+	// the write (or how often), so overlap claims are only "possible"
+	approx bool
 }
 
-// phaseWrites collects the phase's unguarded plain writes, binding for
-// loops to canonical offset symbols on the way (the loop variable
-// becomes lo + j with j in [0, hi-lo), so rank-dependent bounds land in
-// the affine base where the pairwise test can see them).
+// oneWriter classifies a condition r == c, for one rank builtin r and a
+// uniform c: it holds in one VP (vp_global_rank) or one VP per node
+// (vp_node_rank). Any other condition bounds nothing.
+func (cx *raceCtx) oneWriter(cond Expr) int {
+	b, ok := cond.(*Binary)
+	if !ok || b.Op != EQ {
+		return oneNone
+	}
+	one := oneNone
+	for s := range cx.resolve(b.L).sub(cx.resolve(b.R)).t {
+		switch {
+		case s.kind == rUniform:
+		case one == oneNone && s.kind == rGlobalRank:
+			one = oneCluster
+		case one == oneNone && s.kind == rNodeRank:
+			one = oneNode
+		default:
+			return oneNone
+		}
+	}
+	return one
+}
+
+// phaseWrites collects the phase's plain writes with the rank guards
+// enclosing them, binding for loops to canonical offset symbols on the
+// way (the loop variable becomes lo + j with j in [0, hi-lo), so
+// rank-dependent bounds land in the affine base where the pairwise test
+// can see them).
 func (cx *raceCtx) phaseWrites(p *Phase) []wop {
 	var ops []wop
-	var scan func(s Stmt, guarded, inWhile bool)
-	scan = func(s Stmt, guarded, inWhile bool) {
+	var scan func(s Stmt, one int, approx bool)
+	scan = func(s Stmt, one int, approx bool) {
 		switch st := s.(type) {
 		case *Block:
 			for _, n := range st.Stmts {
-				scan(n, guarded, inWhile)
+				scan(n, one, approx)
 			}
 		case *If:
-			g := guarded || rankDependent(st.Cond, cx.tainted)
-			scan(st.Then, g, inWhile)
+			dep := rankDependent(st.Cond, cx.tainted)
+			k := oneNone
+			if dep {
+				k = cx.oneWriter(st.Cond)
+			}
+			scan(st.Then, max(one, k), approx || dep && k == oneNone)
 			if st.Else != nil {
-				scan(st.Else, g, inWhile)
+				scan(st.Else, one, approx || dep)
 			}
 		case *While:
-			scan(st.Body, guarded, inWhile || rankDependent(st.Cond, cx.tainted))
+			scan(st.Body, one, approx || rankDependent(st.Cond, cx.tainted))
 		case *For:
 			lo, hi := cx.resolve(st.Lo), cx.resolve(st.Hi)
 			j := rsym{kind: rLoop, name: st.Var, seq: cx.seq}
@@ -363,26 +407,30 @@ func (cx *raceCtx) phaseWrites(p *Phase) []wop {
 			}
 			old, had := cx.env[st.Var]
 			cx.env[st.Var] = binding
-			scan(st.Body, guarded, inWhile)
+			scan(st.Body, one, approx)
 			if had {
 				cx.env[st.Var] = old
 			} else {
 				delete(cx.env, st.Var)
 			}
 		case *Assign:
-			if guarded || st.Add || st.Target.Index == nil {
+			if st.Add || st.Target.Index == nil {
 				return
 			}
 			sh := cx.shared[st.Target.Name]
 			if sh == nil {
 				return
 			}
-			ops = append(ops, wop{arr: sh, idx: cx.resolve(st.Target.Index), pos: st.Target.Pos, inWhile: inWhile})
+			ops = append(ops, wop{arr: sh, idx: cx.resolve(st.Target.Index), pos: st.Target.Pos, one: one, approx: approx})
 		}
 	}
-	scan(p.Body, false, false)
+	scan(p.Body, oneNone, false)
 	return ops
 }
+
+// guardedReason explains a possible overlap that a rank guard leaves
+// unproven.
+const guardedReason = "a rank-dependent condition decides which VPs execute the write"
 
 // Pairwise verdicts, ordered so that combining with max keeps the worst.
 const (
@@ -441,7 +489,7 @@ func (cx *raceCtx) pairVerdict(a, b *wop, sameNode bool) verdict {
 	for s := range b.idx.t {
 		syms[s] = true
 	}
-	approx := a.inWhile || b.inWhile
+	approx := a.approx || b.approx
 	var terms []rterm
 	var stride *rterm
 	for s := range syms {
@@ -572,7 +620,7 @@ func solveTerms(d int64, terms []rterm, approx bool) verdict {
 	case 0:
 		if d == 0 {
 			if approx {
-				return verdict{vPossible, "the VPs' iteration counts differ"}
+				return verdict{vPossible, guardedReason}
 			}
 			return verdict{vOverlap, ""}
 		}
@@ -630,9 +678,9 @@ func solveOne(d int64, t rterm, approx bool) verdict {
 }
 
 // singleVPFuncs returns the predicate "every do of this function starts
-// a single VP per node", used by rules whose same-node hazards vanish
-// when K = 1.
+// a single VP per node": then no same-node pair exists.
 func singleVPFuncs(prog *Program, consts map[string]int64) func(string) bool {
+	main := newRaceCtx(&FuncDecl{Body: prog.Main}, consts, nil)
 	doK := map[string][]Expr{}
 	walkStmt(prog.Main, func(s Stmt) {
 		if d, ok := s.(*Do); ok {
@@ -645,7 +693,7 @@ func singleVPFuncs(prog *Program, consts map[string]int64) func(string) bool {
 			return false
 		}
 		for _, k := range ks {
-			if v, ok := evalConst(k, consts); !ok || v != 1 {
+			if v, ok := main.resolve(k).isConst(); !ok || v != 1 {
 				return false
 			}
 		}
@@ -680,12 +728,21 @@ func lintPhaseRace(prog *Program, consts map[string]int64, shared map[string]*Sh
 					if ops[i].arr != ops[j].arr {
 						continue
 					}
+					// A write's one writer per node, or in the cluster, has
+					// no same-node, or no, partner VP running that write.
+					self := i == j
 					best := verdict{vSkip, ""}
-					if !single {
+					if !single && !(self && ops[i].one >= oneNode) {
 						best = worse(best, cx.pairVerdict(&ops[i], &ops[j], true))
 					}
-					if ops[i].arr.GlobalScope {
+					if ops[i].arr.GlobalScope && !(self && ops[i].one == oneCluster) {
 						best = worse(best, cx.pairVerdict(&ops[i], &ops[j], false))
+					}
+					// The pair verdict assumed every VP runs both writes; a
+					// guard leaves that true only for one write's known
+					// writers.
+					if best.v == vOverlap && !self && (ops[i].one != oneNone || ops[j].one != oneNone) {
+						best = verdict{vPossible, guardedReason}
 					}
 					switch best.v {
 					case vOverlap:
