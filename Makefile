@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build app-sites vet ppmvet ppmvet-examples vet-all vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites transport-seam vet ppmvet ppmvet-examples vet-all vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
-## findings baseline, and the one-descriptor-per-application rule) and
-## race-test.
-check: build app-sites vet vet-all ppmvet-examples langcheck race
+## findings baseline, the one-descriptor-per-application rule and the
+## one-link-per-peer rule) and race-test.
+check: build app-sites transport-seam vet vet-all ppmvet-examples langcheck race
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,17 @@ build:
 app-sites:
 	@! grep -rn --include='*.go' -e 'case "cg"' -e '"cg-grid"' cmd internal \
 		| grep -v -e '_test\.go:' -e '^internal/apps/' -e '^internal/dist/apps\.go:' -e '^internal/jobspec/apps\.go:'
+
+## transport-seam: each peer connection is one link. Outside link.go
+## (the link) and mesh.go (dial, accept, handshake) no internal/dist
+## product file touches a socket (`net.` or `.conn`), and none encodes
+## bytes itself (encoding/binary: framing is internal/wire's, fault
+## framing internal/faultinject's); the offending lines are printed.
+transport-seam:
+	@out=$$( { grep -n -e '\bnet\.' -e '\.conn\b' internal/dist/*.go \
+			| grep -v -e '_test\.go:' -e '^internal/dist/link\.go:' -e '^internal/dist/mesh\.go:'; \
+		grep -n 'encoding/binary' internal/dist/*.go | grep -v '_test\.go:'; } ); \
+	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

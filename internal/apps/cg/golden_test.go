@@ -62,10 +62,7 @@ func hashF64(v []float64) uint64 {
 func hashStats(per []core.NodeStats) uint64 {
 	h := fnv.New64a()
 	for _, s := range per {
-		s.Wire = core.WireStats{}
-		s.PlanCache = core.PlanCacheStats{}
-		s.Rescale = core.RescaleStats{}
-		fmt.Fprintf(h, "%+v\n", s)
+		fmt.Fprintf(h, "%+v\n", s.Program())
 	}
 	return h.Sum64()
 }

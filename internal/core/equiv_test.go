@@ -180,9 +180,7 @@ func equalEquivOutcome(a, b equivOutcome) bool {
 	// The plan-cache counters are host-side memoization bookkeeping:
 	// scalar and block access forms legitimately record different plan
 	// shapes, so they are outside the equivalence surface.
-	at, bt := a.totals, b.totals
-	at.PlanCache, bt.PlanCache = PlanCacheStats{}, PlanCacheStats{}
-	if at != bt || a.span != b.span {
+	if a.totals.Program() != b.totals.Program() || a.span != b.span {
 		return false
 	}
 	for i := range a.global {

@@ -340,6 +340,15 @@ func (w *WireStats) sub(o WireStats) {
 	w.CommitBytesEnc -= o.CommitBytesEnc
 }
 
+// Program returns s without the blocks that measure the substrate (Wire,
+// PlanCache, Rescale: the wire, the plan cache, where the rank ran),
+// keeping what the program computed. Reports of one program on different
+// substrates compare equal through it.
+func (s NodeStats) Program() NodeStats {
+	s.Wire, s.PlanCache, s.Rescale = WireStats{}, PlanCacheStats{}, RescaleStats{}
+	return s
+}
+
 // Add accumulates o into s field by field (used by the distributed
 // launcher to rebuild run totals from per-process reports).
 func (s *NodeStats) Add(o NodeStats) { s.add(o) }

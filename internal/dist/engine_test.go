@@ -62,18 +62,12 @@ func sameF64(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// stripTimes zeroes the substrate-measurement fields — virtual time
-// (which a real run does not model), the real-wire counters (which
-// the simulator does not have, and which legitimately vary with codec
-// and bundling configuration), and the plan-cache counters (host-side
-// memoization bookkeeping that varies with restarts and cache setting),
-// and the rescale counters (which record where a rank ran, not what it
-// computed). Everything else must match exactly.
+// stripTimes keeps what the program computed (NodeStats.Program) less
+// virtual time, which a real run does not model. Everything else must
+// match exactly.
 func stripTimes(s core.NodeStats) core.NodeStats {
+	s = s.Program()
 	s.PhaseComputeTime, s.PhaseCommTime, s.PhaseApplyTime = 0, 0, 0
-	s.Wire = core.WireStats{}
-	s.PlanCache = core.PlanCacheStats{}
-	s.Rescale = core.RescaleStats{}
 	return s
 }
 

@@ -63,9 +63,9 @@ func recoverAbort(fn func()) (err error) {
 
 func mustPlan(t *testing.T, spec string, rank int) *faultinject.Plan {
 	t.Helper()
-	pl, err := faultinject.Parse(spec, rank, 0)
+	pl, err := faultinject.ParseHost(spec, rank, rank, 0)
 	if err != nil {
-		t.Fatalf("Parse(%q): %v", spec, err)
+		t.Fatalf("ParseHost(%q): %v", spec, err)
 	}
 	return pl
 }
@@ -213,9 +213,9 @@ func TestSeverFaultAborts(t *testing.T) {
 }
 
 // TestRendezvousIgnoresStaleFiles seeds the rendezvous directory with
-// leftovers from a "previous launch" — a stale-run-id file and a legacy
-// untagged file, both pointing at a dead address — and checks a fresh
-// fleet connects anyway instead of dialing ghosts.
+// leftovers from a "previous launch" — stale-run-id files pointing at a
+// dead address — and checks a fresh fleet connects anyway instead of
+// dialing ghosts.
 func TestRendezvousIgnoresStaleFiles(t *testing.T) {
 	dir := t.TempDir()
 	deadAddr := "127.0.0.1:1" // reserved port: dialing it would fail fast and retry until timeout
@@ -224,11 +224,6 @@ func TestRendezvousIgnoresStaleFiles(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("node-%d.addr", r)), []byte(stale), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// A legacy single-line file for a rank id outside the fleet must also
-	// be inert.
-	if err := os.WriteFile(filepath.Join(dir, "node-9.addr"), []byte(deadAddr), 0o644); err != nil {
-		t.Fatal(err)
 	}
 
 	errs := make([]error, 2)
@@ -264,32 +259,6 @@ func TestRendezvousIgnoresStaleFiles(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-}
-
-// TestRendezvousLegacyFilesAcceptedWithoutRunID checks the empty-RunID
-// mode (hand-started fleets) still reads untagged address files.
-func TestRendezvousLegacyFilesAcceptedWithoutRunID(t *testing.T) {
-	if got, ok := readAddrFile(writeTemp(t, "127.0.0.1:4242"), ""); !ok || got != "127.0.0.1:4242" {
-		t.Errorf("legacy file with empty run-id = (%q, %v), want accepted", got, ok)
-	}
-	if _, ok := readAddrFile(writeTemp(t, "127.0.0.1:4242"), "run-x"); ok {
-		t.Error("legacy file accepted despite expected run-id")
-	}
-	if got, ok := readAddrFile(writeTemp(t, "run-x\n127.0.0.1:4242"), "run-x"); !ok || got != "127.0.0.1:4242" {
-		t.Errorf("tagged file = (%q, %v), want accepted", got, ok)
-	}
-	if _, ok := readAddrFile(writeTemp(t, "run-y\n127.0.0.1:4242"), "run-x"); ok {
-		t.Error("wrong-run-id file accepted")
-	}
-}
-
-func writeTemp(t *testing.T, content string) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), "node-0.addr")
-	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // TestFrameFaultsPreserveResults runs real apps under heavy duplicate +

@@ -39,6 +39,12 @@ type NodeReply struct {
 // faultinject.KillExitCode (37), which marks an injected crash.
 const StopExitCode = 86
 
+// detectGrace is how long, after the first rank failure of an attempt,
+// the supervisor lets the surviving ranks self-abort (the engine's
+// failure detector normally gets them out in seconds with a precise
+// error) before killing them.
+const detectGrace = 20 * time.Second
+
 // ErrOperatorStop marks a launch attempt that ended because a rank was
 // stopped by an operator request rather than a failure; LaunchLocal
 // returns it (wrapped, with per-rank detail) without spending restarts.
@@ -82,11 +88,6 @@ type LaunchOpts struct {
 	// CheckpointEvery is the minimum number of committed global phases
 	// between checkpoint writes (node default if 0).
 	CheckpointEvery int
-	// DetectGrace is how long, after the first rank failure of an
-	// attempt, the supervisor lets the surviving ranks self-abort (the
-	// engine's failure detector normally gets them out in seconds with a
-	// precise error) before killing them (default 20s).
-	DetectGrace time.Duration
 	// OnRestart, if non-nil, is called before each relaunch with the new
 	// attempt number (1-based) and the failure that caused it.
 	OnRestart func(attempt int, cause error)
@@ -132,9 +133,6 @@ func LaunchLocal(o LaunchOpts) ([]NodeResult, error) {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 120 * time.Second
-	}
-	if o.DetectGrace <= 0 {
-		o.DetectGrace = 20 * time.Second
 	}
 	if o.Stderr == nil {
 		o.Stderr = os.Stderr
@@ -377,7 +375,7 @@ func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeRe
 				}
 			}
 			if ev.err != nil && grace == nil && got < procs {
-				grace = time.After(o.DetectGrace)
+				grace = time.After(detectGrace)
 			}
 		case <-watchdog.C:
 			timedOut = true
@@ -429,7 +427,7 @@ func launchOnce(o *LaunchOpts, dir string, attempt, procs int) (results []NodeRe
 		errs = append([]string{fmt.Sprintf("run exceeded %v and was killed", o.Timeout)}, errs...)
 	}
 	if graceKilled {
-		errs = append(errs, fmt.Sprintf("supervisor killed surviving ranks %v after the first rank failed", o.DetectGrace))
+		errs = append(errs, fmt.Sprintf("supervisor killed surviving ranks %v after the first rank failed", detectGrace))
 	}
 	if len(errs) > 0 {
 		if stopped {

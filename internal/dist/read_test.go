@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -187,7 +188,7 @@ func TestMalformedReadReqIsProtocolFatal(t *testing.T) {
 						return rangeBytes(array, lo, hi), nil
 					})
 					if rank == 0 {
-						err := eng.send(1, wire.KindReadReq, tc.payload)
+						err := eng.enqueue(1, outFrame{kind: wire.KindReadReq, payload: tc.payload})
 						<-ownerFailed
 						return err
 					}
@@ -200,6 +201,50 @@ func TestMalformedReadReqIsProtocolFatal(t *testing.T) {
 			}
 			if n := served.Load(); n != 0 {
 				t.Errorf("read server ran %d times on a malformed request", n)
+			}
+		})
+	}
+}
+
+// TestReaderAllocatesWhatArrives has a handshaken peer announce frames it
+// never sends and hang up. A payload that is read at all costs the reader
+// what arrived, not the gigabyte announced, and a length no sender
+// produces is refused before anything is read, naming the peer.
+func TestReaderAllocatesWhatArrives(t *testing.T) {
+	for _, tc := range []struct {
+		kind  byte
+		total uint32 // the length prefix: kind byte plus payload
+		want  string
+	}{
+		{wire.KindMsg, wire.MaxFrame, "read from rank 1"},
+		{wire.KindReadResp, wire.MaxFrame, "read from rank 1"},
+		{wire.KindReadReq, wire.MaxFrame, "read from rank 1"},
+		{wire.KindAbort, wire.MaxFrame, "read from rank 1"},
+		{wire.KindCommitData, wire.MaxFrame, "read from rank 1"},
+		{wire.KindCommitEnd, wire.MaxFrame, "protocol error from rank 1: commit end is 1073741823 bytes, want 32"},
+		{wire.KindPing, 9, "protocol error from rank 1: frame of kind 10 carries 8 bytes, want none"},
+		{wire.KindPong, 2, "protocol error from rank 1: frame of kind 11 carries 1 bytes, want none"},
+		{wire.KindBye, wire.MaxFrame, "protocol error from rank 1: frame of kind 9 carries 1073741823 bytes, want none"},
+	} {
+		t.Run(fmt.Sprintf("kind %d", tc.kind), func(t *testing.T) {
+			eng, conn := rawPeer(t, nil)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := conn.Write(append(binary.LittleEndian.AppendUint32(nil, tc.total), tc.kind)); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			select {
+			case <-eng.fatalCh:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the engine never noticed the peer hang up")
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("a 5-byte header announcing %d bytes cost %d bytes of allocation", tc.total, got)
+			}
+			if err := eng.fatalErr(); !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
 	}

@@ -10,7 +10,8 @@
 // exactly: the same spec against the same program produces the same
 // faults on the same frames.
 //
-// Frame faults act at the writer seam, after all payload encoding: a
+// Frame faults act in Plan.Writer, which the engine puts between a peer
+// link's bundling writer and its socket, after all payload encoding: a
 // truncated CommitData frame under the delta wire codec mutilates the
 // encoded stream, exactly like damage on a real link, and must surface
 // as a decode/length error on the receiver — never a wrong answer.
@@ -42,27 +43,27 @@
 package faultinject
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ppm/internal/rng"
+	"ppm/internal/wire"
 )
 
 // KillExitCode is the exit status of a rank killed by a kill= item,
 // distinguishable from ordinary run failures (1) and flag errors (2).
 const KillExitCode = 37
 
-// FrameFault is the verdict for one outgoing frame.
-type FrameFault struct {
-	Drop  bool
-	Dup   bool
-	Trunc bool
-	Delay time.Duration
+// frameFault is the verdict for one outgoing frame.
+type frameFault struct {
+	drop, dup, trunc bool
+	delay            time.Duration
 }
 
 type frameRuleKind int
@@ -84,10 +85,8 @@ type frameRule struct {
 // Plan is one process's parsed fault schedule. The zero Plan injects
 // nothing; a nil *Plan is the usual "no faults" configuration.
 type Plan struct {
-	rank    int
-	proc    int // host process index (== rank under native 1:1 hosting)
-	attempt int
-	seed    uint64
+	rank int
+	seed uint64
 
 	rules     []frameRule
 	severs    map[int64][]int // phase -> peers to sever (-1 = all)
@@ -96,21 +95,12 @@ type Plan struct {
 	killPhase int64           // -1: no kill
 
 	phase atomic.Int64 // current global phase, set by the engine
-
-	mu   sync.Mutex
-	rngs map[int]*rng.RNG // per-peer decision streams
 }
 
-// FromEnv builds the Plan for this rank from PPM_FAULT and
-// PPM_FAULT_ATTEMPT, assuming native hosting (the rank's host process
-// index equals its rank). It returns (nil, nil) when PPM_FAULT is unset.
-func FromEnv(rank int) (*Plan, error) {
-	return FromEnvHost(rank, rank)
-}
-
-// FromEnvHost is FromEnv for a rank hosted inside host process proc (a
-// rescaled fleet runs several ranks per process; killhost= items key on
-// the process index, not the rank).
+// FromEnvHost builds the Plan for a rank hosted inside host process proc
+// from PPM_FAULT and PPM_FAULT_ATTEMPT (a rescaled fleet runs several
+// ranks per process; killhost= items key on the process index, not the
+// rank). It returns (nil, nil) when PPM_FAULT is unset.
 func FromEnvHost(rank, proc int) (*Plan, error) {
 	spec := os.Getenv("PPM_FAULT")
 	if spec == "" {
@@ -127,23 +117,15 @@ func FromEnvHost(rank, proc int) (*Plan, error) {
 	return ParseHost(spec, rank, proc, attempt)
 }
 
-// Parse builds the Plan one rank derives from spec on the given launch
-// attempt, assuming native hosting (proc == rank).
-func Parse(spec string, rank, attempt int) (*Plan, error) {
-	return ParseHost(spec, rank, rank, attempt)
-}
-
-// ParseHost builds the Plan for a rank hosted inside host process proc.
+// ParseHost builds the Plan one rank, hosted inside host process proc,
+// derives from spec on the given launch attempt.
 func ParseHost(spec string, rank, proc, attempt int) (*Plan, error) {
 	pl := &Plan{
 		rank:      rank,
-		proc:      proc,
-		attempt:   attempt,
 		seed:      1,
 		severs:    make(map[int64][]int),
 		partPhase: -1,
 		killPhase: -1,
-		rngs:      make(map[int]*rng.RNG),
 	}
 	for _, item := range strings.Split(spec, ";") {
 		item = strings.TrimSpace(item)
@@ -212,19 +194,19 @@ func ParseHost(spec string, rank, proc, attempt int) (*Plan, error) {
 				return nil, fmt.Errorf("faultinject: item %q: %v", item, err)
 			}
 			if attempt == 0 {
-				var far []int
+				var far map[int]bool
 				switch {
 				case as[rank]:
-					far = keys(bs)
+					far = bs
 				case bs[rank]:
-					far = keys(as)
+					far = as
 				}
 				if len(far) > 0 {
 					pl.partPhase = phase
 					if pl.blackhole == nil {
 						pl.blackhole = make(map[int]bool)
 					}
-					for _, r := range far {
+					for r := range far {
 						pl.blackhole[r] = true
 					}
 				}
@@ -297,14 +279,6 @@ func parseRanks(s string) (map[int]bool, error) {
 	return out, nil
 }
 
-func keys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
 // SetPhase records the global phase whose commit the engine is entering;
 // phase-armed items key off it.
 func (pl *Plan) SetPhase(phase int64) { pl.phase.Store(phase) }
@@ -318,52 +292,95 @@ func (pl *Plan) KillNow(phase int64) bool {
 // the given phase boundary; a single -1 entry means every peer.
 func (pl *Plan) SeverNow(phase int64) []int { return pl.severs[phase] }
 
-// Blackholed reports whether all traffic to dst is silently discarded
+// blackholed reports whether all traffic to dst is silently discarded
 // (the partition fault: the link looks alive but carries nothing, which
 // is exactly what the heartbeat detector exists to catch).
-func (pl *Plan) Blackholed(dst int) bool {
+func (pl *Plan) blackholed(dst int) bool {
 	return pl.partPhase >= 0 && pl.blackhole[dst] && pl.phase.Load() >= pl.partPhase
 }
 
-// Frame decides the fate of one outgoing frame to dst. Decisions consume
-// the (rank, dst) rng stream in frame order, so a replay with the same
-// spec makes the same calls on the same frames.
-func (pl *Plan) Frame(dst int, kind byte) FrameFault {
-	if len(pl.rules) == 0 {
-		return FrameFault{}
-	}
-	r := pl.rngFor(dst)
-	phase := pl.phase.Load()
-	var f FrameFault
-	for i := range pl.rules {
-		rule := &pl.rules[i]
-		if phase < rule.fromPhase {
-			continue
-		}
-		if r.Float64() >= rule.p {
+// Writer returns w with the plan's frame faults toward peer dst applied.
+// Each Write must carry whole frames, as a link's bundles do. It walks
+// them in order and draws each one's fate from the (rank, dst) stream:
+// a blackholed or dropped frame vanishes; before a delayed one, what is
+// ready goes out and the writer sleeps; a truncated one is re-framed,
+// its payload (for a commit frame, header and chunk together) cut to
+// half under a correct length prefix, so the receiver sees a clean decode
+// error rather than a desynced stream; a duplicated one goes twice.
+func (pl *Plan) Writer(dst int, w io.Writer) io.Writer {
+	return &faultWriter{pl: pl, dst: dst, w: w, r: rng.New(pl.seed).Split(uint64(pl.rank)<<20 | uint64(dst+1))}
+}
+
+type faultWriter struct {
+	pl  *Plan
+	dst int
+	r   *rng.RNG // the (rank, dst) decision stream
+	w   io.Writer
+	buf []byte // what survives of the bundle so far, reused
+}
+
+// frame decides the fate of the next frame. Decisions consume the stream
+// in frame order, so a replay with the same spec makes the same calls on
+// the same frames.
+func (fw *faultWriter) frame() frameFault {
+	phase := fw.pl.phase.Load()
+	var f frameFault
+	for _, rule := range fw.pl.rules {
+		if phase < rule.fromPhase || fw.r.Float64() >= rule.p {
 			continue
 		}
 		switch rule.kind {
 		case ruleDrop:
-			f.Drop = true
+			f.drop = true
 		case ruleDelay:
-			f.Delay += rule.d
+			f.delay += rule.d
 		case ruleDup:
-			f.Dup = true
+			f.dup = true
 		case ruleTrunc:
-			f.Trunc = true
+			f.trunc = true
 		}
 	}
 	return f
 }
 
-func (pl *Plan) rngFor(dst int) *rng.RNG {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	r := pl.rngs[dst]
-	if r == nil {
-		r = rng.New(pl.seed).Split(uint64(pl.rank)<<20 | uint64(dst+1))
-		pl.rngs[dst] = r
+func (fw *faultWriter) Write(p []byte) (int, error) {
+	for rest := p; len(rest) >= wire.FrameHeaderBytes; {
+		frame := rest[:4+binary.LittleEndian.Uint32(rest)] // the prefix counts kind and payload
+		rest = rest[len(frame):]
+		if fw.pl.blackholed(fw.dst) {
+			continue
+		}
+		f := fw.frame()
+		if f.delay > 0 {
+			if err := fw.flush(); err != nil {
+				return 0, err
+			}
+			time.Sleep(f.delay)
+		}
+		if f.drop {
+			continue
+		}
+		start := len(fw.buf)
+		fw.buf = append(fw.buf, frame...)
+		if n := len(frame) - wire.FrameHeaderBytes; f.trunc && n > 0 {
+			fw.buf = fw.buf[:start+wire.FrameHeaderBytes+n/2]
+			binary.LittleEndian.PutUint32(fw.buf[start:], uint32(1+n/2))
+		}
+		if f.dup {
+			fw.buf = append(fw.buf, fw.buf[start:]...)
+		}
 	}
-	return r
+	if err := fw.flush(); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (fw *faultWriter) flush() error {
+	if len(fw.buf) == 0 {
+		return nil
+	}
+	_, err := fw.w.Write(fw.buf)
+	fw.buf = fw.buf[:0]
+	return err
 }

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -8,9 +9,9 @@ import (
 
 func TestParseFullSpec(t *testing.T) {
 	spec := "seed=7; drop=0.1; delay=0.2:5ms@phase:3; dup=0.05; trunc=0.01@phase:2; sever=1@phase:4; partition=0|1,2@phase:5; kill=2@phase:6"
-	pl, err := Parse(spec, 0, 0)
+	pl, err := ParseHost(spec, 0, 0, 0)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("ParseHost: %v", err)
 	}
 	if pl.seed != 7 {
 		t.Errorf("seed = %d, want 7", pl.seed)
@@ -26,7 +27,7 @@ func TestParseFullSpec(t *testing.T) {
 	}
 	// Rank 0 is on side A of the partition; ranks 1 and 2 are far.
 	pl.SetPhase(5)
-	if !pl.Blackholed(1) || !pl.Blackholed(2) {
+	if !pl.blackholed(1) || !pl.blackholed(2) {
 		t.Error("ranks 1,2 should be blackholed for rank 0 at phase 5")
 	}
 	// Rank 0 is not the kill victim.
@@ -52,19 +53,19 @@ func TestParseErrors(t *testing.T) {
 		"explode=1",         // unknown key
 	}
 	for _, spec := range bad {
-		if _, err := Parse(spec, 0, 0); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", spec)
+		if _, err := ParseHost(spec, 0, 0, 0); err == nil {
+			t.Errorf("ParseHost(%q) succeeded, want error", spec)
 		} else if !strings.Contains(err.Error(), "faultinject:") {
-			t.Errorf("Parse(%q) error %q lacks package prefix", spec, err)
+			t.Errorf("ParseHost(%q) error %q lacks package prefix", spec, err)
 		}
 	}
 }
 
 func TestKillTargetsOnlyNamedRank(t *testing.T) {
 	for rank := 0; rank < 3; rank++ {
-		pl, err := Parse("kill=1@phase:5", rank, 0)
+		pl, err := ParseHost("kill=1@phase:5", rank, rank, 0)
 		if err != nil {
-			t.Fatalf("Parse: %v", err)
+			t.Fatalf("ParseHost: %v", err)
 		}
 		want := rank == 1
 		if got := pl.KillNow(5); got != want {
@@ -79,9 +80,9 @@ func TestKillTargetsOnlyNamedRank(t *testing.T) {
 func TestOneShotsDisarmedOnRelaunch(t *testing.T) {
 	// attempt > 0 means the supervisor relaunched the fleet; the fault
 	// that killed attempt 0 must not fire again or recovery can't work.
-	pl, err := Parse("kill=1@phase:5; sever=0@phase:2; partition=0|1@phase:3", 1, 1)
+	pl, err := ParseHost("kill=1@phase:5; sever=0@phase:2; partition=0|1@phase:3", 1, 1, 1)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("ParseHost: %v", err)
 	}
 	if pl.KillNow(5) {
 		t.Error("kill re-armed on attempt 1")
@@ -90,15 +91,15 @@ func TestOneShotsDisarmedOnRelaunch(t *testing.T) {
 		t.Errorf("sever re-armed on attempt 1: %v", got)
 	}
 	pl.SetPhase(10)
-	if pl.Blackholed(0) {
+	if pl.blackholed(0) {
 		t.Error("partition re-armed on attempt 1")
 	}
 }
 
 func TestSeverOnVictimRankMeansAllPeers(t *testing.T) {
-	pl, err := Parse("sever=2@phase:1", 2, 0)
+	pl, err := ParseHost("sever=2@phase:1", 2, 2, 0)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("ParseHost: %v", err)
 	}
 	if got := pl.SeverNow(1); len(got) != 1 || got[0] != -1 {
 		t.Errorf("victim's SeverNow = %v, want [-1] (all peers)", got)
@@ -107,38 +108,39 @@ func TestSeverOnVictimRankMeansAllPeers(t *testing.T) {
 
 func TestPartitionSidesAndBystanders(t *testing.T) {
 	// Rank 2 is in neither set: it must keep talking to everyone.
-	pl, err := Parse("partition=0|1", 2, 0)
+	pl, err := ParseHost("partition=0|1", 2, 2, 0)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("ParseHost: %v", err)
 	}
 	pl.SetPhase(0)
-	if pl.Blackholed(0) || pl.Blackholed(1) {
+	if pl.blackholed(0) || pl.blackholed(1) {
 		t.Error("bystander rank 2 should not blackhole anyone")
 	}
 	// Before the arming phase, even partition members talk freely.
-	pl0, _ := Parse("partition=0|1@phase:4", 0, 0)
+	pl0, _ := ParseHost("partition=0|1@phase:4", 0, 0, 0)
 	pl0.SetPhase(3)
-	if pl0.Blackholed(1) {
+	if pl0.blackholed(1) {
 		t.Error("partition fired before its arming phase")
 	}
 	pl0.SetPhase(4)
-	if !pl0.Blackholed(1) {
+	if !pl0.blackholed(1) {
 		t.Error("partition did not fire at its arming phase")
 	}
-	if pl0.Blackholed(0) {
+	if pl0.blackholed(0) {
 		t.Error("rank 0 blackholed itself")
 	}
 }
 
 func TestFrameDecisionsDeterministic(t *testing.T) {
-	draw := func() []FrameFault {
-		pl, err := Parse("seed=42; drop=0.3; dup=0.2; delay=0.1:1ms", 1, 0)
+	draw := func() []frameFault {
+		pl, err := ParseHost("seed=42; drop=0.3; dup=0.2; delay=0.1:1ms", 1, 1, 0)
 		if err != nil {
-			t.Fatalf("Parse: %v", err)
+			t.Fatalf("ParseHost: %v", err)
 		}
-		var out []FrameFault
+		w := writer(pl, 0)
+		var out []frameFault
 		for i := 0; i < 200; i++ {
-			out = append(out, pl.Frame(0, 2))
+			out = append(out, w.frame())
 		}
 		return out
 	}
@@ -148,7 +150,7 @@ func TestFrameDecisionsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("frame %d: %+v != %+v — replay diverged", i, a[i], b[i])
 		}
-		if a[i].Drop {
+		if a[i].drop {
 			drops++
 		}
 	}
@@ -159,54 +161,59 @@ func TestFrameDecisionsDeterministic(t *testing.T) {
 }
 
 func TestFrameStreamsIndependentPerPeer(t *testing.T) {
-	pl, _ := Parse("seed=9; drop=0.5", 0, 0)
-	pl2, _ := Parse("seed=9; drop=0.5", 0, 0)
+	pl, _ := ParseHost("seed=9; drop=0.5", 0, 0, 0)
+	pl2, _ := ParseHost("seed=9; drop=0.5", 0, 0, 0)
 	// Interleaving draws to different peers must not perturb either
 	// peer's own stream.
-	var to1 []FrameFault
+	w1, w2, again := writer(pl, 1), writer(pl, 2), writer(pl2, 1)
+	var to1 []frameFault
 	for i := 0; i < 50; i++ {
-		to1 = append(to1, pl.Frame(1, 2))
-		pl.Frame(2, 2)
+		to1 = append(to1, w1.frame())
+		w2.frame()
 	}
 	for i := 0; i < 50; i++ {
-		if got := pl2.Frame(1, 2); got != to1[i] {
+		if got := again.frame(); got != to1[i] {
 			t.Fatalf("draw %d to peer 1 diverged when peer 2 traffic interleaved", i)
 		}
 	}
 }
 
+// writer is pl's fault writer toward dst, its output discarded.
+func writer(pl *Plan, dst int) *faultWriter { return pl.Writer(dst, io.Discard).(*faultWriter) }
+
 func TestFrameRespectsArmingPhase(t *testing.T) {
-	pl, _ := Parse("drop=1@phase:5", 0, 0)
+	pl, _ := ParseHost("drop=1@phase:5", 0, 0, 0)
+	w := writer(pl, 1)
 	pl.SetPhase(4)
-	if f := pl.Frame(1, 2); f.Drop {
+	if f := w.frame(); f.drop {
 		t.Error("drop fired before arming phase")
 	}
 	pl.SetPhase(5)
-	if f := pl.Frame(1, 2); !f.Drop {
+	if f := w.frame(); !f.drop {
 		t.Error("drop=1 did not fire at arming phase")
 	}
 }
 
 func TestFromEnvUnset(t *testing.T) {
 	t.Setenv("PPM_FAULT", "")
-	pl, err := FromEnv(3)
+	pl, err := FromEnvHost(3, 3)
 	if pl != nil || err != nil {
-		t.Fatalf("FromEnv with no spec = (%v, %v), want (nil, nil)", pl, err)
+		t.Fatalf("FromEnvHost with no spec = (%v, %v), want (nil, nil)", pl, err)
 	}
 }
 
 func TestFromEnvAttempt(t *testing.T) {
 	t.Setenv("PPM_FAULT", "kill=0@phase:1")
 	t.Setenv("PPM_FAULT_ATTEMPT", "2")
-	pl, err := FromEnv(0)
+	pl, err := FromEnvHost(0, 0)
 	if err != nil {
-		t.Fatalf("FromEnv: %v", err)
+		t.Fatalf("FromEnvHost: %v", err)
 	}
 	if pl.KillNow(1) {
 		t.Error("kill armed despite PPM_FAULT_ATTEMPT=2")
 	}
 	t.Setenv("PPM_FAULT_ATTEMPT", "bogus")
-	if _, err := FromEnv(0); err == nil {
+	if _, err := FromEnvHost(0, 0); err == nil {
 		t.Error("bad PPM_FAULT_ATTEMPT accepted")
 	}
 }

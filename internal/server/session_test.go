@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"ppm/internal/core"
 	"ppm/internal/dist"
 	"ppm/internal/jobspec"
 )
@@ -30,13 +29,6 @@ func scatterSpec(t *testing.T) jobspec.Spec {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-// program drops the counters that measure the substrate (the wire, the
-// plan cache, where a rank ran) and keeps what the program computed.
-func program(s core.NodeStats) core.NodeStats {
-	s.Wire, s.PlanCache, s.Rescale = core.WireStats{}, core.PlanCacheStats{}, core.RescaleStats{}
 	return s
 }
 
@@ -81,7 +73,7 @@ func TestOneJobSessionMatchesServe(t *testing.T) {
 	}
 	sameSeries(t, "one-shot vs served scatter", flat(launched), flat(served))
 	for r := range launched {
-		if g, w := program(launched[r].Stats), program(served[r].Stats); g != w {
+		if g, w := launched[r].Stats.Program(), served[r].Stats.Program(); g != w {
 			t.Errorf("rank %d counters diverge:\none-shot %+v\n  served %+v", r, g, w)
 		}
 	}

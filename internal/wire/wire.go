@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"unsafe"
 )
 
@@ -115,34 +114,44 @@ func truncated(err error) error {
 	return fmt.Errorf("wire: truncated frame: %w", err)
 }
 
-// readFrameStep is how far ReadFrame's buffer may run ahead of the bytes
-// that have arrived.
+// readFrameStep is the most a payload buffer grows by before any of its
+// bytes have arrived.
 const readFrameStep = 64 << 10
 
+// AppendPayload reads a frame's n payload bytes from br and appends them
+// to buf. Room buf lacks is grown as the bytes arrive: by readFrameStep
+// at first, then by as much again as has arrived, so a payload of up to
+// twice readFrameStep grows once to its announced size, and five bytes
+// announcing MaxFrame cost readFrameStep, not a gigabyte. A length prefix
+// alone never buys memory.
+func AppendPayload(buf []byte, br *bufio.Reader, n int) ([]byte, error) {
+	start, end := len(buf), len(buf)+n
+	for len(buf) < end {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+min(end-len(buf), max(readFrameStep, len(buf)-start)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m := min(end, cap(buf))
+		if err := ReadPayload(br, buf[len(buf):m]); err != nil {
+			return buf, err
+		}
+		buf = buf[:m]
+	}
+	return buf, nil
+}
+
 // ReadFrame reads one frame from br, returning its kind and payload. The
-// payload is freshly allocated (the caller may retain it): at once when
-// it is short, and otherwise as its bytes arrive, since the handshake
-// reads through here what anybody who connects cares to send, and five
-// bytes announcing MaxFrame must not cost a gigabyte.
-//
-// It is the package's one reader whose allocation is bounded by the bytes
-// that arrived, not by the length announced. The engine's readPayload
-// (internal/dist), which runs only behind a completed handshake, still
-// allocates the announced length; it moves onto this loop with the rest
-// of ROADMAP item 1(a).
+// payload is freshly allocated (the caller may retain it) as its bytes
+// arrive (AppendPayload): the handshake reads through here what anybody
+// who connects cares to send.
 func ReadFrame(br *bufio.Reader) (kind byte, payload []byte, err error) {
 	kind, n, err := ReadFrameHeader(br)
 	if err != nil {
 		return 0, nil, err
 	}
-	payload = make([]byte, 0, min(n, readFrameStep))
-	for len(payload) < n {
-		payload = slices.Grow(payload, min(n-len(payload), readFrameStep))
-		m := min(n, cap(payload))
-		if err := ReadPayload(br, payload[len(payload):m]); err != nil {
-			return 0, nil, err
-		}
-		payload = payload[:m]
+	if payload, err = AppendPayload(nil, br, n); err != nil {
+		return 0, nil, err
 	}
 	return kind, payload, nil
 }
