@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"sort"
+	"sync"
 
 	"ppm/internal/mp"
 	"ppm/internal/vtime"
@@ -28,10 +30,67 @@ type vpFlusher interface {
 	// flushNode applies records immediately (node-phase commit) and
 	// returns the applied payload bytes.
 	flushNode(d *doRun, phaseSeq int64) (bytes int64, err error)
-	// owner identifies the array this buffer belongs to.
+	// owner identifies the array this buffer is bound to.
 	owner() any
-	// release returns the buffer to its array's pool at the end of a Do.
+	// release empties the buffer, unbinds it from its array and returns
+	// it to its type's pool (see stagingPool for when).
 	release()
+}
+
+// Write staging outlives the arrays it serves. A new job allocates new
+// arrays, so buffers kept per array would regrow from empty in every
+// program run; instead every *gBuf[T] and *nBuf[T] comes from one
+// process-wide pool per buffer type, and every per-peer wire buffer of a
+// mesh rank (an array's wout, a doRun's raw commit streams) from
+// wireStaging. A doRun's buffers go back when its Do finishes (a
+// non-persistent doRun), when a warm session stashes it, and when its run
+// ends (Run; RunDist without a session); an array's when its RunDist
+// succeeds. A failed run drops what it holds. They are sync.Pools, so a
+// collection empties them and an idle process keeps nothing; a released
+// buffer is empty and bound to no array, so a pool never pins a finished
+// run.
+var stagingPools sync.Map // reflect.Type of the buffer -> *sync.Pool
+
+// stagingPool returns the process-wide pool of buffers of type B. It is
+// keyed by reflect.Type because Elem admits ~ types, which no type switch
+// can enumerate; arrays look their pool up once, at allocation.
+func stagingPool[B any]() *sync.Pool {
+	key := reflect.TypeFor[B]()
+	if p, ok := stagingPools.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := stagingPools.LoadOrStore(key, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// wireStaging is the pool of mesh ranks' per-peer wire buffers
+// (Global.wout and a doRun's raw commit streams), boxed so that a Put
+// does not allocate.
+var wireStaging = sync.Pool{New: func() any { return new([]byte) }}
+
+// takeWire draws an empty wire buffer from wireStaging for every one of
+// n ranks but self.
+func takeWire(n, self int) []*[]byte {
+	bs := make([]*[]byte, n)
+	for i := range bs {
+		if i != self {
+			bs[i] = wireStaging.Get().(*[]byte)
+		}
+	}
+	return bs
+}
+
+// putWire hands the buffers in bs back to wireStaging, emptied, and
+// forgets them. One that never grew is dropped: in the pool it could only
+// stand in for one that did.
+func putWire(bs []*[]byte) {
+	for i, b := range bs {
+		if b != nil && cap(*b) > 0 {
+			*b = (*b)[:0]
+			wireStaging.Put(b)
+		}
+		bs[i] = nil
+	}
 }
 
 // gBuf buffers one VP's writes to one Global array as run-length records.
@@ -51,9 +110,11 @@ type gBuf[T Elem] struct {
 func (b *gBuf[T]) owner() any { return b.g }
 
 func (b *gBuf[T]) release() {
+	pool := b.g.bufs
+	b.g = nil
 	b.recs = b.recs[:0]
 	b.arena = b.arena[:0]
-	b.g.bufPool.Put(b)
+	pool.Put(b)
 }
 
 // push buffers one scalar write, extending the previous record when it is
@@ -133,8 +194,8 @@ func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 					b.one[0] = r.val
 					vals = b.one[:]
 				}
-				w := wire.AppendRunHeader(g.wout[dst], wire.RunHeader{Lo: lo, N: n, Writer: r.writer, Add: r.add})
-				g.wout[dst] = mp.AppendElems(w, vals)
+				w := g.wout[dst]
+				*w = mp.AppendElems(wire.AppendRunHeader(*w, wire.RunHeader{Lo: lo, N: n, Writer: r.writer, Add: r.add}), vals)
 				g.wruns[dst]++
 			} else {
 				g.stage[dst][node] = append(g.stage[dst][node], stageRec[T]{lo: lo, n: n, vals: vals, val: r.val, add: r.add, writer: r.writer})
@@ -186,9 +247,11 @@ type nBuf[T Elem] struct {
 func (b *nBuf[T]) owner() any { return b.a }
 
 func (b *nBuf[T]) release() {
+	pool := b.a.bufs
+	b.a = nil
 	b.recs = b.recs[:0]
 	b.arena = b.arena[:0]
-	b.a.bufPool.Put(b)
+	pool.Put(b)
 }
 
 func (b *nBuf[T]) push(i int, v T, add bool) {
@@ -259,41 +322,53 @@ func (b *nBuf[T]) flushNode(d *doRun, phaseSeq int64) (int64, error) {
 	return b.apply(d, phaseSeq)
 }
 
-// bufFor finds (or creates, drawing on the array's pool) the calling
-// VP's write buffer for g, and notes the owning VP's writer id.
+// bufFor finds the calling VP's write buffer for g, or draws one from
+// g's pool (or makes one) and binds it to g and the VP's writer id.
 func bufFor[T Elem](vp *VP, g *Global[T]) *gBuf[T] {
 	for _, b := range vp.bufs {
 		if b.owner() == g {
 			return b.(*gBuf[T])
 		}
 	}
-	var b *gBuf[T]
-	if v := g.bufPool.Get(); v != nil {
-		b = v.(*gBuf[T])
-	} else {
-		b = &gBuf[T]{g: g}
+	b, _ := g.bufs.Get().(*gBuf[T])
+	if b == nil {
+		b = new(gBuf[T])
 	}
-	b.wid = vp.wid
+	b.g, b.wid = g, vp.wid
 	vp.bufs = append(vp.bufs, b)
 	return b
 }
 
-// nodeBufFor finds (or creates) the calling VP's write buffer for a.
+// nodeBufFor is bufFor for a node-shared array.
 func nodeBufFor[T Elem](vp *VP, a *Node[T]) *nBuf[T] {
 	for _, b := range vp.bufs {
 		if b.owner() == a {
 			return b.(*nBuf[T])
 		}
 	}
-	var b *nBuf[T]
-	if v := a.bufPool.Get(); v != nil {
-		b = v.(*nBuf[T])
-	} else {
-		b = &nBuf[T]{a: a}
+	b, _ := a.bufs.Get().(*nBuf[T])
+	if b == nil {
+		b = new(nBuf[T])
 	}
-	b.wid = vp.wid
+	b.a, b.wid = a, vp.wid
 	vp.bufs = append(vp.bufs, b)
 	return b
+}
+
+// releaseStaging returns everything d stages writes in to the pools, the
+// VPs' write buffers and the raw commit streams, once d's last commit of
+// the run has succeeded.
+func (d *doRun) releaseStaging() {
+	for i := range d.vps {
+		vp := &d.vps[i]
+		for _, b := range vp.bufs {
+			b.release()
+		}
+		vp.bufs = nil
+	}
+	putWire(d.coutRaw)
+	d.coutRaw = nil // the next commit draws afresh
+	clear(d.cout)   // it aliased the streams
 }
 
 // makespan maps the work the VPs accumulated up to ordinal p's parity

@@ -116,8 +116,8 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 
 	// A warm session hands the previous run's warm doRuns and
 	// recorded plans to this one (or is discarded if its key changed);
-	// without one, warm state is dropped when the program ends, as
-	// always.
+	// without one, warm state is dropped when the program ends. Either
+	// way a successful run hands its write staging back to the pools.
 	warm := o.Warm
 	if o.NoPlanCache {
 		warm = nil
@@ -126,12 +126,17 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 		warm.adopt(rt)
 	}
 	runErr := runRecovered(rt.node, func() { prog(rt) })
-	if warm != nil {
-		if runErr != nil {
-			warm.Discard()
-		} else {
+	if runErr == nil {
+		if warm != nil {
 			warm.stash(rt)
+		} else {
+			rt.releaseWarm()
 		}
+		for _, arr := range gs.arrays {
+			arr.releaseStaging()
+		}
+	} else if warm != nil {
+		warm.Discard() // a failed run drops its write staging with the rest
 	}
 	rt.warm = nil // the engine's read server holds rt beyond this run
 	if gs.memHeld {
@@ -408,13 +413,16 @@ func (d *doRun) commitGlobalDist() error {
 	// outgoing stream, per-destination encode buffers, decode buffers,
 	// and cursors are doRun scratch reused across commits (the engine
 	// borrows the outgoing streams only until CommitExchange returns, so
-	// reuse never races the wire).
+	// reuse never races the wire); the raw stream buffers are drawn from
+	// wireStaging.
 	if cap(d.cout) < nodes {
 		d.cout = make([][]byte, nodes)
-		d.coutRaw = make([][]byte, nodes)
 		d.coutEnc = make([][]byte, nodes)
 		d.cdec = make([][]byte, nodes)
 		d.ccurs = make([]commitCursor, nodes)
+	}
+	if len(d.coutRaw) < nodes {
+		d.coutRaw = takeWire(nodes, d.node)
 	}
 	outgoing := d.cout[:nodes]
 	for dst := 0; dst < nodes; dst++ {
@@ -422,11 +430,11 @@ func (d *doRun) commitGlobalDist() error {
 		if dst == d.node {
 			continue
 		}
-		buf := d.coutRaw[dst][:0]
+		buf := (*d.coutRaw[dst])[:0]
 		for _, arr := range gs.arrays {
 			buf = arr.encodeStagedWire(dst, buf)
 		}
-		d.coutRaw[dst] = buf
+		*d.coutRaw[dst] = buf
 		gs.wireCommitRaw += int64(len(buf))
 		if len(buf) > 0 && gs.dist.CommitCodec(dst) == wire.CodecDelta {
 			enc, err := wire.AppendCommitDelta(d.coutEnc[dst][:0], buf, gs.arrayElemBytes)
@@ -600,11 +608,17 @@ func (g *Global[T]) encodeStagedWire(dst int, buf []byte) []byte {
 	if g.wruns[dst] == 0 {
 		return buf
 	}
+	w := g.wout[dst]
 	buf = wire.AppendBlockHeader(buf, g.id, g.wruns[dst])
-	buf = append(buf, g.wout[dst]...)
-	g.wout[dst], g.wruns[dst] = g.wout[dst][:0], 0
+	buf = append(buf, *w...)
+	*w, g.wruns[dst] = (*w)[:0], 0
 	return buf
 }
+
+// releaseStaging implements registeredArray: hand the per-peer wire
+// buffers back to wireStaging once the run has succeeded (every commit
+// has emptied them).
+func (g *Global[T]) releaseStaging() { putWire(g.wout) }
 
 // applyWireRuns implements registeredArray: apply one block of a peer's
 // commit stream through the same applyRun the simulator uses. strictErr
@@ -890,6 +904,8 @@ func (a *Node[T]) installRange(lo, hi int, data []byte) error {
 }
 
 func (a *Node[T]) encodeStagedWire(dst int, buf []byte) []byte { return buf }
+
+func (a *Node[T]) releaseStaging() {}
 
 func (a *Node[T]) applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (int, error, error) {
 	return 0, nil, fmt.Errorf("core: commit delta addressed to node-shared %q", a.name)

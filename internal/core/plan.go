@@ -143,18 +143,19 @@ func (ws *WarmSession) adopt(rt *Runtime) {
 // stash takes rt's warm cache back into the session at successful run
 // end, recording the key it is now valid for. Everything that refers
 // into the finished run goes here, so that a session idling between
-// jobs pins none of it: the Runtime, the write buffers (and through them
-// the arrays), the read tracking and the merge scratch are dropped and
-// rebuilt on first use, while the recorded phase plans (the expensive
-// part, which own their logs) carry over.
+// jobs pins none of it: the write buffers (unbound from the arrays) and
+// the commit stream scratch go back to their pools, and the Runtime, the
+// read tracking and the merge scratch are dropped and rebuilt on first
+// use, while the recorded phase plans (the expensive part, which own their
+// logs) carry over.
 func (ws *WarmSession) stash(rt *Runtime) {
 	for _, d := range rt.warm {
+		d.releaseStaging()
 		d.rt, d.body = nil, nil
 		d.mrRuns, d.mrIdx, d.mrCnt = nil, nil, nil
 		d.logs = nil
 		for i := range d.vps {
 			vp := &d.vps[i]
-			vp.bufs = nil
 			vp.rdRuns = nil
 			vp.rdIdx = nil
 			vp.rrElems, vp.rrBytes = nil, nil

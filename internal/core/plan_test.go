@@ -3,9 +3,11 @@ package core
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"ppm/internal/machine"
 )
@@ -558,10 +560,26 @@ func TestPlanReRecordSwapsLogsWithoutAllocating(t *testing.T) {
 	}
 }
 
+// Every array of one buffer type draws on one pool, and a named element
+// type has its own: a *gBuf[celsius] never comes out of the *gBuf[float64]
+// pool, which a type switch over the element types could not arrange.
+func TestStagingPoolPerBufferType(t *testing.T) {
+	type celsius float64
+	f, c, n := stagingPool[*gBuf[float64]](), stagingPool[*gBuf[celsius]](), stagingPool[*nBuf[float64]]()
+	if f != stagingPool[*gBuf[float64]]() {
+		t.Error("two lookups of one buffer type gave two pools")
+	}
+	if f == c || f == n || c == n {
+		t.Error("distinct buffer types share a pool")
+	}
+}
+
 // An idle warm session keeps its plans and nothing of the run that
 // recorded them: no write buffer (and through it no array), no read
-// tracking, no merge scratch, no Runtime. The next run under the same
-// key still replays every plan.
+// tracking, no merge scratch, no Runtime. The write buffers it gave back
+// sit in their pool empty and bound to no array, so once the job is over
+// nothing keeps its arrays alive. The next run under the same key still
+// replays every plan.
 func TestIdleWarmSessionPinsNothingOfTheRun(t *testing.T) {
 	t.Setenv("PPM_PLAN_CACHE", "")
 	const nodes, k, n = 2, 4, 256
@@ -569,6 +587,7 @@ func TestIdleWarmSessionPinsNothingOfTheRun(t *testing.T) {
 	for r := range sessions {
 		sessions[r] = NewWarmSession()
 	}
+	arrays := make([]weak.Pointer[Global[float64]], nodes)
 	job := func() []*Report {
 		mesh := newLoopMesh(nodes) // its commit slots are keyed by phase: one job each
 		reps := make([]*Report, nodes)
@@ -582,6 +601,7 @@ func TestIdleWarmSessionPinsNothingOfTheRun(t *testing.T) {
 				opt := Options{Nodes: nodes, CoresPerNode: 2, Machine: machine.Generic(), Warm: sessions[r]}
 				reps[r], errs[r] = RunDist(opt, mesh.engs[r], func(rt *Runtime) {
 					g := AllocGlobal[float64](rt, "idle.g", n)
+					arrays[r] = weak.Make(g)
 					rlo, _ := ChunkRange(n, nodes, (rt.NodeID()+1)%nodes)
 					lo, _ := g.OwnerRange(rt)
 					rt.Do(k, func(vp *VP) {
@@ -606,7 +626,28 @@ func TestIdleWarmSessionPinsNothingOfTheRun(t *testing.T) {
 		return reps
 	}
 
+	// No collection between the job and the draw below: it would empty
+	// the pool.
+	gcPercent := debug.SetGCPercent(-1)
 	job()
+	pool, drawn := stagingPool[*gBuf[float64]](), 0
+	for v := pool.Get(); v != nil; v = pool.Get() {
+		drawn++
+		if b := v.(*gBuf[float64]); len(b.recs) != 0 || len(b.arena) != 0 || b.g != nil {
+			t.Errorf("a pooled write buffer holds %d records, %d arena elements and array %v, want none", len(b.recs), len(b.arena), b.g != nil)
+		}
+	}
+	if drawn == 0 {
+		t.Error("the stash handed no write buffer back to its pool")
+	}
+	debug.SetGCPercent(gcPercent)
+	runtime.GC()
+	runtime.GC()
+	for r, w := range arrays {
+		if w.Value() != nil {
+			t.Errorf("rank %d: the finished job's Global is still reachable", r)
+		}
+	}
 	for r, ws := range sessions {
 		if len(ws.warm) == 0 {
 			t.Fatalf("rank %d: the session stashed no doRun", r)

@@ -100,6 +100,9 @@ type registeredArray interface {
 	// addCover marks a range a plan prefetch installed as locally valid.
 	addCover(lo, hi int)
 	encodeStagedWire(dst int, buf []byte) []byte
+	// releaseStaging returns the array's wire buffers to their pool at
+	// the end of a successful run.
+	releaseStaging()
 	applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error)
 
 	// Checkpoint hooks (see checkpoint.go): this node's authoritative
@@ -151,6 +154,7 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 		phaseSeqs: make([]int64, o.Nodes),
 		stats:     make([]NodeStats, o.Nodes),
 	}
+	rts := make([]*Runtime, o.Nodes)
 	crep, err := cluster.Run(cluster.Config{
 		Procs:        o.Nodes,
 		ProcsPerNode: 1,
@@ -160,7 +164,15 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 	}, func(p *cluster.Proc) {
 		rt := &Runtime{gs: gs, proc: p, comm: mp.New(p), node: p.Rank()}
 		prog(rt)
+		rts[rt.node] = rt
 	})
+	if err == nil {
+		// Once every node is done, so that no node's release lands in
+		// another's phases.
+		for _, rt := range rts {
+			rt.releaseWarm()
+		}
+	}
 	rep := &Report{
 		Cluster:   crep,
 		PerNode:   gs.stats,
@@ -176,6 +188,16 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 		return rep, gs.strictErr
 	}
 	return rep, nil
+}
+
+// releaseWarm ends the warm cache of a node whose program has finished:
+// the doRuns die with the Runtime, their write staging goes back to the
+// pools for the next run.
+func (rt *Runtime) releaseWarm() {
+	for _, d := range rt.warm {
+		d.releaseStaging()
+	}
+	rt.warm = nil
 }
 
 // NodeCount returns the number of nodes (the paper's PPM_node_count).

@@ -203,13 +203,15 @@ type Global[T Elem] struct {
 	// wout[dst] is, on a mesh rank, this phase's runs for dst's partition
 	// already in the wire commit grammar (wruns[dst] of them), appended at
 	// flush in VP-then-program order; encodeStagedWire puts a block header
-	// in front and empties it.
-	wout  [][]byte
+	// in front and empties it. Each peer's buffer is drawn from wireStaging
+	// at allocation and handed back when the run succeeds (releaseStaging).
+	wout  []*[]byte
 	wruns []int
 	// strict-mode conflict tracking, allocated at first strict commit.
 	ct *conflictTracker
-	// bufPool recycles per-VP write buffers across Do invocations.
-	bufPool sync.Pool
+	// bufs is the process-wide pool of *gBuf[T] the VPs' write buffers for
+	// this array come from (stagingPool), looked up once here.
+	bufs *sync.Pool
 	// Distributed mode: dcov (under dmu) is the set of index ranges of
 	// other ranks' partitions whose elements in lines are valid this phase
 	// (every remotely fetched range). dpend is the set currently being
@@ -240,6 +242,7 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 			n:    n,
 			es:   mp.SizeOf[T](),
 			part: partition.NewBlock(n, nodes),
+			bufs: stagingPool[*gBuf[T]](),
 		}
 		g.bnd = append(g.part.Displs(), n)
 		g.stage = make([][][]stageRec[T], nodes)
@@ -257,7 +260,7 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 		g.lmask = line - 1
 		g.lines = make([][]T, (n+line-1)/line)
 		g.stage[rt.node] = make([][]stageRec[T], nodes)
-		g.wout = make([][]byte, nodes)
+		g.wout = takeWire(nodes, rt.node)
 		g.wruns = make([]int, nodes)
 		return g
 	})
@@ -571,8 +574,8 @@ type Node[T Elem] struct {
 	base [][]T
 	// strict-mode conflict tracking, allocated at first strict commit.
 	ct *conflictTracker
-	// bufPool recycles per-VP write buffers across Do invocations.
-	bufPool sync.Pool
+	// bufs is the process-wide pool of *nBuf[T] (see Global.bufs).
+	bufs *sync.Pool
 }
 
 // AllocNode allocates a node-shared array of n elements on every node.
@@ -590,6 +593,7 @@ func AllocNode[T Elem](rt *Runtime, name string, n int) *Node[T] {
 			n:    n,
 			es:   mp.SizeOf[T](),
 			base: make([][]T, nodes),
+			bufs: stagingPool[*nBuf[T]](),
 		}
 		for i := range a.base {
 			if rt.gs.dist == nil || i == rt.node {

@@ -406,9 +406,10 @@ type doRun struct {
 
 	// Distributed commit scratch (see commitGlobalDist): the outgoing
 	// stream slice, per-destination raw and delta-encode buffers,
-	// per-source decode buffers, and the stream cursors.
+	// per-source decode buffers, and the stream cursors. The raw buffers
+	// come from wireStaging and go back with releaseStaging.
 	cout    [][]byte
-	coutRaw [][]byte
+	coutRaw []*[]byte
 	coutEnc [][]byte
 	cdec    [][]byte
 	ccurs   []commitCursor
@@ -754,7 +755,7 @@ func (d *doRun) openPhase(kind phaseKind) {
 // finish charges the VP work accumulated after the last phase (or in a
 // phase-less Do), which the VPs left in snapshot slot p when they
 // returned, merges residual counters, and returns the VPs' write buffers
-// to their arrays' pools for the next Do.
+// to their pools for the next Do.
 func (d *doRun) finish(p int32) {
 	mach := d.rt.gs.mach
 	extra := vtime.Duration(0)
@@ -770,16 +771,12 @@ func (d *doRun) finish(p int32) {
 		st.SharedReads += vp.reads
 		st.SharedWrites += vp.writes
 		vp.reads, vp.writes = 0, 0
-		if d.persistent {
-			// Keep the write buffers attached: the next warm invocation
-			// of this Do shape reuses them (same VP, same writer id)
-			// with their record and arena capacity intact, instead of
-			// round-tripping through the pool.
-			continue
-		}
-		for _, b := range vp.bufs {
-			b.release()
-		}
-		vp.bufs = nil
+	}
+	// A warm doRun keeps its write buffers attached: the next invocation
+	// of this Do shape in the run reuses them (same VP, same writer id)
+	// with their record and arena capacity intact, instead of
+	// round-tripping through the pool. They go back when the run ends.
+	if !d.persistent {
+		d.releaseStaging()
 	}
 }

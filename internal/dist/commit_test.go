@@ -441,7 +441,65 @@ func TestCommitPlaneRecyclesBuffers(t *testing.T) {
 	}
 }
 
+// TestCommitPlaneHonestStreamGrowsOnce: a stream below commitTrustTotal is
+// sized for its announced total by its first chunk, so however many
+// chunks it arrives in, assembling it costs one allocation.
+func TestCommitPlaneHonestStreamGrowsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the plane's pool
+	var cp commitPlane
+	cp.init(2)
+	// An empty exchange first, so the plane has a buffer to recycle.
+	if err := cp.end(1, wire.CommitHeader{Seq: 1, Phase: 1}); err != nil {
+		t.Fatal(err)
+	}
+	in, err := cp.wait(1, 1, 0, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.release(in)
+
+	const total, chunk = 130 << 10, 32 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := 0; off < total; off += chunk {
+		n := min(chunk, total-off)
+		if _, err := cp.reserve(1, wire.CommitHeader{Seq: 2, Phase: 2, Off: off, Total: total}, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 1 {
+		t.Errorf("a %d-byte stream in %d-byte chunks took %d allocations, want 1", total, chunk, n)
+	}
+}
+
 // --- the same checks through a socket -----------------------------------
+
+// TestCommitChunkAllocatesWhatArrives has a handshaken peer send one
+// commit chunk of a single byte that announces a stream of wire.MaxFrame
+// bytes. Trusting the announcement would cost a gigabyte; the plane
+// allocates at most commitTrustTotal until more bytes arrive.
+func TestCommitChunkAllocatesWhatArrives(t *testing.T) {
+	eng, conn := rawPeer(t, nil)
+	frame := wire.AppendCommitData(nil, wire.CommitHeader{Seq: 1, Phase: 4, Total: wire.MaxFrame}, []byte{1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	// A message behind the chunk: once it is in, the reader is past the chunk.
+	if _, err := conn.Write(append(frame, wire.AppendFrame(nil, wire.KindMsg, wire.EncodeMsg(5, nil, false))...)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Recv(1, 5)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("a %d-byte commit frame announcing %d bytes cost %d bytes of allocation", len(frame), wire.MaxFrame, got)
+	}
+	if err := eng.fatalErr(); !strings.Contains(err.Error(), "engine shut down") {
+		t.Errorf("the chunk killed the mesh: %v", err)
+	}
+}
 
 // rawPeer connects a real engine (rank 0 of 2) to a hand-driven rank 1:
 // the test owns the socket and writes whatever frames it likes after a

@@ -89,11 +89,20 @@ func (cp *commitPlane) frameBuf(src int, h wire.CommitHeader) (*commitBuf, error
 	return cp.buf(h.Seq, h.Phase)
 }
 
+// commitTrustTotal is the largest announced stream total the plane
+// allocates up front. Every honest stream of the benchmark's commit-heavy
+// jobs is far below it, so it arrives in one allocation; a larger total
+// buys memory only as its bytes arrive.
+const commitTrustTotal = 1 << 20
+
 // reserve places a chunk of n bytes at h.Off of src's stream and returns
 // where the reader is to put it; nil means drop it (a repeat). The first
-// chunk sizes the stream for its announced total. Only src's reader
-// appends to the stream, and the waiter does not see it before src's end,
-// so the reader fills the reservation without the lock.
+// chunk sizes the stream for its announced total if that is at most
+// commitTrustTotal; a larger stream grows at least twofold, and by at
+// least commitTrustTotal, whenever a chunk would overflow it, so a frame
+// announcing a gigabyte costs a megabyte. Only src's reader appends to the
+// stream, and the waiter does not see it before src's end, so the reader
+// fills the reservation without the lock.
 func (cp *commitPlane) reserve(src int, h wire.CommitHeader, n int) ([]byte, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -112,10 +121,15 @@ func (cp *commitPlane) reserve(src int, h wire.CommitHeader, n int) ([]byte, err
 	case h.Off+n > h.Total:
 		return nil, fmt.Errorf("rank %d's phase %d commit stream overruns its announced %d bytes by %d", src, h.Phase, h.Total, h.Off+n-h.Total)
 	}
-	if cap(s) < h.Total {
-		s = append(make([]byte, 0, h.Total), s...)
+	end := h.Off + n
+	if cap(s) < end {
+		size := h.Total
+		if size > commitTrustTotal {
+			size = min(h.Total, max(end, 2*cap(s), commitTrustTotal))
+		}
+		s = append(make([]byte, 0, size), s...)
 	}
-	s = s[:h.Off+n]
+	s = s[:end]
 	b.data[src] = s
 	return s[h.Off:], nil
 }

@@ -203,26 +203,18 @@ func (e *Engine) serveLoop() {
 	case <-e.fatalCh:
 		return
 	}
+	var parts [][]byte // readReply's scratch, kept across requests
 	for {
 		select {
 		case req := <-e.serveCh:
 			e.serverMu.RLock()
 			server := e.server
 			e.serverMu.RUnlock()
-			// The server returns copies: the first range's is the reply, and
-			// a one-range request (a demand miss's line) copies nothing more.
 			var reply []byte
-			for i, r := range req.ranges {
-				data, err := server(r.Array, r.Lo, r.Hi)
-				if err != nil {
-					e.Abort(fmt.Errorf("dist: rank %d: serving read for rank %d: %w", e.rank, req.dst, err))
-					return
-				}
-				if i == 0 {
-					reply = data
-				} else {
-					reply = append(reply, data...)
-				}
+			var err error
+			if reply, parts, err = readReply(server, req.ranges, parts); err != nil {
+				e.Abort(fmt.Errorf("dist: rank %d: serving read for rank %d: %w", e.rank, req.dst, err))
+				return
 			}
 			if e.enqueue(req.dst, outFrame{kind: wire.KindReadResp, id: req.id, payload: reply}) != nil {
 				return
@@ -231,6 +223,35 @@ func (e *Engine) serveLoop() {
 			return
 		}
 	}
+}
+
+// readReply answers one read request through server, which returns a copy
+// of each range. A one-range request (a demand miss's line) sends that
+// copy as it is; the copies of several are collected in parts (the
+// caller's scratch, handed back for the next request) and joined into one
+// reply made at its final size.
+func readReply(server func(array, lo, hi int) ([]byte, error), ranges []wire.ReadRange, parts [][]byte) ([]byte, [][]byte, error) {
+	parts = parts[:0]
+	size := 0
+	for _, r := range ranges {
+		data, err := server(r.Array, r.Lo, r.Hi)
+		if err != nil {
+			return nil, parts, err
+		}
+		parts = append(parts, data)
+		size += len(data)
+	}
+	var reply []byte
+	if len(parts) == 1 {
+		reply = parts[0]
+	} else {
+		reply = make([]byte, 0, size)
+		for _, p := range parts {
+			reply = append(reply, p...)
+		}
+	}
+	clear(parts) // the scratch keeps no copy alive
+	return reply, parts[:0], nil
 }
 
 // enqueue queues one frame for dst's writer.

@@ -130,6 +130,42 @@ func TestFetchRangesConcurrent(t *testing.T) {
 	})
 }
 
+// TestReadReplyAllocatesCopiesAndOneReply: serving a 3-range request costs
+// the read server's three copies and one reply of their summed size, not
+// a reply regrown range by range; a one-range request costs its copy
+// alone. The reply is the ranges' bytes in request order.
+func TestReadReplyAllocatesCopiesAndOneReply(t *testing.T) {
+	src := rangeBytes(0, 0, 4096)
+	server := func(array, lo, hi int) ([]byte, error) {
+		out := make([]byte, 4*(hi-lo)) // a copy of exactly the range, as core's server makes
+		copy(out, src[4*lo:4*hi])
+		return out, nil
+	}
+	three := []wire.ReadRange{{Lo: 0, Hi: 1024}, {Lo: 2048, Hi: 3072}, {Lo: 100, Hi: 612}}
+	var parts [][]byte
+	reply, parts, err := readReply(server, three, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(rangeBytes(0, 0, 1024), rangeBytes(0, 2048, 3072)...), rangeBytes(0, 100, 612)...)
+	if !bytes.Equal(reply, want) {
+		t.Fatalf("reply is %d bytes and not the ranges in request order", len(reply))
+	}
+	for i, p := range parts[:cap(parts)] {
+		if p != nil {
+			t.Fatalf("the scratch still holds range %d's copy", i)
+		}
+	}
+	for _, tc := range []struct {
+		ranges []wire.ReadRange
+		want   float64
+	}{{three, 4}, {three[:1], 1}} {
+		if got := testing.AllocsPerRun(100, func() { _, parts, _ = readReply(server, tc.ranges, parts) }); got != tc.want {
+			t.Errorf("a %d-range request allocated %v times, want %v", len(tc.ranges), got, tc.want)
+		}
+	}
+}
+
 // TestReadServerErrorAbortsNamingRange: when the installed read server
 // refuses one range of a request (core refuses ranges outside the
 // partition it owns), the owner aborts the fleet with the refusal, and
