@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build app-sites transport-seam vet ppmvet ppmvet-examples vet-all vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites transport-seam race-seam vet ppmvet ppmvet-examples vet-all vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, gated by the
 ## findings baseline, the one-descriptor-per-application rule and the
-## one-link-per-peer rule) and race-test.
-check: build app-sites transport-seam vet vet-all ppmvet-examples langcheck race
+## one-link-per-peer rule and the one-race-engine rule) and race-test.
+check: build app-sites transport-seam race-seam vet vet-all ppmvet-examples langcheck race
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,21 @@ transport-seam:
 	@out=$$( { grep -n -e '\bnet\.' -e '\.conn\b' internal/dist/*.go \
 			| grep -v -e '_test\.go:' -e '^internal/dist/link\.go:' -e '^internal/dist/mesh\.go:'; \
 		grep -n 'encoding/binary' internal/dist/*.go | grep -v '_test\.go:'; } ); \
+	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
+
+## race-seam: one phase-race engine under both front ends.
+## internal/phaserace owns the pair verdict and imports nothing from ppm/
+## or go/; ppmc does not link go/ast, go/types or internal/analysis; and
+## neither internal/lang nor internal/analysis declares a verdict of its
+## own (a verdict type, or a pairVerdict / solveTerms / solveOne /
+## pointPair / intervalPair / strideVerdict func). The offending lines
+## are printed.
+race-seam:
+	@out=$$( { $(GO) list -deps ./cmd/ppmc | grep -x -e 'go/ast' -e 'go/types' -e 'ppm/internal/analysis'; \
+		$(GO) list -f '{{join .Imports "\n"}}{{"\n"}}{{join .TestImports "\n"}}' ./internal/phaserace | grep -e '^ppm/' -e '^go/'; \
+		grep -nE -e '^[[:space:]]*type verdict\b' \
+			-e '^func (\([^)]*\) )?(pairVerdict|solveTerms|solveOne|pointPair|intervalPair|strideVerdict)\(' \
+			internal/lang/*.go internal/analysis/*.go; } ); \
 	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 vet:

@@ -1,17 +1,10 @@
 package analysis
 
-// Affine index resolution: rewriting shared-array index expressions as
-// affine forms over a small symbol vocabulary — VP rank, global rank,
-// node id, ChunkRange/OwnerRange results, loop induction variables, and
-// opaque-but-uniform values — precise enough to decide whether two VP
-// instances of a phase can write the same element (see phaserace.go for
-// the decision procedure itself).
-//
-// Symbols carry a uniformity class, which is what the pair comparison
-// exploits: a kUniform symbol has one value for every VP of the program,
-// a kNodeVar one value per node, while kNodeRank/kGlobalRank/kChunk*
-// vary per VP in ways with known structure (ranks are dense integers;
-// ChunkRange intervals partition [0, n) across the ranks of one node).
+// Affine index resolution: lowering shared-array index expressions to
+// internal/phaserace's affine forms over its symbol vocabulary — VP
+// rank, global rank, node id, ChunkRange/OwnerRange results, loop
+// induction variables, vp.K() strides, and opaque values classified by
+// uniformity (one value program-wide, one per node, or per VP).
 
 import (
 	"fmt"
@@ -21,114 +14,9 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	pr "ppm/internal/phaserace"
 )
-
-type symKind int
-
-const (
-	kUniform    symKind = iota // one value program-wide
-	kNodeVar                   // one value per node, unknown across nodes
-	kNodeID                    // rt.NodeID(): distinct per node
-	kNodeRank                  // vp.NodeRank(): per VP, dense 0..K-1 per node
-	kGlobalRank                // vp.GlobalRank(): distinct across all VPs
-	kOwnerLo                   // OwnerRange lo of a shared array: per node
-	kOwnerHi                   // OwnerRange hi of a shared array: per node
-	kChunkLo                   // ChunkRange lo: per VP, partition structure
-	kChunkHi                   // ChunkRange hi: per VP, partition structure
-	kLoop                      // loop induction variable (substituted away)
-)
-
-// sym is one symbolic term. key discriminates distinct symbols of a
-// kind: a types.Object, an ast.Node, a string, or a chunk-site key.
-type sym struct {
-	kind symKind
-	key  any
-}
-
-// affine is c + Σ terms[s]*s, or unresolvable (ok == false).
-type affine struct {
-	ok bool
-	c  int64
-	t  map[sym]int64
-}
-
-func aConst(c int64) affine { return affine{ok: true, c: c} }
-func aSym(s sym) affine     { return affine{ok: true, t: map[sym]int64{s: 1}} }
-func aBad() affine          { return affine{} }
-
-func (a affine) clone() affine {
-	b := affine{ok: a.ok, c: a.c, t: map[sym]int64{}}
-	for s, c := range a.t {
-		b.t[s] = c
-	}
-	return b
-}
-
-func (a affine) addScaled(b affine, k int64) affine {
-	if !a.ok || !b.ok {
-		return aBad()
-	}
-	r := a.clone()
-	r.c += k * b.c
-	for s, c := range b.t {
-		r.t[s] += k * c
-		if r.t[s] == 0 {
-			delete(r.t, s)
-		}
-	}
-	return r
-}
-
-func (a affine) add(b affine) affine { return a.addScaled(b, 1) }
-func (a affine) sub(b affine) affine { return a.addScaled(b, -1) }
-
-func (a affine) scale(k int64) affine {
-	if !a.ok {
-		return aBad()
-	}
-	r := affine{ok: true, c: a.c * k, t: map[sym]int64{}}
-	for s, c := range a.t {
-		if c*k != 0 {
-			r.t[s] = c * k
-		}
-	}
-	return r
-}
-
-// isConst reports a pure constant and its value.
-func (a affine) isConst() (int64, bool) {
-	if !a.ok || len(a.t) != 0 {
-		return 0, false
-	}
-	return a.c, true
-}
-
-func (a affine) coef(s sym) int64 { return a.t[s] }
-
-// equal reports structural equality (same symbols, same coefficients).
-func (a affine) equal(b affine) bool {
-	if !a.ok || !b.ok || a.c != b.c || len(a.t) != len(b.t) {
-		return false
-	}
-	for s, c := range a.t {
-		if b.t[s] != c {
-			return false
-		}
-	}
-	return true
-}
-
-// kindsIn reports whether a mentions any symbol of the given kinds.
-func (a affine) kindsIn(kinds ...symKind) bool {
-	for s := range a.t {
-		for _, k := range kinds {
-			if s.kind == k {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // resolveEnv is the context of one expression resolution: the frame (for
 // parameter substitution; nil during lexical ascent), the unit whose
@@ -143,7 +31,7 @@ func envOf(fr *frame, loops []loopRec) resolveEnv {
 	return resolveEnv{fr: fr, u: fr.unit, loops: loops}
 }
 
-// loopKey identifies one loop in one frame for kLoop symbols.
+// loopKey identifies one loop in one frame for its Loop symbols.
 type loopKey struct {
 	stmt ast.Node
 	fr   *frame
@@ -153,37 +41,50 @@ type loopKey struct {
 // analysis pass over one package.
 type resolver struct {
 	px *PkgIndex
-	// class memoizes object uniformity classification. The int encodes
-	// kUniform/kNodeVar, or -1 for per-VP (unresolvable).
-	class map[types.Object]int
+	// class memoizes object uniformity classification.
+	class map[types.Object]class
 	// chunk sites are canonicalized by the (n, k) argument affines: two
 	// ChunkRange calls with equal arguments compute the same partition,
 	// so their lo/hi symbols must be shared for cancellation.
 	chunkIDs map[string]int
-	chunkN   map[int]affine // chunk id -> n affine
+	chunkN   map[any]pr.Affine // chunk id -> n affine
 	// symIDs numbers symbols for canonical affine serialization.
-	symIDs map[sym]int
+	symIDs map[pr.Sym]int
 	// loopInfo caches validated loop bounds.
 	loopInfo map[loopKey]*loopBounds
+	// soleDefs caches soleDefOf per variable.
+	soleDefs map[types.Object]*soleDef
 }
 
-const classPerVP = -1
+// class is how far a value can differ between VPs; merging keeps the
+// larger.
+type class uint8
+
+const (
+	clsUniform class = iota // one value program-wide
+	clsNodeVar              // one value per node
+	clsPerVP                // may differ between VPs of one node
+)
+
+// kSym is vp.K(): the VP count of the node's Do.
+var kSym = pr.Sym{Kind: pr.NodeVar, Key: "vp.K"}
 
 func newResolver(px *PkgIndex) *resolver {
 	return &resolver{
 		px:       px,
-		class:    map[types.Object]int{},
+		class:    map[types.Object]class{},
 		chunkIDs: map[string]int{},
-		chunkN:   map[int]affine{},
-		symIDs:   map[sym]int{},
+		chunkN:   map[any]pr.Affine{},
+		symIDs:   map[pr.Sym]int{},
 		loopInfo: map[loopKey]*loopBounds{},
+		soleDefs: map[types.Object]*soleDef{},
 	}
 }
 
 // canon serializes an affine into a stable string (used to canonicalize
 // chunk sites by their arguments).
-func (rv *resolver) canon(a affine) string {
-	if !a.ok {
+func (rv *resolver) canon(a pr.Affine) string {
+	if !a.OK {
 		return "?"
 	}
 	type term struct {
@@ -191,7 +92,7 @@ func (rv *resolver) canon(a affine) string {
 		c  int64
 	}
 	var ts []term
-	for s, c := range a.t {
+	for s, c := range a.T {
 		id, ok := rv.symIDs[s]
 		if !ok {
 			id = len(rv.symIDs)
@@ -201,7 +102,7 @@ func (rv *resolver) canon(a affine) string {
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i].id < ts[j].id })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d", a.c)
+	fmt.Fprintf(&b, "%d", a.C)
 	for _, t := range ts {
 		fmt.Fprintf(&b, "+%d*s%d", t.c, t.id)
 	}
@@ -212,20 +113,12 @@ func (rv *resolver) canon(a affine) string {
 // and records n for owner-anchoring checks. ok is false when the rank
 // argument is not plainly vp.NodeRank(), or n/k are not VP-invariant —
 // the partition property then does not relate same-node VPs.
-func (rv *resolver) chunkSite(nAff, kAff, rankAff affine) (id int, ok bool) {
-	isRankSym := rankAff.ok && rankAff.c == 0 && len(rankAff.t) == 1
-	if isRankSym {
-		for s, c := range rankAff.t {
-			if s.kind != kNodeRank || c != 1 {
-				isRankSym = false
-			}
-		}
+func (rv *resolver) chunkSite(nAff, kAff, rankAff pr.Affine) (id int, ok bool) {
+	rank := pr.Sym{Kind: pr.NodeRank}
+	perVP := func(a pr.Affine) bool {
+		return !a.OK || a.Has(pr.NodeRank, pr.GlobalRank, pr.ChunkLo, pr.ChunkHi, pr.Loop, pr.Stride)
 	}
-	perVP := func(a affine) bool {
-		return !a.ok || a.kindsIn(kNodeRank, kGlobalRank, kChunkLo, kChunkHi, kLoop)
-	}
-	ok = isRankSym && !perVP(nAff) && !perVP(kAff)
-	if !ok {
+	if !rankAff.Equal(pr.Of(rank)) || perVP(nAff) || perVP(kAff) {
 		return 0, false
 	}
 	key := rv.canon(nAff) + ";" + rv.canon(kAff)
@@ -235,7 +128,7 @@ func (rv *resolver) chunkSite(nAff, kAff, rankAff affine) (id int, ok bool) {
 		rv.chunkIDs[key] = cid
 		rv.chunkN[cid] = nAff
 	}
-	return cid, ok
+	return cid, true
 }
 
 // constVal extracts an exact integer constant from the type checker.
@@ -252,18 +145,18 @@ func (rv *resolver) constVal(e ast.Expr) (int64, bool) {
 }
 
 // exprAffine resolves e (in env) to an affine form.
-func (rv *resolver) exprAffine(e ast.Expr, env resolveEnv) affine {
+func (rv *resolver) exprAffine(e ast.Expr, env resolveEnv) pr.Affine {
 	return rv.exprAffineD(e, env, 0)
 }
 
 const maxResolveDepth = 24
 
-func (rv *resolver) exprAffineD(e ast.Expr, env resolveEnv, depth int) affine {
+func (rv *resolver) exprAffineD(e ast.Expr, env resolveEnv, depth int) pr.Affine {
 	if depth > maxResolveDepth {
-		return aBad()
+		return pr.Affine{}
 	}
 	if v, ok := rv.constVal(e); ok {
-		return aConst(v)
+		return pr.Const(v)
 	}
 	switch x := e.(type) {
 	case *ast.ParenExpr:
@@ -273,23 +166,23 @@ func (rv *resolver) exprAffineD(e ast.Expr, env resolveEnv, depth int) affine {
 		case token.ADD:
 			return rv.exprAffineD(x.X, env, depth+1)
 		case token.SUB:
-			return rv.exprAffineD(x.X, env, depth+1).scale(-1)
+			return rv.exprAffineD(x.X, env, depth+1).Scale(-1)
 		}
-		return aBad()
+		return pr.Affine{}
 	case *ast.BinaryExpr:
 		l := rv.exprAffineD(x.X, env, depth+1)
 		r := rv.exprAffineD(x.Y, env, depth+1)
 		switch x.Op {
 		case token.ADD:
-			return l.add(r)
+			return l.Add(r)
 		case token.SUB:
-			return l.sub(r)
+			return l.Sub(r)
 		case token.MUL:
-			if c, ok := l.isConst(); ok {
-				return r.scale(c)
+			if c, ok := l.IsConst(); ok {
+				return r.Scale(c)
 			}
-			if c, ok := r.isConst(); ok {
-				return l.scale(c)
+			if c, ok := r.IsConst(); ok {
+				return l.Scale(c)
 			}
 		}
 		return rv.opaque(e, env)
@@ -302,29 +195,26 @@ func (rv *resolver) exprAffineD(e ast.Expr, env resolveEnv, depth int) affine {
 				}
 			}
 		}
-		if isVPMethod(rv.px.info, x, "NodeRank") {
-			return aSym(sym{kNodeRank, "rank"})
-		}
-		if isVPMethod(rv.px.info, x, "GlobalRank") {
-			return aSym(sym{kGlobalRank, "grank"})
-		}
-		if isVPMethod(rv.px.info, x, "K") {
-			return aSym(sym{kNodeVar, "vp.K"})
-		}
-		if isVPMethod(rv.px.info, x, "GlobalK") {
-			return aSym(sym{kUniform, "vp.GlobalK"})
-		}
-		if isVPMethod(rv.px.info, x, "Node", "Nodes", "Cores") {
-			if isVPMethod(rv.px.info, x, "Node") {
-				return aSym(sym{kNodeID, "node"})
+		// A literal called in place that only returns one expression
+		// (how `ppmc emit` spells my_lo(A)) is that expression.
+		if lit, ok := x.Fun.(*ast.FuncLit); ok && len(x.Args) == 0 {
+			if ret := onlyReturn(lit); ret != nil {
+				return rv.exprAffineD(ret, resolveEnv{u: rv.px.units[lit]}, depth+1)
 			}
-			return aSym(sym{kUniform, "vp." + x.Fun.(*ast.SelectorExpr).Sel.Name})
 		}
-		if isRuntimeMethod(rv.px.info, x, "NodeID") {
-			return aSym(sym{kNodeID, "node"})
-		}
-		if isRuntimeMethod(rv.px.info, x, "NodeCount", "CoresPerNode") {
-			return aSym(sym{kUniform, "rt." + x.Fun.(*ast.SelectorExpr).Sel.Name})
+		switch {
+		case isVPMethod(rv.px.info, x, "NodeRank"):
+			return pr.Of(pr.Sym{Kind: pr.NodeRank})
+		case isVPMethod(rv.px.info, x, "GlobalRank"):
+			return pr.Of(pr.Sym{Kind: pr.GlobalRank})
+		case isVPMethod(rv.px.info, x, "K"):
+			return pr.Of(kSym)
+		case isVPMethod(rv.px.info, x, "Node") || isRuntimeMethod(rv.px.info, x, "NodeID"):
+			return pr.Of(pr.Sym{Kind: pr.NodeID})
+		case isVPMethod(rv.px.info, x, "GlobalK", "Nodes", "Cores"):
+			return pr.Of(pr.Sym{Kind: pr.Uniform, Key: "vp." + x.Fun.(*ast.SelectorExpr).Sel.Name})
+		case isRuntimeMethod(rv.px.info, x, "NodeCount", "CoresPerNode"):
+			return pr.Of(pr.Sym{Kind: pr.Uniform, Key: "rt." + x.Fun.(*ast.SelectorExpr).Sel.Name})
 		}
 		return rv.opaque(e, env)
 	case *ast.Ident:
@@ -333,16 +223,39 @@ func (rv *resolver) exprAffineD(e ast.Expr, env resolveEnv, depth int) affine {
 	return rv.opaque(e, env)
 }
 
+// onlyReturn returns X when lit's body ends in its only return, `return X`.
+func onlyReturn(lit *ast.FuncLit) ast.Expr {
+	n := len(lit.Body.List)
+	if n == 0 {
+		return nil
+	}
+	ret, ok := lit.Body.List[n-1].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return nil
+	}
+	returns := 0
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.ReturnStmt); ok {
+			returns++
+		}
+		return true
+	})
+	if returns != 1 {
+		return nil
+	}
+	return ret.Results[0]
+}
+
 // identAffine resolves one identifier: parameter substitution, loop
 // induction symbol, unique-definition rewriting, then classification.
-func (rv *resolver) identAffine(id *ast.Ident, env resolveEnv, depth int) affine {
+func (rv *resolver) identAffine(id *ast.Ident, env resolveEnv, depth int) pr.Affine {
 	info := rv.px.info
 	obj := info.Uses[id]
 	if obj == nil {
 		obj = info.Defs[id]
 	}
 	if obj == nil {
-		return aBad()
+		return pr.Affine{}
 	}
 	// Parameter bound at a call site: resolve the caller's argument in
 	// the caller's context.
@@ -356,20 +269,41 @@ func (rv *resolver) identAffine(id *ast.Ident, env resolveEnv, depth int) affine
 	for i := len(env.loops) - 1; i >= 0; i-- {
 		lr := env.loops[i]
 		if rv.loopOwns(lr, obj) {
-			return aSym(sym{kLoop, loopKey{lr.stmt, lr.fr}})
+			return pr.Of(pr.Sym{Kind: pr.Loop, Key: loopKey{lr.stmt, lr.fr}})
 		}
 	}
 	return rv.resolveObj(obj, id.Pos(), env, depth)
 }
 
+// loopsAround keeps the loops that enclose n: a definition inside a
+// loop not active at the use would replay per iteration.
+func loopsAround(loops []loopRec, n ast.Node) []loopRec {
+	var out []loopRec
+	for _, lr := range loops {
+		if lr.stmt.Pos() <= n.Pos() && n.Pos() < lr.stmt.End() {
+			out = append(out, lr)
+		}
+	}
+	return out
+}
+
 // resolveObj resolves obj at pos through its reaching definitions.
-func (rv *resolver) resolveObj(obj types.Object, pos token.Pos, env resolveEnv, depth int) affine {
+func (rv *resolver) resolveObj(obj types.Object, pos token.Pos, env resolveEnv, depth int) pr.Affine {
 	if depth > maxResolveDepth {
-		return aBad()
+		return pr.Affine{}
+	}
+	// Reaching definitions do not see `var x = e`, so a stride
+	// variable's one step can look like its unique definition.
+	sd := rv.soleDefOf(obj)
+	if sd != nil && sd.mul > 0 {
+		return rv.soleDefForm(obj, sd, env, depth)
 	}
 	r := rv.px.reachOf(env.u)
 	d := r.uniqueDef(obj, pos)
 	if d == nil {
+		if sd != nil {
+			return rv.soleDefForm(obj, sd, env, depth)
+		}
 		return rv.classified(obj)
 	}
 	if d.site == nil {
@@ -391,16 +325,8 @@ func (rv *resolver) resolveObj(obj types.Object, pos token.Pos, env resolveEnv, 
 		}
 		return rv.resolveObj(obj, child.node.Pos(), resolveEnv{u: du}, depth+1)
 	}
-	// Definitions inside loops not active in env would replay per
-	// iteration; restrict substitution-context loops to those enclosing
-	// the def site.
 	denv := env
-	denv.loops = nil
-	for _, lr := range env.loops {
-		if lr.stmt.Pos() <= d.site.Pos() && d.site.Pos() < lr.stmt.End() {
-			denv.loops = append(denv.loops, lr)
-		}
-	}
+	denv.loops = loopsAround(env.loops, d.site)
 	rhs, lhsIdx := defRHS(rv.px.info, d)
 	if rhs != nil {
 		return rv.exprAffineD(rhs, denv, depth+1)
@@ -416,22 +342,22 @@ func (rv *resolver) resolveObj(obj types.Object, pos token.Pos, env resolveEnv, 
 				if !ok {
 					return rv.classified(obj)
 				}
-				kind := kChunkLo
+				kind := pr.ChunkLo
 				if lhsIdx == 1 {
-					kind = kChunkHi
+					kind = pr.ChunkHi
 				}
-				return aSym(sym{kind, cid})
+				return pr.Of(pr.Sym{Kind: kind, Key: cid})
 			}
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "OwnerRange" {
 				if selx := rv.px.info.Selections[sel]; selx != nil && selx.Kind() == types.MethodVal {
 					if t := namedCoreType(selx.Recv()); t == "Global" || t == "Node" {
 						arr := rv.arrayObj(sel.X, denv)
 						if arr != nil {
-							kind := kOwnerLo
+							kind := pr.OwnerLo
 							if lhsIdx == 1 {
-								kind = kOwnerHi
+								kind = pr.OwnerHi
 							}
-							return aSym(sym{kind, arr})
+							return pr.Of(pr.Sym{Kind: kind, Key: arr})
 						}
 					}
 				}
@@ -439,6 +365,108 @@ func (rv *resolver) resolveObj(obj types.Object, pos token.Pos, env resolveEnv, 
 		}
 	}
 	return rv.classified(obj)
+}
+
+// soleDef is a variable defined once (base, at site at) and otherwise
+// at most stepped by one positive multiple mul of vp.K(): a `var x = e`
+// never reassigned (reaching definitions do not see var declarations),
+// or the stride loop `ppmc emit` writes for a vp_count stride (`row :=
+// lo + vp.NodeRank(); for row < hi { …; row = row + int64(vp.K()) }`).
+type soleDef struct {
+	du   *unit
+	base ast.Expr
+	at   ast.Node
+	mul  int64
+}
+
+// soleDefOf matches obj against soleDef's shape; nil when it is not one.
+func (rv *resolver) soleDefOf(obj types.Object) *soleDef {
+	if sd, ok := rv.soleDefs[obj]; ok {
+		return sd
+	}
+	rv.soleDefs[obj] = nil
+	du := rv.px.declaringUnit(obj.Pos())
+	if du == nil {
+		return nil
+	}
+	info := rv.px.info
+	isObj := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && (info.Uses[id] == obj || info.Defs[id] == obj)
+	}
+	sd := &soleDef{du: du}
+	ok := true
+	step := func(inc ast.Expr) {
+		a := rv.exprAffine(inc, resolveEnv{u: du})
+		m := a.Coef(kSym)
+		ok = ok && a.OK && a.C == 0 && len(a.T) == 1 && m > 0 && (sd.mul == 0 || m == sd.mul)
+		sd.mul = m
+	}
+	def := func(at ast.Node, rhs ast.Expr) {
+		if b, isAdd := ast.Unparen(rhs).(*ast.BinaryExpr); isAdd && b.Op == token.ADD {
+			switch {
+			case isObj(b.X):
+				step(b.Y)
+				return
+			case isObj(b.Y):
+				step(b.X)
+				return
+			}
+		}
+		ok = ok && sd.base == nil
+		sd.base, sd.at = rhs, at
+	}
+	ast.Inspect(du.body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.ValueSpec:
+			for i, name := range x.Names {
+				if info.Defs[name] == obj {
+					if ok = ok && len(x.Values) == len(x.Names); ok {
+						def(x, x.Values[i])
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				if !isObj(lhs) {
+					continue
+				}
+				switch {
+				case len(x.Rhs) != len(x.Lhs):
+					ok = false
+				case x.Tok == token.ADD_ASSIGN:
+					step(x.Rhs[i])
+				case x.Tok == token.ASSIGN || x.Tok == token.DEFINE:
+					def(x, x.Rhs[i])
+				default:
+					ok = false
+				}
+			}
+		case *ast.IncDecStmt:
+			ok = ok && !isObj(x.X)
+		case *ast.UnaryExpr:
+			ok = ok && !(x.Op == token.AND && isObj(x.X))
+		}
+		return ok
+	})
+	if ok && sd.base != nil {
+		rv.soleDefs[obj] = sd
+	}
+	return rv.soleDefs[obj]
+}
+
+// soleDefForm lowers a soleDef to its base, plus Stride(mul) when it
+// steps, with the base resolved where it is defined.
+func (rv *resolver) soleDefForm(obj types.Object, sd *soleDef, env resolveEnv, depth int) pr.Affine {
+	denv := resolveEnv{u: sd.du}
+	if sd.du == env.u {
+		denv.fr, denv.loops = env.fr, loopsAround(env.loops, sd.at)
+	}
+	a := rv.exprAffineD(sd.base, denv, depth+1)
+	if sd.mul > 0 {
+		a = a.Add(pr.Of(pr.Sym{Kind: pr.Stride, Key: obj, N: sd.mul}))
+	}
+	return a
 }
 
 // isChunkRangeCall recognizes core.ChunkRange / ppm.ChunkRange.
@@ -548,7 +576,7 @@ func rangeValueOwner(info *types.Info, loops []loopRec, obj types.Object) (loopR
 // over [lo, hi) and is not otherwise assigned in the body.
 type loopBounds struct {
 	ok     bool
-	lo, hi affine
+	lo, hi pr.Affine
 }
 
 // bounds validates lr as a simple counted loop (i := A; i < B; i++, or
@@ -608,9 +636,9 @@ func (rv *resolver) bounds(lr loopRec, prefix []loopRec) *loopBounds {
 		lo := rv.exprAffine(init.Rhs[0], env)
 		hi := rv.exprAffine(cond.Y, env)
 		if cond.Op == token.LEQ {
-			hi = hi.add(aConst(1))
+			hi = hi.Add(pr.Const(1))
 		}
-		if !lo.ok || !hi.ok {
+		if !lo.OK || !hi.OK {
 			return b
 		}
 		b.ok, b.lo, b.hi = true, lo, hi
@@ -623,16 +651,16 @@ func (rv *resolver) bounds(lr loopRec, prefix []loopRec) *loopBounds {
 			return b
 		}
 		cls := rv.classifyExpr(st.X, env)
-		if cls == classPerVP {
+		if cls == clsPerVP {
 			return b
 		}
-		kind := kUniform
-		if cls == int(kNodeVar) {
-			kind = kNodeVar
+		kind := pr.Uniform
+		if cls == clsNodeVar {
+			kind = pr.NodeVar
 		}
 		b.ok = true
-		b.lo = aConst(0)
-		b.hi = aSym(sym{kind, key})
+		b.lo = pr.Const(0)
+		b.hi = pr.Of(pr.Sym{Kind: kind, Key: key})
 		return b
 	}
 	return b
@@ -678,53 +706,42 @@ func loopReassignsKey(info *types.Info, st *ast.RangeStmt) bool {
 // opaque builds a symbol for an expression the affine grammar cannot
 // decompose, classified by uniformity; per-VP opaque values poison the
 // form.
-func (rv *resolver) opaque(e ast.Expr, env resolveEnv) affine {
-	switch rv.classifyExpr(e, env) {
-	case classPerVP:
-		return aBad()
-	case int(kNodeVar):
-		return aSym(sym{kNodeVar, ast.Node(e)})
-	default:
-		return aSym(sym{kUniform, ast.Node(e)})
-	}
+func (rv *resolver) opaque(e ast.Expr, env resolveEnv) pr.Affine {
+	return classSym(rv.classifyExpr(e, env), ast.Node(e))
 }
 
 // classified resolves obj to its uniformity symbol.
-func (rv *resolver) classified(obj types.Object) affine {
-	switch rv.classifyObj(obj, 0) {
-	case classPerVP:
-		return aBad()
-	case int(kNodeVar):
-		return aSym(sym{kNodeVar, obj})
-	default:
-		return aSym(sym{kUniform, obj})
-	}
+func (rv *resolver) classified(obj types.Object) pr.Affine {
+	return classSym(rv.classifyObj(obj, 0), obj)
 }
 
-// classifyExpr classifies an expression's uniformity: classPerVP if it
-// can differ between VPs of one node, kNodeVar if only between nodes,
-// kUniform otherwise.
-func (rv *resolver) classifyExpr(e ast.Expr, env resolveEnv) int {
-	cls := int(kUniform)
-	merge := func(c int) {
-		if c == classPerVP || cls == classPerVP {
-			cls = classPerVP
-		} else if c == int(kNodeVar) {
-			cls = int(kNodeVar)
-		}
+func classSym(c class, key any) pr.Affine {
+	switch c {
+	case clsPerVP:
+		return pr.Affine{}
+	case clsNodeVar:
+		return pr.Of(pr.Sym{Kind: pr.NodeVar, Key: key})
 	}
+	return pr.Of(pr.Sym{Kind: pr.Uniform, Key: key})
+}
+
+// classifyExpr classifies an expression's uniformity: clsPerVP if it
+// can differ between VPs of one node, clsNodeVar if only between nodes,
+// clsUniform otherwise.
+func (rv *resolver) classifyExpr(e ast.Expr, env resolveEnv) class {
+	cls := clsUniform
 	ast.Inspect(e, func(n ast.Node) bool {
-		if cls == classPerVP {
+		if cls == clsPerVP {
 			return false
 		}
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			if isVPMethod(rv.px.info, x, "NodeRank", "GlobalRank") {
-				merge(classPerVP)
+				cls = clsPerVP
 				return false
 			}
 			if isVPMethod(rv.px.info, x, "K") || isRuntimeMethod(rv.px.info, x, "NodeID") {
-				merge(int(kNodeVar))
+				cls = max(cls, clsNodeVar)
 				return false
 			}
 		case *ast.Ident:
@@ -733,11 +750,11 @@ func (rv *resolver) classifyExpr(e ast.Expr, env resolveEnv) int {
 				// Loop variables active in env are per-VP iteration state.
 				for _, lr := range env.loops {
 					if rv.loopOwns(lr, obj) {
-						merge(classPerVP)
+						cls = clsPerVP
 						return true
 					}
 				}
-				merge(rv.classifyObj(obj, 0))
+				cls = max(cls, rv.classifyObj(obj, 0))
 			}
 		}
 		return true
@@ -747,47 +764,40 @@ func (rv *resolver) classifyExpr(e ast.Expr, env resolveEnv) int {
 
 // classifyObj classifies a variable's uniformity from where it is
 // declared and what its definitions mention.
-func (rv *resolver) classifyObj(obj types.Object, depth int) int {
+func (rv *resolver) classifyObj(obj types.Object, depth int) class {
 	if c, ok := rv.class[obj]; ok {
 		return c
 	}
 	if depth > 8 {
-		return int(kNodeVar) // conservative middle class
+		return clsNodeVar // conservative middle class
 	}
 	// Guard against recursion through cyclic definitions.
-	rv.class[obj] = int(kNodeVar)
+	rv.class[obj] = clsNodeVar
 
-	cls := int(kUniform)
+	cls := clsUniform
 	du := rv.px.declaringUnit(obj.Pos())
 	if du != nil && rv.px.vpRoot(du) != nil {
-		cls = classPerVP
+		cls = clsPerVP
 	} else if du != nil {
 		// Scan the declaring unit's definitions of obj for node- or
 		// VP-dependent ingredients.
-		merge := func(c int) {
-			if c == classPerVP || cls == classPerVP {
-				cls = classPerVP
-			} else if c == int(kNodeVar) {
-				cls = int(kNodeVar)
-			}
-		}
 		scanRHS := func(e ast.Expr) {
 			ast.Inspect(e, func(n ast.Node) bool {
-				if cls == classPerVP {
+				if cls == clsPerVP {
 					return false
 				}
 				switch x := n.(type) {
 				case *ast.CallExpr:
 					if isVPMethod(rv.px.info, x, "NodeRank", "GlobalRank") {
-						merge(classPerVP)
+						cls = clsPerVP
 						return false
 					}
 					if isVPMethod(rv.px.info, x, "K") || isRuntimeMethod(rv.px.info, x, "NodeID") {
-						merge(int(kNodeVar))
+						cls = max(cls, clsNodeVar)
 						return false
 					}
 					if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "OwnerRange" {
-						merge(int(kNodeVar))
+						cls = max(cls, clsNodeVar)
 						return false
 					}
 					// AllReduce results are uniform across nodes.
@@ -797,7 +807,7 @@ func (rv *resolver) classifyObj(obj types.Object, depth int) int {
 				case *ast.Ident:
 					o := rv.px.info.Uses[x]
 					if v, ok := o.(*types.Var); ok && !v.IsField() && o != obj {
-						merge(rv.classifyObj(o, depth+1))
+						cls = max(cls, rv.classifyObj(o, depth+1))
 					}
 				}
 				return true

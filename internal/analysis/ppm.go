@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // corePath is the package defining the shared-array and VP types; the
@@ -369,34 +370,39 @@ func rankDependent(info *types.Info, e ast.Expr, tainted map[types.Object]bool) 
 	return dep
 }
 
-// taintedVars collects objects assigned (anywhere in root) from a
-// rank-dependent expression — the "lo, hi := ChunkRange(n, vp.K(),
-// vp.NodeRank())" pattern and friends.
+// taintedVars collects objects assigned or declared (anywhere in root)
+// from a rank-dependent expression — the "lo, hi := ChunkRange(n,
+// vp.K(), vp.NodeRank())" pattern and friends — iterating to a fixed
+// point so that chains through locals are caught.
 func taintedVars(info *types.Info, root ast.Node) map[types.Object]bool {
 	tainted := map[types.Object]bool{}
-	// Two passes pick up one level of indirection through locals.
-	for pass := 0; pass < 2; pass++ {
+	for changed := true; changed; {
+		changed = false
 		ast.Inspect(root, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			dep := false
-			for _, rhs := range as.Rhs {
-				if rankDependent(info, rhs, tainted) {
-					dep = true
-					break
+			var lhs, rhs []ast.Expr
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				lhs, rhs = x.Lhs, x.Rhs
+			case *ast.ValueSpec:
+				for _, name := range x.Names {
+					lhs = append(lhs, name)
 				}
-			}
-			if !dep {
+				rhs = x.Values
+			default:
 				return true
 			}
-			for _, lhs := range as.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					if obj := info.Defs[id]; obj != nil {
+			if !slices.ContainsFunc(rhs, func(e ast.Expr) bool { return rankDependent(info, e, tainted) }) {
+				return true
+			}
+			for _, l := range lhs {
+				if id, ok := l.(*ast.Ident); ok {
+					obj := info.Defs[id]
+					if obj == nil {
+						obj = info.Uses[id]
+					}
+					if obj != nil && !tainted[obj] {
 						tainted[obj] = true
-					} else if obj := info.Uses[id]; obj != nil {
-						tainted[obj] = true
+						changed = true
 					}
 				}
 			}

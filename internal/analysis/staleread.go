@@ -67,7 +67,7 @@ func checkStaleReads(pass *Pass, px *PkgIndex, rv *resolver, phase *unit) {
 		for _, idx := range op.sc.indices {
 			synParts = append(synParts, types.ExprString(idx))
 			a := rv.exprAffine(idx, env)
-			if a.ok {
+			if a.OK {
 				semParts = append(semParts, rv.canon(a))
 			} else {
 				affOK = false

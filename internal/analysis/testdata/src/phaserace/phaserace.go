@@ -191,3 +191,45 @@ func SingleVPHelper(rt *ppm.Runtime) {
 	}
 	rt.Do(1, func(vp *ppm.VP) { single(vp) })
 }
+
+// TripRankFor: only VP 0 of each node enters the loop, once. The
+// analyzer cannot count the writers of a loop whose trip count depends
+// on rank.
+func TripRankFor(rt *ppm.Runtime) {
+	c := ppm.AllocNode[int64](rt, "c", 8)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			for i := 0; i < 1-vp.NodeRank(); i++ {
+				c.Write(vp, 2, 1) // want `cannot prove VP write sets of c disjoint`
+			}
+		})
+	})
+}
+
+// TripRankWhile: the same through a condition-only loop stepping by K.
+func TripRankWhile(rt *ppm.Runtime) {
+	d := ppm.AllocNode[int64](rt, "d", 8)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			r := vp.NodeRank()
+			for r < 1 {
+				d.Write(vp, 3, 1) // want `cannot prove VP write sets of d disjoint`
+				r += vp.K()
+			}
+		})
+	})
+}
+
+// TripRankVar: the same with the rank held in a declared variable.
+func TripRankVar(rt *ppm.Runtime) {
+	d := ppm.AllocNode[int64](rt, "d", 8)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			var r = vp.NodeRank()
+			for r < 1 {
+				d.Write(vp, 3, 1) // want `cannot prove VP write sets of d disjoint`
+				r++
+			}
+		})
+	})
+}

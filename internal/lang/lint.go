@@ -30,15 +30,16 @@ func lintProgram(prog *Program) []Diag {
 }
 
 // rankDependent reports whether e mentions a VP- or node-identifying
-// value (directly, or through a tainted local variable), so that its
-// value differs between the VPs executing the phase.
+// value, or the per-node vp_count (directly, or through a tainted local
+// variable), so that its value differs between the VPs executing the
+// phase.
 func rankDependent(e Expr, tainted map[string]bool) bool {
 	found := false
 	walkExpr(e, func(x Expr) {
 		switch v := x.(type) {
 		case *Ident:
 			switch v.Name {
-			case "vp_node_rank", "vp_global_rank", "node_id":
+			case "vp_node_rank", "vp_global_rank", "node_id", "vp_count":
 				found = true
 			default:
 				if tainted[v.Name] {

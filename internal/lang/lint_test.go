@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ppm/internal/core"
+	"ppm/internal/machine"
 )
 
 // finding is the (rule, line, severity) triple a fixture is expected to
@@ -47,6 +50,8 @@ func TestAnalyzeFixtures(t *testing.T) {
 			{"phaserace.possible", 30, SevWarning},
 			{"phaserace", 48, SevWarning},
 			{"phaserace.possible", 49, SevWarning},
+			{"phaserace.possible", 62, SevWarning},
+			{"phaserace.possible", 69, SevWarning},
 		}},
 		{"clean.ppm", nil},
 	}
@@ -75,6 +80,35 @@ func TestAnalyzeFixtures(t *testing.T) {
 				t.Errorf("got %d diagnostics, want %d:\n%v", len(got), len(tc.want), got)
 			}
 		})
+	}
+}
+
+// TestPhaseRaceRankShapes holds two shapes of phaserace.ppm to the
+// runtime: a loop whose trip count depends on rank, and vp_count under
+// a do whose K differs per node. StrictWrites finds no conflict at 1-3
+// nodes, so the checker may say phaserace.possible but never phaserace.
+func TestPhaseRaceRankShapes(t *testing.T) {
+	for name, src := range map[string]string{
+		"trip": `node shared float R[8];
+func f() { global phase { for i = 0 to 1 - vp_node_rank { R[2] = 1.0; } } }
+main { do (8) f(); }`,
+		"pernode": `global shared float A[8];
+func f() { global phase { if (vp_node_rank == 0) { A[vp_count] = 1.0; } } }
+main { do (node_id + 1) f(); }`,
+	} {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for n := 1; n <= 3; n++ {
+			rep, err := Interpret(prog, core.Options{Nodes: n, StrictWrites: true, Machine: machine.Generic()}, nil)
+			if err != nil || len(rep.Conflicts) != 0 {
+				t.Errorf("%s at %d nodes: %v", name, n, err)
+			}
+		}
+		if ds := Analyze(prog); len(ds) != 1 || ds[0].Rule != "phaserace.possible" {
+			t.Errorf("%s: want one phaserace.possible, got %v", name, ds)
+		}
 	}
 }
 
