@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build app-sites transport-seam race-seam vet ppmvet ppmvet-examples vet-all vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites transport-seam race-seam vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
-## phase-semantics analyzers over both front ends, gated by the
-## findings baseline, the one-descriptor-per-application rule and the
-## one-link-per-peer rule and the one-race-engine rule) and race-test.
-check: build app-sites transport-seam race-seam vet vet-all ppmvet-examples langcheck race
+## phase-semantics analyzers over both front ends, the
+## one-descriptor-per-application rule and the one-link-per-peer rule
+## and the one-race-engine rule) and race-test.
+check: build app-sites transport-seam race-seam vet ppmvet langcheck race
 
 build:
 	$(GO) build ./...
@@ -49,27 +49,14 @@ race-seam:
 vet:
 	$(GO) vet ./...
 
-## ppmvet: phase-semantics static analysis of Go PPM programs.
+## ppmvet: phase-semantics static analysis of Go PPM programs — every
+## analyzer over the whole tree (apps, examples, commands, runtime); any
+## finding fails. Fix it, or //ppmvet:ignore it with a reason.
 ppmvet:
 	$(GO) run ./cmd/ppmvet ./...
 
-## ppmvet-examples: the same analyzers over the runnable examples, which
-## are what new users copy from — kept green explicitly.
-ppmvet-examples:
-	$(GO) run ./cmd/ppmvet ./examples/...
-
-## vet-all: every analyzer over the whole tree (apps, examples,
-## commands, runtime), gated by the checked-in findings baseline:
-## findings recorded in VET_BASELINE.json are tolerated, any NEW
-## finding fails the build. Accept a finding by regenerating the
-## baseline with `make vet-report && cp ppmvet-report.json VET_BASELINE.json`
-## (or better, fix or //ppmvet:ignore it with a reason).
-vet-all:
-	$(GO) run ./cmd/ppmvet -baseline VET_BASELINE.json ./...
-
-## vet-report: machine-readable findings report for CI artifacts and
-## baseline regeneration. Exit status is ignored: the report is the
-## product, vet-all is the gate.
+## vet-report: machine-readable findings report for CI artifacts. Exit
+## status is ignored: the report is the product, ppmvet is the gate.
 vet-report:
 	$(GO) run ./cmd/ppmvet -json ./... > ppmvet-report.json; true
 

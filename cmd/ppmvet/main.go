@@ -1,26 +1,18 @@
 // Command ppmvet statically checks Go programs that use the ppm API for
-// phase-semantics misuse: the rules the runtime enforces dynamically
-// (access outside phases, overlapping VP write sets that StrictWrites
-// aborts on), plus hazards it cannot see at all (stale same-phase reads,
-// node-level aliases leaking into VP code, discarded run errors, host
-// state mutated from VP code, block-transfer slices escaping their
-// phase).
+// phase-semantics hazards the runtime decides late or not at all:
+// overlapping VP write sets (which StrictWrites aborts on only when a
+// run reaches them), stale same-phase reads, Local slices retained
+// into VP code, discarded run errors, and host state mutated from VP
+// code.
 //
 // Usage:
 //
-//	ppmvet [-json] [-rules list] [-timing] [-baseline file] packages...
+//	ppmvet [-json] [-rules list] packages...
 //
 //	ppmvet ./...                    # check every package
 //	ppmvet -json ./internal/apps/...
-//	ppmvet -rules phasebound,staleread ./examples/...
-//	ppmvet -timing ./...            # report per-rule wall-clock cost
-//	ppmvet -baseline VET_BASELINE.json ./...  # only NEW findings fail
-//
-// A baseline is a JSON findings file (the -json output of an earlier
-// run, checked into the repository): findings recorded there are
-// suppressed, so the run fails only on findings the baseline does not
-// know. Baseline entries match on file, rule, and message — not line —
-// so unrelated edits to a file do not churn the gate.
+//	ppmvet -rules phaserace,staleread ./examples/...
+//	ppmvet -list                    # describe the rules
 //
 // Findings print as file:line:col: rule: message and make the exit
 // status nonzero. A finding can be suppressed with a //ppmvet:ignore
@@ -32,8 +24,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
-	"time"
 
 	"ppm/internal/analysis"
 )
@@ -42,10 +34,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	ruleList := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	listRules := flag.Bool("list", false, "list the available rules and exit")
-	timing := flag.Bool("timing", false, "report per-rule wall-clock cost on stderr")
-	baseline := flag.String("baseline", "", "JSON findings file; findings recorded there do not fail the run")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ppmvet [-json] [-rules list] [-timing] packages...")
+		fmt.Fprintln(os.Stderr, "usage: ppmvet [-json] [-rules list] packages...")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -70,7 +60,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "ppmvet: unknown rule %q (try -list)\n", name)
 				os.Exit(2)
 			}
-			rules = append(rules, a)
+			if !slices.Contains(rules, a) {
+				rules = append(rules, a)
+			}
 		}
 	}
 
@@ -84,35 +76,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppmvet:", err)
 		os.Exit(2)
 	}
-	diags, timings, err := analysis.RunTimed(pkgs, rules)
+	diags, err := analysis.Run(pkgs, rules)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ppmvet:", err)
 		os.Exit(2)
-	}
-	if *timing {
-		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "ppmvet: %-14s %v\n", t.Rule, t.Elapsed.Round(time.Microsecond))
-		}
-	}
-	if *baseline != "" {
-		known, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ppmvet:", err)
-			os.Exit(2)
-		}
-		kept := diags[:0]
-		suppressed := 0
-		for _, d := range diags {
-			if known[baselineKey(d.Pos.Filename, d.Rule, d.Message)] {
-				suppressed++
-				continue
-			}
-			kept = append(kept, d)
-		}
-		diags = kept
-		if suppressed > 0 && !*jsonOut {
-			fmt.Printf("%d known finding%s suppressed by %s\n", suppressed, plural(suppressed), *baseline)
-		}
 	}
 
 	if *jsonOut {
@@ -149,33 +116,11 @@ func plural(n int) string {
 	return "s"
 }
 
-// finding is the JSON shape of one diagnostic, shared by -json output
-// and -baseline files.
+// finding is the JSON shape of one diagnostic in -json output.
 type finding struct {
 	File    string `json:"file"`
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Rule    string `json:"rule"`
 	Message string `json:"message"`
-}
-
-func baselineKey(file, rule, message string) string {
-	return file + "\x00" + rule + "\x00" + message
-}
-
-// loadBaseline reads a -json findings file into a suppression set.
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var fs []finding
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	known := make(map[string]bool, len(fs))
-	for _, f := range fs {
-		known[baselineKey(f.File, f.Rule, f.Message)] = true
-	}
-	return known, nil
 }

@@ -4,17 +4,20 @@
 // not assumed to be reachable). It provides the Analyzer/Pass/Diagnostic
 // core, a package loader built on `go list -export` plus the standard
 // go/types importer, and the ppmvet rule suite that checks the phase
-// semantics of the paper's model statically: shared-variable accesses
-// outside phases, same-phase read-after-write staleness, node-level aliases leaking into VP code,
-// ignored run errors, overlapping VP write sets (an affine analysis of
-// index expressions over a CFG/dataflow/call-summary layer), host
-// state mutated from VP code without Serial, and block-transfer slices
-// escaping their phase.
+// semantics of the paper's model statically: same-phase read-after-write
+// staleness, retained node-level slices leaking into VP code, ignored
+// run errors, overlapping VP write sets (an affine analysis of index
+// expressions over a CFG/dataflow/call-summary layer), and host state
+// mutated from VP code without Serial.
 //
-// The runtime enforces each of these dynamically (accessCheck panics,
-// StrictWrites commit checks); ppmvet reports them before a program
-// runs, with source positions — the "compiler knows the model" advantage
-// the paper claims for a language front end, recovered for the Go API.
+// What the runtime always decides itself is not a rule: a shared access
+// outside a phase panics in VP.accessCheck, Local/At panic while a Do is
+// active, and WriteBlock/AddBlock copy their source before returning.
+// ppmvet keeps the hazards the runtime sees late (StrictWrites aborts
+// on the first conflicting commit) or not at all, and reports them
+// before a program runs, with source positions — the "compiler knows
+// the model" advantage the paper claims for a language front end,
+// recovered for the Go API.
 package analysis
 
 import (
@@ -24,7 +27,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // An Analyzer describes one static-analysis rule.
@@ -96,34 +98,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Rule, d.Message)
 }
 
-// RuleTiming is the accumulated wall-clock cost of one analyzer across
-// every analyzed package.
-type RuleTiming struct {
-	Rule    string
-	Elapsed time.Duration
-}
-
 // Run applies every analyzer to every package and returns the combined
 // findings sorted by position. Packages that failed to load contribute
 // their load errors via the returned error (analysis of the remaining
 // packages still happens).
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(pkgs, analyzers)
-	return diags, err
-}
-
-// RunTimed is Run plus per-rule timing, in the analyzers' order.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []RuleTiming, error) {
 	var diags []Diagnostic
 	var loadErrs []string
-	elapsed := make([]time.Duration, len(analyzers))
-	timings := func() []RuleTiming {
-		out := make([]RuleTiming, len(analyzers))
-		for i, a := range analyzers {
-			out[i] = RuleTiming{Rule: a.Name, Elapsed: elapsed[i]}
-		}
-		return out
-	}
 	for _, pkg := range pkgs {
 		if len(pkg.Errors) > 0 {
 			for _, e := range pkg.Errors {
@@ -131,7 +112,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []RuleTimin
 			}
 			continue
 		}
-		for ai, a := range analyzers {
+		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -141,11 +122,8 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []RuleTimin
 				pkg:       pkg,
 				sink:      &diags,
 			}
-			start := time.Now()
-			err := a.Run(pass)
-			elapsed[ai] += time.Since(start)
-			if err != nil {
-				return diags, timings(), fmt.Errorf("%s: analyzer %s: %v", pkg.ImportPath, a.Name, err)
+			if err := a.Run(pass); err != nil {
+				return diags, fmt.Errorf("%s: analyzer %s: %v", pkg.ImportPath, a.Name, err)
 			}
 		}
 	}
@@ -163,21 +141,19 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []RuleTimin
 		return diags[i].Rule < diags[j].Rule
 	})
 	if len(loadErrs) > 0 {
-		return diags, timings(), fmt.Errorf("load errors:\n  %s", strings.Join(loadErrs, "\n  "))
+		return diags, fmt.Errorf("load errors:\n  %s", strings.Join(loadErrs, "\n  "))
 	}
-	return diags, timings(), nil
+	return diags, nil
 }
 
 // Rules returns the ppmvet analyzer suite in a stable order.
 func Rules() []*Analyzer {
 	return []*Analyzer{
-		PhaseBoundAnalyzer,
 		StaleReadAnalyzer,
 		LocalAliasAnalyzer,
 		RunErrorAnalyzer,
 		PhaseRaceAnalyzer,
 		SerialEscapeAnalyzer,
-		BlockRetainAnalyzer,
 	}
 }
 

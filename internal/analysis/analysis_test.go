@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"slices"
 	"testing"
 
 	"ppm/internal/analysis"
@@ -10,10 +11,6 @@ import (
 // Each rule runs alone over its fixture: the // want expectations fail
 // the test both when the rule misses a positive case and when it fires
 // on a negative one (so disabling a rule breaks its test).
-func TestPhaseBound(t *testing.T) {
-	analysistest.Run(t, "testdata/src/phasebound", analysis.PhaseBoundAnalyzer)
-}
-
 func TestStaleRead(t *testing.T) {
 	analysistest.Run(t, "testdata/src/staleread", analysis.StaleReadAnalyzer)
 }
@@ -34,10 +31,6 @@ func TestSerialEscape(t *testing.T) {
 	analysistest.Run(t, "testdata/src/serialescape", analysis.SerialEscapeAnalyzer)
 }
 
-func TestBlockRetain(t *testing.T) {
-	analysistest.Run(t, "testdata/src/blockretain", analysis.BlockRetainAnalyzer)
-}
-
 // TestIgnoreAnnotations pins the //ppmvet:ignore contract: standalone
 // annotations reach the next line, rule names cover dotted sub-rules,
 // and neither a wrong rule name nor an end-of-line annotation on the
@@ -53,21 +46,22 @@ func TestCleanProgram(t *testing.T) {
 }
 
 // TestRulesComplete pins the advertised rule set (the vet suite's
-// public contract: the seven documented rules).
+// public contract: exactly the five documented rules, in order, each
+// found by RuleByName). A rule added or removed without updating the
+// contract fails here.
 func TestRulesComplete(t *testing.T) {
-	names := map[string]bool{}
+	want := []string{"staleread", "localalias", "runerror", "phaserace", "serialescape"}
+	var got []string
 	for _, a := range analysis.Rules() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {
 			t.Errorf("rule %+v incomplete", a)
 		}
-		names[a.Name] = true
-	}
-	for _, want := range []string{
-		"phasebound", "staleread", "localalias", "runerror",
-		"phaserace", "serialescape", "blockretain",
-	} {
-		if !names[want] {
-			t.Errorf("rule %q missing from Rules()", want)
+		if analysis.RuleByName(a.Name) != a {
+			t.Errorf("RuleByName(%q) does not return the listed rule", a.Name)
 		}
+		got = append(got, a.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Rules() = %v, want %v", got, want)
 	}
 }

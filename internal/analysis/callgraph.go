@@ -6,9 +6,8 @@ package analysis
 // are expanded by substituting the caller's argument expressions for the
 // callee's parameters (a "frame"), so a helper doing sh.Write(i, v) is
 // analyzed at each call site with the caller's arguments in place.
-// Function summaries (which parameters a function mutates, stores, or
-// through which it propagates a Run error) let the simpler rules reason
-// about helpers without full expansion.
+// Function summaries (which parameters a function mutates) let the
+// simpler rules reason about helpers without full expansion.
 
 import (
 	"go/ast"
@@ -26,7 +25,6 @@ type unit struct {
 	// vpParam is the *core.VP parameter's object, when the unit is VP
 	// code by signature.
 	vpParam types.Object
-	isPhase bool // GlobalPhase/NodePhase body literal
 	isDo    bool // Runtime.Do body literal
 
 	cfg   *CFG
@@ -38,7 +36,7 @@ type unit struct {
 func (u *unit) isVPEntry() bool { return u.isDo || u.vpParam != nil }
 
 // PkgIndex is the shared per-package index every analyzer builds on:
-// units, the phase-context fixpoint, Do-site bookkeeping, and the
+// units, the phase and Do body literals, Do-site bookkeeping, and the
 // summary cache. It is built once per package and cached on Package.
 type PkgIndex struct {
 	pkg  *Package
@@ -124,7 +122,6 @@ func buildIndex(pkg *Package) *PkgIndex {
 				px.units[x] = u
 			case *ast.FuncLit:
 				u := &unit{node: x, body: x.Body, ftype: x.Type, parent: parent, vpParam: vpParamOf(x.Type)}
-				u.isPhase = px.ctx.phaseLits[x]
 				u.isDo = px.ctx.doLits[x]
 				px.units[x] = u
 			case *ast.AssignStmt:
@@ -458,10 +455,6 @@ type funcSummary struct {
 	// (field store, element store, or pointer store), directly or via a
 	// callee it passes the parameter to.
 	mutatesParam []bool
-	// escapesParam[i]: the function stores its i-th parameter (or a
-	// slice of it) somewhere that outlives the call: a field, a package
-	// variable, a return value, or a callee that escapes it.
-	escapesParam []bool
 }
 
 // paramObjs returns the parameter objects of u in declaration order.
@@ -506,10 +499,7 @@ func (px *PkgIndex) summaryOf(fn *types.Func) *funcSummary {
 		}
 		return -1
 	}
-	s := &funcSummary{
-		mutatesParam: make([]bool, len(params)),
-		escapesParam: make([]bool, len(params)),
-	}
+	s := &funcSummary{mutatesParam: make([]bool, len(params))}
 
 	rootObj := func(e ast.Expr) types.Object {
 		for {
@@ -549,31 +539,10 @@ func (px *PkgIndex) summaryOf(fn *types.Func) *funcSummary {
 					s.mutatesParam[i] = true
 				}
 			}
-			// Storing a parameter into non-local memory escapes it.
-			for ri, rhs := range x.Rhs {
-				i := idxOf(rootObj(rhs))
-				if i < 0 {
-					continue
-				}
-				if ri < len(x.Lhs) {
-					lhs := x.Lhs[ri]
-					if _, plain := lhs.(*ast.Ident); !plain {
-						s.escapesParam[i] = true
-					} else if obj := rootObj(lhs); obj != nil && px.declaringUnit(obj.Pos()) == nil {
-						s.escapesParam[i] = true // package variable
-					}
-				}
-			}
 		case *ast.IncDecStmt:
 			if _, plain := x.X.(*ast.Ident); !plain {
 				if i := idxOf(rootObj(x.X)); i >= 0 {
 					s.mutatesParam[i] = true
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				if i := idxOf(rootObj(res)); i >= 0 {
-					s.escapesParam[i] = true
 				}
 			}
 		case *ast.CallExpr:
@@ -592,9 +561,6 @@ func (px *PkgIndex) summaryOf(fn *types.Func) *funcSummary {
 				}
 				if ai < len(cs.mutatesParam) && cs.mutatesParam[ai] {
 					s.mutatesParam[i] = true
-				}
-				if ai < len(cs.escapesParam) && cs.escapesParam[ai] {
-					s.escapesParam[i] = true
 				}
 			}
 		}

@@ -31,19 +31,10 @@ type Package struct {
 	// ignore maps file name -> line -> rules suppressed on that line by
 	// a //ppmvet:ignore comment ("" suppresses every rule).
 	ignore map[string]map[int][]string
-	// ignoreRanges holds function-extent suppressions from //ppmvet:ignore
-	// annotations in declaration doc comments.
-	ignoreRanges map[string][]ignoreRange
 
 	// index is the lazily built interprocedural index shared by every
 	// analyzer running over this package (see callgraph.go).
 	index *PkgIndex
-}
-
-// ignoreRange suppresses rules over a line range (a whole declaration).
-type ignoreRange struct {
-	from, to int
-	rules    []string
 }
 
 // listEntry is the subset of `go list -json` output the loader consumes.
@@ -106,11 +97,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	var pkgs []*Package
 	for _, e := range roots {
 		pkg := &Package{
-			ImportPath:   e.ImportPath,
-			Dir:          e.Dir,
-			Fset:         fset,
-			ignore:       map[string]map[int][]string{},
-			ignoreRanges: map[string][]ignoreRange{},
+			ImportPath: e.ImportPath,
+			Dir:        e.Dir,
+			Fset:       fset,
+			ignore:     map[string]map[int][]string{},
 		}
 		if e.Error != nil {
 			pkg.Errors = append(pkg.Errors, fmt.Errorf("%s", e.Error.Err))
@@ -154,26 +144,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // line and — only when the comment stands alone on its line — on the
 // following line; an end-of-line annotation applies to its own line
 // only, so it cannot silently swallow a finding on the statement below.
-// An annotation inside a function's doc comment suppresses over the
-// whole function (for infrastructure like the language interpreter,
-// whose phase discipline is established dynamically).
 func (p *Package) recordIgnores(f *ast.File, src []byte) {
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			rules, ok := parseIgnore(c.Text)
-			if !ok {
-				continue
-			}
-			pos := p.Fset.Position(fd.Pos())
-			end := p.Fset.Position(fd.End())
-			p.ignoreRanges[pos.Filename] = append(p.ignoreRanges[pos.Filename],
-				ignoreRange{from: pos.Line, to: end.Line, rules: rules})
-		}
-	}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			rules, ok := parseIgnore(c.Text)
@@ -248,16 +219,6 @@ func (p *Package) suppressed(rule string, pos token.Position) bool {
 	for _, r := range p.ignore[pos.Filename][pos.Line] {
 		if ruleMatches(r, rule) {
 			return true
-		}
-	}
-	for _, rng := range p.ignoreRanges[pos.Filename] {
-		if pos.Line < rng.from || pos.Line > rng.to {
-			continue
-		}
-		for _, r := range rng.rules {
-			if ruleMatches(r, rule) {
-				return true
-			}
 		}
 	}
 	return false

@@ -6,16 +6,16 @@ import (
 )
 
 // LocalAliasAnalyzer flags node-level base-image aliases leaking into VP
-// code: a slice obtained from Global.Local/Node.Local that is used
-// inside a Do body, or Local/At called inside a Do body outright. The
-// Local slice aliases the array's committed base image; touching it from
-// VP code bypasses the begin-of-phase/commit discipline entirely, and
-// the runtime can only catch the direct-call case (Local panics while a
-// Do is active) — a retained slice is invisible to it.
+// code: a slice obtained from Global.Local/Node.Local before a Do and
+// used inside VP code. The slice aliases the array's committed base
+// image; touching it from VP code bypasses the begin-of-phase/commit
+// discipline entirely. Calling Local/At inside a Do is not a finding:
+// the runtime panics on every such call (rt.inDo). A retained slice is
+// invisible to it.
 var LocalAliasAnalyzer = &Analyzer{
 	Name: "localalias",
-	Doc: "report Local()/At() base-image access from inside Do bodies, including " +
-		"Local slices captured before the Do — they bypass phase semantics",
+	Doc: "report Local() slices captured before a Do and used inside VP code: " +
+		"they alias the base image and bypass phase semantics",
 	Run: runLocalAlias,
 }
 
@@ -24,20 +24,13 @@ func runLocalAlias(pass *Pass) error {
 	for _, f := range pass.Files {
 		aliases := localSlices(pass.TypesInfo, f)
 		inspectStack(f, func(n ast.Node, stack []ast.Node) {
-			if !insideVPCode(px, stack) {
+			id, ok := n.(*ast.Ident)
+			if !ok || !insideVPCode(px, stack) {
 				return
 			}
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				if m, ok := nodeLevelAccessor(pass.TypesInfo, x); ok {
-					pass.Reportf(x.Pos(),
-						"%s called inside a Do body: node-level accessors bypass phase semantics and panic while a Do is active — use phase Read/Write instead", m)
-				}
-			case *ast.Ident:
-				if obj := pass.TypesInfo.Uses[x]; obj != nil && aliases[obj] != "" {
-					pass.Reportf(x.Pos(),
-						"%s aliases the base image of shared array (via %s) and is used inside a Do body: reads and writes through it bypass phase semantics", x.Name, aliases[obj])
-				}
+			if obj := pass.TypesInfo.Uses[id]; obj != nil && aliases[obj] != "" {
+				pass.Reportf(id.Pos(),
+					"%s aliases the base image of shared array (via %s) and is used inside a Do body: reads and writes through it bypass phase semantics", id.Name, aliases[obj])
 			}
 		})
 	}
@@ -45,7 +38,7 @@ func runLocalAlias(pass *Pass) error {
 }
 
 // localSlices maps variables assigned from a Local() call to the call's
-// printed receiver.
+// printed form.
 func localSlices(info *types.Info, f *ast.File) map[types.Object]string {
 	aliases := map[types.Object]string{}
 	record := func(lhs ast.Expr, rhs ast.Expr) {
@@ -53,7 +46,7 @@ func localSlices(info *types.Info, f *ast.File) map[types.Object]string {
 		if !ok {
 			return
 		}
-		m, ok := nodeLevelAccessor(info, call)
+		m, ok := localCall(info, call)
 		if !ok {
 			return
 		}
@@ -87,9 +80,10 @@ func localSlices(info *types.Info, f *ast.File) map[types.Object]string {
 	return aliases
 }
 
-// nodeLevelAccessor recognizes Local and At calls on the shared-array
-// types and returns a printable description.
-func nodeLevelAccessor(info *types.Info, call *ast.CallExpr) (string, bool) {
+// localCall recognizes a Local call on the shared-array types and
+// returns a printable description. (At returns a copy of one element,
+// so a variable holding its result aliases nothing.)
+func localCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -98,14 +92,10 @@ func nodeLevelAccessor(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if selection == nil || selection.Kind() != types.MethodVal {
 		return "", false
 	}
-	typ := namedCoreType(selection.Recv())
-	if typ != "Global" && typ != "Node" && typ != "Global2D" {
+	if typ := namedCoreType(selection.Recv()); (typ != "Global" && typ != "Node") || sel.Sel.Name != "Local" {
 		return "", false
 	}
-	if name := sel.Sel.Name; name == "Local" || name == "At" {
-		return types.ExprString(sel.X) + "." + name, true
-	}
-	return "", false
+	return types.ExprString(sel.X) + ".Local", true
 }
 
 // insideVPCode reports whether the innermost function on stack executes

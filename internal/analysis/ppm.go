@@ -201,149 +201,32 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
 }
 
 // phaseCtx is the per-package phase-context index: which func literals
-// are phase bodies, which are Do bodies, and which named functions may
-// execute outside any phase (via a call-graph fixpoint over the package).
+// are phase bodies and which are Do bodies.
 type phaseCtx struct {
-	info      *types.Info
 	phaseLits map[*ast.FuncLit]bool
 	doLits    map[*ast.FuncLit]bool
-	decls     map[*types.Func]*ast.FuncDecl
-	// mayOutside marks named functions with at least one call site whose
-	// context is outside every phase body.
-	mayOutside map[*types.Func]bool
 }
 
-// callEdge is one package-local call site of a named function.
-type callEdge struct {
-	callee *types.Func
-	stack  []ast.Node
-}
-
-// buildPhaseCtx indexes files and runs the call-graph fixpoint.
+// buildPhaseCtx indexes the phase and Do body literals of files.
 func buildPhaseCtx(info *types.Info, files []*ast.File) *phaseCtx {
 	ctx := &phaseCtx{
-		info:       info,
-		phaseLits:  map[*ast.FuncLit]bool{},
-		doLits:     map[*ast.FuncLit]bool{},
-		decls:      map[*types.Func]*ast.FuncDecl{},
-		mayOutside: map[*types.Func]bool{},
+		phaseLits: map[*ast.FuncLit]bool{},
+		doLits:    map[*ast.FuncLit]bool{},
 	}
-	var edges []callEdge
 	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
-					ctx.decls[obj] = fd
-					if fd.Recv == nil && (fd.Name.Name == "main" || fd.Name.Name == "init") {
-						ctx.mayOutside[obj] = true
-					}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if lit := phaseBodyLit(info, call); lit != nil {
+					ctx.phaseLits[lit] = true
+				}
+				if lit := doBodyLit(info, call); lit != nil {
+					ctx.doLits[lit] = true
 				}
 			}
-		}
-		inspectStack(f, func(n ast.Node, stack []ast.Node) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			if lit := phaseBodyLit(info, call); lit != nil {
-				ctx.phaseLits[lit] = true
-			}
-			if lit := doBodyLit(info, call); lit != nil {
-				ctx.doLits[lit] = true
-			}
-			if callee := ctx.localCallee(call); callee != nil {
-				edges = append(edges, callEdge{callee: callee, stack: append([]ast.Node(nil), stack...)})
-			}
+			return true
 		})
 	}
-	// Fixpoint: propagate "may run outside a phase" through call sites
-	// that are not lexically inside a phase body.
-	for changed := true; changed; {
-		changed = false
-		for _, e := range edges {
-			if ctx.mayOutside[e.callee] {
-				continue
-			}
-			if ctx.siteOutsidePhase(e.stack) {
-				ctx.mayOutside[e.callee] = true
-				changed = true
-			}
-		}
-	}
 	return ctx
-}
-
-// localCallee resolves call to a function or method declared in this
-// package, or nil.
-func (ctx *phaseCtx) localCallee(call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = ctx.info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = ctx.info.Uses[fun.Sel]
-	default:
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	if _, declared := ctx.decls[fn]; !declared {
-		// Methods on generic types resolve to the origin declaration.
-		if orig := fn.Origin(); orig != nil {
-			if _, declared := ctx.decls[orig]; declared {
-				return orig
-			}
-		}
-		return nil
-	}
-	return fn
-}
-
-// siteOutsidePhase reports whether the site at the top of stack can
-// execute outside every phase body: it is not lexically inside a phase
-// literal, and its innermost enclosing function may itself run outside a
-// phase (a Do body, main/init, or a named function the fixpoint marked).
-func (ctx *phaseCtx) siteOutsidePhase(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch h := stack[i].(type) {
-		case *ast.FuncLit:
-			if ctx.phaseLits[h] {
-				return false
-			}
-			if ctx.doLits[h] {
-				return true
-			}
-			// A plain literal runs where it is defined (a lexical
-			// approximation: literals that escape are not tracked).
-		case *ast.FuncDecl:
-			if obj, ok := ctx.info.Defs[h.Name].(*types.Func); ok {
-				return ctx.mayOutside[obj]
-			}
-			return true
-		}
-	}
-	return true // file scope (var initializers)
-}
-
-// enclosingPhaseLit returns the innermost phase-body literal on stack,
-// or nil when the site is not lexically inside a phase.
-func (ctx *phaseCtx) enclosingPhaseLit(stack []ast.Node) *ast.FuncLit {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch h := stack[i].(type) {
-		case *ast.FuncLit:
-			if ctx.phaseLits[h] {
-				return h
-			}
-			if ctx.doLits[h] {
-				return nil
-			}
-		case *ast.FuncDecl:
-			return nil
-		}
-	}
-	return nil
 }
 
 // rankDependent reports whether e mentions a per-rank quantity: a VP

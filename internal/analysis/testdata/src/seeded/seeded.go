@@ -9,11 +9,10 @@ package seeded
 
 import "ppm"
 
-// writeAt hides a shared write one level down. Called both outside any
-// phase (the phasebound seed reports here, inside the helper) and with
-// a constant index from a phase (phaserace reports at that call site).
+// writeAt hides a shared write one level down; called with a constant
+// index from a phase, phaserace reports at that call site.
 func writeAt(vp *ppm.VP, g *ppm.Global[float64], i int) {
-	g.Write(vp, i, 1.0) // SEED:phasebound
+	g.Write(vp, i, 1.0)
 }
 
 // readAt hides a shared read one level down.
@@ -21,19 +20,18 @@ func readAt(vp *ppm.VP, g *ppm.Global[float64], i int) float64 {
 	return g.Read(vp, i)
 }
 
-// peekBase touches the base image from VP code; localalias reports in
-// the helper body because the helper takes a *VP.
-func peekBase(rt *ppm.Runtime, vp *ppm.VP, g *ppm.Global[float64]) float64 {
-	return g.Local(rt)[0] // SEED:localalias
+// base is a Local slice Host retains before its Do.
+var base []float64
+
+// peekBase reads the retained base image from VP code; localalias
+// reports in the helper body because the helper takes a *VP.
+func peekBase(vp *ppm.VP) float64 {
+	return base[0] // SEED:localalias
 }
 
 // bumpHost stores through its pointer parameter; serialescape reports
 // at call sites that pass host state in.
 func bumpHost(c *int) { *c++ }
-
-// keepSlice returns its argument; blockretain reports at call sites
-// that pass a phase block source in.
-func keepSlice(s []float64) []float64 { return s }
 
 // runModel forwards ppm.Run's error, so discarding runModel's own
 // result discards a watched error.
@@ -46,16 +44,13 @@ func Host() {
 	count := 0
 	runModel(func(rt *ppm.Runtime) { // SEED:runerror
 		g := ppm.AllocGlobal[float64](rt, "g", 64)
+		base = g.Local(rt)
 		rt.Do(4, func(vp *ppm.VP) {
-			writeAt(vp, g, vp.GlobalRank()) // outside any phase: phasebound fires in the helper
 			vp.GlobalPhase(func() {
 				writeAt(vp, g, 7)    // SEED:phaserace
 				_ = readAt(vp, g, 7) // SEED:staleread
-				_ = peekBase(rt, vp, g)
+				_ = peekBase(vp)
 				bumpHost(&count) // SEED:serialescape
-				src := make([]float64, 4)
-				g.WriteBlock(vp, 8, src)
-				_ = keepSlice(src) // SEED:blockretain
 			})
 		})
 	})

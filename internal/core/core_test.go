@@ -215,20 +215,54 @@ func TestNodePhaseRejectsRemoteAccess(t *testing.T) {
 	}
 }
 
+// TestAccessOutsidePhasePanics: every VP accessor of Global, Node and
+// Global2D panics outside a phase, the zero-length block forms included
+// (an empty ReadBlock or WriteBlock is still a shared access in the wrong
+// place). This check is the whole guarantee: no static rule repeats it.
 func TestAccessOutsidePhasePanics(t *testing.T) {
-	_, err := Run(opts(1), func(rt *Runtime) {
-		g := AllocGlobal[float64](rt, "g", 4)
-		rt.Do(1, func(vp *VP) { g.Read(vp, 0) })
-	})
-	if err == nil || !strings.Contains(err.Error(), "outside a phase") {
-		t.Errorf("expected outside-phase error, got %v", err)
+	type arrays struct {
+		g  *Global[float64]
+		n  *Node[float64]
+		g2 *Global2D[float64]
 	}
-	_, err = Run(opts(1), func(rt *Runtime) {
-		g := AllocGlobal[float64](rt, "g", 4)
-		rt.Do(1, func(vp *VP) { g.Write(vp, 0, 1) })
-	})
-	if err == nil || !strings.Contains(err.Error(), "outside a phase") {
-		t.Errorf("expected outside-phase error for write, got %v", err)
+	buf := make([]float64, 2)
+	for _, c := range []struct {
+		name, op string
+		call     func(vp *VP, a arrays)
+	}{
+		{"Global.Read", "Read", func(vp *VP, a arrays) { a.g.Read(vp, 0) }},
+		{"Global.Write", "Write", func(vp *VP, a arrays) { a.g.Write(vp, 0, 1) }},
+		{"Global.Add", "Write", func(vp *VP, a arrays) { a.g.Add(vp, 0, 1) }},
+		{"Global.ReadBlock", "Read", func(vp *VP, a arrays) { a.g.ReadBlock(vp, 0, 2, buf) }},
+		{"Global.ReadBlock/empty", "Read", func(vp *VP, a arrays) { a.g.ReadBlock(vp, 1, 1, nil) }},
+		{"Global.WriteBlock", "Write", func(vp *VP, a arrays) { a.g.WriteBlock(vp, 0, buf) }},
+		{"Global.WriteBlock/empty", "Write", func(vp *VP, a arrays) { a.g.WriteBlock(vp, 1, nil) }},
+		{"Global.AddBlock", "Write", func(vp *VP, a arrays) { a.g.AddBlock(vp, 0, buf) }},
+		{"Global.AddBlock/empty", "Write", func(vp *VP, a arrays) { a.g.AddBlock(vp, 1, nil) }},
+		{"Node.Read", "Read", func(vp *VP, a arrays) { a.n.Read(vp, 0) }},
+		{"Node.Write", "Write", func(vp *VP, a arrays) { a.n.Write(vp, 0, 1) }},
+		{"Node.Add", "Write", func(vp *VP, a arrays) { a.n.Add(vp, 0, 1) }},
+		{"Node.ReadBlock", "Read", func(vp *VP, a arrays) { a.n.ReadBlock(vp, 0, 2, buf) }},
+		{"Node.ReadBlock/empty", "Read", func(vp *VP, a arrays) { a.n.ReadBlock(vp, 1, 1, nil) }},
+		{"Node.WriteBlock", "Write", func(vp *VP, a arrays) { a.n.WriteBlock(vp, 0, buf) }},
+		{"Node.WriteBlock/empty", "Write", func(vp *VP, a arrays) { a.n.WriteBlock(vp, 1, nil) }},
+		{"Node.AddBlock", "Write", func(vp *VP, a arrays) { a.n.AddBlock(vp, 0, buf) }},
+		{"Node.AddBlock/empty", "Write", func(vp *VP, a arrays) { a.n.AddBlock(vp, 1, nil) }},
+		{"Global2D.Read", "Read", func(vp *VP, a arrays) { a.g2.Read(vp, 0, 0) }},
+		{"Global2D.Write", "Write", func(vp *VP, a arrays) { a.g2.Write(vp, 0, 0, 1) }},
+		{"Global2D.Add", "Write", func(vp *VP, a arrays) { a.g2.Add(vp, 0, 0, 1) }},
+	} {
+		_, err := Run(opts(1), func(rt *Runtime) {
+			a := arrays{
+				g:  AllocGlobal[float64](rt, "g", 4),
+				n:  AllocNode[float64](rt, "n", 4),
+				g2: AllocGlobal2D[float64](rt, "g2", 2, 2),
+			}
+			rt.Do(1, func(vp *VP) { c.call(vp, a) })
+		})
+		if err == nil || !strings.Contains(err.Error(), c.op+" of shared") || !strings.Contains(err.Error(), "outside a phase") {
+			t.Errorf("%s outside a phase: got %v, want a %s outside-phase error", c.name, err, c.op)
+		}
 	}
 }
 

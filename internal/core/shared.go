@@ -378,6 +378,7 @@ func (g *Global[T]) put(vp *VP, i int, v T, add bool) {
 // runs instead of per-element entries; the modeled per-element costs are
 // identical to hi-lo scalar Reads.
 func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
+	vp.accessCheck(g.name, "Read")
 	if lo < 0 || hi > g.n || lo > hi {
 		panic(fmt.Sprintf("core: Global(%q).ReadBlock[%d:%d] out of [0,%d)", g.name, lo, hi, g.n))
 	}
@@ -387,7 +388,6 @@ func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 	if lo == hi {
 		return
 	}
-	vp.accessCheck(g.name, "Read")
 	n := hi - lo
 	vp.reads += int64(n)
 	if rc := vp.d.sharedReadCost; rc != 0 {
@@ -455,21 +455,23 @@ func (g *Global[T]) readBlockRemote(vp *VP, lo, hi int, dst []T) {
 
 // WriteBlock writes src over elements [lo, lo+len(src)), committing at
 // the end of the current phase — the array-section form of Write. The
-// run is buffered as a single record and applied with copy at commit.
+// run is copied into the VP's write buffer as a single record and
+// applied with copy at commit, so the caller may reuse src at once.
 func (g *Global[T]) WriteBlock(vp *VP, lo int, src []T) { g.putBlock(vp, lo, src, false, "WriteBlock") }
 
 // AddBlock accumulates src into elements [lo, lo+len(src)) at the end of
-// the current phase — the array-section form of Add.
+// the current phase — the array-section form of Add. Like WriteBlock it
+// copies src before returning; the caller may reuse src at once.
 func (g *Global[T]) AddBlock(vp *VP, lo int, src []T) { g.putBlock(vp, lo, src, true, "AddBlock") }
 
 func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
+	vp.accessCheck(g.name, "Write")
 	if lo < 0 || lo+len(src) > g.n {
 		panic(fmt.Sprintf("core: Global(%q).%s[%d:%d] out of [0,%d)", g.name, op, lo, lo+len(src), g.n))
 	}
 	if len(src) == 0 {
 		return
 	}
-	vp.accessCheck(g.name, "Write")
 	n := len(src)
 	vp.writes += int64(n)
 	if wc := vp.d.sharedWriteCost; wc != 0 {
@@ -652,6 +654,7 @@ func (a *Node[T]) put(vp *VP, i int, v T, add bool) {
 // ReadBlock copies elements [lo, hi) of the node's instance into dst
 // under phase semantics — the array-section form of Read.
 func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
+	vp.accessCheck(a.name, "Read")
 	if lo < 0 || hi > a.n || lo > hi {
 		panic(fmt.Sprintf("core: Node(%q).ReadBlock[%d:%d] out of [0,%d)", a.name, lo, hi, a.n))
 	}
@@ -661,7 +664,6 @@ func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 	if lo == hi {
 		return
 	}
-	vp.accessCheck(a.name, "Read")
 	n := hi - lo
 	vp.reads += int64(n)
 	if rc := vp.d.sharedReadCost; rc != 0 {
@@ -673,21 +675,23 @@ func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 }
 
 // WriteBlock writes src over elements [lo, lo+len(src)) of the node's
-// instance, committing at the end of the phase.
+// instance, committing at the end of the phase. It copies src before
+// returning; the caller may reuse src at once.
 func (a *Node[T]) WriteBlock(vp *VP, lo int, src []T) { a.putBlock(vp, lo, src, false, "WriteBlock") }
 
 // AddBlock accumulates src into elements [lo, lo+len(src)) at the end of
-// the phase.
+// the phase. It copies src before returning; the caller may reuse src at
+// once.
 func (a *Node[T]) AddBlock(vp *VP, lo int, src []T) { a.putBlock(vp, lo, src, true, "AddBlock") }
 
 func (a *Node[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
+	vp.accessCheck(a.name, "Write")
 	if lo < 0 || lo+len(src) > a.n {
 		panic(fmt.Sprintf("core: Node(%q).%s[%d:%d] out of [0,%d)", a.name, op, lo, lo+len(src), a.n))
 	}
 	if len(src) == 0 {
 		return
 	}
-	vp.accessCheck(a.name, "Write")
 	n := len(src)
 	vp.writes += int64(n)
 	if wc := vp.d.sharedWriteCost; wc != 0 {

@@ -266,3 +266,78 @@ func TestSecondJobStagingAllocPin(t *testing.T) {
 		t.Errorf("the second job allocated %d bytes, want at most %d: write staging regrew instead of coming from the pools", second, bound)
 	}
 }
+
+// blockSourceProg hands every block writer a source that it overwrites
+// right after the call: each VP writes and adds a block into its own
+// rank's partition and the other rank's of a Global, then into its
+// rank's Node array. The output is each rank's partition followed by its
+// node instance.
+func blockSourceProg(out [][]float64) func(rt *core.Runtime) {
+	return func(rt *core.Runtime) {
+		const part = 16
+		g := core.AllocGlobal[float64](rt, "g", 2*part)
+		nd := core.AllocNode[float64](rt, "nd", 8)
+		rt.Do(2, func(vp *core.VP) {
+			src := make([]float64, 2)
+			put := func(op func(*core.VP, int, []float64), lo int, v float64) {
+				src[0], src[1] = v, v+1
+				op(vp, lo, src)
+				src[0], src[1] = -1, -1
+			}
+			k, id := vp.NodeRank(), float64(100*(vp.GlobalRank()+1))
+			vp.GlobalPhase(func() {
+				for p := 0; p < 2; p++ {
+					lo := p*part + k*4
+					if p != vp.Node() {
+						lo += 8
+					}
+					put(g.WriteBlock, lo, id)
+					put(g.AddBlock, lo+2, id+10)
+				}
+			})
+			vp.NodePhase(func() {
+				put(nd.WriteBlock, k*4, id+20)
+				put(nd.AddBlock, k*4+2, id+30)
+			})
+		})
+		out[rt.NodeID()] = append(append([]float64(nil), g.Local(rt)...), nd.Local(rt)...)
+	}
+}
+
+// TestBlockSourceReusableAtOnce pins the contract WriteBlock and AddBlock
+// document: the source is copied before the call returns, so a caller
+// that overwrites it at once still commits the original values, on the
+// simulator and on a 2-rank mesh alike.
+func TestBlockSourceReusableAtOnce(t *testing.T) {
+	const nodes = 2
+	block := func(gr, off int) []float64 {
+		id := float64(100 * (gr + 1))
+		return []float64{id + float64(off), id + float64(off) + 1, id + float64(off) + 10, id + float64(off) + 11}
+	}
+	want := make([][]float64, nodes)
+	for r := range want {
+		// The partition: rank r's own VPs, then the other rank's.
+		for _, w := range []int{r, 1 - r} {
+			for k := 0; k < 2; k++ {
+				want[r] = append(want[r], block(2*w+k, 0)...)
+			}
+		}
+		for k := 0; k < 2; k++ {
+			want[r] = append(want[r], block(2*r+k, 20)...)
+		}
+	}
+	opt := distOpt(nodes)
+	sim := make([][]float64, nodes)
+	if _, err := core.Run(opt, blockSourceProg(sim)); err != nil {
+		t.Fatalf("simulator: %v", err)
+	}
+	mesh := make([][]float64, nodes)
+	runMesh(t, nodes, func(rank int, eng *Engine) error {
+		_, err := core.RunDist(opt, eng, blockSourceProg(mesh))
+		return err
+	})
+	for r := 0; r < nodes; r++ {
+		sameF64(t, fmt.Sprintf("simulator rank %d", r), sim[r], want[r])
+		sameF64(t, fmt.Sprintf("mesh rank %d", r), mesh[r], want[r])
+	}
+}

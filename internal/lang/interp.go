@@ -250,10 +250,6 @@ func (fr *frame) execAssign(st *Assign) {
 
 // storeShared writes or accumulates into a shared array under the current
 // context's rules.
-//
-//ppmvet:ignore phasebound — the interpreter brokers every shared access
-// of interpreted programs; lang.Check proves phase context statically on
-// the .ppm side and VP.accessCheck still guards dynamically.
 func (fr *frame) storeShared(h *sharedHandle, idx int, v value, add bool, pos Token) {
 	if fr.vp != nil {
 		// Inside a PPM function: phase semantics.
@@ -324,9 +320,6 @@ func (fr *frame) storeShared(h *sharedHandle, idx int, v value, add bool, pos To
 }
 
 // loadShared reads a shared array element under the current context.
-//
-//ppmvet:ignore phasebound — see storeShared: phase context is checked on
-// the .ppm side by lang.Check and dynamically by VP.accessCheck.
 func (fr *frame) loadShared(h *sharedHandle, idx int) value {
 	if fr.vp != nil {
 		switch {

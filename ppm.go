@@ -76,7 +76,9 @@ type WriterRef = core.WriterRef
 // block-distributed over the cluster. Besides the scalar Read/Write/Add
 // accessors it offers ReadBlock, WriteBlock and AddBlock for contiguous
 // ranges — semantically identical to the element-wise loops (same
-// modeled costs and traffic) but far cheaper in host time.
+// modeled costs and traffic) but far cheaper in host time. WriteBlock and
+// AddBlock copy their source before returning, so the caller may reuse
+// it at once.
 type Global[T Elem] = core.Global[T]
 
 // Node is a node-shared array (the paper's PPM_node_shared): one
