@@ -81,10 +81,14 @@ test:
 ## tests again at 1, 2 and 4 CPUs: the pool has min(K, GOMAXPROCS)
 ## workers, and with one worker every multi-phase body must still make
 ## progress. TestBoundaryLine rides along: two owners' concurrent installs
-## into the line their partition bound cuts.
+## into the line their partition bound cuts. The last line repeats the
+## two tests of the barrier-free phase end, which depend on scheduling: a
+## node-level read behind an owner that has not applied yet, and one
+## message from each peer per global phase.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -count=10 -run 'TestNodeReadAfterPhaseSeesApply|TestGlobalPhaseExchanges' ./internal/dist/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing

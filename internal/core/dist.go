@@ -22,7 +22,10 @@ type DistEngine interface {
 	Endpoint() mp.Endpoint
 	// SetReadServer installs the callback that serves peers' remote
 	// reads of this process's partitions; it must return a copy, which
-	// the engine keeps and sends as (the start of) the reply.
+	// the engine keeps and sends as (the start of) the reply. A read a
+	// peer requests after its CommitExchange of some phase must reach the
+	// callback only after this rank's ReleaseCommit of that exchange:
+	// before it, this rank may not have applied the phase.
 	SetReadServer(fn func(array, lo, hi int) ([]byte, error))
 	// FetchRanges reads any number of ranges from the one rank that owns
 	// them all, in one round trip; the reply is the ranges' bytes
@@ -196,8 +199,12 @@ func runRecovered(node int, f func()) (err error) {
 
 // openPhaseDist is the distributed global-phase entry: it invalidates
 // the remote-read caches, releases the memory mutex so peers can fetch
-// begin-of-phase values, and runs the doK allgather that replaces the
-// simulator's shared-state prefix sums for GlobalRank/GlobalK.
+// begin-of-phase values, and exchanges doK with every peer directly,
+// which replaces the simulator's shared-state prefix sums for
+// GlobalRank/GlobalK. The exchange is the only synchronization between
+// phases: a rank sends its doK after its previous apply and its mutex
+// release, so once every peer's doK is here every partition holds the
+// previous phase's values and serves reads.
 func (d *doRun) openPhaseDist() {
 	rt := d.rt
 	gs := rt.gs
@@ -208,7 +215,7 @@ func (d *doRun) openPhaseDist() {
 		gs.memMu.Unlock()
 		gs.memHeld = false
 	}
-	ks := mp.Allgather(rt.comm, []int{gs.doK[d.node]})
+	ks := mp.AllgatherDirect(rt.comm, []int{gs.doK[d.node]})
 	copy(gs.doK, ks)
 	base := 0
 	for n := 0; n < d.node; n++ {
@@ -221,8 +228,8 @@ func (d *doRun) openPhaseDist() {
 	d.rankBase, d.globalK, d.rankValid = base, total, true
 
 	// If this phase ordinal has a valid recorded plan, prefetch its
-	// remote cover now: the allgather is a full synchronization, so every
-	// peer has released its memory mutex and can serve reads. VPs then
+	// remote cover now: the doK exchange is a full synchronization, so
+	// every peer has released its memory mutex and can serve reads. VPs then
 	// find every recorded range already cached and fetch nothing. A plan
 	// that later turns out not to match only prefetched ranges the phase
 	// was free to read anyway (begin-of-phase values are immutable), so
@@ -533,9 +540,10 @@ func (d *doRun) commitGlobalDist() error {
 		arr.resetDistCache()
 	}
 
-	// Everyone applied before anyone's node-level code (or next phase)
-	// reads any partition.
-	rt.comm.Barrier()
+	// No barrier: peers may still wait in this exchange, unapplied. The
+	// next phase's reads follow its opening doK exchange and the run's exit
+	// barrier follows every apply; a node-level read in between is held by
+	// the owner until it releases this exchange (DistEngine.SetReadServer).
 
 	if strictFirst != nil {
 		gs.noteStrict(strictFirst)

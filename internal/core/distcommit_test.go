@@ -34,6 +34,9 @@ type loopEngine struct {
 	server   func(array, lo, hi int) ([]byte, error)
 	lent     [][]byte // what the last CommitExchange returned, until released
 	released int
+	// exchanged counts this rank's CommitExchange calls: a read it sends
+	// waits until the owner has released as many (DistEngine's contract).
+	exchanged int
 	// reqs is every read request this rank sent, ranges in request order;
 	// fetchDelay, if set, holds each one in flight that long.
 	reqs       [][]wire.ReadRange
@@ -98,6 +101,9 @@ func (e *loopEngine) Fetch(array, owner, lo, hi int) ([]byte, error) {
 
 func (e *loopEngine) FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, error) {
 	e.m.mu.Lock()
+	for e.m.engs[owner].released < e.exchanged {
+		e.m.cond.Wait()
+	}
 	server := e.m.engs[owner].server
 	e.reqs = append(e.reqs, slices.Clone(ranges))
 	e.m.mu.Unlock()
@@ -131,6 +137,7 @@ func (e *loopEngine) CommitExchange(phase int64, outgoing [][]byte) ([][]byte, e
 		mine[dst] = append([]byte(nil), s...)
 	}
 	all[e.rank] = mine
+	e.exchanged++
 	e.m.cond.Broadcast()
 	in := make([][]byte, n)
 	for src := 0; src < n; src++ {
@@ -155,7 +162,10 @@ func (e *loopEngine) ReleaseCommit(in [][]byte) {
 		}
 	}
 	e.lent = nil
+	e.m.mu.Lock()
 	e.released++
+	e.m.mu.Unlock()
+	e.m.cond.Broadcast()
 }
 
 // TestCommitStreamsReleasedAndUnpinned: commitGlobalDist hands every

@@ -294,8 +294,10 @@ func (g *Global[T]) Local(rt *Runtime) []T {
 }
 
 // At returns element i at node level (setup/extraction only). Reading a
-// remote element outside any phase has no defined synchronization; it is
-// allowed for result extraction after phases have committed.
+// remote element outside any phase is allowed for result extraction after
+// phases have committed: it sees every phase committed so far. On a mesh
+// the owner answers it once it opens its next global phase or ends its
+// run, since it holds its partitions at node level.
 func (g *Global[T]) At(rt *Runtime, i int) T {
 	if rt.inDo {
 		panic(fmt.Sprintf("core: Global(%q).At while Do is active", g.name))

@@ -723,10 +723,11 @@ func (d *doRun) teardown() {
 }
 
 // openPhase performs the phase-entry synchronization: global phases
-// synchronize the cluster so every node's partitions are committed and
-// stable before any VP reads them. After that barrier every node's doK
-// is stable, so the GlobalRank/GlobalK prefix sums are computed here once
-// instead of on every call.
+// synchronize the cluster (the simulator's barrier, the mesh's doK
+// exchange) so every node's partitions are committed and stable before
+// any VP reads them. After it every node's doK is stable, so the
+// GlobalRank/GlobalK prefix sums are computed here once instead of on
+// every call.
 func (d *doRun) openPhase(kind phaseKind) {
 	if kind == phaseGlobal {
 		if d.rt.gs.dist != nil {

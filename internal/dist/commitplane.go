@@ -28,8 +28,11 @@ type commitPlane struct {
 	// release; pool holds the ones between uses. A lent buffer that is
 	// never released is simply left to the collector.
 	lent *commitBuf
-	pool sync.Pool
-	tm   *time.Timer // the one wait deadline timer, see wakeAt
+	// released is the ordinal of the last exchange this rank released,
+	// that is, applied: what a read request waits for in awaitRelease.
+	released int64
+	pool     sync.Pool
+	tm       *time.Timer // the one wait deadline timer, see wakeAt
 	// fatal is the engine's fatal error once the mesh died: a heartbeat
 	// verdict, an EOF or a peer abort, naming the dead rank and operation.
 	fatal error
@@ -205,13 +208,33 @@ func (cp *commitPlane) release(in [][]byte) {
 		return
 	}
 	cp.lent = nil
+	cp.released = cp.completed
 	cp.mu.Unlock()
+	cp.cond.Broadcast()
 	for src := range b.data {
 		b.data[src] = b.data[src][:0]
 		b.done[src] = false
 	}
 	b.nDone = 0
 	cp.pool.Put(b)
+}
+
+// awaitRelease blocks until this rank has released exchange seq, or a
+// later one, and returns the fatal error instead if the mesh dies first.
+// A read request that arrives behind the peer's stream of exchange seq
+// waits here: until the release, this rank may not have applied what that
+// stream carried, and its memory mutex stays free while it waits in the
+// exchange, so the read server would answer from before the apply.
+func (cp *commitPlane) awaitRelease(seq int64) error {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	for cp.released < seq {
+		if cp.fatal != nil {
+			return cp.fatal
+		}
+		cp.cond.Wait()
+	}
+	return nil
 }
 
 func (cp *commitPlane) kill(fatal error) {

@@ -28,10 +28,13 @@ import (
 	"ppm/internal/wire"
 )
 
-// serveReq is a peer's remote read awaiting the server goroutine.
+// serveReq is a peer's remote read awaiting the server goroutine; after
+// is the exchange this rank must have released before serving it (the
+// link's endSeq when the request arrived).
 type serveReq struct {
 	dst    int
 	id     uint64
+	after  int64
 	ranges []wire.ReadRange
 }
 
@@ -151,7 +154,7 @@ func (e *Engine) deliver(l *link, kind byte, payload []byte) bool {
 			return false
 		}
 		select {
-		case e.serveCh <- serveReq{dst: l.id, id: id, ranges: ranges}:
+		case e.serveCh <- serveReq{dst: l.id, id: id, after: l.endSeq, ranges: ranges}:
 		case <-e.fatalCh:
 			return false
 		}
@@ -179,6 +182,7 @@ func (e *Engine) deliver(l *link, kind byte, payload []byte) bool {
 			e.protocolFatal(l.id, err)
 			return false
 		}
+		l.endSeq = max(l.endSeq, h.Seq)
 	case wire.KindAbort:
 		e.setFatal(fmt.Errorf("dist: rank %d aborted: %s", l.id, wire.DecodeAbort(payload)))
 		return false
@@ -196,6 +200,14 @@ func (e *Engine) deliver(l *link, kind byte, payload []byte) bool {
 // serveLoop answers peers' remote reads once core has installed the read
 // server. Serving runs outside the reader goroutines so a request that
 // blocks on the memory lock never stalls frame demultiplexing.
+//
+// A request that followed the peer's stream of an exchange this rank has
+// not yet released waits for the release first: that is a node-level
+// read after a phase, and until the release this rank's partitions may
+// not hold the phase's apply. The wait cannot hold up a read that would
+// let the release happen: the requester finished that exchange, so every
+// rank had ended its stream, and a rank ends its stream only once all its
+// in-phase reads are answered.
 func (e *Engine) serveLoop() {
 	defer e.wg.Done()
 	select {
@@ -207,6 +219,9 @@ func (e *Engine) serveLoop() {
 	for {
 		select {
 		case req := <-e.serveCh:
+			if e.commit.awaitRelease(req.after) != nil {
+				return
+			}
 			e.serverMu.RLock()
 			server := e.server
 			e.serverMu.RUnlock()
@@ -328,9 +343,11 @@ func (e *Engine) ChargeFlops(n int64) {}
 // SetReadServer implements core.DistEngine. Each RunDist installs its
 // own server (a closure over that run's state); on a reused engine the
 // new installation replaces the old. The swap cannot race a peer's read
-// of the previous job's data: fetches only happen inside open global
-// phases, every phase open starts with a full allgather, and all ranks
-// install their new server before entering the next run's first phase.
+// of the previous job's data, which was answered before that peer entered
+// the previous run's exit barrier, nor hand a read of this job to the old
+// server: a peer reads inside a global phase, whose opening doK exchange
+// it completes only once every rank has opened it, or at node level after
+// one.
 func (e *Engine) SetReadServer(fn func(array, lo, hi int) ([]byte, error)) {
 	e.serverMu.Lock()
 	e.server = fn

@@ -68,6 +68,12 @@ type link struct {
 	recvCodec wire.Codec
 	// scratch is the reader goroutine's: payloads it decodes and drops.
 	scratch []byte
+	// endSeq is the reader goroutine's too: the highest exchange ordinal
+	// of a CommitEnd it delivered from the peer. Frames on the link arrive
+	// in the order the peer sent them, so a read request delivered after
+	// it was sent after the peer's stream of that exchange, and is served
+	// only once this rank has applied it (commitPlane.awaitRelease).
+	endSeq int64
 	// sawBye is set by the reader when the peer announces orderly
 	// shutdown: a subsequent EOF (and silence) is then expected, not a
 	// failure. Read by the heartbeat too.
