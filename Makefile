@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build app-sites transport-seam race-seam vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites transport-seam race-seam fleet-seam vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, the
-## one-descriptor-per-application rule and the one-link-per-peer rule
-## and the one-race-engine rule) and race-test.
-check: build app-sites transport-seam race-seam vet ppmvet langcheck race
+## one-descriptor-per-application rule, the one-link-per-peer rule, the
+## one-race-engine rule and the one-fleet-supervisor rule) and race-test.
+check: build app-sites transport-seam race-seam fleet-seam vet ppmvet langcheck race
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,19 @@ race-seam:
 		grep -nE -e '^[[:space:]]*type verdict\b' \
 			-e '^func (\([^)]*\) )?(pairVerdict|solveTerms|solveOne|pointPair|intervalPair|strideVerdict)\(' \
 			internal/lang/*.go internal/analysis/*.go; } ); \
+	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
+
+## fleet-seam: one fleet supervisor. Host processes are started, their
+## replies collected and failed jobs retried only in
+## internal/dist/fleet.go (StartFleet, Fleet.Run, Supervisor): no other
+## product file under cmd/ or internal/ calls StartHost, receives from a
+## Host's Replies or computes a retry backoff (retryDelay), and nothing in
+## internal/server, cmd/ppm-run or cmd/ppm-server sleeps. The offending
+## lines are printed.
+fleet-seam:
+	@out=$$( { grep -rn --include='*.go' -e '\.StartHost(' -e '\.Replies\b' -e 'retryDelay(' cmd internal \
+			| grep -v -e '_test\.go:' -e '^internal/dist/fleet\.go:'; \
+		grep -rn --include='*.go' 'time\.Sleep(' internal/server cmd/ppm-run cmd/ppm-server | grep -v '_test\.go:'; } ); \
 	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 vet:
@@ -190,13 +203,16 @@ chaos:
 
 ## rescale-smoke: elastic-rescale recovery under the race detector — a
 ## 3-process fleet loses host 2 permanently (killhost re-arms on every
-## relaunch), the supervisor exhausts the per-host restart budget,
-## rescales to 2 host processes (rank 2 restored from its checkpoint
-## onto host 1), and cg/jacobi/scatter finish bit-identical to an
-## uninterrupted 3-rank run. Also pins the MinNodes floor error and the
-## in-process rescaled-restore identity.
+## relaunch), the supervisor blames it for two failed attempts, rescales
+## to 2 host processes (rank 2 restored from its checkpoint onto host 1),
+## and cg/jacobi/scatter finish bit-identical to an uninterrupted 3-rank
+## run. Also pins the floor error (a dead host at 1 process) and the
+## in-process rescaled-restore identity, then runs the same supervisor
+## behind the job server: a retry after a fleet kill, a rescaled retry,
+## and an operator stop that is not retried.
 rescale-smoke:
 	$(GO) test -race -count=1 -run 'TestSubprocessRescale|TestRescaled' -v ./internal/dist/
+	$(GO) test -race -count=1 -run 'TestServerJobRetry' -v ./internal/server/
 
 ## figures: print the paper's figure sweeps.
 figures:

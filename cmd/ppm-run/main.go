@@ -23,7 +23,6 @@
 //	        [-parallel] [-timeline] [-json] [-timeout D]
 //	        [-distributed [-node-bin path/to/ppm-node]] [-wire-codec raw|delta]
 //	        [-max-restarts N] [-checkpoint-dir DIR [-checkpoint-every K]]
-//	        [-per-rank-restarts N] [-min-nodes N]
 //	        [-hb-interval D] [-hb-timeout D] [-op-timeout D]
 //	        [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //	        [-cg-grid NXxNYxNZ] [-cg-iters N] [-colloc-levels N] [-colloc-m0 N]
@@ -34,7 +33,9 @@
 // With -max-restarts the distributed launcher supervises the fleet: when
 // a rank dies the survivors self-abort (failure detector), everything is
 // relaunched, and — with -checkpoint-dir — the new fleet resumes from
-// the last checkpoint every rank completed, bit-identically.
+// the last checkpoint every rank completed, bit-identically. A host
+// process blamed for two failed attempts is permanently dead: the next
+// attempt runs the same ranks on one process fewer, down to one.
 package main
 
 import (
@@ -76,8 +77,6 @@ func main() {
 	flag.IntVar(&lo.MaxRestarts, "max-restarts", 0, "distributed: relaunch the fleet up to this many times after a rank failure")
 	flag.StringVar(&lo.CheckpointDir, "checkpoint-dir", "", "distributed: write phase-boundary checkpoints here; restarts resume from them")
 	flag.IntVar(&lo.CheckpointEvery, "checkpoint-every", 0, "distributed: minimum committed global phases between checkpoints (default 1)")
-	flag.IntVar(&lo.PerRankRestarts, "per-rank-restarts", 0, "distributed: declare a host permanently dead after it is blamed for this many consecutive failed attempts (default 2)")
-	flag.IntVar(&lo.MinNodes, "min-nodes", 0, "distributed: never rescale the fleet below this many host processes (default 1)")
 	flag.String("wire-codec", "", "distributed: commit-stream encoding to offer peers (raw or delta; node default raw)")
 	flag.Duration("hb-interval", 0, "distributed: failure-detector probe interval (node default 500ms, negative disables)")
 	flag.Duration("hb-timeout", 0, "distributed: declare a silent peer dead after this long (node default 5s)")
@@ -206,7 +205,7 @@ func findNodeBin(explicit string) (string, error) {
 // flags), and merges and flattens the per-rank results. With
 // -max-restarts the launcher supervises: a failed fleet is relaunched
 // (resuming from -checkpoint-dir when set) until an attempt succeeds or
-// the budget is spent, and restarts and shrinks are narrated on stderr.
+// the budget is spent, and each relaunch is narrated on stderr.
 func runDistributed(s *jobspec.Spec, nodeBin string, lo dist.LaunchOpts) *jobspec.Result {
 	bin, err := findNodeBin(nodeBin)
 	exitOn(err)
@@ -214,11 +213,8 @@ func runDistributed(s *jobspec.Spec, nodeBin string, lo dist.LaunchOpts) *jobspe
 	exitOn(err)
 	lo.Nodes, lo.NodeBin = s.Nodes, bin
 	lo.NodeArgs = append([]string{"-spec-json", string(payload)}, lo.NodeArgs...)
-	lo.OnRestart = func(attempt int, cause error) {
-		fmt.Fprintf(os.Stderr, "ppm-run: supervisor: relaunching fleet (attempt %d) after: %v\n", attempt, cause)
-	}
-	lo.OnRescale = func(procs int, cause error) {
-		fmt.Fprintf(os.Stderr, "ppm-run: supervisor: host permanently dead; rescaling fleet to %d host processes after: %v\n", procs, cause)
+	lo.OnRetry = func(attempt, procs int, cause error) {
+		fmt.Fprintf(os.Stderr, "ppm-run: supervisor: relaunching fleet on %d host processes (attempt %d) after: %v\n", procs, attempt, cause)
 	}
 	results, err := dist.LaunchLocal(lo)
 	exitOn(err)

@@ -9,7 +9,7 @@
 //	ppm-server [-addr 127.0.0.1:8765] [-node-bin path/to/ppm-node]
 //	           [-max-queue 64] [-tenant-quota 8] [-workers 2]
 //	           [-idle-timeout 2m] [-drain-timeout 30s]
-//	           [-job-retries 2] [-retry-backoff 200ms]
+//	           [-job-retries 2]
 //
 // Endpoints:
 //
@@ -47,7 +47,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "retire warm fleets idle this long")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain bound")
 	jobRetries := flag.Int("job-retries", 2, "resubmit a dist job whose fleet died up to this many times (-1 never)")
-	retryBackoff := flag.Duration("retry-backoff", 200*time.Millisecond, "base of the exponential job-retry backoff")
 	flag.Parse()
 
 	bin := *nodeBin
@@ -67,7 +66,6 @@ func main() {
 		Workers:       *workers,
 		IdleTimeout:   *idleTimeout,
 		MaxJobRetries: *jobRetries,
-		RetryBackoff:  *retryBackoff,
 	})
 	if err := s.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "ppm-server: %v\n", err)

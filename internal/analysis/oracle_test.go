@@ -420,8 +420,6 @@ func oracleScore(rows []oracleRow) string {
 		}
 	}
 	fmt.Fprintf(&b, "rows where ppmc and ppmvet disagree: %d\n", disagree)
-	b.WriteString("rules with no dynamic oracle, not scored: staleread, unusedshared (both front ends); blockretain, localalias, runerror, serialescape (ppmvet)\n")
-	b.WriteString("phasebound: the runtime's access check is its oracle; no operator here moves a write out of a phase\n")
 	return b.String()
 }
 

@@ -214,12 +214,6 @@ func (p *Proc) NICAcquire(at vtime.Time, d vtime.Duration) vtime.Time {
 	return p.cluster.nics[p.node].Acquire(at, d)
 }
 
-// NICFreeAt returns the earliest idle time of this node's NIC.
-func (p *Proc) NICFreeAt() vtime.Time {
-	p.acquireTurn()
-	return p.cluster.nics[p.node].FreeAt()
-}
-
 // CountTraffic records modeled traffic in the statistics without
 // performing a send; runtime layers use it alongside NICAcquire.
 func (p *Proc) CountTraffic(msgs, bytes int64, intra bool) {

@@ -47,7 +47,7 @@ func TestSubprocessKillRecoveryJacobi(t *testing.T) {
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 2,
 		Stderr:          nopWriter{}, // the killed rank and its survivors complain on purpose
-		OnRestart:       func(int, error) { restarts++ },
+		OnRetry:         func(int, int, error) { restarts++ },
 	})
 	if err != nil {
 		t.Fatalf("supervised launch did not recover: %v", err)
@@ -190,11 +190,9 @@ func runChaosCase(t *testing.T, app, spec string, expectRecover, rescale bool, e
 	}
 	if rescale {
 		// A permanently dead host needs one more attempt (die, die
-		// again, finish rescaled) and permission to shrink to one host
-		// process carrying both ranks.
+		// again, finish rescaled on one host process carrying both
+		// ranks).
 		opts.MaxRestarts = 3
-		opts.PerRankRestarts = 2
-		opts.MinNodes = 1
 	}
 
 	start := time.Now()

@@ -26,7 +26,7 @@ func TestSupervisorDoesNotRestartOperatorStop(t *testing.T) {
 		MaxRestarts: 3,
 		Timeout:     30 * time.Second,
 		Stderr:      io.Discard,
-		OnRestart:   func(int, error) { restarts++ },
+		OnRetry:     func(int, int, error) { restarts++ },
 	})
 	if !errors.Is(err, ErrOperatorStop) {
 		t.Fatalf("err = %v, want ErrOperatorStop", err)
@@ -52,7 +52,7 @@ func TestSupervisorStillRestartsCrashes(t *testing.T) {
 		MaxRestarts: 2,
 		Timeout:     30 * time.Second,
 		Stderr:      io.Discard,
-		OnRestart:   func(int, error) { restarts++ },
+		OnRetry:     func(int, int, error) { restarts++ },
 	})
 	if err == nil || errors.Is(err, ErrOperatorStop) {
 		t.Fatalf("err = %v, want a plain launch failure", err)

@@ -159,7 +159,7 @@ func rescaleNodeArgs(t *testing.T, spec AppSpec) []string {
 
 // TestSubprocessRescaleRecovery is the forked-fleet half: host process 2
 // of a 3-process fleet dies permanently (killhost re-arms on every
-// attempt), the supervisor exhausts its per-rank restart budget, rescales
+// attempt), the supervisor blames it for two failed attempts, rescales
 // the fleet to 2 host processes, and the job finishes on them — with
 // rank 2 restored from its checkpoint onto host 1 — bit-identical to an
 // uninterrupted 3-rank run.
@@ -179,13 +179,15 @@ func TestSubprocessRescaleRecovery(t *testing.T) {
 				NodeArgs:        rescaleNodeArgs(t, spec),
 				Env:             []string{"PPM_FAULT=killhost=2@phase:3"},
 				MaxRestarts:     3,
-				PerRankRestarts: 2,
-				MinNodes:        2,
 				CheckpointDir:   t.TempDir(),
 				CheckpointEvery: 2,
 				Stderr:          nopWriter{}, // the dying host and its survivors complain on purpose
-				OnRestart:       func(int, error) { restarts++ },
-				OnRescale:       func(procs int, _ error) { rescaledTo = procs },
+				OnRetry: func(_, procs int, _ error) {
+					restarts++
+					if procs < 3 {
+						rescaledTo = procs
+					}
+				},
 			})
 			if err != nil {
 				t.Fatalf("supervised launch did not recover: %v", err)
@@ -206,9 +208,10 @@ func TestSubprocessRescaleRecovery(t *testing.T) {
 	}
 }
 
-// TestSubprocessRescaleFloor pins the MinNodes floor: a permanently dead
-// host with nowhere left to shrink must surface a clean error naming the
-// host and the floor, not loop forever.
+// TestSubprocessRescaleFloor pins the floor of 1 host process: host 0
+// dies permanently, the fleet shrinks to one process, which is host 0
+// again, and with nowhere left to shrink the launch must surface a clean
+// error naming the host and the floor, not loop forever.
 func TestSubprocessRescaleFloor(t *testing.T) {
 	if nodeBin == "" {
 		t.Fatal("ppm-node binary was not built; see TestMain output")
@@ -218,18 +221,16 @@ func TestSubprocessRescaleFloor(t *testing.T) {
 		NodeBin: nodeBin,
 		NodeArgs: append([]string{"-app", "jacobi", "-cores", "2",
 			"-jacobi-grid", "10x6x4", "-jacobi-sweeps", "8"}, detectorArgs...),
-		Env:             []string{"PPM_FAULT=killhost=1@phase:3"},
+		Env:             []string{"PPM_FAULT=killhost=0@phase:3"},
 		MaxRestarts:     4,
-		PerRankRestarts: 2,
-		MinNodes:        2, // the floor equals the fleet size: no rescale possible
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 2,
 		Stderr:          nopWriter{},
 	})
 	if err == nil {
-		t.Fatal("launch at the MinNodes floor reported success despite a permanently dead host")
+		t.Fatal("launch at the floor reported success despite a permanently dead host")
 	}
-	if !strings.Contains(err.Error(), "permanently dead") || !strings.Contains(err.Error(), "MinNodes") {
+	if !strings.Contains(err.Error(), "permanently dead") || !strings.Contains(err.Error(), "floor of 1 host process") {
 		t.Errorf("floor error does not explain itself:\n%v", err)
 	}
 }

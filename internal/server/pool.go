@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"ppm/internal/dist"
-	"ppm/internal/jobspec"
 )
 
 // fleetKey identifies a reusable fleet shape. Jobs only share a fleet
@@ -31,120 +29,8 @@ type fleetKey struct {
 // jobs the processes idle with their TCP mesh up and their plan-cache
 // sessions parked, which is the whole point of pooling them.
 type fleet struct {
-	key    fleetKey
-	hosts  []*dist.Host
-	dir    string // rendezvous dir, removed at stop
-	served int    // jobs completed on this fleet
-	broken bool   // a run errored; the engines may be poisoned
-}
-
-// run submits one job to every host process and gathers one terminal
-// reply per hosted rank. Rank 0's phase-progress replies (host 0 hosts
-// it) stream through onPhase as they arrive. Any host exiting mid-job
-// or replying with an error marks the fleet broken; the caller must
-// discard it.
-func (f *fleet) run(id string, spec *jobspec.Spec, onPhase func(int64)) ([]dist.NodeResult, error) {
-	line, err := json.Marshal(jobspec.NodeJob{ID: id, Spec: *spec})
-	if err != nil {
-		return nil, fmt.Errorf("server: encoding job %s: %v", id, err)
-	}
-	line = append(line, '\n')
-	for hi, h := range f.hosts {
-		if _, err := h.Stdin.Write(line); err != nil {
-			f.broken = true
-			return nil, fmt.Errorf("server: fleet write to host %d: %v", hi, err)
-		}
-	}
-	results := make([]dist.NodeResult, f.key.nodes)
-	errs := make([]error, len(f.hosts))
-	var wg sync.WaitGroup
-	for hi, h := range f.hosts {
-		wg.Add(1)
-		go func(hi int, h *dist.Host) {
-			defer wg.Done()
-			got := 0
-			for rep := range h.Replies {
-				if rep.ID != id {
-					continue // a reply to no job of ours, such as a start-up failure
-				}
-				if !rep.Done {
-					if hi == 0 && onPhase != nil {
-						onPhase(rep.Phase)
-					}
-					continue
-				}
-				if rep.Result == nil {
-					errs[hi] = fmt.Errorf("host %d: terminal reply without a result", hi)
-					return
-				}
-				r := rep.Result.Rank
-				if r < h.Lo || r >= h.Hi {
-					errs[hi] = fmt.Errorf("host %d: terminal reply for rank %d, which it does not host", hi, r)
-					return
-				}
-				results[r] = *rep.Result
-				if got++; got == h.Hi-h.Lo {
-					return
-				}
-			}
-			errs[hi] = fmt.Errorf("host %d (ranks %d-%d): exited mid-job", hi, h.Lo, h.Hi-1)
-		}(hi, h)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			f.broken = true
-			return nil, fmt.Errorf("server: fleet failed job %s: %v", id, err)
-		}
-	}
-	for _, res := range results {
-		if res.Err != "" {
-			f.broken = true
-		}
-	}
-	f.served++
-	return results, nil
-}
-
-// healthy reports whether every host is still idling. A host says
-// nothing between jobs, so a reply line or the close that follows its
-// exit both mean it is done.
-func (f *fleet) healthy() bool {
-	if f.broken {
-		return false
-	}
-	for _, h := range f.hosts {
-		select {
-		case <-h.Replies:
-			return false
-		default:
-		}
-	}
-	return true
-}
-
-// stop retires the fleet: closing stdin ends each host's session (its
-// engines close and it exits), and hosts that linger past the grace are
-// killed. Broken fleets skip the grace: their engines are wedged or dead
-// already. Every host's replies are drained to their close.
-func (f *fleet) stop() {
-	for _, h := range f.hosts {
-		h.Stdin.Close()
-	}
-	grace := 5 * time.Second
-	if f.broken {
-		grace = 100 * time.Millisecond
-	}
-	kill := time.AfterFunc(grace, func() {
-		for _, h := range f.hosts {
-			h.Kill()
-		}
-	})
-	for _, h := range f.hosts {
-		h.Wait()
-	}
-	kill.Stop()
-	os.RemoveAll(f.dir)
+	*dist.Fleet
+	key fleetKey
 }
 
 // idleFleet is a pooled fleet with its park timestamp.
@@ -153,17 +39,16 @@ type idleFleet struct {
 	since time.Time
 }
 
-// pool keeps warm fleets between jobs. acquire prefers the most
-// recently parked fleet of the right shape (its plan cache is most
-// likely to still match); release parks a healthy fleet, discard kills
-// a broken one; reap retires fleets idle past the configured timeout.
+// pool keeps warm fleets between jobs. acquire hands a job's first
+// attempt the most recently parked fleet of the right shape and every
+// retry a fresh one; release parks an idle fleet, discard kills a broken
+// one; reap retires fleets idle past the configured timeout.
 type pool struct {
 	// launch is every fleet's host command line; spawn sets Nodes.
 	launch dist.LaunchOpts
 
 	mu     sync.Mutex
 	idle   map[fleetKey][]idleFleet
-	seq    int
 	closed bool
 
 	spawned, reused, reaped, discarded int64
@@ -179,70 +64,46 @@ func newPool(nodeBin string, stderr io.Writer) *pool {
 	}
 }
 
-// acquire returns a warm fleet for key, or spawns one. reused reports
-// whether the fleet had served before (the e2e tests assert warm-path
-// behavior through it).
-func (p *pool) acquire(key fleetKey) (f *fleet, reusedFleet bool, err error) {
+// acquire returns a fleet of key's shape for a job's attempt. Attempt 0
+// takes the most recently parked one (its plan cache is most likely to
+// still match), or spawns one. Every later attempt spawns fresh: an idle
+// fleet was spawned as attempt 0 and may be armed with (or already
+// poisoned by) the one-shot fault that killed the first run.
+func (p *pool) acquire(key fleetKey, attempt int) (*fleet, error) {
 	p.mu.Lock()
-	for {
-		fleets := p.idle[key]
-		if len(fleets) == 0 {
-			break
-		}
+	for fleets := p.idle[key]; attempt == 0 && len(fleets) > 0; fleets = p.idle[key] {
 		cand := fleets[len(fleets)-1].f
 		p.idle[key] = fleets[:len(fleets)-1]
-		if !cand.healthy() {
-			p.discarded++
+		if cand.Idle() {
+			p.reused++
 			p.mu.Unlock()
-			cand.stop()
-			p.mu.Lock()
-			continue
+			return cand, nil
 		}
-		p.reused++
+		p.discarded++
 		p.mu.Unlock()
-		return cand, true, nil
+		cand.Stop()
+		p.mu.Lock()
 	}
-	if p.closed {
-		p.mu.Unlock()
-		return nil, false, fmt.Errorf("server: pool closed")
-	}
-	p.seq++
-	seq := p.seq
-	p.spawned++
-	p.mu.Unlock()
-	f, err = p.spawn(key, seq, 0)
-	return f, false, err
-}
-
-// acquireFresh always spawns a new fleet, bypassing the warm pool, with
-// the given launch attempt in the children's PPM_FAULT_ATTEMPT. Job
-// retries use it: an idle fleet was spawned as attempt 0 and may be
-// armed with (or already poisoned by) the one-shot fault that killed
-// the first run.
-func (p *pool) acquireFresh(key fleetKey, attempt int) (*fleet, error) {
-	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("server: pool closed")
 	}
-	p.seq++
-	seq := p.seq
 	p.spawned++
 	p.mu.Unlock()
-	return p.spawn(key, seq, attempt)
+	return p.spawn(key, attempt)
 }
 
 // release parks a fleet for reuse; broken or dead fleets are retired
 // instead.
 func (p *pool) release(f *fleet) {
-	if !f.healthy() {
+	if !f.Idle() {
 		p.discard(f)
 		return
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		f.stop()
+		f.Stop()
 		return
 	}
 	p.idle[f.key] = append(p.idle[f.key], idleFleet{f: f, since: time.Now()})
@@ -254,7 +115,7 @@ func (p *pool) discard(f *fleet) {
 	p.mu.Lock()
 	p.discarded++
 	p.mu.Unlock()
-	f.stop()
+	f.Stop()
 }
 
 // reap retires every fleet idle since before cutoff.
@@ -279,7 +140,7 @@ func (p *pool) reap(cutoff time.Time) {
 	p.reaped += int64(len(victims))
 	p.mu.Unlock()
 	for _, f := range victims {
-		f.stop()
+		f.Stop()
 	}
 }
 
@@ -297,7 +158,7 @@ func (p *pool) closeAll() {
 	p.idle = make(map[fleetKey][]idleFleet)
 	p.mu.Unlock()
 	for _, f := range victims {
-		f.stop()
+		f.Stop()
 	}
 }
 
@@ -315,27 +176,12 @@ func (p *pool) stats() (spawned, reused, reaped, discarded int64, idle int) {
 // (key.procs < key.nodes block-hosts several logical ranks per process).
 // attempt reaches the children as PPM_FAULT_ATTEMPT, so one-shot
 // injected faults arm only on a job's first fleet.
-func (p *pool) spawn(key fleetKey, seq, attempt int) (*fleet, error) {
-	dir, err := os.MkdirTemp("", "ppm-serve-")
-	if err != nil {
-		return nil, fmt.Errorf("server: rendezvous dir: %w", err)
-	}
-	runID := fmt.Sprintf("serve-%d-%d", os.Getpid(), seq)
-	f := &fleet{key: key, dir: dir}
-	procs := key.procs
-	if procs <= 0 || procs > key.nodes {
-		procs = key.nodes
-	}
+func (p *pool) spawn(key fleetKey, attempt int) (*fleet, error) {
 	lo := p.launch
 	lo.Nodes = key.nodes
-	for hi := 0; hi < procs; hi++ {
-		h, err := lo.StartHost(dir, runID, attempt, procs, hi)
-		if err != nil {
-			f.broken = true
-			f.stop()
-			return nil, fmt.Errorf("server: spawning host %d of fleet %v: %v", hi, key, err)
-		}
-		f.hosts = append(f.hosts, h)
+	f, err := lo.StartFleet(attempt, key.procs)
+	if err != nil {
+		return nil, fmt.Errorf("server: spawning fleet %v: %v", key, err)
 	}
-	return f, nil
+	return &fleet{Fleet: f, key: key}, nil
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ppm/internal/jobspec"
@@ -115,6 +118,34 @@ func TestServerJobRetryRescalesFleet(t *testing.T) {
 	}
 	if m.Fleets.Discarded < 2 {
 		t.Errorf("fleets_discarded = %d, want >= 2 (both killed fleets)", m.Fleets.Discarded)
+	}
+}
+
+// TestServerJobRetrySkipsOperatorStop: a fleet host that exits
+// dist.StopExitCode was stopped by an operator, so the job fails on its
+// first attempt and the retry budget is not touched.
+func TestServerJobRetrySkipsOperatorStop(t *testing.T) {
+	fake := filepath.Join(t.TempDir(), "fake-node")
+	if err := os.WriteFile(fake, []byte("#!/bin/sh\nread job\nexit 86\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, Config{Workers: 1, NodeBin: fake, Stderr: nopW{}})
+	base := "http://" + s.Addr()
+
+	resp := submit(t, base, SubmitRequest{Tenant: "stop", Spec: distSpec(t)})
+	st := await(t, base, resp.ID)
+	if st.Status != StatusFailed || !strings.Contains(st.Error, "stopped by operator") {
+		t.Fatalf("job status %s (err %q), want failed by an operator stop", st.Status, st.Error)
+	}
+	if st.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 (an operator stop is not retried)", st.Attempts)
+	}
+	var m Metrics
+	if code := getJSON(t, base+"/metrics", &m); code != http.StatusOK {
+		t.Fatalf("metrics: %d", code)
+	}
+	if m.Jobs.Retried != 0 {
+		t.Errorf("jobs_retried = %d, want 0", m.Jobs.Retried)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
@@ -43,13 +42,11 @@ type Config struct {
 	JobRetention time.Duration
 	// MaxJobRetries is how many times a dist job whose fleet died is
 	// resubmitted before the job is marked failed (default 2; negative:
-	// no retries). The first retry gets a fresh full-size fleet; later
-	// retries shrink the fleet by one host process each, so a job can
-	// outlive a host that deterministically dies at the same phase.
+	// no retries). Retries follow dist.Supervisor: each gets a fresh
+	// fleet, one host process smaller once a host is blamed for two
+	// failed attempts, so a job can outlive a host that deterministically
+	// dies at the same phase.
 	MaxJobRetries int
-	// RetryBackoff is the base of the exponential retry backoff
-	// (default 200ms); each retry waits base<<(attempt-1) plus jitter.
-	RetryBackoff time.Duration
 	// Stderr receives fleet stderr (default os.Stderr).
 	Stderr io.Writer
 }
@@ -101,9 +98,6 @@ func New(cfg Config) *Server {
 		cfg.MaxJobRetries = 2
 	} else if cfg.MaxJobRetries < 0 {
 		cfg.MaxJobRetries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 200 * time.Millisecond
 	}
 	return &Server{
 		cfg:         cfg,
@@ -478,72 +472,48 @@ func (s *Server) runJob(j *Job) {
 	j.finish(StatusDone, res, "")
 }
 
-// runDist runs a dist-backend job, retrying a fleet failure against the
-// configured budget with exponential backoff + jitter. Attempt 0 uses
-// the warm pool; every retry spawns a fresh fleet (an idle fleet from
-// the same era carries attempt-0 fault arming and may be poisoned by
-// whatever killed the first run), and retries after the first shrink
-// the fleet by one host process each — the same logical node count on
-// fewer processes — so a host that deterministically dies at the same
-// phase cannot fail the job forever.
+// runDist runs a dist-backend job under the fleet supervisor
+// (dist.Supervisor), whose retries are bounded by the job's budget and
+// deadline. Attempt 0 takes a warm pooled fleet, every retry a fresh one
+// (pool.acquire). A failed attempt discards its fleet (a distributed
+// abort poisons the engines); success parks it warm for the next job of
+// its shape.
 func (s *Server) runDist(j *Job) (*jobspec.Result, error) {
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.MaxJobRetries; attempt++ {
-		if attempt > 0 {
+	line, err := json.Marshal(jobspec.NodeJob{ID: j.ID, Spec: j.Spec})
+	if err != nil {
+		return nil, fmt.Errorf("server: encoding job %s: %v", j.ID, err)
+	}
+	line = append(line, '\n')
+	sup := dist.Supervisor{
+		Nodes: j.Spec.Nodes, Retries: s.cfg.MaxJobRetries, Deadline: j.Deadline,
+		OnRetry: func(_, procs int, _ error) {
 			atomic.AddInt64(&s.jobsRetried, 1)
-			d := s.cfg.RetryBackoff << (attempt - 1)
-			d += time.Duration(rand.Int63n(int64(d)/2 + 1))
-			if !j.Deadline.IsZero() && time.Now().Add(d).After(j.Deadline) {
-				break
+			if procs < j.Spec.Nodes {
+				atomic.AddInt64(&s.recoveriesRescaled, 1)
 			}
-			time.Sleep(d)
+		},
+	}
+	var m *dist.Merged
+	_, err = sup.Run(func(attempt, procs int) ([]dist.NodeResult, error) {
+		j.noteAttempt()
+		f, err := s.pool.acquire(fleetKey{nodes: j.Spec.Nodes, procs: procs, cores: j.Spec.Cores, preset: j.Spec.Preset}, attempt)
+		if err != nil {
+			return nil, err
 		}
-		res, err := s.runDistOnce(j, attempt)
+		results, err := f.Run(j.ID, line, j.notifyPhase)
 		if err == nil {
-			return res, nil
+			m, err = dist.Merge(j.Spec.AppSpec(), results)
 		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// runDistOnce runs one attempt of a dist job on a pooled or fresh
-// fleet. Any failure discards the fleet (a distributed abort poisons
-// the engines); success parks it warm for the next job of its shape.
-func (s *Server) runDistOnce(j *Job, attempt int) (*jobspec.Result, error) {
-	j.noteAttempt()
-	procs := j.Spec.Nodes
-	if attempt > 1 {
-		procs -= attempt - 1
-		if procs < 1 {
-			procs = 1
+		if err != nil {
+			s.pool.discard(f)
+			return nil, err
 		}
-	}
-	key := fleetKey{nodes: j.Spec.Nodes, procs: procs, cores: j.Spec.Cores, preset: j.Spec.Preset}
-	var f *fleet
-	var err error
-	if attempt == 0 {
-		f, _, err = s.pool.acquire(key)
-	} else {
-		if procs < j.Spec.Nodes {
-			atomic.AddInt64(&s.recoveriesRescaled, 1)
-		}
-		f, err = s.pool.acquireFresh(key, attempt)
-	}
+		s.pool.release(f)
+		return results, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	results, err := f.run(j.ID, &j.Spec, j.notifyPhase)
-	if err != nil {
-		s.pool.discard(f)
-		return nil, err
-	}
-	m, err := dist.Merge(j.Spec.AppSpec(), results)
-	if err != nil {
-		s.pool.discard(f)
-		return nil, err
-	}
-	s.pool.release(f)
 	return jobspec.FromMerged(&j.Spec, m)
 }
 

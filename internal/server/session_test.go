@@ -32,6 +32,17 @@ func scatterSpec(t *testing.T) jobspec.Spec {
 	return s
 }
 
+// jobLine is spec as job id's NodeJob line, what the server writes to a
+// serve fleet.
+func jobLine(t *testing.T, id string, spec *jobspec.Spec) []byte {
+	t.Helper()
+	line, err := json.Marshal(jobspec.NodeJob{ID: id, Spec: *spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(line, '\n')
+}
+
 // A one-shot launch (-spec-json, what ppm-run forks) and a pooled serve
 // fleet run the same spec to Float64bits-equal outputs and equal
 // per-rank program counters.
@@ -49,12 +60,12 @@ func TestOneJobSessionMatchesServe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := newPool(nodeBin, nopW{}).spawn(fleetKey{nodes: 2, procs: 2, cores: 2, preset: spec.Preset}, 1, 0)
+	f, err := newPool(nodeBin, nopW{}).spawn(fleetKey{nodes: 2, procs: 2, cores: 2, preset: spec.Preset}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.stop()
-	served, err := f.run("j", &spec, nil)
+	defer f.Stop()
+	served, err := f.Run("j", jobLine(t, "j", &spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +131,12 @@ func TestPackedServeHostDrainsAtEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Normalize()
-	f, err := newPool(nodeBin, nopW{}).spawn(fleetKey{nodes: 3, procs: 1, cores: 2, preset: spec.Preset}, 1, 0)
+	f, err := newPool(nodeBin, nopW{}).spawn(fleetKey{nodes: 3, procs: 1, cores: 2, preset: spec.Preset}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.stop()
-	results, err := f.run("j", &spec, nil)
+	defer f.Stop()
+	results, err := f.Run("j", jobLine(t, "j", &spec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +145,7 @@ func TestPackedServeHostDrainsAtEOF(t *testing.T) {
 			t.Fatalf("rank %d: %s", res.Rank, res.Err)
 		}
 	}
-	h := f.hosts[0]
+	h := f.Hosts[0]
 	start := time.Now()
 	h.Stdin.Close()
 	err = h.Wait()
@@ -150,7 +161,8 @@ func TestPackedServeHostDrainsAtEOF(t *testing.T) {
 // a failed run) must not lose the reply: its stdout is read to EOF before
 // the exit is waited for. A 200 KB reply spans many pipe reads, which is
 // where waiting first, which closes the pipe, used to cut it off and
-// turn the rank's error into "exited mid-job".
+// turn the rank's error into "no result". The run fails either way: the
+// rank's own error must be what it reports.
 func TestPoolKeepsDyingHostsLastReply(t *testing.T) {
 	dir := t.TempDir()
 	want := strings.Repeat("rank 0 failed; ", 200<<10/15)
@@ -168,6 +180,7 @@ func TestPoolKeepsDyingHostsLastReply(t *testing.T) {
 	}
 	p := newPool(fake, nopW{})
 	spec := distSpec(t)
+	job := jobLine(t, "j", &spec)
 	// Four at a time: the lost reply needs a busy host to show.
 	const workers, each = 4, 25
 	var wg sync.WaitGroup
@@ -176,14 +189,14 @@ func TestPoolKeepsDyingHostsLastReply(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				f, err := p.spawn(fleetKey{nodes: 1, procs: 1}, w*each+i, 0)
+				f, err := p.spawn(fleetKey{nodes: 1, procs: 1}, 0)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				results, err := f.run("j", &spec, nil)
+				results, err := f.Run("j", job, nil)
 				p.discard(f)
-				if err != nil {
+				if err == nil || strings.Contains(err.Error(), "no result") {
 					t.Errorf("trial %d: %v, want the rank's own error", w*each+i, err)
 					return
 				}

@@ -79,9 +79,6 @@ func formatSeconds(s float64) string {
 	}
 }
 
-// MaxTime returns the maximum of a and b.
-func MaxTime(a, b Time) Time { return a.Max(b) }
-
 // MaxDuration returns the maximum of a and b.
 func MaxDuration(a, b Duration) Duration {
 	if a > b {
