@@ -97,11 +97,15 @@ test:
 ## into the line their partition bound cuts. The last line repeats the
 ## two tests of the barrier-free phase end, which depend on scheduling: a
 ## node-level read behind an owner that has not applied yet, and one
-## message from each peer per global phase.
+## message from each peer per global phase. The last runs the commit
+## tests under the parallel simulator scheduler: simulated nodes read each
+## other's commit streams between the exchange barrier and the closing
+## one, and apply concurrently unless StrictWrites serializes them.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -count=10 -run 'TestNodeReadAfterPhaseSeesApply|TestGlobalPhaseExchanges' ./internal/dist/
+	PPM_PARALLEL=1 $(GO) test -race -cpu 1,2,4 -count=3 -run 'Strict|Equivalence|FastPath|ScatterCodecMatchesSimulator' ./internal/core/ ./internal/dist/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing
@@ -150,8 +154,9 @@ plancache-equiv:
 ## fuzz-smoke: every native fuzz target, in every package that has
 ## one, for 5 s each (`go test -fuzz` takes one target per invocation):
 ## the wire decoders (internal/wire/fuzz_test.go), the job protocol
-## (internal/jobspec/fuzz_test.go) and the .ppm front end
-## (internal/lang/fuzz_test.go). The seed corpora already run as
+## (internal/jobspec/fuzz_test.go), the .ppm front end
+## (internal/lang/fuzz_test.go) and checkpoint restore
+## (internal/core/checkpoint_fuzz_test.go). The seed corpora already run as
 ## ordinary tests under `go test ./...`; this lets the engine mutate
 ## them. A crasher lands in the package's testdata/fuzz and is checked
 ## in with its fix. Listing no target at all is a failure, not a pass.

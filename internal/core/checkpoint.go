@@ -22,9 +22,11 @@ import (
 // wire commit grammar (internal/wire's block := uvarint(arrayID)
 // uvarint(nRuns) run*), then a CRC32 trailer over everything before it.
 // Reusing the commit grammar means restore runs through the exact
-// applyRun path a phase commit uses, so a restored image is the image a
+// applyWire path a phase commit uses, so a restored image is the image a
 // commit would have produced — and NodeStats plus phaseSeq ride along so
-// a recovered run's counters stay bit-identical to a fault-free one.
+// a recovered run's counters stay bit-identical to a fault-free one. A
+// block must hold exactly the image a checkpoint writes, one run of the
+// whole partition (or node instance) by its rank.
 //
 // Restart is coordinated: the supervisor relaunches the whole fleet, and
 // RestoreCheckpoint agrees fleet-wide (an allgather of per-rank newest
@@ -247,6 +249,12 @@ func readCheckpoint(dir string, rank, nodes int, tag int64) (*ckptFile, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseCheckpoint(b, rank, nodes, tag)
+}
+
+// parseCheckpoint validates b, a whole checkpoint file, as rank's
+// checkpoint of tag in a fleet of nodes, and splits it.
+func parseCheckpoint(b []byte, rank, nodes int, tag int64) (*ckptFile, error) {
 	if len(b) < 38 {
 		return nil, fmt.Errorf("checkpoint file is %d bytes, too short", len(b))
 	}
@@ -281,6 +289,9 @@ func readCheckpoint(dir string, rank, nodes int, tag int64) (*ckptFile, error) {
 		return nil, fmt.Errorf("checkpoint stats record: %w", err)
 	}
 	f.nArrays = int(int32(binary.LittleEndian.Uint32(body[34+sLen:])))
+	if f.nArrays < 0 {
+		return nil, fmt.Errorf("checkpoint holds %d arrays", f.nArrays)
+	}
 	f.blocks = body[38+sLen:]
 	return f, nil
 }
@@ -290,6 +301,12 @@ func loadCheckpoint(gs *globalState, node int, dir string, tag int64) error {
 	if err != nil {
 		return err
 	}
+	return f.restore(gs, node)
+}
+
+// restore reinstalls f as node's committed state: its arrays, NodeStats
+// and phase counter.
+func (f *ckptFile) restore(gs *globalState, node int) error {
 	if f.nArrays > len(gs.arrays) {
 		return fmt.Errorf("checkpoint holds %d arrays but the program has allocated %d — call RestoreCheckpoint after all allocations", f.nArrays, len(gs.arrays))
 	}

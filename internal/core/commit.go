@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
@@ -24,8 +25,9 @@ type sendTally struct {
 // drains buffers in VP rank order at each commit, which fixes the merge
 // order and makes commits deterministic.
 type vpFlusher interface {
-	// flushGlobal stages records for the global-phase exchange (node-
-	// array records apply immediately; they are node-local by nature).
+	// flushGlobal stages or encodes records for the global-phase
+	// exchange (node-array records apply immediately; they are node-local
+	// by nature).
 	flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error
 	// flushNode applies records immediately (node-phase commit) and
 	// returns the applied payload bytes.
@@ -40,15 +42,14 @@ type vpFlusher interface {
 // Write staging outlives the arrays it serves. A new job allocates new
 // arrays, so buffers kept per array would regrow from empty in every
 // program run; instead every *gBuf[T] and *nBuf[T] comes from one
-// process-wide pool per buffer type, and every per-peer wire buffer of a
-// mesh rank (an array's wout, a doRun's raw commit streams) from
-// wireStaging. A doRun's buffers go back when its Do finishes (a
-// non-persistent doRun), when a warm session stashes it, and when its run
-// ends (Run; RunDist without a session); an array's when its RunDist
-// succeeds. A failed run drops what it holds. They are sync.Pools, so a
-// collection empties them and an idle process keeps nothing; a released
-// buffer is empty and bound to no array, so a pool never pins a finished
-// run.
+// process-wide pool per buffer type, and every per-peer wire buffer (an
+// array's wout, a doRun's raw commit streams) from wireStaging. A doRun's
+// buffers go back when its Do finishes (a non-persistent doRun), when a
+// warm session stashes it, and when its run ends (Run; RunDist without a
+// session); an array's when its run succeeds. A failed run drops what it
+// holds. They are sync.Pools, so a collection empties them and an idle
+// process keeps nothing; a released buffer is empty and bound to no
+// array, so a pool never pins a finished run.
 var stagingPools sync.Map // reflect.Type of the buffer -> *sync.Pool
 
 // stagingPool returns the process-wide pool of buffers of type B. It is
@@ -63,13 +64,12 @@ func stagingPool[B any]() *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// wireStaging is the pool of mesh ranks' per-peer wire buffers
-// (Global.wout and a doRun's raw commit streams), boxed so that a Put
-// does not allocate.
+// wireStaging is the pool of per-peer wire buffers (Global.wout and a
+// doRun's raw commit streams), boxed so that a Put does not allocate.
 var wireStaging = sync.Pool{New: func() any { return new([]byte) }}
 
 // takeWire draws an empty wire buffer from wireStaging for every one of
-// n ranks but self.
+// n nodes but self.
 func takeWire(n, self int) []*[]byte {
 	bs := make([]*[]byte, n)
 	for i := range bs {
@@ -93,34 +93,20 @@ func putWire(bs []*[]byte) {
 	}
 }
 
-// gBuf buffers one VP's writes to one Global array as run-length records.
+// wbuf buffers one VP's writes to one shared array as run-length records.
 // Block writes land in the arena directly; contiguous scalar writes
 // coalesce into arena-backed runs, so the commit path applies whole runs
 // with copy instead of iterating 32-byte per-element records.
-type gBuf[T Elem] struct {
-	g     *Global[T]
+type wbuf[T Elem] struct {
 	wid   int64 // owning VP's writer id, set when the buffer is acquired
 	recs  []writeRec[T]
 	arena []T
-	// one is flushGlobal's view of an inline scalar as a run of values (a
-	// local array would escape through the encoder, an allocation a flush).
-	one [1]T
-}
-
-func (b *gBuf[T]) owner() any { return b.g }
-
-func (b *gBuf[T]) release() {
-	pool := b.g.bufs
-	b.g = nil
-	b.recs = b.recs[:0]
-	b.arena = b.arena[:0]
-	pool.Put(b)
 }
 
 // push buffers one scalar write, extending the previous record when it is
 // contiguous with the same combine mode (the writer is the same by
 // construction — the buffer belongs to one VP).
-func (b *gBuf[T]) push(i int, v T, add bool) {
+func (b *wbuf[T]) push(i int, v T, add bool) {
 	if k := len(b.recs); k > 0 {
 		last := &b.recs[k-1]
 		if last.add == add && last.lo+last.n == i {
@@ -144,7 +130,7 @@ func (b *gBuf[T]) push(i int, v T, add bool) {
 }
 
 // pushRun buffers one block write as a single run.
-func (b *gBuf[T]) pushRun(lo int, src []T, add bool) {
+func (b *wbuf[T]) pushRun(lo int, src []T, add bool) {
 	off := len(b.arena)
 	b.arena = append(b.arena, src...)
 	if k := len(b.recs); k > 0 {
@@ -157,14 +143,63 @@ func (b *gBuf[T]) pushRun(lo int, src []T, add bool) {
 	b.recs = append(b.recs, writeRec[T]{lo: lo, n: len(src), off: off, add: add, writer: b.wid})
 }
 
-// flushGlobal stages this buffer's runs, splitting each at partition
-// boundaries so every staged run has a single destination node. On a mesh
-// rank a run for another node is not staged but encoded, here and once,
+// apply applies every buffered run, in order, to dst, node's storage of
+// c, which holds element i at dst[i-lo0]; empties the buffer; and returns
+// the applied payload bytes and the first strict error.
+func (b *wbuf[T]) apply(c *arrayCore[T], dst []T, lo0 int, d *doRun, phaseSeq int64) (int64, error) {
+	var bytes int64
+	var firstErr error
+	strict := d.rt.gs.opt.StrictWrites
+	for ri := range b.recs {
+		r := &b.recs[ri]
+		sr := stageRec[T]{lo: r.lo, n: r.n, add: r.add, writer: r.writer}
+		if r.off >= 0 {
+			sr.vals = b.arena[r.off : r.off+r.n]
+		} else {
+			sr.val = r.val
+		}
+		if err := c.applyRun(dst, lo0, d.node, strict, phaseSeq, &sr); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		bytes += int64(r.n) * int64(c.es)
+	}
+	b.reset()
+	return bytes, firstErr
+}
+
+// reset empties the buffer.
+func (b *wbuf[T]) reset() {
+	b.recs = b.recs[:0]
+	b.arena = b.arena[:0]
+}
+
+// gBuf is a wbuf bound to a Global array.
+type gBuf[T Elem] struct {
+	wbuf[T]
+	g *Global[T]
+	// one is flushGlobal's view of an inline scalar as a run of values (a
+	// local array would escape through the encoder, an allocation a flush).
+	one [1]T
+}
+
+func (b *gBuf[T]) owner() any { return b.g }
+
+func (b *gBuf[T]) release() {
+	pool := b.g.bufs
+	b.g = nil
+	b.reset()
+	pool.Put(b)
+}
+
+// flushGlobal splits this buffer's runs at partition boundaries, so that
+// each has a single destination node. A run for the flushing node's own
+// partition is staged; one for another node is encoded, here and once,
 // into the array's wire buffer for that node.
 func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 	node := d.node
 	g := b.g
 	es8 := int64(g.es + 8)
+	wout, wruns := g.wout[node], g.wruns[node]
 	for ri := range b.recs {
 		r := &b.recs[ri]
 		lo, rest := r.lo, r.n
@@ -173,32 +208,26 @@ func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 			if lo < g.bnd[node] || lo >= phi {
 				dst, phi = g.ownerSpan(lo)
 			}
-			n := rest
-			if lo+n > phi {
-				n = phi - lo
-			}
+			n := min(rest, phi-lo)
 			var vals []T // nil for an inline scalar
 			if r.off >= 0 {
 				o := r.off + (lo - r.lo)
 				vals = b.arena[o : o+n : o+n]
 			}
-			if dst != node {
-				t.elems[dst] += int64(n)
-				t.bytes[dst] += int64(n) * es8
-			} else {
+			if dst == node {
 				t.localElems += int64(n)
 				t.localBytes += int64(n) * es8
-			}
-			if dst != node && g.wout != nil {
+				g.stage[node] = append(g.stage[node], stageRec[T]{lo: lo, n: n, vals: vals, val: r.val, add: r.add, writer: r.writer})
+			} else {
+				t.elems[dst] += int64(n)
+				t.bytes[dst] += int64(n) * es8
 				if vals == nil {
 					b.one[0] = r.val
 					vals = b.one[:]
 				}
-				w := g.wout[dst]
+				w := wout[dst]
 				*w = mp.AppendElems(wire.AppendRunHeader(*w, wire.RunHeader{Lo: lo, N: n, Writer: r.writer, Add: r.add}), vals)
-				g.wruns[dst]++
-			} else {
-				g.stage[dst][node] = append(g.stage[dst][node], stageRec[T]{lo: lo, n: n, vals: vals, val: r.val, add: r.add, writer: r.writer})
+				wruns[dst]++
 			}
 			lo += n
 			rest -= n
@@ -207,41 +236,21 @@ func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 	b.recs = b.recs[:0]
 	// The arena may still be aliased by staged runs; truncation is safe
 	// because new writes (which would overwrite it) can only be buffered
-	// after the commit's final barrier, by which time every node has
-	// applied its incoming stage.
+	// after this node's commit has applied its stage.
 	b.arena = b.arena[:0]
 	return nil
 }
 
 func (b *gBuf[T]) flushNode(d *doRun, phaseSeq int64) (int64, error) {
-	var bytes int64
-	var firstErr error
-	strict := d.rt.gs.opt.StrictWrites
-	for ri := range b.recs {
-		r := &b.recs[ri]
-		sr := stageRec[T]{lo: r.lo, n: r.n, add: r.add, writer: r.writer}
-		if r.off >= 0 {
-			sr.vals = b.arena[r.off : r.off+r.n]
-		} else {
-			sr.val = r.val
-		}
-		if err := b.g.applyRun(d.node, strict, phaseSeq, &sr); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		bytes += int64(r.n) * int64(b.g.es)
-	}
-	b.recs = b.recs[:0]
-	b.arena = b.arena[:0]
-	return bytes, firstErr
+	dst, lo0 := b.g.span(d.node)
+	return b.apply(&b.g.arrayCore, dst, lo0, d, phaseSeq)
 }
 
-// nBuf buffers one VP's writes to one Node array. Node-array records are
-// node-local by definition, so both commit paths apply them directly.
+// nBuf is a wbuf bound to a Node array. Node-array records are node-local
+// by definition, so both commit paths apply them directly.
 type nBuf[T Elem] struct {
-	a     *Node[T]
-	wid   int64 // owning VP's writer id, set when the buffer is acquired
-	recs  []writeRec[T]
-	arena []T
+	wbuf[T]
+	a *Node[T]
 }
 
 func (b *nBuf[T]) owner() any { return b.a }
@@ -249,77 +258,19 @@ func (b *nBuf[T]) owner() any { return b.a }
 func (b *nBuf[T]) release() {
 	pool := b.a.bufs
 	b.a = nil
-	b.recs = b.recs[:0]
-	b.arena = b.arena[:0]
+	b.reset()
 	pool.Put(b)
 }
 
-func (b *nBuf[T]) push(i int, v T, add bool) {
-	if k := len(b.recs); k > 0 {
-		last := &b.recs[k-1]
-		if last.add == add && last.lo+last.n == i {
-			if last.off >= 0 {
-				if last.off+last.n == len(b.arena) {
-					b.arena = append(b.arena, v)
-					last.n++
-					return
-				}
-			} else {
-				off := len(b.arena)
-				b.arena = append(b.arena, last.val, v)
-				last.off = off
-				last.n = 2
-				return
-			}
-		}
-	}
-	b.recs = append(b.recs, writeRec[T]{lo: i, n: 1, off: -1, val: v, add: add, writer: b.wid})
-}
-
-func (b *nBuf[T]) pushRun(lo int, src []T, add bool) {
-	off := len(b.arena)
-	b.arena = append(b.arena, src...)
-	if k := len(b.recs); k > 0 {
-		last := &b.recs[k-1]
-		if last.add == add && last.lo+last.n == lo && last.off >= 0 && last.off+last.n == off {
-			last.n += len(src)
-			return
-		}
-	}
-	b.recs = append(b.recs, writeRec[T]{lo: lo, n: len(src), off: off, add: add, writer: b.wid})
-}
-
-func (b *nBuf[T]) apply(d *doRun, phaseSeq int64) (int64, error) {
-	var bytes int64
-	var firstErr error
-	strict := d.rt.gs.opt.StrictWrites
-	for ri := range b.recs {
-		r := &b.recs[ri]
-		sr := stageRec[T]{lo: r.lo, n: r.n, add: r.add, writer: r.writer}
-		if r.off >= 0 {
-			sr.vals = b.arena[r.off : r.off+r.n]
-		} else {
-			sr.val = r.val
-		}
-		if err := b.a.applyRun(d.node, strict, phaseSeq, &sr); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		bytes += int64(r.n) * int64(b.a.es)
-	}
-	b.recs = b.recs[:0]
-	b.arena = b.arena[:0]
-	return bytes, firstErr
-}
-
 func (b *nBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
-	bytes, err := b.apply(d, phaseSeq)
+	bytes, err := b.flushNode(d, phaseSeq)
 	t.localElems += bytes / int64(b.a.es)
 	t.localBytes += bytes
 	return err
 }
 
 func (b *nBuf[T]) flushNode(d *doRun, phaseSeq int64) (int64, error) {
-	return b.apply(d, phaseSeq)
+	return b.apply(&b.a.arrayCore, b.a.base[d.node], 0, d, phaseSeq)
 }
 
 // bufFor finds the calling VP's write buffer for g, or draws one from
@@ -640,8 +591,9 @@ func (d *doRun) resetCommitScratch(nodes int) {
 }
 
 // drainGlobal drains every VP's write buffers in rank order into the
-// arrays' stages (fixing the merge order) and folds per-VP access
-// counters into the node's stats; traffic accumulates into d.ctally.
+// arrays' stages and wire buffers (fixing the merge order) and folds
+// per-VP access counters into the node's stats; traffic accumulates into
+// d.ctally.
 // It is a method, not a closure, so the non-strict commit path carries
 // no captured variables and stays allocation-free.
 func (d *doRun) drainGlobal(seq int64) error {
@@ -670,36 +622,11 @@ func (d *doRun) drainGlobalSerial(seq int64) error {
 	return err
 }
 
-// applyGlobalIncoming applies every array's staged incoming records (in
-// source order), accumulating per-source traffic into d.cinElems and
-// d.cinBytes.
-func (d *doRun) applyGlobalIncoming(seq int64) error {
-	gs := d.rt.gs
-	var firstErr error
-	for _, arr := range gs.arrays {
-		if err := arr.applyIncoming(d.node, gs.opt.StrictWrites, seq, d.cinElems, d.cinBytes); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// applyGlobalIncomingSerial is applyGlobalIncoming under the serial
-// section (strict applies touch cross-node conflict trackers).
-func (d *doRun) applyGlobalIncomingSerial(seq int64) error {
-	var err error
-	d.rt.proc.Serial(func() { err = d.applyGlobalIncoming(seq) })
-	return err
-}
-
 // commit finalizes one phase: merges VP accounting (the VPs' charges from
 // snapshot slot p), models the bundled communication, exchanges and
 // applies staged writes (global phases), and resets per-VP state.
 func (d *doRun) commit(kind phaseKind, p int32) error {
 	if kind == phaseGlobal {
-		if d.rt.gs.dist != nil {
-			return d.commitGlobalDist()
-		}
 		return d.commitGlobal(p)
 	}
 	return d.commitNode(p)
@@ -776,6 +703,15 @@ func (d *doRun) commitNode(p int32) error {
 	return nil // strict errors surface at the end of the run
 }
 
+// commitGlobal ends a global phase, on either backend. It drains the
+// VPs' write buffers in rank order (runs for this node's own partition
+// stage, the rest are encoded into wire commit streams), models the
+// bundled traffic, exchanges the streams, and applies what every node
+// wrote to this node's partition, array by array and sources ascending.
+// The backends differ only in the exchange (the simulator's barrier over
+// a shared stream table, the mesh's CommitExchange under the memory
+// mutex) and in that only the simulator charges virtual time; the
+// counters are the same on both.
 func (d *doRun) commitGlobal(p int32) error {
 	rt := d.rt
 	gs := rt.gs
@@ -786,22 +722,17 @@ func (d *doRun) commitGlobal(p int32) error {
 	gs.phaseSeqs[d.node]++
 	seq := gs.phaseSeqs[d.node]
 	nodes := gs.nodes
+	sim := rt.proc != nil
 
-	// 1. Computation span of the phase body.
-	span := d.makespan(p, vtime.Duration(mach.VPStartCost))
-	computeEnd := d.phaseStart.
-		Add(vtime.Duration(mach.PhaseFixedCost)).
-		Add(span)
-
-	// 2. Drain VP write buffers in rank order (fixes merge order), then
+	// 1. Drain VP write buffers in rank order (fixes merge order), then
 	// merge the per-VP read sets into the node-level traffic tallies.
 	// All per-commit tallies live in reusable doRun scratch.
 	d.resetCommitScratch(nodes)
 	var firstErr error
-	if opt.StrictWrites {
+	if opt.StrictWrites && sim {
 		// Node-array buffers apply here and feed the cross-node strict
-		// trackers; see commitNode. Global-array buffers only stage into
-		// this node's cells, which is safe either way.
+		// trackers; see commitNode. Global-array buffers only write
+		// this node's stage and wire row, which is safe either way.
 		firstErr = d.drainGlobalSerial(seq)
 	} else {
 		firstErr = d.drainGlobal(seq)
@@ -810,11 +741,10 @@ func (d *doRun) commitGlobal(p int32) error {
 	tally := &d.ctally
 	rrElems, rrBytes := d.crrElems, d.crrBytes
 
-	// 3. Model this node's outgoing bundled traffic: read request/reply
+	// 2. Model this node's outgoing bundled traffic: read request/reply
 	// round trips plus write pushes.
 	var cpu vtime.Duration
-	var wireBytes int64
-	var bundles int64
+	var wireBytes, bundles int64
 	var haveReads, haveWrites bool
 	for n := 0; n < nodes; n++ {
 		if n == d.node {
@@ -841,9 +771,105 @@ func (d *doRun) commitGlobal(p int32) error {
 	}
 	st.BundlesOut += bundles
 	st.BytesOut += wireBytes
+	if sim {
+		d.chargeOutgoing(p, cpu, wireBytes, bundles, haveReads, haveWrites)
+	}
 
+	// 3. Exchange the streams: once this returns, every node has drained,
+	// and this node may mutate its partition.
+	incoming, err := d.exchange(seq)
+	if err != nil {
+		return err
+	}
+
+	// 4. Apply incoming runs, paying receive-side costs.
+	var strictErr error
+	if opt.StrictWrites && sim {
+		// Strict applies serialize (conflict trackers and the conflict
+		// log are cross-node); each node still applies only runs for its
+		// own partition. Without strict mode the applies run concurrently
+		// under the parallel scheduler — every node touches only its own
+		// partition, stage and scratch, and reads streams nobody writes
+		// until the closing barrier.
+		strictErr, err = d.applyExchangedSerial(seq, incoming)
+	} else {
+		strictErr, err = d.applyExchanged(seq, incoming)
+	}
+	if err != nil {
+		return err
+	}
+	if strictErr != nil && firstErr == nil {
+		firstErr = strictErr
+	}
+	inElems, inBytes := d.cinElems, d.cinBytes
+	var inCPU vtime.Duration
+	var inBundles, inWire, memBytes int64
+	for n := 0; n < nodes; n++ {
+		memBytes += inBytes[n]
+		if n == d.node || inElems[n] == 0 {
+			continue
+		}
+		nb := d.bundleCount(inElems[n], inBytes[n])
+		inBundles += nb
+		inWire += inBytes[n]
+		inCPU += vtime.Duration(float64(nb) * (mach.RecvOverhead + mach.BundleOverhead))
+	}
+	st.BundlesIn += inBundles
+	st.BytesIn += inWire
+
+	if !sim {
+		gs.dist.ReleaseCommit(incoming)
+		// The apply mutated our partitions: every cached remote range
+		// held anywhere locally is stale. (The caches also reset at phase
+		// open, which additionally covers node-level Local() mutation.)
+		for _, arr := range gs.arrays {
+			arr.resetDistCache()
+		}
+		// No barrier: peers may still wait in this exchange, unapplied.
+		// The next phase's reads follow its opening doK exchange and the
+		// run's exit barrier follows every apply; a node-level read in
+		// between is held by the owner until it releases this exchange
+		// (DistEngine.SetReadServer).
+		if firstErr != nil {
+			gs.noteStrict(firstErr)
+		}
+		if opt.OnPhase != nil {
+			opt.OnPhase(seq)
+		}
+		return nil
+	}
+	rt.proc.Charge(inCPU + mach.MemTime(memBytes))
+	st.PhaseApplyTime += inCPU + mach.MemTime(memBytes)
+
+	// 5. Everyone applied: the next phase (or node-level code) may read
+	// any partition, and every node may reuse its streams.
+	rt.proc.Barrier()
+
+	if firstErr != nil {
+		// After the release the process may no longer hold the turn;
+		// "first violation wins" must follow sequential order. The err
+		// copy keeps the closure (and its captures) off the hot path:
+		// nothing heap-allocates unless a violation actually occurred.
+		err := firstErr
+		rt.proc.Serial(func() { gs.noteStrict(err) })
+	}
+	return nil
+}
+
+// chargeOutgoing advances the simulated node's clock over the phase's
+// computation (the VPs' charges from snapshot slot p mapped onto the
+// cores) and its outgoing traffic, which overlaps the computation unless
+// NoOverlap is set.
+func (d *doRun) chargeOutgoing(p int32, cpu vtime.Duration, wireBytes, bundles int64, haveReads, haveWrites bool) {
+	rt := d.rt
+	mach := rt.gs.mach
+	st := rt.stats()
+	span := d.makespan(p, vtime.Duration(mach.VPStartCost))
+	computeEnd := d.phaseStart.
+		Add(vtime.Duration(mach.PhaseFixedCost)).
+		Add(span)
 	commStart := d.phaseStart
-	if opt.NoOverlap {
+	if rt.gs.opt.NoOverlap {
 		commStart = computeEnd
 	}
 	end := computeEnd
@@ -865,57 +891,180 @@ func (d *doRun) commitGlobal(p int32) error {
 		st.PhaseCommTime += end.Sub(computeEnd) // comm not hidden by overlap
 	}
 	rt.proc.AdvanceTo(end)
+}
 
-	// 4. All nodes have staged: exchange barrier.
-	rt.proc.Barrier()
-
-	// 5. Apply incoming records (in source order), paying receive-side
-	// costs.
-	if opt.StrictWrites {
-		// Strict applies serialize (conflict trackers and the conflict
-		// log are cross-node); each node still applies only runs staged
-		// for its own partition. Without strict mode the applies run
-		// concurrently under the parallel scheduler — every node touches
-		// only its own partition and its own stage cells, and the phase's
-		// exchange barrier (step 4) ordered all staging before any apply.
-		if err := d.applyGlobalIncomingSerial(seq); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	} else {
-		if err := d.applyGlobalIncoming(seq); err != nil && firstErr == nil {
-			firstErr = err
+// exchange assembles this node's commit stream for every other node (each
+// array's block of runs, in array order) and trades them for the streams
+// every node sent this one, returned indexed by source. On a mesh the
+// streams go through the engine's CommitExchange, transcoded to each
+// link's codec, and this node takes the memory mutex before it returns:
+// every peer has finished its phase body, so no remote read of our
+// partitions is outstanding. Under the simulator they are handed over by
+// reference through the shared stream table, at the exchange barrier; no
+// node overwrites its streams before the closing barrier.
+func (d *doRun) exchange(seq int64) ([][]byte, error) {
+	gs := d.rt.gs
+	nodes := gs.nodes
+	if cap(d.cout) < nodes {
+		d.cout = make([][]byte, nodes)
+		d.cin = make([][]byte, nodes)
+		d.ccurs = make([]commitCursor, nodes)
+		if gs.dist != nil {
+			d.coutEnc = make([][]byte, nodes)
+			d.cdec = make([][]byte, nodes)
 		}
 	}
-	inElems, inBytes := d.cinElems, d.cinBytes
-	var inCPU vtime.Duration
-	var inBundles, inWire int64
-	var memBytes int64
-	for n := 0; n < nodes; n++ {
-		memBytes += inBytes[n]
-		if n == d.node || inElems[n] == 0 {
+	if len(d.coutRaw) < nodes {
+		d.coutRaw = takeWire(nodes, d.node)
+	}
+	outgoing := d.cout[:nodes]
+	for dst := range outgoing {
+		// Only a node the drain counted writes for (never this one) has
+		// runs in some array's wire buffer.
+		outgoing[dst] = nil
+		if d.ctally.elems[dst] == 0 {
 			continue
 		}
-		nb := d.bundleCount(inElems[n], inBytes[n])
-		inBundles += nb
-		inWire += inBytes[n]
-		inCPU += vtime.Duration(float64(nb) * (mach.RecvOverhead + mach.BundleOverhead))
+		w := d.coutRaw[dst]
+		buf := (*w)[:0]
+		for _, arr := range gs.arrays {
+			buf = arr.encodeStagedWire(d.node, dst, buf)
+		}
+		*w = buf
+		outgoing[dst] = buf
+		if gs.dist == nil {
+			continue
+		}
+		gs.wireCommitRaw += int64(len(buf))
+		if len(buf) > 0 && gs.dist.CommitCodec(dst) == wire.CodecDelta {
+			enc, err := wire.AppendCommitDelta(d.coutEnc[dst][:0], buf, gs.arrayElemBytes)
+			if err != nil {
+				return nil, fmt.Errorf("core: node %d: delta-encoding commit for node %d: %w", d.node, dst, err)
+			}
+			d.coutEnc[dst] = enc
+			outgoing[dst] = enc
+		}
+		gs.wireCommitEnc += int64(len(outgoing[dst]))
 	}
-	st.BundlesIn += inBundles
-	st.BytesIn += inWire
-	rt.proc.Charge(inCPU + mach.MemTime(memBytes))
-	st.PhaseApplyTime += inCPU + mach.MemTime(memBytes)
-
-	// 6. Everyone applied: the next phase (or node-level code) may read
-	// any partition.
-	rt.proc.Barrier()
-
-	if firstErr != nil {
-		// After the release the process may no longer hold the turn;
-		// "first violation wins" must follow sequential order. The err
-		// copy keeps the closure (and its captures) off the hot path:
-		// nothing heap-allocates unless a violation actually occurred.
-		err := firstErr
-		rt.proc.Serial(func() { gs.noteStrict(err) })
+	if gs.dist != nil {
+		incoming, err := gs.dist.CommitExchange(seq, outgoing)
+		if err != nil {
+			return nil, err
+		}
+		gs.memMu.Lock()
+		gs.memHeld = true
+		return incoming, nil
 	}
+	gs.streams[d.node] = outgoing
+	d.rt.proc.Barrier()
+	incoming := d.cin[:nodes]
+	for src := range incoming {
+		incoming[src] = gs.streams[src][d.node]
+	}
+	return incoming, nil
+}
+
+// applyExchanged applies every array's runs for this node's partition:
+// array by array, and within an array source by source, its own staged
+// runs in its own turn and every peer's from the peer's stream (a delta
+// stream decoded into doRun scratch first). Per-source traffic
+// accumulates into d.cinElems and d.cinBytes. strictErr is the first
+// strict-mode conflict; err is a corrupt stream (fatal).
+func (d *doRun) applyExchanged(seq int64, incoming [][]byte) (strictErr, err error) {
+	gs := d.rt.gs
+	nodes := gs.nodes
+	strict := gs.opt.StrictWrites
+	curs := d.ccurs[:nodes]
+	for src := range curs {
+		c := &curs[src]
+		c.live, c.valid = false, false
+		stream := incoming[src]
+		if src == d.node || len(stream) == 0 {
+			continue
+		}
+		if gs.dist != nil && gs.dist.PeerCommitCodec(src) == wire.CodecDelta {
+			if stream, err = wire.DecodeCommitDeltaInto(d.cdec[src], stream, gs.arrayElemBytes); err != nil {
+				return strictErr, fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
+			}
+			d.cdec[src] = stream
+		}
+		c.rd.Reset(stream)
+		c.live = true
+		if err := c.advance(); err != nil {
+			return strictErr, fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
+		}
+	}
+	for id, arr := range gs.arrays {
+		for src := range curs {
+			var elems int
+			var sErr error
+			if src == d.node {
+				elems, sErr = arr.applyStaged(d.node, strict, seq)
+			} else {
+				c := &curs[src]
+				if !c.live || !c.valid || c.array != id {
+					continue
+				}
+				elems, sErr, err = arr.applyWireRuns(d.node, strict, seq, &c.rd, c.nRuns)
+				if err == nil {
+					err = c.advance()
+				}
+				if err != nil {
+					return strictErr, fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
+				}
+			}
+			if sErr != nil && strictErr == nil {
+				strictErr = sErr
+			}
+			d.cinElems[src] += int64(elems)
+			d.cinBytes[src] += int64(elems) * int64(arr.elemBytes()+8)
+		}
+	}
+	for src := range curs {
+		c := &curs[src]
+		if c.live && c.valid {
+			return strictErr, fmt.Errorf("core: node %d: delta from node %d addresses unknown array id %d", d.node, src, c.array)
+		}
+		c.drop()
+	}
+	return strictErr, nil
+}
+
+// applyExchangedSerial is applyExchanged under the node's serial section,
+// a method so that the non-strict path captures nothing.
+func (d *doRun) applyExchangedSerial(seq int64, incoming [][]byte) (strictErr, err error) {
+	d.rt.proc.Serial(func() { strictErr, err = d.applyExchanged(seq, incoming) })
+	return strictErr, err
+}
+
+// commitCursor walks one peer's commit stream block by block during the
+// array-major apply. Cursors are doRun-scratch values reused across
+// commits; live marks sources that sent a stream this commit.
+type commitCursor struct {
+	rd    wire.CommitReader
+	array int
+	nRuns int
+	valid bool
+	live  bool
+}
+
+// drop lets go of the cursor's stream, which is about to go back to its
+// sender (a doRun cached by a warm session would otherwise pin its last
+// commit's streams for the fleet's lifetime).
+func (c *commitCursor) drop() {
+	c.rd.Reset(nil)
+	c.live, c.valid = false, false
+}
+
+func (c *commitCursor) advance() error {
+	if !c.rd.More() {
+		c.valid = false
+		return nil
+	}
+	a, n, err := c.rd.Block()
+	if err != nil {
+		return err
+	}
+	c.array, c.nRuns, c.valid = a, n, true
 	return nil
 }

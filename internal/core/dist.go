@@ -83,17 +83,7 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 	if r := eng.Rank(); r < 0 || r >= o.Nodes {
 		return nil, fmt.Errorf("core: engine rank %d out of range [0, %d)", r, o.Nodes)
 	}
-	gs := &globalState{
-		opt:       o,
-		mach:      o.Machine,
-		nodes:     o.Nodes,
-		cores:     o.CoresPerNode,
-		dist:      eng,
-		allocSeq:  make([]int, o.Nodes),
-		doK:       make([]int, o.Nodes),
-		phaseSeqs: make([]int64, o.Nodes),
-		stats:     make([]NodeStats, o.Nodes),
-	}
+	gs := newGlobalState(o, eng)
 	rt := &Runtime{gs: gs, comm: mp.NewEndpoint(eng.Endpoint()), node: eng.Rank()}
 
 	// The memory mutex embodies the phase-semantics guarantee over the
@@ -162,18 +152,10 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 	ws.CommitBytesEnc = gs.wireCommitEnc
 	gs.stats[rt.node].Wire = ws
 
-	rep := &Report{PerNode: gs.stats, Conflicts: gs.conflicts.list()}
-	for _, s := range gs.stats {
-		rep.Totals.add(s)
-	}
 	if runErr != nil {
 		eng.Abort(runErr)
-		return rep, runErr
 	}
-	if gs.strictErr != nil {
-		return rep, gs.strictErr
-	}
-	return rep, nil
+	return gs.report(nil, runErr)
 }
 
 // runRecovered converts panics out of the program (VP coordination
@@ -199,12 +181,11 @@ func runRecovered(node int, f func()) (err error) {
 
 // openPhaseDist is the distributed global-phase entry: it invalidates
 // the remote-read caches, releases the memory mutex so peers can fetch
-// begin-of-phase values, and exchanges doK with every peer directly,
-// which replaces the simulator's shared-state prefix sums for
-// GlobalRank/GlobalK. The exchange is the only synchronization between
-// phases: a rank sends its doK after its previous apply and its mutex
-// release, so once every peer's doK is here every partition holds the
-// previous phase's values and serves reads.
+// begin-of-phase values, and exchanges doK with every peer directly (the
+// simulator's nodes share theirs). The exchange is the only
+// synchronization between phases: a rank sends its doK after its
+// previous apply and its mutex release, so once every peer's doK is here
+// every partition holds the previous phase's values and serves reads.
 func (d *doRun) openPhaseDist() {
 	rt := d.rt
 	gs := rt.gs
@@ -217,15 +198,6 @@ func (d *doRun) openPhaseDist() {
 	}
 	ks := mp.AllgatherDirect(rt.comm, []int{gs.doK[d.node]})
 	copy(gs.doK, ks)
-	base := 0
-	for n := 0; n < d.node; n++ {
-		base += gs.doK[n]
-	}
-	total := base
-	for n := d.node; n < gs.nodes; n++ {
-		total += gs.doK[n]
-	}
-	d.rankBase, d.globalK, d.rankValid = base, total, true
 
 	// If this phase ordinal has a valid recorded plan, prefetch its
 	// remote cover now: the doK exchange is a full synchronization, so
@@ -331,229 +303,6 @@ func (gs *globalState) installReply(owner int, ranges []wire.ReadRange, data []b
 	return nil
 }
 
-// commitCursor walks one peer's commit stream block by block during the
-// array-major apply. Cursors are doRun-scratch values reused across
-// commits; live marks sources that sent a stream this commit.
-type commitCursor struct {
-	rd    wire.CommitReader
-	array int
-	nRuns int
-	valid bool
-	live  bool
-}
-
-// drop lets go of the cursor's stream, which is about to go back to the
-// engine (a doRun cached by a warm session would otherwise pin its last
-// commit's streams for the fleet's lifetime).
-func (c *commitCursor) drop() {
-	c.rd.Reset(nil)
-	c.live, c.valid = false, false
-}
-
-func (c *commitCursor) advance() error {
-	if !c.rd.More() {
-		c.valid = false
-		return nil
-	}
-	a, n, err := c.rd.Block()
-	if err != nil {
-		return err
-	}
-	c.array, c.nRuns, c.valid = a, n, true
-	return nil
-}
-
-// commitGlobalDist is the distributed global-phase commit. It reproduces
-// commitGlobal exactly — same buffer drain order, same traffic-counter
-// formulas, same array-major source-ascending apply order — but the
-// exchange ships real bytes and nothing touches virtual time.
-func (d *doRun) commitGlobalDist() error {
-	rt := d.rt
-	gs := rt.gs
-	mach := gs.mach
-	opt := &gs.opt
-	st := rt.stats()
-	st.GlobalPhases++
-	gs.phaseSeqs[d.node]++
-	seq := gs.phaseSeqs[d.node]
-	nodes := gs.nodes
-
-	// Drain VP write buffers in rank order (fixes the merge order, as in
-	// the simulator), then merge the per-VP read sets. Tallies live in
-	// the doRun's reusable commit scratch, exactly as in commitGlobal.
-	d.resetCommitScratch(nodes)
-	strictFirst := d.drainGlobal(seq)
-	d.mergeReadSets(d.crrElems, d.crrBytes)
-	tally := &d.ctally
-	rrElems, rrBytes := d.crrElems, d.crrBytes
-
-	// Model the outgoing bundled traffic with the simulator's formulas:
-	// the counter side of the Report stays bit-identical; only the
-	// virtual-time fields remain zero.
-	var wireBytes, bundles int64
-	for n := 0; n < nodes; n++ {
-		if n == d.node {
-			continue
-		}
-		if rrElems[n] > 0 {
-			req := 8 * rrElems[n]
-			rep := rrBytes[n]
-			nb := d.bundleCount(rrElems[n], req+rep)
-			bundles += nb
-			wireBytes += req + rep + 2*nb*int64(mach.HeaderBytes)
-			st.RemoteReadElems += rrElems[n]
-		}
-		if tally.elems[n] > 0 {
-			nb := d.bundleCount(tally.elems[n], tally.bytes[n])
-			bundles += nb
-			wireBytes += tally.bytes[n] + nb*int64(mach.HeaderBytes)
-			st.RemoteWriteElems += tally.elems[n]
-		}
-	}
-	st.BundlesOut += bundles
-	st.BytesOut += wireBytes
-
-	// Assemble the stream for each destination from the runs the drain
-	// encoded (array order, VP/program order within each array: the order
-	// the drain appended them in) and exchange. Self-destined runs stay
-	// staged and apply below through the same path the simulator uses. The
-	// outgoing stream, per-destination encode buffers, decode buffers,
-	// and cursors are doRun scratch reused across commits (the engine
-	// borrows the outgoing streams only until CommitExchange returns, so
-	// reuse never races the wire); the raw stream buffers are drawn from
-	// wireStaging.
-	if cap(d.cout) < nodes {
-		d.cout = make([][]byte, nodes)
-		d.coutEnc = make([][]byte, nodes)
-		d.cdec = make([][]byte, nodes)
-		d.ccurs = make([]commitCursor, nodes)
-	}
-	if len(d.coutRaw) < nodes {
-		d.coutRaw = takeWire(nodes, d.node)
-	}
-	outgoing := d.cout[:nodes]
-	for dst := 0; dst < nodes; dst++ {
-		outgoing[dst] = nil
-		if dst == d.node {
-			continue
-		}
-		buf := (*d.coutRaw[dst])[:0]
-		for _, arr := range gs.arrays {
-			buf = arr.encodeStagedWire(dst, buf)
-		}
-		*d.coutRaw[dst] = buf
-		gs.wireCommitRaw += int64(len(buf))
-		if len(buf) > 0 && gs.dist.CommitCodec(dst) == wire.CodecDelta {
-			enc, err := wire.AppendCommitDelta(d.coutEnc[dst][:0], buf, gs.arrayElemBytes)
-			if err != nil {
-				return fmt.Errorf("core: node %d: delta-encoding commit for node %d: %w", d.node, dst, err)
-			}
-			d.coutEnc[dst] = enc
-			buf = enc
-		}
-		gs.wireCommitEnc += int64(len(buf))
-		outgoing[dst] = buf
-	}
-	incoming, err := gs.dist.CommitExchange(seq, outgoing)
-	if err != nil {
-		return err
-	}
-
-	// Every peer has finished its phase body (its complete delta is
-	// here), so no remote read of our partitions is outstanding: take the
-	// memory mutex and mutate. The incoming streams are the engine's, lent
-	// until the release below; a delta stream is decoded into doRun
-	// scratch and walked there.
-	gs.memMu.Lock()
-	gs.memHeld = true
-	curs := d.ccurs[:nodes]
-	for src := 0; src < nodes; src++ {
-		c := &curs[src]
-		c.live, c.valid = false, false
-		stream := incoming[src]
-		if src == d.node || len(stream) == 0 {
-			continue
-		}
-		if gs.dist.PeerCommitCodec(src) == wire.CodecDelta {
-			stream, err = wire.DecodeCommitDeltaInto(d.cdec[src], stream, gs.arrayElemBytes)
-			if err != nil {
-				return fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
-			}
-			d.cdec[src] = stream
-		}
-		c.rd.Reset(stream)
-		c.live = true
-		if err := c.advance(); err != nil {
-			return fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
-		}
-	}
-	inElems, inBytes := d.cinElems, d.cinBytes
-	for id, arr := range gs.arrays {
-		for src := 0; src < nodes; src++ {
-			if src == d.node {
-				if err := arr.applyIncoming(d.node, opt.StrictWrites, seq, inElems, inBytes); err != nil && strictFirst == nil {
-					strictFirst = err
-				}
-				continue
-			}
-			c := &curs[src]
-			if !c.live || !c.valid || c.array != id {
-				continue
-			}
-			elems, sErr, err := arr.applyWireRuns(d.node, opt.StrictWrites, seq, &c.rd, c.nRuns)
-			if sErr != nil && strictFirst == nil {
-				strictFirst = sErr
-			}
-			if err != nil {
-				return fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
-			}
-			inElems[src] += int64(elems)
-			inBytes[src] += int64(elems) * int64(arr.elemBytes()+8)
-			if err := c.advance(); err != nil {
-				return fmt.Errorf("core: node %d: delta from node %d: %w", d.node, src, err)
-			}
-		}
-	}
-	for src := range curs {
-		c := &curs[src]
-		if c.live && c.valid {
-			return fmt.Errorf("core: node %d: delta from node %d addresses unknown array id %d", d.node, src, c.array)
-		}
-		c.drop()
-	}
-	gs.dist.ReleaseCommit(incoming)
-	var inBundles, inWire int64
-	for n := 0; n < nodes; n++ {
-		if n == d.node || inElems[n] == 0 {
-			continue
-		}
-		inBundles += d.bundleCount(inElems[n], inBytes[n])
-		inWire += inBytes[n]
-	}
-	st.BundlesIn += inBundles
-	st.BytesIn += inWire
-
-	// The apply mutated our partitions: every cached remote range held
-	// anywhere locally is stale. (The caches also reset at phase open,
-	// which additionally covers node-level Local() mutation.)
-	for _, arr := range gs.arrays {
-		arr.resetDistCache()
-	}
-
-	// No barrier: peers may still wait in this exchange, unapplied. The
-	// next phase's reads follow its opening doK exchange and the run's exit
-	// barrier follows every apply; a node-level read in between is held by
-	// the owner until it releases this exchange (DistEngine.SetReadServer).
-
-	if strictFirst != nil {
-		gs.noteStrict(strictFirst)
-	}
-	if opt.OnPhase != nil {
-		opt.OnPhase(seq)
-	}
-	return nil
-}
-
 // --- Global[T]'s distributed-side methods -------------------------------
 
 // resetDistCache implements registeredArray: forget every remotely
@@ -610,74 +359,47 @@ func (g *Global[T]) installRange(lo, hi int, data []byte) error {
 }
 
 // encodeStagedWire implements registeredArray: append to buf the block of
-// runs this node's VPs wrote to dst this phase, which flushGlobal already
-// put in wire form, and empty it.
-func (g *Global[T]) encodeStagedWire(dst int, buf []byte) []byte {
-	if g.wruns[dst] == 0 {
+// runs src's VPs wrote to dst this phase, which flushGlobal already put in
+// wire form, and empty it.
+func (g *Global[T]) encodeStagedWire(src, dst int, buf []byte) []byte {
+	n := g.wruns[src][dst]
+	if n == 0 {
 		return buf
 	}
-	w := g.wout[dst]
-	buf = wire.AppendBlockHeader(buf, g.id, g.wruns[dst])
+	w := g.wout[src][dst]
+	buf = wire.AppendBlockHeader(buf, g.id, n)
 	buf = append(buf, *w...)
-	*w, g.wruns[dst] = (*w)[:0], 0
+	*w, g.wruns[src][dst] = (*w)[:0], 0
 	return buf
 }
 
 // releaseStaging implements registeredArray: hand the per-peer wire
 // buffers back to wireStaging once the run has succeeded (every commit
 // has emptied them).
-func (g *Global[T]) releaseStaging() { putWire(g.wout) }
+func (g *Global[T]) releaseStaging() {
+	for _, row := range g.wout {
+		putWire(row)
+	}
+}
 
 // applyWireRuns implements registeredArray: apply one block of a peer's
-// commit stream through the same applyRun the simulator uses. strictErr
-// carries strict-mode conflicts (noted, not fatal); err is protocol
-// corruption (fatal). The element scratch persists on the array: the
-// apply is single-threaded per process (memory mutex held), so one
-// buffer serves every block of every commit without reallocating.
+// commit stream to node's partition.
 func (g *Global[T]) applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error) {
-	for i := 0; i < nRuns; i++ {
-		h, raw, err := rd.Run(g.es)
-		if err != nil {
-			return elems, strictErr, err
-		}
-		// A run aimed at anything but this rank's partition (a peer split by
-		// another table, or corruption) has nowhere to land.
-		if plo, phi := g.off, g.off+len(g.base); h.N < 0 || h.Lo < plo || h.Lo+h.N > phi {
-			return elems, strictErr, fmt.Errorf("core: commit run for %s[%d:%d) outside node %d's partition [%d:%d)", g.name, h.Lo, h.Lo+h.N, node, plo, phi)
-		}
-		if cap(g.wscratch) < h.N {
-			g.wscratch = make([]T, h.N)
-		}
-		vals := g.wscratch[:h.N]
-		mp.DecodeElemsInto(vals, raw)
-		sr := stageRec[T]{lo: h.Lo, n: h.N, vals: vals, add: h.Add, writer: h.Writer}
-		if e := g.applyRun(node, strict, phaseSeq, &sr); e != nil && strictErr == nil {
-			strictErr = e
-		}
-		elems += h.N
-	}
-	return elems, strictErr, nil
+	dst, lo0 := g.span(node)
+	return g.applyWire(dst, lo0, node, strict, phaseSeq, rd, nRuns)
 }
 
-// encodeCheckpoint implements registeredArray: this node's partition as
-// a single commit-grammar run (an empty partition is a zero-run block,
-// kept so restore walks every array uniformly).
+// encodeCheckpoint implements registeredArray: node's partition.
 func (g *Global[T]) encodeCheckpoint(node int, buf []byte) []byte {
-	lo, hi := g.part.Range(node)
-	if hi <= lo {
-		return wire.AppendBlockHeader(buf, g.id, 0)
-	}
-	buf = wire.AppendBlockHeader(buf, g.id, 1)
-	buf = wire.AppendRunHeader(buf, wire.RunHeader{Lo: lo, N: hi - lo, Writer: int64(node)})
-	return mp.AppendElems(buf, g.base[lo-g.off:hi-g.off])
+	dst, lo0 := g.span(node)
+	return g.encodeImage(dst, lo0, node, buf)
 }
 
-// restoreCheckpoint implements registeredArray: reinstall a checkpoint
-// block through the same run-apply path commits use (non-strict: a
-// checkpoint is committed state, not a phase's writes).
+// restoreCheckpoint implements registeredArray: reinstall node's
+// partition.
 func (g *Global[T]) restoreCheckpoint(node int, rd *wire.CommitReader, nRuns int) error {
-	_, _, err := g.applyWireRuns(node, false, 0, rd, nRuns)
-	return err
+	dst, lo0 := g.span(node)
+	return g.restoreImage(dst, lo0, node, rd, nRuns)
 }
 
 // addCover implements registeredArray: mark a range a plan prefetch has
@@ -911,7 +633,7 @@ func (a *Node[T]) installRange(lo, hi int, data []byte) error {
 	return fmt.Errorf("core: remote install into node-shared %q", a.name)
 }
 
-func (a *Node[T]) encodeStagedWire(dst int, buf []byte) []byte { return buf }
+func (a *Node[T]) encodeStagedWire(src, dst int, buf []byte) []byte { return buf }
 
 func (a *Node[T]) releaseStaging() {}
 
@@ -923,33 +645,9 @@ func (a *Node[T]) applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.
 // local instance is part of this rank's committed state, so checkpoints
 // carry it — the full [0, n) image.
 func (a *Node[T]) encodeCheckpoint(node int, buf []byte) []byte {
-	if a.n == 0 {
-		return wire.AppendBlockHeader(buf, a.id, 0)
-	}
-	buf = wire.AppendBlockHeader(buf, a.id, 1)
-	buf = wire.AppendRunHeader(buf, wire.RunHeader{Lo: 0, N: a.n, Writer: int64(node)})
-	return mp.AppendElems(buf, a.base[node])
+	return a.encodeImage(a.base[node], 0, node, buf)
 }
 
 func (a *Node[T]) restoreCheckpoint(node int, rd *wire.CommitReader, nRuns int) error {
-	var scratch []T
-	for i := 0; i < nRuns; i++ {
-		h, raw, err := rd.Run(a.es)
-		if err != nil {
-			return err
-		}
-		if h.Lo < 0 || h.N < 0 || h.Lo+h.N > a.n {
-			return fmt.Errorf("core: checkpoint run for %s[%d:%d) out of range [0,%d)", a.name, h.Lo, h.Lo+h.N, a.n)
-		}
-		if cap(scratch) < h.N {
-			scratch = make([]T, h.N)
-		}
-		vals := scratch[:h.N]
-		mp.DecodeElemsInto(vals, raw)
-		sr := stageRec[T]{lo: h.Lo, n: h.N, vals: vals, add: h.Add, writer: h.Writer}
-		if err := a.applyRun(node, false, 0, &sr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.restoreImage(a.base[node], 0, node, rd, nRuns)
 }

@@ -168,7 +168,7 @@ func (e *loopEngine) ReleaseCommit(in [][]byte) {
 	e.m.cond.Broadcast()
 }
 
-// TestCommitStreamsReleasedAndUnpinned: commitGlobalDist hands every
+// TestCommitStreamsReleasedAndUnpinned: a mesh commitGlobal hands every
 // incoming stream back to the engine after the apply, once per exchange,
 // and by then no cursor of the doRun — which a warm session caches for
 // the fleet's lifetime — still references one.
@@ -238,6 +238,32 @@ func TestCommitStreamsReleasedAndUnpinned(t *testing.T) {
 					t.Errorf("rank %d: cursor for source %d left live=%v valid=%v", r, src, c.live, c.valid)
 				}
 			}
+		}
+	}
+}
+
+// The simulator encodes its remote-bound writes in the wire commit
+// grammar too, but nothing crosses a wire: NodeStats.Wire stays zero
+// while the modeled remote traffic is counted as before.
+func TestSimulatorKeepsWireStatsZero(t *testing.T) {
+	const nodes, n = 3, 90
+	rep := mustRun(t, Options{Nodes: nodes, CoresPerNode: 2, Machine: machine.Generic()}, func(rt *Runtime) {
+		g := AllocGlobal[float64](rt, "acc", n)
+		rt.Do(2, func(vp *VP) {
+			vp.GlobalPhase(func() {
+				lo, hi := ChunkRange(n, nodes, (vp.Node()+1)%nodes)
+				for i := lo; i < hi; i += 3 {
+					g.Add(vp, i, 1)
+				}
+			})
+		})
+	})
+	for node, s := range rep.PerNode {
+		if s.RemoteWriteElems == 0 || s.BundlesIn == 0 {
+			t.Errorf("node %d: no remote writes counted: %+v", node, s)
+		}
+		if s.Wire != (WireStats{}) {
+			t.Errorf("node %d: wire counters under the simulator: %+v", node, s.Wire)
 		}
 	}
 }

@@ -63,3 +63,26 @@ func (g *Global[T]) held(i int) T {
 	var zero T
 	return zero
 }
+
+// RestoreCheckpointBytes restores file, a whole checkpoint file, as rank
+// 0's checkpoint of tag in a 2-rank fleet, into a fresh rank 0 holding a
+// Global[float64] of gn elements and a Node[int64] of an, allocated in
+// that order. It returns the file's block region and, once the restore
+// has succeeded, the blocks the restored arrays encode.
+func RestoreCheckpointBytes(file []byte, tag int64, gn, an int) (in, out []byte, err error) {
+	gs := newGlobalState(Options{Nodes: 2, CoresPerNode: 1}, newLoopMesh(2).engs[0])
+	rt := &Runtime{gs: gs}
+	AllocGlobal[float64](rt, "acc", gn)
+	AllocNode[int64](rt, "count", an)
+	f, err := parseCheckpoint(file, 0, 2, tag)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := f.restore(gs, 0); err != nil {
+		return f.blocks, nil, err
+	}
+	for _, arr := range gs.arrays[:f.nArrays] {
+		out = arr.encodeCheckpoint(0, out)
+	}
+	return f.blocks, out, nil
+}

@@ -9,6 +9,7 @@ import (
 
 	"ppm/internal/machine"
 	"ppm/internal/partition"
+	"ppm/internal/wire"
 )
 
 // The access paths of Global decide local or remote from a table of
@@ -77,7 +78,8 @@ func panicText(f func()) (text string) {
 }
 
 // flush commits what node's VP has buffered, as a global-phase commit
-// would, and returns (and empties) the stage cell of every destination.
+// would, and returns (and empties) what it holds for every destination:
+// node's stage, and the run headers of the stream for every other node.
 func (rig *fastpathRig) flush(t *testing.T, node int) [][]stageRec[float64] {
 	t.Helper()
 	vp := rig.vps[node]
@@ -90,8 +92,24 @@ func (rig *fastpathRig) flush(t *testing.T, node int) [][]stageRec[float64] {
 	}
 	out := make([][]stageRec[float64], parts)
 	for dst := range out {
-		out[dst] = append(out[dst], rig.g.stage[dst][node]...)
-		rig.g.stage[dst][node] = rig.g.stage[dst][node][:0]
+		if dst == node {
+			out[dst] = append(out[dst], rig.g.stage[node]...)
+			rig.g.stage[node] = rig.g.stage[node][:0]
+			continue
+		}
+		rd := wire.NewCommitReader(rig.g.encodeStagedWire(node, dst, nil))
+		for rd.More() {
+			_, nRuns, err := rd.Block()
+			for i := 0; i < nRuns && err == nil; i++ {
+				var h wire.RunHeader
+				if h, _, err = rd.Run(rig.g.es); err == nil {
+					out[dst] = append(out[dst], stageRec[float64]{lo: h.Lo, n: h.N, add: h.Add, writer: h.Writer})
+				}
+			}
+			if err != nil {
+				t.Fatalf("stream from node %d to node %d: %v", node, dst, err)
+			}
+		}
 	}
 	return out
 }

@@ -36,6 +36,12 @@ type globalState struct {
 	strictErr error       // first strict-mode violation
 	conflicts conflictLog // every strict-mode conflict, with attribution
 
+	// streams[src] is, under the simulator, the commit streams node src
+	// sent in the global-phase commit in progress, indexed by
+	// destination: each node publishes its row before the exchange
+	// barrier and reads its column after it (doRun.exchange).
+	streams [][][]byte
+
 	// Distributed mode only (see dist.go). memMu guards every shared
 	// array's backing store against the engine's read-server goroutine:
 	// write-held whenever this process may mutate partitions (node level,
@@ -53,6 +59,40 @@ type globalState struct {
 	// stream sizes before/after the codec (commit goroutine only).
 	wireCoalesced                atomic.Int64
 	wireCommitRaw, wireCommitEnc int64
+}
+
+// newGlobalState is the state of a run with options o, on the simulator
+// (eng nil) or as one rank of eng's mesh.
+func newGlobalState(o Options, eng DistEngine) *globalState {
+	gs := &globalState{
+		opt:       o,
+		mach:      o.Machine,
+		nodes:     o.Nodes,
+		cores:     o.CoresPerNode,
+		dist:      eng,
+		allocSeq:  make([]int, o.Nodes),
+		doK:       make([]int, o.Nodes),
+		phaseSeqs: make([]int64, o.Nodes),
+		stats:     make([]NodeStats, o.Nodes),
+	}
+	if eng == nil {
+		gs.streams = make([][][]byte, o.Nodes)
+	}
+	return gs
+}
+
+// report assembles the run's Report (crep is the simulated cluster's, nil
+// on a mesh rank) and returns it with the run's error: runErr, or else
+// the first strict-mode violation.
+func (gs *globalState) report(crep *cluster.Report, runErr error) (*Report, error) {
+	rep := &Report{Cluster: crep, PerNode: gs.stats, Conflicts: gs.conflicts.list()}
+	for _, s := range gs.stats {
+		rep.Totals.add(s)
+	}
+	if runErr == nil {
+		runErr = gs.strictErr
+	}
+	return rep, runErr
 }
 
 // noteStrict records the first strict-mode violation of the run.
@@ -75,10 +115,10 @@ func (gs *globalState) arrayElemBytes(id int) int {
 // registeredArray is the commit-side interface every shared array
 // implements.
 type registeredArray interface {
-	// applyIncoming applies all records staged for node (in source
-	// order), clears the stage, and accumulates per-source incoming
-	// traffic into the caller's reusable tallies.
-	applyIncoming(node int, strict bool, phaseSeq int64, inElems, inBytes []int64) error
+	// applyStaged applies the runs node's VPs staged for node's own
+	// partition this phase, clears the stage, and returns how many
+	// elements it applied and the first strict-mode conflict.
+	applyStaged(node int, strict bool, phaseSeq int64) (elems int, err error)
 	// elemBytes returns the modeled element size.
 	elemBytes() int
 	// ownerSpan returns the node owning element i and the end of that
@@ -92,18 +132,21 @@ type registeredArray interface {
 	// label returns a diagnostic name.
 	label() string
 
-	// Distributed-mode hooks (see dist.go). Node arrays never cross the
-	// wire, so theirs are stubs.
+	// Commit-stream hooks (see dist.go): what src wrote to dst's
+	// partition, as a block of the wire commit grammar; the array's wire
+	// buffers back to their pool at the end of a successful run; and one
+	// block of a peer's stream applied to node's partition. Node arrays
+	// never cross the wire, so theirs are stubs.
+	encodeStagedWire(src, dst int, buf []byte) []byte
+	releaseStaging()
+	applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error)
+
+	// Distributed-mode hooks (see dist.go), stubs for node arrays.
 	resetDistCache()
 	encodeRange(node, lo, hi int) ([]byte, error)
 	installRange(lo, hi int, data []byte) error
 	// addCover marks a range a plan prefetch installed as locally valid.
 	addCover(lo, hi int)
-	encodeStagedWire(dst int, buf []byte) []byte
-	// releaseStaging returns the array's wire buffers to their pool at
-	// the end of a successful run.
-	releaseStaging()
-	applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error)
 
 	// Checkpoint hooks (see checkpoint.go): this node's authoritative
 	// image as one wire-grammar commit block, and its reinstallation.
@@ -144,16 +187,7 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gs := &globalState{
-		opt:       o,
-		mach:      o.Machine,
-		nodes:     o.Nodes,
-		cores:     o.CoresPerNode,
-		allocSeq:  make([]int, o.Nodes),
-		doK:       make([]int, o.Nodes),
-		phaseSeqs: make([]int64, o.Nodes),
-		stats:     make([]NodeStats, o.Nodes),
-	}
+	gs := newGlobalState(o, nil)
 	rts := make([]*Runtime, o.Nodes)
 	crep, err := cluster.Run(cluster.Config{
 		Procs:        o.Nodes,
@@ -172,22 +206,11 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 		for _, rt := range rts {
 			rt.releaseWarm()
 		}
+		for _, arr := range gs.arrays {
+			arr.releaseStaging()
+		}
 	}
-	rep := &Report{
-		Cluster:   crep,
-		PerNode:   gs.stats,
-		Conflicts: gs.conflicts.list(),
-	}
-	for _, s := range gs.stats {
-		rep.Totals.add(s)
-	}
-	if err != nil {
-		return rep, err
-	}
-	if gs.strictErr != nil {
-		return rep, gs.strictErr
-	}
-	return rep, nil
+	return gs.report(crep, err)
 }
 
 // releaseWarm ends the warm cache of a node whose program has finished:

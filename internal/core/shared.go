@@ -7,6 +7,7 @@ import (
 
 	"ppm/internal/mp"
 	"ppm/internal/partition"
+	"ppm/internal/wire"
 )
 
 // Elem constrains shared-array element types (fixed-size numerics, so
@@ -29,11 +30,12 @@ type writeRec[T Elem] struct {
 	writer int64 // (node<<32)|vpRank, for strict-mode diagnostics
 }
 
-// stageRec is one run staged for a destination node at a global-phase
-// commit: the same shape as writeRec but with the values resolved to a
-// concrete slice (runs may alias the source buffer's arena — safe,
-// because every node applies its incoming stage before the commit's
-// final barrier lets any VP buffer new writes).
+// stageRec is one run a node's VPs wrote to the node's own partition of
+// a Global, staged at a global-phase commit: the same shape as writeRec but
+// with the values resolved to a concrete slice (runs may alias the source
+// buffer's arena — safe, because the node applies its stage before the
+// commit ends and any VP buffers new writes). Runs for other nodes'
+// partitions are not staged: they travel in the wire commit grammar.
 type stageRec[T Elem] struct {
 	lo     int
 	n      int
@@ -163,17 +165,149 @@ func allocArray[A registeredArray](rt *Runtime, name string, mk func(id int) A) 
 	return out
 }
 
+// arrayCore is what a Global and a Node array share: identity, element
+// size, strict-mode tracking, the pool their VPs' write buffers come from,
+// and the run apply of both commit paths.
+type arrayCore[T Elem] struct {
+	gs   *globalState
+	id   int
+	name string
+	n    int
+	es   int
+	// strict-mode conflict tracking, allocated at first strict commit.
+	ct *conflictTracker
+	// bufs is the process-wide pool of the VPs' write buffers for this
+	// array (stagingPool), looked up once at allocation.
+	bufs *sync.Pool
+	// scratch[node] is node's element scratch for applying wire runs (see
+	// applyWire): under the simulator every node applies into this one
+	// object, concurrently under the parallel scheduler.
+	scratch [][]T
+}
+
+func newArrayCore[T Elem, B any](rt *Runtime, id int, name string, n int) arrayCore[T] {
+	return arrayCore[T]{gs: rt.gs, id: id, name: name, n: n, es: mp.SizeOf[T](),
+		bufs: stagingPool[B](), scratch: make([][]T, rt.gs.nodes)}
+}
+
+// Len returns the array's length: a Global's global length, a Node
+// array's per-node length.
+func (c *arrayCore[T]) Len() int { return c.n }
+
+// Name returns the allocation name.
+func (c *arrayCore[T]) Name() string { return c.name }
+
+// label implements registeredArray.
+func (c *arrayCore[T]) label() string { return c.name }
+
+// elemBytes implements registeredArray.
+func (c *arrayCore[T]) elemBytes() int { return c.es }
+
+// applyRun applies one resolved run to dst, node's storage of the array,
+// which holds element i at dst[i-lo0].
+func (c *arrayCore[T]) applyRun(dst []T, lo0, node int, strict bool, phaseSeq int64, r *stageRec[T]) error {
+	var err error
+	if strict {
+		if c.ct == nil {
+			c.ct = newConflictTracker(c.gs.nodes)
+		}
+		err = c.ct.check(&c.gs.conflicts, c.name, node, phaseSeq, r.lo, r.n, r.writer, r.add)
+	}
+	lo := r.lo - lo0
+	switch {
+	case r.vals == nil:
+		if r.add {
+			dst[lo] += r.val
+		} else {
+			dst[lo] = r.val
+		}
+	case r.add:
+		dst := dst[lo : lo+r.n]
+		for i, v := range r.vals {
+			dst[i] += v
+		}
+	default:
+		copy(dst[lo:lo+r.n], r.vals)
+	}
+	return err
+}
+
+// applyWire applies nRuns runs of a commit-grammar block to dst, node's
+// storage of the array from element lo0 on, through applyRun. strictErr
+// carries strict-mode conflicts (noted, not fatal); err is protocol
+// corruption (fatal), and a run that leaves dst is that: it has nowhere to
+// land. The values are decoded into node's scratch, which persists across
+// commits.
+func (c *arrayCore[T]) applyWire(dst []T, lo0, node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error) {
+	for i := 0; i < nRuns; i++ {
+		h, raw, err := rd.Run(c.es)
+		if err != nil {
+			return elems, strictErr, err
+		}
+		if phi := lo0 + len(dst); h.N < 0 || h.Lo < lo0 || h.Lo > phi || h.N > phi-h.Lo {
+			return elems, strictErr, fmt.Errorf("core: commit run for %s[%d:%d) outside node %d's partition [%d:%d)", c.name, h.Lo, h.Lo+h.N, node, lo0, phi)
+		}
+		if h.N == 0 {
+			// No writer sends one, and applyRun would take its nil values
+			// for an inline scalar.
+			return elems, strictErr, fmt.Errorf("core: empty commit run for %s at %d", c.name, h.Lo)
+		}
+		if cap(c.scratch[node]) < h.N {
+			c.scratch[node] = make([]T, h.N)
+		}
+		vals := c.scratch[node][:h.N]
+		mp.DecodeElemsInto(vals, raw)
+		sr := stageRec[T]{lo: h.Lo, n: h.N, vals: vals, add: h.Add, writer: h.Writer}
+		if e := c.applyRun(dst, lo0, node, strict, phaseSeq, &sr); e != nil && strictErr == nil {
+			strictErr = e
+		}
+		elems += h.N
+	}
+	return elems, strictErr, nil
+}
+
+// restoreImage reinstalls a checkpoint block holding node's image dst,
+// which starts at element lo0, through applyWire (non-strict: a checkpoint
+// is committed state, not a phase's writes). The block must be exactly
+// what encodeImage wrote, one plain run of the whole image by node (none
+// when it is empty): anything else would leave part of it as it was.
+func (c *arrayCore[T]) restoreImage(dst []T, lo0, node int, rd *wire.CommitReader, nRuns int) error {
+	if len(dst) == 0 && nRuns == 0 {
+		return nil
+	}
+	if len(dst) == 0 || nRuns != 1 {
+		return fmt.Errorf("core: checkpoint block for %s holds %d runs, not node %d's image [%d:%d)", c.name, nRuns, node, lo0, lo0+len(dst))
+	}
+	peek := *rd
+	h, _, _ := peek.Run(c.es)
+	if _, _, err := c.applyWire(dst, lo0, node, false, 0, rd, 1); err != nil {
+		return err
+	}
+	if h != (wire.RunHeader{Lo: lo0, N: len(dst), Writer: int64(node)}) {
+		return fmt.Errorf("core: checkpoint run %+v for %s is not node %d's image [%d:%d)", h, c.name, node, lo0, lo0+len(dst))
+	}
+	return nil
+}
+
+// encodeImage appends node's image dst, which starts at element lo0, as a
+// checkpoint block: one commit-grammar run (an empty image is a zero-run
+// block, kept so restore walks every array uniformly).
+func (c *arrayCore[T]) encodeImage(dst []T, lo0, node int, buf []byte) []byte {
+	if len(dst) == 0 {
+		return wire.AppendBlockHeader(buf, c.id, 0)
+	}
+	buf = wire.AppendBlockHeader(buf, c.id, 1)
+	buf = wire.AppendRunHeader(buf, wire.RunHeader{Lo: lo0, N: len(dst), Writer: int64(node)})
+	return mp.AppendElems(buf, dst)
+}
+
 // Global is a globally shared array: one logical array of n elements,
 // block-distributed across the cluster's nodes through virtual shared
 // memory (the paper's PPM_global_shared). Virtual processors access it
 // with Read/Write/Add (or the block forms) inside phases; node-level
 // code uses Local/At for setup and result extraction.
 type Global[T Elem] struct {
-	gs   *globalState
-	id   int
-	name string
-	n    int
-	es   int
+	arrayCore[T]
 	part partition.Block
 	// bnd is the partition as a table: node p owns [bnd[p], bnd[p+1]).
 	// The access paths test an index against the calling node's two
@@ -194,24 +328,18 @@ type Global[T Elem] struct {
 	lines  [][]T
 	lshift uint
 	lmask  int
-	// stage[dst][src] holds runs written by src's VPs this phase,
-	// destined for dst's partition; dst applies them after the phase's
-	// all-staged barrier. A mesh rank stages only what it writes to itself
-	// (stage[node][node], the one row it has); what it writes to others
-	// goes to wout.
-	stage [][][]stageRec[T]
-	// wout[dst] is, on a mesh rank, this phase's runs for dst's partition
-	// already in the wire commit grammar (wruns[dst] of them), appended at
-	// flush in VP-then-program order; encodeStagedWire puts a block header
-	// in front and empties it. Each peer's buffer is drawn from wireStaging
-	// at allocation and handed back when the run succeeds (releaseStaging).
-	wout  []*[]byte
-	wruns []int
-	// strict-mode conflict tracking, allocated at first strict commit.
-	ct *conflictTracker
-	// bufs is the process-wide pool of *gBuf[T] the VPs' write buffers for
-	// this array come from (stagingPool), looked up once here.
-	bufs *sync.Pool
+	// stage[node] holds the runs node's VPs wrote to node's own partition
+	// this phase; node applies them in its commit.
+	stage [][]stageRec[T]
+	// wout[src][dst] is the runs src's VPs wrote to dst's partition this
+	// phase, already in the wire commit grammar (wruns[src][dst] of them),
+	// appended at flush in VP-then-program order; encodeStagedWire puts a
+	// block header in front and empties it. The simulator has a row per
+	// node, a mesh rank its own only. Each buffer is drawn from
+	// wireStaging at allocation and handed back when the run succeeds
+	// (releaseStaging).
+	wout  [][]*[]byte
+	wruns [][]int
 	// Distributed mode: dcov (under dmu) is the set of index ranges of
 	// other ranks' partitions whose elements in lines are valid this phase
 	// (every remotely fetched range). dpend is the set currently being
@@ -221,9 +349,6 @@ type Global[T Elem] struct {
 	dcov  []intRun
 	dpend []intRun
 	dcnd  *sync.Cond
-	// wscratch is the commit-apply element scratch (see applyWireRuns);
-	// single-threaded use under the memory mutex.
-	wscratch []T
 }
 
 // AllocGlobal allocates a globally shared array of n elements, block-
@@ -236,21 +361,21 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 	g := allocArray(rt, name, func(id int) *Global[T] {
 		nodes := rt.gs.nodes
 		g := &Global[T]{
-			gs:   rt.gs,
-			id:   id,
-			name: name,
-			n:    n,
-			es:   mp.SizeOf[T](),
-			part: partition.NewBlock(n, nodes),
-			bufs: stagingPool[*gBuf[T]](),
+			arrayCore: newArrayCore[T, *gBuf[T]](rt, id, name, n),
+			part:      partition.NewBlock(n, nodes),
+			stage:     make([][]stageRec[T], nodes),
+			wout:      make([][]*[]byte, nodes),
+			wruns:     make([][]int, nodes),
 		}
 		g.bnd = append(g.part.Displs(), n)
-		g.stage = make([][][]stageRec[T], nodes)
+		for src := range g.wout {
+			if rt.gs.dist == nil || src == rt.node {
+				g.wout[src] = takeWire(nodes, src)
+				g.wruns[src] = make([]int, nodes)
+			}
+		}
 		if rt.gs.dist == nil {
 			g.base = make([]T, n)
-			for d := range g.stage {
-				g.stage[d] = make([][]stageRec[T], nodes)
-			}
 			return g
 		}
 		g.off = g.bnd[rt.node]
@@ -259,9 +384,6 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 		g.lshift = uint(bits.TrailingZeros(uint(line)))
 		g.lmask = line - 1
 		g.lines = make([][]T, (n+line-1)/line)
-		g.stage[rt.node] = make([][]stageRec[T], nodes)
-		g.wout = takeWire(nodes, rt.node)
-		g.wruns = make([]int, nodes)
 		return g
 	})
 	// Zeroing the local partition costs streaming time.
@@ -269,11 +391,12 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 	return g
 }
 
-// Len returns the global length.
-func (g *Global[T]) Len() int { return g.n }
-
-// Name returns the allocation name.
-func (g *Global[T]) Name() string { return g.name }
+// span returns node's partition in place and the index of its first
+// element.
+func (g *Global[T]) span(node int) ([]T, int) {
+	lo, hi := g.bnd[node], g.bnd[node+1]
+	return g.base[lo-g.off : hi-g.off : hi-g.off], lo
+}
 
 // Owner returns the node owning element i.
 func (g *Global[T]) Owner(i int) int { return g.part.Owner(i) }
@@ -289,8 +412,8 @@ func (g *Global[T]) Local(rt *Runtime) []T {
 	if rt.inDo {
 		panic(fmt.Sprintf("core: Global(%q).Local while Do is active", g.name))
 	}
-	lo, hi := g.bnd[rt.node]-g.off, g.bnd[rt.node+1]-g.off
-	return g.base[lo:hi:hi]
+	part, _ := g.span(rt.node)
+	return part
 }
 
 // At returns element i at node level (setup/extraction only). Reading a
@@ -493,14 +616,8 @@ func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 	bufFor[T](vp, g).pushRun(lo, src, add)
 }
 
-// label implements registeredArray.
-func (g *Global[T]) label() string { return g.name }
-
 // localElems implements registeredArray: the size of node's partition.
 func (g *Global[T]) localElems(node int) int { return g.part.Size(node) }
-
-// elemBytes implements registeredArray.
-func (g *Global[T]) elemBytes() int { return g.es }
 
 // ownerSpan implements registeredArray: the owner of element i and the
 // end of that owner's partition, for splitting interval runs by owner.
@@ -509,58 +626,20 @@ func (g *Global[T]) ownerSpan(i int) (owner, end int) {
 	return owner, g.bnd[owner+1]
 }
 
-// applyIncoming applies all staged runs destined for node, in
-// (source node, VP, program) order, accumulating per-source traffic
-// into the caller's tallies (reused across commits, so the apply path
-// allocates nothing).
-func (g *Global[T]) applyIncoming(node int, strict bool, phaseSeq int64, inElems, inBytes []int64) (err error) {
-	nodes := g.gs.nodes
-	for src := 0; src < nodes; src++ {
-		recs := g.stage[node][src]
-		if len(recs) == 0 {
-			continue
+// applyStaged implements registeredArray: apply the runs node's VPs
+// staged for node's own partition this phase, in VP and program order, and
+// empty the stage.
+func (g *Global[T]) applyStaged(node int, strict bool, phaseSeq int64) (elems int, err error) {
+	recs := g.stage[node]
+	g.stage[node] = recs[:0]
+	dst, lo0 := g.span(node)
+	for i := range recs {
+		elems += recs[i].n
+		if e := g.applyRun(dst, lo0, node, strict, phaseSeq, &recs[i]); e != nil && err == nil {
+			err = e
 		}
-		g.stage[node][src] = recs[:0]
-		elems := 0
-		for i := range recs {
-			elems += recs[i].n
-			if e := g.applyRun(node, strict, phaseSeq, &recs[i]); e != nil && err == nil {
-				err = e
-			}
-		}
-		inElems[src] += int64(elems)
-		inBytes[src] += int64(elems) * int64(g.es+8)
 	}
-	return err
-}
-
-// applyRun applies one resolved run, which lies inside node's partition,
-// to it.
-func (g *Global[T]) applyRun(node int, strict bool, phaseSeq int64, r *stageRec[T]) error {
-	var err error
-	if strict {
-		if g.ct == nil {
-			g.ct = newConflictTracker(g.gs.nodes)
-		}
-		err = g.ct.check(&g.gs.conflicts, g.name, node, phaseSeq, r.lo, r.n, r.writer, r.add)
-	}
-	lo := r.lo - g.off
-	switch {
-	case r.vals == nil:
-		if r.add {
-			g.base[lo] += r.val
-		} else {
-			g.base[lo] = r.val
-		}
-	case r.add:
-		dst := g.base[lo : lo+r.n]
-		for i, v := range r.vals {
-			dst[i] += v
-		}
-	default:
-		copy(g.base[lo:lo+r.n], r.vals)
-	}
-	return err
+	return elems, err
 }
 
 // Node is a node-shared array: as in the paper's PPM_node_shared, the
@@ -568,18 +647,10 @@ func (g *Global[T]) applyRun(node int, strict bool, phaseSeq int64, r *stageRec[
 // node's physical shared memory. VPs of a node access their node's
 // instance with phase semantics; there is no cross-node traffic.
 type Node[T Elem] struct {
-	gs   *globalState
-	id   int
-	name string
-	n    int
-	es   int
+	arrayCore[T]
 	// base[node] is node's instance. Under the simulator every node shares
 	// this object and all are present; a mesh rank holds only its own.
 	base [][]T
-	// strict-mode conflict tracking, allocated at first strict commit.
-	ct *conflictTracker
-	// bufs is the process-wide pool of *nBuf[T] (see Global.bufs).
-	bufs *sync.Pool
 }
 
 // AllocNode allocates a node-shared array of n elements on every node.
@@ -589,15 +660,9 @@ func AllocNode[T Elem](rt *Runtime, name string, n int) *Node[T] {
 		panic(fmt.Sprintf("core: AllocNode(%q, %d): negative size", name, n))
 	}
 	a := allocArray(rt, name, func(id int) *Node[T] {
-		nodes := rt.gs.nodes
 		a := &Node[T]{
-			gs:   rt.gs,
-			id:   id,
-			name: name,
-			n:    n,
-			es:   mp.SizeOf[T](),
-			base: make([][]T, nodes),
-			bufs: stagingPool[*nBuf[T]](),
+			arrayCore: newArrayCore[T, *nBuf[T]](rt, id, name, n),
+			base:      make([][]T, rt.gs.nodes),
 		}
 		for i := range a.base {
 			if rt.gs.dist == nil || i == rt.node {
@@ -609,12 +674,6 @@ func AllocNode[T Elem](rt *Runtime, name string, n int) *Node[T] {
 	rt.ChargeMem(int64(n * a.es))
 	return a
 }
-
-// Len returns the per-node length.
-func (a *Node[T]) Len() int { return a.n }
-
-// Name returns the allocation name.
-func (a *Node[T]) Name() string { return a.name }
 
 // Local returns the calling node's instance as a mutable slice (node-
 // level setup/extraction; not while Do is active).
@@ -704,48 +763,12 @@ func (a *Node[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 	nodeBufFor[T](vp, a).pushRun(lo, src, add)
 }
 
-// label implements registeredArray.
-func (a *Node[T]) label() string { return a.name }
-
 // localElems implements registeredArray: node arrays are whole per node.
 func (a *Node[T]) localElems(node int) int { return a.n }
-
-// elemBytes implements registeredArray.
-func (a *Node[T]) elemBytes() int { return a.es }
 
 // ownerSpan implements registeredArray; node arrays are always local.
 func (a *Node[T]) ownerSpan(i int) (owner, end int) { return 0, a.n }
 
-// applyIncoming implements registeredArray; node arrays stage nothing, so
-// it is a no-op (their records apply at flush).
-func (a *Node[T]) applyIncoming(node int, strict bool, phaseSeq int64, inElems, inBytes []int64) error {
-	return nil
-}
-
-// applyRun applies one resolved run to the node's instance.
-func (a *Node[T]) applyRun(node int, strict bool, phaseSeq int64, r *stageRec[T]) error {
-	var err error
-	if strict {
-		if a.ct == nil {
-			a.ct = newConflictTracker(a.gs.nodes)
-		}
-		err = a.ct.check(&a.gs.conflicts, a.name, node, phaseSeq, r.lo, r.n, r.writer, r.add)
-	}
-	base := a.base[node]
-	switch {
-	case r.vals == nil:
-		if r.add {
-			base[r.lo] += r.val
-		} else {
-			base[r.lo] = r.val
-		}
-	case r.add:
-		dst := base[r.lo : r.lo+r.n]
-		for i, v := range r.vals {
-			dst[i] += v
-		}
-	default:
-		copy(base[r.lo:r.lo+r.n], r.vals)
-	}
-	return err
-}
+// applyStaged implements registeredArray; node arrays stage nothing (their
+// records apply at flush).
+func (a *Node[T]) applyStaged(node int, strict bool, phaseSeq int64) (int, error) { return 0, nil }

@@ -404,11 +404,12 @@ type doRun struct {
 	cinElems []int64
 	cinBytes []int64
 
-	// Distributed commit scratch (see commitGlobalDist): the outgoing
-	// stream slice, per-destination raw and delta-encode buffers,
-	// per-source decode buffers, and the stream cursors. The raw buffers
-	// come from wireStaging and go back with releaseStaging.
+	// Global-commit exchange scratch (see exchange): the outgoing and
+	// incoming stream slices, per-destination raw and delta-encode
+	// buffers, per-source decode buffers, and the stream cursors. The raw
+	// buffers come from wireStaging and go back with releaseStaging.
 	cout    [][]byte
+	cin     [][]byte
 	coutRaw []*[]byte
 	coutEnc [][]byte
 	cdec    [][]byte
@@ -730,21 +731,21 @@ func (d *doRun) teardown() {
 // every call.
 func (d *doRun) openPhase(kind phaseKind) {
 	if kind == phaseGlobal {
-		if d.rt.gs.dist != nil {
+		gs := d.rt.gs
+		if gs.dist != nil {
 			d.openPhaseDist()
 		} else {
 			d.rt.proc.Barrier()
-			gs := d.rt.gs
-			base := 0
-			for n := 0; n < d.node; n++ {
-				base += gs.doK[n]
-			}
-			total := base
-			for n := d.node; n < gs.nodes; n++ {
-				total += gs.doK[n]
-			}
-			d.rankBase, d.globalK, d.rankValid = base, total, true
 		}
+		base := 0
+		for n := 0; n < d.node; n++ {
+			base += gs.doK[n]
+		}
+		total := base
+		for n := d.node; n < gs.nodes; n++ {
+			total += gs.doK[n]
+		}
+		d.rankBase, d.globalK, d.rankValid = base, total, true
 	}
 	d.openKind = kind
 	if d.rt.proc != nil {

@@ -173,7 +173,8 @@ func TestValidateChecksParameters(t *testing.T) {
 }
 
 // badParamBlocks are specs whose parameter block the application
-// refuses, with its message.
+// refuses, with its message, and specs whose cluster shape Validate
+// refuses, with its own.
 var badParamBlocks = map[string]string{
 	`{"app":"nbody","nbody":{"N":-5}}`:                                   "nbody: N must be positive, got -5",
 	`{"app":"nbody","nbody":{"Steps":-1}}`:                               "nbody: Steps must be non-negative, got -1",
@@ -198,6 +199,11 @@ var badParamBlocks = map[string]string{
 	`{"app":"scatter","scatter":{"VPs":-1}}`:                             "scatter: N, VPs, and Iters must be positive, got 3000, -1, 4",
 	`{"app":"scatter","scatter":{"N":-1}}`:                               "scatter: N, VPs, and Iters must be positive, got -1, 6, 4",
 	`{"app":"scatter","backend":"dist","scatter":{"Iters":-2}}`:          "scatter: N, VPs, and Iters must be positive, got 3000, 6, -2",
+	// The cluster shape is bounded before any application sees it.
+	`{"app":"scatter","nodes":268435456}`:            "jobspec: nodes must be in [1,256], got 268435456",
+	`{"app":"scatter","cores":1073741824}`:           "jobspec: cores must be in [1,256], got 1073741824",
+	`{"app":"scatter","backend":"dist","nodes":257}`: "jobspec: nodes must be in [1,256], got 257",
+	`{"app":"jacobi","nodes":-3}`:                    "jobspec: nodes must be in [1,256], got -3",
 }
 
 // The result cache must not serve one truncation radius for another:

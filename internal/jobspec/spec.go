@@ -73,6 +73,16 @@ type Spec struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
+// MaxNodes and MaxCores bound the cluster shape a spec may ask for. A
+// simulated run keeps state per node (and per pair of nodes) in the
+// process that runs it, a dist run forks a process per node, and a Do
+// commonly starts a VP per core; the bounds sit well above every shape
+// the repository runs (ppm-figures sweeps up to 64 nodes of 4 cores).
+const (
+	MaxNodes = 256
+	MaxCores = 256
+)
+
 // Normalize fills defaults in place, the application's block by its
 // Params.WithDefaults, and returns the spec. Callers must normalize
 // before hashing or running, so equivalent submissions canonicalize
@@ -111,11 +121,11 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("jobspec: unknown backend %q (want sim, parallel, or dist)", s.Backend)
 	}
-	if s.Nodes <= 0 {
-		return fmt.Errorf("jobspec: nodes must be positive, got %d", s.Nodes)
+	if s.Nodes <= 0 || s.Nodes > MaxNodes {
+		return fmt.Errorf("jobspec: nodes must be in [1,%d], got %d", MaxNodes, s.Nodes)
 	}
-	if s.Cores <= 0 {
-		return fmt.Errorf("jobspec: cores must be positive, got %d", s.Cores)
+	if s.Cores <= 0 || s.Cores > MaxCores {
+		return fmt.Errorf("jobspec: cores must be in [1,%d], got %d", MaxCores, s.Cores)
 	}
 	if _, err := s.Machine(); err != nil {
 		return err

@@ -242,3 +242,35 @@ func TestSubmitBadParamsRefused(t *testing.T) {
 		t.Errorf("refused submissions moved the metrics:\nbefore %+v\n after %+v", before, after)
 	}
 }
+
+// A submission too large to run or to read is answered 400 and registers
+// no job: a cluster shape past jobspec's bounds (a sim job would allocate
+// per-node state in the server, a dist job fork a process per node), and
+// a body past the submission limit, which is not read to its end.
+func TestSubmitOversizedRefused(t *testing.T) {
+	s := startServer(t, Config{Workers: 1})
+	base := "http://" + s.Addr()
+	for _, raw := range []string{
+		`{"spec":{"app":"scatter","nodes":268435456}}`,
+		`{"spec":{"app":"scatter","cores":1073741824}}`,
+		`{"spec":{"app":"scatter","backend":"dist","nodes":100000}}`,
+		`{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `","spec":{"app":"scatter"}}`,
+	} {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || reply["error"] == "" {
+			t.Errorf("%.60s: status %d, reply %v (%v); want 400 with an error", raw, resp.StatusCode, reply, err)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("refused submissions registered %d jobs", jobs)
+	}
+}
