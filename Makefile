@@ -100,12 +100,15 @@ test:
 ## message from each peer per global phase. The last runs the commit
 ## tests under the parallel simulator scheduler: simulated nodes read each
 ## other's commit streams between the exchange barrier and the closing
-## one, and apply concurrently unless StrictWrites serializes them.
+## one, and apply concurrently unless StrictWrites serializes them. The
+## last repeats the read path, whose pooled buffers the link writer, the
+## link reader and the fetching VP hand each other across goroutines.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -count=10 -run 'TestNodeReadAfterPhaseSeesApply|TestGlobalPhaseExchanges' ./internal/dist/
 	PPM_PARALLEL=1 $(GO) test -race -cpu 1,2,4 -count=3 -run 'Strict|Equivalence|FastPath|ScatterCodecMatchesSimulator' ./internal/core/ ./internal/dist/
+	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestFetchRanges|TestLateReadReply|ReadPath' ./internal/dist/ ./internal/core/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing
@@ -153,8 +156,9 @@ plancache-equiv:
 
 ## fuzz-smoke: every native fuzz target, in every package that has
 ## one, for 5 s each (`go test -fuzz` takes one target per invocation):
-## the wire decoders (internal/wire/fuzz_test.go), the job protocol
-## (internal/jobspec/fuzz_test.go), the .ppm front end
+## the wire decoders (internal/wire/fuzz_test.go), what a peer sends
+## through a live engine's reader (internal/dist/peerframes_fuzz_test.go),
+## the job protocol (internal/jobspec/fuzz_test.go), the .ppm front end
 ## (internal/lang/fuzz_test.go) and checkpoint restore
 ## (internal/core/checkpoint_fuzz_test.go). The seed corpora already run as
 ## ordinary tests under `go test ./...`; this lets the engine mutate

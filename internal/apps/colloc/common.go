@@ -65,6 +65,12 @@ func (p Params) Canonical() []uint64 {
 	return words
 }
 
+// MaxBasis bounds the matrix dimension, M0 x (2^Levels - 1) basis
+// functions. A simulator job runs inside the process that serves it, so
+// a size past any bound would end that process out of memory rather than
+// fail the job; this is far above every size the repo runs.
+const MaxBasis = 1 << 20
+
 // Validate reports the first parameter no run could use.
 func (p Params) Validate() error {
 	if p.Levels <= 0 || p.Levels > 24 {
@@ -72,6 +78,9 @@ func (p Params) Validate() error {
 	}
 	if p.M0 <= 0 {
 		return fmt.Errorf("colloc: M0 must be positive, got %d", p.M0)
+	}
+	if per := 1<<p.Levels - 1; p.M0 > MaxBasis/per {
+		return fmt.Errorf("colloc: M0 x (2^Levels - 1) must be at most %d basis functions, got %d x %d", MaxBasis, p.M0, per)
 	}
 	if p.Delta <= 0 {
 		return fmt.Errorf("colloc: Delta must be positive, got %v", p.Delta)

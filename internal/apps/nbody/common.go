@@ -77,10 +77,19 @@ func (p Params) Canonical() []uint64 {
 		math.Float64bits(p.Theta), math.Float64bits(p.Eps), math.Float64bits(p.DT), p.Seed}
 }
 
+// MaxBodies bounds N. A simulator job runs inside the process that
+// serves it, so a size past any bound would end that process out of
+// memory rather than fail the job; this is far above every size the repo
+// runs.
+const MaxBodies = 1 << 20
+
 // Validate reports the first parameter no run could use.
 func (p Params) Validate() error {
 	if p.N <= 0 {
 		return fmt.Errorf("nbody: N must be positive, got %d", p.N)
+	}
+	if p.N > MaxBodies {
+		return fmt.Errorf("nbody: N must be at most %d, got %d", MaxBodies, p.N)
 	}
 	if p.Steps < 0 {
 		return fmt.Errorf("nbody: Steps must be non-negative, got %d", p.Steps)

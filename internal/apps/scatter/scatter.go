@@ -57,11 +57,21 @@ func (p Params) Canonical() []uint64 {
 	return []uint64{uint64(p.N), uint64(p.VPs), uint64(p.Iters), p.Seed}
 }
 
+// MaxSlab bounds the accumulator and each node's read slab, VPs windows
+// of up to N+1 elements (Prog). A simulator job runs inside the process
+// that serves it, so a size past any bound would end that process out of
+// memory rather than fail the job; this is far above every size the repo
+// runs.
+const MaxSlab = 1 << 24
+
 // Validate reports the first parameter no run could use.
 func (p Params) Validate() error {
 	if p.N <= 0 || p.VPs <= 0 || p.Iters <= 0 {
 		return fmt.Errorf("scatter: N, VPs, and Iters must be positive, got %d, %d, %d",
 			p.N, p.VPs, p.Iters)
+	}
+	if p.N >= MaxSlab || p.VPs > MaxSlab/(p.N+1) {
+		return fmt.Errorf("scatter: VPs x (N+1) must be at most %d, got %d x %d", MaxSlab, p.VPs, p.N+1)
 	}
 	return nil
 }

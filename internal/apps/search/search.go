@@ -49,10 +49,22 @@ func (p *Params) Flags(fs *flag.FlagSet) {
 // (floats as their bit pattern), in a fixed order.
 func (p Params) Canonical() []uint64 { return []uint64{uint64(p.N), uint64(p.K), p.Seed} }
 
+// MaxN and MaxK bound the sorted array and each node's key set. A
+// simulator job runs inside the process that serves it, so a size past
+// any bound would end that process out of memory rather than fail the
+// job; these are far above every size the repo runs.
+const (
+	MaxN = 1 << 24
+	MaxK = 1 << 20
+)
+
 // Validate reports the first parameter no run could use.
 func (p Params) Validate() error {
 	if p.N <= 0 || p.K <= 0 {
 		return fmt.Errorf("search: N and K must be positive, got %d, %d", p.N, p.K)
+	}
+	if p.N > MaxN || p.K > MaxK {
+		return fmt.Errorf("search: N and K must be at most %d and %d, got %d, %d", MaxN, MaxK, p.N, p.K)
 	}
 	return nil
 }

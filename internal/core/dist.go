@@ -22,16 +22,23 @@ type DistEngine interface {
 	Endpoint() mp.Endpoint
 	// SetReadServer installs the callback that serves peers' remote
 	// reads of this process's partitions; it must return a copy, which
-	// the engine keeps and sends as (the start of) the reply. A read a
-	// peer requests after its CommitExchange of some phase must reach the
+	// it hands over to the engine: the engine sends it as (a part of) the
+	// reply and then recycles it into wire's pool (wire.PutBuf), so the
+	// copy is best drawn from there (wire.GetBuf). A read a peer
+	// requests after its CommitExchange of some phase must reach the
 	// callback only after this rank's ReleaseCommit of that exchange:
 	// before it, this rank may not have applied the phase.
 	SetReadServer(fn func(array, lo, hi int) ([]byte, error))
 	// FetchRanges reads any number of ranges from the one rank that owns
 	// them all, in one round trip; the reply is the ranges' bytes
-	// concatenated in request order. Fetch is its one-range form.
+	// concatenated in request order. Fetch is its one-range form. The
+	// reply is lent until ReleaseRead, like the streams of a
+	// CommitExchange: the caller must neither keep a reference into it
+	// past the release nor write to it.
 	FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, error)
 	Fetch(array, owner, lo, hi int) ([]byte, error)
+	// ReleaseRead hands back a reply FetchRanges or Fetch returned.
+	ReleaseRead(data []byte)
 	// CommitExchange ships outgoing[dst] (a wire commit stream; empty
 	// and self entries are skipped) to every peer and blocks until every
 	// peer's complete stream for the same phase has arrived, returned
@@ -268,14 +275,16 @@ func (d *doRun) prefetchPlan(p *phasePlan) {
 	}
 }
 
-// fetchInstall reads ranges from owner in one round trip and lands the
-// reply in the local images of the arrays they name.
+// fetchInstall reads ranges from owner in one round trip, lands the reply
+// in the local images of the arrays they name, and hands it back.
 func (gs *globalState) fetchInstall(owner int, ranges []wire.ReadRange) error {
 	data, err := gs.dist.FetchRanges(owner, ranges)
 	if err != nil {
 		return err
 	}
-	return gs.installReply(owner, ranges, data)
+	err = gs.installReply(owner, ranges, data)
+	gs.dist.ReleaseRead(data)
+	return err
 }
 
 // installReply slices a read reply by the ranges requested. The reply
@@ -319,14 +328,15 @@ func (g *Global[T]) resetDistCache() {
 // encodeRange implements registeredArray: the read-server side of a
 // remote fetch. The requested range must lie inside this node's
 // partition (the requester split by owner); the returned bytes are a
-// copy taken under the caller's read lock.
+// copy taken under the caller's read lock into a buffer from wire's
+// pool, handed over to the engine (DistEngine.SetReadServer).
 func (g *Global[T]) encodeRange(node, lo, hi int) ([]byte, error) {
 	plo, phi := g.part.Range(node)
 	if lo < plo || hi > phi || lo > hi {
 		return nil, fmt.Errorf("core: remote read of %s[%d:%d) outside node %d's partition [%d:%d)",
 			g.name, lo, hi, node, plo, phi)
 	}
-	return mp.AppendElems(make([]byte, 0, (hi-lo)*g.es), g.base[lo-g.off:hi-g.off]), nil
+	return mp.AppendElems(wire.GetBuf((hi-lo)*g.es), g.base[lo-g.off:hi-g.off]), nil
 }
 
 // installRange implements registeredArray: land fetched bytes in the line
@@ -522,7 +532,9 @@ func (g *Global[T]) fetchRuns(owner int, reqs []wire.ReadRange) error {
 	if err != nil {
 		return err
 	}
-	return gs.installReply(owner, reqs, data)
+	err = gs.installReply(owner, reqs, data)
+	gs.dist.ReleaseRead(data)
+	return err
 }
 
 // coverMissing returns the subranges of [lo, hi) not covered by cov

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +42,9 @@ type loopEngine struct {
 	// fetchDelay, if set, holds each one in flight that long.
 	reqs       [][]wire.ReadRange
 	fetchDelay time.Duration
+	// replies counts the read replies this rank was lent, readsReleased
+	// those it handed back (DistEngine.ReleaseRead).
+	replies, readsReleased atomic.Int64
 }
 
 func newLoopMesh(nodes int) *loopMesh {
@@ -115,9 +119,13 @@ func (e *loopEngine) FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, er
 			return nil, err
 		}
 		reply = append(reply, data...)
+		wire.PutBuf(data) // the server's copy is the engine's
 	}
+	e.replies.Add(1)
 	return reply, nil
 }
+
+func (e *loopEngine) ReleaseRead([]byte) { e.readsReleased.Add(1) }
 
 // CommitExchange copies the outgoing streams (the borrow ends at return,
 // like the real engine's) and hands out private copies of the incoming
@@ -166,6 +174,67 @@ func (e *loopEngine) ReleaseCommit(in [][]byte) {
 	e.released++
 	e.m.mu.Unlock()
 	e.m.cond.Broadcast()
+}
+
+// TestReadPathReleasesEveryReply: every read reply the engine lends core
+// comes back through ReleaseRead once it is installed, on both fetch
+// paths: a VP's demand miss (fetchRuns) and a replayed plan's prefetch at
+// phase open (fetchInstall). What the VPs read is the owner's data.
+func TestReadPathReleasesEveryReply(t *testing.T) {
+	const nodes, iters, n = 2, 4, 4096
+	mesh := newLoopMesh(nodes)
+	errs := make([]error, nodes)
+	var wg sync.WaitGroup
+	for r := 0; r < nodes; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opt := Options{Nodes: nodes, CoresPerNode: 2, Machine: machine.Generic()}
+			_, errs[r] = RunDist(opt, mesh.engs[r], func(rt *Runtime) {
+				x := AllocGlobal[float64](rt, "x", n)
+				lo, hi := x.OwnerRange(rt)
+				for i := lo; i < hi; i++ {
+					x.Local(rt)[i-lo] = float64(i)
+				}
+				for it := 0; it < iters; it++ {
+					rt.Do(2, func(vp *VP) {
+						vp.GlobalPhase(func() {
+							block := make([]float64, 40)
+							olo, _ := ChunkRange(n, nodes, 1-vp.Node())
+							at := olo + 600*vp.NodeRank()
+							x.ReadBlock(vp, at, at+len(block), block)
+							for k, v := range block {
+								if v != float64(at+k) {
+									panic(fmt.Sprintf("x[%d] read as %v", at+k, v))
+								}
+							}
+						})
+					})
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	for r, e := range mesh.engs {
+		lent, back := e.replies.Load(), e.readsReleased.Load()
+		if lent == 0 || back != lent {
+			t.Errorf("rank %d handed back %d of the %d replies it was lent", r, back, lent)
+		}
+		multi := 0
+		for _, req := range e.reqs {
+			if len(req) > 1 {
+				multi++
+			}
+		}
+		if multi == 0 {
+			t.Errorf("rank %d sent no request for several ranges: no plan prefetch ran (%d requests)", r, len(e.reqs))
+		}
+	}
 }
 
 // TestCommitStreamsReleasedAndUnpinned: a mesh commitGlobal hands every

@@ -263,46 +263,70 @@ func TestMailboxRecvQueuedMessageArmsNoTimer(t *testing.T) {
 
 // --- the plane's frame checks -------------------------------------------
 
+// planeFrame is one commit frame rank 1 sends in the plane's tests.
+type planeFrame struct {
+	h   wire.CommitHeader
+	n   int  // chunk bytes; for an end, ignored
+	end bool // CommitEnd
+}
+
+func planeHdr(seq, phase int64, off, total int) wire.CommitHeader {
+	return wire.CommitHeader{Seq: seq, Phase: phase, Off: off, Total: total}
+}
+
+// appendTo appends f's wire form to buf, its chunk (if any) n bytes of 0xA5.
+func (f planeFrame) appendTo(buf []byte) []byte {
+	if f.end {
+		return wire.AppendCommitEnd(buf, f.h)
+	}
+	return wire.AppendCommitData(buf, f.h, bytes.Repeat([]byte{0xA5}, f.n))
+}
+
+// planeFrameSequences are the frame sequences a faulty link produces,
+// each with the error its last frame earns ("" = accepted) and the bytes
+// of rank 1's stream afterwards.
+var planeFrameSequences = func() []struct {
+	name   string
+	frames []planeFrame
+	want   string
+	got    int
+} {
+	hdr := planeHdr
+	data := func(off, n, total int) planeFrame { return planeFrame{h: hdr(1, 7, off, total), n: n} }
+	end := func(total int) planeFrame { return planeFrame{h: hdr(1, 7, total, total), end: true} }
+	return []struct {
+		name   string
+		frames []planeFrame
+		want   string
+		got    int
+	}{
+		{"in order", []planeFrame{data(0, 8, 20), data(8, 8, 20), data(16, 4, 20), end(20)}, "", 20},
+		{"empty stream", []planeFrame{end(0)}, "", 0},
+		{"chunk repeated", []planeFrame{data(0, 8, 16), data(0, 8, 16), data(8, 8, 16), end(16)}, "", 16},
+		{"last chunk and end repeated", []planeFrame{data(0, 8, 8), data(0, 8, 8), end(8), end(8)}, "", 8},
+		{"middle chunk lost", []planeFrame{data(0, 8, 24), data(16, 8, 24)},
+			"rank 1's phase 7 commit stream continues at offset 16 with 8 bytes received", 8},
+		{"first chunk lost", []planeFrame{data(8, 8, 16)}, "continues at offset 8 with 0 bytes received", 0},
+		{"chunk cut short", []planeFrame{data(0, 4, 16), data(8, 8, 16)}, "continues at offset 8 with 4 bytes received", 4},
+		{"last chunk lost", []planeFrame{data(0, 8, 16), end(16)},
+			"rank 1 ended its phase 7 commit stream at 16 bytes with 8 received", 8},
+		{"every chunk lost", []planeFrame{end(16)}, "at 16 bytes with 0 received", 0},
+		{"chunk past the total", []planeFrame{data(0, 8, 12), data(8, 8, 12)}, "overruns its announced 12 bytes by 4", 8},
+		{"data after end", []planeFrame{data(0, 8, 8), end(8), data(8, 8, 16)},
+			"rank 1 sent 8 more bytes of its phase 7 commit stream after ending it at 8", 8},
+		{"second end disagrees", []planeFrame{data(0, 8, 8), end(8), end(9)}, "at 9 bytes with 8 received", 8},
+		{"ranks out of step", []planeFrame{data(0, 8, 8), {h: hdr(1, 8, 8, 8), end: true}},
+			"exchange 1 is phase 7 to one rank and phase 8 to another", 8},
+		{"ordinal from the future", []planeFrame{{h: hdr(3, 9, 0, 0), end: true}},
+			"rank 1 sent a commit frame of phase 9 as exchange 3 while this rank has completed 0", 0},
+	}
+}()
+
 // TestCommitPlaneFrameChecks drives the plane with the frame sequences a
 // faulty link produces. Duplicates are ignored wherever they land; a
 // lost, cut or surplus frame is an error naming the rank and the phase.
 func TestCommitPlaneFrameChecks(t *testing.T) {
-	hdr := func(seq, phase int64, off, total int) wire.CommitHeader {
-		return wire.CommitHeader{Seq: seq, Phase: phase, Off: off, Total: total}
-	}
-	type frame struct {
-		h   wire.CommitHeader
-		n   int  // chunk bytes; for an end, ignored
-		end bool // CommitEnd
-	}
-	data := func(off, n, total int) frame { return frame{h: hdr(1, 7, off, total), n: n} }
-	end := func(total int) frame { return frame{h: hdr(1, 7, total, total), end: true} }
-	for _, tc := range []struct {
-		name   string
-		frames []frame
-		want   string // error of the last frame; "" = accepted
-		got    int    // bytes of rank 1's stream afterwards
-	}{
-		{"in order", []frame{data(0, 8, 20), data(8, 8, 20), data(16, 4, 20), end(20)}, "", 20},
-		{"empty stream", []frame{end(0)}, "", 0},
-		{"chunk repeated", []frame{data(0, 8, 16), data(0, 8, 16), data(8, 8, 16), end(16)}, "", 16},
-		{"last chunk and end repeated", []frame{data(0, 8, 8), data(0, 8, 8), end(8), end(8)}, "", 8},
-		{"middle chunk lost", []frame{data(0, 8, 24), data(16, 8, 24)},
-			"rank 1's phase 7 commit stream continues at offset 16 with 8 bytes received", 8},
-		{"first chunk lost", []frame{data(8, 8, 16)}, "continues at offset 8 with 0 bytes received", 0},
-		{"chunk cut short", []frame{data(0, 4, 16), data(8, 8, 16)}, "continues at offset 8 with 4 bytes received", 4},
-		{"last chunk lost", []frame{data(0, 8, 16), end(16)},
-			"rank 1 ended its phase 7 commit stream at 16 bytes with 8 received", 8},
-		{"every chunk lost", []frame{end(16)}, "at 16 bytes with 0 received", 0},
-		{"chunk past the total", []frame{data(0, 8, 12), data(8, 8, 12)}, "overruns its announced 12 bytes by 4", 8},
-		{"data after end", []frame{data(0, 8, 8), end(8), data(8, 8, 16)},
-			"rank 1 sent 8 more bytes of its phase 7 commit stream after ending it at 8", 8},
-		{"second end disagrees", []frame{data(0, 8, 8), end(8), end(9)}, "at 9 bytes with 8 received", 8},
-		{"ranks out of step", []frame{data(0, 8, 8), {h: hdr(1, 8, 8, 8), end: true}},
-			"exchange 1 is phase 7 to one rank and phase 8 to another", 8},
-		{"ordinal from the future", []frame{{h: hdr(3, 9, 0, 0), end: true}},
-			"rank 1 sent a commit frame of phase 9 as exchange 3 while this rank has completed 0", 0},
-	} {
+	for _, tc := range planeFrameSequences {
 		t.Run(tc.name, func(t *testing.T) {
 			var cp commitPlane
 			cp.init(3)
@@ -583,6 +607,8 @@ func TestCommitFramesOverTheWire(t *testing.T) {
 			"commit stream of phase 4 announces 1073741825 bytes, above the 1073741824-byte bound"},
 		{"chunk past its total", wire.AppendCommitData(nil, wire.CommitHeader{Seq: 1, Phase: 4, Total: 4}, chunkB),
 			"rank 1's phase 4 commit stream overruns its announced 4 bytes by 96"},
+		{"chunk above the bundle size", wire.AppendCommitData(nil, wire.CommitHeader{Seq: 1, Phase: 4, Total: 1 << 20}, make([]byte, bundleBytes+1)),
+			"protocol error from rank 1: rank 1's phase 4 commit chunk is 8193 bytes, above the 8192 a sender cuts"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, conn := rawPeer(t, nil)

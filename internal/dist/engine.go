@@ -136,8 +136,8 @@ func (e *Engine) protocolFatal(from int, err error) {
 }
 
 // deliver demultiplexes one frame a link's reader framed to the mailbox,
-// the read server, the pending-fetch table, and the commit plane; false
-// ends the reader.
+// the read server, and the commit plane; false ends the reader. (A read
+// reply the reader hands to its fetch itself.)
 func (e *Engine) deliver(l *link, kind byte, payload []byte) bool {
 	switch kind {
 	case wire.KindMsg:
@@ -159,18 +159,7 @@ func (e *Engine) deliver(l *link, kind byte, payload []byte) bool {
 			return false
 		}
 	case wire.KindReadResp:
-		id, data, err := wire.DecodeReadResp(payload)
-		if err != nil {
-			e.protocolFatal(l.id, err)
-			return false
-		}
-		e.pendMu.Lock()
-		w := e.pend[id]
-		delete(e.pend, id)
-		e.pendMu.Unlock()
-		if w != nil {
-			w.ch <- data // capacity 1, one reply per id: never blocks
-		}
+		// The reader handed the reply to its fetch (link.readReply).
 	case wire.KindCommitData:
 		// The reader put the chunk where it belongs.
 	case wire.KindCommitEnd:
@@ -195,6 +184,21 @@ func (e *Engine) deliver(l *link, kind byte, payload []byte) bool {
 		e.byeCh <- l.id // capacity nodes: never blocks
 	}
 	return true
+}
+
+// reply hands a read reply's data, a buffer from wire's pool, to the
+// fetch waiting for id. A reply nobody waits for (its fetch timed out,
+// or the frame is a repeat) goes straight back to the pool.
+func (e *Engine) reply(id uint64, data []byte) {
+	e.pendMu.Lock()
+	w := e.pend[id]
+	delete(e.pend, id)
+	e.pendMu.Unlock()
+	if w == nil {
+		wire.PutBuf(data)
+		return
+	}
+	w.ch <- data // capacity 1, one reply per id: never blocks
 }
 
 // serveLoop answers peers' remote reads once core has installed the read
@@ -240,33 +244,41 @@ func (e *Engine) serveLoop() {
 	}
 }
 
-// readReply answers one read request through server, which returns a copy
-// of each range. A one-range request (a demand miss's line) sends that
-// copy as it is; the copies of several are collected in parts (the
-// caller's scratch, handed back for the next request) and joined into one
-// reply made at its final size.
+// readReply answers one read request through server, which hands over a
+// copy of each range (see SetReadServer). A one-range request (a demand
+// miss's line) sends that copy as it is; the copies of several are
+// collected in parts (the caller's scratch, handed back for the next
+// request), joined into one pooled reply of their summed size, and go
+// back to the pool. Either way the reply is the frame's, and the link
+// writer recycles it.
 func readReply(server func(array, lo, hi int) ([]byte, error), ranges []wire.ReadRange, parts [][]byte) ([]byte, [][]byte, error) {
 	parts = parts[:0]
 	size := 0
+	var err error
 	for _, r := range ranges {
-		data, err := server(r.Array, r.Lo, r.Hi)
-		if err != nil {
-			return nil, parts, err
+		var data []byte
+		if data, err = server(r.Array, r.Lo, r.Hi); err != nil {
+			break
 		}
 		parts = append(parts, data)
 		size += len(data)
 	}
 	var reply []byte
-	if len(parts) == 1 {
-		reply = parts[0]
-	} else {
-		reply = make([]byte, 0, size)
+	switch {
+	case err != nil:
+	case len(parts) == 1:
+		reply, parts[0] = parts[0], nil
+	default:
+		reply = wire.GetBuf(size)
 		for _, p := range parts {
 			reply = append(reply, p...)
 		}
 	}
+	for _, p := range parts {
+		wire.PutBuf(p)
+	}
 	clear(parts) // the scratch keeps no copy alive
-	return reply, parts[:0], nil
+	return reply, parts[:0], err
 }
 
 // enqueue queues one frame for dst's writer.
@@ -340,14 +352,15 @@ func (e *Engine) Recv(src, tag int) *cluster.Message {
 // ChargeFlops implements mp.Endpoint; real runs do not model time.
 func (e *Engine) ChargeFlops(n int64) {}
 
-// SetReadServer implements core.DistEngine. Each RunDist installs its
-// own server (a closure over that run's state); on a reused engine the
-// new installation replaces the old. The swap cannot race a peer's read
-// of the previous job's data, which was answered before that peer entered
-// the previous run's exit barrier, nor hand a read of this job to the old
-// server: a peer reads inside a global phase, whose opening doK exchange
-// it completes only once every rank has opened it, or at node level after
-// one.
+// SetReadServer implements core.DistEngine. The copies the server returns
+// are handed over: once a reply frame is on its way they go back to
+// wire's pool. Each RunDist installs its own server (a closure over that
+// run's state); on a reused engine the new installation replaces the
+// old. The swap cannot race a peer's read of the previous job's data,
+// which was answered before that peer entered the previous run's exit
+// barrier, nor hand a read of this job to the old server: a peer reads
+// inside a global phase, whose opening doK exchange it completes only
+// once every rank has opened it, or at node level after one.
 func (e *Engine) SetReadServer(fn func(array, lo, hi int) ([]byte, error)) {
 	e.serverMu.Lock()
 	e.server = fn
@@ -395,6 +408,8 @@ func (e *Engine) Fetch(array, owner, lo, hi int) ([]byte, error) {
 // any number of ranges owner holds — one request frame, one reply frame
 // carrying the ranges' bytes in request order — bounded by OpTimeout so
 // a wedged owner cannot park the fleet until the launcher's watchdog.
+// The reply is a buffer from wire's pool, the one the link reader read
+// the frame into, lent to the caller until ReleaseRead.
 func (e *Engine) FetchRanges(owner int, ranges []wire.ReadRange) ([]byte, error) {
 	if len(ranges) == 0 {
 		return nil, nil
@@ -523,6 +538,10 @@ func (e *Engine) phaseFaults(phase int64) {
 		}
 	}
 }
+
+// ReleaseRead implements core.DistEngine: the caller is done with the
+// reply its FetchRanges or Fetch returned, and it goes back to the pool.
+func (e *Engine) ReleaseRead(data []byte) { wire.PutBuf(data) }
 
 // ReleaseCommit implements core.DistEngine: the caller is done with the
 // streams its last CommitExchange returned, and they go back to the pool.

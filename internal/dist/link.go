@@ -23,8 +23,9 @@ const bundleBytes = 8192
 // stream[off:end] of the stream CommitExchange was handed, borrowed until
 // the writer has copied it into its bundling buffer, and the header that
 // precedes it on the wire travels here in hdr. A read reply's payload is
-// the read server's own copy of the data, with the request id that
-// precedes it on the wire in id.
+// the read server's copy of the data, drawn from wire's pool and owned by
+// the frame: the writer hands it back once it has copied it. The request
+// id that precedes it on the wire travels in id.
 type outFrame struct {
 	kind    byte
 	payload []byte
@@ -161,7 +162,8 @@ func (l *link) sever() { l.conn.Close() }
 // into one write: the wire-level bundling. It appends what is queued
 // until bundleBytes or an empty queue, then writes once. Each CommitEnd
 // it copies out is acknowledged to CommitExchange, whatever becomes of
-// the frame below: that ends the borrow of the phase's streams. The loop
+// the frame below: that ends the borrow of the phase's streams. Each
+// read reply it copies out goes back to wire's pool at once. The loop
 // exits on the kindStop sentinel.
 func (l *link) writeLoop(e *Engine) {
 	defer e.sendWg.Done()
@@ -173,8 +175,11 @@ func (l *link) writeLoop(e *Engine) {
 		for f.kind != kindStop {
 			e.wsFrames.Add(1)
 			buf = f.appendTo(buf)
-			if f.kind == wire.KindCommitEnd {
+			switch f.kind {
+			case wire.KindCommitEnd:
 				e.ackCommit()
+			case wire.KindReadResp:
+				wire.PutBuf(f.payload)
 			}
 			if len(buf) >= bundleBytes {
 				break
@@ -231,15 +236,22 @@ func (l *link) readLoop(e *Engine) {
 
 // readPayload consumes the n payload bytes of the frame whose header was
 // just read, allocating only as they arrive (wire.AppendPayload). Only a
-// payload that changes goroutine (Msg, ReadResp) gets a slice of its own;
-// a commit chunk is read straight into the tail of the stream the commit
-// plane is assembling (and nothing is returned), and a payload that is
-// decoded and dropped lands in the reader's one scratch. A length no
-// sender produces is refused before anything is read.
+// payload that changes goroutine gets a slice of its own: a Msg's is
+// returned, and a read reply's data goes to its fetch (readReply, which
+// returns nothing). A commit chunk is read straight into the tail of the
+// stream the commit plane is assembling (nothing is returned either),
+// and a payload that is decoded and dropped lands in the reader's one
+// scratch. A length no sender produces is refused before anything is
+// read.
 func (l *link) readPayload(e *Engine, kind byte, n int) ([]byte, error) {
 	switch kind {
-	case wire.KindMsg, wire.KindReadResp:
+	case wire.KindMsg:
 		return wire.AppendPayload(nil, l.br, n)
+	case wire.KindReadResp:
+		if n < wire.ReadRespHeaderBytes {
+			return nil, protocolError{fmt.Errorf("read response is %d bytes, want >= %d", n, wire.ReadRespHeaderBytes)}
+		}
+		return nil, l.readReply(e, n)
 	case wire.KindCommitData:
 		if n < wire.CommitHeaderBytes {
 			return nil, protocolError{fmt.Errorf("commit chunk is %d bytes, want >= %d", n, wire.CommitHeaderBytes)}
@@ -253,6 +265,9 @@ func (l *link) readPayload(e *Engine, kind byte, n int) ([]byte, error) {
 			return nil, protocolError{err}
 		}
 		n -= wire.CommitHeaderBytes
+		if n > bundleBytes { // the plane would size the stream for it unread
+			return nil, protocolError{fmt.Errorf("rank %d's phase %d commit chunk is %d bytes, above the %d a sender cuts", l.id, h.Phase, n, bundleBytes)}
+		}
 		dst, err := e.commit.reserve(l.id, h, n)
 		if err != nil {
 			return nil, protocolError{err}
@@ -275,6 +290,31 @@ func (l *link) readPayload(e *Engine, kind byte, n int) ([]byte, error) {
 		return nil, protocolError{fmt.Errorf("unknown frame kind %d", kind)}
 	}
 	return l.readScratch(n)
+}
+
+// readReply reads a read reply of n payload bytes: the request id into
+// the scratch, and the data apart from it, straight into a buffer from
+// wire's pool, or one grown as the bytes arrive when the pool has none.
+// The data goes to the fetch waiting for that id, lent until its
+// ReleaseRead, or back to the pool if nobody waits for it any more.
+func (l *link) readReply(e *Engine, n int) error {
+	hdr, err := l.readScratch(wire.ReadRespHeaderBytes)
+	if err != nil {
+		return err
+	}
+	id, _, _ := wire.DecodeReadResp(hdr) // cannot fail: hdr is a whole header
+	n -= wire.ReadRespHeaderBytes
+	data := wire.PooledPayload(n)
+	if data != nil {
+		err = wire.ReadPayload(l.br, data)
+	} else {
+		data, err = wire.AppendPayload(nil, l.br, n)
+	}
+	if err != nil {
+		return err
+	}
+	e.reply(id, data)
+	return nil
 }
 
 // readScratch reads n payload bytes into the reader's scratch, which

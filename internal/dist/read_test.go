@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ppm/internal/core"
 	"ppm/internal/wire"
 )
 
@@ -130,16 +131,20 @@ func TestFetchRangesConcurrent(t *testing.T) {
 	})
 }
 
-// TestReadReplyAllocatesCopiesAndOneReply: serving a 3-range request costs
-// the read server's three copies and one reply of their summed size, not
-// a reply regrown range by range; a one-range request costs its copy
-// alone. The reply is the ranges' bytes in request order.
-func TestReadReplyAllocatesCopiesAndOneReply(t *testing.T) {
+// TestReadReplyPoolsCopies: serving a 3-range request joins the read
+// server's three copies, in request order, into one reply drawn from
+// wire's pool and hands the copies back to it; a one-range request sends
+// its copy as it is. Once the pool is warm, and the writer recycles each
+// reply as it does, a request of either kind allocates nothing. A range
+// the server refuses fails the request, and the copies made before it go
+// back too.
+func TestReadReplyPoolsCopies(t *testing.T) {
 	src := rangeBytes(0, 0, 4096)
 	server := func(array, lo, hi int) ([]byte, error) {
-		out := make([]byte, 4*(hi-lo)) // a copy of exactly the range, as core's server makes
-		copy(out, src[4*lo:4*hi])
-		return out, nil
+		if hi > 4096 {
+			return nil, fmt.Errorf("range [%d:%d) refused", lo, hi)
+		}
+		return append(wire.GetBuf(4*(hi-lo)), src[4*lo:4*hi]...), nil // a pooled copy, as core's server makes
 	}
 	three := []wire.ReadRange{{Lo: 0, Hi: 1024}, {Lo: 2048, Hi: 3072}, {Lo: 100, Hi: 612}}
 	var parts [][]byte
@@ -151,18 +156,84 @@ func TestReadReplyAllocatesCopiesAndOneReply(t *testing.T) {
 	if !bytes.Equal(reply, want) {
 		t.Fatalf("reply is %d bytes and not the ranges in request order", len(reply))
 	}
+	wire.PutBuf(reply)
 	for i, p := range parts[:cap(parts)] {
 		if p != nil {
 			t.Fatalf("the scratch still holds range %d's copy", i)
 		}
 	}
-	for _, tc := range []struct {
-		ranges []wire.ReadRange
-		want   float64
-	}{{three, 4}, {three[:1], 1}} {
-		if got := testing.AllocsPerRun(100, func() { _, parts, _ = readReply(server, tc.ranges, parts) }); got != tc.want {
-			t.Errorf("a %d-range request allocated %v times, want %v", len(tc.ranges), got, tc.want)
+	if reply, parts, err = readReply(server, append(three[:1:1], wire.ReadRange{Lo: 4000, Hi: 5000}), parts); err == nil || reply != nil {
+		t.Fatalf("refused range: reply of %d bytes, err %v", len(reply), err)
+	}
+	if raceEnabled {
+		return // the race detector's pools drop what they are handed
+	}
+	for _, ranges := range [][]wire.ReadRange{three, three[:1]} {
+		if got := testing.AllocsPerRun(100, func() {
+			reply, parts, _ = readReply(server, ranges, parts)
+			wire.PutBuf(reply)
+		}); got != 0 {
+			t.Errorf("a warm %d-range request allocated %v times, want 0", len(ranges), got)
 		}
+	}
+}
+
+// TestLateReadReplyIsRecycled: a reply that arrives after its fetch gave
+// up, or a second copy of one, finds nobody waiting for its id. It goes
+// back to the pool and never to another fetch. Rank 1's read server
+// holds the first request until rank 0's fetch of it has timed out; the
+// fetches rank 0 sends next are answered behind the late reply on the
+// same link, and must each return exactly their own ranges' bytes.
+func TestLateReadReplyIsRecycled(t *testing.T) {
+	const opTimeout = 100 * time.Millisecond
+	for _, tc := range []struct{ name, faults string }{
+		{"late", ""},
+		{"late and duplicated", "dup=1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var served atomic.Int64
+			done, timedOut := make(chan struct{}), make(chan struct{})
+			runMeshWith(t, 2, func(rank int, c *Config) {
+				quietMesh(rank, c)
+				c.OpTimeout = opTimeout
+				if rank == 1 && tc.faults != "" {
+					c.Faults = mustPlan(t, tc.faults, rank) // every frame rank 1 sends goes twice
+				}
+			}, func(rank int, eng *Engine) error {
+				eng.SetReadServer(func(array, lo, hi int) ([]byte, error) {
+					if served.Add(1) == 1 {
+						<-timedOut
+					}
+					return append(wire.GetBuf(4*(hi-lo)), rangeBytes(array, lo, hi)...), nil
+				})
+				if rank == 1 {
+					<-done
+					return nil
+				}
+				defer close(done)
+				_, err := eng.Fetch(0, 1, 0, 1024)
+				close(timedOut)
+				if err == nil || !strings.Contains(err.Error(), "timed out after") {
+					return fmt.Errorf("first fetch: err = %v, want it to time out", err)
+				}
+				for i := 1; i <= 20; i++ {
+					got, err := eng.FetchRanges(1, []wire.ReadRange{{Array: i, Lo: i, Hi: i + 1024}})
+					if err != nil {
+						return err
+					}
+					if want := rangeBytes(i, i, i+1024); !bytes.Equal(got, want) {
+						return fmt.Errorf("fetch %d returned %d bytes, not its own range's %d", i, len(got), len(want))
+					}
+					eng.ReleaseRead(got)
+				}
+				eng.pendMu.Lock()
+				defer eng.pendMu.Unlock()
+				if len(eng.pend) != 0 {
+					return fmt.Errorf("%d fetches still pending after every reply", len(eng.pend))
+				}
+				return nil
+			})
+		})
 	}
 }
 
@@ -242,31 +313,42 @@ func TestMalformedReadReqIsProtocolFatal(t *testing.T) {
 	}
 }
 
+// announcedFrames are frame headers a peer sends with nothing behind
+// them, and what the reader makes of each once the peer hangs up.
+var announcedFrames = []struct {
+	kind  byte
+	total uint32 // the length prefix: kind byte plus payload
+	want  string
+}{
+	{wire.KindMsg, wire.MaxFrame, "read from rank 1"},
+	{wire.KindReadResp, wire.MaxFrame, "read from rank 1"},
+	{wire.KindReadReq, wire.MaxFrame, "read from rank 1"},
+	{wire.KindAbort, wire.MaxFrame, "read from rank 1"},
+	{wire.KindCommitData, wire.MaxFrame, "read from rank 1"},
+	{wire.KindCommitEnd, wire.MaxFrame, "protocol error from rank 1: commit end is 1073741823 bytes, want 32"},
+	{wire.KindPing, 9, "protocol error from rank 1: frame of kind 10 carries 8 bytes, want none"},
+	{wire.KindPong, 2, "protocol error from rank 1: frame of kind 11 carries 1 bytes, want none"},
+	{wire.KindBye, wire.MaxFrame, "protocol error from rank 1: frame of kind 9 carries 1073741823 bytes, want none"},
+	{wire.KindReadResp, 8, "protocol error from rank 1: read response is 7 bytes, want >= 8"},
+}
+
+// frameHeader is the five bytes that open a frame of kind announcing
+// total bytes (the kind byte and the payload).
+func frameHeader(kind byte, total uint32) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, total), kind)
+}
+
 // TestReaderAllocatesWhatArrives has a handshaken peer announce frames it
 // never sends and hang up. A payload that is read at all costs the reader
 // what arrived, not the gigabyte announced, and a length no sender
 // produces is refused before anything is read, naming the peer.
 func TestReaderAllocatesWhatArrives(t *testing.T) {
-	for _, tc := range []struct {
-		kind  byte
-		total uint32 // the length prefix: kind byte plus payload
-		want  string
-	}{
-		{wire.KindMsg, wire.MaxFrame, "read from rank 1"},
-		{wire.KindReadResp, wire.MaxFrame, "read from rank 1"},
-		{wire.KindReadReq, wire.MaxFrame, "read from rank 1"},
-		{wire.KindAbort, wire.MaxFrame, "read from rank 1"},
-		{wire.KindCommitData, wire.MaxFrame, "read from rank 1"},
-		{wire.KindCommitEnd, wire.MaxFrame, "protocol error from rank 1: commit end is 1073741823 bytes, want 32"},
-		{wire.KindPing, 9, "protocol error from rank 1: frame of kind 10 carries 8 bytes, want none"},
-		{wire.KindPong, 2, "protocol error from rank 1: frame of kind 11 carries 1 bytes, want none"},
-		{wire.KindBye, wire.MaxFrame, "protocol error from rank 1: frame of kind 9 carries 1073741823 bytes, want none"},
-	} {
+	for _, tc := range announcedFrames {
 		t.Run(fmt.Sprintf("kind %d", tc.kind), func(t *testing.T) {
 			eng, conn := rawPeer(t, nil)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := conn.Write(append(binary.LittleEndian.AppendUint32(nil, tc.total), tc.kind)); err != nil {
+			if _, err := conn.Write(frameHeader(tc.kind, tc.total)); err != nil {
 				t.Fatal(err)
 			}
 			conn.Close()
@@ -322,5 +404,54 @@ func TestCurrentOpCountsConcurrentReads(t *testing.T) {
 		if got := tc.op.String(); got != tc.want {
 			t.Errorf("op = %q, want %q", got, tc.want)
 		}
+	}
+}
+
+// TestRemoteReadPathAllocates pins what a remote read costs the process
+// end to end: two ranks in one process, 400 one-VP global phases, each
+// reading one element and so fetching the remote 4 KiB line around it.
+// The owner's copy and the requester's reply both come from wire's pool,
+// so a warm phase allocates only its exchanges' few small records, under
+// 1 KiB for both ranks together; a fresh copy on either side is 4 KiB.
+// Under -race the phases still run and check what they read.
+func TestRemoteReadPathAllocates(t *testing.T) {
+	const warm, phases, line = 50, 400, 512 // line: float64s in a 4 KiB fetch
+	const n = 2 * 8 * line                  // rank 1 owns [n/2, n): 8 lines
+	var perPhase float64
+	runMeshWith(t, 2, quietMesh, func(rank int, eng *Engine) error {
+		_, err := core.RunDist(core.Options{Nodes: 2, CoresPerNode: 1, NoPlanCache: true}, eng, func(rt *core.Runtime) {
+			x := core.AllocGlobal[float64](rt, "x", n)
+			rt.Do(1, func(vp *core.VP) {
+				vp.GlobalPhase(func() {
+					for i := vp.Node() * n / 2; i < (vp.Node()+1)*n/2; i++ {
+						x.Write(vp, i, float64(i))
+					}
+				})
+				var before, after runtime.MemStats
+				for p := 0; p < warm+phases; p++ {
+					if p == warm && rank == 0 {
+						runtime.ReadMemStats(&before)
+					}
+					vp.GlobalPhase(func() {
+						if rank != 0 {
+							return
+						}
+						i := n/2 + p%8*line + p%line
+						if v := x.Read(vp, i); v != float64(i) {
+							panic(fmt.Sprintf("phase %d read x[%d] = %v", p, i, v))
+						}
+					})
+				}
+				if rank == 0 {
+					runtime.ReadMemStats(&after)
+					perPhase = float64(after.TotalAlloc-before.TotalAlloc) / phases
+				}
+			})
+		})
+		return err
+	})
+	t.Logf("%.0f bytes allocated per phase", perPhase)
+	if !raceEnabled && perPhase > 1024 {
+		t.Errorf("a phase reading one remote line allocated %.0f bytes across both ranks, want <= 1024", perPhase)
 	}
 }

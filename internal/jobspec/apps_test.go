@@ -199,6 +199,12 @@ var badParamBlocks = map[string]string{
 	`{"app":"scatter","scatter":{"VPs":-1}}`:                             "scatter: N, VPs, and Iters must be positive, got 3000, -1, 4",
 	`{"app":"scatter","scatter":{"N":-1}}`:                               "scatter: N, VPs, and Iters must be positive, got -1, 6, 4",
 	`{"app":"scatter","backend":"dist","scatter":{"Iters":-2}}`:          "scatter: N, VPs, and Iters must be positive, got 3000, 6, -2",
+	// Sizes no process could hold: each application bounds its own.
+	`{"app":"search","search":{"N":4611686018427387904}}`:         "search: N and K must be at most 16777216 and 1048576, got 4611686018427387904, 16384",
+	`{"app":"search","search":{"K":4611686018427387904}}`:         "search: N and K must be at most 16777216 and 1048576, got 1048576, 4611686018427387904",
+	`{"app":"scatter","scatter":{"N":100000000,"VPs":100000000}}`: "scatter: VPs x (N+1) must be at most 16777216, got 100000000 x 100000001",
+	`{"app":"nbody","nbody":{"N":4611686018427387904}}`:           "nbody: N must be at most 1048576, got 4611686018427387904",
+	`{"app":"colloc","colloc":{"Levels":24,"M0":1000000}}`:        "colloc: M0 x (2^Levels - 1) must be at most 1048576 basis functions, got 1000000 x 16777215",
 	// The cluster shape is bounded before any application sees it.
 	`{"app":"scatter","nodes":268435456}`:            "jobspec: nodes must be in [1,256], got 268435456",
 	`{"app":"scatter","cores":1073741824}`:           "jobspec: cores must be in [1,256], got 1073741824",

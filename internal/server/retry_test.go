@@ -254,6 +254,12 @@ func TestSubmitOversizedRefused(t *testing.T) {
 		`{"spec":{"app":"scatter","nodes":268435456}}`,
 		`{"spec":{"app":"scatter","cores":1073741824}}`,
 		`{"spec":{"app":"scatter","backend":"dist","nodes":100000}}`,
+		// Sizes whose allocation would panic the worker that runs the job.
+		`{"spec":{"app":"search","search":{"N":4611686018427387904}}}`,
+		`{"spec":{"app":"search","search":{"K":4611686018427387904}}}`,
+		`{"spec":{"app":"scatter","scatter":{"N":100000000,"VPs":100000000}}}`,
+		`{"spec":{"app":"nbody","nbody":{"N":4611686018427387904}}}`,
+		`{"spec":{"app":"colloc","colloc":{"Levels":24,"M0":1000000}}}`,
 		`{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `","spec":{"app":"scatter"}}`,
 	} {
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(raw))
@@ -272,5 +278,13 @@ func TestSubmitOversizedRefused(t *testing.T) {
 	s.mu.Unlock()
 	if jobs != 0 {
 		t.Errorf("refused submissions registered %d jobs", jobs)
+	}
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("the server stopped answering: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/metrics after the refusals: status %d", resp.StatusCode)
 	}
 }

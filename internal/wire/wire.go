@@ -309,11 +309,16 @@ func AppendReadResp(buf []byte, id uint64, data []byte) []byte {
 	return append(buf, data...)
 }
 
+// ReadRespHeaderBytes is the request id that opens a ReadResp payload.
+const ReadRespHeaderBytes = 8
+
 // DecodeReadResp parses a ReadResp payload. data aliases p; only the
-// requester knows the ranges' element sizes, so it checks the length.
+// requester knows the ranges' element sizes, so it checks the length. p
+// may be the header alone, for a reader that takes the data apart from
+// the id, into a buffer of its own.
 func DecodeReadResp(p []byte) (id uint64, data []byte, err error) {
-	if len(p) < 8 {
-		return 0, nil, fmt.Errorf("wire: read response is %d bytes, want >= 8", len(p))
+	if len(p) < ReadRespHeaderBytes {
+		return 0, nil, fmt.Errorf("wire: read response is %d bytes, want >= %d", len(p), ReadRespHeaderBytes)
 	}
 	return binary.LittleEndian.Uint64(p), p[8:], nil
 }
