@@ -94,21 +94,26 @@ test:
 ## tests again at 1, 2 and 4 CPUs: the pool has min(K, GOMAXPROCS)
 ## workers, and with one worker every multi-phase body must still make
 ## progress. TestBoundaryLine rides along: two owners' concurrent installs
-## into the line their partition bound cuts. The last line repeats the
+## into the line their partition bound cuts. The third line repeats the
 ## two tests of the barrier-free phase end, which depend on scheduling: a
 ## node-level read behind an owner that has not applied yet, and one
-## message from each peer per global phase. The last runs the commit
+## message from each peer per global phase. The fourth runs the commit
 ## tests under the parallel simulator scheduler: simulated nodes read each
 ## other's commit streams between the exchange barrier and the closing
 ## one, and apply concurrently unless StrictWrites serializes them. The
-## last repeats the read path, whose pooled buffers the link writer, the
-## link reader and the fetching VP hand each other across goroutines.
+## fifth repeats the read path, whose pooled buffers the link writer, the
+## link reader and the fetching VP hand each other across goroutines. The
+## last repeats the tests of pooled array storage, which crosses runs and
+## goroutines: a run's partitions, node arrays and fetched lines go back
+## to the pool when it ends, under the memory lock the read server
+## serves from, and the next run draws them on another goroutine.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -count=10 -run 'TestNodeReadAfterPhaseSeesApply|TestGlobalPhaseExchanges' ./internal/dist/
 	PPM_PARALLEL=1 $(GO) test -race -cpu 1,2,4 -count=3 -run 'Strict|Equivalence|FastPath|ScatterCodecMatchesSimulator' ./internal/core/ ./internal/dist/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestFetchRanges|TestLateReadReply|ReadPath' ./internal/dist/ ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestSecondJob|ReadAfterRun|UseAfterRun|TestFetchRanges' ./internal/dist/ ./internal/core/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing
@@ -158,8 +163,9 @@ plancache-equiv:
 ## one, for 5 s each (`go test -fuzz` takes one target per invocation):
 ## the wire decoders (internal/wire/fuzz_test.go), what a peer sends
 ## through a live engine's reader (internal/dist/peerframes_fuzz_test.go),
-## the job protocol (internal/jobspec/fuzz_test.go), the .ppm front end
-## (internal/lang/fuzz_test.go) and checkpoint restore
+## the job protocol (internal/jobspec/fuzz_test.go), a validated spec
+## through a work-capped RunLocal (internal/jobspec/runlocal_fuzz_test.go),
+## the .ppm front end (internal/lang/fuzz_test.go) and checkpoint restore
 ## (internal/core/checkpoint_fuzz_test.go). The seed corpora already run as
 ## ordinary tests under `go test ./...`; this lets the engine mutate
 ## them. A crasher lands in the package's testdata/fuzz and is checked

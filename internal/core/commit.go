@@ -35,7 +35,7 @@ type vpFlusher interface {
 	// owner identifies the array this buffer is bound to.
 	owner() any
 	// release empties the buffer, unbinds it from its array and returns
-	// it to its type's pool (see stagingPool for when).
+	// it to its type's pool (see pools for when).
 	release()
 }
 
@@ -49,20 +49,27 @@ type vpFlusher interface {
 // session); an array's when its run succeeds. A failed run drops what it
 // holds. They are sync.Pools, so a collection empties them and an idle
 // process keeps nothing; a released buffer is empty and bound to no
-// array, so a pool never pins a finished run.
-var stagingPools sync.Map // reflect.Type of the buffer -> *sync.Pool
+// array, so a pool never pins a finished run. The arrays' own storage is
+// pooled the same way, per element type (arrayCore.store).
+var pools sync.Map // reflect.Type of the pool -> *pool
 
-// stagingPool returns the process-wide pool of buffers of type B. It is
-// keyed by reflect.Type because Elem admits ~ types, which no type switch
-// can enumerate; arrays look their pool up once, at allocation.
-func stagingPool[B any]() *sync.Pool {
-	key := reflect.TypeFor[B]()
-	if p, ok := stagingPools.Load(key); ok {
-		return p.(*sync.Pool)
+// poolFor returns the process-wide pool of type P, made on first use. It
+// is keyed by reflect.Type because Elem admits ~ types, which no type
+// switch can enumerate; arrays look their pools up once, at allocation.
+func poolFor[P any]() *P {
+	key := reflect.TypeFor[P]()
+	if p, ok := pools.Load(key); ok {
+		return p.(*P)
 	}
-	p, _ := stagingPools.LoadOrStore(key, new(sync.Pool))
-	return p.(*sync.Pool)
+	p, _ := pools.LoadOrStore(key, new(P))
+	return p.(*P)
 }
+
+// stagingOf is the pool of write buffers of type B.
+type stagingOf[B any] struct{ sync.Pool }
+
+// stagingPool returns the process-wide pool of write buffers of type B.
+func stagingPool[B any]() *sync.Pool { return &poolFor[stagingOf[B]]().Pool }
 
 // wireStaging is the pool of per-peer wire buffers (Global.wout and a
 // doRun's raw commit streams), boxed so that a Put does not allocate.
@@ -281,6 +288,7 @@ func bufFor[T Elem](vp *VP, g *Global[T]) *gBuf[T] {
 			return b.(*gBuf[T])
 		}
 	}
+	g.checkLive("Global", "Write") // no VP keeps a buffer past its run
 	b, _ := g.bufs.Get().(*gBuf[T])
 	if b == nil {
 		b = new(gBuf[T])
@@ -297,6 +305,7 @@ func nodeBufFor[T Elem](vp *VP, a *Node[T]) *nBuf[T] {
 			return b.(*nBuf[T])
 		}
 	}
+	a.checkLive("Node", "Write")
 	b, _ := a.bufs.Get().(*nBuf[T])
 	if b == nil {
 		b = new(nBuf[T])

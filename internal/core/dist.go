@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -27,7 +28,10 @@ type DistEngine interface {
 	// copy is best drawn from there (wire.GetBuf). A read a peer
 	// requests after its CommitExchange of some phase must reach the
 	// callback only after this rank's ReleaseCommit of that exchange:
-	// before it, this rank may not have applied the phase.
+	// before it, this rank may not have applied the phase. The callback
+	// refuses an array id with an error wrapping ErrUnknownArray; the
+	// engine answers that request with an empty reply and carries on
+	// (any other error is fatal).
 	SetReadServer(fn func(array, lo, hi int) ([]byte, error))
 	// FetchRanges reads any number of ranges from the one rank that owns
 	// them all, in one round trip; the reply is the ranges' bytes
@@ -62,6 +66,15 @@ type DistEngine interface {
 	Abort(err error)
 }
 
+// ErrUnknownArray is the read server's refusal of an array id this rank
+// holds no storage for: the run that allocated it has ended and handed its
+// storage back (a request that arrives late, or a second copy of one), or
+// the program has not allocated it. Nobody waits for the reply to a late
+// or repeated request, so it is no reason to fail the mesh; a fetch that
+// does wait gets an empty reply and fails its length check, naming the
+// range.
+var ErrUnknownArray = errors.New("unknown array")
+
 // AbortError wraps a fatal transport error. Engine implementations panic
 // with it out of blocking calls (a peer died, the mesh is down) so the
 // failure unwinds VP bodies and node-level program code alike; RunDist
@@ -78,7 +91,8 @@ func (e AbortError) Unwrap() error { return e.Err }
 // remote reads really fetch, commits really ship deltas, collectives
 // really exchange messages. The returned Report carries this node's
 // runtime counters (Report.Cluster is nil: virtual time is a property of
-// the simulator, not of a real run).
+// the simulator, not of a real run). As under Run, the run's arrays end
+// with it.
 func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, error) {
 	o, err := opt.withDefaults()
 	if err != nil {
@@ -105,7 +119,7 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 		gs.memMu.RLock()
 		defer gs.memMu.RUnlock()
 		if array < 0 || array >= len(gs.arrays) {
-			return nil, fmt.Errorf("core: node %d: remote read of unknown array id %d", rt.node, array)
+			return nil, fmt.Errorf("core: node %d: remote read of %w id %d", rt.node, ErrUnknownArray, array)
 		}
 		return gs.arrays[array].encodeRange(rt.node, lo, hi)
 	})
@@ -117,7 +131,8 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 	// A warm session hands the previous run's warm doRuns and
 	// recorded plans to this one (or is discarded if its key changed);
 	// without one, warm state is dropped when the program ends. Either
-	// way a successful run hands its write staging back to the pools.
+	// way a successful run hands its write staging and its arrays back to
+	// the pools, the arrays after the exit barrier.
 	warm := o.Warm
 	if o.NoPlanCache {
 		warm = nil
@@ -132,9 +147,6 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 		} else {
 			rt.releaseWarm()
 		}
-		for _, arr := range gs.arrays {
-			arr.releaseStaging()
-		}
 	} else if warm != nil {
 		warm.Discard() // a failed run drops its write staging with the rest
 	}
@@ -147,6 +159,17 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 		// Exit barrier: no process tears its connections down while a
 		// peer still needs them (e.g. to serve a final result fetch).
 		runErr = runRecovered(rt.node, func() { rt.comm.Barrier() })
+	}
+	if runErr == nil {
+		// Past the barrier no peer reads this rank's partitions: each
+		// had every read answered before it entered. The write lock waits
+		// out a request the read server is still answering (a late or
+		// repeated one); once the registry is empty, the server refuses
+		// the run's array ids and never reaches storage that another run
+		// may have drawn by then.
+		gs.memMu.Lock()
+		gs.releaseArrays()
+		gs.memMu.Unlock()
 	}
 
 	// Merge the engine-side and core-side wire counters into this rank's
@@ -355,7 +378,7 @@ func (g *Global[T]) installRange(lo, hi int, data []byte) error {
 	g.dmu.Lock()
 	for k := lo >> g.lshift; k <= (hi-1)>>g.lshift; k++ {
 		if g.lines[k] == nil {
-			g.lines[k] = make([]T, min(line, g.n-k<<g.lshift))
+			g.lines[k] = g.storage(min(line, g.n-k<<g.lshift))
 		}
 	}
 	g.dmu.Unlock()
@@ -383,13 +406,20 @@ func (g *Global[T]) encodeStagedWire(src, dst int, buf []byte) []byte {
 	return buf
 }
 
-// releaseStaging implements registeredArray: hand the per-peer wire
-// buffers back to wireStaging once the run has succeeded (every commit
-// has emptied them).
-func (g *Global[T]) releaseStaging() {
+// release implements registeredArray: hand the per-peer wire buffers
+// (every commit has emptied them) back to wireStaging, and the partition
+// and every fetched line back to store.
+func (g *Global[T]) release() {
 	for _, row := range g.wout {
 		putWire(row)
 	}
+	g.store.Put(g.base)
+	for _, l := range g.lines {
+		g.store.Put(l)
+	}
+	g.base, g.lines = nil, nil
+	clear(g.bnd)
+	g.ended = true
 }
 
 // applyWireRuns implements registeredArray: apply one block of a peer's
@@ -647,7 +677,14 @@ func (a *Node[T]) installRange(lo, hi int, data []byte) error {
 
 func (a *Node[T]) encodeStagedWire(src, dst int, buf []byte) []byte { return buf }
 
-func (a *Node[T]) releaseStaging() {}
+// release implements registeredArray: hand the instances back to store.
+func (a *Node[T]) release() {
+	for i, inst := range a.base {
+		a.store.Put(inst)
+		a.base[i] = nil
+	}
+	a.ended = true
+}
 
 func (a *Node[T]) applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (int, error, error) {
 	return 0, nil, fmt.Errorf("core: commit delta addressed to node-shared %q", a.name)

@@ -133,12 +133,10 @@ type registeredArray interface {
 	label() string
 
 	// Commit-stream hooks (see dist.go): what src wrote to dst's
-	// partition, as a block of the wire commit grammar; the array's wire
-	// buffers back to their pool at the end of a successful run; and one
-	// block of a peer's stream applied to node's partition. Node arrays
-	// never cross the wire, so theirs are stubs.
+	// partition, as a block of the wire commit grammar, and one block of
+	// a peer's stream applied to node's partition. Node arrays never
+	// cross the wire, so theirs are stubs.
 	encodeStagedWire(src, dst int, buf []byte) []byte
-	releaseStaging()
 	applyWireRuns(node int, strict bool, phaseSeq int64, rd *wire.CommitReader, nRuns int) (elems int, strictErr, err error)
 
 	// Distributed-mode hooks (see dist.go), stubs for node arrays.
@@ -152,6 +150,21 @@ type registeredArray interface {
 	// image as one wire-grammar commit block, and its reinstallation.
 	encodeCheckpoint(node int, buf []byte) []byte
 	restoreCheckpoint(node int, rd *wire.CommitReader, nRuns int) error
+
+	// release hands the array's write staging and storage back to their
+	// pools at the end of a successful run and ends the array: any later
+	// access panics.
+	release()
+}
+
+// releaseArrays releases every array of a run that has succeeded and
+// empties the registry, so that nothing reaches them through gs any more:
+// the engine's read server refuses their ids (ErrUnknownArray).
+func (gs *globalState) releaseArrays() {
+	for _, arr := range gs.arrays {
+		arr.release()
+	}
+	gs.arrays = nil
 }
 
 // Runtime is one node's handle to the PPM run: the analog of the paper's
@@ -181,7 +194,8 @@ type Runtime struct {
 type Runner func(opt Options, prog func(rt *Runtime)) (*Report, error)
 
 // Run executes prog as a PPM SPMD program on every node of a simulated
-// cluster and returns the run report.
+// cluster and returns the run report. The run's arrays end with it: prog
+// copies out what it wants to keep.
 func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 	o, err := opt.withDefaults()
 	if err != nil {
@@ -206,9 +220,7 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 		for _, rt := range rts {
 			rt.releaseWarm()
 		}
-		for _, arr := range gs.arrays {
-			arr.releaseStaging()
-		}
+		gs.releaseArrays()
 	}
 	return gs.report(crep, err)
 }

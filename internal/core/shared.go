@@ -166,8 +166,8 @@ func allocArray[A registeredArray](rt *Runtime, name string, mk func(id int) A) 
 }
 
 // arrayCore is what a Global and a Node array share: identity, element
-// size, strict-mode tracking, the pool their VPs' write buffers come from,
-// and the run apply of both commit paths.
+// size, strict-mode tracking, the pools their VPs' write buffers and their
+// storage come from, and the run apply of both commit paths.
 type arrayCore[T Elem] struct {
 	gs   *globalState
 	id   int
@@ -179,6 +179,13 @@ type arrayCore[T Elem] struct {
 	// bufs is the process-wide pool of the VPs' write buffers for this
 	// array (stagingPool), looked up once at allocation.
 	bufs *sync.Pool
+	// store is the process-wide pool of T storage: the array's partition
+	// or instances and its fetched lines are drawn from it (storage) and
+	// go back when the run succeeds (release), which sets ended. From
+	// then on every access panics naming the array (checkLive): the
+	// storage may hold another run's data by then.
+	store *wire.Pool[T]
+	ended bool
 	// scratch[node] is node's element scratch for applying wire runs (see
 	// applyWire): under the simulator every node applies into this one
 	// object, concurrently under the parallel scheduler.
@@ -187,7 +194,33 @@ type arrayCore[T Elem] struct {
 
 func newArrayCore[T Elem, B any](rt *Runtime, id int, name string, n int) arrayCore[T] {
 	return arrayCore[T]{gs: rt.gs, id: id, name: name, n: n, es: mp.SizeOf[T](),
-		bufs: stagingPool[B](), scratch: make([][]T, rt.gs.nodes)}
+		bufs: stagingPool[B](), store: poolFor[wire.Pool[T]](), scratch: make([][]T, rt.gs.nodes)}
+}
+
+// storage returns n zeroed elements drawn from the array's pool: the
+// arrays promise zeroed storage, and no byte of an earlier run may show.
+// A fresh allocation is zeroed already; an empty one draws nothing.
+func (c *arrayCore[T]) storage(n int) []T {
+	if n == 0 {
+		return []T{}
+	}
+	if b := c.store.Pooled(n); b != nil {
+		clear(b)
+		return b
+	}
+	return c.store.Get(n)[:n]
+}
+
+// checkLive panics if the array's run has ended (see store). The panic
+// is out of line, so that the test inlines.
+func (c *arrayCore[T]) checkLive(kind, op string) {
+	if c.ended {
+		c.endedPanic(kind, op)
+	}
+}
+
+func (c *arrayCore[T]) endedPanic(kind, op string) {
+	panic(fmt.Sprintf("core: %s(%q).%s after its run ended", kind, c.name, op))
 }
 
 // Len returns the array's length: a Global's global length, a Node
@@ -305,13 +338,18 @@ func (c *arrayCore[T]) encodeImage(dst []T, lo0, node int, buf []byte) []byte {
 // block-distributed across the cluster's nodes through virtual shared
 // memory (the paper's PPM_global_shared). Virtual processors access it
 // with Read/Write/Add (or the block forms) inside phases; node-level
-// code uses Local/At for setup and result extraction.
+// code uses Local/At for setup and result extraction. A Global and any
+// slice Local returned are valid until the Run or RunDist that allocated
+// it returns: its storage then goes back to the pool (arrayCore.store).
 type Global[T Elem] struct {
 	arrayCore[T]
 	part partition.Block
 	// bnd is the partition as a table: node p owns [bnd[p], bnd[p+1]).
 	// The access paths test an index against the calling node's two
 	// entries before anything else, so a local access divides nothing.
+	// release zeroes it, so that after the run every index takes the
+	// remote path, where an ended array is caught at no cost to the
+	// local accesses.
 	bnd []int
 	// base holds elements [off, off+len(base)) in place. Under the
 	// simulator every node shares this object, so that is the whole array
@@ -320,10 +358,10 @@ type Global[T Elem] struct {
 	off  int
 	// lines is a mesh rank's image of what it fetched from other ranks'
 	// partitions: slot k holds elements [k<<lshift, (k+1)<<lshift), a
-	// fetchLineBytes transfer line, allocated (under dmu) at the first
-	// install into it and kept for the run. Which of a line's elements are
-	// valid is the cover's business alone: nothing clears a line between
-	// phases. A line holds a power of two of elements (es is 1, 4 or 8),
+	// fetchLineBytes transfer line, drawn from store (under dmu) at the
+	// first install into it and kept for the run. Which of a line's
+	// elements are valid is the cover's business alone: nothing clears a
+	// line between phases. A line holds a power of two of elements (es is 1, 4 or 8),
 	// so i>>lshift and i&lmask locate element i. nil under the simulator.
 	lines  [][]T
 	lshift uint
@@ -337,7 +375,7 @@ type Global[T Elem] struct {
 	// block header in front and empties it. The simulator has a row per
 	// node, a mesh rank its own only. Each buffer is drawn from
 	// wireStaging at allocation and handed back when the run succeeds
-	// (releaseStaging).
+	// (release).
 	wout  [][]*[]byte
 	wruns [][]int
 	// Distributed mode: dcov (under dmu) is the set of index ranges of
@@ -375,11 +413,11 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 			}
 		}
 		if rt.gs.dist == nil {
-			g.base = make([]T, n)
+			g.base = g.storage(n)
 			return g
 		}
 		g.off = g.bnd[rt.node]
-		g.base = make([]T, g.bnd[rt.node+1]-g.off)
+		g.base = g.storage(g.bnd[rt.node+1] - g.off)
 		line := fetchLineBytes / g.es
 		g.lshift = uint(bits.TrailingZeros(uint(line)))
 		g.lmask = line - 1
@@ -412,6 +450,7 @@ func (g *Global[T]) Local(rt *Runtime) []T {
 	if rt.inDo {
 		panic(fmt.Sprintf("core: Global(%q).Local while Do is active", g.name))
 	}
+	g.checkLive("Global", "Local")
 	part, _ := g.span(rt.node)
 	return part
 }
@@ -425,6 +464,7 @@ func (g *Global[T]) At(rt *Runtime, i int) T {
 	if rt.inDo {
 		panic(fmt.Sprintf("core: Global(%q).At while Do is active", g.name))
 	}
+	g.checkLive("Global", "At")
 	if g.gs.dist != nil {
 		if owner := g.part.Owner(i); owner != rt.node {
 			// Result-extraction loops usually walk whole remote
@@ -456,6 +496,7 @@ func (g *Global[T]) Read(vp *VP, i int) T {
 // comes from the line image on a mesh rank and from the shared array under
 // the simulator.
 func (g *Global[T]) readRemote(vp *VP, i int) T {
+	g.checkLive("Global", "Read")
 	if i < 0 || i >= g.n {
 		panic(fmt.Sprintf("core: Global(%q).Read(%d): index out of range [0,%d)", g.name, i, g.n))
 	}
@@ -491,6 +532,7 @@ func (g *Global[T]) put(vp *VP, i int, v T, add bool) {
 	vp.writes++
 	vp.charge += vp.d.sharedWriteCost
 	if node := vp.d.node; vp.phaseKind != phaseGlobal && (i < g.bnd[node] || i >= g.bnd[node+1]) {
+		g.checkLive("Global", "Write") // every index misses an ended bnd
 		panic(fmt.Sprintf("core: Global(%q).Write(%d): remote access (owner %d) inside a node phase on node %d",
 			g.name, i, g.part.Owner(i), node))
 	}
@@ -533,6 +575,7 @@ func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 // node's partition: it splits [lo, hi) by owner, records (and, on the
 // mesh, fetches) every remote stretch, and copies the block out.
 func (g *Global[T]) readBlockRemote(vp *VP, lo, hi int, dst []T) {
+	g.checkLive("Global", "ReadBlock")
 	node := vp.d.node
 	for s := lo; s < hi; {
 		owner, e := g.ownerSpan(s)
@@ -591,6 +634,7 @@ func (g *Global[T]) AddBlock(vp *VP, lo int, src []T) { g.putBlock(vp, lo, src, 
 
 func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 	vp.accessCheck(g.name, "Write")
+	g.checkLive("Global", op)
 	if lo < 0 || lo+len(src) > g.n {
 		panic(fmt.Sprintf("core: Global(%q).%s[%d:%d] out of [0,%d)", g.name, op, lo, lo+len(src), g.n))
 	}
@@ -645,7 +689,8 @@ func (g *Global[T]) applyStaged(node int, strict bool, phaseSeq int64) (elems in
 // Node is a node-shared array: as in the paper's PPM_node_shared, the
 // declaration yields one independent instance per node, living in that
 // node's physical shared memory. VPs of a node access their node's
-// instance with phase semantics; there is no cross-node traffic.
+// instance with phase semantics; there is no cross-node traffic. Valid,
+// with any slice Local returned, until its run returns, like a Global.
 type Node[T Elem] struct {
 	arrayCore[T]
 	// base[node] is node's instance. Under the simulator every node shares
@@ -666,7 +711,7 @@ func AllocNode[T Elem](rt *Runtime, name string, n int) *Node[T] {
 		}
 		for i := range a.base {
 			if rt.gs.dist == nil || i == rt.node {
-				a.base[i] = make([]T, n)
+				a.base[i] = a.storage(n)
 			}
 		}
 		return a
@@ -681,6 +726,7 @@ func (a *Node[T]) Local(rt *Runtime) []T {
 	if rt.inDo {
 		panic(fmt.Sprintf("core: Node(%q).Local while Do is active", a.name))
 	}
+	a.checkLive("Node", "Local")
 	return a.base[rt.node]
 }
 
@@ -688,12 +734,16 @@ func (a *Node[T]) Local(rt *Runtime) []T {
 // beginning of the current phase.
 func (a *Node[T]) Read(vp *VP, i int) T {
 	vp.accessCheck(a.name, "Read")
-	if i < 0 || i >= a.n {
+	// The instance is a.n long until release empties it, so an ended
+	// array fails the one bounds test Read makes anyway.
+	inst := a.base[vp.d.node]
+	if uint(i) >= uint(len(inst)) {
+		a.checkLive("Node", "Read")
 		panic(fmt.Sprintf("core: Node(%q).Read(%d): index out of range [0,%d)", a.name, i, a.n))
 	}
 	vp.reads++
 	vp.charge += vp.d.sharedReadCost
-	return a.base[vp.d.node][i]
+	return inst[i]
 }
 
 // Write sets element i of the node's instance at the end of the phase.
@@ -716,7 +766,9 @@ func (a *Node[T]) put(vp *VP, i int, v T, add bool) {
 // under phase semantics — the array-section form of Read.
 func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 	vp.accessCheck(a.name, "Read")
-	if lo < 0 || hi > a.n || lo > hi {
+	inst := a.base[vp.d.node] // empty once the run has ended, as in Read
+	if lo < 0 || hi > len(inst) || lo > hi {
+		a.checkLive("Node", "ReadBlock")
 		panic(fmt.Sprintf("core: Node(%q).ReadBlock[%d:%d] out of [0,%d)", a.name, lo, hi, a.n))
 	}
 	if len(dst) < hi-lo {
@@ -732,7 +784,7 @@ func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 			vp.charge += rc
 		}
 	}
-	copy(dst, a.base[vp.d.node][lo:hi])
+	copy(dst, inst[lo:hi])
 }
 
 // WriteBlock writes src over elements [lo, lo+len(src)) of the node's
@@ -747,6 +799,7 @@ func (a *Node[T]) AddBlock(vp *VP, lo int, src []T) { a.putBlock(vp, lo, src, tr
 
 func (a *Node[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 	vp.accessCheck(a.name, "Write")
+	a.checkLive("Node", op)
 	if lo < 0 || lo+len(src) > a.n {
 		panic(fmt.Sprintf("core: Node(%q).%s[%d:%d] out of [0,%d)", a.name, op, lo, lo+len(src), a.n))
 	}

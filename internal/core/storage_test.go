@@ -1,0 +1,121 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+)
+
+// TestSecondRunArrayAllocPin runs one program twice on the simulator
+// with the collector off and pins what the second run allocates: the
+// first run's Global and Node arrays go back to the storage pool when it
+// ends, so the second draws them from there instead of allocating them
+// again. It must allocate less than the Global's bytes alone.
+func TestSecondRunArrayAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	const nodes, gn, an = 2, 1 << 19, 1 << 16
+	prog := func(rt *Runtime) {
+		g := AllocGlobal[float64](rt, "g", gn)
+		a := AllocNode[int64](rt, "a", an)
+		g.Local(rt)[0] = 1
+		a.Local(rt)[0] = 1
+		rt.Do(2, func(vp *VP) {
+			vp.GlobalPhase(func() {
+				g.Add(vp, (vp.GlobalRank()*gn/3)%gn, g.Read(vp, gn-1)+1)
+				a.Add(vp, vp.NodeRank(), 1)
+			})
+		})
+	}
+	o := Options{Nodes: nodes, CoresPerNode: 2}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, err := Run(o, prog); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(o, prog); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	second, bound := after.TotalAlloc-before.TotalAlloc, uint64(gn*8)
+	t.Logf("the second run allocated %.2f MiB", float64(second)/(1<<20))
+	if second >= bound {
+		t.Errorf("the second run allocated %d bytes, want less than the Global's %d: its arrays were allocated again instead of drawn from the pool", second, bound)
+	}
+}
+
+// TestArrayUseAfterRunPanics: a Global or a Node whose run has ended has
+// handed its storage back, so every access to it panics naming the array
+// and the reason: at node level with the finished run's Runtime, and
+// inside a phase of a later run, where the panic comes back as that run's
+// error. Without the check it would be an index out of range at best, and
+// another run's data at worst.
+func TestArrayUseAfterRunPanics(t *testing.T) {
+	const gn = 64
+	var (
+		g   *Global[float64]
+		a   *Node[int64]
+		old *Runtime
+	)
+	mustRun(t, opts(2), func(rt *Runtime) {
+		gg := AllocGlobal[float64](rt, "g", gn)
+		aa := AllocNode[int64](rt, "a", 8)
+		if rt.NodeID() == 0 {
+			g, a, old = gg, aa, rt
+		}
+	})
+	const ended = " after its run ended"
+	for _, tc := range []struct {
+		want string
+		use  func()
+	}{
+		{`Global("g").Local`, func() { g.Local(old) }},
+		{`Global("g").At`, func() { g.At(old, 3) }},
+		{`Node("a").Local`, func() { a.Local(old) }},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want+ended) {
+					t.Errorf("%s after the run: panic %q, want it to say %q", tc.want, msg, tc.want+ended)
+				}
+			}()
+			tc.use()
+		}()
+	}
+	fbuf, ibuf := make([]float64, 4), make([]int64, 4)
+	for _, tc := range []struct {
+		want string
+		use  func(vp *VP)
+	}{
+		{`Global("g").Read`, func(vp *VP) { g.Read(vp, 3) }},
+		{`Global("g").Read`, func(vp *VP) { g.Read(vp, gn-1) }},
+		{`Global("g").ReadBlock`, func(vp *VP) { g.ReadBlock(vp, 0, 4, fbuf) }},
+		{`Global("g").Write`, func(vp *VP) { g.Write(vp, 3, 1) }},
+		{`Global("g").Write`, func(vp *VP) { g.Add(vp, gn-1, 1) }},
+		{`Global("g").WriteBlock`, func(vp *VP) { g.WriteBlock(vp, 0, fbuf) }},
+		{`Global("g").AddBlock`, func(vp *VP) { g.AddBlock(vp, 0, fbuf) }},
+		{`Node("a").Read`, func(vp *VP) { a.Read(vp, 3) }},
+		{`Node("a").ReadBlock`, func(vp *VP) { a.ReadBlock(vp, 0, 4, ibuf) }},
+		{`Node("a").Write`, func(vp *VP) { a.Add(vp, 3, 1) }},
+		{`Node("a").WriteBlock`, func(vp *VP) { a.WriteBlock(vp, 0, ibuf) }},
+	} {
+		for _, global := range []bool{true, false} {
+			_, err := Run(opts(2), func(rt *Runtime) {
+				rt.Do(1, func(vp *VP) {
+					if global {
+						vp.GlobalPhase(func() { tc.use(vp) })
+					} else {
+						vp.NodePhase(func() { tc.use(vp) })
+					}
+				})
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want+ended) {
+				t.Errorf("%s in a later run (global phase %v): err = %v, want it to say %q", tc.want, global, err, tc.want+ended)
+			}
+		}
+	}
+}

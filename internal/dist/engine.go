@@ -15,6 +15,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -231,7 +232,9 @@ func (e *Engine) serveLoop() {
 			e.serverMu.RUnlock()
 			var reply []byte
 			var err error
-			if reply, parts, err = readReply(server, req.ranges, parts); err != nil {
+			// A refused array id gets an empty reply (see
+			// core.ErrUnknownArray); any other error is fatal.
+			if reply, parts, err = readReply(server, req.ranges, parts); err != nil && !errors.Is(err, core.ErrUnknownArray) {
 				e.Abort(fmt.Errorf("dist: rank %d: serving read for rank %d: %w", e.rank, req.dst, err))
 				return
 			}

@@ -455,3 +455,111 @@ func TestRemoteReadPathAllocates(t *testing.T) {
 		t.Errorf("a phase reading one remote line allocated %.0f bytes across both ranks, want <= 1024", perPhase)
 	}
 }
+
+// refusalProg fills each rank's partition of a Global, adds a block of
+// the next rank's partition into each VP's block of its own in one global
+// phase, and copies out the rank's partition.
+func refusalProg(n int, out [][]float64) func(rt *core.Runtime) {
+	return func(rt *core.Runtime) {
+		g := core.AllocGlobal[float64](rt, "g", n)
+		lo, _ := g.OwnerRange(rt)
+		for i, l := 0, g.Local(rt); i < len(l); i++ {
+			l[i] = float64(lo+i) + 0.25
+		}
+		part, next := n/rt.NodeCount(), (rt.NodeID()+1)%rt.NodeCount()
+		rt.Do(2, func(vp *core.VP) {
+			buf := make([]float64, 64)
+			vp.GlobalPhase(func() {
+				src := next*part + vp.NodeRank()*64
+				g.ReadBlock(vp, src, src+64, buf)
+				g.AddBlock(vp, lo+vp.NodeRank()*64, buf)
+			})
+		})
+		out[rt.NodeID()] = append([]float64(nil), g.Local(rt)...)
+	}
+}
+
+// TestReadAfterRunEndsIsRefused: once rank 1's run has ended and handed
+// its arrays' storage back, a read request for one of them (rank 0's
+// FetchRanges puts one ReadReq frame on the link) gets the unknown-array
+// refusal, an empty reply, and both engines carry on: the next job's
+// outputs are the simulator's bit for bit. The request comes straight
+// after the run, after a second job that drew the same storage class from
+// the pool, and with every frame rank 0 sends duplicated, so that repeats
+// of the run's own requests arrive late as well. Before the release
+// detached the arrays, the finished run's read server answered from
+// storage the pool had taken back.
+func TestReadAfterRunEndsIsRefused(t *testing.T) {
+	const nodes, n = 2, 4096
+	opt := distOpt(nodes)
+	want := make([][]float64, nodes)
+	if _, err := core.Run(opt, refusalProg(n, want)); err != nil {
+		t.Fatalf("simulator: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		jobs   int
+		faults string
+	}{
+		{"after the run", 1, ""},
+		{"after another job drew the storage", 2, ""},
+		{"duplicated requests", 1, "dup=1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			outs := make([][][]float64, tc.jobs+1)
+			for i := range outs {
+				outs[i] = make([][]float64, nodes)
+			}
+			released, fetched := make(chan struct{}), make(chan struct{})
+			// Either closes at once if its rank fails, so that the other
+			// fails too instead of waiting for it.
+			release, fetch := sync.OnceFunc(func() { close(released) }), sync.OnceFunc(func() { close(fetched) })
+			runMeshWith(t, nodes, func(rank int, c *Config) {
+				quietMesh(rank, c)
+				if rank == 0 && tc.faults != "" {
+					c.Faults = mustPlan(t, tc.faults, rank)
+				}
+			}, func(rank int, eng *Engine) error {
+				defer release()
+				defer fetch()
+				for j := 0; j < tc.jobs; j++ {
+					if _, err := core.RunDist(opt, eng, refusalProg(n, outs[j])); err != nil {
+						return fmt.Errorf("job %d: %w", j, err)
+					}
+				}
+				// Rank 0 asks once rank 1's run has returned, and with it
+				// the release (past the exit barrier a peer's request may
+				// still find the storage in place); rank 1 starts the next
+				// job only once rank 0 has its answer, which the next run's
+				// read server would hold until that run's first global phase.
+				if rank == 0 {
+					<-released
+					got, err := eng.FetchRanges(1, []wire.ReadRange{{Array: 0, Lo: n / 2, Hi: n/2 + 512}})
+					fetch()
+					if err != nil {
+						return fmt.Errorf("read after the run: %w", err)
+					}
+					if len(got) != 0 {
+						return fmt.Errorf("read after the run returned %d bytes, want the refusal's empty reply", len(got))
+					}
+					eng.ReleaseRead(got)
+				} else {
+					release()
+					<-fetched
+				}
+				select {
+				case <-eng.fatalCh:
+					return fmt.Errorf("the refusal failed the engine: %w", eng.fatalErr())
+				default:
+				}
+				_, err := core.RunDist(opt, eng, refusalProg(n, outs[tc.jobs]))
+				return err
+			})
+			for j, out := range outs {
+				for r := range out {
+					sameF64(t, fmt.Sprintf("job %d rank %d", j, r), out[r], want[r])
+				}
+			}
+		})
+	}
+}

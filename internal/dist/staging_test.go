@@ -196,13 +196,15 @@ func TestFleetPlanCacheStagingAcrossJobs(t *testing.T) {
 // and dense block writes on 3 ranks x 4 VPs, each program cold and then
 // warm under its own key) twice on one in-process mesh with the collector
 // off, and pins what the second job allocates. The first job leaves its
-// write buffers and wire staging in the pools; the second must find them
-// there instead of regrowing them from empty in every program run. With
-// staging kept per array the second job allocated 40.0 MiB; drawn from
-// the pools, 23.1-23.6 MiB (go1.24, linux/amd64). What remains is each
-// run's arrays, outputs and the programs' own scratch.
+// write buffers, wire staging and array storage in the pools; the second
+// must find them there instead of regrowing them from empty in every
+// program run. With staging kept per array the second job allocated
+// 40.0 MiB; with staging drawn from the pools, 22.9-23.6 MiB; with the
+// arrays' partitions and fetched lines drawn from them too, 14.7-15.1 MiB
+// (go1.24, linux/amd64). What remains is the outputs, the programs' own
+// scratch and each run's bookkeeping.
 func TestSecondJobStagingAllocPin(t *testing.T) {
-	const bound = 30 << 20
+	const bound = 18 << 20
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
@@ -263,7 +265,7 @@ func TestSecondJobStagingAllocPin(t *testing.T) {
 	})
 	t.Logf("the second job allocated %.2f MiB", float64(second)/(1<<20))
 	if second > bound {
-		t.Errorf("the second job allocated %d bytes, want at most %d: write staging regrew instead of coming from the pools", second, bound)
+		t.Errorf("the second job allocated %d bytes, want at most %d: write staging or array storage was allocated again instead of coming from the pools", second, bound)
 	}
 }
 

@@ -27,3 +27,18 @@ func TestPoolClasses(t *testing.T) {
 		t.Errorf("PooledPayload(MaxFrame) drew %d bytes", len(p))
 	}
 }
+
+// A Pool of wider elements is classed by bytes too: a request for n
+// float64s draws from the class of 8n bytes, and one above 16 MiB is
+// allocated outright.
+func TestPoolClassesAreBytes(t *testing.T) {
+	var p Pool[float64]
+	for n, want := range map[int]int{0: 64, 1: 64, 64: 64, 65: 128, 4096: 4096, 1 << 21: 1 << 21, 1<<21 + 1: 1<<21 + 1} {
+		if b := p.Get(n); len(b) != 0 || cap(b) != want {
+			t.Errorf("Get(%d): len %d cap %d, want cap %d", n, len(b), cap(b), want)
+		}
+	}
+	if b := p.Pooled(1<<21 + 1); b != nil {
+		t.Errorf("Pooled above the largest class drew %d elements", len(b))
+	}
+}

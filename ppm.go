@@ -25,7 +25,11 @@
 // PPM_node_shared instance per node. Within a phase every read observes
 // the begin-of-phase value and every write commits at the implicit
 // barrier that ends the phase, so there are no data races by
-// construction. The runtime bundles fine-grained remote accesses into
+// construction. The runtime owns the arrays' memory, and it lives as long
+// as the run: a Global, a Node and any slice their Local returned are
+// valid until Run returns. Copy outputs out inside the program; the
+// storage goes back to the runtime when the run ends, and any later
+// access to the array panics. The runtime bundles fine-grained remote accesses into
 // coarse packages, overlaps them with computation, and serves repeated
 // reads from a node-level cache — the optimizations the paper's runtime
 // performs — each of which can be disabled in Options for ablation.
