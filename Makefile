@@ -163,7 +163,9 @@ plancache-equiv:
 ## one, for 5 s each (`go test -fuzz` takes one target per invocation):
 ## the wire decoders (internal/wire/fuzz_test.go), what a peer sends
 ## through a live engine's reader (internal/dist/peerframes_fuzz_test.go),
-## the job protocol (internal/jobspec/fuzz_test.go), a validated spec
+## the job protocol and the result decoders, a Result as the HTTP API
+## serves it and a node's NodeReply (FuzzNodeJob and FuzzResultDecode in
+## internal/jobspec/fuzz_test.go), a validated spec
 ## through a work-capped RunLocal (internal/jobspec/runlocal_fuzz_test.go),
 ## the .ppm front end (internal/lang/fuzz_test.go) and checkpoint restore
 ## (internal/core/checkpoint_fuzz_test.go). The seed corpora already run as
@@ -188,7 +190,9 @@ fuzz-smoke:
 ## and once with the delta commit codec; a jacobi run; the two apps that
 ## live on the demand-read path, whose phases no recorded plan can
 ## prefetch: the Section 5 search and one Barnes-Hut step; then colloc
-## and scatter, the one app whose commit streams are not empty.
+## and scatter, the one app whose commit streams are not empty; last
+## examples/jobs/nbody-nonfinite.json, whose result is mostly NaN and
+## ±Inf, as its -json line (payloads are base64 of little-endian words).
 dist-smoke:
 	$(GO) build -o bin/ ./cmd/ppm-run ./cmd/ppm-node
 	./bin/ppm-run -distributed -app cg -nodes 2 -cores 2 -cg-grid 8x8x8 -cg-iters 6
@@ -198,6 +202,7 @@ dist-smoke:
 	./bin/ppm-run -distributed -app nbody -nodes 2 -bh-n 600 -bh-steps 1
 	./bin/ppm-run -distributed -app colloc -nodes 2 -cores 2 -colloc-levels 4 -colloc-m0 6
 	./bin/ppm-run -distributed -app scatter -nodes 2 -cores 2 -scatter-n 1200 -scatter-iters 3
+	./bin/ppm-run -distributed -spec examples/jobs/nbody-nonfinite.json -json
 
 ## server-smoke: the full-binary serving path — a real ppm-server
 ## process fronting warm serve-mode ppm-node fleets, driven over HTTP:

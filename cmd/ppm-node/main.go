@@ -234,14 +234,22 @@ type host struct {
 }
 
 // replyTo returns a writer of NodeReply lines to w, safe to call from
-// every hosted rank at once.
+// every hosted rank at once. A terminal reply that does not encode is
+// replaced by one carrying the encoding error, so the launcher still
+// hears from the rank, and learns why its result is missing.
 func replyTo(w io.Writer) func(dist.NodeReply) {
 	enc := json.NewEncoder(w)
 	var mu sync.Mutex
 	return func(r dist.NodeReply) {
 		mu.Lock()
-		enc.Encode(r)
-		mu.Unlock()
+		defer mu.Unlock()
+		err := enc.Encode(r)
+		if err == nil || !r.Done || r.Result == nil {
+			return
+		}
+		err = fmt.Errorf("reply does not encode: %w", err)
+		fmt.Fprintf(os.Stderr, "ppm-node[%d]: %v\n", r.Result.Rank, err)
+		enc.Encode(dist.NodeReply{ID: r.ID, Done: true, Result: &dist.NodeResult{Rank: r.Result.Rank, Err: err.Error()}})
 	}
 }
 

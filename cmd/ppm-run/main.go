@@ -83,7 +83,7 @@ func main() {
 	flag.Duration("op-timeout", 0, "distributed: deadline for one remote read or commit wait (node default 60s)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	specPath := flag.String("spec", "", "run the job described by this jobspec JSON file (-app, the shape, ablation and parameter flags are ignored)")
+	specPath := flag.String("spec", "", "run the job described by this jobspec JSON file (-app, the shape, ablation and parameter flags are ignored; -distributed or -parallel picks its backend)")
 	jsonOut := flag.Bool("json", false, "print the flattened jobspec result as one JSON line")
 	timeout := flag.Duration("timeout", 0, "abort the run past this wall-clock bound (distributed: the job deadline, whose abort names the rank and in-flight operation)")
 	pick := jobspec.Flags(flag.CommandLine)
@@ -105,12 +105,12 @@ func main() {
 		s = pick(*app)
 		s.Nodes, s.Cores = *nodes, *cores
 		s.NoBundling, s.NoOverlap, s.NoReadCache, s.Static = *noBundling, *noOverlap, *noReadCache, *static
-		switch {
-		case *distributed:
-			s.Backend = jobspec.BackendDist
-		case *parallel:
-			s.Backend = jobspec.BackendParallel
-		}
+	}
+	switch {
+	case *distributed:
+		s.Backend = jobspec.BackendDist
+	case *parallel:
+		s.Backend = jobspec.BackendParallel
 	}
 	s.Normalize()
 	exitOn(s.Validate())

@@ -13,6 +13,7 @@ import (
 	"ppm/internal/cluster"
 	"ppm/internal/core"
 	"ppm/internal/partition"
+	"ppm/internal/wire"
 )
 
 // MPIOptions shapes a message-passing baseline run. The apps that have
@@ -52,13 +53,15 @@ var apps = []app{
 		},
 		fragment: func(_ AppSpec, m *Merged, rank, _ int, res *NodeResult) {
 			if rank == 0 {
-				res.CG = m.CG
+				res.CG = &CGFrag{X: m.CG.X, Iters: m.CG.Iters, Residual: wire.Float64(m.CG.Residual)}
 			}
 		},
 		merge: func(_ AppSpec, results []NodeResult, m *Merged) error {
-			if m.CG = results[0].CG; m.CG == nil {
+			f := results[0].CG
+			if f == nil {
 				return fmt.Errorf("dist: rank 0 reported no cg result")
 			}
+			m.CG = &cg.Result{X: f.X, Iters: f.Iters, Residual: float64(f.Residual)}
 			return nil
 		},
 	},
@@ -72,22 +75,31 @@ var apps = []app{
 			m.Colloc, rep, err = colloc.RunMPI(colloc.MPIOptions(opt), spec.Colloc)
 			return
 		},
-		// Rows are dealt cyclically, so a fragment is (index, row) pairs.
+		// Rows are dealt cyclically, so a fragment lists its row indices.
 		fragment: func(_ AppSpec, m *Merged, rank, nodes int, res *NodeResult) {
-			res.CollocN = m.Colloc.N
+			f := &CollocFrag{N: m.Colloc.N}
 			for i := rank; i < m.Colloc.N; i += nodes {
-				res.CollocRows = append(res.CollocRows, RowFrag{I: i, Row: m.Colloc.Rows[i]})
+				f.Rows = append(f.Rows, i)
+				f.Entries = append(f.Entries, m.Colloc.Rows[i])
 			}
+			res.Colloc = f
 		},
 		merge: func(_ AppSpec, results []NodeResult, m *Merged) error {
-			n := results[0].CollocN
+			if results[0].Colloc == nil {
+				return fmt.Errorf("dist: rank 0 reported no colloc rows")
+			}
+			n := results[0].Colloc.N
 			m.Colloc = &colloc.Matrix{N: n, Rows: make([][]colloc.Entry, n)}
 			for _, r := range results {
-				for _, f := range r.CollocRows {
-					if f.I < 0 || f.I >= n {
-						return fmt.Errorf("dist: rank %d reported row %d of %d", r.Rank, f.I, n)
+				f := r.Colloc
+				if f == nil || len(f.Entries) != len(f.Rows) {
+					return fmt.Errorf("dist: rank %d reported a malformed colloc fragment", r.Rank)
+				}
+				for k, i := range f.Rows {
+					if i < 0 || i >= n {
+						return fmt.Errorf("dist: rank %d reported row %d of %d", r.Rank, i, n)
 					}
-					m.Colloc.Rows[f.I] = f.Row
+					m.Colloc.Rows[i] = f.Entries[k]
 				}
 			}
 			return nil
@@ -124,7 +136,7 @@ var apps = []app{
 			}
 			for _, r := range results {
 				f := r.Nbody
-				if f == nil || f.Hi-f.Lo != len(f.PX) {
+				if f == nil || f.Lo < 0 || f.Lo > f.Hi || f.Hi > n || !sameLen(f.Hi-f.Lo, f.PX, f.PY, f.PZ, f.VX, f.VY, f.VZ) {
 					return fmt.Errorf("dist: rank %d reported a malformed nbody fragment", r.Rank)
 				}
 				copy(out.PX[f.Lo:f.Hi], f.PX)
@@ -193,6 +205,16 @@ var apps = []app{
 			return nil
 		},
 	},
+}
+
+// sameLen reports whether every slice has n elements.
+func sameLen(n int, s ...wire.Float64s) bool {
+	for _, v := range s {
+		if len(v) != n {
+			return false
+		}
+	}
+	return true
 }
 
 // AppNames lists the registered applications in display order.

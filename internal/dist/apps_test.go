@@ -102,3 +102,21 @@ func TestUnknownAppListsRegistry(t *testing.T) {
 		}
 	}
 }
+
+// A colloc fragment's row lengths must add up to the columns and values
+// it carries; a node reply that says otherwise does not decode.
+func TestCollocFragRefusesInconsistentWords(t *testing.T) {
+	one := `"AQAAAAAAAAA="` // the word 1
+	for _, raw := range []string{
+		`{"N":2,"Rows":` + one + `,"Lens":"","Cols":` + one + `,"Vals":` + one + `}`,
+		`{"N":2,"Rows":` + one + `,"Lens":` + one + `,"Cols":` + one + `,"Vals":""}`,
+		`{"N":2,"Rows":` + one + `,"Lens":"AgAAAAAAAAA=","Cols":` + one + `,"Vals":` + one + `}`,
+		`{"N":2,"Rows":` + one + `,"Lens":"//////////8=","Cols":` + one + `,"Vals":` + one + `}`,
+		`{"N":2,"Rows":"","Lens":"","Cols":` + one + `,"Vals":` + one + `}`,
+	} {
+		var f CollocFrag
+		if err := json.Unmarshal([]byte(raw), &f); err == nil || !strings.Contains(err.Error(), "colloc fragment") {
+			t.Errorf("%s: decoded to %+v, %v; want a colloc fragment error", raw, f, err)
+		}
+	}
+}

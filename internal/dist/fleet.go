@@ -53,7 +53,7 @@ type Host struct {
 	Replies <-chan NodeReply
 
 	cmd *exec.Cmd
-	err error // the process's exit status, set before Replies closes
+	err error // the process's exit status (or why it was killed), set before Replies closes
 }
 
 // Wait drains h's remaining replies and returns the process's exit
@@ -117,9 +117,17 @@ func (o *LaunchOpts) StartHost(dir, runID string, attempt, procs, proc int) (*Ho
 	h := &Host{Lo: lo, Hi: hi, Stdin: stdin, Replies: replies, cmd: cmd}
 	go func() {
 		dec := json.NewDecoder(stdout)
+		var bad error
 		for {
 			var rep NodeReply
-			if dec.Decode(&rep) != nil {
+			if err := dec.Decode(&rep); err != nil {
+				if err != io.EOF {
+					// A node writes only reply lines: one that does not
+					// decode is a broken node, which would otherwise idle
+					// on, its answer lost.
+					bad = err
+					cmd.Process.Kill()
+				}
 				break
 			}
 			replies <- rep
@@ -128,6 +136,9 @@ func (o *LaunchOpts) StartHost(dir, runID string, attempt, procs, proc int) (*Ho
 		// must not run before every read has returned.
 		io.Copy(io.Discard, stdout)
 		h.err = cmd.Wait()
+		if bad != nil {
+			h.err = fmt.Errorf("killed after a reply that does not decode (%v): %w", bad, h.err)
+		}
 		close(replies)
 	}()
 	return h, nil

@@ -38,9 +38,9 @@ exit 0
 // The collector's checks, on one-shot and serving hosts alike: replies
 // for another job are ignored, progress reaches onPhase, a second
 // terminal reply for a rank is ignored, a reply for a rank the host does
-// not host or without a result fails the attempt, and a host is a
-// suspect when it dies without a reply, not when it exits after
-// replying with an error.
+// not host or without a result fails the attempt, a host whose reply
+// does not decode is killed, and a host is a suspect when it dies
+// without a reply, not when it exits after replying with an error.
 func TestFleetCollector(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -76,6 +76,12 @@ reply 0; reply 0 ',"Err":"a second reply"'; reply 1`,
 		procs: 2,
 		body:  `if [ $rank = 1 ]; then reply 1 ',"Err":"peer 0 lost"'; exit 1; fi; reply 0`,
 		want:  []string{"rank 1: peer 0 lost"},
+	}, {
+		name:     "reply does not decode",
+		procs:    2,
+		body:     `if [ $rank = 1 ]; then reply 1 ',"Jacobi":"AAAAAAA="'; else reply 0; fi`,
+		want:     []string{"rank 1: no result (host 1 exit: killed after a reply that does not decode", "result.Jacobi", "not whole 8-byte words"},
+		suspects: []int{1},
 	}, {
 		name:  "operator stop",
 		procs: 2,

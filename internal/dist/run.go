@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -12,6 +13,7 @@ import (
 	"ppm/internal/apps/search"
 	"ppm/internal/cluster"
 	"ppm/internal/core"
+	"ppm/internal/wire"
 )
 
 // AppSpec names one of the repository's figure apps and its parameters.
@@ -26,38 +28,108 @@ type AppSpec struct {
 	Scatter scatter.Params
 }
 
-// RowFrag is one matrix row owned by a node (colloc deals rows
-// cyclically, so a fragment is a list of (index, row) pairs).
-type RowFrag struct {
-	I   int
-	Row []colloc.Entry
+// The fragments below are how an application's output crosses the node
+// stdout pipe: every float64 and int64 payload is a wire word slice, so
+// its JSON form is base64 of little-endian words, bit-exact for every
+// value, NaN and infinities included.
+
+// CGFrag is rank 0's cg result.
+type CGFrag struct {
+	X        wire.Float64s
+	Iters    int
+	Residual wire.Float64
+}
+
+// CollocFrag is one node's rows of the collocation matrix (rows are dealt
+// cyclically): row Rows[k] of N is Entries[k]. In a process it shares the
+// run's rows; its JSON form is columnar words (collocWords).
+type CollocFrag struct {
+	N       int
+	Rows    []int
+	Entries [][]colloc.Entry
+}
+
+// collocWords is CollocFrag's JSON form: row Rows[k] has Lens[k] entries,
+// whose columns and values follow in Cols and Vals, row after row.
+type collocWords struct {
+	N                int
+	Rows, Lens, Cols wire.Int64s
+	Vals             wire.Float64s
+}
+
+// MarshalJSON encodes f as columnar words.
+func (f *CollocFrag) MarshalJSON() ([]byte, error) {
+	nnz := 0
+	for _, row := range f.Entries {
+		nnz += len(row)
+	}
+	w := collocWords{
+		N:    f.N,
+		Rows: make(wire.Int64s, len(f.Rows)), Lens: make(wire.Int64s, len(f.Entries)),
+		Cols: make(wire.Int64s, 0, nnz), Vals: make(wire.Float64s, 0, nnz),
+	}
+	for k, row := range f.Entries {
+		w.Rows[k], w.Lens[k] = int64(f.Rows[k]), int64(len(row))
+		for _, e := range row {
+			w.Cols = append(w.Cols, int64(e.Col))
+			w.Vals = append(w.Vals, e.Val)
+		}
+	}
+	return json.Marshal(&w)
+}
+
+// UnmarshalJSON decodes columnar words into f, refusing row lengths that
+// do not add up to the columns and values sent.
+func (f *CollocFrag) UnmarshalJSON(b []byte) error {
+	var w collocWords
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	if len(w.Lens) != len(w.Rows) || len(w.Vals) != len(w.Cols) {
+		return fmt.Errorf("colloc fragment: %d rows with %d lengths, %d columns with %d values",
+			len(w.Rows), len(w.Lens), len(w.Cols), len(w.Vals))
+	}
+	entries := make([]colloc.Entry, len(w.Cols))
+	for k, c := range w.Cols {
+		entries[k] = colloc.Entry{Col: int(c), Val: w.Vals[k]}
+	}
+	f.N, f.Rows, f.Entries = w.N, make([]int, len(w.Rows)), make([][]colloc.Entry, len(w.Rows))
+	for k, l := range w.Lens {
+		if l < 0 || l > int64(len(entries)) {
+			return fmt.Errorf("colloc fragment: row %d has %d entries, %d are left", w.Rows[k], l, len(entries))
+		}
+		f.Rows[k], f.Entries[k], entries = int(w.Rows[k]), entries[:l:l], entries[l:]
+	}
+	if len(entries) != 0 {
+		return fmt.Errorf("colloc fragment: %d entries beyond its rows", len(entries))
+	}
+	return nil
 }
 
 // NbodyFrag is one node's block of the final particle state. M rides
 // along on rank 0 only (every rank holds the full, identical masses).
 type NbodyFrag struct {
 	Lo, Hi                 int
-	PX, PY, PZ, VX, VY, VZ []float64
-	M                      []float64 `json:",omitempty"`
+	PX, PY, PZ, VX, VY, VZ wire.Float64s
+	M                      wire.Float64s `json:",omitempty"`
 }
 
 // NodeResult is what one node process reports back to the launcher: its
 // runtime counters plus its fragment of the application result. It
-// crosses the process boundary as JSON; float64 values survive that
-// round trip bit-exactly (Go prints the shortest uniquely-decoding
-// representation), which the equivalence tests rely on.
+// crosses the process boundary as JSON inside a NodeReply, its payloads
+// as base64 words (the fragment types above), so the launcher merges the
+// very bits the node computed.
 type NodeResult struct {
 	Rank  int
 	Err   string `json:",omitempty"`
 	Stats core.NodeStats
 
-	CG         *cg.Result `json:",omitempty"` // rank 0 only
-	Jacobi     []float64  `json:",omitempty"` // rank 0 only
-	CollocN    int        `json:",omitempty"`
-	CollocRows []RowFrag  `json:",omitempty"`
-	Nbody      *NbodyFrag `json:",omitempty"`
-	Search     []int64    `json:",omitempty"`
-	Scatter    []float64  `json:",omitempty"` // this rank's accumulator partition
+	CG      *CGFrag       `json:",omitempty"` // rank 0 only
+	Jacobi  wire.Float64s `json:",omitempty"` // rank 0 only
+	Colloc  *CollocFrag   `json:",omitempty"`
+	Nbody   *NbodyFrag    `json:",omitempty"`
+	Search  wire.Int64s   `json:",omitempty"`
+	Scatter wire.Float64s `json:",omitempty"` // this rank's accumulator partition
 }
 
 // RunApp executes this process's share of the named app over the engine

@@ -1,17 +1,20 @@
 package dist
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ppm/internal/apps/cg"
 	"ppm/internal/apps/colloc"
 	"ppm/internal/apps/jacobi"
 	"ppm/internal/apps/nbody"
+	"ppm/internal/core"
 )
 
 // nodeBin is the ppm-node binary TestMain builds once for the whole
@@ -165,3 +168,53 @@ func TestSubprocessFailureSurfaces(t *testing.T) {
 type nopWriter struct{}
 
 func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestSubprocessNonFiniteMatchesSimulator launches
+// examples/jobs/nbody-nonfinite.json, whose particle state overflows to
+// NaN and ±Inf, on real node processes: every rank's reply must still
+// reach the launcher, and carry the simulator's bits.
+func TestSubprocessNonFiniteMatchesSimulator(t *testing.T) {
+	if nodeBin == "" {
+		t.Fatal("ppm-node binary was not built; see TestMain output")
+	}
+	raw, err := os.ReadFile("../../examples/jobs/nbody-nonfinite.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct {
+		Nodes, Cores int
+		Nbody        nbody.Params
+	}
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	prm := spec.Nbody.WithDefaults()
+	want, _, err := nbody.RunPPM(core.Options{Nodes: spec.Nodes, CoresPerNode: spec.Cores}, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonFinite := 0
+	for _, v := range slices.Concat(want.PX, want.PY, want.PZ, want.VX, want.VY, want.VZ) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			nonFinite++
+		}
+	}
+	if nonFinite == 0 {
+		t.Fatal("the simulator's particle state is finite; the spec no longer tests what it names")
+	}
+	results, err := LaunchLocal(LaunchOpts{Nodes: spec.Nodes, NodeBin: nodeBin, NodeArgs: []string{"-spec-json", string(raw)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Merge(AppSpec{App: "nbody", Nbody: prm}, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameF64(t, "px", m.Nbody.PX, want.PX)
+	sameF64(t, "py", m.Nbody.PY, want.PY)
+	sameF64(t, "pz", m.Nbody.PZ, want.PZ)
+	sameF64(t, "vx", m.Nbody.VX, want.VX)
+	sameF64(t, "vy", m.Nbody.VY, want.VY)
+	sameF64(t, "vz", m.Nbody.VZ, want.VZ)
+	sameF64(t, "m", m.Nbody.M, want.M)
+}

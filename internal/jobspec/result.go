@@ -5,15 +5,16 @@ import (
 
 	"ppm/internal/core"
 	"ppm/internal/dist"
+	"ppm/internal/wire"
 )
 
 // Result is the job outcome every execution path produces: the
 // application output flattened into Series/ISeries (a deterministic
 // per-app layout, so two runs of the same spec can be compared
 // Float64bits-for-Float64bits without knowing the app's native shape),
-// plus the run's per-node statistics. It round-trips through JSON
-// bit-exactly (Go prints the shortest uniquely-decoding float
-// representation).
+// plus the run's per-node statistics. Its JSON form carries Series and
+// ISeries as base64 of little-endian 64-bit words (wire.Float64s), so it
+// round-trips bit-exactly, NaN payloads and infinities included.
 type Result struct {
 	Hash    string `json:"hash"`
 	App     string `json:"app"`
@@ -22,8 +23,8 @@ type Result struct {
 	// Series is the flattened float64 payload; ISeries the integer
 	// payload (lengths, indices, int outputs). See FromMerged for
 	// the per-app layout.
-	Series  []float64 `json:"series"`
-	ISeries []int64   `json:"iseries,omitempty"`
+	Series  wire.Float64s `json:"series"`
+	ISeries wire.Int64s   `json:"iseries,omitempty"`
 
 	// Summary is the one-line human description ppm-run would print.
 	Summary string `json:"summary"`

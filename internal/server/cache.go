@@ -11,8 +11,9 @@ import (
 // computation (the canonical encoding covers everything that can change
 // the output, and the runtime is deterministic), so a hit returns a
 // bit-identical result without running anything. Entries are never
-// evicted: a result is a few KB and a server's working set of distinct
-// specs is small; an operator who needs a bound restarts the server.
+// evicted: a server's working set of distinct specs is small, though a
+// result is not (the default cg's is 221 KB of words, served as about
+// 295 KB of base64); an operator who needs a bound restarts the server.
 type resultCache struct {
 	mu     sync.Mutex
 	m      map[string]*jobspec.Result

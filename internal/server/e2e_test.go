@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,5 +363,62 @@ func TestServerDeadlineExpiresQueuedJob(t *testing.T) {
 	}
 	if bs := await(t, base, blocker.ID); bs.Status != StatusDone {
 		t.Fatalf("blocker: status %s, err %q", bs.Status, bs.Error)
+	}
+}
+
+// nonFiniteSpec is examples/jobs/nbody-nonfinite.json on the given
+// backend: a spec Validate accepts whose outputs are mostly NaN and ±Inf.
+func nonFiniteSpec(t *testing.T, backend string) jobspec.Spec {
+	t.Helper()
+	raw, err := os.ReadFile("../../examples/jobs/nbody-nonfinite.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s jobspec.Spec
+	if err := json.Unmarshal(raw, &s); err != nil {
+		t.Fatal(err)
+	}
+	s.Backend = backend
+	s.Normalize()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestServerNonFinite serves a job whose result is mostly NaN and ±Inf
+// on both backends: each ends done, its status and its cached result
+// carry the simulator's bits.
+func TestServerNonFinite(t *testing.T) {
+	s := startServer(t, Config{Workers: 2})
+	base := "http://" + s.Addr()
+	for _, backend := range []string{jobspec.BackendSim, jobspec.BackendDist} {
+		spec := nonFiniteSpec(t, backend)
+		want := reference(t, spec)
+		resp := submit(t, base, SubmitRequest{Tenant: "erin", Spec: spec})
+		st := await(t, base, resp.ID)
+		if st.Status != StatusDone {
+			t.Fatalf("%s: status %s, err %q", backend, st.Status, st.Error)
+		}
+		sameSeries(t, backend, st.Result, want)
+		var byHash jobspec.Result
+		if code := getJSON(t, base+"/v1/results/"+resp.Hash, &byHash); code != http.StatusOK {
+			t.Fatalf("%s: GET /v1/results/%s: %d", backend, resp.Hash, code)
+		}
+		sameSeries(t, backend+" by hash", &byHash, want)
+	}
+}
+
+// A response that does not encode is answered 500 with the encoding
+// error, not with the intended status and a truncated body.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(body["error"], "does not encode") {
+		t.Fatalf("answered %d %q, want 500 naming the encoding error", rec.Code, rec.Body.Bytes())
 	}
 }

@@ -229,10 +229,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers code with v as JSON. v is encoded before the header
+// is written, so a value that does not encode is answered 500 with the
+// encoding error instead of code with a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "response does not encode: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
+	w.Write([]byte{'\n'})
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {

@@ -22,7 +22,9 @@ import (
 // ppm-server, ppm-node, and ppm-run, boots a real server process,
 // submits cg + jacobi + scatter concurrently, resubmits cg as a cache
 // hit, diffs every Series bit-for-bit against direct `ppm-run -spec
-// -json`, snapshots /metrics (PPM_SERVER_METRICS_OUT), and SIGTERMs
+// -json`, serves examples/jobs/nbody-nonfinite.json (mostly NaN and ±Inf)
+// on both backends with the bits of its direct simulator run, snapshots
+// /metrics (PPM_SERVER_METRICS_OUT), and SIGTERMs
 // the server expecting a clean drain (exit 0). Gated behind
 // PPM_SERVER_SMOKE=1 (`make server-smoke`) so the default suite stays
 // fast.
@@ -129,6 +131,26 @@ func TestServerSmoke(t *testing.T) {
 		if results[name].Hash != direct.Hash {
 			t.Errorf("%s: hash mismatch: server %s, direct %s", name, results[name].Hash, direct.Hash)
 		}
+	}
+
+	// A result that is mostly NaN and ±Inf is served on both backends
+	// with the bits of a direct simulator run of the same spec file.
+	nonFinite := "../../examples/jobs/nbody-nonfinite.json"
+	out, err := exec.Command(bins["ppm-run"], "-spec", nonFinite, "-json").Output()
+	if err != nil {
+		t.Fatalf("ppm-run -spec %s: %v", nonFinite, err)
+	}
+	var simulated jobspec.Result
+	if err := json.Unmarshal(out, &simulated); err != nil {
+		t.Fatalf("decoding ppm-run output for %s: %v", nonFinite, err)
+	}
+	for _, backend := range []string{jobspec.BackendSim, jobspec.BackendDist} {
+		s := nonFiniteSpec(t, backend)
+		st := await(t, base, submit(t, base, SubmitRequest{Tenant: "smoke", Spec: s}).ID)
+		if st.Status != StatusDone {
+			t.Fatalf("non-finite nbody on %s: status %s, err %q", backend, st.Status, st.Error)
+		}
+		sameSeries(t, "non-finite nbody on "+backend+" vs ppm-run", st.Result, &simulated)
 	}
 
 	// Snapshot the metrics (CI uploads the file as an artifact).

@@ -2,7 +2,8 @@
 // runtime: length-prefixed frames carrying the handshake, node-level
 // messages (point-to-point sends, reduction and barrier tokens travel as
 // ordinary tagged messages), bundled remote reads, phase-commit deltas,
-// and abort notices.
+// and abort notices; and the JSON form of result payloads, which leave a
+// process as base64 of little-endian words (words.go).
 //
 // Framing is deliberately minimal: a 4-byte little-endian total length,
 // one kind byte, and a kind-specific payload. Frame headers and message
