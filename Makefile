@@ -73,15 +73,21 @@ ppmvet:
 vet-report:
 	$(GO) run ./cmd/ppmvet -json ./... > ppmvet-report.json; true
 
-## vet-score: the phase checkers scored against the runtime. The oracle
-## test labels a mutant corpus of .ppm programs with StrictWrites at 1-3
-## nodes and prints, per front end (ppmc check, and ppmvet on the Go
-## ppmc emit produces) and per rule, the conflicts caught and missed and
-## the false alarms; the full table is internal/analysis/testdata/
-## oracle.golden. The output is kept in vet-score.txt (a CI artifact).
+## vet-score: the static checkers scored against the runtime, both
+## tables recomputed in full. The oracle test labels a mutant corpus of
+## .ppm programs with StrictWrites at 1-3 nodes and prints, per front end
+## (ppmc check, and ppmvet on the Go ppmc emit produces) and per rule,
+## the conflicts caught and missed and the false alarms
+## (internal/analysis/testdata/oracle.golden). The Go mutant test plants
+## host-state and retained-slice hazards in the examples and scores every
+## ppmvet rule against `go run -race` (testdata/gomutants.golden; the
+## -race runs take a few minutes). Either golden changing fails the
+## target. The output is kept in vet-score.txt (a CI artifact).
 vet-score:
-	$(GO) test -count=1 -run 'TestOracleTable' -v ./internal/analysis/ > vet-score.txt; \
-		status=$$?; cat vet-score.txt; exit $$status
+	$(GO) test -count=1 -run 'TestOracleTable|TestGoMutantTable' -v ./internal/analysis/ -update > vet-score.txt; \
+		status=$$?; cat vet-score.txt; \
+		git diff --exit-code internal/analysis/testdata/oracle.golden internal/analysis/testdata/gomutants.golden || status=1; \
+		exit $$status
 
 ## langcheck: phase-semantics analysis of the example .ppm programs.
 langcheck:
@@ -106,14 +112,16 @@ test:
 ## last repeats the tests of pooled array storage, which crosses runs and
 ## goroutines: a run's partitions, node arrays and fetched lines go back
 ## to the pool when it ends, under the memory lock the read server
-## serves from, and the next run draws them on another goroutine.
+## serves from, and the next run draws them on another goroutine; with
+## them, a duplicated frame of one run must not open the next run's
+## first global phase on one rank early.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -count=10 -run 'TestNodeReadAfterPhaseSeesApply|TestGlobalPhaseExchanges' ./internal/dist/
 	PPM_PARALLEL=1 $(GO) test -race -cpu 1,2,4 -count=3 -run 'Strict|Equivalence|FastPath|ScatterCodecMatchesSimulator' ./internal/core/ ./internal/dist/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestFetchRanges|TestLateReadReply|ReadPath' ./internal/dist/ ./internal/core/
-	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestSecondJob|ReadAfterRun|UseAfterRun|TestFetchRanges' ./internal/dist/ ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestSecondJob|ReadAfterRun|UseAfterRun|TestFetchRanges|TestNextRunWaits' ./internal/dist/ ./internal/core/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing

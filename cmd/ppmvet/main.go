@@ -2,8 +2,9 @@
 // phase-semantics hazards the runtime decides late or not at all:
 // overlapping VP write sets (which StrictWrites aborts on only when a
 // run reaches them), stale same-phase reads, Local slices retained
-// into VP code, discarded run errors, and host state mutated from VP
-// code.
+// into VP code, and discarded run errors. Host state mutated from VP
+// code without Serial has no rule: it is a data race, and `go test
+// -race` reports it.
 //
 // Usage:
 //

@@ -6,18 +6,19 @@
 // go/types importer, and the ppmvet rule suite that checks the phase
 // semantics of the paper's model statically: same-phase read-after-write
 // staleness, retained node-level slices leaking into VP code, ignored
-// run errors, overlapping VP write sets (an affine analysis of index
-// expressions over a CFG/dataflow/call-summary layer), and host state
-// mutated from VP code without Serial.
+// run errors, and overlapping VP write sets (an affine analysis of
+// index expressions over a CFG/dataflow/call-expansion layer).
 //
 // What the runtime always decides itself is not a rule: a shared access
 // outside a phase panics in VP.accessCheck, Local/At panic while a Do is
 // active, and WriteBlock/AddBlock copy their source before returning.
-// ppmvet keeps the hazards the runtime sees late (StrictWrites aborts
-// on the first conflicting commit) or not at all, and reports them
-// before a program runs, with source positions — the "compiler knows
-// the model" advantage the paper claims for a language front end,
-// recovered for the Go API.
+// Nor is what a `go test -race` run decides: host state that VP code
+// mutates without Serial is a data race the race detector reports
+// (TestGoMutantTable scores this). ppmvet keeps the hazards the runtime
+// sees late (StrictWrites aborts on the first conflicting commit) or
+// not at all, and reports them before a program runs, with source
+// positions — the "compiler knows the model" advantage the paper claims
+// for a language front end, recovered for the Go API.
 package analysis
 
 import (
@@ -56,16 +57,7 @@ type Pass struct {
 // Reportf records a diagnostic at pos unless the source line carries a
 // //ppmvet:ignore annotation naming this rule.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.pkg.suppressed(p.Analyzer.Name, position) {
-		return
-	}
-	*p.sink = append(*p.sink, Diagnostic{
-		Rule:     p.Analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-		Analyzer: p.Analyzer,
-	})
+	p.reportTagged(pos, p.Analyzer.Name, format, args...)
 }
 
 // reportTagged records a diagnostic under an explicit rule tag, letting
@@ -153,7 +145,6 @@ func Rules() []*Analyzer {
 		LocalAliasAnalyzer,
 		RunErrorAnalyzer,
 		PhaseRaceAnalyzer,
-		SerialEscapeAnalyzer,
 	}
 }
 

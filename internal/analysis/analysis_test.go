@@ -27,10 +27,6 @@ func TestPhaseRace(t *testing.T) {
 	analysistest.Run(t, "testdata/src/phaserace", analysis.PhaseRaceAnalyzer)
 }
 
-func TestSerialEscape(t *testing.T) {
-	analysistest.Run(t, "testdata/src/serialescape", analysis.SerialEscapeAnalyzer)
-}
-
 // TestIgnoreAnnotations pins the //ppmvet:ignore contract: standalone
 // annotations reach the next line, rule names cover dotted sub-rules,
 // and neither a wrong rule name nor an end-of-line annotation on the
@@ -46,11 +42,11 @@ func TestCleanProgram(t *testing.T) {
 }
 
 // TestRulesComplete pins the advertised rule set (the vet suite's
-// public contract: exactly the five documented rules, in order, each
+// public contract: exactly the four documented rules, in order, each
 // found by RuleByName). A rule added or removed without updating the
 // contract fails here.
 func TestRulesComplete(t *testing.T) {
-	want := []string{"staleread", "localalias", "runerror", "phaserace", "serialescape"}
+	want := []string{"staleread", "localalias", "runerror", "phaserace"}
 	var got []string
 	for _, a := range analysis.Rules() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

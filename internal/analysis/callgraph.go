@@ -6,8 +6,6 @@ package analysis
 // are expanded by substituting the caller's argument expressions for the
 // callee's parameters (a "frame"), so a helper doing sh.Write(i, v) is
 // analyzed at each call site with the caller's arguments in place.
-// Function summaries (which parameters a function mutates) let the
-// simpler rules reason about helpers without full expansion.
 
 import (
 	"go/ast"
@@ -20,8 +18,7 @@ type unit struct {
 	node   ast.Node // *ast.FuncDecl or *ast.FuncLit
 	body   *ast.BlockStmt
 	ftype  *ast.FuncType
-	parent *unit       // lexically enclosing unit (nil for declarations)
-	fn     *types.Func // declared functions/methods only
+	parent *unit // lexically enclosing unit (nil for declarations)
 	// vpParam is the *core.VP parameter's object, when the unit is VP
 	// code by signature.
 	vpParam types.Object
@@ -36,8 +33,8 @@ type unit struct {
 func (u *unit) isVPEntry() bool { return u.isDo || u.vpParam != nil }
 
 // PkgIndex is the shared per-package index every analyzer builds on:
-// units, the phase and Do body literals, Do-site bookkeeping, and the
-// summary cache. It is built once per package and cached on Package.
+// units, the phase and Do body literals, and Do-site bookkeeping. It is
+// built once per package and cached on Package.
 type PkgIndex struct {
 	pkg  *Package
 	info *types.Info
@@ -54,9 +51,6 @@ type PkgIndex struct {
 	// function passed to Do), and every function it calls, to the K
 	// expressions of the Do call sites that reach it.
 	doK map[ast.Node][]ast.Expr
-
-	summaries map[*types.Func]*funcSummary
-	inFlight  map[*types.Func]bool
 }
 
 // Index returns the package's interprocedural index, building it on
@@ -70,16 +64,14 @@ func (p *Pass) Index() *PkgIndex {
 
 func buildIndex(pkg *Package) *PkgIndex {
 	px := &PkgIndex{
-		pkg:       pkg,
-		info:      pkg.TypesInfo,
-		fset:      pkg.Fset,
-		ctx:       buildPhaseCtx(pkg.TypesInfo, pkg.Files),
-		units:     map[ast.Node]*unit{},
-		byFunc:    map[*types.Func]*unit{},
-		litBind:   map[types.Object]*ast.FuncLit{},
-		doK:       map[ast.Node][]ast.Expr{},
-		summaries: map[*types.Func]*funcSummary{},
-		inFlight:  map[*types.Func]bool{},
+		pkg:     pkg,
+		info:    pkg.TypesInfo,
+		fset:    pkg.Fset,
+		ctx:     buildPhaseCtx(pkg.TypesInfo, pkg.Files),
+		units:   map[ast.Node]*unit{},
+		byFunc:  map[*types.Func]*unit{},
+		litBind: map[types.Object]*ast.FuncLit{},
+		doK:     map[ast.Node][]ast.Expr{},
 	}
 	vpParamOf := func(ft *ast.FuncType) types.Object {
 		if ft == nil || ft.Params == nil {
@@ -116,7 +108,6 @@ func buildIndex(pkg *Package) *PkgIndex {
 				}
 				u := &unit{node: x, body: x.Body, ftype: x.Type, vpParam: vpParamOf(x.Type)}
 				if obj, ok := px.info.Defs[x.Name].(*types.Func); ok {
-					u.fn = obj
 					px.byFunc[obj] = u
 				}
 				px.units[x] = u
@@ -196,9 +187,6 @@ func (px *PkgIndex) reachDo(body ast.Node, k ast.Expr, seen map[ast.Node]bool) {
 		return true
 	})
 }
-
-// unitFor returns the unit of fn, building lazy parts on demand.
-func (px *PkgIndex) unitFor(n ast.Node) *unit { return px.units[n] }
 
 func (px *PkgIndex) cfgOf(u *unit) *CFG {
 	if u.cfg == nil {
@@ -447,126 +435,4 @@ func children(n ast.Node, f func(ast.Node)) {
 		}
 		return false
 	})
-}
-
-// funcSummary describes a declared function's behavior for the rules.
-type funcSummary struct {
-	// mutatesParam[i]: the function assigns through its i-th parameter
-	// (field store, element store, or pointer store), directly or via a
-	// callee it passes the parameter to.
-	mutatesParam []bool
-}
-
-// paramObjs returns the parameter objects of u in declaration order.
-func (px *PkgIndex) paramObjs(u *unit) []types.Object {
-	var out []types.Object
-	if u.ftype == nil || u.ftype.Params == nil {
-		return nil
-	}
-	for _, field := range u.ftype.Params.List {
-		for _, name := range field.Names {
-			out = append(out, px.info.Defs[name])
-		}
-		if len(field.Names) == 0 {
-			out = append(out, nil)
-		}
-	}
-	return out
-}
-
-// summaryOf computes (and caches) the summary of a declared function.
-// Recursive cycles see the partial summary computed so far.
-func (px *PkgIndex) summaryOf(fn *types.Func) *funcSummary {
-	if s, ok := px.summaries[fn]; ok {
-		return s
-	}
-	u := px.byFunc[fn]
-	if u == nil {
-		return nil
-	}
-	if px.inFlight[fn] {
-		return nil // cycle: assume nothing extra
-	}
-	px.inFlight[fn] = true
-	defer delete(px.inFlight, fn)
-
-	params := px.paramObjs(u)
-	idxOf := func(obj types.Object) int {
-		for i, p := range params {
-			if p != nil && p == obj {
-				return i
-			}
-		}
-		return -1
-	}
-	s := &funcSummary{mutatesParam: make([]bool, len(params))}
-
-	rootObj := func(e ast.Expr) types.Object {
-		for {
-			switch x := e.(type) {
-			case *ast.Ident:
-				obj := px.info.Uses[x]
-				if obj == nil {
-					obj = px.info.Defs[x]
-				}
-				return obj
-			case *ast.SelectorExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				e = x.X
-			case *ast.StarExpr:
-				e = x.X
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.SliceExpr:
-				e = x.X
-			default:
-				return nil
-			}
-		}
-	}
-
-	ast.Inspect(u.body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				// A store through a parameter (p.f = v, p[i] = v, *p = v)
-				// mutates it; a plain rebind (p = v) does not.
-				if _, plain := lhs.(*ast.Ident); plain {
-					continue
-				}
-				if i := idxOf(rootObj(lhs)); i >= 0 {
-					s.mutatesParam[i] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if _, plain := x.X.(*ast.Ident); !plain {
-				if i := idxOf(rootObj(x.X)); i >= 0 {
-					s.mutatesParam[i] = true
-				}
-			}
-		case *ast.CallExpr:
-			callee := px.localCallee(x)
-			if callee == nil || callee.fn == nil {
-				return true
-			}
-			cs := px.summaryOf(callee.fn)
-			if cs == nil {
-				return true
-			}
-			for ai, arg := range x.Args {
-				i := idxOf(rootObj(arg))
-				if i < 0 {
-					continue
-				}
-				if ai < len(cs.mutatesParam) && cs.mutatesParam[ai] {
-					s.mutatesParam[i] = true
-				}
-			}
-		}
-		return true
-	})
-
-	px.summaries[fn] = s
-	return s
 }

@@ -43,46 +43,62 @@ type listEntry struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
+	Imports    []string
 	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
+}
+
+// goList runs `go list -e -json=<fields>` with args in dir and decodes
+// its entries.
+func goList(dir, fields string, args ...string) ([]listEntry, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json=" + fields}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	var entries []listEntry
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var e listEntry
+		if err := dec.Decode(&e); err == io.EOF {
+			return entries, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("go list: decoding output: %v", err)
+		}
+		entries = append(entries, e)
+	}
 }
 
 // Load resolves patterns (as the go tool would, e.g. "./...") relative
 // to dir, and returns the matched packages parsed and type-checked.
 // Dependencies are consumed as compiler export data produced by
 // `go list -export`, so loading works without network access and without
-// re-type-checking the world; only the matched packages get syntax.
+// re-type-checking the world; only the matched packages get syntax, and
+// a matched package no other one imports is not compiled at all.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{
-		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	entries, err := goList(dir, "ImportPath,Dir,GoFiles,Imports,DepOnly,Standard,Error", append([]string{"-deps"}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, err
 	}
-
-	exports := map[string]string{}
 	var roots []listEntry
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var e listEntry
-		if err := dec.Decode(&e); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %v", err)
-		}
-		if e.Export != "" {
-			exports[e.ImportPath] = e.Export
-		}
+	deps := []string{"-deps", "-export"}
+	for _, e := range entries {
 		if !e.DepOnly && !e.Standard {
 			roots = append(roots, e)
+			deps = append(deps, e.Imports...)
 		}
+	}
+	built, err := goList(dir, "ImportPath,Export", deps...)
+	if err != nil {
+		return nil, err
+	}
+	exports := map[string]string{}
+	for _, e := range built {
+		exports[e.ImportPath] = e.Export
 	}
 
 	fset := token.NewFileSet()

@@ -25,6 +25,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 
@@ -54,7 +55,7 @@ func runPhaseRace(pass *Pass) error {
 		if !isPhase {
 			continue
 		}
-		u := px.unitFor(lit)
+		u := px.units[lit]
 		if u == nil {
 			continue
 		}
@@ -394,4 +395,16 @@ func sliceLenAffine(px *PkgIndex, rv *resolver, e ast.Expr, env resolveEnv, dept
 		}
 	}
 	return pr.Affine{}
+}
+
+// vpEntrySingleVP reports whether every Do site reaching this unit uses
+// a constant K of 1.
+func vpEntrySingleVP(px *PkgIndex, u *unit) bool {
+	ks := px.doK[u.node]
+	for _, k := range ks {
+		if tv := px.info.Types[k]; tv.Value == nil || constant.Compare(tv.Value, token.NEQ, constant.MakeInt64(1)) {
+			return false
+		}
+	}
+	return len(ks) > 0
 }

@@ -129,41 +129,26 @@ func asSharedCall(info *types.Info, call *ast.CallExpr) (sharedCall, bool) {
 	return sc, true
 }
 
-// isVPMethod reports whether call invokes the named method on *core.VP.
+// isVPMethod reports whether call invokes one of the named methods on
+// *core.VP.
 func isVPMethod(info *types.Info, call *ast.CallExpr, names ...string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	selection := info.Selections[sel]
-	if selection == nil || selection.Kind() != types.MethodVal || namedCoreType(selection.Recv()) != "VP" {
-		return false
-	}
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			return true
-		}
-	}
-	return false
+	return isCoreMethod(info, call, "VP", names)
 }
 
-// isRuntimeMethod reports whether call invokes the named method on
-// *core.Runtime.
+// isRuntimeMethod reports whether call invokes one of the named methods
+// on *core.Runtime.
 func isRuntimeMethod(info *types.Info, call *ast.CallExpr, names ...string) bool {
+	return isCoreMethod(info, call, "Runtime", names)
+}
+
+func isCoreMethod(info *types.Info, call *ast.CallExpr, recv string, names []string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	selection := info.Selections[sel]
-	if selection == nil || selection.Kind() != types.MethodVal || namedCoreType(selection.Recv()) != "Runtime" {
-		return false
-	}
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			return true
-		}
-	}
-	return false
+	return selection != nil && selection.Kind() == types.MethodVal &&
+		namedCoreType(selection.Recv()) == recv && slices.Contains(names, sel.Sel.Name)
 }
 
 // phaseBodyLit returns the phase-body literal of a GlobalPhase/NodePhase

@@ -33,7 +33,7 @@ func runStaleRead(pass *Pass) error {
 		if !isPhase {
 			continue
 		}
-		if u := px.unitFor(lit); u != nil {
+		if u := px.units[lit]; u != nil {
 			checkStaleReads(pass, px, rv, u)
 		}
 	}

@@ -29,10 +29,6 @@ func peekBase(vp *ppm.VP) float64 {
 	return base[0] // SEED:localalias
 }
 
-// bumpHost stores through its pointer parameter; serialescape reports
-// at call sites that pass host state in.
-func bumpHost(c *int) { *c++ }
-
 // runModel forwards ppm.Run's error, so discarding runModel's own
 // result discards a watched error.
 func runModel(prog func(rt *ppm.Runtime)) error {
@@ -41,7 +37,6 @@ func runModel(prog func(rt *ppm.Runtime)) error {
 }
 
 func Host() {
-	count := 0
 	runModel(func(rt *ppm.Runtime) { // SEED:runerror
 		g := ppm.AllocGlobal[float64](rt, "g", 64)
 		base = g.Local(rt)
@@ -50,9 +45,7 @@ func Host() {
 				writeAt(vp, g, 7)    // SEED:phaserace
 				_ = readAt(vp, g, 7) // SEED:staleread
 				_ = peekBase(vp)
-				bumpHost(&count) // SEED:serialescape
 			})
 		})
 	})
-	_ = count
 }

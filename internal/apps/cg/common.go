@@ -32,7 +32,7 @@ import (
 type Params struct {
 	NX, NY, NZ int     // grid dimensions (chimney: elongate NZ)
 	MaxIter    int     // iteration cap
-	Tol        float64 // relative residual target; 0 runs exactly MaxIter
+	Tol        float64 // relative residual target; 0 runs MaxIter iterations unless the residual reaches exactly 0
 }
 
 // N returns the number of unknowns.
@@ -120,7 +120,7 @@ func Solve(p Params) (*Result, error) {
 		rsNew, _ := linalg.Dot(r, r)
 		res.Iters = it + 1
 		res.Residual = math.Sqrt(rsNew)
-		if p.Tol > 0 && res.Residual <= p.Tol*normB {
+		if rsNew == 0 || p.Tol > 0 && res.Residual <= p.Tol*normB {
 			break
 		}
 		beta := rsNew / rs

@@ -94,41 +94,48 @@ func TestPPMGoldenBits(t *testing.T) {
 	}
 }
 
-func TestPPMGoldenBitsMesh(t *testing.T) {
+// runMesh runs cg's PPM program on a 2-rank loopback mesh and returns
+// rank 0's result and both ranks' counters.
+func runMesh(t *testing.T, prm cg.Params) (*cg.Result, []core.NodeStats) {
 	const nodes = 2
-	for _, c := range goldenCases {
-		dir := t.TempDir()
-		results := make([]*cg.Result, nodes)
-		stats := make([]core.NodeStats, nodes)
-		errs := make([]error, nodes)
-		var wg sync.WaitGroup
-		for r := 0; r < nodes; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				eng, err := dist.Connect(dist.Config{Rank: r, Nodes: nodes, RendezvousDir: dir})
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				defer eng.Close()
-				run := func(o core.Options, prog func(rt *core.Runtime)) (*core.Report, error) {
-					return core.RunDist(o, eng, prog)
-				}
-				var rep *core.Report
-				results[r], rep, errs[r] = cg.RunPPMOn(run, core.Options{Nodes: nodes, Machine: machine.Franklin()}, c.prm)
-				if rep != nil {
-					stats[r] = rep.PerNode[r]
-				}
-			}()
-		}
-		wg.Wait()
-		for r, err := range errs {
+	dir := t.TempDir()
+	results := make([]*cg.Result, nodes)
+	stats := make([]core.NodeStats, nodes)
+	errs := make([]error, nodes)
+	var wg sync.WaitGroup
+	for r := 0; r < nodes; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng, err := dist.Connect(dist.Config{Rank: r, Nodes: nodes, RendezvousDir: dir})
 			if err != nil {
-				t.Fatalf("%+v rank %d: %v", c.prm, r, err)
+				errs[r] = err
+				return
 			}
+			defer eng.Close()
+			run := func(o core.Options, prog func(rt *core.Runtime)) (*core.Report, error) {
+				return core.RunDist(o, eng, prog)
+			}
+			var rep *core.Report
+			results[r], rep, errs[r] = cg.RunPPMOn(run, core.Options{Nodes: nodes, Machine: machine.Franklin()}, prm)
+			if rep != nil {
+				stats[r] = rep.PerNode[r]
+			}
+		}()
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("%+v rank %d: %v", prm, r, err)
 		}
-		res, want := results[0], c.sim[nodes-1]
+	}
+	return results[0], stats
+}
+
+func TestPPMGoldenBitsMesh(t *testing.T) {
+	for _, c := range goldenCases {
+		res, stats := runMesh(t, c.prm)
+		want := c.sim[1]
 		if hashF64(res.X) != want.x || math.Float64bits(res.Residual) != want.residual || res.Iters != want.iters {
 			t.Errorf("%+v: mesh x %#x residual %#x iters %d, want the simulator's %#x %#x %d", c.prm,
 				hashF64(res.X), math.Float64bits(res.Residual), res.Iters, want.x, want.residual, want.iters)
@@ -137,6 +144,44 @@ func TestPPMGoldenBitsMesh(t *testing.T) {
 			t.Errorf("%+v: mesh counters hash %#x, want %#x", c.prm, got, c.mesh)
 		}
 	}
+}
+
+// A 2x2x2 grid solves exactly in one iteration. Without a Tol, cg used
+// to run on into 0/0 and return NaN; every backend and the sequential
+// reference now stop at the zero residual with the exact solution.
+func TestZeroResidualStops(t *testing.T) {
+	prm := cg.Params{NX: 2, NY: 2, NZ: 2, MaxIter: 3}
+	check := func(name string, res *cg.Result) {
+		t.Helper()
+		if res.Residual != 0 || res.Iters != 1 {
+			t.Errorf("%s: residual %v after %d iterations, want 0 after 1", name, res.Residual, res.Iters)
+		}
+		for i, v := range res.X {
+			if v != 1 {
+				t.Errorf("%s: x[%d] = %v, want 1", name, i, v)
+				break
+			}
+		}
+	}
+	ref, err := cg.Solve(prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sequential", ref)
+	for _, parallel := range []bool{false, true} {
+		res, _, err := cg.RunPPM(core.Options{Nodes: 2, Machine: machine.Generic(), Parallel: parallel}, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("sim parallel=%v", parallel), res)
+	}
+	res, _ := runMesh(t, prm)
+	check("mesh", res)
+	mres, _, err := cg.RunMPI(cg.MPIOptions{Nodes: 2, Machine: machine.Generic()}, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("mpi", mres)
 }
 
 // One Figure-1 run on one node allocates its vectors and the runtime's

@@ -250,7 +250,7 @@ func mpiNode(c *mp.Comm, prm Params, res *Result) {
 		rsNew := sum(rsLocal)
 		iters = it + 1
 		finalRes = math.Sqrt(rsNew)
-		if prm.Tol > 0 && finalRes <= prm.Tol*normB {
+		if rsNew == 0 || prm.Tol > 0 && finalRes <= prm.Tol*normB {
 			break
 		}
 		beta := rsNew / rs

@@ -129,7 +129,7 @@ func RunPPMOn(run core.Runner, opt core.Options, prm Params) (*Result, *core.Rep
 			rsNew := rt.AllReduce(rsLocal, core.OpSum)
 			iters = it + 1
 			finalRes = math.Sqrt(rsNew)
-			if prm.Tol > 0 && finalRes <= prm.Tol*normB {
+			if rsNew == 0 || prm.Tol > 0 && finalRes <= prm.Tol*normB {
 				break
 			}
 			beta := rsNew / rs

@@ -89,10 +89,9 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*State, *core.Report
 					vlo, vhi := core.ChunkRange(nLocal, k, vp.NodeRank())
 					// step mutates only s.VX/VY/VZ/PX/PY/PZ[i] for i in
 					// this VP's [vlo, vhi) chunk, and ChunkRange windows
-					// of distinct VPs are disjoint — a per-element
-					// partition the analyzer cannot see through the
-					// *State indirection.
-					//ppmvet:ignore serialescape — writes are chunk-partitioned per VP
+					// of distinct VPs are disjoint: the VPs share s
+					// without a race (the race-parallel CI job runs this
+					// under -race).
 					inter := step(p, s, part, vlo, vhi, treeSources(trees, vp, nodes, segLen))
 					vp.ChargeFlops(inter * interactionFlops)
 				})

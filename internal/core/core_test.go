@@ -944,3 +944,31 @@ func TestPaperBinarySearchExample(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialFromVPCode: every VP of every node bumps one host counter
+// inside Serial, in and between phases, over three Dos (the second and
+// third reuse the first one's workers), and node-level code bumps it
+// too. The sections exclude each other (under -race an unordered pair
+// is a reported race) on the sequential and the parallel scheduler
+// alike; VP code used to reach the cooperative turn, which on the
+// parallel scheduler only the node's own goroutine may take, and hung.
+func TestSerialFromVPCode(t *testing.T) {
+	const nodes, k, dos = 3, 8, 3
+	for _, parallel := range []bool{false, true} {
+		count := 0
+		o := opts(nodes)
+		o.Parallel = parallel
+		mustRun(t, o, func(rt *Runtime) {
+			rt.Serial(func() { count++ })
+			for i := 0; i < dos; i++ {
+				rt.Do(k, func(vp *VP) {
+					rt.Serial(func() { count++ })
+					vp.GlobalPhase(func() { rt.Serial(func() { count++ }) })
+				})
+			}
+		})
+		if want := nodes * (1 + 2*k*dos); count != want {
+			t.Errorf("parallel=%v: count %d, want %d", parallel, count, want)
+		}
+	}
+}

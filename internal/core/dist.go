@@ -21,6 +21,11 @@ type DistEngine interface {
 	// Endpoint returns the transport for node-level message passing
 	// (reductions, barriers, broadcasts).
 	Endpoint() mp.Endpoint
+	// CollectiveGen returns the engine's collective generation counter.
+	// Each run's communicator continues it, so that collective tags are
+	// unique over the engine's life: a stale copy of an earlier run's
+	// message (a duplicated frame) never matches a later run's.
+	CollectiveGen() *int
 	// SetReadServer installs the callback that serves peers' remote
 	// reads of this process's partitions; it must return a copy, which
 	// it hands over to the engine: the engine sends it as (a part of) the
@@ -105,7 +110,7 @@ func RunDist(opt Options, eng DistEngine, prog func(rt *Runtime)) (*Report, erro
 		return nil, fmt.Errorf("core: engine rank %d out of range [0, %d)", r, o.Nodes)
 	}
 	gs := newGlobalState(o, eng)
-	rt := &Runtime{gs: gs, comm: mp.NewEndpoint(eng.Endpoint()), node: eng.Rank()}
+	rt := &Runtime{gs: gs, comm: mp.NewEndpoint(eng.Endpoint(), eng.CollectiveGen()), node: eng.Rank()}
 
 	// The memory mutex embodies the phase-semantics guarantee over the
 	// wire: peers may read our partitions exactly while a global phase is

@@ -45,6 +45,7 @@ type loopEngine struct {
 	// replies counts the read replies this rank was lent, readsReleased
 	// those it handed back (DistEngine.ReleaseRead).
 	replies, readsReleased atomic.Int64
+	collGen                int
 }
 
 func newLoopMesh(nodes int) *loopMesh {
@@ -60,6 +61,7 @@ func (e *loopEngine) Rank() int             { return e.rank }
 func (e *loopEngine) Nodes() int            { return len(e.m.engs) }
 func (e *loopEngine) Procs() int            { return len(e.m.engs) }
 func (e *loopEngine) Endpoint() mp.Endpoint { return e }
+func (e *loopEngine) CollectiveGen() *int   { return &e.collGen }
 func (e *loopEngine) ChargeFlops(int64)     {}
 func (e *loopEngine) Abort(error)           {}
 func (e *loopEngine) WireStats() WireStats  { return WireStats{} }

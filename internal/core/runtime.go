@@ -36,6 +36,10 @@ type globalState struct {
 	strictErr error       // first strict-mode violation
 	conflicts conflictLog // every strict-mode conflict, with attribution
 
+	// serialMu orders the Serial sections of every node this process
+	// runs (all of them under the simulator, its own rank on a mesh).
+	serialMu sync.Mutex
+
 	// streams[src] is, under the simulator, the commit streams node src
 	// sent in the global-phase commit in progress, indexed by
 	// destination: each node publishes its row before the exchange
@@ -182,9 +186,6 @@ type Runtime struct {
 	// workers and recorded phase plans (see plan.go); nil when the plan
 	// cache is off. Released when the node's program finishes.
 	warm map[doKey]*doRun
-	// serialMu orders Serial sections in distributed runs, where the
-	// simulator's cooperative turn discipline is unavailable.
-	serialMu sync.Mutex
 }
 
 // Runner is the signature shared by Run and the distributed launcher's
@@ -289,20 +290,26 @@ func (rt *Runtime) Barrier() {
 	rt.proc.Barrier()
 }
 
-// Serial runs f in this node's serial section: at most one Serial
-// callback executes at a time on the node, ordered with node-level
-// code. It is the sanctioned way for VP code to update node state that
-// is not a shared array (counters, work queues); ppmvet's serialescape
-// rule reports such updates made without it. Under the simulator it
-// acquires the cooperative turn; in distributed runs it holds a
-// node-local mutex.
+// Serial runs f in the process's serial section: at most one Serial
+// callback executes at a time, whether VP code or node-level code calls
+// it. It is the sanctioned way for VP code to update host state that is
+// not a shared array (counters, work queues, package variables); such
+// an update made without it is a data race that `go test -race` reports.
+// Node-level code on the simulator also takes the cooperative turn
+// first, so that its sections run in the sequential scheduler's order.
+// VP code cannot take the turn (it runs on the node's pool workers, not
+// on the node's own goroutine), so it holds only the mutex.
 func (rt *Runtime) Serial(f func()) {
-	if rt.proc != nil {
-		rt.proc.Serial(f)
+	if rt.proc != nil && !rt.inDo {
+		rt.proc.Serial(func() { rt.gs.serial(f) })
 		return
 	}
-	rt.serialMu.Lock()
-	defer rt.serialMu.Unlock()
+	rt.gs.serial(f)
+}
+
+func (gs *globalState) serial(f func()) {
+	gs.serialMu.Lock()
+	defer gs.serialMu.Unlock()
 	f()
 }
 

@@ -73,8 +73,12 @@ type Engine struct {
 
 	links []*link // links[rank] == nil
 
-	mail   mailbox
-	commit commitPlane
+	mail mailbox
+	// collGen is the generation of node-level collectives, continued by
+	// every run on the engine (CollectiveGen); only the running job's
+	// node-level code touches it.
+	collGen int
+	commit  commitPlane
 	// commitAck carries one token per CommitEnd frame a writer has copied
 	// out: what ends CommitExchange's borrow of the caller's streams.
 	commitAck chan struct{}
@@ -315,6 +319,9 @@ func (e *Engine) Nodes() int { return e.nodes }
 
 // Endpoint implements core.DistEngine.
 func (e *Engine) Endpoint() mp.Endpoint { return e }
+
+// CollectiveGen implements core.DistEngine.
+func (e *Engine) CollectiveGen() *int { return &e.collGen }
 
 // Send implements mp.Endpoint: marshal the typed payload to native-order
 // bytes and queue it (self-sends skip the wire). The mp API is

@@ -25,7 +25,7 @@ id=
 case " $* " in *" -serve "*) read job; id=J;; esac
 reply() { echo "{\"id\":\"$id\",\"done\":true,\"result\":{\"Rank\":$1$2}}"; }
 ` + body + `
-case " $* " in *" -serve "*) cat >/dev/null;; esac
+case " $* " in *" -serve "*) exec cat >/dev/null;; esac
 exit 0
 `
 	path := filepath.Join(t.TempDir(), "fake-node")

@@ -563,3 +563,58 @@ func TestReadAfterRunEndsIsRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestNextRunWaitsForEveryRank: a run's collectives cannot match a stale
+// message of the engine's previous run. With every frame rank 0 sends
+// duplicated, rank 1's mailbox still holds a second copy of rank 0's
+// doK exchange and exit barrier when its first run returns. Rank 1 then
+// starts its next run at once and rank 0 holds back; rank 1 must not
+// enter the next run's first global phase until rank 0 has started that
+// run. Each run's communicator used to restart its collective
+// generation at 0, so the stale doK copy opened the phase on rank 1
+// alone, and its in-phase read of rank 0 drew the refusal of rank 0's
+// finished run.
+func TestNextRunWaitsForEveryRank(t *testing.T) {
+	const nodes, n = 2, 4096
+	opt := distOpt(nodes)
+	var started, early atomic.Bool
+	entered := make(chan struct{})
+	enter := sync.OnceFunc(func() { close(entered) })
+	next := func(rt *core.Runtime) {
+		g := core.AllocGlobal[float64](rt, "g", n)
+		rt.Do(2, func(vp *core.VP) {
+			vp.GlobalPhase(func() {
+				if vp.Node() == 1 {
+					if !started.Load() {
+						early.Store(true)
+					}
+					enter()
+				}
+				_ = g.Read(vp, vp.NodeRank())
+			})
+		})
+	}
+	runMeshWith(t, nodes, func(rank int, c *Config) {
+		quietMesh(rank, c)
+		if rank == 0 {
+			c.Faults = mustPlan(t, "dup=1", rank)
+		}
+	}, func(rank int, eng *Engine) error {
+		defer enter()
+		if _, err := core.RunDist(opt, eng, refusalProg(n, make([][]float64, nodes))); err != nil {
+			return fmt.Errorf("first run: %w", err)
+		}
+		if rank == 0 {
+			select {
+			case <-entered:
+			case <-time.After(300 * time.Millisecond):
+			}
+			started.Store(true)
+		}
+		_, err := core.RunDist(opt, eng, next)
+		return err
+	})
+	if early.Load() {
+		t.Error("rank 1 entered its next run's first global phase before rank 0 had started that run")
+	}
+}

@@ -51,15 +51,20 @@ type Comm struct {
 	ep Endpoint
 	p  *cluster.Proc // non-nil only for simulator-backed comms
 	// gen separates the reserved-tag space of successive collectives so
-	// that no message from collective k can match collective k+1.
-	gen int
+	// that no message from collective k can match collective k+1. It
+	// points at a counter that may outlive the comm (NewEndpoint).
+	gen *int
 }
 
 // New returns a communicator for the calling simulator rank.
-func New(p *cluster.Proc) *Comm { return &Comm{ep: p, p: p} }
+func New(p *cluster.Proc) *Comm { return &Comm{ep: p, p: p, gen: new(int)} }
 
-// NewEndpoint returns a communicator over an arbitrary transport.
-func NewEndpoint(ep Endpoint) *Comm { return &Comm{ep: ep} }
+// NewEndpoint returns a communicator over an arbitrary transport whose
+// collectives continue the generation counter *gen. A transport that
+// outlives its comms keeps one counter for all of them, so that a
+// message an earlier comm's collective left behind (a duplicate, or one
+// from an aborted collective) can never match a later comm's.
+func NewEndpoint(ep Endpoint, gen *int) *Comm { return &Comm{ep: ep, gen: gen} }
 
 // Rank returns the calling process's rank.
 func (c *Comm) Rank() int { return c.ep.Rank() }
@@ -81,8 +86,8 @@ func (c *Comm) checkUserTag(tag int) {
 // bulk-synchronous across all ranks in program order, so every rank
 // computes the same sequence.
 func (c *Comm) nextGen() int {
-	c.gen++
-	return c.gen
+	*c.gen++
+	return *c.gen
 }
 
 // collTag builds a reserved tag from (collective id, generation, round).
@@ -90,16 +95,18 @@ func collTag(coll, gen, round int) int {
 	return tagReserved + coll + 16*(round+1024*gen)
 }
 
-// Collective ids for tag construction.
+// Collective ids for tag construction. A deleted collective leaves its
+// id blank, so that the surviving ids, and the tags on the wire, keep
+// their values.
 const (
 	collBarrier = iota
 	collBcast
-	collReduce
+	_ // Reduce
 	collAllreduce
 	collGather
 	collAllgather
 	collAlltoall
-	collScan
+	_ // Scan
 )
 
 // Send sends a typed slice to dst with a user tag. The receiver must not
@@ -120,13 +127,6 @@ func Recv[T Elem](c *Comm, src, tag int) []T {
 	}
 	m := c.ep.Recv(src, tag)
 	return payloadAs[T](fmt.Sprintf("rank %d Recv(src=%d, tag=%d)", c.Rank(), src, tag), m)
-}
-
-// Sendrecv exchanges typed slices with a partner in a deadlock-free way
-// (sends are eager in the simulator, so plain send-then-recv suffices).
-func Sendrecv[T Elem](c *Comm, dst, sendTag int, data []T, src, recvTag int) []T {
-	Send(c, dst, sendTag, data)
-	return Recv[T](c, src, recvTag)
 }
 
 // sendColl / recvColl move data under reserved tags (internal).
@@ -174,30 +174,6 @@ func Bcast[T Elem](c *Comm, root int, data []T) []T {
 		}
 	}
 	return data
-}
-
-// Reduce combines all ranks' equal-length vectors elementwise with op and
-// returns the result on root (nil elsewhere). Binomial tree; combination
-// order is fixed by rank structure, so results are deterministic.
-func Reduce[T Elem](c *Comm, root int, data []T, op func(a, b T) T) []T {
-	gen := c.nextGen()
-	p, rank := c.Size(), c.Rank()
-	rel := (rank - root + p) % p
-	acc := append([]T(nil), data...)
-	tag := collTag(collReduce, gen, 0)
-	for mask := 1; mask < p; mask <<= 1 {
-		if rel&mask != 0 {
-			// Our subtree is complete: pass it up and leave.
-			sendColl(c, (rel-mask+root)%p, tag, acc)
-			return nil
-		}
-		if rel+mask < p {
-			in := recvColl[T](c, (rel+mask+root)%p, tag)
-			combine(acc, in, op)
-			c.chargeReduceFlops(len(acc))
-		}
-	}
-	return acc // rel == 0 is the only rank that falls through
 }
 
 // Allreduce combines all ranks' equal-length vectors elementwise with op;
