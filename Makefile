@@ -109,12 +109,17 @@ test:
 ## one, and apply concurrently unless StrictWrites serializes them. The
 ## fifth repeats the read path, whose pooled buffers the link writer, the
 ## link reader and the fetching VP hand each other across goroutines. The
-## last repeats the tests of pooled array storage, which crosses runs and
+## sixth repeats the tests of pooled array storage, which crosses runs and
 ## goroutines: a run's partitions, node arrays and fetched lines go back
 ## to the pool when it ends, under the memory lock the read server
 ## serves from, and the next run draws them on another goroutine; with
 ## them, a duplicated frame of one run must not open the next run's
-## first global phase on one rank early.
+## first global phase on one rank early. The seventh repeats two tests of
+## what crosses runs and ranks at node level: two ranks whose node-level
+## reads of each other's partition wait at once
+## (TestNodeReadsAfterLastPhaseCross), and the mailbox dropping the
+## messages of collectives that finished in an earlier run
+## (TestStaleCollectiveMessagesDropped).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
@@ -122,6 +127,7 @@ race:
 	PPM_PARALLEL=1 $(GO) test -race -cpu 1,2,4 -count=3 -run 'Strict|Equivalence|FastPath|ScatterCodecMatchesSimulator' ./internal/core/ ./internal/dist/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestFetchRanges|TestLateReadReply|ReadPath' ./internal/dist/ ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestSecondJob|ReadAfterRun|UseAfterRun|TestFetchRanges|TestNextRunWaits' ./internal/dist/ ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestNodeReadsAfterLastPhaseCross|TestStaleCollectiveMessagesDropped' ./internal/dist/
 
 ## race-parallel: the whole suite under the race detector with the
 ## parallel in-run scheduler forced on for every cluster.Run. Passing

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ppm/internal/core"
@@ -224,5 +226,34 @@ func TestEnergyNotExploding(t *testing.T) {
 		if math.IsNaN(s.PX[i]) || math.Abs(s.PX[i]) > 100 {
 			t.Fatalf("body %d diverged: %v", i, s.PX[i])
 		}
+	}
+}
+
+// TestSecondRunAllocPin: a VP's record cache hands its chunks on when the
+// force phase ends, so a second simulator run of one spec draws them from
+// the pool instead of allocating 13 KiB per 64 records each VP touches.
+// With the collector off the pool keeps what the first run left; before
+// the release, the second run allocated every chunk again.
+func TestSecondRunAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	p := Params{N: 2000, Steps: 2, Theta: 0.5, Eps: 0.05, DT: 0.01, Seed: 7}
+	o := core.Options{Nodes: 4, CoresPerNode: 4, Machine: machine.Franklin()}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, _, err := RunPPM(o, p); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := RunPPM(o, p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	second := after.TotalAlloc - before.TotalAlloc
+	t.Logf("the second run allocated %.2f MiB", float64(second)/(1<<20))
+	const bound = 12 << 20 // 25 MiB before the release, 6 MiB after
+	if second >= bound {
+		t.Errorf("the second run allocated %d bytes, want less than %d: the record caches' chunks were allocated again instead of drawn from the pool", second, bound)
 	}
 }

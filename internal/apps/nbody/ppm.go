@@ -9,19 +9,20 @@ import (
 )
 
 // treeSources binds the shared forest to one VP for one phase: the source of
-// each partition's tree, all backed by one octree.Cache that belongs to the
-// VP. The cache is per VP because the first touch is what the model charges:
-// a record goes through ReadBlock (two contiguous slot runs, the elements
-// and modeled costs of the scalar DecodeNode) once per VP and phase, and is
-// read in place, by reference, for every later body. The forest is immutable
-// within the phase, so the records stay valid until the phase ends.
-func treeSources(g *core.Global[float64], vp *core.VP, nodes, segLen int) []octree.Source {
+// each partition's tree, all backed by the returned octree.Cache, which
+// belongs to the VP. The cache is per VP because the first touch is what the
+// model charges: a record goes through ReadBlock (two contiguous slot runs,
+// the elements and modeled costs of the scalar DecodeNode) once per VP and
+// phase, and is read in place, by reference, for every later body. The
+// forest is immutable within the phase, so the records stay valid until the
+// VP releases the cache, which passes its chunks on to the next VP.
+func treeSources(g *core.Global[float64], vp *core.VP, nodes, segLen int) ([]octree.Source, *octree.Cache) {
 	cache := octree.NewCache(func(lo, hi int, dst []float64) { g.ReadBlock(vp, lo, hi, dst) })
 	trees := make([]octree.Source, nodes)
 	for r := range trees {
 		trees[r] = cache.Tree(r*segLen, segLen/octree.Slots)
 	}
-	return trees
+	return trees, cache
 }
 
 // RunPPM runs the simulation under the Parallel Phase Model.
@@ -92,7 +93,9 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*State, *core.Report
 					// of distinct VPs are disjoint: the VPs share s
 					// without a race (the race-parallel CI job runs this
 					// under -race).
-					inter := step(p, s, part, vlo, vhi, treeSources(trees, vp, nodes, segLen))
+					srcs, cache := treeSources(trees, vp, nodes, segLen)
+					inter := step(p, s, part, vlo, vhi, srcs)
+					cache.Release()
 					vp.ChargeFlops(inter * interactionFlops)
 				})
 			})

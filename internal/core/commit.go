@@ -443,7 +443,7 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 			d.mrCnt[id].runs += len(rs)
 		}
 		for _, k := range vp.rdIdx {
-			d.mrCnt[k.array].keys++
+			d.mrCnt[k.array()].keys++
 		}
 	}
 	for id, c := range d.mrCnt[:na] {
@@ -480,7 +480,7 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 			}
 		}
 		for _, k := range vp.rdIdx {
-			d.mrIdx[k.array] = append(d.mrIdx[k.array], k.idx)
+			d.mrIdx[k.array()] = append(d.mrIdx[k.array()], k.idx())
 		}
 		if rec && p.vlog != nil {
 			// The plan takes the log it will validate against and hands

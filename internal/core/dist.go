@@ -24,7 +24,9 @@ type DistEngine interface {
 	// CollectiveGen returns the engine's collective generation counter.
 	// Each run's communicator continues it, so that collective tags are
 	// unique over the engine's life: a stale copy of an earlier run's
-	// message (a duplicated frame) never matches a later run's.
+	// message (a duplicated frame) never matches a later run's. A run
+	// calls it once, as it starts, so the engine may drop every message
+	// of a collective at or below the counter's value then.
 	CollectiveGen() *int
 	// SetReadServer installs the callback that serves peers' remote
 	// reads of this process's partitions; it must return a copy, which

@@ -161,7 +161,7 @@ func TestFastPathAgreesWithBlock(t *testing.T) {
 				g.Read(vp, i)
 				var want []readKey
 				if part.Owner(i) != node {
-					want = []readKey{{array: g.id, idx: i}}
+					want = []readKey{makeReadKey(g.id, i)}
 				}
 				if !reflect.DeepEqual(append([]readKey(nil), vp.rdIdx...), want) {
 					fail("node %d Read(%d): logged %v, want %v (owner %d)", node, i, vp.rdIdx, want, part.Owner(i))

@@ -455,7 +455,7 @@ func TestPlanCacheLogOwnership(t *testing.T) {
 func TestPlanRecordTakesLogsWithoutCopying(t *testing.T) {
 	t.Setenv("PPM_PLAN_CACHE", "")
 	const nodes, k, n, perVP = 2, 1024, 1 << 14, 16
-	const slab = nodes * k * readLogInitCap * 16 // 16 bytes a readKey
+	const slab = nodes * k * readLogInitCap * 8 // 8 bytes a readKey
 	// What else the run allocates: the VP slabs (about 220 KB a node), the
 	// merge's index scratch at its exact size (8 bytes a key, 130 KB a
 	// node), the array and the simulated cluster: 0.9 MB when measured,

@@ -146,6 +146,9 @@ func allocArray[A registeredArray](rt *Runtime, name string, mk func(id int) A) 
 			gs.allocSeq = make([]int, gs.nodes)
 		}
 		seq := gs.allocSeq[rt.node]
+		if seq >= maxKeyArrays {
+			panic(fmt.Sprintf("core: alloc of %q: a run holds at most %d shared arrays", name, maxKeyArrays))
+		}
 		gs.allocSeq[rt.node]++
 		if seq == len(gs.arrays) {
 			out = mk(seq)
@@ -396,6 +399,9 @@ func AllocGlobal[T Elem](rt *Runtime, name string, n int) *Global[T] {
 	if n < 0 {
 		panic(fmt.Sprintf("core: AllocGlobal(%q, %d): negative size", name, n))
 	}
+	if n > maxKeyLen {
+		panic(fmt.Sprintf("core: AllocGlobal(%q, %d): more than 2^%d elements, the most a read key indexes", name, n, keyIdxBits))
+	}
 	g := allocArray(rt, name, func(id int) *Global[T] {
 		nodes := rt.gs.nodes
 		g := &Global[T]{
@@ -458,15 +464,22 @@ func (g *Global[T]) Local(rt *Runtime) []T {
 // At returns element i at node level (setup/extraction only). Reading a
 // remote element outside any phase is allowed for result extraction after
 // phases have committed: it sees every phase committed so far. On a mesh
-// the owner answers it once it opens its next global phase or ends its
-// run, since it holds its partitions at node level.
+// the owner answers it once it has applied the phase before the read
+// (DESIGN.md §4.9).
 func (g *Global[T]) At(rt *Runtime, i int) T {
 	if rt.inDo {
 		panic(fmt.Sprintf("core: Global(%q).At while Do is active", g.name))
 	}
 	g.checkLive("Global", "At")
-	if g.gs.dist != nil {
+	if gs := g.gs; gs.dist != nil {
 		if owner := g.part.Owner(i); owner != rt.node {
+			// The owner may be waiting in a read of ours: serve peers
+			// while this one waits. Nothing writes partitions meanwhile,
+			// since the only node-level writer is this goroutine.
+			if gs.memHeld {
+				gs.memMu.Unlock()
+				defer gs.memMu.Lock()
+			}
 			// Result-extraction loops usually walk whole remote
 			// partitions; fetch the owner's full block once and serve the
 			// rest of the loop from the cache.

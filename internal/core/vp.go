@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -99,11 +98,26 @@ const (
 	readLogCompactMin = 4096
 )
 
-// readKey identifies one element of one shared array for the read cache.
-type readKey struct {
-	array int
-	idx   int
+// readKey identifies one element of one shared array for the read cache in
+// one word: the array id in the high keyArrayBits bits, the index in the
+// low keyIdxBits. Keys compare as integers in (array, index) order.
+// Registration refuses an array id or a Global length that would not fit
+// (allocArray, AllocGlobal).
+type readKey uint64
+
+const (
+	keyIdxBits   = 44
+	keyArrayBits = 64 - keyIdxBits
+	maxKeyArrays = 1 << keyArrayBits // array ids stay below it
+	maxKeyLen    = 1 << keyIdxBits   // a Global's length stays at or below it
+)
+
+func makeReadKey(array, idx int) readKey {
+	return readKey(uint64(array)<<keyIdxBits | uint64(idx))
 }
+
+func (k readKey) array() int { return int(k >> keyIdxBits) }
+func (k readKey) idx() int   { return int(k & (maxKeyLen - 1)) }
 
 // NodeRank returns this VP's rank within its node's Do, in [0, K)
 // (PPM_VP_node_rank).
@@ -230,7 +244,7 @@ func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
 		vp.countRemote(owner, 1, int64(elemBytes))
 		return
 	}
-	key := readKey{array: array, idx: idx}
+	key := makeReadKey(array, idx)
 	n := len(vp.rdIdx)
 	if n > 0 && vp.rdIdx[n-1] == key {
 		return
@@ -239,9 +253,7 @@ func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
 		vp.rdIdx = vp.d.logPiece()
 	}
 	if n >= max(2*vp.rdMark, readLogCompactMin) {
-		slices.SortFunc(vp.rdIdx, func(a, b readKey) int {
-			return cmp.Or(cmp.Compare(a.array, b.array), cmp.Compare(a.idx, b.idx))
-		})
+		slices.Sort(vp.rdIdx)
 		vp.rdIdx = slices.Compact(vp.rdIdx)
 		vp.rdMark = len(vp.rdIdx)
 	}

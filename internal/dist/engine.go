@@ -320,8 +320,13 @@ func (e *Engine) Nodes() int { return e.nodes }
 // Endpoint implements core.DistEngine.
 func (e *Engine) Endpoint() mp.Endpoint { return e }
 
-// CollectiveGen implements core.DistEngine.
-func (e *Engine) CollectiveGen() *int { return &e.collGen }
+// CollectiveGen implements core.DistEngine. A run asks for the counter
+// as it starts, so every collective at or below its value has finished:
+// the mailbox drops their messages.
+func (e *Engine) CollectiveGen() *int {
+	e.mail.dropBefore(e.collGen)
+	return &e.collGen
+}
 
 // Send implements mp.Endpoint: marshal the typed payload to native-order
 // bytes and queue it (self-sends skip the wire). The mp API is

@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"ppm/internal/cluster"
+	"ppm/internal/mp"
 )
 
 type mailMsg struct {
@@ -22,6 +24,10 @@ type mailbox struct {
 	cond *sync.Cond
 	q    []mailMsg
 	dead bool
+	// floor is the last collective generation of the engine's earlier
+	// runs: a message of a generation at or below it belongs to a
+	// collective that has finished, so nothing can ever receive it.
+	floor int
 	// timers recycles the deadline timers of receives that had to block
 	// (several may, concurrently); each only wakes cond's waiters.
 	timers sync.Pool
@@ -31,9 +37,30 @@ func (mb *mailbox) init() { mb.cond = sync.NewCond(&mb.mu) }
 
 func (mb *mailbox) put(m mailMsg) {
 	mb.mu.Lock()
+	if mb.stale(m) {
+		mb.mu.Unlock()
+		return
+	}
 	mb.q = append(mb.q, m)
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
+}
+
+// stale reports whether m is a message of a finished collective (a
+// duplicated frame, or one of a collective an earlier run left behind).
+func (mb *mailbox) stale(m mailMsg) bool {
+	gen, ok := mp.TagGen(m.tag)
+	return ok && gen <= mb.floor
+}
+
+// dropBefore is called as a run starts, with the generation its
+// collectives continue from: it drops every queued message of an earlier
+// collective and turns away any that arrives later.
+func (mb *mailbox) dropBefore(gen int) {
+	mb.mu.Lock()
+	mb.floor = gen
+	mb.q = slices.DeleteFunc(mb.q, mb.stale)
+	mb.mu.Unlock()
 }
 
 // wakeAt arms tm (nil: a new timer) to wake every waiter on cond, which

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"testing"
@@ -73,6 +74,51 @@ func TestNodeReadAfterPhaseSeesApply(t *testing.T) {
 	for i, v := range got {
 		if v != int64(i+1) {
 			t.Fatalf("x[%d] = %d, want %d", i, v, i+1)
+		}
+	}
+}
+
+// TestNodeReadsAfterLastPhaseCross: two ranks that each read the other's
+// partition at node level after their last phase both get the values the
+// simulator returns, and neither read times out. Each rank blocks
+// in its own fetch at node level, so each must serve the other's request
+// meanwhile; when a waiting node-level read held its memory lock for
+// writing, neither could, and both failed at the timeout.
+func TestNodeReadsAfterLastPhaseCross(t *testing.T) {
+	const nodes, n, k = 2, 4096, 2
+	prog := func(out []float64) func(rt *core.Runtime) {
+		return func(rt *core.Runtime) {
+			g := core.AllocGlobal[float64](rt, "g", n)
+			lo, hi := g.OwnerRange(rt)
+			for i, l := 0, g.Local(rt); i < len(l); i++ {
+				l[i] = float64(lo+i) + 0.5
+			}
+			rt.Do(k, func(vp *core.VP) {
+				vp.GlobalPhase(func() {
+					for i := lo + vp.NodeRank(); i < hi; i += k {
+						g.Write(vp, i, 3*g.Read(vp, i))
+					}
+				})
+			})
+			next := (rt.NodeID() + 1) % rt.NodeCount()
+			out[rt.NodeID()] = g.At(rt, next*(n/nodes)+7)
+		}
+	}
+	want := make([]float64, nodes)
+	if _, err := core.Run(distOpt(nodes), prog(want)); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, nodes)
+	runMeshWith(t, nodes, func(rank int, c *Config) {
+		quietMesh(rank, c)
+		c.OpTimeout = 3 * time.Second
+	}, func(rank int, eng *Engine) error {
+		_, err := core.RunDist(distOpt(nodes), eng, prog(got))
+		return err
+	})
+	for r := range got {
+		if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+			t.Errorf("rank %d read %v, want the simulator's %v", r, got[r], want[r])
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ppm/internal/core"
+	"ppm/internal/mp"
 	"ppm/internal/wire"
 )
 
@@ -561,6 +562,56 @@ func TestReadAfterRunEndsIsRefused(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStaleCollectiveMessagesDropped: with every frame rank 0 sends
+// duplicated, each run leaves second copies of its collective messages in
+// rank 1's mailbox, and nothing can ever receive them. A new run drops
+// every queued message of a collective that finished before it started,
+// and the mailbox turns such a message away if it arrives later, so what
+// finished collectives leave behind is one run's copies at most. Before,
+// rank 1's queue grew by two messages with every run. (Rank 0 may already
+// have sent the next run's messages; those are live and not counted.)
+func TestStaleCollectiveMessagesDropped(t *testing.T) {
+	const nodes, n, jobs = 2, 4096, 4
+	opt := distOpt(nodes)
+	var left [jobs]int
+	var stale [jobs][]int
+	runMeshWith(t, nodes, func(rank int, c *Config) {
+		quietMesh(rank, c)
+		if rank == 0 {
+			c.Faults = mustPlan(t, "dup=1", rank)
+		}
+	}, func(rank int, eng *Engine) error {
+		for j := 0; j < jobs; j++ {
+			floor := eng.collGen
+			if _, err := core.RunDist(opt, eng, refusalProg(n, make([][]float64, nodes))); err != nil {
+				return fmt.Errorf("job %d: %w", j, err)
+			}
+			if rank != 1 {
+				continue
+			}
+			eng.mail.mu.Lock()
+			for _, m := range eng.mail.q {
+				gen, ok := mp.TagGen(m.tag)
+				switch {
+				case !ok || gen > eng.collGen:
+				case gen <= floor:
+					stale[j] = append(stale[j], gen)
+				default:
+					left[j]++
+				}
+			}
+			eng.mail.mu.Unlock()
+		}
+		return nil
+	})
+	t.Logf("copies this run's collectives left in rank 1's queue, run by run: %v", left)
+	for j := range stale {
+		if len(stale[j]) > 0 {
+			t.Errorf("after run %d rank 1 still queues messages of generations %v, all finished before the run began", j, stale[j])
+		}
 	}
 }
 

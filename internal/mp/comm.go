@@ -95,6 +95,16 @@ func collTag(coll, gen, round int) int {
 	return tagReserved + coll + 16*(round+1024*gen)
 }
 
+// TagGen returns the collective generation a reserved tag was built
+// with, and false for a user tag. A transport that outlives its comms
+// uses it to recognise messages of collectives that have finished.
+func TagGen(tag int) (gen int, ok bool) {
+	if tag < tagReserved {
+		return 0, false
+	}
+	return (tag - tagReserved) / (16 * 1024), true
+}
+
 // Collective ids for tag construction. A deleted collective leaves its
 // id blank, so that the surviving ids, and the tags on the wire, keep
 // their values.

@@ -308,3 +308,22 @@ func TestReduceDeterministicOrder(t *testing.T) {
 		t.Errorf("reduce order nondeterministic: %v vs %v", a, b)
 	}
 }
+
+// TagGen inverts collTag's generation for every collective and round the
+// collectives use, and refuses user tags.
+func TestTagGen(t *testing.T) {
+	for _, gen := range []int{0, 1, 2, 1000, 1 << 20} {
+		for coll := collBarrier; coll <= collAllgatherDirect; coll++ {
+			for _, round := range []int{0, 1, 99, 1022} {
+				if got, ok := TagGen(collTag(coll, gen, round)); !ok || got != gen {
+					t.Errorf("TagGen(collTag(%d, %d, %d)) = %d, %v", coll, gen, round, got, ok)
+				}
+			}
+		}
+	}
+	for _, tag := range []int{0, 7, tagReserved - 1} {
+		if _, ok := TagGen(tag); ok {
+			t.Errorf("user tag %d has a generation", tag)
+		}
+	}
+}

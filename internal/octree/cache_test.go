@@ -3,6 +3,7 @@ package octree
 import (
 	"math"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"ppm/internal/rng"
@@ -171,6 +172,76 @@ func TestCacheAllocations(t *testing.T) {
 	// list twice, the index at 16, 32, 64 and 128 entries.
 	if cold > 12 {
 		t.Errorf("%d misses allocate %v times", 2*cacheChunk, cold)
+	}
+}
+
+// A cache filled, released and refilled with other trees serves records
+// and traversals bit-equal to SliceSource's every time. The first rounds
+// are small enough for one chunk, so a refill usually decodes into the
+// very slots the last fill used: round 1's root is a leaf of one body in
+// the slot where round 0's leaf of four lay.
+func TestCacheReleaseAndRefill(t *testing.T) {
+	four := []Body{{X: 0.1, Y: 0.2, Z: 0.3, M: 1}, {X: -0.4, Y: 0.5, Z: 0.6, M: 2}, {X: 0.7, Y: -0.8, Z: 0.9, M: 3}, {X: -0.2, Y: -0.3, Z: -0.4, M: 4}}
+	rounds := [][2][]Body{
+		{four, randomBodies(12, 9)},
+		{four[:1], randomBodies(13, 6)},
+		{randomBodies(14, 300), four},
+		{randomBodies(15, 3), randomBodies(16, 250)},
+	}
+	const records = 400
+	seg := records * Slots
+	buf := make([]float64, 2*seg)
+	c := sliceCache(buf)
+	trees := [2]*CachedTree{c.Tree(0, records), c.Tree(seg, records)}
+	for r, round := range rounds {
+		clear(buf)
+		var srcs [2]SliceSource
+		for k, bodies := range round {
+			flat := buildOf(bodies).Flatten()
+			copy(buf[k*seg:], flat)
+			srcs[k] = NewSliceSource(flat)
+		}
+		for k, tr := range trees {
+			for i := range srcs[k] {
+				if got := tr.Node(i); *got != srcs[k][i] {
+					t.Fatalf("round %d tree %d record %d: %+v, want %+v", r, k, i, *got, srcs[k][i])
+				}
+			}
+			for _, b := range randomBodies(uint64(20+r), 6) {
+				ax, ay, az, ni := Accel(srcs[k], b.X, b.Y, b.Z, 0.5, 0.05)
+				bx, by, bz, nj := Accel(tr, b.X, b.Y, b.Z, 0.5, 0.05)
+				if math.Float64bits(ax) != math.Float64bits(bx) || math.Float64bits(ay) != math.Float64bits(by) ||
+					math.Float64bits(az) != math.Float64bits(bz) || ni != nj {
+					t.Errorf("round %d tree %d: traversal through the refilled cache differs", r, k)
+				}
+			}
+		}
+		c.Release()
+		if c.n != 0 || len(c.chunks) != 0 {
+			t.Fatalf("round %d: %d records in %d chunks after Release", r, c.n, len(c.chunks))
+		}
+	}
+}
+
+// Once a fill has sized the trees' indexes, refilling a released cache
+// allocates nothing: its chunks come back from the pool.
+func TestCacheRefillAfterReleaseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	flat := buildOf(randomBodies(8, 300)).Flatten()
+	c := sliceCache(flat)
+	tr := c.Tree(0, len(flat)/Slots)
+	fill := func() {
+		for i := 0; i < len(flat)/Slots; i++ {
+			tr.Node(i)
+		}
+		c.Release()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fill()
+	if a := testing.AllocsPerRun(20, fill); a != 0 {
+		t.Errorf("a refill of %d records after Release allocates %v times", len(flat)/Slots, a)
 	}
 }
 

@@ -15,6 +15,7 @@ package octree
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // LeafCap is the maximum number of bodies a leaf holds before splitting.
@@ -338,6 +339,14 @@ const (
 	cacheChunk      = 1 << cacheChunkShift
 )
 
+type cacheSlab = [cacheChunk]FlatNode
+
+// chunkPool holds the chunks of released caches for the next cache that
+// misses. A reader's cache lives for one phase and the next reader's
+// starts right after it, well inside one collection cycle, so the chunks
+// are reused rather than allocated again.
+var chunkPool sync.Pool // of *cacheSlab
+
 // Cache is one reader's software cache of records from a forest of flat
 // trees that live behind a bulk reader (a PPM global shared array, say).
 // Every record is fetched through the reader on its first touch, with
@@ -345,14 +354,16 @@ const (
 // that: records go into an append-only slab of fixed-size chunks, which
 // never move, and each tree keeps an index from record number to slab
 // position. A hit is an indexed load and copies nothing; a miss allocates
-// only when a chunk fills up or a tree's index has to grow.
+// only when a chunk fills up and no released one is pooled, or when a
+// tree's index has to grow.
 //
 // A Cache and its trees belong to one reader and are not safe for
 // concurrent use. It is valid for as long as the forest is immutable (one
-// phase, in a PPM program).
+// phase, in a PPM program), and its record pointers until Release.
 type Cache struct {
 	read   func(lo, hi int, dst []float64)
-	chunks [][]FlatNode
+	chunks []*cacheSlab
+	trees  []*CachedTree
 	n      int                 // records stored
 	hdr    [slotBodies]float64 // where a miss lands its header run
 }
@@ -361,6 +372,21 @@ type Cache struct {
 // must copy elements [lo, hi) of the forest's address space into dst.
 func NewCache(read func(lo, hi int, dst []float64)) *Cache {
 	return &Cache{read: read}
+}
+
+// Release passes the cache's chunks on to the next cache that misses and
+// empties the cache: every record pointer its trees returned is invalid
+// from here on. The cache and its trees stay usable, and fetch each record
+// again on its first touch, so they may serve the forest of a later phase.
+func (c *Cache) Release() {
+	for i, ch := range c.chunks {
+		chunkPool.Put(ch)
+		c.chunks[i] = nil
+	}
+	c.chunks, c.n = c.chunks[:0], 0
+	for _, t := range c.trees {
+		clear(t.idx)
+	}
 }
 
 // CachedTree is the Source of one tree of a Cache's forest.
@@ -377,10 +403,12 @@ type CachedTree struct {
 // Tree returns the Source of the flat tree that starts at element off of
 // the reader's address space and has room for at most records records.
 func (c *Cache) Tree(off, records int) *CachedTree {
-	return &CachedTree{c: c, off: off, records: records}
+	t := &CachedTree{c: c, off: off, records: records}
+	c.trees = append(c.trees, t)
+	return t
 }
 
-// Node implements Source. Pointers stay valid for the life of the Cache.
+// Node implements Source. Pointers stay valid until the Cache's Release.
 func (t *CachedTree) Node(i int) *FlatNode {
 	if uint(i) < uint(len(t.idx)) {
 		if p := t.idx[i]; p != 0 {
@@ -411,7 +439,15 @@ func (t *CachedTree) fetch(i int) *FlatNode {
 	}
 	c := t.c
 	if c.n == len(c.chunks)*cacheChunk {
-		c.chunks = append(c.chunks, make([]FlatNode, cacheChunk))
+		ch, _ := chunkPool.Get().(*cacheSlab)
+		if ch == nil {
+			ch = new(cacheSlab)
+		} else {
+			// As zeroed as a new one: a record decodes only its own
+			// bodies, and a released slot may hold more.
+			clear(ch[:])
+		}
+		c.chunks = append(c.chunks, ch)
 	}
 	nd := &c.chunks[c.n>>cacheChunkShift][c.n&(cacheChunk-1)]
 	decodeNodeRuns(c.read, &c.hdr, t.off, i, nd)
