@@ -206,7 +206,9 @@ fuzz-smoke:
 ## prefetch: the Section 5 search and one Barnes-Hut step; then colloc
 ## and scatter, the one app whose commit streams are not empty; last
 ## examples/jobs/nbody-nonfinite.json, whose result is mostly NaN and
-## ±Inf, as its -json line (payloads are base64 of little-endian words).
+## ±Inf, as its -json line (payloads are base64 of little-endian words);
+## then 3 processes: colloc, whose 155 rows deal unevenly over the ranks,
+## and search over an array of 65537, dealt 21846 / 21846 / 21845.
 dist-smoke:
 	$(GO) build -o bin/ ./cmd/ppm-run ./cmd/ppm-node
 	./bin/ppm-run -distributed -app cg -nodes 2 -cores 2 -cg-grid 8x8x8 -cg-iters 6
@@ -217,6 +219,8 @@ dist-smoke:
 	./bin/ppm-run -distributed -app colloc -nodes 2 -cores 2 -colloc-levels 4 -colloc-m0 6
 	./bin/ppm-run -distributed -app scatter -nodes 2 -cores 2 -scatter-n 1200 -scatter-iters 3
 	./bin/ppm-run -distributed -spec examples/jobs/nbody-nonfinite.json -json
+	./bin/ppm-run -distributed -app colloc -nodes 3 -cores 2 -colloc-levels 5 -colloc-m0 5
+	./bin/ppm-run -distributed -app search -nodes 3 -search-n 65537 -search-k 512
 
 ## server-smoke: the full-binary serving path — a real ppm-server
 ## process fronting warm serve-mode ppm-node fleets, driven over HTTP:

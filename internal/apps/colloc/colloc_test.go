@@ -65,6 +65,50 @@ func TestRowPatternProperties(t *testing.T) {
 	}
 }
 
+// Expanding a row's runs gives its pattern exactly, slots numbered on
+// from the first run's; Delta = 0.3 leaves some column levels without an
+// entry, and Delta = 40 makes a run span a whole level.
+func TestRowRunsMatchRowPattern(t *testing.T) {
+	var pat []ColRef
+	var runs []RowRun
+	for levels := 1; levels <= 8; levels++ {
+		for m0 := 1; m0 <= 13; m0++ {
+			for _, delta := range []float64{0.3, 1, 2.5, 3, 40} {
+				p := Params{Levels: levels, M0: m0, Delta: delta}
+				whole := false
+				for i := 0; i < p.N(); i++ {
+					pat = AppendRowPattern(pat[:0], p, i)
+					// Appending keeps what the slice already holds.
+					pre := RowRun{Row: -1}
+					runs = AppendRowRuns(append(runs[:0], pre), p, i, 7)
+					if runs[0] != pre {
+						t.Fatalf("%+v row %d: AppendRowRuns overwrote what out held", p, i)
+					}
+					k := 0
+					for _, r := range runs[1:] {
+						if r.Row != i || r.N <= 0 || r.Slot != 7+k {
+							t.Fatalf("%+v row %d: run %+v after %d entries", p, i, r, k)
+						}
+						whole = whole || r.N == p.m(r.Lj)
+						for e := range r.N {
+							if k >= len(pat) || r.Ref(p, e) != pat[k] {
+								t.Fatalf("%+v row %d: run %+v entry %d is %+v, want RowPattern's", p, i, r, e, r.Ref(p, e))
+							}
+							k++
+						}
+					}
+					if k != len(pat) {
+						t.Fatalf("%+v row %d: runs hold %d entries, RowPattern %d", p, i, k, len(pat))
+					}
+				}
+				if delta == 40 && !whole {
+					t.Errorf("%+v: no run spans a whole level", p)
+				}
+			}
+		}
+	}
+}
+
 func levelOfCol(p Params, i int) int {
 	l, _ := p.levelOf(i)
 	return l

@@ -20,6 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 )
 
 type Params struct {
@@ -171,31 +173,165 @@ func RowPattern(p Params, i int) []ColRef { return AppendRowPattern(nil, p, i) }
 // AppendRowPattern appends row i's pattern (see RowPattern) to out, so a
 // caller walking many rows can reuse one scratch slice.
 func AppendRowPattern(out []ColRef, p Params, i int) []ColRef {
-	li, _ := p.levelOf(i)
-	ti := p.point(li, i-p.offset(li))
-	hi := 1 / float64(p.m(li))
+	li, ti := p.row(i)
 	for lj := 0; lj < p.Levels; lj++ {
-		hj := 1 / float64(p.m(lj))
-		radius := p.Delta * (hi + hj)
-		kLo := int(math.Floor((ti - radius) / hj))
-		kHi := int(math.Ceil((ti + radius) / hj))
-		if kLo < 0 {
-			kLo = 0
-		}
-		if kHi > p.m(lj) {
-			kHi = p.m(lj)
-		}
+		kLo, kHi, radius := p.window(li, ti, lj)
 		for kj := kLo; kj < kHi; kj++ {
 			if math.Abs(p.point(lj, kj)-ti) <= radius {
-				lq := li
-				if lj > lq {
-					lq = lj
-				}
-				out = append(out, ColRef{Col: p.offset(lj) + kj, Lj: lj, Kj: kj, Lq: lq})
+				out = append(out, ColRef{Col: p.offset(lj) + kj, Lj: lj, Kj: kj, Lq: max(li, lj)})
 			}
 		}
 	}
 	return out
+}
+
+// row returns row i's level and collocation point.
+func (p Params) row(i int) (li int, ti float64) {
+	li, ki := p.levelOf(i)
+	return li, p.point(li, ki)
+}
+
+// window returns the level-lj positions [kLo, kHi) that may lie within
+// the truncation radius of t_i, for a row at level li, and that radius.
+func (p Params) window(li int, ti float64, lj int) (kLo, kHi int, radius float64) {
+	hj := 1 / float64(p.m(lj))
+	radius = p.Delta * (1/float64(p.m(li)) + hj)
+	kLo = max(int(math.Floor((ti-radius)/hj)), 0)
+	kHi = min(int(math.Ceil((ti+radius)/hj)), p.m(lj))
+	return kLo, kHi, radius
+}
+
+// RowRun is one run of a row's pattern: the columns (Lj, K0) to
+// (Lj, K0+N-1) of row Row, in column order, whose quadrature level is Lq.
+// Slot numbers its first entry among the entries of the rows a caller
+// walks, taken row by row.
+type RowRun struct {
+	Row, Lj, Lq, K0, Slot, N int
+}
+
+// Ref returns the run's t-th entry.
+func (r RowRun) Ref(p Params, t int) ColRef {
+	return ColRef{Col: p.offset(r.Lj) + r.K0 + t, Lj: r.Lj, Kj: r.K0 + t, Lq: r.Lq}
+}
+
+// AppendRowRuns appends row i's pattern (see RowPattern) to out as runs,
+// numbering its entries from slot0 on. A column level's positions within
+// the truncation radius of t_i are consecutive (the collocation points
+// ascend with the position), so each level with entries is one run. The
+// runs are generated from the row's level position with
+// AppendRowPattern's test: expanded, they are RowPattern exactly.
+func AppendRowRuns(out []RowRun, p Params, i, slot0 int) []RowRun {
+	li, ti := p.row(i)
+	for lj := 0; lj < p.Levels; lj++ {
+		k0, k1, radius := p.window(li, ti, lj)
+		for k0 < k1 && math.Abs(p.point(lj, k0)-ti) > radius {
+			k0++
+		}
+		n := 0
+		for k0+n < k1 && math.Abs(p.point(lj, k0+n)-ti) <= radius {
+			n++
+		}
+		if n > 0 {
+			out = append(out, RowRun{Row: i, Lj: lj, Lq: max(li, lj), K0: k0, Slot: slot0, N: n})
+			slot0 += n
+		}
+	}
+	return out
+}
+
+// rankPattern holds the pattern of one rank's rows first, first+stride,
+// ... as RowRuns. Slots number the entries row by row, each row as
+// RowPattern orders it; positions number them by quadrature level, each
+// level's in slot order, and index the rank's values. The runs are held
+// in position order with a prefix of their lengths.
+type rankPattern struct {
+	first, stride int
+	rowStart      []int    // each row's first slot, then the entry count
+	runs          []RowRun // by quadrature level, then slot
+	pre           []int    // pre[k]: the position of run k's first entry
+	level         []int    // level[l]: level l's first run; level[Levels] = len(runs)
+}
+
+func newRankPattern(p Params, first, stride int) *rankPattern {
+	pt := &rankPattern{first: first, stride: stride, level: make([]int, p.Levels+1)}
+	// Two passes over one scratch row: run counts first, so that the
+	// runs and their prefix are allocated once.
+	var scratch []RowRun
+	rows := 0
+	for i := first; i < p.N(); i += stride {
+		scratch = AppendRowRuns(scratch[:0], p, i, 0)
+		for _, r := range scratch {
+			pt.level[r.Lq+1]++
+		}
+		rows++
+	}
+	for l := range p.Levels {
+		pt.level[l+1] += pt.level[l]
+	}
+	next := slices.Clone(pt.level)
+	pt.runs, pt.pre = make([]RowRun, pt.level[p.Levels]), make([]int, pt.level[p.Levels]+1)
+	pt.rowStart = make([]int, 1, rows+1)
+	slot := 0
+	for i := first; i < p.N(); i += stride {
+		scratch = AppendRowRuns(scratch[:0], p, i, slot)
+		for _, r := range scratch {
+			pt.runs[next[r.Lq]] = r
+			next[r.Lq]++
+			slot += r.N
+		}
+		pt.rowStart = append(pt.rowStart, slot)
+	}
+	for k, r := range pt.runs {
+		pt.pre[k+1] = pt.pre[k] + r.N
+	}
+	return pt
+}
+
+// nnz returns the rank's entry count.
+func (pt *rankPattern) nnz() int { return pt.pre[len(pt.runs)] }
+
+// span returns the positions [lo, hi) of the rank's level-l entries.
+func (pt *rankPattern) span(l int) (lo, hi int) { return pt.pre[pt.level[l]], pt.pre[pt.level[l+1]] }
+
+// levelRuns returns the runs of quadrature level l.
+func (pt *rankPattern) levelRuns(l int) []RowRun { return pt.runs[pt.level[l]:pt.level[l+1]] }
+
+// cursor walks entries in position order.
+type cursor struct {
+	runs []RowRun
+	r, t int // run index, offset in it
+}
+
+// at returns a cursor at position e; a binary search over the prefix
+// finds its run.
+func (pt *rankPattern) at(e int) cursor {
+	r := sort.SearchInts(pt.pre, e+1) - 1
+	return cursor{pt.runs, r, e - pt.pre[r]}
+}
+
+// next returns the entry under the cursor, as its run and its offset in
+// the run, and moves on to the next position.
+func (c *cursor) next() (RowRun, int) {
+	r, t := c.runs[c.r], c.t
+	if c.t++; c.t == r.N {
+		c.r, c.t = c.r+1, 0
+	}
+	return r, t
+}
+
+// fill sets out's rows for the rank from vals, which holds each entry's
+// value at its position. The rows share one backing array.
+func (pt *rankPattern) fill(p Params, out *Matrix, vals []float64) {
+	ents := make([]Entry, pt.nnz())
+	for k, r := range pt.runs {
+		for t := range r.N {
+			ents[r.Slot+t] = Entry{Col: r.Ref(p, t).Col, Val: vals[pt.pre[k]+t]}
+		}
+	}
+	for k := range len(pt.rowStart) - 1 {
+		lo, hi := pt.rowStart[k], pt.rowStart[k+1]
+		out.Rows[pt.first+k*pt.stride] = ents[lo:hi:hi]
+	}
 }
 
 // EntryValue computes matrix entry (row i with collocation point ti,
@@ -292,8 +428,7 @@ func Generate(p Params) (*Matrix, error) {
 	}
 	m := &Matrix{N: n, Rows: make([][]Entry, n)}
 	for i := 0; i < n; i++ {
-		li, ki := p.levelOf(i)
-		ti := p.point(li, ki)
+		_, ti := p.row(i)
 		for _, c := range RowPattern(p, i) {
 			tab := tables[c.Lq]
 			v, _ := EntryValue(p, ti, c, func(j int) float64 { return tab[j] })

@@ -64,38 +64,12 @@ func RunMPI(opt MPIOptions, p Params) (*Matrix, *cluster.Report, error) {
 }
 
 func mpiNode(c *mp.Comm, p Params, out *Matrix) {
-	n := p.N()
 	ranks, me := c.Size(), c.Rank()
 	// Cyclic row distribution, same as the PPM program: entry cost grows
 	// steeply with the row's level.
-	var myRows []int
-	for i := me; i < n; i += ranks {
-		myRows = append(myRows, i)
-	}
-
-	type slot struct {
-		row int
-		c   ColRef
-	}
-	// Two passes over one scratch row: sizes first, so that pat is
-	// allocated once.
-	var scratch []ColRef
-	total := 0
-	for _, i := range myRows {
-		scratch = AppendRowPattern(scratch[:0], p, i)
-		total += len(scratch)
-	}
-	pat := make([]slot, 0, total)
-	perLevel := make([]int, p.Levels)
-	for _, i := range myRows {
-		scratch = AppendRowPattern(scratch[:0], p, i)
-		for _, cr := range scratch {
-			pat = append(pat, slot{row: i, c: cr})
-			perLevel[cr.Lq]++
-		}
-	}
-	c.Proc().ChargeFlops(int64(len(pat) * 8))
-	vals := make([]float64, len(pat))
+	pat := newRankPattern(p, me, ranks)
+	c.Proc().ChargeFlops(int64(pat.nnz() * 8))
+	vals := make([]float64, pat.nnz())
 
 	for l := 0; l < p.Levels; l++ {
 		tabPart := partition.NewBlock(p.q(l), ranks)
@@ -112,15 +86,9 @@ func mpiNode(c *mp.Comm, p Params, out *Matrix) {
 		// Which table indices do my level-l entries need, and who owns
 		// them? Dedupe, then exchange request lists and packed replies.
 		needSet := make(map[int]bool)
-		mine := make([]int, 0, perLevel[l])
-		for s, sl := range pat {
-			if sl.c.Lq != l {
-				continue
-			}
-			mine = append(mine, s)
-			perCell := p.q(l) / p.m(sl.c.Lj)
-			j0 := sl.c.Kj * perCell
-			for j := j0; j < j0+perCell; j++ {
+		for _, r := range pat.levelRuns(l) {
+			perCell := p.q(l) / p.m(r.Lj)
+			for j := r.K0 * perCell; j < (r.K0+r.N)*perCell; j++ {
 				if j < tlo || j >= thi {
 					needSet[j] = true
 				}
@@ -173,12 +141,12 @@ func mpiNode(c *mp.Comm, p Params, out *Matrix) {
 			return v
 		}
 		fl = 0
-		for _, s := range mine {
-			sl := pat[s]
-			li, ki := p.levelOf(sl.row)
-			ti := p.point(li, ki)
-			v, f := EntryValue(p, ti, sl.c, gread)
-			vals[s] = v
+		lo, hi := pat.span(l)
+		for e, cur := lo, pat.at(lo); e < hi; e++ {
+			r, t := cur.next()
+			_, ti := p.row(r.Row)
+			v, f := EntryValue(p, ti, r.Ref(p, t), gread)
+			vals[e] = v
 			fl += f
 		}
 		c.Proc().ChargeFlops(fl)
@@ -186,9 +154,7 @@ func mpiNode(c *mp.Comm, p Params, out *Matrix) {
 
 	// Assemble local rows; they land in the shared output under the
 	// simulator's turn discipline (each rank owns disjoint rows).
-	for s, sl := range pat {
-		out.Rows[sl.row] = append(out.Rows[sl.row], Entry{Col: sl.c.Col, Val: vals[s]})
-	}
-	c.Proc().ChargeMem(int64(16 * len(pat)))
+	pat.fill(p, out, vals)
+	c.Proc().ChargeMem(int64(16 * pat.nnz()))
 	c.Barrier()
 }

@@ -25,39 +25,12 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 	n := p.N()
 	out := &Matrix{N: n, Rows: make([][]Entry, n)}
 	rep, err := run(opt, func(rt *core.Runtime) {
-		nodes := rt.NodeCount()
-		me := rt.NodeID()
 		// Rows are dealt cyclically over the nodes: entry cost grows
 		// steeply with the row's level, so a block distribution would
 		// concentrate the expensive fine-level rows on the last node.
-		var myRows []int
-		for i := me; i < n; i += nodes {
-			myRows = append(myRows, i)
-		}
-
-		// Precompute the local sparsity pattern (node-level, cheap).
-		type slot struct {
-			row int
-			c   ColRef
-		}
-		// Two passes over one scratch row: sizes first, so that pat is
-		// allocated once.
-		var scratch []ColRef
-		rowStart := make([]int, len(myRows)+1)
-		for r, i := range myRows {
-			scratch = AppendRowPattern(scratch[:0], p, i)
-			rowStart[r+1] = rowStart[r] + len(scratch)
-		}
-		pat := make([]slot, 0, rowStart[len(myRows)])
-		perLevel := make([]int, p.Levels)
-		for _, i := range myRows {
-			scratch = AppendRowPattern(scratch[:0], p, i)
-			for _, c := range scratch {
-				pat = append(pat, slot{row: i, c: c})
-				perLevel[c.Lq]++
-			}
-		}
-		rt.ChargeFlops(int64(len(pat) * 8))
+		// The local sparsity pattern is node-level and cheap.
+		pat := newRankPattern(p, rt.NodeID(), rt.NodeCount())
+		rt.ChargeFlops(int64(pat.nnz() * 8))
 
 		// Shared tables, one per level, and a node-shared value buffer
 		// sized for the largest node's nonzero count.
@@ -65,7 +38,7 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 		for l := range tables {
 			tables[l] = core.AllocGlobal[float64](rt, fmt.Sprintf("colloc.G%d", l), p.q(l))
 		}
-		maxNNZ := int(rt.AllReduceInt(int64(len(pat)), core.OpMax))
+		maxNNZ := int(rt.AllReduceInt(int64(pat.nnz()), core.OpMax))
 		vals := core.AllocNode[float64](rt, "colloc.vals", maxNNZ)
 
 		// Entry costs are heavily skewed (a fine-level row integrating a
@@ -76,13 +49,7 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 		for l := 0; l < p.Levels; l++ {
 			g := tables[l]
 			glo, ghi := g.OwnerRange(rt)
-			// Entries of this level in the local pattern.
-			mine := make([]int, 0, perLevel[l])
-			for s, sl := range pat {
-				if sl.c.Lq == l {
-					mine = append(mine, s)
-				}
-			}
+			elo, ehi := pat.span(l)
 			rt.Do(k, func(vp *core.VP) {
 				// Phase A: produce this level's table (own partition).
 				// Entries are computed into a scratch row and committed
@@ -104,22 +71,25 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 				// Phase B: compute the level's matrix entries. Each
 				// entry's quadrature reads a contiguous run of the table,
 				// so the run is fetched with one block access and the
-				// entry evaluated from the prefetched values.
+				// entry evaluated from the prefetched values. A VP's
+				// entries are one chunk of the level's positions, which
+				// index vals, so VPs write disjoint ranges.
 				vp.GlobalPhase(func() {
-					vlo, vhi := core.ChunkRange(len(mine), k, vp.NodeRank())
+					vlo, vhi := core.ChunkRange(ehi-elo, k, vp.NodeRank())
 					var tab []float64
 					var fl int64
-					for _, s := range mine[vlo:vhi] {
-						sl := pat[s]
-						li, ki := p.levelOf(sl.row)
-						ti := p.point(li, ki)
-						j0, nj := EntrySupport(p, sl.c)
+					cur := pat.at(elo + vlo)
+					for e := elo + vlo; e < elo+vhi; e++ {
+						r, t := cur.next()
+						c := r.Ref(p, t)
+						_, ti := p.row(r.Row)
+						j0, nj := EntrySupport(p, c)
 						if cap(tab) < nj {
 							tab = make([]float64, nj)
 						}
 						g.ReadBlock(vp, j0, j0+nj, tab[:nj])
-						v, f := EntryValueBlock(p, ti, sl.c, tab[:nj])
-						vals.Write(vp, s, v)
+						v, f := EntryValueBlock(p, ti, c, tab[:nj])
+						vals.Write(vp, e, v)
 						fl += f
 					}
 					vp.ChargeFlops(fl)
@@ -127,15 +97,8 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 			})
 		}
 		// Assemble local rows from the committed value buffer.
-		vl := vals.Local(rt)
-		for r, i := range myRows {
-			row := make([]Entry, 0, rowStart[r+1]-rowStart[r])
-			for s := rowStart[r]; s < rowStart[r+1]; s++ {
-				row = append(row, Entry{Col: pat[s].c.Col, Val: vl[s]})
-			}
-			out.Rows[i] = row
-		}
-		rt.ChargeMem(int64(16 * len(pat)))
+		pat.fill(p, out, vals.Local(rt))
+		rt.ChargeMem(int64(16 * pat.nnz()))
 		rt.Barrier()
 	})
 	if err != nil {

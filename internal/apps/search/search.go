@@ -69,16 +69,23 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// MakeArray returns the sorted array A (deterministic in the seed).
-func MakeArray(p Params) []float64 {
-	r := rng.New(p.Seed)
-	a := make([]float64, p.N)
-	v := 0.0
-	for i := range a {
-		v += r.Float64() + 1e-9
-		a[i] = v
+// FillArray writes elements lo to lo+len(dst)-1 of the sorted array A
+// (deterministic in the seed) into dst. A is a running sum of draws from
+// the seed's generator, so the elements before lo are drawn and summed
+// too, but only dst's are stored.
+func FillArray(p Params, lo int, dst []float64) {
+	if len(dst) == 0 {
+		return
 	}
-	return a
+	r := rng.New(p.Seed)
+	v := 0.0
+	for range lo {
+		v += r.Float64() + 1e-9
+	}
+	for i := range dst {
+		v += r.Float64() + 1e-9
+		dst[i] = v
+	}
 }
 
 // MakeKeys returns node `node`'s key set B.
@@ -112,7 +119,6 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) ([][]int64, *core.Rep
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	a := MakeArray(p)
 	out := make([][]int64, opt.Nodes)
 	rep, err := run(opt, func(rt *core.Runtime) {
 		A := core.AllocGlobal[float64](rt, "A", p.N)
@@ -121,7 +127,7 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) ([][]int64, *core.Rep
 
 		// Node-level initialization (A's partition, this node's keys).
 		lo, hi := A.OwnerRange(rt)
-		copy(A.Local(rt), a[lo:hi])
+		FillArray(p, lo, A.Local(rt))
 		rt.ChargeMem(int64(8 * (hi - lo)))
 		copy(B.Local(rt), MakeKeys(p, rt.NodeID()))
 		rt.ChargeMem(int64(8 * p.K))

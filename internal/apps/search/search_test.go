@@ -1,13 +1,52 @@
 package search
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"ppm/internal/core"
 	"ppm/internal/machine"
+	"ppm/internal/partition"
+	"ppm/internal/rng"
 )
+
+// makeArray is the sequential reference for A: the whole array, drawn
+// and summed in one pass.
+func makeArray(p Params) []float64 {
+	r := rng.New(p.Seed)
+	a := make([]float64, p.N)
+	v := 0.0
+	for i := range a {
+		v += r.Float64() + 1e-9
+		a[i] = v
+	}
+	return a
+}
+
+// Each node's partition, filled on its own, holds the sequential
+// array's bits, for every block partition of N = 1000 over 1-7 nodes
+// and of N = 3, which leaves partitions empty.
+func TestFillArrayMatchesMakeArray(t *testing.T) {
+	for _, n := range []int{1000, 3} {
+		p := Params{N: n, K: 1, Seed: 42}
+		want := makeArray(p)
+		for nodes := 1; nodes <= 7; nodes++ {
+			part := partition.NewBlock(n, nodes)
+			for node := range nodes {
+				lo, hi := part.Range(node)
+				got := make([]float64, hi-lo)
+				FillArray(p, lo, got)
+				for i, v := range got {
+					if math.Float64bits(v) != math.Float64bits(want[lo+i]) {
+						t.Fatalf("N=%d nodes=%d node %d: element %d is %v, want %v", n, nodes, node, lo+i, v, want[lo+i])
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestValidation(t *testing.T) {
 	if _, _, err := RunPPM(core.Options{Nodes: 1, Machine: machine.Generic()}, Params{N: 0, K: 1}); err == nil {
@@ -20,14 +59,15 @@ func TestValidation(t *testing.T) {
 
 func TestArraySortedAndDeterministic(t *testing.T) {
 	p := Params{N: 500, K: 10, Seed: 3}
-	a := MakeArray(p)
+	a, b := make([]float64, p.N), make([]float64, p.N)
+	FillArray(p, 0, a)
 	if !sort.Float64sAreSorted(a) {
 		t.Fatal("array not sorted")
 	}
-	b := MakeArray(p)
+	FillArray(p, 0, b)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("MakeArray nondeterministic")
+			t.Fatal("FillArray nondeterministic")
 		}
 	}
 	k1, k2 := MakeKeys(p, 2), MakeKeys(p, 2)
@@ -48,7 +88,7 @@ func TestRanksMatchSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
 		}
-		a := MakeArray(p)
+		a := makeArray(p)
 		for node := 0; node < nodes; node++ {
 			keys := MakeKeys(p, node)
 			for i, key := range keys {
@@ -73,7 +113,7 @@ func TestRankIsInsertionPointProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := MakeArray(p)
+		a := makeArray(p)
 		for node := 0; node < 3; node++ {
 			keys := MakeKeys(p, node)
 			for i, key := range keys {
