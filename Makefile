@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build app-sites transport-seam race-seam fleet-seam vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites transport-seam race-seam fleet-seam docs-check vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, the
 ## one-descriptor-per-application rule, the one-link-per-peer rule, the
-## one-race-engine rule and the one-fleet-supervisor rule) and race-test.
-check: build app-sites transport-seam race-seam fleet-seam vet ppmvet langcheck race
+## one-race-engine rule, the one-fleet-supervisor rule and the docs'
+## names) and race-test.
+check: build app-sites transport-seam race-seam fleet-seam docs-check vet ppmvet langcheck race
 
 build:
 	$(GO) build ./...
@@ -59,6 +60,17 @@ fleet-seam:
 		grep -rn --include='*.go' 'time\.Sleep(' internal/server cmd/ppm-run cmd/ppm-server | grep -v '_test\.go:'; } ); \
 	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
+## docs-check: README.md, LANGUAGE.md and DESIGN.md name, in backticks,
+## no identifier of the module that no longer exists
+## (scripts/docs_check.go prints each dead name). Then the fixture
+## scripts/testdata/docs_check_dead.md, which names two dead ones, must
+## fail it with exactly those two.
+docs-check:
+	$(GO) run scripts/docs_check.go
+	@out=$$($(GO) run scripts/docs_check.go scripts/testdata/docs_check_dead.md 2>&1); \
+	if ! echo "$$out" | grep -qx '2 dead names'; then \
+		echo "docs-check: the fixture's two dead names went unreported:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
@@ -79,9 +91,10 @@ vet-report:
 ## (ppmc check, and ppmvet on the Go ppmc emit produces) and per rule,
 ## the conflicts caught and missed and the false alarms
 ## (internal/analysis/testdata/oracle.golden). The Go mutant test plants
-## host-state and retained-slice hazards in the examples and scores every
-## ppmvet rule against `go run -race` (testdata/gomutants.golden; the
-## -race runs take a few minutes). Either golden changing fails the
+## host-state, retained-slice and stale-read hazards in the examples and
+## scores every ppmvet rule against `go run -race` and a run with
+## StrictWrites set in the source (testdata/gomutants.golden; the runs
+## take a few minutes). Either golden changing fails the
 ## target. The output is kept in vet-score.txt (a CI artifact).
 vet-score:
 	$(GO) test -count=1 -run 'TestOracleTable|TestGoMutantTable' -v ./internal/analysis/ -update > vet-score.txt; \
@@ -106,8 +119,9 @@ test:
 ## message from each peer per global phase. The fourth runs the commit
 ## tests under the parallel simulator scheduler: simulated nodes read each
 ## other's commit streams between the exchange barrier and the closing
-## one, and apply concurrently unless StrictWrites serializes them. The
-## fifth repeats the read path, whose pooled buffers the link writer, the
+## one, and apply concurrently unless StrictWrites serializes them; with
+## them the strict findings (TestStrictFindingsMatchSimulator), which each
+## node's coordinator reads out of its VPs and its storage. The fifth repeats the read path, whose pooled buffers the link writer, the
 ## link reader and the fetching VP hand each other across goroutines. The
 ## sixth repeats the tests of pooled array storage, which crosses runs and
 ## goroutines: a run's partitions, node arrays and fetched lines go back

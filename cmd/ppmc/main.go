@@ -10,12 +10,17 @@
 //	ppmc emit prog.ppm                         # print translated Go
 //	ppmc check [-json] prog.ppm...             # full semantic + phase lint
 //
+// run interprets under StrictWrites: writes that conflict in one phase
+// fail the run, and each read of an element the reading VP updated
+// earlier in the same phase (it sees the begin-of-phase value) prints as
+// a warning on stderr.
+//
 // check reports every diagnostic with file:line:col positions — semantic
 // errors plus phase-semantics warnings (overlapping VP write sets, which
 // strict mode rejects, and index sets it cannot prove disjoint
-// [phaserace, phaserace.possible], stale same-phase reads, unused shared
-// arrays) — and exits nonzero when there are findings.
-// -json emits them as a JSON array for tooling.
+// [phaserace, phaserace.possible], unused shared arrays) — and exits
+// nonzero when there are findings. -json emits them as a JSON array for
+// tooling.
 //
 // The language is documented in internal/lang; examples/language contains
 // runnable programs (including the paper's Section 5 listing).
@@ -73,8 +78,13 @@ func main() {
 		}
 		fmt.Print(out)
 	case "run":
-		opt := core.Options{Nodes: *nodes, CoresPerNode: *cores, Machine: machine.Franklin()}
+		opt := core.Options{Nodes: *nodes, CoresPerNode: *cores, Machine: machine.Franklin(), StrictWrites: true}
 		rep, err := lang.Interpret(prog, opt, os.Stdout)
+		if rep != nil {
+			for _, h := range rep.Hazards {
+				log.Printf("%s: warning: %v", fs.Arg(0), h)
+			}
+		}
 		if err != nil {
 			log.Fatalf("%s:%v", fs.Arg(0), err)
 		}

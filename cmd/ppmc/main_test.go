@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -87,5 +88,41 @@ func TestCheckCleanExamples(t *testing.T) {
 	}
 	if !strings.Contains(out, "ok") {
 		t.Errorf("expected ok summary, got %q", out)
+	}
+}
+
+// TestRunStrict runs the built command: every example prints what
+// testdata/<name>.stdout holds and nothing on stderr; a program whose
+// VPs read back their own updates prints one warning a read and
+// succeeds; one whose VPs write one element fails.
+func TestRunStrict(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ppmc")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	run := func(file string, args ...string) (stdout, stderr string, err error) {
+		var o, e strings.Builder
+		cmd := exec.Command(bin, append(append([]string{"run"}, args...), file)...)
+		cmd.Stdout, cmd.Stderr = &o, &e
+		err = cmd.Run()
+		return o.String(), e.String(), err
+	}
+	for _, name := range []string{"cg", "histogram", "search"} {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".stdout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, err := run(filepath.Join("..", "..", "examples", "language", name+".ppm"))
+		if err != nil || stdout != string(want) || stderr != "" {
+			t.Errorf("%s: err %v\nstdout %q\nwant   %q\nstderr %q", name, err, stdout, want, stderr)
+		}
+	}
+	_, stderr, err := run(filepath.Join("testdata", "stale.ppm"), "-nodes", "2")
+	if n := strings.Count(stderr, "warning: core: VP "); err != nil || n != 8 || !strings.Contains(stderr, "VP 1:1 reads A[3] after updating it in phase 1") {
+		t.Errorf("stale.ppm: err %v, %d warnings, want 8:\n%s", err, n, stderr)
+	}
+	_, stderr, err = run(filepath.Join("testdata", "conflict.ppm"), "-nodes", "2")
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 || !strings.Contains(stderr, "conflicting writes to A[0]") {
+		t.Errorf("conflict.ppm: err %v, stderr %q; want a failed run naming A[0]", err, stderr)
 	}
 }

@@ -1,10 +1,10 @@
 // Command ppmvet statically checks Go programs that use the ppm API for
-// phase-semantics hazards the runtime decides late or not at all:
-// overlapping VP write sets (which StrictWrites aborts on only when a
-// run reaches them), stale same-phase reads, Local slices retained
-// into VP code, and discarded run errors. Host state mutated from VP
-// code without Serial has no rule: it is a data race, and `go test
-// -race` reports it.
+// what no run decides: overlapping VP write sets (which StrictWrites
+// aborts on only when a run reaches them) and discarded run errors.
+// What a run does decide has no rule: host state mutated from VP code
+// without Serial is a data race that `go test -race` reports, and a
+// stale same-phase read or a write through a retained Local slice is
+// what a StrictWrites run reports.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //
 //	ppmvet ./...                    # check every package
 //	ppmvet -json ./internal/apps/...
-//	ppmvet -rules phaserace,staleread ./examples/...
+//	ppmvet -rules phaserace ./examples/...
 //	ppmvet -list                    # describe the rules
 //
 // Findings print as file:line:col: rule: message and make the exit

@@ -3,22 +3,23 @@
 // vet architecture but self-contained (the toolchain's module proxy is
 // not assumed to be reachable). It provides the Analyzer/Pass/Diagnostic
 // core, a package loader built on `go list -export` plus the standard
-// go/types importer, and the ppmvet rule suite that checks the phase
-// semantics of the paper's model statically: same-phase read-after-write
-// staleness, retained node-level slices leaking into VP code, ignored
-// run errors, and overlapping VP write sets (an affine analysis of
-// index expressions over a CFG/dataflow/call-expansion layer).
+// go/types importer, and the ppmvet rule suite: ignored run errors
+// (runerror) and overlapping VP write sets (phaserace, an affine
+// analysis of index expressions over a CFG/dataflow/call-expansion
+// layer).
 //
-// What the runtime always decides itself is not a rule: a shared access
+// What a run always decides itself is not a rule: a shared access
 // outside a phase panics in VP.accessCheck, Local/At panic while a Do is
-// active, and WriteBlock/AddBlock copy their source before returning.
-// Nor is what a `go test -race` run decides: host state that VP code
-// mutates without Serial is a data race the race detector reports
-// (TestGoMutantTable scores this). ppmvet keeps the hazards the runtime
-// sees late (StrictWrites aborts on the first conflicting commit) or
-// not at all, and reports them before a program runs, with source
-// positions — the "compiler knows the model" advantage the paper claims
-// for a language front end, recovered for the Go API.
+// active, and WriteBlock/AddBlock copy their source before returning;
+// under StrictWrites the runtime reports a read of an element the VP
+// updated earlier in the phase and a write through a retained Local
+// slice. Nor is what a `go test -race` run decides: host state that VP
+// code mutates without Serial is a data race the race detector reports
+// (TestGoMutantTable scores both). ppmvet keeps what no run decides: a
+// discarded run error, and write sets that overlap on some input or
+// node count a run may never meet, reported before a program runs, with
+// source positions — the "compiler knows the model" advantage the paper
+// claims for a language front end, recovered for the Go API.
 package analysis
 
 import (
@@ -141,8 +142,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // Rules returns the ppmvet analyzer suite in a stable order.
 func Rules() []*Analyzer {
 	return []*Analyzer{
-		StaleReadAnalyzer,
-		LocalAliasAnalyzer,
 		RunErrorAnalyzer,
 		PhaseRaceAnalyzer,
 	}

@@ -11,14 +11,6 @@ import (
 // Each rule runs alone over its fixture: the // want expectations fail
 // the test both when the rule misses a positive case and when it fires
 // on a negative one (so disabling a rule breaks its test).
-func TestStaleRead(t *testing.T) {
-	analysistest.Run(t, "testdata/src/staleread", analysis.StaleReadAnalyzer)
-}
-
-func TestLocalAlias(t *testing.T) {
-	analysistest.Run(t, "testdata/src/localalias", analysis.LocalAliasAnalyzer)
-}
-
 func TestRunError(t *testing.T) {
 	analysistest.Run(t, "testdata/src/runerror", analysis.RunErrorAnalyzer)
 }
@@ -42,11 +34,11 @@ func TestCleanProgram(t *testing.T) {
 }
 
 // TestRulesComplete pins the advertised rule set (the vet suite's
-// public contract: exactly the four documented rules, in order, each
+// public contract: exactly the two documented rules, in order, each
 // found by RuleByName). A rule added or removed without updating the
 // contract fails here.
 func TestRulesComplete(t *testing.T) {
-	want := []string{"staleread", "localalias", "runerror", "phaserace"}
+	want := []string{"runerror", "phaserace"}
 	var got []string
 	for _, a := range analysis.Rules() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {

@@ -343,7 +343,7 @@ func (px *PkgIndex) bindFrame(callee *unit, call *ast.CallExpr, fr *frame, loops
 // rules; three covers helper-calls-helper without blowup).
 const maxExpandDepth = 3
 
-// opSite is one shared-array accessor reached from a phase body,
+// opSite is one shared-array update reached from a phase body,
 // possibly through helper expansion.
 type opSite struct {
 	sc    sharedCall
@@ -352,7 +352,7 @@ type opSite struct {
 	depth int
 }
 
-// walkOps walks fr.unit's body emitting every shared-array accessor
+// walkOps walks fr.unit's body emitting every shared-array update
 // reachable from it, expanding package-local calls up to maxExpandDepth
 // with argument substitution. Nested function literals are entered only
 // when they are phase bodies belonging to this walk's root (the caller

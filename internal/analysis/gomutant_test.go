@@ -1,11 +1,12 @@
 package analysis_test
 
-// ppmvet's Go rules scored against the race detector. TestOracleTable
-// scores phaserace against StrictWrites; the Go rules that report host
-// state and retained slices touched from VP code have `go run -race`
-// as their runtime counterpart. This file plants one such hazard at a
-// time in the example programs, with a harmless twin beside each, and
-// records what every rule says and whether -race reports the mutant.
+// ppmvet's Go rules scored against the runtime's two checks. This file
+// plants one hazard at a time in the example programs, with a harmless
+// twin beside each, and records what every rule says, whether a
+// `go run -race` reports the mutant (host state touched from VP code)
+// and whether a StrictWrites run does (a stale read, a write through a
+// retained Local slice). TestOracleTable scores phaserace against
+// StrictWrites on a corpus of its own.
 
 import (
 	"bytes"
@@ -36,8 +37,9 @@ type goBase struct {
 // A goOp plants one update in a base's VP code.
 type goOp struct {
 	name string
-	// hazard: the update races between VP instances, or bypasses the
-	// phase discipline. A twin makes the same update safely.
+	// hazard: the update races between VP instances, bypasses the phase
+	// discipline, or reads back its own update in one phase. A twin makes
+	// the same accesses safely.
 	hazard bool
 	plant  func(s *goSite)
 }
@@ -72,6 +74,8 @@ var goConf = goMutantConf{
 		}},
 		{"local-write", true, func(s *goSite) { s.localSlice(); s.vp("mutLocal[" + s.vpName + ".NodeRank()]++") }},
 		{"local-read", false, func(s *goSite) { s.localSlice(); s.vp("_ = mutLocal[" + s.vpName + ".NodeRank()]") }},
+		{"stale-read", true, func(s *goSite) { s.staleArray(); s.phase(s.mutStale("Write") + "\n" + s.mutStale("Read")) }},
+		{"read-first", false, func(s *goSite) { s.staleArray(); s.phase(s.mutStale("Read") + "\n" + s.mutStale("Write")) }},
 	},
 }
 
@@ -80,9 +84,11 @@ var goConf = goMutantConf{
 type goSite struct {
 	file   *ast.File
 	host   *ast.BlockStmt
-	rt     string // the host program's *Runtime parameter
+	run    *ast.CallExpr // the ppm.Run call the host program is passed to
+	rt     string        // the host program's *Runtime parameter
 	vpBody *ast.BlockStmt
-	vpName string // the VP function's *VP parameter
+	vpName string         // the VP function's *VP parameter
+	phBody *ast.BlockStmt // the body of the VP function's first phase
 }
 
 func parseStmts(src string) []ast.Stmt {
@@ -126,6 +132,25 @@ func (s *goSite) localSlice() {
 	s.host.List = append(parseStmts("mutLocal := ppm.AllocNode[float64]("+s.rt+", \"mutLocal\", 1024).Local("+s.rt+")\n_ = mutLocal"), s.host.List...)
 }
 
+// staleArray allocates a Node array of the mutant's own at the top of
+// the host program, for the VPs to write and read their own elements.
+func (s *goSite) staleArray() {
+	s.host.List = append(parseStmts("mutStale := ppm.AllocNode[float64]("+s.rt+", \"mutStale\", 1024)\n_ = mutStale"), s.host.List...)
+}
+
+// mutStale is a VP's Write or Read of its own element of mutStale.
+func (s *goSite) mutStale(op string) string {
+	if op == "Write" {
+		return "mutStale.Write(" + s.vpName + ", " + s.vpName + ".NodeRank(), 1)"
+	}
+	return "_ = mutStale.Read(" + s.vpName + ", " + s.vpName + ".NodeRank())"
+}
+
+// phase makes src the first statements of the VP function's first phase.
+func (s *goSite) phase(src string) {
+	s.phBody.List = append(parseStmts(src), s.phBody.List...)
+}
+
 // parseSite parses base's main.go, shrinks its size constants and finds
 // the planting places.
 func parseSite(t *testing.T, b goBase) *goSite {
@@ -148,7 +173,7 @@ func parseSite(t *testing.T, b goBase) *goSite {
 		case *ast.CallExpr:
 			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && s.host == nil && sel.Sel.Name == "Run" && len(x.Args) == 2 {
 				if lit, ok := x.Args[1].(*ast.FuncLit); ok {
-					s.host, s.rt = lit.Body, lit.Type.Params.List[0].Names[0].Name
+					s.host, s.run, s.rt = lit.Body, x, lit.Type.Params.List[0].Names[0].Name
 				}
 			}
 		}
@@ -185,6 +210,19 @@ func parseSite(t *testing.T, b goBase) *goSite {
 		t.Fatalf("%s: no Do with a VP function literal", path)
 	}
 	s.vpBody, s.vpName = vpLit.Body, vpLit.Type.Params.List[0].Names[0].Name
+	ast.Inspect(s.vpBody, func(n ast.Node) bool {
+		if x, ok := n.(*ast.CallExpr); ok && s.phBody == nil && len(x.Args) == 1 {
+			sel, ok := x.Fun.(*ast.SelectorExpr)
+			lit, isLit := x.Args[0].(*ast.FuncLit)
+			if ok && isLit && (sel.Sel.Name == "GlobalPhase" || sel.Sel.Name == "NodePhase") {
+				s.phBody = lit.Body
+			}
+		}
+		return s.phBody == nil
+	})
+	if s.phBody == nil {
+		t.Fatalf("%s: the first Do's VP function enters no phase", path)
+	}
 	return s
 }
 
@@ -192,19 +230,42 @@ type goMutant struct {
 	name   string // base/operator
 	kind   string // base, hazard or twin
 	src    []byte
+	strict []byte // src with ppm.Run replaced by strictRun
 	race   string // "race" or "-"
+	sw     string // "strict" or "-"
 	report map[string]bool
 }
+
+// strictRun replaces ppm.Run in a mutant's strict source: it sets
+// StrictWrites and prints every conflict and hazard the run found.
+const strictRun = `func mutRun(opt ppm.Options, prog func(*ppm.Runtime)) (*ppm.Report, error) {
+	opt.StrictWrites = true
+	rep, err := ppm.Run(opt, prog)
+	if rep != nil {
+		for _, c := range rep.Conflicts {
+			println("strict:", c.String())
+		}
+		for _, h := range rep.Hazards {
+			println("strict:", h.String())
+		}
+	}
+	return rep, err
+}`
 
 func goMutants(t *testing.T) []*goMutant {
 	var out []*goMutant
 	for _, b := range goConf.bases {
 		emit := func(name, kind string, s *goSite) {
-			var buf bytes.Buffer
+			var buf, strict bytes.Buffer
 			if err := format.Node(&buf, token.NewFileSet(), s.file); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			out = append(out, &goMutant{name: name, kind: kind, src: buf.Bytes(), report: map[string]bool{}})
+			s.run.Fun = ast.NewIdent("mutRun")
+			s.decl(strictRun)
+			if err := format.Node(&strict, token.NewFileSet(), s.file); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out = append(out, &goMutant{name: name, kind: kind, src: buf.Bytes(), strict: strict.Bytes(), report: map[string]bool{}})
 		}
 		emit(b.name+"/base", "base", parseSite(t, b))
 		for _, op := range goConf.ops {
@@ -225,9 +286,9 @@ func pkgDir(name string) string {
 	return strings.NewReplacer("/", "_", "+", "_", "-", "_").Replace(name)
 }
 
-// writeGoModule writes every mutant as a main package of one module that
-// resolves ppm to this repository.
-func writeGoModule(t *testing.T, ms []*goMutant) string {
+// writeGoModule writes every mutant, its source or its strict source, as
+// a main package of one module that resolves ppm to this repository.
+func writeGoModule(t *testing.T, ms []*goMutant, strict bool) string {
 	repo, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +303,11 @@ func writeGoModule(t *testing.T, ms []*goMutant) string {
 		if err := os.Mkdir(p, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(p, "main.go"), m.src, 0o644); err != nil {
+		src := m.src
+		if strict {
+			src = m.strict
+		}
+		if err := os.WriteFile(filepath.Join(p, "main.go"), src, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,26 +373,64 @@ func raceMutants(t *testing.T, dir string, ms []*goMutant) {
 	}
 }
 
-// goRuleOracle names the rules the race detector cannot judge, and why;
-// every other rule must report a hazard row that -race misses, or it
-// only says early what a -race run says anyway.
+// strictMutants builds every mutant's strict source and runs each once.
+// A base is reported when its run prints a conflict or a hazard, any
+// other mutant when its run prints one its base's run does not (jacobi's
+// sweep reads back its own writes by design: the begin-of-phase values
+// are its double buffer). A base or a twin must exit cleanly; a hazard
+// may fail the run.
+func strictMutants(t *testing.T, dir string, ms []*goMutant) {
+	bin := filepath.Join(dir, "bin")
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./...")
+	build.Dir = dir
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var base map[string]bool
+	for _, m := range ms {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		out, err := exec.CommandContext(ctx, filepath.Join(bin, pkgDir(m.name))).CombinedOutput()
+		cancel()
+		if err != nil && m.kind != "hazard" {
+			t.Errorf("%s: strict run: %v\n%s", m.name, err, out)
+		}
+		found := map[string]bool{}
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "strict: ") {
+				found[line] = true
+			}
+		}
+		if m.kind == "base" {
+			base = found
+		}
+		m.sw = "-"
+		for line := range found {
+			if m.kind == "base" || !base[line] {
+				m.sw = "strict"
+			}
+		}
+	}
+}
+
+// goRuleOracle names the rules neither runtime check can judge, and why;
+// every other rule must report a hazard row that both -race and
+// StrictWrites miss, or it only says early what a run says anyway.
 var goRuleOracle = map[string]string{
 	"phaserace": "scored against StrictWrites by TestOracleTable",
-	"staleread": "no runtime counterpart: a same-phase read of an own write is legal and returns the begin-of-phase value",
 	"runerror":  "no runtime counterpart: a discarded run error is a fact about the source",
 }
 
 // goScore counts, per rule, the hazard rows it reports (with how many
-// of them -race also reports, misses, and how many nothing else
-// reports) and the twins it reports.
+// of them -race also reports, StrictWrites also reports, both miss, and
+// nothing else reports) and the twins it reports.
 func goScore(ms []*goMutant, rules []string) (string, map[string]int) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %8s %6s %11s %6s %12s\n", "rule", "hazards", "raced", "race-missed", "alone", "false-alarm")
+	fmt.Fprintf(&b, "%-12s %8s %6s %6s %13s %6s %12s\n", "rule", "hazards", "raced", "strict", "runtime-missed", "alone", "false-alarm")
 	missed := map[string]int{}
-	for _, rule := range append([]string{"race"}, rules...) {
-		var hazards, raced, alone, twins int
+	for _, rule := range append([]string{"race", "strict"}, rules...) {
+		var hazards, raced, strict, both, alone, twins int
 		for _, m := range ms {
-			fired := m.report[rule] || rule == "race" && m.race == "race"
+			fired := m.report[rule] || rule == "race" && m.race == "race" || rule == "strict" && m.sw == "strict"
 			switch {
 			case !fired:
 			case m.kind == "hazard":
@@ -337,33 +440,40 @@ func goScore(ms []*goMutant, rules []string) (string, map[string]int) {
 					raced++
 					others++
 				}
+				if m.sw == "strict" {
+					strict++
+					others++
+				}
+				if m.race != "race" && m.sw != "strict" {
+					both++
+				}
 				if others == 1 {
 					alone++
 				}
-			default:
+			case m.kind == "twin":
 				twins++
 			}
 		}
-		missed[rule] = hazards - raced
-		fmt.Fprintf(&b, "%-12s %8d %6d %11d %6d %12d\n", rule, hazards, raced, hazards-raced, alone, twins)
+		missed[rule] = both
+		fmt.Fprintf(&b, "%-12s %8d %6d %6d %14d %6d %12d\n", rule, hazards, raced, strict, both, alone, twins)
 	}
 	return b.String(), missed
 }
 
-// readGoldenRace reads the race column of a table.
-func readGoldenRace(t *testing.T, golden string) map[string]string {
+// readGoldenRuns reads the race and strict columns of a table.
+func readGoldenRuns(t *testing.T, golden string) map[string][2]string {
 	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (go test -run TestGoMutantTable -update writes it)", err)
 	}
-	out := map[string]string{}
+	out := map[string][2]string{}
 	for _, line := range strings.Split(string(data), "\n") {
 		f := strings.Fields(line)
 		if len(f) == 0 {
 			break
 		}
-		if len(f) >= 3 && !strings.HasPrefix(f[0], "#") && f[0] != "mutant" {
-			out[f[0]] = f[2]
+		if len(f) >= 4 && !strings.HasPrefix(f[0], "#") && f[0] != "mutant" {
+			out[f[0]] = [2]string{f[2], f[3]}
 		}
 	}
 	return out
@@ -371,25 +481,26 @@ func readGoldenRace(t *testing.T, golden string) map[string]string {
 
 // TestGoMutantTable builds the Go mutant corpus, runs every ppmvet rule
 // over it and checks the verdict table against testdata/gomutants.golden.
-// The race column comes from the golden; -update rebuilds the
-// mutants with -race, runs them and rewrites the file. A rule that -race
-// can judge must report at least one hazard row that -race misses.
-// `make vet-score` prints the score.
+// The race and strict columns come from the golden; -update rebuilds the
+// mutants with -race and under StrictWrites, runs them and rewrites the
+// file. A rule that the runs can judge must report at least one hazard
+// row that neither of them reports. `make vet-score` prints the score.
 func TestGoMutantTable(t *testing.T) {
 	const golden = "testdata/gomutants.golden"
 	ms := goMutants(t)
-	dir := writeGoModule(t, ms)
+	dir := writeGoModule(t, ms, false)
 	vetMutants(t, dir, ms)
 	if *update {
 		raceMutants(t, dir, ms)
+		strictMutants(t, writeGoModule(t, ms, true), ms)
 	} else {
-		cols := readGoldenRace(t, golden)
+		cols := readGoldenRuns(t, golden)
 		for _, m := range ms {
-			race, ok := cols[m.name]
+			runs, ok := cols[m.name]
 			if !ok {
 				t.Fatalf("%s has no row in %s (rerun with -update)", m.name, golden)
 			}
-			m.race = race
+			m.race, m.sw = runs[0], runs[1]
 		}
 	}
 	var rules []string
@@ -397,17 +508,18 @@ func TestGoMutantTable(t *testing.T) {
 		rules = append(rules, a.Name)
 	}
 	var b strings.Builder
-	b.WriteString("# ppmvet's Go rules against the race detector (TestGoMutantTable; go test -run TestGoMutantTable -update rewrites this file).\n")
-	b.WriteString("# kind: hazard (the planted update races, or bypasses the phase discipline), twin (the same update made safe), base (unmutated).\n")
+	b.WriteString("# ppmvet's Go rules against the race detector and StrictWrites (TestGoMutantTable; go test -run TestGoMutantTable -update rewrites this file).\n")
+	b.WriteString("# kind: hazard (the planted update races, bypasses the phase discipline, or reads back its own update in one phase), twin (the same accesses made safe), base (unmutated).\n")
 	fmt.Fprintf(&b, "# race: whether any of %d runs of the -race build under PPM_PARALLEL=1 and GOMAXPROCS=4 reports a data race.\n", goRaceRuns)
+	b.WriteString("# strict: whether a run with StrictWrites set in the source reports a conflict, a stale read or a write around the commit (beyond what its base's run reports).\n")
 	b.WriteString("# one column per ppmvet rule: x where it reports the mutant.\n")
-	fmt.Fprintf(&b, "%-28s %-6s %-4s", "mutant", "kind", "race")
+	fmt.Fprintf(&b, "%-28s %-6s %-4s %-6s", "mutant", "kind", "race", "strict")
 	for _, r := range rules {
 		fmt.Fprintf(&b, " %s", r)
 	}
 	b.WriteString("\n")
 	for _, m := range ms {
-		row := fmt.Sprintf("%-28s %-6s %-4s", m.name, m.kind, m.race)
+		row := fmt.Sprintf("%-28s %-6s %-4s %-6s", m.name, m.kind, m.race, m.sw)
 		for _, r := range rules {
 			mark := "-"
 			if m.report[r] {
@@ -419,13 +531,17 @@ func TestGoMutantTable(t *testing.T) {
 		if m.kind == "base" && len(m.report) > 0 {
 			t.Errorf("%s: the unmutated program draws findings %v", m.name, m.report)
 		}
+		op := m.name[strings.Index(m.name, "/")+1:]
+		if want := op == "local-write" || op == "stale-read"; m.kind != "base" && (m.sw == "strict") != want {
+			t.Errorf("%s: StrictWrites reports it: %v, want %v", m.name, m.sw == "strict", want)
+		}
 	}
 	score, missed := goScore(ms, rules)
 	b.WriteString("\n" + score)
-	t.Logf("ppmvet's Go rules against the race detector, %d rows:\n%s", len(ms), score)
+	t.Logf("ppmvet's Go rules against the race detector and StrictWrites, %d rows:\n%s", len(ms), score)
 	for _, r := range rules {
 		if _, ok := goRuleOracle[r]; !ok && missed[r] == 0 {
-			t.Errorf("rule %s reports no hazard row that -race misses: a -race run already decides what it reports", r)
+			t.Errorf("rule %s reports no hazard row that both -race and StrictWrites miss: a run already decides what it reports", r)
 		}
 	}
 

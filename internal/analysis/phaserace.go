@@ -138,9 +138,6 @@ func collectWrites(px *PkgIndex, rv *resolver, phase *unit, tainted map[types.Ob
 	var pos []token.Pos
 	root := &frame{unit: phase}
 	px.walkOps(root, map[*unit]bool{}, func(op opSite) {
-		if !op.sc.write {
-			return
-		}
 		env := envOf(op.fr, op.loops)
 		w := pr.Site{Global: op.sc.typ != "Node", Add: op.sc.add}
 		w.One, w.Partial = rankGuards(rv, op, tainted)

@@ -10,17 +10,15 @@ import (
 // public ppm package aliases them, so all receivers resolve here.
 const corePath = "ppm/internal/core"
 
-// sharedCall is one recognized shared-array accessor call.
+// sharedCall is one recognized shared-array update: a Write, Add,
+// WriteBlock or AddBlock call, which takes effect at the commit.
 type sharedCall struct {
 	call    *ast.CallExpr
-	recv    ast.Expr     // receiver expression (the array)
-	recvObj types.Object // root object of the receiver, if identifier-rooted
-	method  string       // Read, Write, Add, ReadBlock, WriteBlock, AddBlock
-	write   bool         // Write/Add family (mutates at commit)
-	add     bool         // Add/AddBlock (combining, conflict-free)
-	block   bool         // block accessor
-	indices []ast.Expr   // scalar index, (r,c) pair, or block lo
-	typ     string       // Global, Node or Global2D
+	recv    ast.Expr   // receiver expression (the array)
+	add     bool       // Add/AddBlock (combining, conflict-free)
+	block   bool       // block accessor
+	indices []ast.Expr // scalar index, (r,c) pair, or block lo
+	typ     string     // Global, Node or Global2D
 }
 
 // namedCoreType returns the name of the core named type underlying t
@@ -60,8 +58,8 @@ func recvRoot(info *types.Info, e ast.Expr) types.Object {
 	}
 }
 
-// asSharedCall recognizes call as a shared-array accessor and describes
-// it; ok is false otherwise.
+// asSharedCall recognizes call as a shared-array update and describes
+// it; ok is false otherwise (reads included: no rule judges them).
 func asSharedCall(info *types.Info, call *ast.CallExpr) (sharedCall, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -75,29 +73,10 @@ func asSharedCall(info *types.Info, call *ast.CallExpr) (sharedCall, bool) {
 	if typ != "Global" && typ != "Node" && typ != "Global2D" {
 		return sharedCall{}, false
 	}
-	sc := sharedCall{
-		call:    call,
-		recv:    sel.X,
-		recvObj: recvRoot(info, sel.X),
-		method:  sel.Sel.Name,
-		typ:     typ,
-	}
-	switch sc.method {
-	case "Read":
-		if typ == "Global2D" {
-			if len(call.Args) != 3 {
-				return sharedCall{}, false
-			}
-			sc.indices = call.Args[1:3]
-		} else {
-			if len(call.Args) != 2 {
-				return sharedCall{}, false
-			}
-			sc.indices = call.Args[1:2]
-		}
+	sc := sharedCall{call: call, recv: sel.X, typ: typ}
+	switch method := sel.Sel.Name; method {
 	case "Write", "Add":
-		sc.write = true
-		sc.add = sc.method == "Add"
+		sc.add = method == "Add"
 		if typ == "Global2D" {
 			if len(call.Args) != 4 {
 				return sharedCall{}, false
@@ -109,18 +88,11 @@ func asSharedCall(info *types.Info, call *ast.CallExpr) (sharedCall, bool) {
 			}
 			sc.indices = call.Args[1:2]
 		}
-	case "ReadBlock":
-		if typ == "Global2D" || len(call.Args) != 4 {
-			return sharedCall{}, false
-		}
-		sc.block = true
-		sc.indices = call.Args[1:2]
 	case "WriteBlock", "AddBlock":
 		if typ == "Global2D" || len(call.Args) != 3 {
 			return sharedCall{}, false
 		}
-		sc.write = true
-		sc.add = sc.method == "AddBlock"
+		sc.add = method == "AddBlock"
 		sc.block = true
 		sc.indices = call.Args[1:2]
 	default:

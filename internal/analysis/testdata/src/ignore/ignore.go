@@ -26,7 +26,7 @@ func Run(rt *ppm.Runtime) {
 			//ppmvet:ignore phaserace -- the name covers phaserace.possible too
 			c.Write(vp, scatter(vp), 1.0)
 
-			//ppmvet:ignore staleread -- wrong rule: must not suppress
+			//ppmvet:ignore runerror -- wrong rule: must not suppress
 			d.Write(vp, 0, 1.0) // want `overlapping elements of d`
 
 			x := 0 //ppmvet:ignore phaserace -- end-of-line: own line only

@@ -3,8 +3,8 @@
 // rule reports on its SEED-marked line, pinning the interprocedural
 // layer end to end. (Lines are marked `SEED:<rule>`; a marker sits on
 // the line where the rule is expected to report, which is the phase-
-// level call site for call-expanded rules and the helper body for
-// rules that report in place.)
+// level call site for phaserace, which expands calls, and the call of
+// the function whose error is dropped for runerror.)
 package seeded
 
 import "ppm"
@@ -13,20 +13,6 @@ import "ppm"
 // index from a phase, phaserace reports at that call site.
 func writeAt(vp *ppm.VP, g *ppm.Global[float64], i int) {
 	g.Write(vp, i, 1.0)
-}
-
-// readAt hides a shared read one level down.
-func readAt(vp *ppm.VP, g *ppm.Global[float64], i int) float64 {
-	return g.Read(vp, i)
-}
-
-// base is a Local slice Host retains before its Do.
-var base []float64
-
-// peekBase reads the retained base image from VP code; localalias
-// reports in the helper body because the helper takes a *VP.
-func peekBase(vp *ppm.VP) float64 {
-	return base[0] // SEED:localalias
 }
 
 // runModel forwards ppm.Run's error, so discarding runModel's own
@@ -39,12 +25,9 @@ func runModel(prog func(rt *ppm.Runtime)) error {
 func Host() {
 	runModel(func(rt *ppm.Runtime) { // SEED:runerror
 		g := ppm.AllocGlobal[float64](rt, "g", 64)
-		base = g.Local(rt)
 		rt.Do(4, func(vp *ppm.VP) {
 			vp.GlobalPhase(func() {
-				writeAt(vp, g, 7)    // SEED:phaserace
-				_ = readAt(vp, g, 7) // SEED:staleread
-				_ = peekBase(vp)
+				writeAt(vp, g, 7) // SEED:phaserace
 			})
 		})
 	})

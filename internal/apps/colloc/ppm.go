@@ -46,6 +46,10 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 		// express much more parallelism than there are cores and let the
 		// runtime balance it — the model's intended use of virtualization.
 		k := rt.CoresPerNode() * 32
+		// Each VP rank's scratch for phase A's table row and phase B's
+		// table run, held for every level: WriteBlock copies its source,
+		// and a VP rank runs on one worker at a time.
+		rows, tabs := make([][]float64, k), make([][]float64, k)
 		for l := 0; l < p.Levels; l++ {
 			g := tables[l]
 			glo, ghi := g.OwnerRange(rt)
@@ -58,7 +62,7 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 				// inline (flops are charged in bulk below).
 				vp.GlobalPhase(func() {
 					vlo, vhi := core.ChunkRange(ghi-glo, k, vp.NodeRank())
-					row := make([]float64, vhi-vlo)
+					row := grow(&rows[vp.NodeRank()], vhi-vlo)[:vhi-vlo]
 					var fl int64
 					for j := glo + vlo; j < glo+vhi; j++ {
 						v, f := TableEntry(p, l, j)
@@ -76,7 +80,6 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 				// index vals, so VPs write disjoint ranges.
 				vp.GlobalPhase(func() {
 					vlo, vhi := core.ChunkRange(ehi-elo, k, vp.NodeRank())
-					var tab []float64
 					var fl int64
 					cur := pat.at(elo + vlo)
 					for e := elo + vlo; e < elo+vhi; e++ {
@@ -84,11 +87,9 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 						c := r.Ref(p, t)
 						_, ti := p.row(r.Row)
 						j0, nj := EntrySupport(p, c)
-						if cap(tab) < nj {
-							tab = make([]float64, nj)
-						}
-						g.ReadBlock(vp, j0, j0+nj, tab[:nj])
-						v, f := EntryValueBlock(p, ti, c, tab[:nj])
+						tab := grow(&tabs[vp.NodeRank()], nj)[:nj]
+						g.ReadBlock(vp, j0, j0+nj, tab)
+						v, f := EntryValueBlock(p, ti, c, tab)
 						vals.Write(vp, e, v)
 						fl += f
 					}
@@ -105,4 +106,13 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*Matrix, *core.Repor
 		return nil, rep, err
 	}
 	return out, rep, nil
+}
+
+// grow returns *buf, first reallocating it if it holds fewer than n
+// elements.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return *buf
 }

@@ -494,7 +494,6 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 	}
 	if rec {
 		p.runs = int64(nsegs + nkeys)
-		p.bytesSaved = int64(nsegs) * 16
 	}
 	if nsegs+nkeys == 0 {
 		if rec {
@@ -530,9 +529,6 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 				}
 			}
 			runs = runs[:m+1]
-			if rec {
-				p.allocsSaved += 2 // sort.Slice interface + closure
-			}
 		}
 		for _, r := range runs {
 			for s := r.lo; s < r.hi; {
@@ -551,9 +547,6 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 		}
 		if len(idxs) > 0 {
 			sort.Ints(idxs)
-			if rec {
-				p.allocsSaved++ // sort.Ints interface conversion
-			}
 			ri, prev := 0, -1
 			for _, ix := range idxs {
 				if ix == prev {
@@ -689,25 +682,34 @@ func (d *doRun) commitNode(p int32) error {
 			Add(span))
 	}
 
-	var firstErr error
+	var firstErr, drainErr error
 	var applyBytes int64
-	if gs.opt.StrictWrites && rt.proc != nil {
+	if d.strict {
+		firstErr = d.strictCommit(seq)
+	}
+	if d.strict && rt.proc != nil {
 		// Strict-mode applies touch cross-node conflict trackers and the
 		// shared conflict log; the turn serializes them in sequential
 		// order so attribution order is mode-independent. Non-strict
 		// node-phase applies touch only node-owned state and stay
 		// concurrent under the parallel scheduler. (A distributed process
 		// owns its whole globalState, so no turn exists or is needed.)
-		applyBytes, firstErr = d.drainNodeSerial(seq)
+		applyBytes, drainErr = d.drainNodeSerial(seq)
 	} else {
-		applyBytes, firstErr = d.drainNode(seq)
+		applyBytes, drainErr = d.drainNode(seq)
+	}
+	if d.strict {
+		d.snapLocal()
 	}
 	if rt.proc != nil {
 		rt.proc.ChargeMem(applyBytes)
 		st.PhaseApplyTime += mach.MemTime(applyBytes)
 	}
+	if firstErr == nil {
+		firstErr = drainErr
+	}
 	if firstErr != nil {
-		gs.noteStrict(firstErr)
+		d.noteStrict(firstErr)
 	}
 	return nil // strict errors surface at the end of the run
 }
@@ -737,14 +739,20 @@ func (d *doRun) commitGlobal(p int32) error {
 	// merge the per-VP read sets into the node-level traffic tallies.
 	// All per-commit tallies live in reusable doRun scratch.
 	d.resetCommitScratch(nodes)
-	var firstErr error
-	if opt.StrictWrites && sim {
+	var firstErr, drainErr error
+	if d.strict {
+		firstErr = d.strictCommit(seq)
+	}
+	if d.strict && sim {
 		// Node-array buffers apply here and feed the cross-node strict
 		// trackers; see commitNode. Global-array buffers only write
 		// this node's stage and wire row, which is safe either way.
-		firstErr = d.drainGlobalSerial(seq)
+		drainErr = d.drainGlobalSerial(seq)
 	} else {
-		firstErr = d.drainGlobal(seq)
+		drainErr = d.drainGlobal(seq)
+	}
+	if firstErr == nil {
+		firstErr = drainErr
 	}
 	d.mergeReadSets(d.crrElems, d.crrBytes)
 	tally := &d.ctally
@@ -793,7 +801,7 @@ func (d *doRun) commitGlobal(p int32) error {
 
 	// 4. Apply incoming runs, paying receive-side costs.
 	var strictErr error
-	if opt.StrictWrites && sim {
+	if d.strict && sim {
 		// Strict applies serialize (conflict trackers and the conflict
 		// log are cross-node); each node still applies only runs for its
 		// own partition. Without strict mode the applies run concurrently
@@ -809,6 +817,9 @@ func (d *doRun) commitGlobal(p int32) error {
 	}
 	if strictErr != nil && firstErr == nil {
 		firstErr = strictErr
+	}
+	if d.strict {
+		d.snapLocal()
 	}
 	inElems, inBytes := d.cinElems, d.cinBytes
 	var inCPU vtime.Duration
@@ -840,7 +851,7 @@ func (d *doRun) commitGlobal(p int32) error {
 		// between is held by the owner until it releases this exchange
 		// (DistEngine.SetReadServer).
 		if firstErr != nil {
-			gs.noteStrict(firstErr)
+			d.noteStrict(firstErr)
 		}
 		if opt.OnPhase != nil {
 			opt.OnPhase(seq)
@@ -856,11 +867,8 @@ func (d *doRun) commitGlobal(p int32) error {
 
 	if firstErr != nil {
 		// After the release the process may no longer hold the turn;
-		// "first violation wins" must follow sequential order. The err
-		// copy keeps the closure (and its captures) off the hot path:
-		// nothing heap-allocates unless a violation actually occurred.
-		err := firstErr
-		rt.proc.Serial(func() { gs.noteStrict(err) })
+		// "first violation wins" must follow sequential order.
+		d.noteStrict(firstErr)
 	}
 	return nil
 }

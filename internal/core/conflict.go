@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // WriterRef identifies one VP that updated a conflicted element, and
 // how (plain write or combining add).
@@ -96,4 +99,107 @@ func (l *conflictLog) list() []WriteConflict {
 
 func writerRef(writer int64, add bool) WriterRef {
 	return WriterRef{Node: int(writer >> 32), VP: int(writer & 0xffffffff), Add: add}
+}
+
+// HazardKind names the breach of phase semantics a Hazard records.
+type HazardKind uint8
+
+const (
+	// StaleRead: a VP read an element it had written or added earlier in
+	// the same phase. The read returns the begin-of-phase value, as phase
+	// semantics define, so the run goes on; the new value is visible only
+	// from the next phase on.
+	StaleRead HazardKind = iota + 1
+	// LocalWrite: a node's partition of a Global, or its instance of a
+	// Node array, changed while a Do ran by some path other than a commit:
+	// a write through a slice Local returned before the Do. It fails the
+	// run, as a write conflict does.
+	LocalWrite
+)
+
+func (k HazardKind) String() string {
+	switch k {
+	case StaleRead:
+		return "stale read"
+	case LocalWrite:
+		return "write around the commit"
+	default:
+		return "invalid hazard"
+	}
+}
+
+// Hazard is one breach of phase semantics found under StrictWrites
+// besides a write conflict.
+type Hazard struct {
+	Kind  HazardKind
+	Array string // shared-array name
+	Node  int    // the reading VP's node, or the node whose storage changed
+	Index int    // element index (in the node's instance, for node arrays)
+	VP    int    // the reading VP's rank in its Do; -1 for a LocalWrite, which no VP signs
+	Phase int64  // the node's phase sequence number (phases committed, this one included)
+}
+
+func (h Hazard) String() string {
+	if h.Kind == StaleRead {
+		return fmt.Sprintf("core: VP %d:%d reads %s[%d] after updating it in phase %d: the read sees the begin-of-phase value",
+			h.Node, h.VP, h.Array, h.Index, h.Phase)
+	}
+	return fmt.Sprintf("core: %s[%d] on node %d changed outside the commit of phase %d: a write through a slice Local returned before the Do",
+		h.Array, h.Index, h.Node, h.Phase)
+}
+
+// snapLocal copies the node's storage of every array aside (StrictWrites
+// only), at the start of a Do and after each commit has applied.
+func (d *doRun) snapLocal() {
+	for _, arr := range d.rt.gs.arrays {
+		arr.snapLocal(d.node)
+	}
+}
+
+// strictCommit is StrictWrites' part of the commit of phase seq (and of
+// the end of the Do, from finish), run by the coordinator before the
+// commit touches any storage. It takes the stale reads the VPs found,
+// empties their write sets, and reports every element of the node's
+// storage that changed since snapLocal: no commit ran in between, so a
+// write through a retained Local slice did it. The first such write is
+// the returned error. (A VP's write between two phases races with the
+// first one's commit, which may take it for committed state; one inside
+// a phase, before the first or in a Do without phases is always found.)
+func (d *doRun) strictCommit(seq int64) error {
+	gs := d.rt.gs
+	hs := gs.hazards[d.node]
+	for i := range d.strictVPs {
+		s := &d.strictVPs[i]
+		for _, k := range s.stale {
+			hs = append(hs, Hazard{Kind: StaleRead, Array: gs.arrays[k.array()].label(), Node: d.node, Index: k.idx(), VP: i, Phase: seq})
+		}
+		s.stale = s.stale[:0]
+		clear(s.written)
+	}
+	var err error
+	var idx []int
+	for _, arr := range gs.arrays {
+		idx = arr.appendChanged(d.node, idx[:0])
+		for _, i := range idx {
+			h := Hazard{Kind: LocalWrite, Array: arr.label(), Node: d.node, Index: i, VP: -1, Phase: seq}
+			if err == nil {
+				err = errors.New(h.String())
+			}
+			hs = append(hs, h)
+		}
+	}
+	gs.hazards[d.node] = hs
+	return err
+}
+
+// noteStrict records err as a strict-mode violation of the run; under
+// the simulator in the node's serial section, so that the first in
+// sequential order wins whichever scheduler runs the nodes.
+func (d *doRun) noteStrict(err error) {
+	gs := d.rt.gs
+	if d.rt.proc == nil {
+		gs.noteStrict(err)
+		return
+	}
+	d.rt.proc.Serial(func() { gs.noteStrict(err) })
 }

@@ -41,7 +41,7 @@ func newFastpathRig(n, parts int) *fastpathRig {
 // enter puts node's VP inside a fresh phase of the given kind.
 func (rig *fastpathRig) enter(node int, kind phaseKind) *VP {
 	vp := rig.vps[node]
-	vp.inPhase, vp.phaseKind = true, kind
+	vp.fast, vp.phaseKind = true, kind
 	vp.rdIdx, vp.rdRuns = vp.rdIdx[:0], nil
 	return vp
 }

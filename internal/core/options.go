@@ -60,9 +60,19 @@ type Options struct {
 	// compiler loop transform) instead of the runtime's dynamic load
 	// balancing. Ablation switch.
 	StaticSchedule bool
-	// StrictWrites makes the commit step fail the run when two different
-	// writers Write (not Add) the same element of a shared array in one
-	// phase. Costs host time and memory; meant for debugging.
+	// StrictWrites checks three breaches of phase semantics, every access
+	// and every commit:
+	//   - a write conflict: two VPs update one element in one phase, and
+	//     not both by Add (Report.Conflicts; fails the run);
+	//   - a stale read: a VP reads an element it wrote or added earlier in
+	//     the phase and gets the begin-of-phase value (Report.Hazards; the
+	//     run goes on);
+	//   - a write around the commit: a node's partition or node-array
+	//     instance changes while a Do runs by a path other than a commit,
+	//     a write through a slice Local returned before the Do
+	//     (Report.Hazards; fails the run).
+	// Costs host time and memory; meant for debugging. Without it every
+	// shared access makes the one test it makes anyway (accessCheck).
 	StrictWrites bool
 
 	// NoPlanCache disables the steady-state phase-plan cache. With the
@@ -274,16 +284,12 @@ func (r *RescaleStats) add(o RescaleStats) {
 // Misses). RunsReplayed totals the read-set entries (block-read runs
 // plus scalar read-log keys, a key a VP rereads later in the phase
 // counting each time it is logged) whose sort/merge/owner-split was
-// skipped on hits; AllocsSaved and BytesSaved estimate
-// the host allocations and bytes of merge scratch those replays avoided
-// (modeled from the recorded plan's size, not measured).
+// skipped on hits.
 type PlanCacheStats struct {
 	Hits          int64
 	Misses        int64
 	Invalidations int64
 	RunsReplayed  int64
-	AllocsSaved   int64
-	BytesSaved    int64
 }
 
 func (p *PlanCacheStats) add(o PlanCacheStats) {
@@ -291,8 +297,6 @@ func (p *PlanCacheStats) add(o PlanCacheStats) {
 	p.Misses += o.Misses
 	p.Invalidations += o.Invalidations
 	p.RunsReplayed += o.RunsReplayed
-	p.AllocsSaved += o.AllocsSaved
-	p.BytesSaved += o.BytesSaved
 }
 
 // WireStats counts one node process's real wire activity in a
@@ -376,13 +380,16 @@ func (s *NodeStats) add(o NodeStats) {
 
 // Report summarizes a PPM run: the underlying cluster report plus PPM
 // runtime statistics. Under StrictWrites, Conflicts holds every
-// conflicting update detected (the run's error is only the first); it
-// is empty otherwise.
+// conflicting update detected and Hazards every stale read and write
+// around the commit, node by node and in commit order within a node (the
+// run's error is only the first violation); both are empty otherwise.
+// On a mesh each rank's report holds what its own node found.
 type Report struct {
 	Cluster   *cluster.Report
 	PerNode   []NodeStats
 	Totals    NodeStats
 	Conflicts []WriteConflict
+	Hazards   []Hazard
 }
 
 // Makespan returns the modeled wall-clock time of the run. Distributed

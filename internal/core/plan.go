@@ -195,10 +195,8 @@ type phasePlan struct {
 	// VPs find every range already cached and fetch nothing.
 	fcov [][]wire.ReadRange
 
-	// Replay savings accounting (PlanCacheStats).
-	runs        int64
-	allocsSaved int64
-	bytesSaved  int64
+	// The read-set entries a replay skips (PlanCacheStats.RunsReplayed).
+	runs int64
 }
 
 // planFor returns the plan slot for the phase being committed (the
@@ -332,8 +330,6 @@ func (d *doRun) replay(p *phasePlan, rrElems, rrBytes []int64) {
 	pc := &d.rt.stats().PlanCache
 	pc.Hits++
 	pc.RunsReplayed += p.runs
-	pc.AllocsSaved += p.allocsSaved
-	pc.BytesSaved += p.bytesSaved
 }
 
 // resetInt64 returns s resized to n and zeroed, reallocating only when

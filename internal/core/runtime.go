@@ -35,6 +35,9 @@ type globalState struct {
 
 	strictErr error       // first strict-mode violation
 	conflicts conflictLog // every strict-mode conflict, with attribution
+	// hazards[node] is every stale read and write around the commit
+	// node's commits found (StrictWrites only), in commit order.
+	hazards [][]Hazard
 
 	// serialMu orders the Serial sections of every node this process
 	// runs (all of them under the simulator, its own rank on a mesh).
@@ -82,6 +85,9 @@ func newGlobalState(o Options, eng DistEngine) *globalState {
 	if eng == nil {
 		gs.streams = make([][][]byte, o.Nodes)
 	}
+	if o.StrictWrites {
+		gs.hazards = make([][]Hazard, o.Nodes)
+	}
 	return gs
 }
 
@@ -90,6 +96,9 @@ func newGlobalState(o Options, eng DistEngine) *globalState {
 // the first strict-mode violation.
 func (gs *globalState) report(crep *cluster.Report, runErr error) (*Report, error) {
 	rep := &Report{Cluster: crep, PerNode: gs.stats, Conflicts: gs.conflicts.list()}
+	for _, hs := range gs.hazards {
+		rep.Hazards = append(rep.Hazards, hs...)
+	}
 	for _, s := range gs.stats {
 		rep.Totals.add(s)
 	}
@@ -133,6 +142,11 @@ type registeredArray interface {
 	// (a global array's partition size, a node array's full length);
 	// rescaled restores use it to account elements moved between hosts.
 	localElems(node int) int
+	// snapLocal copies node's authoritative storage aside, and
+	// appendChanged appends to out the index of every element that has
+	// changed since (StrictWrites only; see doRun.strictCommit).
+	snapLocal(node int)
+	appendChanged(node int, out []int) []int
 	// label returns a diagnostic name.
 	label() string
 

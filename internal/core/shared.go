@@ -193,11 +193,35 @@ type arrayCore[T Elem] struct {
 	// applyWire): under the simulator every node applies into this one
 	// object, concurrently under the parallel scheduler.
 	scratch [][]T
+	// snap[node] is, under StrictWrites only, a copy of node's storage as
+	// its last commit (or the start of the Do) left it (see snapImage).
+	snap [][]T
 }
 
 func newArrayCore[T Elem, B any](rt *Runtime, id int, name string, n int) arrayCore[T] {
-	return arrayCore[T]{gs: rt.gs, id: id, name: name, n: n, es: mp.SizeOf[T](),
+	c := arrayCore[T]{gs: rt.gs, id: id, name: name, n: n, es: mp.SizeOf[T](),
 		bufs: stagingPool[B](), store: poolFor[wire.Pool[T]](), scratch: make([][]T, rt.gs.nodes)}
+	if rt.gs.opt.StrictWrites {
+		c.snap = make([][]T, rt.gs.nodes)
+	}
+	return c
+}
+
+// snapImage copies node's storage dst aside, for changed to compare with.
+func (c *arrayCore[T]) snapImage(node int, dst []T) {
+	c.snap[node] = append(c.snap[node][:0], dst...)
+}
+
+// changed appends to out the index of every element of node's storage
+// dst, which holds element i at dst[i-lo0], that differs from the copy
+// snapImage took. A NaN stays equal to a NaN.
+func (c *arrayCore[T]) changed(node int, dst []T, lo0 int, out []int) []int {
+	for i, old := range c.snap[node] {
+		if v := dst[i]; v != old && (v == v || old == old) {
+			out = append(out, lo0+i)
+		}
+	}
+	return out
 }
 
 // storage returns n zeroed elements drawn from the array's pool: the
@@ -495,7 +519,7 @@ func (g *Global[T]) At(rt *Runtime, i int) T {
 // phase. Must be called inside a phase. Remote reads require a global
 // phase and are accounted for bundling.
 func (g *Global[T]) Read(vp *VP, i int) T {
-	vp.accessCheck(g.name, "Read")
+	vp.accessCheck(g.id, g.name, "Read", i, i+1, false)
 	vp.reads++
 	vp.charge += vp.d.sharedReadCost
 	if node := vp.d.node; i < g.bnd[node] || i >= g.bnd[node+1] {
@@ -538,7 +562,7 @@ func (g *Global[T]) Write(vp *VP, i int, v T) { g.put(vp, i, v, false) }
 func (g *Global[T]) Add(vp *VP, i int, v T) { g.put(vp, i, v, true) }
 
 func (g *Global[T]) put(vp *VP, i int, v T, add bool) {
-	vp.accessCheck(g.name, "Write")
+	vp.accessCheck(g.id, g.name, "Write", i, i+1, true)
 	if i < 0 || i >= g.n {
 		panic(fmt.Sprintf("core: Global(%q).Write(%d): index out of range [0,%d)", g.name, i, g.n))
 	}
@@ -558,7 +582,7 @@ func (g *Global[T]) put(vp *VP, i int, v T, add bool) {
 // runs instead of per-element entries; the modeled per-element costs are
 // identical to hi-lo scalar Reads.
 func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
-	vp.accessCheck(g.name, "Read")
+	vp.accessCheck(g.id, g.name, "Read", lo, hi, false)
 	if lo < 0 || hi > g.n || lo > hi {
 		panic(fmt.Sprintf("core: Global(%q).ReadBlock[%d:%d] out of [0,%d)", g.name, lo, hi, g.n))
 	}
@@ -646,7 +670,7 @@ func (g *Global[T]) WriteBlock(vp *VP, lo int, src []T) { g.putBlock(vp, lo, src
 func (g *Global[T]) AddBlock(vp *VP, lo int, src []T) { g.putBlock(vp, lo, src, true, "AddBlock") }
 
 func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
-	vp.accessCheck(g.name, "Write")
+	vp.accessCheck(g.id, g.name, "Write", lo, lo+len(src), true)
 	g.checkLive("Global", op)
 	if lo < 0 || lo+len(src) > g.n {
 		panic(fmt.Sprintf("core: Global(%q).%s[%d:%d] out of [0,%d)", g.name, op, lo, lo+len(src), g.n))
@@ -675,6 +699,19 @@ func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 
 // localElems implements registeredArray: the size of node's partition.
 func (g *Global[T]) localElems(node int) int { return g.part.Size(node) }
+
+// snapLocal implements registeredArray: copy node's partition aside.
+func (g *Global[T]) snapLocal(node int) {
+	dst, _ := g.span(node)
+	g.snapImage(node, dst)
+}
+
+// appendChanged implements registeredArray: the elements of node's
+// partition that differ from the copy snapLocal took.
+func (g *Global[T]) appendChanged(node int, out []int) []int {
+	dst, lo0 := g.span(node)
+	return g.changed(node, dst, lo0, out)
+}
 
 // ownerSpan implements registeredArray: the owner of element i and the
 // end of that owner's partition, for splitting interval runs by owner.
@@ -746,7 +783,7 @@ func (a *Node[T]) Local(rt *Runtime) []T {
 // Read returns element i of the calling node's instance as of the
 // beginning of the current phase.
 func (a *Node[T]) Read(vp *VP, i int) T {
-	vp.accessCheck(a.name, "Read")
+	vp.accessCheck(a.id, a.name, "Read", i, i+1, false)
 	// The instance is a.n long until release empties it, so an ended
 	// array fails the one bounds test Read makes anyway.
 	inst := a.base[vp.d.node]
@@ -766,7 +803,7 @@ func (a *Node[T]) Write(vp *VP, i int, v T) { a.put(vp, i, v, false) }
 func (a *Node[T]) Add(vp *VP, i int, v T) { a.put(vp, i, v, true) }
 
 func (a *Node[T]) put(vp *VP, i int, v T, add bool) {
-	vp.accessCheck(a.name, "Write")
+	vp.accessCheck(a.id, a.name, "Write", i, i+1, true)
 	if i < 0 || i >= a.n {
 		panic(fmt.Sprintf("core: Node(%q).Write(%d): index out of range [0,%d)", a.name, i, a.n))
 	}
@@ -778,7 +815,7 @@ func (a *Node[T]) put(vp *VP, i int, v T, add bool) {
 // ReadBlock copies elements [lo, hi) of the node's instance into dst
 // under phase semantics — the array-section form of Read.
 func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
-	vp.accessCheck(a.name, "Read")
+	vp.accessCheck(a.id, a.name, "Read", lo, hi, false)
 	inst := a.base[vp.d.node] // empty once the run has ended, as in Read
 	if lo < 0 || hi > len(inst) || lo > hi {
 		a.checkLive("Node", "ReadBlock")
@@ -811,7 +848,7 @@ func (a *Node[T]) WriteBlock(vp *VP, lo int, src []T) { a.putBlock(vp, lo, src, 
 func (a *Node[T]) AddBlock(vp *VP, lo int, src []T) { a.putBlock(vp, lo, src, true, "AddBlock") }
 
 func (a *Node[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
-	vp.accessCheck(a.name, "Write")
+	vp.accessCheck(a.id, a.name, "Write", lo, lo+len(src), true)
 	a.checkLive("Node", op)
 	if lo < 0 || lo+len(src) > a.n {
 		panic(fmt.Sprintf("core: Node(%q).%s[%d:%d] out of [0,%d)", a.name, op, lo, lo+len(src), a.n))
@@ -831,6 +868,15 @@ func (a *Node[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 
 // localElems implements registeredArray: node arrays are whole per node.
 func (a *Node[T]) localElems(node int) int { return a.n }
+
+// snapLocal implements registeredArray: copy node's instance aside.
+func (a *Node[T]) snapLocal(node int) { a.snapImage(node, a.base[node]) }
+
+// appendChanged implements registeredArray: the elements of node's
+// instance that differ from the copy snapLocal took.
+func (a *Node[T]) appendChanged(node int, out []int) []int {
+	return a.changed(node, a.base[node], 0, out)
+}
 
 // ownerSpan implements registeredArray; node arrays are always local.
 func (a *Node[T]) ownerSpan(i int) (owner, end int) { return 0, a.n }

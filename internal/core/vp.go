@@ -60,7 +60,11 @@ type VP struct {
 	// goroutine ends when the body returns.
 	own bool
 
-	inPhase   bool
+	// fast is set inside a phase of a run without StrictWrites: it is the
+	// one test every shared access makes (accessCheck), and anything else
+	// takes the out-of-line path. phaseKind is the kind of the phase the
+	// VP is in, phaseInvalid outside any.
+	fast      bool
 	phaseKind phaseKind
 
 	// charge is the VP's live accumulator of modeled work: only the VP
@@ -89,6 +93,16 @@ type VP struct {
 	rdRuns [][]intRun
 	rdIdx  []readKey
 	rdMark int
+}
+
+// vpStrict is one VP's StrictWrites state in the current phase: the
+// elements it wrote or added (true once a read of one has been reported),
+// and the stale reads it made, in order. The commit takes both
+// (strictCommit). It lives in the doRun, not in the VP, so that the VP
+// slab of a run without StrictWrites does not grow.
+type vpStrict struct {
+	written map[readKey]bool
+	stale   []readKey
 }
 
 // A scalar read log starts sized for a binary search's worth of probes
@@ -144,7 +158,7 @@ func (vp *VP) Cores() int { return vp.d.rt.gs.cores }
 // opening the next one) the answer assumes that every node's Do started
 // this node's K, which is all a VP can know without synchronizing.
 func (vp *VP) GlobalRank() int {
-	if d := vp.d; vp.inPhase && d.rankValid {
+	if d := vp.d; vp.phaseKind != phaseInvalid && d.rankValid {
 		return d.rankBase + vp.nodeRank
 	}
 	return vp.d.node*vp.d.k + vp.nodeRank
@@ -154,7 +168,7 @@ func (vp *VP) GlobalRank() int {
 // Like GlobalRank, it is well defined only inside a global phase, and
 // assumes equal K on every node elsewhere.
 func (vp *VP) GlobalK() int {
-	if d := vp.d; vp.inPhase && d.rankValid {
+	if d := vp.d; vp.phaseKind != phaseInvalid && d.rankValid {
 		return d.globalK
 	}
 	return vp.d.rt.gs.nodes * vp.d.k
@@ -186,7 +200,7 @@ func (vp *VP) GlobalPhase(f func()) { vp.phase(phaseGlobal, f) }
 func (vp *VP) NodePhase(f func()) { vp.phase(phaseNode, f) }
 
 func (vp *VP) phase(pk phaseKind, f func()) {
-	if vp.inPhase {
+	if vp.phaseKind != phaseInvalid {
 		panic(fmt.Sprintf("core: nested phase construct (VP %d on node %d)", vp.nodeRank, vp.d.node))
 	}
 	d, o := vp.d, vp.ord
@@ -199,11 +213,9 @@ func (vp *VP) phase(pk phaseKind, f func()) {
 			d.node, vp.nodeRank, pk, kind, o))
 		panic(vpAbort{})
 	}
-	vp.inPhase = true
-	vp.phaseKind = pk
+	vp.phaseKind, vp.fast = pk, !d.strict
 	f()
-	vp.inPhase = false
-	vp.phaseKind = phaseInvalid
+	vp.phaseKind, vp.fast = phaseInvalid, false
 	vp.ord = o + 1
 	vp.pass(o)
 }
@@ -219,11 +231,43 @@ func (vp *VP) pass(o int32) {
 	}
 }
 
-// accessCheck guards shared-variable access paths.
-func (vp *VP) accessCheck(array, op string) {
-	if !vp.inPhase {
+// accessCheck guards every shared access: a write (or read) of elements
+// [lo, hi) of the array with id and name. Its one test passes inside a
+// phase of a run without StrictWrites; anything else goes to
+// checkAccess.
+func (vp *VP) accessCheck(id int, name, op string, lo, hi int, write bool) {
+	if !vp.fast {
+		vp.checkAccess(id, name, op, lo, hi, write)
+	}
+}
+
+// checkAccess is accessCheck's out-of-line path. Outside a phase it
+// panics. In a strict phase it notes the elements a write updates, and
+// reports once each element a read returns that the VP updated earlier in
+// the phase: the read sees the begin-of-phase value, not the update. A
+// range no array holds is left to the accessor, which refuses it.
+func (vp *VP) checkAccess(id int, name, op string, lo, hi int, write bool) {
+	if vp.phaseKind == phaseInvalid {
 		panic(fmt.Sprintf("core: %s of shared %q outside a phase (VP %d on node %d): shared variables may only be accessed inside PPM phases",
-			op, array, vp.nodeRank, vp.d.node))
+			op, name, vp.nodeRank, vp.d.node))
+	}
+	if lo < 0 || lo > hi || hi > maxKeyLen {
+		return
+	}
+	s := &vp.d.strictVPs[vp.nodeRank]
+	if s.written == nil {
+		s.written = map[readKey]bool{}
+	}
+	for i := lo; i < hi; i++ {
+		k := makeReadKey(id, i)
+		reported, ok := s.written[k]
+		switch {
+		case write && !ok:
+			s.written[k] = false
+		case !write && ok && !reported:
+			s.written[k] = true
+			s.stale = append(s.stale, k)
+		}
 	}
 }
 
@@ -400,6 +444,11 @@ type doRun struct {
 	globalK   int
 	rankValid bool
 
+	// strict is the run's StrictWrites, which the VPs read at phase entry;
+	// strictVPs is the VPs' strict state, by rank (nil without it).
+	strict    bool
+	strictVPs []vpStrict
+
 	// Commit-time scratch for merging the per-VP read sets (per array id);
 	// mrCnt counts what the VPs hold for an array so that mrRuns and mrIdx
 	// are each sized once.
@@ -490,6 +539,7 @@ func newDoRun(rt *Runtime, k int) *doRun {
 // accessors skip their charging loops.
 func (d *doRun) bind(rt *Runtime) {
 	d.rt = rt
+	d.strict = rt.gs.opt.StrictWrites
 	d.sharedReadCost, d.sharedWriteCost = 0, 0
 	if rt.proc != nil {
 		d.sharedReadCost = vtime.Duration(rt.gs.mach.SharedReadCost)
@@ -521,6 +571,12 @@ func (d *doRun) run(body func(*VP)) {
 		d.exits[p].Store(0)
 	}
 	d.rem[0].Store(int32(d.k))
+	if d.strict {
+		if d.strictVPs == nil {
+			d.strictVPs = make([]vpStrict, d.k)
+		}
+		d.snapLocal()
+	}
 
 	workers := min(d.k, runtime.GOMAXPROCS(0))
 	d.active.Store(int32(workers))
@@ -778,6 +834,13 @@ func (d *doRun) finish(p int32) {
 	}
 	if d.rt.proc != nil {
 		d.rt.proc.Charge(d.makespan(p, extra))
+	}
+	if d.strict {
+		// What the VPs wrote through a retained Local slice after their
+		// last phase.
+		if err := d.strictCommit(d.rt.gs.phaseSeqs[d.node]); err != nil {
+			d.noteStrict(err)
+		}
 	}
 	st := d.rt.stats()
 	for i := range d.vps {

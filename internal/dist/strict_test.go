@@ -122,3 +122,96 @@ func fmtConflicts(cs []core.WriteConflict) string {
 	}
 	return b.String()
 }
+
+// findingsProg makes both kinds of hazard StrictWrites finds besides
+// conflicts, on every rank of 3: stale scalar and block reads of a
+// Global, of elements the rank owns and of elements the next rank owns
+// (fetched), stale reads of a node array, over two Dos of a global and a
+// node phase each; and in the second Do's node phase a write through a
+// retained Local slice of each array, to elements no VP reads.
+func findingsProg(rt *core.Runtime) {
+	g := core.AllocGlobal[float64](rt, "g", 30)
+	a := core.AllocNode[int64](rt, "a", 4)
+	part, inst := g.Local(rt), a.Local(rt)
+	for it := 0; it < 2; it++ {
+		rt.Do(2, func(vp *core.VP) {
+			node, r := vp.Node(), vp.NodeRank()
+			vp.GlobalPhase(func() {
+				i := (10*(node+1) + r) % 30
+				g.Write(vp, i, 1)
+				_ = g.Read(vp, i)
+				lo := 10*node + 4 + r
+				g.Add(vp, lo, 2)
+				buf := make([]float64, 3)
+				g.ReadBlock(vp, lo-1, lo+2, buf)
+				g.ReadBlock(vp, i, i+2, buf)
+			})
+			vp.NodePhase(func() {
+				a.Add(vp, 2+r, 1)
+				_ = a.Read(vp, 2+r)
+				if it == 1 && r == 1 {
+					part[9], inst[0] = 5, 7
+				}
+			})
+		})
+	}
+}
+
+// TestStrictFindingsMatchSimulator holds the mesh's stale reads and
+// writes around the commit against the simulator's: the union of every
+// rank's Report.Hazards, in rank order, is the simulator's list, with
+// the plan cache on and off, and every rank fails on its own write
+// around the commit.
+func TestStrictFindingsMatchSimulator(t *testing.T) {
+	const nodes = 3
+	opt := core.Options{Nodes: nodes, CoresPerNode: 2, StrictWrites: true}
+	srep, err := core.Run(opt, findingsProg)
+	if err == nil || !strings.Contains(err.Error(), "changed outside the commit") {
+		t.Fatalf("simulator: err = %v, want a write around the commit", err)
+	}
+	want := srep.Hazards
+	var kinds [3]int
+	for _, h := range want {
+		kinds[h.Kind]++
+	}
+	if kinds[core.StaleRead] == 0 || kinds[core.LocalWrite] != 2*nodes {
+		t.Fatalf("simulator finds %d stale reads and %d writes around the commit:%s", kinds[core.StaleRead], kinds[core.LocalWrite], fmtHazards(want))
+	}
+	for _, cache := range []string{"0", "1"} {
+		t.Run("plancache="+cache, func(t *testing.T) {
+			t.Setenv("PPM_PLAN_CACHE", cache)
+			reps := make([]*core.Report, nodes)
+			errs := runMeshCfg(t, nodes, nil, func(rank int, eng *Engine) error {
+				rep, err := core.RunDist(opt, eng, findingsProg)
+				reps[rank] = rep
+				return err
+			})
+			var got []core.Hazard
+			for rank, rep := range reps {
+				if rep == nil {
+					t.Fatalf("rank %d: no report: %v", rank, errs[rank])
+				}
+				if errs[rank] == nil || !strings.Contains(errs[rank].Error(), fmt.Sprintf("on node %d changed outside the commit", rank)) {
+					t.Errorf("rank %d: err = %v, want its own write around the commit", rank, errs[rank])
+				}
+				for _, h := range rep.Hazards {
+					if h.Node != rank {
+						t.Errorf("rank %d reports a hazard of node %d: %v", rank, h.Node, h)
+					}
+				}
+				got = append(got, rep.Hazards...)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("mesh hazards differ from the simulator's:\n mesh%s\n  sim%s", fmtHazards(got), fmtHazards(want))
+			}
+		})
+	}
+}
+
+func fmtHazards(hs []core.Hazard) string {
+	var b strings.Builder
+	for _, h := range hs {
+		fmt.Fprintf(&b, "\n  %v", h)
+	}
+	return b.String()
+}

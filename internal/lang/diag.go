@@ -21,9 +21,9 @@ const (
 )
 
 // Diag is one positioned diagnostic produced by Analyze. Rule names the
-// check that fired, using the same vocabulary as the Go-side ppmvet
-// analyzers where the rules coincide (phasebound, staleread, phaserace,
-// phaserace.possible).
+// check that fired: a checker rule such as phasebound (errors), or a
+// lint: phaserace and phaserace.possible, named as the Go-side ppmvet
+// rule they share a solver with, and unusedshared.
 type Diag struct {
 	Line int      `json:"line"`
 	Col  int      `json:"col"`

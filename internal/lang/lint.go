@@ -23,7 +23,6 @@ func lintProgram(prog *Program) []Diag {
 	}
 
 	var diags []Diag
-	diags = append(diags, lintStaleRead(prog, shared)...)
 	diags = append(diags, lintPhaseRace(prog, consts, shared)...)
 	diags = append(diags, lintUnusedShared(prog)...)
 	return diags
@@ -85,73 +84,6 @@ func taintedVars(f *FuncDecl) map[string]bool {
 		})
 	}
 	return tainted
-}
-
-// lintStaleRead flags a read of a shared element that an earlier
-// statement of the same phase wrote (same array, syntactically
-// identical index): the read still observes the begin-of-phase value,
-// because writes commit only at the phase's end barrier. Reads
-// evaluated before the write of their own statement (`A[i] = A[i]+1`)
-// are the model's intended idiom and are not flagged.
-func lintStaleRead(prog *Program, shared map[string]*SharedDecl) []Diag {
-	var diags []Diag
-	key := func(name string, idx Expr) string { return name + "[" + exprString(idx) + "]" }
-
-	lintPhase := func(p *Phase) {
-		writes := map[string]Token{}
-		checkReads := func(e Expr) {
-			walkExpr(e, func(x Expr) {
-				ix, ok := x.(*Index)
-				if !ok {
-					return
-				}
-				k := key(ix.Name, ix.Inner)
-				w, written := writes[k]
-				if !written {
-					return
-				}
-				diags = append(diags, Diag{
-					Line: ix.Pos.Line, Col: ix.Pos.Col,
-					Rule: "staleread", Sev: SevWarning,
-					Msg: fmt.Sprintf("read of %s observes the begin-of-phase value: the update at line %d commits only at the phase's end barrier — split the phase if the new value is needed", k, w.Line),
-				})
-			})
-		}
-		var scan func(s Stmt)
-		scan = func(s Stmt) {
-			for _, e := range stmtExprs(s) {
-				checkReads(e)
-			}
-			if a, ok := s.(*Assign); ok && a.Target.Index != nil && shared[a.Target.Name] != nil {
-				writes[key(a.Target.Name, a.Target.Index)] = a.Pos
-			}
-			switch st := s.(type) {
-			case *Block:
-				for _, n := range st.Stmts {
-					scan(n)
-				}
-			case *If:
-				scan(st.Then)
-				if st.Else != nil {
-					scan(st.Else)
-				}
-			case *While:
-				scan(st.Body)
-			case *For:
-				scan(st.Body)
-			}
-		}
-		scan(p.Body)
-	}
-
-	for _, f := range prog.Funcs {
-		walkStmt(f.Body, func(s Stmt) {
-			if p, ok := s.(*Phase); ok {
-				lintPhase(p)
-			}
-		})
-	}
-	return diags
 }
 
 // lintUnusedShared flags shared arrays that no expression or

@@ -30,11 +30,6 @@ func TestAnalyzeFixtures(t *testing.T) {
 			{"phasebound", 6, SevError},
 			{"phasebound", 7, SevError},
 		}},
-		{"staleread.ppm", []finding{
-			{"staleread", 8, SevWarning},
-			{"staleread", 10, SevWarning},
-			{"phaserace", 11, SevWarning},
-		}},
 		{"unusedshared.ppm", []finding{
 			{"unusedshared", 3, SevWarning},
 		}},

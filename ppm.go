@@ -76,6 +76,20 @@ type WriteConflict = core.WriteConflict
 // WriterRef identifies one VP involved in a WriteConflict.
 type WriterRef = core.WriterRef
 
+// Hazard is a stale read or a write around the commit, the two breaches
+// of phase semantics a StrictWrites run finds besides write conflicts.
+// Report.Hazards lists every one.
+type Hazard = core.Hazard
+
+// HazardKind names what a Hazard records.
+type HazardKind = core.HazardKind
+
+// The kinds of Hazard.
+const (
+	StaleRead  = core.StaleRead
+	LocalWrite = core.LocalWrite
+)
+
 // Global is a globally shared array (the paper's PPM_global_shared),
 // block-distributed over the cluster. Besides the scalar Read/Write/Add
 // accessors it offers ReadBlock, WriteBlock and AddBlock for contiguous
