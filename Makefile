@@ -136,7 +136,7 @@ test:
 ## (TestStaleCollectiveMessagesDropped).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine' ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -run 'TestLatch|TestNoLeak|TestWarmDo|TestBoundaryLine|TestLaneHandOver' ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -count=10 -run 'TestNodeReadAfterPhaseSeesApply|TestGlobalPhaseExchanges' ./internal/dist/
 	PPM_PARALLEL=1 $(GO) test -race -cpu 1,2,4 -count=3 -run 'Strict|Equivalence|FastPath|ScatterCodecMatchesSimulator' ./internal/core/ ./internal/dist/
 	$(GO) test -race -cpu 1,2,4 -count=5 -run 'TestFetchRanges|TestLateReadReply|ReadPath' ./internal/dist/ ./internal/core/

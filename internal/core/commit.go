@@ -21,19 +21,24 @@ type sendTally struct {
 	localBytes int64
 }
 
-// vpFlusher is the per-(VP, array) write buffer interface: the coordinator
-// drains buffers in VP rank order at each commit, which fixes the merge
-// order and makes commits deterministic.
+// vpFlusher is the per-(lane, array) write buffer interface: the
+// coordinator drains each VP's records (one laneTouch) in VP rank order
+// at each commit, which fixes the merge order and makes commits
+// deterministic.
 type vpFlusher interface {
-	// flushGlobal stages or encodes records for the global-phase
-	// exchange (node-array records apply immediately; they are node-local
-	// by nature).
-	flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error
-	// flushNode applies records immediately (node-phase commit) and
-	// returns the applied payload bytes.
-	flushNode(d *doRun, phaseSeq int64) (bytes int64, err error)
+	// flushGlobal stages or encodes one VP's records (its touch t) for
+	// the global-phase exchange (node-array records apply immediately;
+	// they are node-local by nature).
+	flushGlobal(d *doRun, ts *sendTally, phaseSeq int64, t *laneTouch) error
+	// flushNode applies one VP's records immediately (node-phase commit)
+	// and returns the applied payload bytes.
+	flushNode(d *doRun, phaseSeq int64, t *laneTouch) (bytes int64, err error)
 	// owner identifies the array this buffer is bound to.
 	owner() any
+	// endPart ends the lane holder's records and returns where they lie.
+	endPart() (chunk, lo, hi int32)
+	// reset empties the buffer once the commit has read it.
+	reset()
 	// release empties the buffer, unbinds it from its array and returns
 	// it to its type's pool (see pools for when).
 	release()
@@ -100,22 +105,42 @@ func putWire(bs []*[]byte) {
 	}
 }
 
-// wbuf buffers one VP's writes to one shared array as run-length records.
-// Block writes land in the arena directly; contiguous scalar writes
-// coalesce into arena-backed runs, so the commit path applies whole runs
-// with copy instead of iterating 32-byte per-element records.
+// wbuf buffers the writes of a lane's VPs to one shared array as
+// run-length records, each VP's part after the previous holder's. Block
+// writes land in the arena directly; contiguous scalar writes coalesce
+// into arena-backed runs, so the commit path applies whole runs with copy
+// instead of iterating 32-byte per-element records.
 type wbuf[T Elem] struct {
-	wid   int64 // owning VP's writer id, set when the buffer is acquired
-	recs  []writeRec[T]
+	recs  chunked[writeRec[T]]
 	arena []T
+	// pool is the doRun's pool of record chunks for the bound array. An
+	// unbound buffer carries the chunks that pool held when it was
+	// released, into the next doRun that binds it (bind).
+	pool *chunkPool[writeRec[T]]
 }
 
-// push buffers one scalar write, extending the previous record when it is
-// contiguous with the same combine mode (the writer is the same by
-// construction — the buffer belongs to one VP).
-func (b *wbuf[T]) push(i int, v T, add bool) {
-	if k := len(b.recs); k > 0 {
-		last := &b.recs[k-1]
+// bind attaches the buffer to pool, which takes the chunks it carries.
+func (b *wbuf[T]) bind(pool *chunkPool[writeRec[T]]) {
+	b.pool = pool
+	b.recs.release(pool)
+}
+
+// unbind empties the buffer and detaches it from its pool, carrying the
+// pool's chunks away.
+func (b *wbuf[T]) unbind() {
+	b.reset()
+	b.recs.list = b.pool.drain(b.recs.list)
+	b.pool = nil
+}
+
+func (b *wbuf[T]) endPart() (chunk, lo, hi int32) { return b.recs.end() }
+
+// push buffers one scalar write by the lane's holder, writer wid,
+// extending its previous record when it is contiguous and of the same
+// combine mode.
+func (b *wbuf[T]) push(i int, v T, add bool, wid int64) {
+	if k := len(b.recs.cur); k > 0 {
+		last := &b.recs.cur[k-1]
 		if last.add == add && last.lo+last.n == i {
 			if last.off >= 0 {
 				if last.off+last.n == len(b.arena) {
@@ -133,32 +158,37 @@ func (b *wbuf[T]) push(i int, v T, add bool) {
 			}
 		}
 	}
-	b.recs = append(b.recs, writeRec[T]{lo: i, n: 1, off: -1, val: v, add: add, writer: b.wid})
+	b.recs.add(writeRec[T]{lo: i, n: 1, off: -1, val: v, add: add, writer: wid}, b.pool)
 }
 
-// pushRun buffers one block write as a single run.
-func (b *wbuf[T]) pushRun(lo int, src []T, add bool) {
+// pushRun buffers one block write by the lane's holder, writer wid, as a
+// single run.
+func (b *wbuf[T]) pushRun(lo int, src []T, add bool, wid int64) {
 	off := len(b.arena)
 	b.arena = append(b.arena, src...)
-	if k := len(b.recs); k > 0 {
-		last := &b.recs[k-1]
+	if k := len(b.recs.cur); k > 0 {
+		last := &b.recs.cur[k-1]
 		if last.add == add && last.lo+last.n == lo && last.off >= 0 && last.off+last.n == off {
 			last.n += len(src)
 			return
 		}
 	}
-	b.recs = append(b.recs, writeRec[T]{lo: lo, n: len(src), off: off, add: add, writer: b.wid})
+	b.recs.add(writeRec[T]{lo: lo, n: len(src), off: off, add: add, writer: wid}, b.pool)
 }
 
-// apply applies every buffered run, in order, to dst, node's storage of
-// c, which holds element i at dst[i-lo0]; empties the buffer; and returns
-// the applied payload bytes and the first strict error.
-func (b *wbuf[T]) apply(c *arrayCore[T], dst []T, lo0 int, d *doRun, phaseSeq int64) (int64, error) {
+// recsOf returns the records of touch t.
+func (b *wbuf[T]) recsOf(t *laneTouch) []writeRec[T] { return part(b.recs.list, t.chunk, t.lo, t.hi) }
+
+// apply applies the records of touch t, in order, to dst, node's storage
+// of c, which holds element i at dst[i-lo0], and returns the applied
+// payload bytes and the first strict error.
+func (b *wbuf[T]) apply(c *arrayCore[T], dst []T, lo0 int, d *doRun, phaseSeq int64, t *laneTouch) (int64, error) {
 	var bytes int64
 	var firstErr error
 	strict := d.rt.gs.opt.StrictWrites
-	for ri := range b.recs {
-		r := &b.recs[ri]
+	recs := b.recsOf(t)
+	for ri := range recs {
+		r := &recs[ri]
 		sr := stageRec[T]{lo: r.lo, n: r.n, add: r.add, writer: r.writer}
 		if r.off >= 0 {
 			sr.vals = b.arena[r.off : r.off+r.n]
@@ -170,13 +200,12 @@ func (b *wbuf[T]) apply(c *arrayCore[T], dst []T, lo0 int, d *doRun, phaseSeq in
 		}
 		bytes += int64(r.n) * int64(c.es)
 	}
-	b.reset()
 	return bytes, firstErr
 }
 
-// reset empties the buffer.
+// reset empties the buffer, its record chunks going back to the pool.
 func (b *wbuf[T]) reset() {
-	b.recs = b.recs[:0]
+	b.recs.release(b.pool)
 	b.arena = b.arena[:0]
 }
 
@@ -193,22 +222,25 @@ func (b *gBuf[T]) owner() any { return b.g }
 
 func (b *gBuf[T]) release() {
 	pool := b.g.bufs
+	b.unbind()
 	b.g = nil
-	b.reset()
 	pool.Put(b)
 }
 
-// flushGlobal splits this buffer's runs at partition boundaries, so that
-// each has a single destination node. A run for the flushing node's own
+// flushGlobal splits the records of touch tc at partition boundaries, so
+// that each has a single destination node. A run for the flushing node's own
 // partition is staged; one for another node is encoded, here and once,
-// into the array's wire buffer for that node.
-func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
+// into the array's wire buffer for that node. Staged runs may alias the
+// arena: the buffer is reset only after this node's commit has applied
+// its stage (doRun.resetLanes).
+func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64, tc *laneTouch) error {
 	node := d.node
 	g := b.g
 	es8 := int64(g.es + 8)
 	wout, wruns := g.wout[node], g.wruns[node]
-	for ri := range b.recs {
-		r := &b.recs[ri]
+	recs := b.recsOf(tc)
+	for ri := range recs {
+		r := &recs[ri]
 		lo, rest := r.lo, r.n
 		for rest > 0 {
 			dst, phi := node, g.bnd[node+1]
@@ -240,17 +272,12 @@ func (b *gBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
 			rest -= n
 		}
 	}
-	b.recs = b.recs[:0]
-	// The arena may still be aliased by staged runs; truncation is safe
-	// because new writes (which would overwrite it) can only be buffered
-	// after this node's commit has applied its stage.
-	b.arena = b.arena[:0]
 	return nil
 }
 
-func (b *gBuf[T]) flushNode(d *doRun, phaseSeq int64) (int64, error) {
+func (b *gBuf[T]) flushNode(d *doRun, phaseSeq int64, t *laneTouch) (int64, error) {
 	dst, lo0 := b.g.span(d.node)
-	return b.apply(&b.g.arrayCore, dst, lo0, d, phaseSeq)
+	return b.apply(&b.g.arrayCore, dst, lo0, d, phaseSeq, t)
 }
 
 // nBuf is a wbuf bound to a Node array. Node-array records are node-local
@@ -264,68 +291,115 @@ func (b *nBuf[T]) owner() any { return b.a }
 
 func (b *nBuf[T]) release() {
 	pool := b.a.bufs
+	b.unbind()
 	b.a = nil
-	b.reset()
 	pool.Put(b)
 }
 
-func (b *nBuf[T]) flushGlobal(d *doRun, t *sendTally, phaseSeq int64) error {
-	bytes, err := b.flushNode(d, phaseSeq)
-	t.localElems += bytes / int64(b.a.es)
-	t.localBytes += bytes
+func (b *nBuf[T]) flushGlobal(d *doRun, ts *sendTally, phaseSeq int64, t *laneTouch) error {
+	bytes, err := b.flushNode(d, phaseSeq, t)
+	ts.localElems += bytes / int64(b.a.es)
+	ts.localBytes += bytes
 	return err
 }
 
-func (b *nBuf[T]) flushNode(d *doRun, phaseSeq int64) (int64, error) {
-	return b.apply(&b.a.arrayCore, b.a.base[d.node], 0, d, phaseSeq)
+func (b *nBuf[T]) flushNode(d *doRun, phaseSeq int64, t *laneTouch) (int64, error) {
+	return b.apply(&b.a.arrayCore, b.a.base[d.node], 0, d, phaseSeq, t)
 }
 
-// bufFor finds the calling VP's write buffer for g, or draws one from
-// g's pool (or makes one) and binds it to g and the VP's writer id.
+// bufFor finds the write buffer of the calling VP's lane for g, binding
+// one to the lane on the VP's first write to g in this phase.
 func bufFor[T Elem](vp *VP, g *Global[T]) *gBuf[T] {
-	for _, b := range vp.bufs {
-		if b.owner() == g {
+	l := vp.lane
+	for _, t := range l.touch.cur {
+		if b := l.bufs[t.buf]; b.owner() == g {
 			return b.(*gBuf[T])
 		}
 	}
-	g.checkLive("Global", "Write") // no VP keeps a buffer past its run
+	if b := l.touchBuf(g, &vp.d.touchPool); b != nil {
+		return b.(*gBuf[T])
+	}
+	g.checkLive("Global", "Write") // no lane keeps a buffer past its run
 	b, _ := g.bufs.Get().(*gBuf[T])
 	if b == nil {
 		b = new(gBuf[T])
 	}
-	b.g, b.wid = g, vp.wid
-	vp.bufs = append(vp.bufs, b)
+	b.g = g
+	b.bind(recPoolFor[T](vp.d, g))
+	l.addBuf(b, &vp.d.touchPool)
 	return b
 }
 
 // nodeBufFor is bufFor for a node-shared array.
 func nodeBufFor[T Elem](vp *VP, a *Node[T]) *nBuf[T] {
-	for _, b := range vp.bufs {
-		if b.owner() == a {
+	l := vp.lane
+	for _, t := range l.touch.cur {
+		if b := l.bufs[t.buf]; b.owner() == a {
 			return b.(*nBuf[T])
 		}
+	}
+	if b := l.touchBuf(a, &vp.d.touchPool); b != nil {
+		return b.(*nBuf[T])
 	}
 	a.checkLive("Node", "Write")
 	b, _ := a.bufs.Get().(*nBuf[T])
 	if b == nil {
 		b = new(nBuf[T])
 	}
-	b.a, b.wid = a, vp.wid
-	vp.bufs = append(vp.bufs, b)
+	b.a = a
+	b.bind(recPoolFor[T](vp.d, a))
+	l.addBuf(b, &vp.d.touchPool)
 	return b
 }
 
+// recPoolFor returns d's pool of record chunks for the array owner,
+// making it on the first binding of a buffer to the array.
+func recPoolFor[T Elem](d *doRun, owner any) *chunkPool[writeRec[T]] {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p, ok := d.recPools[owner]; ok {
+		return p.(*chunkPool[writeRec[T]])
+	}
+	if d.recPools == nil {
+		d.recPools = make(map[any]any)
+	}
+	p := new(chunkPool[writeRec[T]])
+	d.recPools[owner] = p
+	return p
+}
+
+// touchBuf notes the holder's first write in this phase to the array
+// owner, which an earlier holder of the lane wrote: the holder's records
+// in the lane's buffer for it start here. It returns nil when the lane
+// has no buffer for the array.
+func (l *lane) touchBuf(owner any, pool *chunkPool[laneTouch]) vpFlusher {
+	for i, b := range l.bufs {
+		if b.owner() == owner {
+			l.touch.add(laneTouch{buf: int32(i)}, pool)
+			return b
+		}
+	}
+	return nil
+}
+
+// addBuf binds the empty buffer b to the lane for the holder's first
+// write to its array.
+func (l *lane) addBuf(b vpFlusher, pool *chunkPool[laneTouch]) {
+	l.touch.add(laneTouch{buf: int32(len(l.bufs))}, pool)
+	l.bufs = append(l.bufs, b)
+}
+
 // releaseStaging returns everything d stages writes in to the pools, the
-// VPs' write buffers and the raw commit streams, once d's last commit of
-// the run has succeeded.
+// lanes' write buffers and the raw commit streams, once d's last commit
+// of the run has succeeded.
 func (d *doRun) releaseStaging() {
-	for i := range d.vps {
-		vp := &d.vps[i]
-		for _, b := range vp.bufs {
+	for _, l := range d.lanes {
+		for _, b := range l.bufs {
 			b.release()
 		}
-		vp.bufs = nil
+		l.bufs = nil
 	}
+	d.recPools = nil
 	putWire(d.coutRaw)
 	d.coutRaw = nil // the next commit draws afresh
 	clear(d.cout)   // it aliased the streams
@@ -392,9 +466,9 @@ func (d *doRun) bundleCount(elems, bytes int64) int64 {
 
 // mergeReadSets folds every VP's phase-local remote-read tracking into
 // per-owner element and byte counts. Direct counters (the NoReadCache
-// path) sum in VP rank order; the cached path computes the union of the
-// per-VP read sets — exactly the set the old node-level map accumulated,
-// but without any cross-VP lock. Interval runs are sorted and swept into
+// path) are per-lane integer sums; the cached path computes the union of
+// the VPs' read sets, their parts of the lanes, without any cross-VP
+// lock. Interval runs are sorted and swept into
 // a disjoint cover, scattered indices are deduplicated against each other
 // and against the cover, and the result is counted per owning node. All
 // counts are integers, so the merge order cannot perturb them.
@@ -415,12 +489,12 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 	}
 	// Direct counters are already per-owner sums; fold and clear them
 	// first — they bypass planning entirely.
-	for i := range d.vps {
-		if vp := &d.vps[i]; vp.rrElems != nil {
+	for _, l := range d.lanes {
+		if l.rrElems != nil {
 			for n := range rrElems {
-				rrElems[n] += vp.rrElems[n]
-				rrBytes[n] += vp.rrBytes[n]
-				vp.rrElems[n], vp.rrBytes[n] = 0, 0
+				rrElems[n] += l.rrElems[n]
+				rrBytes[n] += l.rrBytes[n]
+				l.rrElems[n], l.rrBytes[n] = 0, 0
 			}
 		}
 	}
@@ -434,15 +508,20 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 		d.rt.stats().PlanCache.Invalidations++
 	}
 	// Size the scratch before filling it: one counting pass over the VPs'
-	// tracking, then every slice below grows at most once, to its final
-	// size, instead of by doubling.
+	// parts of the lanes, then every slice below grows at most once, to
+	// its final size, instead of by doubling. (A lane's chunks may hold
+	// keys no segment covers: a log that moved to a larger chunk left its
+	// old copy behind.)
 	nsegs, nkeys := 0, 0
-	for i := range d.vps {
-		vp := &d.vps[i]
-		for id, rs := range vp.rdRuns {
-			d.mrCnt[id].runs += len(rs)
+	for i := range d.segs {
+		s := &d.segs[i]
+		if s.keyLo == s.keyHi && s.runLo == s.runHi {
+			continue
 		}
-		for _, k := range vp.rdIdx {
+		for _, r := range d.runsOf(s) {
+			d.mrCnt[r.lo.array()].runs++
+		}
+		for _, k := range d.keysOf(s) {
 			d.mrCnt[k.array()].keys++
 		}
 	}
@@ -456,50 +535,30 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 	rec := p != nil
 	if rec {
 		d.rt.stats().PlanCache.Misses++
-		p.beginRecord(d.openKind, d.k, na, nsegs, gs.nodes, gs.dist != nil)
-		if p.vlog == nil && nkeys > 0 {
-			p.vlog = make([][]readKey, d.k)
-		}
-	}
-	for i := range d.vps {
-		vp := &d.vps[i]
-		if rec {
-			for id := 0; id < na; id++ {
-				var rs []intRun
-				if id < len(vp.rdRuns) {
-					rs = vp.rdRuns[id]
-				}
-				p.segs = append(p.segs, rs...)
-				p.offs = append(p.offs, int32(len(p.segs)))
-			}
-		}
-		for id, rs := range vp.rdRuns {
-			if len(rs) > 0 {
-				d.mrRuns[id] = append(d.mrRuns[id], rs...)
-				vp.rdRuns[id] = rs[:0]
-			}
-		}
-		for _, k := range vp.rdIdx {
-			d.mrIdx[k.array()] = append(d.mrIdx[k.array()], k.idx())
-		}
-		if rec && p.vlog != nil {
-			// The plan takes the log it will validate against and hands
-			// back the one it held (empty the first time: the VP then
-			// draws a fresh piece on its next scalar read).
-			p.vlog[i], vp.rdIdx = vp.rdIdx, p.vlog[i]
-			vp.clearReadLog()
-		} else if len(vp.rdIdx) > 0 {
-			vp.clearReadLog()
-		}
-	}
-	if rec {
-		p.runs = int64(nsegs + nkeys)
+		p.beginRecord(d.openKind, na, gs.nodes, gs.dist != nil)
+		p.entries = int64(nsegs + nkeys)
 	}
 	if nsegs+nkeys == 0 {
 		if rec {
 			p.valid = true // empty shape: replays as a no-op
 		}
 		return
+	}
+	for i := range d.segs {
+		s := &d.segs[i]
+		for _, r := range d.runsOf(s) {
+			id := r.lo.array()
+			d.mrRuns[id] = append(d.mrRuns[id], intRun{lo: r.lo.idx(), hi: r.hi})
+		}
+		for _, k := range d.keysOf(s) {
+			d.mrIdx[k.array()] = append(d.mrIdx[k.array()], k.idx())
+		}
+	}
+	if rec {
+		// The plan takes the lanes' keys and runs, and the segments into
+		// them, that it will validate against, and hands back what it
+		// held (see phasePlan.take).
+		p.take(d)
 	}
 	// Merge target: the commit's counters directly, or the plan's delta
 	// slices on a recording pass (added into the counters below).
@@ -592,27 +651,39 @@ func (d *doRun) resetCommitScratch(nodes int) {
 	d.cinBytes = resetInt64(d.cinBytes, nodes)
 }
 
-// drainGlobal drains every VP's write buffers in rank order into the
-// arrays' stages and wire buffers (fixing the merge order) and folds
-// per-VP access counters into the node's stats; traffic accumulates into
+// drainGlobal drains every VP's records in rank order into the arrays'
+// stages and wire buffers (fixing the merge order) and folds the lanes'
+// access counters into the node's stats; traffic accumulates into
 // d.ctally.
 // It is a method, not a closure, so the non-strict commit path carries
 // no captured variables and stays allocation-free.
 func (d *doRun) drainGlobal(seq int64) error {
-	st := d.rt.stats()
+	d.foldAccesses()
 	var firstErr error
-	for i := range d.vps {
-		vp := &d.vps[i]
-		st.SharedReads += vp.reads
-		st.SharedWrites += vp.writes
-		vp.reads, vp.writes = 0, 0
-		for _, b := range vp.bufs {
-			if err := b.flushGlobal(d, &d.ctally, seq); err != nil && firstErr == nil {
+	for i := range d.segs {
+		s := &d.segs[i]
+		if s.wLo == s.wHi {
+			continue
+		}
+		bufs, ts := d.lanes[s.lane].bufs, d.touchesOf(s)
+		for i := range ts {
+			if err := bufs[ts[i].buf].flushGlobal(d, &d.ctally, seq, &ts[i]); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
 	return firstErr
+}
+
+// foldAccesses adds the lanes' access counters into the node's stats and
+// clears them.
+func (d *doRun) foldAccesses() {
+	st := d.rt.stats()
+	for _, l := range d.lanes {
+		st.SharedReads += l.reads
+		st.SharedWrites += l.writes
+		l.reads, l.writes = 0, 0
+	}
 }
 
 // drainGlobalSerial is drainGlobal under the node's serial section:
@@ -626,28 +697,33 @@ func (d *doRun) drainGlobalSerial(seq int64) error {
 
 // commit finalizes one phase: merges VP accounting (the VPs' charges from
 // snapshot slot p), models the bundled communication, exchanges and
-// applies staged writes (global phases), and resets per-VP state.
+// applies staged writes (global phases), and empties the lanes.
 func (d *doRun) commit(kind phaseKind, p int32) error {
+	var err error
 	if kind == phaseGlobal {
-		return d.commitGlobal(p)
+		err = d.commitGlobal(p)
+	} else {
+		err = d.commitNode(p)
 	}
-	return d.commitNode(p)
+	d.resetLanes()
+	return err
 }
 
-// drainNode drains and applies every VP's write buffers in rank order
+// drainNode drains and applies every VP's records in rank order
 // (node-phase commit: records apply immediately), returning the applied
 // payload bytes and the first strict error.
 func (d *doRun) drainNode(seq int64) (int64, error) {
-	st := d.rt.stats()
+	d.foldAccesses()
 	var applyBytes int64
 	var firstErr error
-	for i := range d.vps {
-		vp := &d.vps[i]
-		st.SharedReads += vp.reads
-		st.SharedWrites += vp.writes
-		vp.reads, vp.writes = 0, 0
-		for _, b := range vp.bufs {
-			bytes, err := b.flushNode(d, seq)
+	for i := range d.segs {
+		s := &d.segs[i]
+		if s.wLo == s.wHi {
+			continue
+		}
+		bufs, ts := d.lanes[s.lane].bufs, d.touchesOf(s)
+		for i := range ts {
+			bytes, err := bufs[ts[i].buf].flushNode(d, seq, &ts[i])
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -735,7 +811,7 @@ func (d *doRun) commitGlobal(p int32) error {
 	nodes := gs.nodes
 	sim := rt.proc != nil
 
-	// 1. Drain VP write buffers in rank order (fixes merge order), then
+	// 1. Drain the VPs' records in rank order (fixes merge order), then
 	// merge the per-VP read sets into the node-level traffic tallies.
 	// All per-commit tallies live in reusable doRun scratch.
 	d.resetCommitScratch(nodes)

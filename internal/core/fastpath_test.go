@@ -19,8 +19,9 @@ import (
 // quick-check walks, which includes n < parts and empty partitions.
 
 // fastpathRig is one Global[float64] of n elements over parts nodes with
-// a one-VP doRun per node, built by hand so that a single test process
-// can stand on every node of a 37-node layout without running one.
+// a one-VP doRun per node, its VP holding a lane, built by hand so that a
+// single test process can stand on every node of a 37-node layout
+// without running one.
 type fastpathRig struct {
 	g    *Global[float64]
 	part partition.Block
@@ -33,17 +34,36 @@ func newFastpathRig(n, parts int) *fastpathRig {
 	for node := 0; node < parts; node++ {
 		rt := &Runtime{gs: gs, node: node}
 		rig.g = AllocGlobal[float64](rt, "fp", n)
-		rig.vps = append(rig.vps, &newDoRun(rt, 1).vps[0])
+		d := newDoRun(rt, 1)
+		vp := &d.vps[0]
+		vp.lane = d.takeLane()
+		rig.vps = append(rig.vps, vp)
 	}
 	return rig
 }
 
-// enter puts node's VP inside a fresh phase of the given kind.
+// enter puts node's VP inside a fresh phase of the given kind, its lane
+// holding no read (what it buffered stays until flush).
 func (rig *fastpathRig) enter(node int, kind phaseKind) *VP {
 	vp := rig.vps[node]
 	vp.fast, vp.phaseKind = true, kind
-	vp.rdIdx, vp.rdRuns = vp.rdIdx[:0], nil
+	l := vp.lane
+	l.keys.release(&vp.d.keyPool)
+	l.runs.release(&vp.d.runPool)
+	l.mark = 0
 	return vp
+}
+
+// runs returns the block-read runs node's VP recorded for the rig's
+// array.
+func (rig *fastpathRig) runs(node int) []intRun {
+	var out []intRun
+	for _, r := range rig.vps[node].lane.runs.cur {
+		if r.lo.array() == rig.g.id {
+			out = append(out, intRun{lo: r.lo.idx(), hi: r.hi})
+		}
+	}
+	return out
 }
 
 // refRuns is what the division-based ReadBlock recorded for [lo, hi)
@@ -59,10 +79,7 @@ func (rig *fastpathRig) refRuns(node, lo, hi int) []intRun {
 		}
 		s = e
 	}
-	if ref.rdRuns == nil {
-		return nil
-	}
-	return append([]intRun(nil), ref.rdRuns[rig.g.id]...)
+	return rig.runs(node)
 }
 
 // panicText runs f and returns what it panicked with ("" for a normal
@@ -85,11 +102,17 @@ func (rig *fastpathRig) flush(t *testing.T, node int) [][]stageRec[float64] {
 	vp := rig.vps[node]
 	parts := len(rig.vps)
 	tally := sendTally{elems: make([]int64, parts), bytes: make([]int64, parts)}
-	for _, b := range vp.bufs {
-		if err := b.flushGlobal(vp.d, &tally, 1); err != nil {
+	l := vp.lane
+	for i := range l.touch.cur {
+		tc := &l.touch.cur[i]
+		b := l.bufs[tc.buf]
+		tc.chunk, tc.lo, tc.hi = b.endPart()
+		if err := b.flushGlobal(vp.d, &tally, 1, tc); err != nil {
 			t.Fatal(err)
 		}
+		b.reset()
 	}
+	l.touch.release(&vp.d.touchPool)
 	out := make([][]stageRec[float64], parts)
 	for dst := range out {
 		if dst == node {
@@ -163,8 +186,8 @@ func TestFastPathAgreesWithBlock(t *testing.T) {
 				if part.Owner(i) != node {
 					want = []readKey{makeReadKey(g.id, i)}
 				}
-				if !reflect.DeepEqual(append([]readKey(nil), vp.rdIdx...), want) {
-					fail("node %d Read(%d): logged %v, want %v (owner %d)", node, i, vp.rdIdx, want, part.Owner(i))
+				if !reflect.DeepEqual(append([]readKey(nil), vp.lane.keys.cur...), want) {
+					fail("node %d Read(%d): logged %v, want %v (owner %d)", node, i, vp.lane.keys.cur, want, part.Owner(i))
 				}
 				g.Write(vp, i, 1)
 			}
@@ -204,11 +227,7 @@ func TestFastPathAgreesWithBlock(t *testing.T) {
 				want := rig.refRuns(node, lo, hi)
 				vp := rig.enter(node, phaseGlobal)
 				g.ReadBlock(vp, lo, hi, src)
-				var got []intRun
-				if vp.rdRuns != nil {
-					got = append(got, vp.rdRuns[g.id]...)
-				}
-				if !reflect.DeepEqual(got, want) {
+				if got := rig.runs(node); !reflect.DeepEqual(got, want) {
 					fail("node %d ReadBlock %s: runs %v, want %v", node, op, got, want)
 				}
 				g.WriteBlock(vp, lo, src)
@@ -252,13 +271,13 @@ func TestReadBlockAcrossThreeOwners(t *testing.T) {
 	vp := rig.enter(1, phaseGlobal)
 	rig.g.ReadBlock(vp, 2, 9, make([]float64, 7))
 	want := []intRun{{lo: 2, hi: 4}, {lo: 7, hi: 9}}
-	if got := vp.rdRuns[rig.g.id]; !reflect.DeepEqual(got, want) {
+	if got := rig.runs(1); !reflect.DeepEqual(got, want) {
 		t.Errorf("node 1 ReadBlock[2:9) recorded %v, want %v", got, want)
 	}
 	vp = rig.enter(0, phaseGlobal)
 	rig.g.ReadBlock(vp, 2, 9, make([]float64, 7))
 	want = []intRun{{lo: 4, hi: 9}} // two remote owners, one contiguous run
-	if got := vp.rdRuns[rig.g.id]; !reflect.DeepEqual(got, want) {
+	if got := rig.runs(0); !reflect.DeepEqual(got, want) {
 		t.Errorf("node 0 ReadBlock[2:9) recorded %v, want %v", got, want)
 	}
 }

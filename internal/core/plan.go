@@ -15,31 +15,31 @@ import (
 //
 //   - Warm doRuns: Do invocations are keyed by (K, body code pointer).
 //     The first invocation of a shape builds a doRun; later ones reuse
-//     it, with its VP slab and its scratch, so warm Dos allocate no
-//     coordinator state. No goroutine outlives a Do.
+//     it, with its VP slab, its lanes and its scratch, so warm Dos
+//     allocate no coordinator state. No goroutine outlives a Do.
 //
 //   - Phase plans: at each global-phase commit the read-set merge
 //     (sort, dedup, owner split — the metadata-dominated part of the
 //     hot path) records its inputs and its result into the doRun's
-//     plan for that phase ordinal. The block-read runs are copied; the
-//     scalar read logs are taken: the plan swaps each VP's log for the
-//     one it held before (none, the first time), so recording copies no
-//     key and a VP whose log was taken starts its next one in a fresh
-//     piece of the slab (doRun.logPiece). The next time the same ordinal
-//     commits, the recorded inputs are compared element-wise against
-//     what the VPs actually accessed; on a match the merged per-owner
-//     traffic deltas are replayed and, in distributed runs, the
-//     recorded fetch cover is prefetched at phase open. On any
-//     mismatch the plan is invalidated and rebuilt cold, and the swap
-//     hands the stale logs back to the VPs.
+//     plan for that phase ordinal. The inputs are taken, not copied:
+//     the plan swaps the lanes' scalar read keys and block-read runs,
+//     and the VPs' segments into them, for the ones it held before
+//     (none, the first time), so recording copies no key and no run.
+//     The next time the same ordinal commits, the recorded inputs are
+//     compared element-wise against what the VPs actually accessed; on
+//     a match the merged per-owner traffic deltas are replayed and, in
+//     distributed runs, the recorded fetch cover is prefetched at phase
+//     open. On any mismatch the plan is invalidated and rebuilt cold,
+//     and the swap hands the stale storage back to the lanes.
 //
-// Validation is exact (run-by-run comparison of block reads, key-by-key
-// comparison of each VP's scalar read log), never a hash: a collision
-// would silently corrupt modeled counters, and the comparison is linear
-// in the data the cold path would sort anyway. Comparing the logs as
-// sequences is stricter than the set equality the merge result depends
-// on: a phase that reads the same keys in another order misses and pays
-// a cold merge, but equal sequences are equal sets, so a hit can never
+// Validation is exact (VP by VP, run-by-run comparison of block reads and
+// key-by-key comparison of the scalar read log), never a hash: a
+// collision would silently corrupt modeled counters, and the comparison
+// is linear in the data the cold path would sort anyway. Comparing the
+// logs and runs as sequences is stricter than the set equality the merge
+// result depends on: a phase that reads the same keys in another order,
+// or the same runs of two arrays interleaved otherwise, misses and pays a
+// cold merge, but equal sequences are equal sets, so a hit can never
 // replay a wrong count. Correctness therefore never depends on the
 // cache; it only short-circuits recomputation of a result it has
 // verified to be identical.
@@ -63,7 +63,7 @@ func funcID(body func(*VP)) uintptr {
 }
 
 // warmCap bounds how many doRun shapes a Runtime keeps warm. Each warm
-// shape holds its VP slab and plan scratch; programs with more distinct
+// shape holds its VP slab, lanes and plans; programs with more distinct
 // shapes than this (none of the figure apps come close) evict an
 // arbitrary shape, which costs a rebuild, never correctness.
 const warmCap = 32
@@ -145,21 +145,16 @@ func (ws *WarmSession) adopt(rt *Runtime) {
 // into the finished run goes here, so that a session idling between
 // jobs pins none of it: the write buffers (unbound from the arrays) and
 // the commit stream scratch go back to their pools, and the Runtime, the
-// read tracking and the merge scratch are dropped and rebuilt on first
-// use, while the recorded phase plans (the expensive part, which own their
-// logs) carry over.
+// lanes, the chunk pools and the merge scratch are dropped and rebuilt
+// on first use, while the recorded phase plans (the expensive
+// part, which own their keys and runs) carry over.
 func (ws *WarmSession) stash(rt *Runtime) {
 	for _, d := range rt.warm {
 		d.releaseStaging()
 		d.rt, d.body = nil, nil
 		d.mrRuns, d.mrIdx, d.mrCnt = nil, nil, nil
-		d.logs = nil
-		for i := range d.vps {
-			vp := &d.vps[i]
-			vp.rdRuns = nil
-			vp.rdIdx = nil
-			vp.rrElems, vp.rrBytes = nil, nil
-		}
+		d.dropLanes()
+		d.keyPool.free, d.runPool.free, d.touchPool.free = nil, nil, nil
 	}
 	ws.warm = rt.warm
 	ws.owner = ws.key
@@ -173,17 +168,14 @@ type phasePlan struct {
 	kind  phaseKind
 	na    int // len(gs.arrays) at record time
 
-	// Recorded per-(VP, array) read runs, flattened in VP-major order:
-	// VP v's runs for array a are segs[offs[v*na+a] : offs[v*na+a+1]].
-	segs []intRun
-	offs []int32
-	// Recorded per-VP scalar read logs, taken from the VPs, not copied:
-	// vlog[v] is the log VP v wrote in the recorded phase, and the plan
-	// is its only owner (see doRun.logPiece). nil when no VP of the phase
-	// has logged a scalar read, so a block-read plan carries none; else
-	// one entry per VP, each at most the piece or the grown log that VP
-	// handed over.
-	vlog [][]readKey
+	// The recorded inputs, taken from the doRun by swap (see take): VP
+	// v's scalar read keys and block-read runs are parts of
+	// keys[segs[v].lane] and runs[segs[v].lane], the chunks its lane held.
+	// The plan is their only owner. Unused when entries is 0: the phase
+	// read nothing remote.
+	segs []laneSeg
+	keys [][][]readKey
+	runs [][][]laneRun
 
 	// The merge result: per-owner remote-read traffic deltas this
 	// phase contributes, replayed into the commit's counters on a hit.
@@ -195,8 +187,9 @@ type phasePlan struct {
 	// VPs find every range already cached and fetch nothing.
 	fcov [][]wire.ReadRange
 
-	// The read-set entries a replay skips (PlanCacheStats.RunsReplayed).
-	runs int64
+	// The read-set entries a replay skips (PlanCacheStats.RunsReplayed):
+	// runs plus keys.
+	entries int64
 }
 
 // planFor returns the plan slot for the phase being committed (the
@@ -230,16 +223,13 @@ func (d *doRun) peekPlan() *phasePlan {
 	return p
 }
 
-// beginRecord resets p to record a fresh merge of nsegs block-read runs
-// for k VPs over na arrays, keeping slice capacity and growing segs and
-// offs at most once, to their final sizes. vlog stays: the recording pass
-// swaps it log by log.
-func (p *phasePlan) beginRecord(kind phaseKind, k, na, nsegs, nodes int, dist bool) {
+// beginRecord resets p to record a fresh merge over na arrays, keeping
+// slice capacity. segs, keys and runs stay: the recording pass swaps them
+// (take).
+func (p *phasePlan) beginRecord(kind phaseKind, na, nodes int, dist bool) {
 	p.valid = false
 	p.kind = kind
 	p.na = na
-	p.segs = slices.Grow(p.segs[:0], nsegs)
-	p.offs = append(slices.Grow(p.offs[:0], k*na+1), 0)
 	p.rrElems = resetInt64(p.rrElems, nodes)
 	p.rrBytes = resetInt64(p.rrBytes, nodes)
 	if dist {
@@ -268,68 +258,78 @@ func (p *phasePlan) noteFetch(owner, id, lo, hi int) {
 	p.fcov[owner] = append(q, wire.ReadRange{Array: id, Lo: lo, Hi: hi})
 }
 
-// matches reports whether the phase the VPs just finished has exactly
-// the access shape p recorded: same phase kind, same array count, the
-// same run lists per (VP, array) in recorded order (VP bodies are
-// deterministic, so a shape-stable program reproduces the order), and
-// the same scalar read log per VP, key by key.
+// take moves the phase's recorded inputs into p: p swaps its segment
+// table with the doRun's, and takes the lanes' key and run chunks in use,
+// handing the chunks it held to the doRun's pools, so that recording
+// copies no item. The doRun's table is nil after the first recording;
+// the next phase open makes a new one.
+func (p *phasePlan) take(d *doRun) {
+	for len(p.keys) < len(d.lanes) {
+		p.keys = append(p.keys, nil)
+		p.runs = append(p.runs, nil)
+	}
+	for i := range p.keys {
+		d.keyPool.put(p.keys[i])
+		d.runPool.put(p.runs[i])
+		clear(p.keys[i])
+		clear(p.runs[i])
+		p.keys[i], p.runs[i] = p.keys[i][:0], p.runs[i][:0]
+		if i < len(d.lanes) {
+			l := d.lanes[i]
+			p.keys[i] = takeChunks(p.keys[i], &l.keys)
+			p.runs[i] = takeChunks(p.runs[i], &l.runs)
+		}
+	}
+	p.segs, d.segs = d.segs, p.segs
+}
+
+// takeChunks appends the chunks c holds this phase's parts in to list
+// and drops them from c.
+func takeChunks[E any](list [][]E, c *chunked[E]) [][]E {
+	list = append(slices.Grow(list, max(len(c.list), chunkLists)), c.list...)
+	clear(c.list)
+	c.list, c.off, c.cur = c.list[:0], 0, nil
+	return list
+}
+
+// planMatches reports whether the phase the VPs just finished has exactly
+// the access shape p recorded: same phase kind, same array count, and per
+// VP the same block-read runs and the same scalar read log, in recorded
+// order (VP bodies are deterministic, so a shape-stable program
+// reproduces the order).
 func (d *doRun) planMatches(p *phasePlan, na int) bool {
 	if p.kind != d.openKind || p.na != na {
 		return false
 	}
-	base := 0
-	for v := range d.vps {
-		vp := &d.vps[v]
-		var log []readKey
-		if p.vlog != nil {
-			log = p.vlog[v]
-		}
-		if !slices.Equal(vp.rdIdx, log) {
-			return false
-		}
-		for id := 0; id < na; id++ {
-			var rs []intRun
-			if id < len(vp.rdRuns) {
-				rs = vp.rdRuns[id]
-			}
-			seg := p.segs[p.offs[base+id]:p.offs[base+id+1]]
-			if len(rs) != len(seg) {
+	if p.entries == 0 {
+		for _, l := range d.lanes {
+			if len(l.keys.list) > 0 || len(l.runs.list) > 0 {
 				return false
 			}
-			for i := range rs {
-				if rs[i] != seg[i] {
-					return false
-				}
-			}
 		}
-		base += na
+		return true
+	}
+	for v := range d.segs {
+		s, ps := &d.segs[v], &p.segs[v]
+		if !slices.Equal(d.keysOf(s), part(p.keys[ps.lane], ps.keyChunk, ps.keyLo, ps.keyHi)) ||
+			!slices.Equal(d.runsOf(s), part(p.runs[ps.lane], ps.runChunk, ps.runLo, ps.runHi)) {
+			return false
+		}
 	}
 	return true
 }
 
 // replay applies p's merge result: adds the recorded per-owner traffic
-// deltas and clears the VPs' read tracking exactly as the cold harvest
-// would have (truncating runs and read logs), without sorting, merging,
-// or owner-splitting anything.
+// deltas, without sorting, merging, or owner-splitting anything (the
+// commit empties the lanes either way).
 func (d *doRun) replay(p *phasePlan, rrElems, rrBytes []int64) {
 	for n := range rrElems {
 		rrElems[n] += p.rrElems[n]
 		rrBytes[n] += p.rrBytes[n]
 	}
-	for i := range d.vps {
-		vp := &d.vps[i]
-		for id := range vp.rdRuns {
-			if len(vp.rdRuns[id]) > 0 {
-				vp.rdRuns[id] = vp.rdRuns[id][:0]
-			}
-		}
-		if len(vp.rdIdx) > 0 {
-			vp.clearReadLog()
-		}
-	}
 	pc := &d.rt.stats().PlanCache
 	pc.Hits++
-	pc.RunsReplayed += p.runs
+	pc.RunsReplayed += p.entries
 }
 
 // resetInt64 returns s resized to n and zeroed, reallocating only when

@@ -294,7 +294,7 @@ func TestReadLogStaysBounded(t *testing.T) {
 				for i := 0; i < rereads; i++ {
 					g.Read(vp, 9)
 					g.Read(vp, 12)
-					longest = max(longest, len(vp.rdIdx))
+					longest = max(longest, len(vp.lane.keys.cur))
 				}
 			})
 		})
@@ -337,7 +337,7 @@ func TestReadLogCompactionIsInvisible(t *testing.T) {
 							g.Read(vp, n/2+(i*7)%distinct) // scattered, not ascending
 						}
 					}
-					if vp.rdMark > 0 {
+					if vp.lane.mark > 0 {
 						crossed.Store(true)
 					}
 				})
@@ -416,17 +416,18 @@ func TestWarmDoWithScalarReadsDoesNotAllocate(t *testing.T) {
 
 // Ownership of the taken logs. The scalar keys go A, A, B, B, A, A over
 // six iterations, so each node records, hits, invalidates and re-records
-// twice, the second time swapping the plan's log of the other shape back
-// to the VP. VP 0 logs past readLogCompactMin (its log has grown out of
-// the slab and is compacted in place on the way), VP 1 past
-// readLogInitCap, VP 2 stays inside its piece. A piece shared by a plan
-// and a VP, or by two VPs, would have one of them overwrite the keys the
-// other validates against: a false hit or a wrong count, which the
-// comparison with the cache-off run and the exact counters below catch.
+// twice, the second time swapping the plan's keys of the other shape back
+// to the lanes. VP 0 logs past readLogCompactMin (its log outgrows its
+// chunk, moves, and is compacted in place on the way), VP 1 past
+// chunkMax (a move to a chunk of its own), VP 2 stays inside its chunk. A chunk shared by a
+// plan and a lane, or by two VPs' logs, would have one of them overwrite
+// the keys the other validates against: a false hit or a wrong count,
+// which the comparison with the cache-off run and the exact counters
+// below catch.
 func TestPlanCacheLogOwnership(t *testing.T) {
 	t.Setenv("PPM_PLAN_CACHE", "")
 	const nodes, k, iters, n = 2, 3, 6, 1 << 14
-	reads := [k]int{readLogCompactMin + 900, readLogInitCap + 16, 3}
+	reads := [k]int{readLogCompactMin + 900, chunkMax + 16, 3}
 	phase := func(it int, vp *VP, g *Global[float64], buf []float64) {
 		rlo, rhi := ChunkRange(n, vp.Nodes(), (vp.Node()+1)%vp.Nodes())
 		shift := (it / 2 % 2) * 5 // A, A, B, B, A, A
@@ -448,22 +449,25 @@ func TestPlanCacheLogOwnership(t *testing.T) {
 	}
 }
 
-// Recording a phase copies no key. A cold, never-repeated Do of K = 1024
-// VPs with 16 scalar remote reads each may allocate its log slab plus a
-// fixed budget, and its plan then holds exactly the pieces the VPs drew;
-// a plan of block reads holds no log at all.
+// Recording a phase copies no key. In a cold, never-repeated Do of
+// K = 1024 VPs with 16 scalar remote reads each, the plan's keys of every
+// VP are the very keys the VP logged, in the lane chunk it logged them
+// in; and the run allocates the chunks, which follow the keys logged,
+// plus a fixed budget. A plan of block reads holds no key at all.
 func TestPlanRecordTakesLogsWithoutCopying(t *testing.T) {
 	t.Setenv("PPM_PLAN_CACHE", "")
 	const nodes, k, n, perVP = 2, 1024, 1 << 14, 16
-	const slab = nodes * k * readLogInitCap * 8 // 8 bytes a readKey
-	// What else the run allocates: the VP slabs (about 220 KB a node), the
-	// merge's index scratch at its exact size (8 bytes a key, 130 KB a
-	// node), the array and the simulated cluster: 0.9 MB when measured,
-	// 1.2 MB under the race detector. Copying the keys into the plan and
-	// filling the scratch by doubling append, as recording once did, came
-	// to 4.0 MB beside the slab.
-	const budget = 3 << 19
-	var pieces, held atomic.Int64
+	// The keys: 8 bytes each, and at most a chunk per lane (say 8 a node)
+	// beyond them.
+	const keys = nodes*k*perVP*8 + nodes*8*chunkMax*8
+	// What else the run allocates: the VP slabs and segment tables (about
+	// 100 KB a node), the merge's index scratch at its exact size (8 bytes
+	// a key, 130 KB a node), the array and the simulated cluster: 0.5 to
+	// 0.65 MB when measured. A copy of the keys shows in the addresses
+	// below, not in this bound.
+	const budget = 3 << 18
+	var logged [nodes][k]*readKey
+	var copied, vps atomic.Int64
 	prog := func(rt *Runtime) {
 		g := AllocGlobal[float64](rt, "cold.g", n)
 		rlo, rhi := ChunkRange(n, nodes, (rt.NodeID()+1)%nodes)
@@ -472,12 +476,17 @@ func TestPlanRecordTakesLogsWithoutCopying(t *testing.T) {
 				for j := 0; j < perVP; j++ {
 					g.Read(vp, rlo+(vp.NodeRank()*131+j*977)%(rhi-rlo))
 				}
+				logged[vp.Node()][vp.NodeRank()] = &vp.lane.keys.cur[0]
 			})
 		})
 		for _, d := range rt.warm {
-			for _, log := range d.plans[0].vlog {
-				pieces.Add(1)
-				held.Add(int64(cap(log)))
+			p := &d.plans[0]
+			for v := range p.segs {
+				s := &p.segs[v]
+				vps.Add(1)
+				if keys := part(p.keys[s.lane], s.keyChunk, s.keyLo, s.keyHi); len(keys) != perVP || &keys[0] != logged[rt.NodeID()][v] {
+					copied.Add(1)
+				}
 			}
 		}
 	}
@@ -486,12 +495,14 @@ func TestPlanRecordTakesLogsWithoutCopying(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	mustRun(t, opts(nodes), prog)
 	runtime.ReadMemStats(&after)
-	if got := int64(after.TotalAlloc - before.TotalAlloc); got > slab+budget {
-		t.Errorf("the cold run allocated %d bytes, want at most the %d of its log slabs plus %d", got, slab, budget)
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("the cold run allocated %d bytes", got)
+	if got > keys+budget {
+		t.Errorf("the cold run allocated %d bytes, want at most the %d of its keys plus %d", got, keys, budget)
 	}
-	if pieces.Load() != nodes*k || held.Load() != nodes*k*readLogInitCap {
-		t.Errorf("the plans hold %d logs of %d keys in all, want %d pieces of %d keys",
-			pieces.Load(), held.Load(), nodes*k, readLogInitCap)
+	if vps.Load() != nodes*k || copied.Load() != 0 {
+		t.Errorf("the plans hold %d VPs' keys, %d of them not where the VP logged them; want %d and 0",
+			vps.Load(), copied.Load(), nodes*k)
 	}
 
 	mustRun(t, opts(nodes), func(rt *Runtime) {
@@ -502,9 +513,13 @@ func TestPlanRecordTakesLogsWithoutCopying(t *testing.T) {
 			vp.GlobalPhase(func() { g.ReadBlock(vp, rlo, rlo+8, buf[:]) })
 		})
 		for _, d := range rt.warm {
-			if p := &d.plans[0]; !p.valid || p.vlog != nil || d.logs != nil {
-				t.Errorf("node %d: a block-read plan (valid=%v) holds %d logs, its doRun a %d-key slab",
-					rt.NodeID(), p.valid, len(p.vlog), len(d.logs))
+			chunks := len(d.keyPool.free)
+			for _, list := range d.plans[0].keys {
+				chunks += len(list)
+			}
+			if p := &d.plans[0]; !p.valid || chunks != 0 {
+				t.Errorf("node %d: a block-read plan (valid=%v) and its doRun hold %d key chunks",
+					rt.NodeID(), p.valid, chunks)
 			}
 		}
 	})
@@ -575,8 +590,8 @@ func TestStagingPoolPerBufferType(t *testing.T) {
 }
 
 // An idle warm session keeps its plans and nothing of the run that
-// recorded them: no write buffer (and through it no array), no read
-// tracking, no merge scratch, no Runtime. The write buffers it gave back
+// recorded them: no write buffer (and through it no array), no lane, no
+// spare log chunk, no merge scratch, no Runtime. The write buffers it gave back
 // sit in their pool empty and bound to no array, so once the job is over
 // nothing keeps its arrays alive. The next run under the same key still
 // replays every plan.
@@ -633,8 +648,8 @@ func TestIdleWarmSessionPinsNothingOfTheRun(t *testing.T) {
 	pool, drawn := stagingPool[*gBuf[float64]](), 0
 	for v := pool.Get(); v != nil; v = pool.Get() {
 		drawn++
-		if b := v.(*gBuf[float64]); len(b.recs) != 0 || len(b.arena) != 0 || b.g != nil {
-			t.Errorf("a pooled write buffer holds %d records, %d arena elements and array %v, want none", len(b.recs), len(b.arena), b.g != nil)
+		if b := v.(*gBuf[float64]); len(b.recs.cur) != 0 || len(b.arena) != 0 || b.g != nil || b.pool != nil {
+			t.Errorf("a pooled write buffer holds %d records, %d arena elements, array %v and pool %v, want none", len(b.recs.cur), len(b.arena), b.g != nil, b.pool != nil)
 		}
 	}
 	if drawn == 0 {
@@ -653,17 +668,23 @@ func TestIdleWarmSessionPinsNothingOfTheRun(t *testing.T) {
 			t.Fatalf("rank %d: the session stashed no doRun", r)
 		}
 		for _, d := range ws.warm {
-			if d.rt != nil || d.body != nil || d.logs != nil || d.mrRuns != nil || d.mrIdx != nil {
-				t.Errorf("rank %d: an idle doRun keeps rt=%v body=%v logs=%v mrRuns=%v mrIdx=%v (true: still set)",
-					r, d.rt != nil, d.body != nil, d.logs != nil, d.mrRuns != nil, d.mrIdx != nil)
+			pools := d.keyPool.free != nil || d.runPool.free != nil || d.touchPool.free != nil || d.recPools != nil
+			if d.rt != nil || d.body != nil || d.lanes != nil || pools || d.mrRuns != nil || d.mrIdx != nil {
+				t.Errorf("rank %d: an idle doRun keeps rt=%v body=%v lanes=%v chunk pools=%v mrRuns=%v mrIdx=%v (true: still set)",
+					r, d.rt != nil, d.body != nil, d.lanes != nil, pools, d.mrRuns != nil, d.mrIdx != nil)
+			}
+			for range cap(d.laneCh) {
+				if l := <-d.laneCh; l != nil {
+					t.Errorf("rank %d: an idle doRun keeps a lane", r)
+				}
+				d.laneCh <- nil
 			}
 			for i := range d.vps {
-				if vp := &d.vps[i]; vp.bufs != nil || vp.rdRuns != nil || vp.rdIdx != nil || vp.rrElems != nil {
-					t.Errorf("rank %d: idle VP %d keeps bufs=%v rdRuns=%v rdIdx=%v rrElems=%v (true: still set)",
-						r, i, vp.bufs != nil, vp.rdRuns != nil, vp.rdIdx != nil, vp.rrElems != nil)
+				if d.vps[i].lane != nil {
+					t.Errorf("rank %d: idle VP %d keeps a lane", r, i)
 				}
 			}
-			if len(d.plans) != 1 || !d.plans[0].valid || len(d.plans[0].vlog) != k {
+			if len(d.plans) != 1 || !d.plans[0].valid || len(d.plans[0].segs) != k {
 				t.Errorf("rank %d: the idle doRun's plan did not survive the stash: %+v", r, d.plans)
 			}
 		}

@@ -77,7 +77,7 @@ func TestEncodeRangeOutsidePartition(t *testing.T) {
 // owner, and never joins ranges across arrays or owners.
 func TestPlanNoteFetchCoalesces(t *testing.T) {
 	var p phasePlan
-	p.beginRecord(phaseGlobal, 1, 2, 0, 3, true)
+	p.beginRecord(phaseGlobal, 2, 3, true)
 	for ix := 40; ix < 50; ix++ { // a halo plane read element by element
 		p.noteFetch(1, 0, ix, ix+1)
 	}

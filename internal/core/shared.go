@@ -520,7 +520,7 @@ func (g *Global[T]) At(rt *Runtime, i int) T {
 // phase and are accounted for bundling.
 func (g *Global[T]) Read(vp *VP, i int) T {
 	vp.accessCheck(g.id, g.name, "Read", i, i+1, false)
-	vp.reads++
+	vp.lane.reads++
 	vp.charge += vp.d.sharedReadCost
 	if node := vp.d.node; i < g.bnd[node] || i >= g.bnd[node+1] {
 		return g.readRemote(vp, i)
@@ -566,14 +566,14 @@ func (g *Global[T]) put(vp *VP, i int, v T, add bool) {
 	if i < 0 || i >= g.n {
 		panic(fmt.Sprintf("core: Global(%q).Write(%d): index out of range [0,%d)", g.name, i, g.n))
 	}
-	vp.writes++
+	vp.lane.writes++
 	vp.charge += vp.d.sharedWriteCost
 	if node := vp.d.node; vp.phaseKind != phaseGlobal && (i < g.bnd[node] || i >= g.bnd[node+1]) {
 		g.checkLive("Global", "Write") // every index misses an ended bnd
 		panic(fmt.Sprintf("core: Global(%q).Write(%d): remote access (owner %d) inside a node phase on node %d",
 			g.name, i, g.part.Owner(i), node))
 	}
-	bufFor[T](vp, g).push(i, v, add)
+	bufFor[T](vp, g).push(i, v, add, vp.wid())
 }
 
 // ReadBlock copies elements [lo, hi) into dst under phase semantics —
@@ -593,7 +593,7 @@ func (g *Global[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 		return
 	}
 	n := hi - lo
-	vp.reads += int64(n)
+	vp.lane.reads += int64(n)
 	if rc := vp.d.sharedReadCost; rc != 0 {
 		for i := 0; i < n; i++ {
 			// Element-wise additions keep the float accumulation
@@ -679,7 +679,7 @@ func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 		return
 	}
 	n := len(src)
-	vp.writes += int64(n)
+	vp.lane.writes += int64(n)
 	if wc := vp.d.sharedWriteCost; wc != 0 {
 		for i := 0; i < n; i++ {
 			vp.charge += wc
@@ -694,7 +694,7 @@ func (g *Global[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 		panic(fmt.Sprintf("core: Global(%q).Write(%d): remote access (owner %d) inside a node phase on node %d",
 			g.name, s, g.part.Owner(s), node))
 	}
-	bufFor[T](vp, g).pushRun(lo, src, add)
+	bufFor[T](vp, g).pushRun(lo, src, add, vp.wid())
 }
 
 // localElems implements registeredArray: the size of node's partition.
@@ -791,7 +791,7 @@ func (a *Node[T]) Read(vp *VP, i int) T {
 		a.checkLive("Node", "Read")
 		panic(fmt.Sprintf("core: Node(%q).Read(%d): index out of range [0,%d)", a.name, i, a.n))
 	}
-	vp.reads++
+	vp.lane.reads++
 	vp.charge += vp.d.sharedReadCost
 	return inst[i]
 }
@@ -807,9 +807,9 @@ func (a *Node[T]) put(vp *VP, i int, v T, add bool) {
 	if i < 0 || i >= a.n {
 		panic(fmt.Sprintf("core: Node(%q).Write(%d): index out of range [0,%d)", a.name, i, a.n))
 	}
-	vp.writes++
+	vp.lane.writes++
 	vp.charge += vp.d.sharedWriteCost
-	nodeBufFor[T](vp, a).push(i, v, add)
+	nodeBufFor[T](vp, a).push(i, v, add, vp.wid())
 }
 
 // ReadBlock copies elements [lo, hi) of the node's instance into dst
@@ -828,7 +828,7 @@ func (a *Node[T]) ReadBlock(vp *VP, lo, hi int, dst []T) {
 		return
 	}
 	n := hi - lo
-	vp.reads += int64(n)
+	vp.lane.reads += int64(n)
 	if rc := vp.d.sharedReadCost; rc != 0 {
 		for i := 0; i < n; i++ {
 			vp.charge += rc
@@ -857,13 +857,13 @@ func (a *Node[T]) putBlock(vp *VP, lo int, src []T, add bool, op string) {
 		return
 	}
 	n := len(src)
-	vp.writes += int64(n)
+	vp.lane.writes += int64(n)
 	if wc := vp.d.sharedWriteCost; wc != 0 {
 		for i := 0; i < n; i++ {
 			vp.charge += wc
 		}
 	}
-	nodeBufFor[T](vp, a).pushRun(lo, src, add)
+	nodeBufFor[T](vp, a).pushRun(lo, src, add, vp.wid())
 }
 
 // localElems implements registeredArray: node arrays are whole per node.

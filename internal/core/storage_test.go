@@ -12,7 +12,10 @@ import (
 // with the collector off and pins what the second run allocates: the
 // first run's Global and Node arrays go back to the storage pool when it
 // ends, so the second draws them from there instead of allocating them
-// again. It must allocate less than the Global's bytes alone.
+// again. It must allocate less than the Global's bytes alone. Both runs
+// go on one P: a buffer in one P's private slot of a sync.Pool is
+// invisible to a Get on another, which made the pin fail about 2 times
+// in 400.
 func TestSecondRunArrayAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -32,6 +35,7 @@ func TestSecondRunArrayAllocPin(t *testing.T) {
 	}
 	o := Options{Nodes: nodes, CoresPerNode: 2}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if _, err := Run(o, prog); err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +49,72 @@ func TestSecondRunArrayAllocPin(t *testing.T) {
 	t.Logf("the second run allocated %.2f MiB", float64(second)/(1<<20))
 	if second >= bound {
 		t.Errorf("the second run allocated %d bytes, want less than the Global's %d: its arrays were allocated again instead of drawn from the pool", second, bound)
+	}
+}
+
+// TestSearchDoBytesPerVP pins what the runtime allocates per VP for the
+// paper's Section 5 listing run as a one-shot Do: K = 4096 VPs a node,
+// each a binary search over a Global of 2^18 sorted keys (about 18
+// probes, half or more of them remote beyond one node) and one Node
+// write. The program runs twice with the collector off and the second
+// run is measured, so its arrays and write buffers come from the pools
+// the first run filled (emptied of other tests' leftovers by two
+// collections first) and what is left is the runtime's bookkeeping. As
+// in TestSecondRunArrayAllocPin, both runs go on one P: on another P
+// the second run may miss the pooled Global and allocate its 2 MiB
+// again (256 B a VP at 2 nodes).
+func TestSearchDoBytesPerVP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	const k, n = 4096, 1 << 18
+	prog := func(rt *Runtime) {
+		a := AllocGlobal[float64](rt, "A", n)
+		b := AllocNode[float64](rt, "B", k)
+		rank := AllocNode[int64](rt, "rank_in_A", k)
+		lo, _ := a.OwnerRange(rt)
+		for i, local := 0, a.Local(rt); i < len(local); i++ {
+			local[i] = float64(2 * (lo + i))
+		}
+		for j, keys := 0, b.Local(rt); j < k; j++ {
+			keys[j] = float64(2*((j*2654435761+rt.NodeID()*97)%n) + 1)
+		}
+		rt.Do(k, func(vp *VP) {
+			vp.GlobalPhase(func() {
+				key := b.Read(vp, vp.NodeRank())
+				left, right := 0, n
+				for left+1 < right {
+					middle := (left + right) / 2
+					if a.Read(vp, middle) < key {
+						left = middle
+					} else {
+						right = middle
+					}
+				}
+				rank.Write(vp, vp.NodeRank(), int64(right))
+			})
+		})
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct{ nodes, bound int }{{1, 180}, {2, 360}, {4, 385}} {
+		o := Options{Nodes: c.nodes, CoresPerNode: 2}
+		runtime.GC()
+		runtime.GC()
+		if _, err := Run(o, prog); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(o, prog); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perVP := int(after.TotalAlloc-before.TotalAlloc) / (c.nodes * k)
+		t.Logf("%d nodes: %d B per VP", c.nodes, perVP)
+		if perVP > c.bound {
+			t.Errorf("%d nodes: the second run allocated %d B per VP, want at most %d", c.nodes, perVP, c.bound)
+		}
 	}
 }
 

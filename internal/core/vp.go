@@ -11,7 +11,7 @@ import (
 )
 
 // phaseKind distinguishes the two parallel phase constructs.
-type phaseKind int
+type phaseKind uint8
 
 const (
 	phaseInvalid phaseKind = iota
@@ -47,11 +47,30 @@ type intRun struct {
 // VP is a virtual processor: one of the K parallel instances of a PPM
 // function started by Runtime.Do (the paper's PPM_do construct). All VP
 // methods must be called from the VP's own body.
+//
+// A VP holds its identity, its place in the Do and its live charge; what
+// it accesses inside a phase is kept in the lane it holds there (see
+// lane), so that a VP costs what it touches, not a slab of tracking
+// sized for every access it might make.
 type VP struct {
-	d        *doRun
-	nodeRank int
-	wid      int64 // (node<<32)|nodeRank, precomputed writer id
+	d *doRun
+	// lane is where the VP's accesses go while it is inside a phase: one
+	// it drew at a phase entry, or the one its pool worker passed on from
+	// the VP before; nil while it waits for an open, and between the
+	// phases of a VP that took its goroutine over (own).
+	lane *lane
 
+	// charge is the VP's live accumulator of modeled work: only the VP
+	// touches it. When the VP passes ordinal o (ends phase o, or returns
+	// without entering it) it moves the sum into snap[o&1], which the
+	// coordinator takes at the commit of phase o (or in finish). A VP is
+	// never more than one ordinal ahead of the coordinator, so the two
+	// slots never collide. The snapshots stay per VP because makespan adds
+	// them in rank order: they are floating point.
+	charge vtime.Duration
+	snap   [2]vtime.Duration
+
+	nodeRank int32
 	// ord is the ordinal of the next phase this VP enters: how many it has
 	// ended in the current Do.
 	ord int32
@@ -67,33 +86,15 @@ type VP struct {
 	fast      bool
 	phaseKind phaseKind
 
-	// charge is the VP's live accumulator of modeled work: only the VP
-	// touches it. When the VP passes ordinal o (ends phase o, or returns
-	// without entering it) it moves the sum into snap[o&1], which the
-	// coordinator takes at the commit of phase o (or in finish). A VP is
-	// never more than one ordinal ahead of the coordinator, so the two
-	// slots never collide.
-	charge vtime.Duration
-	snap   [2]vtime.Duration
-
-	// accounting, merged and reset at each phase commit
-	reads   int64
-	writes  int64
-	rrElems []int64 // remote read elements per owner node (NoReadCache)
-	rrBytes []int64
-	bufs    []vpFlusher
-
-	// Per-VP remote-read tracking for the phase-local read cache: block
-	// reads record interval runs per array (indexed by array id), scalar
-	// reads append to an ordered log of keys. A VP only ever touches its
-	// own tracking — no lock — and the coordinator merges it into the
-	// node-level dedup counts at commit. rdMark is the log's length after
-	// its last in-phase compaction (0 when there was none; see
-	// noteRemoteRead).
-	rdRuns [][]intRun
-	rdIdx  []readKey
-	rdMark int
+	// The slab's VPs run on different cores, each updating its charge on
+	// every shared access: padded to one cache line, neighbours never
+	// share one (a slab of 64-byte elements is 64-byte aligned).
+	_ [8]byte
 }
+
+// wid is the VP's writer id, (node<<32)|nodeRank, which its buffered
+// writes carry to the commit.
+func (vp *VP) wid() int64 { return int64(vp.d.node)<<32 | int64(vp.nodeRank) }
 
 // vpStrict is one VP's StrictWrites state in the current phase: the
 // elements it wrote or added (true once a read of one has been reported),
@@ -105,12 +106,8 @@ type vpStrict struct {
 	stale   []readKey
 }
 
-// A scalar read log starts sized for a binary search's worth of probes
-// and is first compacted at readLogCompactMin keys.
-const (
-	readLogInitCap    = 24
-	readLogCompactMin = 4096
-)
+// A VP's scalar read log is first compacted at readLogCompactMin keys.
+const readLogCompactMin = 4096
 
 // readKey identifies one element of one shared array for the read cache in
 // one word: the array id in the high keyArrayBits bits, the index in the
@@ -135,7 +132,7 @@ func (k readKey) idx() int   { return int(k & (maxKeyLen - 1)) }
 
 // NodeRank returns this VP's rank within its node's Do, in [0, K)
 // (PPM_VP_node_rank).
-func (vp *VP) NodeRank() int { return vp.nodeRank }
+func (vp *VP) NodeRank() int { return int(vp.nodeRank) }
 
 // K returns the number of VPs started by this node's Do.
 func (vp *VP) K() int { return vp.d.k }
@@ -159,9 +156,9 @@ func (vp *VP) Cores() int { return vp.d.rt.gs.cores }
 // this node's K, which is all a VP can know without synchronizing.
 func (vp *VP) GlobalRank() int {
 	if d := vp.d; vp.phaseKind != phaseInvalid && d.rankValid {
-		return d.rankBase + vp.nodeRank
+		return d.rankBase + int(vp.nodeRank)
 	}
-	return vp.d.node*vp.d.k + vp.nodeRank
+	return vp.d.node*vp.d.k + int(vp.nodeRank)
 }
 
 // GlobalK returns the total VP count across all nodes' current Do calls.
@@ -213,9 +210,17 @@ func (vp *VP) phase(pk phaseKind, f func()) {
 			d.node, vp.nodeRank, pk, kind, o))
 		panic(vpAbort{})
 	}
+	if vp.lane == nil {
+		vp.lane = d.takeLane()
+	}
 	vp.phaseKind, vp.fast = pk, !d.strict
 	f()
 	vp.phaseKind, vp.fast = phaseInvalid, false
+	vp.lane.close(&d.segs[vp.nodeRank])
+	if vp.own {
+		d.putLane(vp.lane)
+		vp.lane = nil
+	}
 	vp.ord = o + 1
 	vp.pass(o)
 }
@@ -275,8 +280,9 @@ func (vp *VP) checkAccess(id int, name, op string, lo, hi int, write bool) {
 // runtime keeps a node-level cache of remote values in node shared
 // memory: within a phase the element is immutable, so the node fetches it
 // at most once no matter how many VPs read it. Each VP appends to its own
-// log without locking (skipping an immediate repeat); the commit sorts
-// and dedups the logs' union, so a key logged twice counts once.
+// log in its lane without locking (skipping an immediate repeat); the
+// commit sorts and dedups the logs' union, so a key logged twice counts
+// once.
 //
 // The log stays O(distinct keys): once it has doubled since its last
 // compaction it is sorted and deduplicated in place, so a VP rereading a
@@ -284,91 +290,319 @@ func (vp *VP) checkAccess(id int, name, op string, lo, hi int, write bool) {
 // only on the VP's own read sequence, so a deterministic body reproduces
 // the same log and plan validation (plan.go) still matches.
 func (vp *VP) noteRemoteRead(array, idx, owner, elemBytes int) {
+	l := vp.lane
 	if vp.d.rt.gs.opt.NoReadCache {
-		vp.countRemote(owner, 1, int64(elemBytes))
+		l.countRemote(vp.d.rt.gs.nodes, owner, 1, int64(elemBytes))
 		return
 	}
 	key := makeReadKey(array, idx)
-	n := len(vp.rdIdx)
-	if n > 0 && vp.rdIdx[n-1] == key {
+	log := &l.keys
+	n := len(log.cur)
+	if n > 0 && log.cur[n-1] == key {
 		return
 	}
-	if vp.rdIdx == nil {
-		vp.rdIdx = vp.d.logPiece()
+	if n >= max(2*l.mark, readLogCompactMin) {
+		slices.Sort(log.cur)
+		log.cur = slices.Compact(log.cur)
+		l.mark = len(log.cur)
 	}
-	if n >= max(2*vp.rdMark, readLogCompactMin) {
-		slices.Sort(vp.rdIdx)
-		vp.rdIdx = slices.Compact(vp.rdIdx)
-		vp.rdMark = len(vp.rdIdx)
-	}
-	vp.rdIdx = append(vp.rdIdx, key)
-}
-
-// logPiece cuts an unused piece off the doRun's read-log slab: an empty
-// log of capacity readLogInitCap that grows, if it must, into memory of
-// its own. A piece has exactly one owner at a time, the VP that drew it
-// or the phase plan that took that VP's log at record time (plan.go), and
-// is never drawn twice; so a VP whose log was taken draws a fresh piece
-// on its next scalar read, and a new K-piece slab is started only when
-// the current one is used up. The first slab is made when the first VP of
-// the doRun logs a scalar remote read, so shapes that read none never pay
-// for it.
-func (d *doRun) logPiece() []readKey {
-	d.mu.Lock()
-	if len(d.logs) < readLogInitCap {
-		d.logs = make([]readKey, d.k*readLogInitCap)
-	}
-	piece := d.logs[:0:readLogInitCap]
-	d.logs = d.logs[readLogInitCap:]
-	d.mu.Unlock()
-	return piece
-}
-
-// clearReadLog empties the scalar read log at the end of a phase.
-func (vp *VP) clearReadLog() {
-	vp.rdIdx = vp.rdIdx[:0]
-	vp.rdMark = 0
+	log.add(key, &vp.d.keyPool)
 }
 
 // noteRemoteRun accounts a remote block read of [lo, hi) as one interval
 // run — the bulk counterpart of noteRemoteRead. The caller has already
-// split the range so that one owner serves all of it.
+// split the range so that one owner serves all of it. A run that starts
+// inside or right after the VP's last run of the array extends it.
 func (vp *VP) noteRemoteRun(array, lo, hi, owner, elemBytes int) {
+	l := vp.lane
 	if vp.d.rt.gs.opt.NoReadCache {
-		vp.countRemote(owner, int64(hi-lo), int64((hi-lo)*elemBytes))
+		l.countRemote(vp.d.rt.gs.nodes, owner, int64(hi-lo), int64((hi-lo)*elemBytes))
 		return
 	}
-	if vp.rdRuns == nil {
-		vp.rdRuns = make([][]intRun, len(vp.d.rt.gs.arrays))
+	if array >= len(l.last) {
+		l.last = append(l.last, make([]int, len(vp.d.rt.gs.arrays)-len(l.last))...)
 	}
-	runs := vp.rdRuns[array]
-	if k := len(runs); k > 0 {
-		if last := &runs[k-1]; lo >= last.lo && lo <= last.hi {
-			if hi > last.hi {
-				last.hi = hi
-			}
+	// last[array] may be left from an earlier holder or phase: it is this
+	// VP's only if it lies in the VP's part and names the array (an index
+	// this VP filled with another array's run was never this array's
+	// last, since appending a run of the array moves last).
+	cur := l.runs.cur
+	if j := l.last[array]; j < len(cur) && cur[j].lo.array() == array {
+		if r := &cur[j]; lo >= r.lo.idx() && lo <= r.hi {
+			r.hi = max(r.hi, hi)
 			return
 		}
 	}
-	vp.rdRuns[array] = append(runs, intRun{lo: lo, hi: hi})
+	l.last[array] = len(cur)
+	l.runs.add(laneRun{lo: makeReadKey(array, lo), hi: hi}, &vp.d.runPool)
+}
+
+// lane holds the phase bookkeeping of the VPs that run on it: their
+// scalar read logs, block-read runs, access counters and buffered writes.
+// A lane has one holder at a time: the VP that drew it at a phase entry
+// (takeLane), or the pool worker that passes it from one VP to the next.
+// A VP's body runs on one goroutine from one end of a phase to the other
+// (a remote fetch waits in place), so min(K, GOMAXPROCS) lanes (laneCh
+// bounds them) serve a Do of any K. The VPs that hold a lane in one
+// phase store their items one after another (see chunked); each VP's
+// laneSeg says where its parts lie, and the commit reads the parts in
+// rank order, then empties the lane (resetLane).
+type lane struct {
+	id int32 // index in doRun.lanes
+
+	// keys is the scalar read log; mark is the length of the holder's
+	// log after its last compaction (0 when there was none; see
+	// noteRemoteRead).
+	keys chunked[readKey]
+	mark int
+	// runs holds the block-read runs; last[a] is the index in the
+	// holder's part of its last run of array a, if it is one (see
+	// noteRemoteRun).
+	runs chunked[laneRun]
+	last []int
+
+	reads, writes    int64
+	rrElems, rrBytes []int64 // remote read elements and bytes per owner node (NoReadCache)
+
+	// bufs holds one write buffer per array written on the lane; touch
+	// holds, holder by holder, which buffers each wrote and where its
+	// records lie in them.
+	bufs  []vpFlusher
+	touch chunked[laneTouch]
+}
+
+// laneRun is a block-read run: elements [lo.idx(), hi) of array
+// lo.array().
+type laneRun struct {
+	lo readKey
+	hi int
+}
+
+// laneTouch says that VP's records in the lane's buffer bufs[buf] are
+// part (chunk, lo, hi) of the buffer's records (set when the VP's phase
+// ends).
+type laneTouch struct {
+	buf, chunk, lo, hi int32
+}
+
+// laneSeg is one VP's part of the lane it ran the current phase on: one
+// part (chunk, lo, hi) of each of the lane's chunked stores. The zero
+// laneSeg, a VP that did not run the phase, holds nothing. (Past 2^31
+// items of one kind on one lane in one phase the fields would wrap.)
+type laneSeg struct {
+	lane                   int32
+	keyChunk, keyLo, keyHi int32
+	runChunk, runLo, runHi int32
+	wChunk, wLo, wHi       int32
+}
+
+// chunked is a lane's store of one kind of item for the current phase:
+// its holders' parts one after another, each contiguous in one chunk, so
+// that a part is one slice and the storage follows what is stored,
+// without the copies and the slack of a slice grown by doubling. A lane's
+// chunks start small and double up to chunkMax items; a part that
+// outgrows its chunk moves to the next, leaving its old copy behind.
+// Chunks come from a chunkPool shared by the doRun's lanes and go back to
+// it when the commit has read them, so what the lanes hold in all
+// follows what a phase stores, however the VPs fell on the lanes.
+type chunked[E any] struct {
+	list [][]E // this phase's chunks, the last the current one
+	off  int   // where the holder's part starts in the current chunk
+	cur  []E   // the holder's part, with room up to the current chunk's end
+}
+
+// A chunk holds from chunkMin to chunkMax items, more only for a part
+// that outgrows chunkMax. A list of chunks has room for chunkLists of
+// them when first made (about 12,000 items), so that it seldom grows in
+// a warm Do, whatever share of the items its lane gets.
+const (
+	chunkMin    = 16
+	chunkDouble = 6 // chunkMax is chunkMin doubled this often
+	chunkMax    = chunkMin << chunkDouble
+	chunkLists  = 16
+)
+
+// part returns part (chunk, lo, hi) of list.
+func part[E any](list [][]E, chunk, lo, hi int32) []E {
+	if lo == hi {
+		return nil
+	}
+	return list[chunk][lo:hi]
+}
+
+// add appends e to the holder's part, moving the part to a chunk from
+// pool when the current one is full.
+func (c *chunked[E]) add(e E, pool *chunkPool[E]) {
+	if len(c.cur) == cap(c.cur) {
+		c.grow(pool)
+	}
+	c.cur = append(c.cur, e)
+}
+
+// grow moves the holder's part to the start of a new chunk from pool,
+// with room for twice its items and at least twice the previous chunk's.
+func (c *chunked[E]) grow(pool *chunkPool[E]) {
+	n := len(c.cur)
+	ch := pool.take(max(2*n, chunkMin<<min(len(c.list), chunkDouble)))
+	c.list = append(slices.Grow(c.list, chunkLists), ch)
+	copy(ch, c.cur)
+	c.off, c.cur = 0, ch[:n]
+}
+
+// end ends the holder's part and returns where it lies.
+func (c *chunked[E]) end() (chunk, lo, hi int32) {
+	chunk, lo, hi = int32(len(c.list)-1), int32(c.off), int32(c.off+len(c.cur))
+	c.off += len(c.cur)
+	c.cur = c.cur[len(c.cur):]
+	return chunk, lo, hi
+}
+
+// release hands every chunk of the store to pool and empties it.
+func (c *chunked[E]) release(pool *chunkPool[E]) {
+	pool.put(c.list)
+	clear(c.list)
+	c.list, c.off, c.cur = c.list[:0], 0, nil
+}
+
+// chunkPool holds a doRun's chunks of one kind that no lane and no plan
+// holds: the lanes draw from it during a phase, the coordinator fills it
+// between phases.
+type chunkPool[E any] struct {
+	mu   sync.Mutex
+	free [][]E
+}
+
+// take returns the smallest chunk of at least need items, so that the
+// large ones stay for the parts that need them, or a new one.
+func (p *chunkPool[E]) take(need int) []E {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best := -1
+	for i, ch := range p.free {
+		if len(ch) >= need && (best < 0 || len(ch) < len(p.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]E, need)
+	}
+	ch, last := p.free[best], len(p.free)-1
+	p.free[best] = p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	return ch
+}
+
+// drain moves the pool's chunks to the end of list.
+func (p *chunkPool[E]) drain(list [][]E) [][]E {
+	p.mu.Lock()
+	list = append(list, p.free...)
+	clear(p.free)
+	p.free = p.free[:0]
+	p.mu.Unlock()
+	return list
+}
+
+// put adds the non-nil chunks of list to the pool.
+func (p *chunkPool[E]) put(list [][]E) {
+	p.mu.Lock()
+	for _, ch := range list {
+		if ch != nil {
+			p.free = append(p.free, ch)
+		}
+	}
+	p.mu.Unlock()
+}
+
+// close ends the holder's parts at phase end and records them in s. The
+// next holder's parts start where these end.
+func (l *lane) close(s *laneSeg) {
+	for i := range l.touch.cur {
+		t := &l.touch.cur[i]
+		t.chunk, t.lo, t.hi = l.bufs[t.buf].endPart()
+	}
+	s.lane = l.id
+	s.keyChunk, s.keyLo, s.keyHi = l.keys.end()
+	s.runChunk, s.runLo, s.runHi = l.runs.end()
+	s.wChunk, s.wLo, s.wHi = l.touch.end()
+	l.mark = 0
+}
+
+// keysOf, runsOf and touchesOf return VP part s of the lanes' stores.
+func (d *doRun) keysOf(s *laneSeg) []readKey {
+	return part(d.lanes[s.lane].keys.list, s.keyChunk, s.keyLo, s.keyHi)
+}
+
+func (d *doRun) runsOf(s *laneSeg) []laneRun {
+	return part(d.lanes[s.lane].runs.list, s.runChunk, s.runLo, s.runHi)
+}
+
+func (d *doRun) touchesOf(s *laneSeg) []laneTouch {
+	return part(d.lanes[s.lane].touch.list, s.wChunk, s.wLo, s.wHi)
 }
 
 // countRemote tallies uncached remote-read traffic directly (NoReadCache:
 // every fine-grained read is fresh traffic).
-func (vp *VP) countRemote(owner int, elems, bytes int64) {
-	if vp.rrElems == nil {
-		n := vp.d.rt.gs.nodes
-		vp.rrElems = make([]int64, n)
-		vp.rrBytes = make([]int64, n)
+func (l *lane) countRemote(nodes, owner int, elems, bytes int64) {
+	if l.rrElems == nil {
+		l.rrElems = make([]int64, nodes)
+		l.rrBytes = make([]int64, nodes)
 	}
-	vp.rrElems[owner] += elems
-	vp.rrBytes[owner] += bytes
+	l.rrElems[owner] += elems
+	l.rrBytes[owner] += bytes
+}
+
+// resetLane empties l after a commit: its chunks go back to the doRun's
+// pools. The buffers stay bound to their arrays for the next phase.
+func (d *doRun) resetLane(l *lane) {
+	l.keys.release(&d.keyPool)
+	l.runs.release(&d.runPool)
+	l.touch.release(&d.touchPool)
+	for _, b := range l.bufs {
+		b.reset()
+	}
+}
+
+// takeLane draws a lane for a VP entering a phase, waiting for one when
+// all are held: a free one, or, while fewer exist than laneCh holds
+// tokens, a new one (a nil token). putLane hands it back. A free lane may
+// still hold parts of the current phase; its next holder stores after
+// them. The bound keeps the lanes at the worker count, however many VPs
+// that took their goroutines over run a phase at once.
+func (d *doRun) takeLane() *lane {
+	l := <-d.laneCh
+	if l == nil {
+		d.mu.Lock()
+		l = &lane{id: int32(len(d.lanes))}
+		d.lanes = append(d.lanes, l)
+		d.mu.Unlock()
+	}
+	return l
+}
+
+func (d *doRun) putLane(l *lane) { d.laneCh <- l }
+
+// dropLanes forgets every lane, which must all be free.
+func (d *doRun) dropLanes() {
+	for range cap(d.laneCh) {
+		<-d.laneCh
+		d.laneCh <- nil
+	}
+	d.lanes = nil
+}
+
+// resetLanes empties every lane and segment once a commit has read them.
+func (d *doRun) resetLanes() {
+	for _, l := range d.lanes {
+		d.resetLane(l)
+	}
+	clear(d.segs)
 }
 
 // doRun coordinates one Do invocation on one node. With the plan cache
 // on it is reused across Do invocations of the same shape (see plan.go):
-// its VP slab, its scratch and its recorded phase plans carry across,
-// which is what makes warm iterations allocation-free.
+// its VP slab, its lanes, its scratch and its recorded phase plans carry
+// across, which is what makes warm iterations allocation-free.
 //
 // Scheduling (DESIGN.md §4.4). VP bodies run as plain calls on pool
 // workers, min(K, GOMAXPROCS) goroutines that take ranks from next. Phases
@@ -377,12 +611,30 @@ func (vp *VP) countRemote(owner int, elems, bytes int64) {
 // transport): the first VP to reach ordinal o posts the kind it wants in
 // kind[o&1], the coordinator opens it and advances opened, and every VP
 // that ends the phase body counts itself off rem[o&1] and keeps running.
-// A VP waits only at a phase entry the coordinator has not opened yet.
+// A VP waits only at a phase entry: for the coordinator to open it, or
+// for a lane.
 type doRun struct {
 	rt   *Runtime
 	node int
 	k    int
 	vps  []VP
+
+	// lanes are the doRun's lanes (grown under mu, and only by a VP
+	// entering a phase, which holds the commit off); laneCh holds a token
+	// for each lane no VP holds, and a nil one for each lane not yet made.
+	// segs[r] is VP r's part of its lane in the phase being run (the zero
+	// laneSeg when it has not run it). keyPool, runPool and touchPool
+	// hold the chunks of those kinds no lane or plan holds, recPools
+	// (array -> *chunkPool[writeRec[T]]) the lanes' write records' for
+	// each array written. The coordinator reads lanes
+	// and segs only between phases.
+	lanes     []*lane
+	laneCh    chan *lane
+	segs      []laneSeg
+	keyPool   chunkPool[readKey]
+	runPool   chunkPool[laneRun]
+	touchPool chunkPool[laneTouch]
+	recPools  map[any]any
 
 	// persistent marks a cached (warm) doRun; body is the current
 	// invocation's body (re-set per Do: closures with the same code
@@ -420,12 +672,12 @@ type doRun struct {
 	wakeup chan struct{}
 
 	// cond (over mu) is what VPs wait on for a phase to open. mu guards
-	// err and logs; aborted and opened change only under it.
+	// err, and lanes while VPs run; aborted and opened change only under
+	// it.
 	mu      sync.Mutex
 	cond    sync.Cond
 	aborted atomic.Bool // the Do is being torn down: waiters unwind, workers stop
 	err     error       // first VP failure
-	logs    []readKey   // what is left of the scalar read logs' slab (see logPiece)
 
 	// plans[i] is the recorded plan of the i-th phase of this Do shape
 	// (node phases occupy slots but are never consulted).
@@ -527,9 +779,12 @@ func newDoRun(rt *Runtime, k int) *doRun {
 	d.cond.L = &d.mu
 	d.workFn = d.work
 	d.bind(rt)
-	widBase := int64(rt.node) << 32
 	for i := range d.vps {
-		d.vps[i] = VP{d: d, nodeRank: i, wid: widBase | int64(i)}
+		d.vps[i] = VP{d: d, nodeRank: int32(i)}
+	}
+	d.laneCh = make(chan *lane, min(k, runtime.GOMAXPROCS(0)))
+	for range cap(d.laneCh) {
+		d.laneCh <- nil
 	}
 	return d
 }
@@ -555,14 +810,6 @@ func (d *doRun) bind(rt *Runtime) {
 func (d *doRun) run(body func(*VP)) {
 	d.body = body
 	d.phases, d.openKind, d.rankValid = 0, phaseInvalid, false
-	na := len(d.rt.gs.arrays)
-	for i := range d.vps {
-		// Arrays may have been allocated since this shape last ran;
-		// regrow the per-array read tracking so ids stay in range.
-		if vp := &d.vps[i]; vp.rdRuns != nil && len(vp.rdRuns) < na {
-			vp.rdRuns = append(vp.rdRuns, make([][]intRun, na-len(vp.rdRuns))...)
-		}
-	}
 	d.next.Store(0)
 	d.opened.Store(0)
 	for p := range d.rem {
@@ -597,21 +844,29 @@ func (d *doRun) run(body func(*VP)) {
 }
 
 // work is a pool worker: it runs the bodies of the ranks it takes, one
-// after another, as plain calls.
+// after another, as plain calls. The lane the first of them draws at its
+// first phase entry passes from VP to VP, unless one hands it back while
+// it waits for an open (awaitOpen).
 func (d *doRun) work() {
+	var l *lane
 	for !d.aborted.Load() {
 		r := int(d.next.Add(1)) - 1
 		if r >= d.k {
 			break
 		}
 		vp := &d.vps[r]
+		vp.lane = l
 		d.runVP(vp)
+		l, vp.lane = vp.lane, nil
 		if vp.own {
 			// The VP had to wait for other ranks and handed its place in
 			// the pool to a new worker: this goroutine ends with its body.
 			vp.own = false
 			break
 		}
+	}
+	if l != nil {
+		d.putLane(l)
 	}
 	d.leave()
 }
@@ -692,10 +947,16 @@ func (d *doRun) failure() error {
 // would only put a goroutine under every VP again). But while ranks
 // remain untaken, phase o-1 cannot commit before they have run through
 // it, and they need a worker: the VP then keeps this goroutine for itself
-// and starts a replacement worker in its place.
+// and starts a replacement worker in its place. Either way the VP hands
+// its lane back first: a waiting VP holds none, so every lane's holder
+// is running and the VPs that wait for one (takeLane) get one.
 func (d *doRun) awaitOpen(vp *VP, o int32, pk phaseKind) {
 	if d.kind[o&1].CompareAndSwap(0, int32(pk)) {
 		d.wake()
+	}
+	if vp.lane != nil {
+		d.putLane(vp.lane)
+		vp.lane = nil
 	}
 	if o > 0 && !vp.own && int(d.next.Load()) < d.k {
 		vp.own = true
@@ -815,6 +1076,9 @@ func (d *doRun) openPhase(kind phaseKind) {
 		}
 		d.rankBase, d.globalK, d.rankValid = base, total, true
 	}
+	if d.segs == nil {
+		d.segs = make([]laneSeg, d.k) // a plan took the last table (plan.go)
+	}
 	d.openKind = kind
 	if d.rt.proc != nil {
 		d.phaseStart = d.rt.proc.Clock()
@@ -841,13 +1105,6 @@ func (d *doRun) finish(p int32) {
 		if err := d.strictCommit(d.rt.gs.phaseSeqs[d.node]); err != nil {
 			d.noteStrict(err)
 		}
-	}
-	st := d.rt.stats()
-	for i := range d.vps {
-		vp := &d.vps[i]
-		st.SharedReads += vp.reads
-		st.SharedWrites += vp.writes
-		vp.reads, vp.writes = 0, 0
 	}
 	// A warm doRun keeps its write buffers attached: the next invocation
 	// of this Do shape in the run reuses them (same VP, same writer id)

@@ -6,16 +6,19 @@ import (
 	"unsafe"
 )
 
-// Pool recycles slices of E by size class, a power of two of bytes from
-// 512 bytes to 16 MiB: a slice whose capacity holds c bytes sits in class
-// floor(log2 c) and a request for n bytes draws from class ceil(log2 n),
-// so whatever a class hands out is large enough. A miss allocates the
-// class's size, so the slice goes back to the class it came from; a slice
-// outside the classes is left to the collector. The classes are
-// sync.Pools, so an idle process keeps nothing alive through them; the *[]E
-// boxes they hold are recycled through a pool of their own, so once warm
-// neither a get nor a put allocates. E's size must be a power of two (a
-// byte, a fixed-size number). The zero Pool is ready to use.
+// Pool recycles slices of E by size class. The classes run from 512 bytes
+// to 16 MiB in quarter steps of each power of two (512, 640, 768, 896,
+// 1024, 1280, ...): a slice whose capacity holds c bytes sits in the
+// largest class of at most c bytes, and a request for n bytes draws from
+// the smallest class of at least n bytes, or else from the next three up
+// (at most twice n), so whatever a class hands out is large enough. A miss
+// allocates the smallest class's size, at most a quarter more than was
+// asked, so the slice goes back to the class it came from; a slice outside
+// the classes is left to the collector. The classes are sync.Pools, so an
+// idle process keeps nothing alive through them; the *[]E boxes they hold
+// are recycled through a pool of their own, so once warm neither a get
+// nor a put allocates. E's size must be a power of two (a byte, a
+// fixed-size number). The zero Pool is ready to use.
 //
 // Two kinds of storage come from instances of it: the payloads below,
 // which carry remote-read data across goroutines (the owner's copy of each
@@ -23,14 +26,37 @@ import (
 // reply, lent to the fetching VP until it releases it), and a run's shared
 // arrays (package core), which go back when the run ends.
 type Pool[E any] struct {
-	classes [maxPoolShift - minPoolShift + 1]sync.Pool // *[]E, cap in [2^k, 2^(k+1)) bytes
-	boxes   sync.Pool                                  // empty *[]E
+	classes [poolClasses]sync.Pool // *[]E, cap from classBytes(c) to below classBytes(c+1) bytes
+	boxes   sync.Pool              // empty *[]E
 }
 
 const (
 	minPoolShift = 9
 	maxPoolShift = 24
+	// poolClasses counts four classes for each power of two from
+	// 2^minPoolShift on, and 2^maxPoolShift itself.
+	poolClasses = 4*(maxPoolShift-minPoolShift) + 1
+	// poolReach is how many classes above its own a request looks in.
+	poolReach = 3
 )
+
+// classBytes returns the size of class c: (4 + c%4) quarters of
+// 2^(minPoolShift + c/4) bytes.
+func classBytes(c int) int {
+	return (4 + c%4) << (minPoolShift + c/4 - 2)
+}
+
+// classAt returns the class of b bytes, b at least 2^minPoolShift: the
+// largest class of at most b bytes when up is false, the smallest of at
+// least b bytes when up is true (which may be past the last class).
+func classAt(b int, up bool) int {
+	k := bits.Len(uint(b)) - 1 // 2^k <= b < 2^(k+1)
+	q := b >> (k - 2)          // quarters of 2^k: 4 to 7
+	if up && q<<(k-2) != b {
+		q++ // 8 is the next power of two's first class
+	}
+	return 4*(k-minPoolShift) + q - 4
+}
 
 // elemShift is log2 of E's size.
 func elemShift[E any]() int {
@@ -41,25 +67,27 @@ func elemShift[E any]() int {
 // class returns the class a request for n elements draws from, false for
 // a request beyond the largest.
 func (p *Pool[E]) class(n int) (int, bool) {
-	k := max(bits.Len(uint(max(n<<elemShift[E](), 1)-1)), minPoolShift)
-	return k - minPoolShift, k <= maxPoolShift
+	c := classAt(max(n<<elemShift[E](), 1<<minPoolShift), true)
+	return c, c < poolClasses
 }
 
-// take pops a slice of class c, or nil when the class is empty.
+// take pops a slice of class c or of one of the poolReach classes above
+// it, or returns nil when they are all empty.
 func (p *Pool[E]) take(c int) []E {
-	box, _ := p.classes[c].Get().(*[]E)
-	if box == nil {
-		return nil
+	for top := min(c+poolReach, poolClasses-1); c <= top; c++ {
+		if box, _ := p.classes[c].Get().(*[]E); box != nil {
+			b := *box
+			*box = nil
+			p.boxes.Put(box)
+			return b
+		}
 	}
-	b := *box
-	*box = nil
-	p.boxes.Put(box)
-	return b
+	return nil
 }
 
 // Get returns an empty slice with room for at least n elements, from the
-// pool if its class holds one; otherwise it allocates the class's size.
-// Put it when done.
+// pool if its class or one just above holds one; otherwise it allocates
+// the class's size. Put it when done.
 func (p *Pool[E]) Get(n int) []E {
 	c, ok := p.class(n)
 	if !ok {
@@ -68,7 +96,7 @@ func (p *Pool[E]) Get(n int) []E {
 	if b := p.take(c); b != nil {
 		return b
 	}
-	return make([]E, 0, 1<<(c+minPoolShift)>>elemShift[E]())
+	return make([]E, 0, classBytes(c)>>elemShift[E]())
 }
 
 // Pooled returns a slice of length n from the pool, or nil when the pool
@@ -88,8 +116,8 @@ func (p *Pool[E]) Pooled(n int) []E {
 // Put hands b to the pool. The caller must hold the only reference:
 // whoever draws it next overwrites it.
 func (p *Pool[E]) Put(b []E) {
-	k := bits.Len(uint(cap(b))<<elemShift[E]()) - 1
-	if k < minPoolShift || k > maxPoolShift {
+	bytes := cap(b) << elemShift[E]()
+	if bytes < 1<<minPoolShift || bytes >= 1<<(maxPoolShift+1) {
 		return
 	}
 	box, _ := p.boxes.Get().(*[]E)
@@ -97,7 +125,7 @@ func (p *Pool[E]) Put(b []E) {
 		box = new([]E)
 	}
 	*box = b[:0]
-	p.classes[k-minPoolShift].Put(box)
+	p.classes[min(classAt(bytes, false), poolClasses-1)].Put(box)
 }
 
 // payloads is the pool of read payloads.

@@ -29,16 +29,52 @@ func TestPoolClasses(t *testing.T) {
 }
 
 // A Pool of wider elements is classed by bytes too: a request for n
-// float64s draws from the class of 8n bytes, and one above 16 MiB is
-// allocated outright.
+// float64s draws from the class of 8n bytes (65 of them, 520 bytes, from
+// the 640-byte class), and one above 16 MiB is allocated outright.
 func TestPoolClassesAreBytes(t *testing.T) {
 	var p Pool[float64]
-	for n, want := range map[int]int{0: 64, 1: 64, 64: 64, 65: 128, 4096: 4096, 1 << 21: 1 << 21, 1<<21 + 1: 1<<21 + 1} {
+	for n, want := range map[int]int{0: 64, 1: 64, 64: 64, 65: 80, 81: 96, 4096: 4096, 1 << 21: 1 << 21, 1<<21 + 1: 1<<21 + 1} {
 		if b := p.Get(n); len(b) != 0 || cap(b) != want {
 			t.Errorf("Get(%d): len %d cap %d, want cap %d", n, len(b), cap(b), want)
 		}
 	}
 	if b := p.Pooled(1<<21 + 1); b != nil {
 		t.Errorf("Pooled above the largest class drew %d elements", len(b))
+	}
+}
+
+// A miss allocates at most a quarter more than it was asked for: nbody's
+// trees ask for 2,336,768 bytes, which a power-of-two class would round
+// up to 4 MiB. Below the smallest class a miss allocates that class. And
+// what a miss allocated goes back to the class the same request draws
+// from, so that a Put followed by a Get of the same size hits, on a class
+// edge and off it.
+func TestPoolMissAllocatesNearTheRequest(t *testing.T) {
+	sizes := []int{1, 511, 512, 513, 640, 700, 1000, 1024, 1025, 1280, 1281, 4096, 5000, 65537,
+		2336768, 1 << 20, 1<<20 + 1, 3 << 20, 1<<24 - 1, 1 << 24}
+	var p Pool[byte]
+	for _, n := range sizes {
+		b := p.Get(n)
+		if limit := max(n+n/4, 1<<minPoolShift); len(b) != 0 || cap(b) < n || cap(b) > limit {
+			t.Errorf("Get(%d) on an empty pool: len %d cap %d, want cap in [%d, %d]", n, len(b), cap(b), n, limit)
+		}
+		// sync.Pool may drop a Put (the race detector drops some on
+		// purpose) or hand it to another P's Get: a few tries.
+		hit := false
+		for try := 0; try < 20 && !hit; try++ {
+			p.Put(b)
+			c := p.Get(n)
+			hit = cap(c) == cap(b) && &c[:1][0] == &b[:1][0]
+			b = c
+		}
+		if !hit {
+			t.Errorf("Put then Get(%d): the pool never handed back the %d-byte buffer it filed", n, cap(b))
+		}
+	}
+	var f Pool[float64]
+	for _, n := range []int{1, 64, 65, 100, 292096, 1 << 21} {
+		if b := f.Get(n); cap(b) < n || cap(b) > max(n+n/4, 64) {
+			t.Errorf("float64 Get(%d) on an empty pool: cap %d, want cap in [%d, %d]", n, cap(b), n, max(n+n/4, 64))
+		}
 	}
 }
