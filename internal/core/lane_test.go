@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ppm/internal/machine"
+	"ppm/internal/wire"
 )
 
 // A VP's phase bookkeeping (its read log and block-read runs, its access
@@ -136,6 +137,14 @@ func checkLaneGolden(t *testing.T, name string, strict bool, rep *Report, out [l
 
 func TestLaneHandOverGolden(t *testing.T) {
 	t.Setenv("PPM_PLAN_CACHE", "")
+	checkLaneHandOver(t, func() {})
+}
+
+// checkLaneHandOver runs the lane program everywhere TestLaneHandOverGolden
+// does, calling before ahead of every run, and checks it against the
+// goldens.
+func checkLaneHandOver(t *testing.T, before func()) {
+	t.Helper()
 	for _, c := range []struct {
 		name string
 		opt  func(o *Options)
@@ -153,6 +162,7 @@ func TestLaneHandOverGolden(t *testing.T) {
 		o := Options{Nodes: laneNodes, CoresPerNode: 4, Machine: machine.Generic()}
 		c.opt(&o)
 		var out [laneNodes]uint64
+		before()
 		rep, err := Run(o, laneProgram(&out))
 		if (err != nil) != o.StrictWrites {
 			t.Fatalf("%s: err = %v", c.name, err)
@@ -167,6 +177,7 @@ func TestLaneHandOverGolden(t *testing.T) {
 		errs := make([]error, laneNodes)
 		var out [laneNodes]uint64
 		var wg sync.WaitGroup
+		before()
 		for r := 0; r < laneNodes; r++ {
 			wg.Add(1)
 			go func() {
@@ -224,7 +235,7 @@ const (
 // filled.
 func TestChunkedPartsStayWhole(t *testing.T) {
 	var c chunked[int]
-	var pool chunkPool[int]
+	pool := chunkPool[int]{src: new(wire.Pool[int])}
 	type loc struct{ chunk, lo, hi int32 }
 	chunks := 0
 	for round := 0; round < 2; round++ {

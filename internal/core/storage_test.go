@@ -6,6 +6,9 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"ppm/internal/wire"
 )
 
 // TestSecondRunArrayAllocPin runs one program twice on the simulator
@@ -57,12 +60,14 @@ func TestSecondRunArrayAllocPin(t *testing.T) {
 // each a binary search over a Global of 2^18 sorted keys (about 18
 // probes, half or more of them remote beyond one node) and one Node
 // write. The program runs twice with the collector off and the second
-// run is measured, so its arrays and write buffers come from the pools
+// run is measured, so its arrays and phase scratch come from the pools
 // the first run filled (emptied of other tests' leftovers by two
 // collections first) and what is left is the runtime's bookkeeping. As
 // in TestSecondRunArrayAllocPin, both runs go on one P: on another P
 // the second run may miss the pooled Global and allocate its 2 MiB
-// again (256 B a VP at 2 nodes).
+// again (256 B a VP at 2 nodes). With the phase scratch made afresh in
+// every doRun it measured 128 / 275 / 347 B a VP at 1 / 2 / 4 nodes;
+// drawn from the pools, 106 / 108 / 109 B (go1.24, linux/amd64).
 func TestSearchDoBytesPerVP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -97,7 +102,7 @@ func TestSearchDoBytesPerVP(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, c := range []struct{ nodes, bound int }{{1, 180}, {2, 360}, {4, 385}} {
+	for _, c := range []struct{ nodes, bound int }{{1, 120}, {2, 120}, {4, 120}} {
 		o := Options{Nodes: c.nodes, CoresPerNode: 2}
 		runtime.GC()
 		runtime.GC()
@@ -187,5 +192,34 @@ func TestArrayUseAfterRunPanics(t *testing.T) {
 				t.Errorf("%s in a later run (global phase %v): err = %v, want it to say %q", tc.want, global, err, tc.want+ended)
 			}
 		}
+	}
+}
+
+// Every array of one element type draws on one pool, and a named element
+// type has its own: a wire.Pool[celsius] is never the wire.Pool[float64],
+// which a type switch over the element types could not arrange.
+func TestPoolForPerElementType(t *testing.T) {
+	type celsius float64
+	f, c := poolFor[wire.Pool[float64]](), poolFor[wire.Pool[celsius]]()
+	r, rc := poolFor[wire.Pool[writeRec[float64]]](), poolFor[wire.Pool[writeRec[celsius]]]()
+	if f != poolFor[wire.Pool[float64]]() || r != poolFor[wire.Pool[writeRec[float64]]]() {
+		t.Error("two lookups of one pool type gave two pools")
+	}
+	if unsafe.Pointer(f) == unsafe.Pointer(c) || unsafe.Pointer(r) == unsafe.Pointer(rc) {
+		t.Error("distinct element types share a pool")
+	}
+}
+
+// Looking a process-wide pool up allocates nothing, so that a doRun may
+// look up the pools of its chunk kinds whenever it is built. Keyed by
+// the type itself, the lookup boxed a zero P, which for a wire.Pool is
+// one allocation of its whole header.
+func TestPoolForDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	poolFor[wire.Pool[float64]]()
+	if n := testing.AllocsPerRun(100, func() { poolFor[wire.Pool[float64]]() }); n != 0 {
+		t.Errorf("poolFor allocated %v times a lookup, want 0", n)
 	}
 }

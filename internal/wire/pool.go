@@ -3,6 +3,7 @@ package wire
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -15,19 +16,22 @@ import (
 // allocates the smallest class's size, at most a quarter more than was
 // asked, so the slice goes back to the class it came from; a slice outside
 // the classes is left to the collector. The classes are sync.Pools, so an
-// idle process keeps nothing alive through them; the *[]E boxes they hold
-// are recycled through a pool of their own, so once warm neither a get
-// nor a put allocates. E's size must be a power of two (a byte, a
-// fixed-size number). The zero Pool is ready to use.
+// idle process keeps nothing alive through them, each made by the first
+// Put into it, so that an instance costs a pointer per class until then
+// (a process keeps one instance per element type for its life); the
+// *[]E boxes they hold are recycled through a pool of their own, so once
+// warm neither a get nor a put allocates. E's size must be a power of
+// two (a byte, a fixed-size number). The zero Pool is ready to use.
 //
 // Two kinds of storage come from instances of it: the payloads below,
 // which carry remote-read data across goroutines (the owner's copy of each
 // range, the joined reply the link writer ships, and the requester's
-// reply, lent to the fetching VP until it releases it), and a run's shared
-// arrays (package core), which go back when the run ends.
+// reply, lent to the fetching VP until it releases it), and what a run of
+// package core holds until it ends: its shared arrays and its phase
+// scratch.
 type Pool[E any] struct {
-	classes [poolClasses]sync.Pool // *[]E, cap from classBytes(c) to below classBytes(c+1) bytes
-	boxes   sync.Pool              // empty *[]E
+	classes [poolClasses]atomic.Pointer[sync.Pool] // *[]E, cap from classBytes(c) to below classBytes(c+1) bytes
+	boxes   sync.Pool                              // empty *[]E
 }
 
 const (
@@ -75,7 +79,11 @@ func (p *Pool[E]) class(n int) (int, bool) {
 // it, or returns nil when they are all empty.
 func (p *Pool[E]) take(c int) []E {
 	for top := min(c+poolReach, poolClasses-1); c <= top; c++ {
-		if box, _ := p.classes[c].Get().(*[]E); box != nil {
+		cls := p.classes[c].Load()
+		if cls == nil {
+			continue
+		}
+		if box, _ := cls.Get().(*[]E); box != nil {
 			b := *box
 			*box = nil
 			p.boxes.Put(box)
@@ -125,7 +133,11 @@ func (p *Pool[E]) Put(b []E) {
 		box = new([]E)
 	}
 	*box = b[:0]
-	p.classes[min(classAt(bytes, false), poolClasses-1)].Put(box)
+	cls := &p.classes[min(classAt(bytes, false), poolClasses-1)]
+	if cls.Load() == nil {
+		cls.CompareAndSwap(nil, new(sync.Pool))
+	}
+	cls.Load().Put(box)
 }
 
 // payloads is the pool of read payloads.

@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Whatever the pool holds, a buffer drawn for n bytes has room for n, and
 // one drawn as a payload is exactly n long; a payload beyond the largest
@@ -75,6 +78,31 @@ func TestPoolMissAllocatesNearTheRequest(t *testing.T) {
 	for _, n := range []int{1, 64, 65, 100, 292096, 1 << 21} {
 		if b := f.Get(n); cap(b) < n || cap(b) > max(n+n/4, 64) {
 			t.Errorf("float64 Get(%d) on an empty pool: cap %d, want cap in [%d, %d]", n, cap(b), n, max(n+n/4, 64))
+		}
+	}
+}
+
+// A Pool's classes are made on their first Put, so that an instance no
+// one has put into costs its header of pointers and no class headers: a
+// process holds one instance per element type for its life. A class made
+// by a Put still hands the slice back to a Get of the same size, on a
+// class edge and off it.
+func TestPoolClassesMadeOnFirstPut(t *testing.T) {
+	if size := unsafe.Sizeof(Pool[byte]{}); size > 600 {
+		t.Errorf("an unused Pool is %d bytes, want at most 600", size)
+	}
+	for _, n := range []int{512, 700, 1024, 1025, 1 << 20, 3 << 20} {
+		var p Pool[byte]
+		b := p.Get(n)
+		hit := false
+		for try := 0; try < 20 && !hit; try++ {
+			p.Put(b)
+			c := p.Get(n)
+			hit = &c[:1][0] == &b[:1][0]
+			b = c
+		}
+		if !hit {
+			t.Errorf("Get(%d) on a fresh pool after a Put never returned the slice put", n)
 		}
 	}
 }
