@@ -1,6 +1,7 @@
 // Steady-state benchmarks: the same phase shape executed repeatedly,
-// contrasting cold iterations (plan cache off — every commit re-merges
-// read sets and reallocates its scratch) with warm iterations (plan
+// contrasting cold iterations (plan cache off — every Do builds a new
+// doRun, which draws its scratch from the pools, and every commit
+// re-merges read sets) with warm iterations (plan
 // cache on — doRuns, VP slabs, write buffers, and phase plans are all
 // reused, and the commit replays the recorded merge). The gate
 //
