@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build app-sites transport-seam race-seam fleet-seam docs-check vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check build app-sites transport-seam race-seam fleet-seam docs-check pairs-check vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, the
 ## one-descriptor-per-application rule, the one-link-per-peer rule, the
 ## one-race-engine rule, the one-fleet-supervisor rule and the docs'
 ## names) and race-test.
-check: build app-sites transport-seam race-seam fleet-seam docs-check vet ppmvet langcheck race
+check: build app-sites transport-seam race-seam fleet-seam docs-check pairs-check vet ppmvet langcheck race
 
 build:
 	$(GO) build ./...
@@ -174,11 +174,18 @@ bench-check:
 ## bench-pairs: the change (this working tree) against BASE in N
 ## alternated pairs of benchmark runs, identical benchmark/ on both
 ## sides: `make bench-pairs BASE=HEAD~1 N=10 ARGS="-workload sim-figures"`.
-## Prints each side's median and quartiles and the pairs won, per metric
-## (see scripts/bench_pairs.go).
+## Prints each side's median and quartiles, the pairs won and lost and a
+## sign-test p, per metric (see scripts/bench_pairs.go). Fails when an
+## end-to-end metric loses at p < 0.05 (0 of 6 pairs, at most 1 of 10) by
+## more than the base's quartile spread, unless CLAIM names it.
 N ?= 10
+CLAIM ?=
 bench-pairs:
-	$(GO) run scripts/bench_pairs.go -base $(BASE) -n $(N) -- $(ARGS)
+	$(GO) run scripts/bench_pairs.go -base $(BASE) -n $(N) -claim '$(CLAIM)' -- $(ARGS)
+
+## pairs-check: the sign-test p values bench-pairs gates on.
+pairs-check:
+	$(GO) run scripts/bench_pairs.go -selfcheck
 
 ## bench-steady: the steady-state gate (cold vs warm phase iteration
 ## costs; see steady_bench_test.go): warm CG and Jacobi iterations

@@ -118,8 +118,9 @@ func TestRunStrict(t *testing.T) {
 		}
 	}
 	_, stderr, err := run(filepath.Join("testdata", "stale.ppm"), "-nodes", "2")
-	if n := strings.Count(stderr, "warning: core: VP "); err != nil || n != 8 || !strings.Contains(stderr, "VP 1:1 reads A[3] after updating it in phase 1") {
-		t.Errorf("stale.ppm: err %v, %d warnings, want 8:\n%s", err, n, stderr)
+	// Eight stale reads, of two arrays in one phase: one line each array.
+	if n := strings.Count(stderr, "warning: core: 4 stale reads of "); err != nil || n != 2 || !strings.Contains(stderr, "VP 1:1 reads A[3]") {
+		t.Errorf("stale.ppm: err %v, %d warnings, want 2:\n%s", err, n, stderr)
 	}
 	_, stderr, err = run(filepath.Join("testdata", "conflict.ppm"), "-nodes", "2")
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 || !strings.Contains(stderr, "conflicting writes to A[0]") {

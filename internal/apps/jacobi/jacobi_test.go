@@ -110,3 +110,26 @@ func TestStructuredAppStaysCompetitive(t *testing.T) {
 		}
 	}
 }
+
+// TestStrictHazardsAreBounded runs the default job strict on one node.
+// Each sweep reads, as a neighbour, points the same VP updated earlier in
+// the sweep: 276,320 stale reads by design, which Report.Hazards folds
+// into one row per sweep (one array, one phase each) naming at most
+// core.HazardExamples of them.
+func TestStrictHazardsAreBounded(t *testing.T) {
+	p := Params{}.WithDefaults()
+	_, rep, err := RunPPM(core.Options{Nodes: 1, StrictWrites: true}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, h := range rep.Hazards {
+		total += h.Count
+		if h.Kind != core.StaleRead || h.Array != "jacobi.u" || len(h.Examples) > core.HazardExamples {
+			t.Errorf("unexpected row %v", h)
+		}
+	}
+	if len(rep.Hazards) != p.Sweeps || total != 276320 {
+		t.Errorf("%d rows of %d stale reads, want %d rows of 276320", len(rep.Hazards), total, p.Sweeps)
+	}
+}

@@ -73,7 +73,9 @@ func RunMPI(opt MPIOptions, p Params) (*State, *cluster.Report, error) {
 		for st := 0; st < p.Steps; st++ {
 			bodies := s.Bodies(0, nLocal)
 			cx, cy, cz, h := octree.Bounds(bodies)
-			flat := octree.Build(bodies, cx, cy, cz, h).Flatten()
+			tree := octree.Build(bodies, cx, cy, cz, h)
+			flat := tree.Flatten()
+			tree.Release()
 			proc.ChargeFlops(buildFlops(nLocal))
 			// Replicate the forest: first the sizes, then every tree to
 			// every rank. This is the method's defining (and damning)

@@ -75,11 +75,12 @@ func RunPPMOn(run core.Runner, opt core.Options, p Params) (*State, *core.Report
 			// the shared forest segment.
 			bodies := s.Bodies(0, nLocal)
 			cx, cy, cz, h := octree.Bounds(bodies)
-			flat := octree.Build(bodies, cx, cy, cz, h).Flatten()
-			if len(flat) > segLen {
-				panic(fmt.Sprintf("nbody: tree of %d nodes exceeds segment capacity %d", len(flat)/octree.Slots, capN))
+			tree := octree.Build(bodies, cx, cy, cz, h)
+			if tree.NumNodes() > capN {
+				panic(fmt.Sprintf("nbody: tree of %d nodes exceeds segment capacity %d", tree.NumNodes(), capN))
 			}
-			copy(trees.Local(rt)[:len(flat)], flat)
+			flat := tree.FlattenInto(trees.Local(rt))
+			tree.Release()
 			rt.ChargeFlops(buildFlops(nLocal))
 			rt.ChargeMem(int64(8 * len(flat)))
 

@@ -113,7 +113,10 @@ type wbuf[T Elem] struct {
 	vals  *wire.Pool[T]
 }
 
-func (b *wbuf[T]) endPart() (chunk, lo, hi int32) { return b.recs.end() }
+func (b *wbuf[T]) endPart() (chunk, lo, hi int32) {
+	c, lo, hi := b.recs.end()
+	return int32(c), lo, hi
+}
 
 // room makes room in the arena for n more values, growing it through
 // vals: the old arena goes back once copied. No commit aliases it yet
@@ -360,12 +363,17 @@ func (l *lane) addBuf(b vpFlusher, pool *chunkPool[laneTouch]) {
 }
 
 // release hands the phase scratch d holds to the process-wide pools once
-// its last commit of the run has succeeded: the lanes' write buffers'
-// arenas, every chunk in d's chunk pools (where each commit leaves the
-// lanes' chunks, and releaseWarm its plans') and the raw commit streams.
-// A non-persistent doRun releases in finish, a warm one when its run ends
-// (releaseWarm) or its session stashes it (stash, which keeps the plans).
+// its last commit of the run has succeeded: its VP slab and segment
+// table, the lanes' write buffers' arenas, every chunk in d's chunk pools
+// (where each commit leaves the lanes' chunks, and releaseWarm its
+// plans') and the raw commit streams. A non-persistent doRun releases in
+// finish, a warm one when its run ends (releaseWarm) or its session
+// stashes it (stash, which keeps the plans); its next run draws a slab
+// and its next phase a table.
 func (d *doRun) release() {
+	d.putVPs()
+	putSegs(d.segs)
+	d.segs = nil
 	for _, l := range d.lanes {
 		for _, b := range l.bufs {
 			b.release()

@@ -1,8 +1,10 @@
 package core
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // WriterRef identifies one VP that updated a conflicted element, and
@@ -128,24 +130,121 @@ func (k HazardKind) String() string {
 	}
 }
 
-// Hazard is one breach of phase semantics found under StrictWrites
-// besides a write conflict.
+// HazardExamples is how many of its hazards a Hazard row names.
+const HazardExamples = 4
+
+// Hazard is one row of the breaches of phase semantics a StrictWrites
+// run finds besides write conflicts: every hazard of one kind in one
+// array found at the commit of one phase, counted, with the first
+// HazardExamples of them in (node, VP, index) order. A stale read counts
+// once per reading VP and element.
 type Hazard struct {
-	Kind  HazardKind
-	Array string // shared-array name
-	Node  int    // the reading VP's node, or the node whose storage changed
-	Index int    // element index (in the node's instance, for node arrays)
-	VP    int    // the reading VP's rank in its Do; -1 for a LocalWrite, which no VP signs
-	Phase int64  // the node's phase sequence number (phases committed, this one included)
+	Kind     HazardKind
+	Array    string       // shared-array name
+	Phase    int64        // the nodes' phase sequence number (phases committed, this one included)
+	Count    int          // hazards in the row
+	Examples []HazardSite // its first HazardExamples in (node, VP, index) order
+}
+
+// HazardSite is where one hazard of a row lies.
+type HazardSite struct {
+	Node  int // the reading VP's node, or the node whose storage changed
+	VP    int // the reading VP's rank in its Do; -1 for a LocalWrite, which no VP signs
+	Index int // element index (in the node's instance, for node arrays)
+}
+
+func (s HazardSite) compare(o HazardSite) int {
+	return cmp.Or(cmp.Compare(s.Node, o.Node), cmp.Compare(s.VP, o.VP), cmp.Compare(s.Index, o.Index))
 }
 
 func (h Hazard) String() string {
+	var b strings.Builder
 	if h.Kind == StaleRead {
-		return fmt.Sprintf("core: VP %d:%d reads %s[%d] after updating it in phase %d: the read sees the begin-of-phase value",
-			h.Node, h.VP, h.Array, h.Index, h.Phase)
+		fmt.Fprintf(&b, "core: %d stale reads of %s in phase %d, each of an element the reading VP updated earlier in the phase (the read sees the begin-of-phase value):", h.Count, h.Array, h.Phase)
+	} else {
+		fmt.Fprintf(&b, "core: %d elements of %s changed outside the commit of phase %d, by a write through a slice Local returned before the Do:", h.Count, h.Array, h.Phase)
 	}
-	return fmt.Sprintf("core: %s[%d] on node %d changed outside the commit of phase %d: a write through a slice Local returned before the Do",
-		h.Array, h.Index, h.Node, h.Phase)
+	for i, e := range h.Examples {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if h.Kind == StaleRead {
+			fmt.Fprintf(&b, " VP %d:%d reads %s[%d]", e.Node, e.VP, h.Array, e.Index)
+		} else {
+			fmt.Fprintf(&b, " %s[%d] on node %d", h.Array, e.Index, e.Node)
+		}
+	}
+	if h.Count > len(h.Examples) {
+		b.WriteString(", ...")
+	}
+	return b.String()
+}
+
+// keep inserts e into h's examples in order, if it is one of the first
+// HazardExamples.
+func (h *Hazard) keep(e HazardSite) {
+	i := len(h.Examples)
+	for i > 0 && e.compare(h.Examples[i-1]) < 0 {
+		i--
+	}
+	if i == HazardExamples {
+		return
+	}
+	if len(h.Examples) < HazardExamples {
+		h.Examples = append(h.Examples, HazardSite{})
+	}
+	copy(h.Examples[i+1:], h.Examples[i:])
+	h.Examples[i] = e
+}
+
+// noteHazard counts a hazard at site e into the row of rows[from:] of its
+// kind and array (all of one phase), adding the row if there is none.
+func noteHazard(rows []Hazard, from int, kind HazardKind, array string, phase int64, e HazardSite) []Hazard {
+	i := len(rows) - 1
+	for i >= from && (rows[i].Kind != kind || rows[i].Array != array) {
+		i--
+	}
+	if i < from {
+		rows = append(rows, Hazard{Kind: kind, Array: array, Phase: phase})
+		i = len(rows) - 1
+	}
+	rows[i].Count++
+	rows[i].keep(e)
+	return rows
+}
+
+// MergeHazards returns the rows of every list merged into one list: rows
+// of one kind, array and phase become one, their counts summed and their
+// examples the first HazardExamples of theirs. The rows come in (phase,
+// kind, array) order. A run's Report.Hazards is its nodes' rows merged,
+// so the rows of a mesh's ranks merge into the simulator's.
+func MergeHazards(lists ...[]Hazard) []Hazard {
+	type key struct {
+		kind  HazardKind
+		array string
+		phase int64
+	}
+	var out []Hazard
+	at := map[key]int{}
+	for _, list := range lists {
+		for _, h := range list {
+			k := key{h.Kind, h.Array, h.Phase}
+			i, ok := at[k]
+			if !ok {
+				at[k] = len(out)
+				out = append(out, Hazard{Kind: h.Kind, Array: h.Array, Phase: h.Phase})
+				i = len(out) - 1
+			}
+			out[i].Count += h.Count
+			for _, e := range h.Examples {
+				out[i].keep(e)
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b Hazard) int {
+		return cmp.Or(cmp.Compare(a.Phase, b.Phase), cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Array, b.Array))
+	})
+	return out
 }
 
 // snapLocal copies the node's storage of every array aside (StrictWrites
@@ -168,10 +267,11 @@ func (d *doRun) snapLocal() {
 func (d *doRun) strictCommit(seq int64) error {
 	gs := d.rt.gs
 	hs := gs.hazards[d.node]
+	from := len(hs)
 	for i := range d.strictVPs {
 		s := &d.strictVPs[i]
 		for _, k := range s.stale {
-			hs = append(hs, Hazard{Kind: StaleRead, Array: gs.arrays[k.array()].label(), Node: d.node, Index: k.idx(), VP: i, Phase: seq})
+			hs = noteHazard(hs, from, StaleRead, gs.arrays[k.array()].label(), seq, HazardSite{Node: d.node, VP: i, Index: k.idx()})
 		}
 		s.stale = s.stale[:0]
 		clear(s.written)
@@ -181,11 +281,11 @@ func (d *doRun) strictCommit(seq int64) error {
 	for _, arr := range gs.arrays {
 		idx = arr.appendChanged(d.node, idx[:0])
 		for _, i := range idx {
-			h := Hazard{Kind: LocalWrite, Array: arr.label(), Node: d.node, Index: i, VP: -1, Phase: seq}
 			if err == nil {
-				err = errors.New(h.String())
+				err = fmt.Errorf("core: %s[%d] on node %d changed outside the commit of phase %d: a write through a slice Local returned before the Do",
+					arr.label(), i, d.node, seq)
 			}
-			hs = append(hs, h)
+			hs = noteHazard(hs, from, LocalWrite, arr.label(), seq, HazardSite{Node: d.node, VP: -1, Index: i})
 		}
 	}
 	gs.hazards[d.node] = hs

@@ -103,8 +103,18 @@ var CheckLaneHandOver = checkLaneHandOver
 // PoisonScratchPools fills the process-wide pools that phase scratch and
 // float64 and int64 storage draw from with garbage: a slice of every
 // pool class up to maxBytes, its every byte 0xA5. A read key of them
-// names no array.
+// names no array. The VP slabs' VPs hold garbage too, but pointers the
+// collector can follow: to a doRun and a lane of no run.
 func PoisonScratchPools(maxBytes int) {
+	poison(poolFor[wire.Pool[laneSeg]](), maxBytes)
+	d, l := &doRun{}, &lane{}
+	poisonEach(poolFor[wire.Pool[VP]](), maxBytes, func(vp *VP) {
+		*vp = VP{d: d, lane: l, own: true, fast: true, phaseKind: 0xA5}
+		garble(&vp.charge)
+		garble(&vp.snap)
+		garble(&vp.nodeRank)
+		garble(&vp.ord)
+	})
 	poison(poolFor[wire.Pool[readKey]](), maxBytes)
 	poison(poolFor[wire.Pool[laneRun]](), maxBytes)
 	poison(poolFor[wire.Pool[laneTouch]](), maxBytes)
@@ -119,16 +129,28 @@ func PoisonScratchPools(maxBytes int) {
 // size, so asking for one element more than the last slice held reaches
 // the next class, whatever the classes are.
 func poison[E any](p *wire.Pool[E], maxBytes int) {
+	poisonEach(p, maxBytes, garble[E])
+}
+
+// poisonEach is poison with fill setting each element.
+func poisonEach[E any](p *wire.Pool[E], maxBytes int, fill func(*E)) {
 	var e E
 	size := int(unsafe.Sizeof(e))
 	for n := 1; n*size <= maxBytes; {
 		s := p.Get(n)
 		s = s[:cap(s)]
-		b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*size)
-		for i := range b {
-			b[i] = 0xA5
+		for i := range s {
+			fill(&s[i])
 		}
 		p.Put(s)
 		n = cap(s) + 1
+	}
+}
+
+// garble sets every byte of *e to 0xA5.
+func garble[E any](e *E) {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(e)), unsafe.Sizeof(*e))
+	for i := range b {
+		b[i] = 0xA5
 	}
 }

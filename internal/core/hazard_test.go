@@ -45,27 +45,28 @@ func findingsProg(rt *Runtime) {
 	}
 }
 
-// wantFindings is findingsProg's list on nodes nodes, node by node and in
-// commit order within one.
+// oneHazard is a single hazard as a row of one.
+func oneHazard(kind HazardKind, arr string, phase int64, node, vp, idx int) Hazard {
+	return Hazard{Kind: kind, Array: arr, Phase: phase, Count: 1, Examples: []HazardSite{{Node: node, VP: vp, Index: idx}}}
+}
+
+// wantFindings is findingsProg's rows on nodes nodes: its hazards one by
+// one, merged.
 func wantFindings(nodes int) []Hazard {
 	var out []Hazard
 	for node := 0; node < nodes; node++ {
-		stale := func(arr string, idx, vp int, phase int64) Hazard {
-			return Hazard{Kind: StaleRead, Array: arr, Node: node, Index: idx, VP: vp, Phase: phase}
-		}
 		for it := int64(0); it < 2; it++ {
 			for r := 0; r < 2; r++ {
-				out = append(out, stale("g", (10*(node+1)+r)%30, r, 2*it+1), stale("g", 10*node+4+r, r, 2*it+1))
+				out = append(out, oneHazard(StaleRead, "g", 2*it+1, node, r, (10*(node+1)+r)%30),
+					oneHazard(StaleRead, "g", 2*it+1, node, r, 10*node+4+r))
 			}
 			for r := 0; r < 2; r++ {
-				out = append(out, stale("a", 2+r, r, 2*it+2))
+				out = append(out, oneHazard(StaleRead, "a", 2*it+2, node, r, 2+r))
 			}
 		}
-		out = append(out,
-			Hazard{Kind: LocalWrite, Array: "g", Node: node, Index: 10*node + 9, VP: -1, Phase: 4},
-			Hazard{Kind: LocalWrite, Array: "a", Node: node, Index: 0, VP: -1, Phase: 4})
+		out = append(out, oneHazard(LocalWrite, "g", 4, node, -1, 10*node+9), oneHazard(LocalWrite, "a", 4, node, -1, 0))
 	}
-	return out
+	return MergeHazards(out)
 }
 
 func fmtHazards(hs []Hazard) string {
@@ -108,6 +109,13 @@ func TestStrictFindingsMatchSimulator(t *testing.T) {
 			if !reflect.DeepEqual(rep.Hazards, want) {
 				t.Errorf("hazards:%s\nwant:%s", fmtHazards(rep.Hazards), fmtHazards(want))
 			}
+			// The first row by hand: phase 1's stale reads of g, 4 a node,
+			// the first four of them node 0's in (VP, index) order.
+			first := Hazard{Kind: StaleRead, Array: "g", Phase: 1, Count: 4 * nodes,
+				Examples: []HazardSite{{0, 0, 4}, {0, 0, 10}, {0, 1, 5}, {0, 1, 11}}}
+			if len(rep.Hazards) != 6 || !reflect.DeepEqual(rep.Hazards[0], first) {
+				t.Errorf("%d rows, the first %v; want 6, the first %v", len(rep.Hazards), rep.Hazards[0], first)
+			}
 		})
 	}
 	rep, err := Run(Options{Nodes: nodes, CoresPerNode: 2}, findingsProg)
@@ -137,15 +145,11 @@ func TestStrictLocalWriteOutsidePhases(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "a[0] on node 0 changed outside the commit of phase 1") {
 		t.Errorf("err = %v", err)
 	}
-	var got []string
-	for _, h := range rep.Hazards {
-		if h.Kind != LocalWrite || h.VP != -1 {
-			t.Errorf("unexpected hazard %v", h)
-		}
-		got = append(got, fmt.Sprintf("%d@%d", h.Index, h.Phase))
-	}
-	if want := "[0@1 1@1 2@1 3@1 4@1 5@1 6@1 7@1 1@1]"; fmt.Sprint(got) != want {
-		t.Errorf("local writes %v, want %s", got, want)
+	// Both Dos' writes are found at phase sequence number 1: one row.
+	want := []Hazard{{Kind: LocalWrite, Array: "a", Phase: 1, Count: 9,
+		Examples: []HazardSite{{0, -1, 0}, {0, -1, 1}, {0, -1, 1}, {0, -1, 2}}}}
+	if !reflect.DeepEqual(rep.Hazards, want) {
+		t.Errorf("local writes:%s\nwant:%s", fmtHazards(rep.Hazards), fmtHazards(want))
 	}
 }
 

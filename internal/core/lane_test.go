@@ -114,10 +114,12 @@ func laneFingerprint(rep *Report, out [laneNodes]uint64) (stats, lists string) {
 	for _, c := range rep.Conflicts {
 		fmt.Fprintln(hc, c)
 	}
+	hazards := 0
 	for _, z := range rep.Hazards {
 		fmt.Fprintln(hh, z)
+		hazards += z.Count
 	}
-	return b.String(), fmt.Sprintf("conflicts %d %#x hazards %d %#x", len(rep.Conflicts), hc.Sum64(), len(rep.Hazards), hh.Sum64())
+	return b.String(), fmt.Sprintf("conflicts %d %#x hazards %d %#x", len(rep.Conflicts), hc.Sum64(), hazards, hh.Sum64())
 }
 
 func checkLaneGolden(t *testing.T, name string, strict bool, rep *Report, out [laneNodes]uint64, want string) {
@@ -195,7 +197,7 @@ func checkLaneHandOver(t *testing.T, before func()) {
 			}
 			merged.PerNode[r] = rep.PerNode[r]
 			merged.Conflicts = append(merged.Conflicts, rep.Conflicts...)
-			merged.Hazards = append(merged.Hazards, rep.Hazards...)
+			merged.Hazards = MergeHazards(merged.Hazards, rep.Hazards)
 		}
 		checkLaneGolden(t, fmt.Sprintf("loop mesh, strict %v", strict), strict, merged, out, laneGoldenMesh)
 	}
@@ -224,7 +226,7 @@ node 1: {Dos:3 VPsStarted:12288 GlobalPhases:9 NodePhases:0 SharedReads:472621 S
 // What StrictWrites lists, on every backend; without it the lists are
 // empty.
 const (
-	laneGoldenStrict = "conflicts 3 0x58c1e68195237cc2 hazards 108 0x3a201ec4580dad98"
+	laneGoldenStrict = "conflicts 3 0x58c1e68195237cc2 hazards 108 0x509e5a109c53e9f"
 	laneGoldenLax    = "conflicts 0 0xcbf29ce484222325 hazards 0 0xcbf29ce484222325"
 )
 
@@ -236,7 +238,10 @@ const (
 func TestChunkedPartsStayWhole(t *testing.T) {
 	var c chunked[int]
 	pool := chunkPool[int]{src: new(wire.Pool[int])}
-	type loc struct{ chunk, lo, hi int32 }
+	type loc struct {
+		chunk  uint16
+		lo, hi int32
+	}
 	chunks := 0
 	for round := 0; round < 2; round++ {
 		var locs []loc

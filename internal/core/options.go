@@ -380,10 +380,11 @@ func (s *NodeStats) add(o NodeStats) {
 
 // Report summarizes a PPM run: the underlying cluster report plus PPM
 // runtime statistics. Under StrictWrites, Conflicts holds every
-// conflicting update detected and Hazards every stale read and write
-// around the commit, node by node and in commit order within a node (the
-// run's error is only the first violation); both are empty otherwise.
-// On a mesh each rank's report holds what its own node found.
+// conflicting update detected and Hazards the stale reads and writes
+// around the commit, one row per kind, array and phase (the run's error
+// is only the first violation); both are empty otherwise. On a mesh each
+// rank's report holds what its own node found, and MergeHazards of the
+// ranks' Hazards is the simulator's.
 type Report struct {
 	Cluster   *cluster.Report
 	PerNode   []NodeStats

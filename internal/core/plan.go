@@ -259,7 +259,8 @@ func (p *phasePlan) noteFetch(owner, id, lo, hi int) {
 // table with the doRun's, and takes the lanes' key and run chunks in use,
 // handing the chunks it held to the doRun's pools, so that recording
 // copies no item. The doRun's table is nil after the first recording;
-// the next phase open makes a new one.
+// the next phase open draws one from its pool (takeSegs), and the plan's
+// goes back when the run ends (releaseWarm).
 func (p *phasePlan) take(d *doRun) {
 	for len(p.keys) < len(d.lanes) {
 		p.keys = append(p.keys, nil)

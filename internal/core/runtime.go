@@ -35,8 +35,8 @@ type globalState struct {
 
 	strictErr error       // first strict-mode violation
 	conflicts conflictLog // every strict-mode conflict, with attribution
-	// hazards[node] is every stale read and write around the commit
-	// node's commits found (StrictWrites only), in commit order.
+	// hazards[node] is the rows of the stale reads and writes around the
+	// commit node's commits found (StrictWrites only), in commit order.
 	hazards [][]Hazard
 
 	// serialMu orders the Serial sections of every node this process
@@ -95,10 +95,7 @@ func newGlobalState(o Options, eng DistEngine) *globalState {
 // on a mesh rank) and returns it with the run's error: runErr, or else
 // the first strict-mode violation.
 func (gs *globalState) report(crep *cluster.Report, runErr error) (*Report, error) {
-	rep := &Report{Cluster: crep, PerNode: gs.stats, Conflicts: gs.conflicts.list()}
-	for _, hs := range gs.hazards {
-		rep.Hazards = append(rep.Hazards, hs...)
-	}
+	rep := &Report{Cluster: crep, PerNode: gs.stats, Conflicts: gs.conflicts.list(), Hazards: MergeHazards(gs.hazards...)}
 	for _, s := range gs.stats {
 		rep.Totals.add(s)
 	}
@@ -242,7 +239,7 @@ func Run(opt Options, prog func(rt *Runtime)) (*Report, error) {
 
 // releaseWarm ends the warm cache of a node whose program has finished:
 // the doRuns die with the Runtime, their phase scratch and their plans'
-// chunks go back to the pools for the next run.
+// chunks and segment tables go back to the pools for the next run.
 func (rt *Runtime) releaseWarm() {
 	for _, d := range rt.warm {
 		for _, p := range d.plans {
@@ -250,6 +247,7 @@ func (rt *Runtime) releaseWarm() {
 				d.keyPool.put(p.keys[i]...)
 				d.runPool.put(p.runs[i]...)
 			}
+			putSegs(p.segs)
 		}
 		d.plans = nil
 		d.release()
@@ -429,11 +427,4 @@ func ChunkRange(n, parts, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

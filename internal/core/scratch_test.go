@@ -16,37 +16,76 @@ import (
 	"ppm/internal/machine"
 )
 
-// TestSecondRunPhaseScratchAllocPin runs Figure 1's cg (24x24x48, 20
-// iterations) on 4 simulated nodes twice with the collector off and pins
-// what the second run allocates. Every doRun of the first run hands its
-// lanes' chunks, its write arenas and its merge scratch back to the
-// process-wide pools when its run ends, so the second run draws them
-// from there instead of growing them from empty. Both runs go on one P,
-// as in TestSecondRunArrayAllocPin. Each doRun building its phase scratch
-// with make, the second run allocated 1.37 MiB; drawing it from the
-// pools, 0.51 MiB (go1.24, linux/amd64).
+// TestSecondRunPhaseScratchAllocPin runs two programs twice each on
+// simulated nodes with the collector off and pins what the second run
+// allocates. Every doRun of the first run hands its VP slab, its segment
+// tables, its lanes' chunks, its write arenas and its merge scratch back
+// to the process-wide pools when its run ends, so the second run draws
+// them from there instead of making them again. Both runs go on one P,
+// as in TestSecondRunArrayAllocPin.
+//
+//   - Figure 1's cg (24x24x48, 20 iterations) on 4 nodes. Each doRun
+//     building its phase scratch with make, the second run allocated
+//     1.37 MiB; drawing chunks, arenas and merge scratch from the pools,
+//     0.51 MiB (its Dos have 8 to 16 VPs, so slab and tables are small).
+//   - A recording Do of K = 2048 VPs on 2 nodes, run three times: each
+//     VP reads a remote element, so the first Do's plan takes the
+//     doRun's segment table and the second opens another.
+//     A VP slab (128 KiB) and two segment tables (80 KiB each) a node
+//     made with make, the second run allocated 0.58 MiB; drawn from the
+//     pools, 0.01 MiB (go1.24, linux/amd64).
 func TestSecondRunPhaseScratchAllocPin(t *testing.T) {
 	if core.RaceEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
-	const bound = 8 << 20 / 10 // 0.8 MiB
-	prm := cg.Params{NX: 24, NY: 24, NZ: 48, MaxIter: 20}
-	opt := core.Options{Nodes: 4, CoresPerNode: 2}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if _, _, err := cg.RunPPM(opt, prm); err != nil {
-		t.Fatal(err)
+	t.Setenv("PPM_PLAN_CACHE", "") // the Do records and replays its plan
+	const k = 2048
+	recording := func() error {
+		const nodes, n = 2, 2 * k
+		_, err := core.Run(core.Options{Nodes: nodes, CoresPerNode: 2}, func(rt *core.Runtime) {
+			g := core.AllocGlobal[float64](rt, "rec.g", n)
+			lo, _ := g.OwnerRange(rt)
+			far := (lo + k) % n
+			for range 3 {
+				rt.Do(k, func(vp *core.VP) {
+					vp.GlobalPhase(func() {
+						g.Read(vp, far+vp.NodeRank())
+					})
+				})
+			}
+		})
+		return err
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, _, err := cg.RunPPM(opt, prm); err != nil {
-		t.Fatal(err)
+	cgRun := func() error {
+		_, _, err := cg.RunPPM(core.Options{Nodes: 4, CoresPerNode: 2}, cg.Params{NX: 24, NY: 24, NZ: 48, MaxIter: 20})
+		return err
 	}
-	runtime.ReadMemStats(&after)
-	second := after.TotalAlloc - before.TotalAlloc
-	t.Logf("the second run allocated %.2f MiB", float64(second)/(1<<20))
-	if second > bound {
-		t.Errorf("the second run allocated %d bytes, want at most %d: phase scratch was allocated again instead of drawn from the pools", second, bound)
+	for _, c := range []struct {
+		name  string
+		run   func() error
+		bound uint64
+	}{
+		{"cg", cgRun, 8 << 20 / 10},           // 0.8 MiB
+		{"recording Do", recording, 64 << 10}, // 64 KiB
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			second := after.TotalAlloc - before.TotalAlloc
+			t.Logf("the second run allocated %.2f MiB", float64(second)/(1<<20))
+			if second > c.bound {
+				t.Errorf("the second run allocated %d bytes, want at most %d: phase scratch was allocated again instead of drawn from the pools", second, c.bound)
+			}
+		})
 	}
 }
 

@@ -358,7 +358,7 @@ func (vp *VP) noteRemoteRun(array, lo, hi, owner, elemBytes int) {
 // laneSeg says where its parts lie, and the commit reads the parts in
 // rank order, then empties the lane (resetLane).
 type lane struct {
-	id int32 // index in doRun.lanes
+	id uint16 // index in doRun.lanes
 
 	// keys is the scalar read log; mark is the length of the holder's
 	// log after its last compaction (0 when there was none; see
@@ -397,14 +397,21 @@ type laneTouch struct {
 
 // laneSeg is one VP's part of the lane it ran the current phase on: one
 // part (chunk, lo, hi) of each of the lane's chunked stores. The zero
-// laneSeg, a VP that did not run the phase, holds nothing. (Past 2^31
-// items of one kind on one lane in one phase the fields would wrap.)
+// laneSeg, a VP that did not run the phase, holds nothing. Lane and chunk
+// numbers take 16 bits, so that a laneSeg is 32 bytes and a K-sized table
+// of them comes from a wire.Pool: a Do has at most maxLanes lanes, and a
+// lane at most 2^16 chunks of one kind in one phase (chunked.end), which
+// is more than 2^26 items.
 type laneSeg struct {
-	lane                   int32
-	keyChunk, keyLo, keyHi int32
-	runChunk, runLo, runHi int32
-	wChunk, wLo, wHi       int32
+	lane                       uint16
+	keyChunk, runChunk, wChunk uint16
+	keyLo, keyHi               int32
+	runLo, runHi               int32
+	wLo, wHi                   int32
 }
+
+// maxLanes bounds a doRun's lanes: a laneSeg names its lane in 16 bits.
+const maxLanes = 1 << 16
 
 // chunked is a lane's store of one kind of item for the current phase:
 // its holders' parts one after another, each contiguous in one chunk, so
@@ -435,7 +442,7 @@ const (
 )
 
 // part returns part (chunk, lo, hi) of list.
-func part[E any](list [][]E, chunk, lo, hi int32) []E {
+func part[E any, C uint16 | int32](list [][]E, chunk C, lo, hi int32) []E {
 	if lo == hi {
 		return nil
 	}
@@ -462,8 +469,11 @@ func (c *chunked[E]) grow(pool *chunkPool[E]) {
 }
 
 // end ends the holder's part and returns where it lies.
-func (c *chunked[E]) end() (chunk, lo, hi int32) {
-	chunk, lo, hi = int32(len(c.list)-1), int32(c.off), int32(c.off+len(c.cur))
+func (c *chunked[E]) end() (chunk uint16, lo, hi int32) {
+	if len(c.list) > 1<<16 {
+		panic(fmt.Sprintf("core: %d chunks of one kind on one lane in one phase, more than a laneSeg can name", len(c.list)))
+	}
+	chunk, lo, hi = uint16(len(c.list)-1), int32(c.off), int32(c.off+len(c.cur))
 	c.off += len(c.cur)
 	c.cur = c.cur[len(c.cur):]
 	return chunk, lo, hi
@@ -590,7 +600,7 @@ func (d *doRun) takeLane() *lane {
 	l := <-d.laneCh
 	if l == nil {
 		d.mu.Lock()
-		l = &lane{id: int32(len(d.lanes))}
+		l = &lane{id: uint16(len(d.lanes))}
 		d.lanes = append(d.lanes, l)
 		d.mu.Unlock()
 	}
@@ -614,6 +624,34 @@ func (d *doRun) resetLanes() {
 		d.resetLane(l)
 	}
 	clear(d.segs)
+}
+
+// takeSegs draws an empty segment table for k VPs from its pool: a pooled
+// table holds another Do's segments.
+func takeSegs(k int) []laneSeg {
+	s := poolFor[wire.Pool[laneSeg]]().Get(k)[:k]
+	clear(s)
+	return s
+}
+
+// putSegs hands a segment table (or nil) back to its pool.
+func putSegs(s []laneSeg) { poolFor[wire.Pool[laneSeg]]().Put(s) }
+
+// takeVPs fills a slab from its pool with d's K VPs; release hands it
+// back.
+func (d *doRun) takeVPs() {
+	d.vps = poolFor[wire.Pool[VP]]().Get(d.k)[:d.k]
+	for i := range d.vps {
+		d.vps[i] = VP{d: d, nodeRank: int32(i)}
+	}
+}
+
+// putVPs hands d's slab back to its pool, every pointer in it cleared, so
+// that the pooled slab pins neither d nor a lane.
+func (d *doRun) putVPs() {
+	clear(d.vps[:cap(d.vps)])
+	poolFor[wire.Pool[VP]]().Put(d.vps)
+	d.vps = nil
 }
 
 // doRun coordinates one Do invocation on one node. With the plan cache
@@ -783,7 +821,6 @@ func newDoRun(rt *Runtime, k int) *doRun {
 		rt:     rt,
 		node:   rt.node,
 		k:      k,
-		vps:    make([]VP, k),
 		wakeup: make(chan struct{}, 1),
 	}
 	d.cond.L = &d.mu
@@ -792,10 +829,8 @@ func newDoRun(rt *Runtime, k int) *doRun {
 	d.runPool.src = poolFor[wire.Pool[laneRun]]()
 	d.touchPool.src = poolFor[wire.Pool[laneTouch]]()
 	d.bind(rt)
-	for i := range d.vps {
-		d.vps[i] = VP{d: d, nodeRank: int32(i)}
-	}
-	d.laneCh = make(chan *lane, min(k, runtime.GOMAXPROCS(0)))
+	d.takeVPs()
+	d.laneCh = make(chan *lane, min(k, runtime.GOMAXPROCS(0), maxLanes))
 	for range cap(d.laneCh) {
 		d.laneCh <- nil
 	}
@@ -822,6 +857,9 @@ func (d *doRun) bind(rt *Runtime) {
 // (a transport abort) tears the Do down before it propagates.
 func (d *doRun) run(body func(*VP)) {
 	d.body = body
+	if d.vps == nil {
+		d.takeVPs() // released with the warm session's last run
+	}
 	d.phases, d.openKind, d.rankValid = 0, phaseInvalid, false
 	d.next.Store(0)
 	d.opened.Store(0)
@@ -1090,7 +1128,7 @@ func (d *doRun) openPhase(kind phaseKind) {
 		d.rankBase, d.globalK, d.rankValid = base, total, true
 	}
 	if d.segs == nil {
-		d.segs = make([]laneSeg, d.k) // a plan took the last table (plan.go)
+		d.segs = takeSegs(d.k) // a plan took the last table (plan.go)
 	}
 	d.openKind = kind
 	if d.rt.proc != nil {

@@ -158,8 +158,8 @@ func findingsProg(rt *core.Runtime) {
 }
 
 // TestStrictFindingsMatchSimulator holds the mesh's stale reads and
-// writes around the commit against the simulator's: the union of every
-// rank's Report.Hazards, in rank order, is the simulator's list, with
+// writes around the commit against the simulator's: every rank's
+// Report.Hazards merged is the simulator's rows, with
 // the plan cache on and off, and every rank fails on its own write
 // around the commit.
 func TestStrictFindingsMatchSimulator(t *testing.T) {
@@ -172,7 +172,7 @@ func TestStrictFindingsMatchSimulator(t *testing.T) {
 	want := srep.Hazards
 	var kinds [3]int
 	for _, h := range want {
-		kinds[h.Kind]++
+		kinds[h.Kind] += h.Count
 	}
 	if kinds[core.StaleRead] == 0 || kinds[core.LocalWrite] != 2*nodes {
 		t.Fatalf("simulator finds %d stale reads and %d writes around the commit:%s", kinds[core.StaleRead], kinds[core.LocalWrite], fmtHazards(want))
@@ -195,11 +195,13 @@ func TestStrictFindingsMatchSimulator(t *testing.T) {
 					t.Errorf("rank %d: err = %v, want its own write around the commit", rank, errs[rank])
 				}
 				for _, h := range rep.Hazards {
-					if h.Node != rank {
-						t.Errorf("rank %d reports a hazard of node %d: %v", rank, h.Node, h)
+					for _, e := range h.Examples {
+						if e.Node != rank {
+							t.Errorf("rank %d reports a hazard of node %d: %v", rank, e.Node, h)
+						}
 					}
 				}
-				got = append(got, rep.Hazards...)
+				got = core.MergeHazards(got, rep.Hazards)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("mesh hazards differ from the simulator's:\n mesh%s\n  sim%s", fmtHazards(got), fmtHazards(want))

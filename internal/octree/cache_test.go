@@ -43,7 +43,8 @@ type span struct{ lo, hi int }
 // Through the cache every record is DecodeNode's, the bulk reader sees
 // exactly DecodeNodeRuns' ranges in first-touch order and nothing else
 // however often a record is visited, pointers stay put, and memory is the
-// records touched plus at most 4 bytes per record of the forest.
+// records touched plus at most 4 bytes per record of the forest (rounded
+// up to a pool class).
 func TestCacheMatchesDecodeAndFetchesOnce(t *testing.T) {
 	for name, bodies := range cacheTestTrees() {
 		flat := buildOf(bodies).Flatten()
@@ -106,8 +107,10 @@ func TestCacheMatchesDecodeAndFetchesOnce(t *testing.T) {
 			t.Errorf("%s: slab of %d records for %d touched", name, slab, len(first))
 		}
 		for ti, tr := range trees {
-			if cap(tr.idx) > records {
-				t.Errorf("%s: tree %d index holds %d entries for %d records", name, ti, cap(tr.idx), records)
+			// The backing comes from idxPool: a class of at least the
+			// 4 bytes asked for, at most twice that, and at least 512.
+			if len(tr.idx) > records || cap(tr.idx) > max(2*records, 128) {
+				t.Errorf("%s: tree %d index holds %d entries (%d of backing) for %d records", name, ti, len(tr.idx), cap(tr.idx), records)
 			}
 		}
 
@@ -169,7 +172,7 @@ func TestCacheAllocations(t *testing.T) {
 		}
 	})
 	// The cache, its reader's closure, the tree, two chunks, the chunk
-	// list twice, the index at 16, 32, 64 and 128 entries.
+	// list twice, the index's backing.
 	if cold > 12 {
 		t.Errorf("%d misses allocate %v times", 2*cacheChunk, cold)
 	}

@@ -15,7 +15,10 @@ package octree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+
+	"ppm/internal/wire"
 )
 
 // LeafCap is the maximum number of bodies a leaf holds before splitting.
@@ -52,20 +55,28 @@ type Body struct {
 	M       float64
 }
 
+// node is one tree node: 128 bytes, its leaf bodies inline. A leaf holds
+// at most LeafCap of them, except at maxDepth, where the ones past LeafCap
+// go to the tree's overflow list over-1.
 type node struct {
-	cx, cy, cz, half float64
-	children         [8]int32 // -1 if absent; leaf iff all -1
-	bodies           []int32
-	mass             float64
-	comX, comY, comZ float64
-	leaf             bool
+	cx, cy, cz, half       float64
+	mass, comX, comY, comZ float64
+	children               [8]int32 // -1 if absent; leaf iff all -1
+	bodies                 [LeafCap]int32
+	nb                     int32 // bodies held, inline and overflowing
+	over                   int32 // 1 + index in Tree.over, 0 for none
+	leaf                   bool
 }
 
 // Tree is a built Barnes–Hut octree over a body set.
 type Tree struct {
 	nodes  []node
 	bodies []Body
+	over   [][]int32 // overflow bodies of leaves at maxDepth
 }
+
+// trees holds released trees, whose node slices the next Build reuses.
+var trees sync.Pool // of *Tree
 
 // NumNodes returns the number of tree nodes.
 func (t *Tree) NumNodes() int { return len(t.nodes) }
@@ -93,18 +104,42 @@ func Bounds(bodies []Body) (cx, cy, cz, half float64) {
 
 // Build constructs the octree for bodies within the given bounding cube.
 // Pass the output of Bounds, or a common global cube when several nodes
-// build sub-trees that must align spatially.
+// build sub-trees that must align spatially. The tree is one a Release
+// handed back, if the pool holds one, built in place: once a tree of a
+// shape has been built and released, building another allocates nothing.
 func Build(bodies []Body, cx, cy, cz, half float64) *Tree {
 	if half <= 0 {
 		panic(fmt.Sprintf("octree: non-positive half-width %v", half))
 	}
-	t := &Tree{bodies: bodies}
-	t.nodes = append(t.nodes, newNode(cx, cy, cz, half))
+	t, _ := trees.Get().(*Tree)
+	if t == nil {
+		t = new(Tree)
+	}
+	return t.build(bodies, cx, cy, cz, half)
+}
+
+// build makes t the tree over bodies, reusing its storage.
+func (t *Tree) build(bodies []Body, cx, cy, cz, half float64) *Tree {
+	t.bodies = bodies
+	// A tree over n bodies has about 0.7n nodes (Plummer spheres and
+	// uniform cubes of 100 to 3000 bodies), so room for n+1 seldom grows.
+	t.nodes = append(slices.Grow(t.nodes[:0], len(bodies)+1), newNode(cx, cy, cz, half))
+	for i := range t.over {
+		t.over[i] = t.over[i][:0]
+	}
+	t.over = t.over[:0]
 	for i := range bodies {
 		t.insert(0, int32(i), 0)
 	}
 	t.summarize(0)
 	return t
+}
+
+// Release hands t to the next Build. Neither t nor anything its methods
+// returned by reference may be used afterwards.
+func (t *Tree) Release() {
+	t.bodies = nil
+	trees.Put(t)
 }
 
 func newNode(cx, cy, cz, half float64) node {
@@ -115,16 +150,44 @@ func newNode(cx, cy, cz, half float64) node {
 	return n
 }
 
+// bodiesOf returns the bodies of leaf n in the order they were inserted:
+// the inline ones, then the overflow.
+func (t *Tree) bodiesOf(n *node) (inline, over []int32) {
+	inline = n.bodies[:min(n.nb, LeafCap)]
+	if n.over > 0 {
+		over = t.over[n.over-1]
+	}
+	return inline, over
+}
+
+// add appends body bi to leaf n.
+func (t *Tree) add(n *node, bi int32) {
+	if n.nb < LeafCap {
+		n.bodies[n.nb] = bi
+	} else {
+		if n.over == 0 {
+			if len(t.over) < cap(t.over) {
+				t.over = t.over[:len(t.over)+1] // its list from an earlier Build
+			} else {
+				t.over = append(t.over, nil)
+			}
+			n.over = int32(len(t.over))
+		}
+		t.over[n.over-1] = append(t.over[n.over-1], bi)
+	}
+	n.nb++
+}
+
 func (t *Tree) insert(ni int, bi int32, depth int) {
 	n := &t.nodes[ni]
 	if n.leaf {
-		if len(n.bodies) < LeafCap || depth >= maxDepth {
-			n.bodies = append(n.bodies, bi)
+		if n.nb < LeafCap || depth >= maxDepth {
+			t.add(n, bi)
 			return
 		}
 		// Split: push existing bodies down, then retry.
 		old := n.bodies
-		n.bodies = nil
+		n.nb = 0
 		n.leaf = false
 		for _, ob := range old {
 			t.insertChild(ni, ob, depth)
@@ -172,12 +235,15 @@ func (t *Tree) insertChild(ni int, bi int32, depth int) {
 func (t *Tree) summarize(ni int) (mass, mx, my, mz float64) {
 	n := &t.nodes[ni]
 	if n.leaf {
-		for _, bi := range n.bodies {
-			b := t.bodies[bi]
-			mass += b.M
-			mx += b.M * b.X
-			my += b.M * b.Y
-			mz += b.M * b.Z
+		inline, over := t.bodiesOf(n)
+		for _, list := range [2][]int32{inline, over} {
+			for _, bi := range list {
+				b := t.bodies[bi]
+				mass += b.M
+				mx += b.M * b.X
+				my += b.M * b.Y
+				mz += b.M * b.Z
+			}
 		}
 	} else {
 		for _, ci := range n.children {
@@ -203,42 +269,47 @@ func (t *Tree) summarize(ni int) (mass, mx, my, mz float64) {
 // Flatten serializes the tree into the flat float64 encoding: node i
 // occupies Slots values starting at i*Slots.
 func (t *Tree) Flatten() []float64 {
-	out := make([]float64, len(t.nodes)*Slots)
+	return t.FlattenInto(make([]float64, len(t.nodes)*Slots))
+}
+
+// FlattenInto writes the flat encoding of the tree into dst, which must
+// hold NumNodes()*Slots values, and returns that prefix of dst. It writes
+// every slot of each node, unused ones as zero, so dst may hold anything
+// before.
+func (t *Tree) FlattenInto(dst []float64) []float64 {
+	out := dst[:len(t.nodes)*Slots]
 	for i := range t.nodes {
 		n := &t.nodes[i]
-		base := i * Slots
-		out[base+slotMass] = n.mass
-		out[base+slotComX] = n.comX
-		out[base+slotComY] = n.comY
-		out[base+slotComZ] = n.comZ
-		out[base+slotHalf] = n.half
+		rec := out[i*Slots : (i+1)*Slots]
+		rec[slotMass] = n.mass
+		rec[slotComX] = n.comX
+		rec[slotComY] = n.comY
+		rec[slotComZ] = n.comZ
+		rec[slotHalf] = n.half
 		for c := 0; c < 8; c++ {
-			out[base+slotChild0+c] = float64(n.children[c])
+			rec[slotChild0+c] = float64(n.children[c])
 		}
-		nb := len(n.bodies)
-		out[base+slotNBody] = float64(nb)
-		for k, bi := range n.bodies {
-			if k >= LeafCap && k < len(n.bodies) {
-				// Overflow leaves (coincident bodies at maxDepth) cannot
-				// be encoded inline; fold the extras into the last slot
-				// as a combined point mass at the leaf COM.
-				last := base + slotBodies + (LeafCap-1)*4
-				b := t.bodies[bi]
-				tm := out[last+3] + b.M
-				if tm > 0 {
-					out[last+0] = (out[last+0]*out[last+3] + b.X*b.M) / tm
-					out[last+1] = (out[last+1]*out[last+3] + b.Y*b.M) / tm
-					out[last+2] = (out[last+2]*out[last+3] + b.Z*b.M) / tm
-				}
-				out[last+3] = tm
-				continue
-			}
-			s := base + slotBodies + k*4
+		rec[slotNBody] = float64(min(n.nb, LeafCap))
+		clear(rec[slotBodies:])
+		inline, over := t.bodiesOf(n)
+		for k, bi := range inline {
+			s := slotBodies + k*4
 			b := t.bodies[bi]
-			out[s+0], out[s+1], out[s+2], out[s+3] = b.X, b.Y, b.Z, b.M
+			rec[s+0], rec[s+1], rec[s+2], rec[s+3] = b.X, b.Y, b.Z, b.M
 		}
-		if nb > LeafCap {
-			out[base+slotNBody] = float64(LeafCap)
+		// Overflow leaves (coincident bodies at maxDepth) cannot be
+		// encoded inline; fold the extras into the last slot as a combined
+		// point mass at the leaf COM.
+		last := rec[slotBodies+(LeafCap-1)*4:]
+		for _, bi := range over {
+			b := t.bodies[bi]
+			tm := last[3] + b.M
+			if tm > 0 {
+				last[0] = (last[0]*last[3] + b.X*b.M) / tm
+				last[1] = (last[1]*last[3] + b.Y*b.M) / tm
+				last[2] = (last[2]*last[3] + b.Z*b.M) / tm
+			}
+			last[3] = tm
 		}
 	}
 	return out
@@ -342,10 +413,14 @@ const (
 type cacheSlab = [cacheChunk]FlatNode
 
 // chunkPool holds the chunks of released caches for the next cache that
-// misses. A reader's cache lives for one phase and the next reader's
-// starts right after it, well inside one collection cycle, so the chunks
-// are reused rather than allocated again.
-var chunkPool sync.Pool // of *cacheSlab
+// misses, and idxPool their trees' indexes. A reader's cache lives for one
+// phase and the next reader's starts right after it, well inside one
+// collection cycle, so the chunks and indexes are reused rather than
+// allocated again.
+var (
+	chunkPool sync.Pool // of *cacheSlab
+	idxPool   wire.Pool[int32]
+)
 
 // Cache is one reader's software cache of records from a forest of flat
 // trees that live behind a bulk reader (a PPM global shared array, say).
@@ -354,8 +429,8 @@ var chunkPool sync.Pool // of *cacheSlab
 // that: records go into an append-only slab of fixed-size chunks, which
 // never move, and each tree keeps an index from record number to slab
 // position. A hit is an indexed load and copies nothing; a miss allocates
-// only when a chunk fills up and no released one is pooled, or when a
-// tree's index has to grow.
+// only when a chunk fills up or a tree's index has to grow and no
+// released one is pooled.
 //
 // A Cache and its trees belong to one reader and are not safe for
 // concurrent use. It is valid for as long as the forest is immutable (one
@@ -374,10 +449,11 @@ func NewCache(read func(lo, hi int, dst []float64)) *Cache {
 	return &Cache{read: read}
 }
 
-// Release passes the cache's chunks on to the next cache that misses and
-// empties the cache: every record pointer its trees returned is invalid
-// from here on. The cache and its trees stay usable, and fetch each record
-// again on its first touch, so they may serve the forest of a later phase.
+// Release passes the cache's chunks and its trees' indexes on to the next
+// cache that misses and empties the cache: every record pointer its trees
+// returned is invalid from here on. The cache and its trees stay usable,
+// and fetch each record again on its first touch, so they may serve the
+// forest of a later phase.
 func (c *Cache) Release() {
 	for i, ch := range c.chunks {
 		chunkPool.Put(ch)
@@ -385,7 +461,8 @@ func (c *Cache) Release() {
 	}
 	c.chunks, c.n = c.chunks[:0], 0
 	for _, t := range c.trees {
-		clear(t.idx)
+		idxPool.Put(t.idx)
+		t.idx = nil
 	}
 }
 
@@ -396,7 +473,8 @@ type CachedTree struct {
 	records int
 	// idx[i] is 1 + the slab position of record i, or 0 if it has not been
 	// fetched. It grows on demand up to records entries, so it costs 4
-	// bytes per record up to the highest one touched.
+	// bytes per record up to the highest one touched (its backing, from
+	// idxPool, is rounded up to a pool class).
 	idx []int32
 }
 
@@ -433,8 +511,13 @@ func (t *CachedTree) fetch(i int) *FlatNode {
 		if n > t.records {
 			n = t.records
 		}
-		idx := make([]int32, n)
-		copy(idx, t.idx)
+		idx := t.idx
+		if n > cap(idx) {
+			idx = append(idxPool.Get(n), t.idx...)
+			idxPool.Put(t.idx)
+		}
+		idx = idx[:n]
+		clear(idx[len(t.idx):]) // a pooled index holds another tree's
 		t.idx = idx
 	}
 	c := t.c

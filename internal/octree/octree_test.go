@@ -2,6 +2,8 @@ package octree
 
 import (
 	"math"
+	"runtime/debug"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +27,12 @@ func randomBodies(seed uint64, n int) []Body {
 func buildOf(bodies []Body) *Tree {
 	cx, cy, cz, h := Bounds(bodies)
 	return Build(bodies, cx, cy, cz, h)
+}
+
+// bodiesIn returns the bodies node n of tr holds, inline and overflowing.
+func bodiesIn(tr *Tree, n *node) []int32 {
+	inline, over := tr.bodiesOf(n)
+	return append(append([]int32(nil), inline...), over...)
 }
 
 func TestBoundsEncloseAll(t *testing.T) {
@@ -65,14 +73,15 @@ func TestEveryBodyInExactlyOneLeaf(t *testing.T) {
 	bodies := randomBodies(3, 500)
 	tr := buildOf(bodies)
 	seen := make([]int, len(bodies))
-	for _, n := range tr.nodes {
+	for i := range tr.nodes {
+		n := &tr.nodes[i]
 		if !n.leaf {
-			if len(n.bodies) != 0 {
+			if len(bodiesIn(tr, n)) != 0 {
 				t.Fatal("internal node holds bodies")
 			}
 			continue
 		}
-		for _, bi := range n.bodies {
+		for _, bi := range bodiesIn(tr, n) {
 			seen[bi]++
 		}
 	}
@@ -86,9 +95,9 @@ func TestEveryBodyInExactlyOneLeaf(t *testing.T) {
 func TestLeafCapacityRespected(t *testing.T) {
 	bodies := randomBodies(9, 300)
 	tr := buildOf(bodies)
-	for _, n := range tr.nodes {
-		if n.leaf && len(n.bodies) > LeafCap {
-			t.Fatalf("leaf holds %d bodies (cap %d)", len(n.bodies), LeafCap)
+	for i := range tr.nodes {
+		if n := &tr.nodes[i]; n.leaf && len(bodiesIn(tr, n)) > LeafCap {
+			t.Fatalf("leaf holds %d bodies (cap %d)", len(bodiesIn(tr, n)), LeafCap)
 		}
 	}
 }
@@ -241,5 +250,63 @@ func TestSubtreeOffsets(t *testing.T) {
 	ax2, ay2, az2, _ := Accel(sliceCache(buf).Tree(1000, len(flat)/Slots), b.X, b.Y, b.Z, 0.5, 0.05)
 	if ax1 != ax2 || ay1 != ay2 || az1 != az2 {
 		t.Error("offset traversal differs")
+	}
+}
+
+// A tree built in a released one's storage, and flattened over garbage,
+// encodes exactly what a tree built from nothing does, whatever shape the
+// storage held before: one with overflow leaves, a larger or a smaller
+// one.
+func TestPooledBuildMatchesFresh(t *testing.T) {
+	shapes := cacheTestTrees()
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for round := 0; round < 3; round++ {
+		for _, name := range names {
+			bodies := shapes[name]
+			cx, cy, cz, h := Bounds(bodies)
+			want := new(Tree).build(bodies, cx, cy, cz, h).Flatten()
+			tr := Build(bodies, cx, cy, cz, h)
+			dst := make([]float64, len(want)+Slots)
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			got := tr.FlattenInto(dst)
+			tr.Release()
+			if len(got) != len(want) {
+				t.Fatalf("round %d %s: %d slots, want %d", round, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("round %d %s: slot %d is %v, want %v", round, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// Once a tree of a shape has been built and released, building and
+// flattening another of that shape allocates nothing: the tree, its nodes
+// and its overflow lists come back from the pool.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, bodies := range cacheTestTrees() {
+		cx, cy, cz, h := Bounds(bodies)
+		dst := make([]float64, buildOf(bodies).NumNodes()*Slots)
+		build := func() {
+			tr := Build(bodies, cx, cy, cz, h)
+			tr.FlattenInto(dst)
+			tr.Release()
+		}
+		build()
+		if a := testing.AllocsPerRun(20, build); a != 0 {
+			t.Errorf("%s: a second Build and FlattenInto allocate %v times", name, a)
+		}
 	}
 }

@@ -76,10 +76,14 @@ type WriteConflict = core.WriteConflict
 // WriterRef identifies one VP involved in a WriteConflict.
 type WriterRef = core.WriterRef
 
-// Hazard is a stale read or a write around the commit, the two breaches
-// of phase semantics a StrictWrites run finds besides write conflicts.
-// Report.Hazards lists every one.
+// Hazard counts the stale reads or the writes around the commit, the two
+// breaches of phase semantics a StrictWrites run finds besides write
+// conflicts, of one array in one phase, and names the first few.
+// Report.Hazards holds one per kind, array and phase.
 type Hazard = core.Hazard
+
+// HazardSite is where one hazard of a Hazard row lies.
+type HazardSite = core.HazardSite
 
 // HazardKind names what a Hazard records.
 type HazardKind = core.HazardKind

@@ -4,14 +4,22 @@
 // choosing-metrics guide asks: N alternated pairs of runs of the repo's
 // one benchmark, identical benchmark code on both sides.
 //
-//	go run scripts/bench_pairs.go -base <rev> [-n 10] -- [benchmark flags...]
+//	go run scripts/bench_pairs.go -base <rev> [-n 10] [-claim metric] -- [benchmark flags...]
+//	go run scripts/bench_pairs.go -selfcheck
 //
 // It unpacks <rev> (git archive) under .bench_build/, refuses to compare
 // if benchmark/ or BENCHMARK.json differ between the two trees, builds
 // benchmark/ against each tree once, runs the pairs (switching which side
 // goes first every pair) and prints, per workload and metric, each side's
-// median and quartiles and the pairs won. The unpacked tree is removed
+// median and quartiles, the pairs won and lost and the exact one-sided
+// sign-test p of the side that won fewer. The unpacked tree is removed
 // again on exit. `make bench-pairs` wraps it.
+//
+// The pair gate: it exits non-zero when an end-to-end metric of
+// BENCHMARK.json loses at p < 0.05 (the change won 0 of 6 pairs, or at
+// most 1 of 10) and its median is worse than the base's by more than the
+// base's quartile spread, unless -claim names that metric. -selfcheck
+// checks the p values the gate rests on and exits.
 package main
 
 import (
@@ -57,18 +65,69 @@ type side struct {
 func main() {
 	base := flag.String("base", "", "revision to compare the working tree against (required)")
 	n := flag.Int("n", 10, "pairs of runs")
+	claim := flag.String("claim", "", "an end-to-end metric the change claims, which the pair gate leaves out")
+	selfcheck := flag.Bool("selfcheck", false, "check the sign-test p values and exit")
 	flag.Parse()
+	if *selfcheck {
+		if err := checkSignP(); err != nil {
+			fmt.Fprintln(os.Stderr, "bench-pairs:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *base == "" || *n < 1 {
-		fmt.Fprintln(os.Stderr, "usage: go run scripts/bench_pairs.go -base <rev> [-n pairs] -- [benchmark flags...]")
+		fmt.Fprintln(os.Stderr, "usage: go run scripts/bench_pairs.go -base <rev> [-n pairs] [-claim metric] -- [benchmark flags...]")
 		os.Exit(2)
 	}
-	if err := run(*base, *n, flag.Args()); err != nil {
+	if err := run(*base, *n, *claim, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "bench-pairs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(base string, n int, args []string) error {
+// gateP is the sign-test p below which a lost end-to-end metric fails
+// the pair gate.
+const gateP = 0.05
+
+// signP is the exact one-sided sign-test p of a side that won won of n
+// pairs that were not ties: the chance that a fair coin comes up heads at
+// most won times in n throws.
+func signP(won, n int) float64 {
+	p, c := 0.0, 1.0 // c is n choose i
+	for i := 0; i <= won; i++ {
+		p += c
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return p / math.Exp2(float64(n))
+}
+
+// checkSignP checks signP on the cases the gate is stated in.
+func checkSignP() error {
+	var b strings.Builder
+	for _, c := range []struct {
+		won, n int
+		p      float64 // exact
+		shown  string  // as the report prints it
+		fails  bool    // p < gateP
+	}{
+		{0, 6, 1.0 / 64, "0.0156", true},
+		{1, 10, 11.0 / 1024, "0.0107", true},
+		{2, 10, 56.0 / 1024, "0.0547", false},
+		{0, 5, 1.0 / 32, "0.0312", true},
+		{5, 10, 638.0 / 1024, "0.6230", false},
+		{10, 10, 1, "1.0000", false},
+	} {
+		got := signP(c.won, c.n)
+		if math.Abs(got-c.p) > 1e-12 || fmt.Sprintf("%.4f", got) != c.shown || (got < gateP) != c.fails {
+			return fmt.Errorf("sign test: %d of %d has p = %v (%.4f), want %v (%s)", c.won, c.n, got, got, c.p, c.shown)
+		}
+		fmt.Fprintf(&b, " %d/%d -> %s", c.won, c.n, c.shown)
+	}
+	fmt.Println("sign test:" + b.String())
+	return nil
+}
+
+func run(base string, n int, claim string, args []string) error {
 	rootOut, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
 	if err != nil {
 		return fmt.Errorf("not in a git checkout: %w", err)
@@ -130,9 +189,15 @@ func run(base string, n int, args []string) error {
 		}
 	}
 
-	report(os.Stdout, base, n, sides, desc, defs)
+	if claim != "" && !known[claim] {
+		return fmt.Errorf("-claim %s: BENCHMARK.json declares no such metric", claim)
+	}
+	lost := report(os.Stdout, base, n, sides, desc, defs, claim)
 	if sides[0].failed+sides[1].failed > 0 {
 		return fmt.Errorf("%d base and %d change runs exited non-zero (failed ops or a mismatch)", sides[0].failed, sides[1].failed)
+	}
+	if len(lost) > 0 {
+		return fmt.Errorf("the change loses at p < %g, by more than the base's quartile spread: %s", gateP, strings.Join(lost, ", "))
 	}
 	return nil
 }
@@ -224,14 +289,16 @@ func quartiles(vals []float64) (q1, med, q3 float64) {
 	return at(0.25), at(0.5), at(0.75)
 }
 
-func report(w *os.File, base string, n int, sides [2]*side, desc description, defs []metricDef) {
-	fmt.Fprintf(w, "\n%d alternated pairs, base = %s; median [q1, q3]; won = pairs the change won / the base won (ties count for neither)\n", n, base)
+// report prints the comparison and returns the end-to-end metrics, as
+// "workload metric", that fail the pair gate.
+func report(w *os.File, base string, n int, sides [2]*side, desc description, defs []metricDef, claim string) (lost []string) {
+	fmt.Fprintf(w, "\n%d alternated pairs, base = %s; median [q1, q3]; won = pairs the change won / the base won (ties count for neither), p = one-sided sign test of the side that won fewer\n", n, base)
 	for _, wl := range desc.Workloads {
 		header := false
 		for _, d := range defs {
 			// A pair counts for a metric when both of its runs reported it.
 			var bv, cv []float64
-			won, lost := 0, 0
+			won, lostPairs := 0, 0
 			for i := 0; i < n; i++ {
 				x, okx := sides[0].runs[i][wl.Name][d.Name]
 				y, oky := sides[1].runs[i][wl.Name][d.Name]
@@ -244,7 +311,7 @@ func report(w *os.File, base string, n int, sides [2]*side, desc description, de
 				case (y < x) == lower:
 					won++
 				default:
-					lost++
+					lostPairs++
 				}
 			}
 			if len(bv) == 0 {
@@ -264,24 +331,33 @@ func report(w *os.File, base string, n int, sides [2]*side, desc description, de
 				delta = fmt.Sprintf("%+.1f%%", 100*(cm-bm)/bm)
 			}
 			flag := ""
-			if worse := cm - bm; d.Bound > 0 && bm != 0 {
-				if d.Better != "lower" {
-					worse = -worse
-				}
-				if worse/math.Abs(bm) > d.Bound {
-					flag = fmt.Sprintf("  WORSE beyond bound %g", d.Bound)
+			worse := cm - bm
+			if d.Better != "lower" {
+				worse = -worse
+			}
+			if d.Bound > 0 && bm != 0 && worse/math.Abs(bm) > d.Bound {
+				flag = fmt.Sprintf("  WORSE beyond bound %g", d.Bound)
+			}
+			p := signP(min(won, lostPairs), won+lostPairs)
+			if d.Bound > 0 && won < lostPairs && p < gateP && worse > bq3-bq1 {
+				if d.Name == claim {
+					flag += "  LOSES (claimed, not gated)"
+				} else {
+					flag += "  LOSES: fails the pair gate"
+					lost = append(lost, wl.Name+" "+d.Name)
 				}
 			}
-			fmt.Fprintf(w, "  %-34s %-30s %-30s %8s  %d/%d of %d%s\n", d.Name+" ("+d.Unit+")",
+			fmt.Fprintf(w, "  %-34s %-30s %-30s %8s  %d/%d of %d p=%.4f%s\n", d.Name+" ("+d.Unit+")",
 				fmt.Sprintf("%.6g [%.6g, %.6g]", bm, bq1, bq3),
 				fmt.Sprintf("%.6g [%.6g, %.6g]", cm, cq1, cq3),
-				delta, won, lost, len(bv), flag)
+				delta, won, lostPairs, len(bv), p, flag)
 			if d.Bound > 0 {
 				// End-to-end metrics: every run, in pair order, for the record.
 				fmt.Fprintf(w, "    base   %s\n    change %s\n", joinVals(bv), joinVals(cv))
 			}
 		}
 	}
+	return lost
 }
 
 func joinVals(vals []float64) string {
