@@ -1,13 +1,19 @@
 GO ?= go
 
-.PHONY: check build app-sites transport-seam race-seam fleet-seam docs-check pairs-check vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
+.PHONY: check fmt build app-sites transport-seam race-seam fleet-seam docs-check pairs-check vet ppmvet vet-report vet-score langcheck test race race-parallel bench bench-check bench-pairs bench-steady plancache-equiv fuzz-smoke dist-smoke server-smoke chaos rescale-smoke figures codesize
 
 ## check: the tier-1 gate — build, static analysis (go vet + the
 ## phase-semantics analyzers over both front ends, the
 ## one-descriptor-per-application rule, the one-link-per-peer rule, the
 ## one-race-engine rule, the one-fleet-supervisor rule and the docs'
-## names) and race-test.
-check: build app-sites transport-seam race-seam fleet-seam docs-check pairs-check vet ppmvet langcheck race
+## names), gofmt and race-test.
+check: fmt build app-sites transport-seam race-seam fleet-seam docs-check pairs-check vet ppmvet langcheck race
+
+## fmt: every tracked .go file is as gofmt prints it; the files that
+## are not are printed.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -52,8 +52,6 @@ type resolver struct {
 	symIDs map[pr.Sym]int
 	// loopInfo caches validated loop bounds.
 	loopInfo map[loopKey]*loopBounds
-	// soleDefs caches soleDefOf per variable.
-	soleDefs map[types.Object]*soleDef
 }
 
 // class is how far a value can differ between VPs; merging keeps the
@@ -77,7 +75,6 @@ func newResolver(px *PkgIndex) *resolver {
 		chunkN:   map[any]pr.Affine{},
 		symIDs:   map[pr.Sym]int{},
 		loopInfo: map[loopKey]*loopBounds{},
-		soleDefs: map[types.Object]*soleDef{},
 	}
 }
 
@@ -292,19 +289,10 @@ func (rv *resolver) resolveObj(obj types.Object, pos token.Pos, env resolveEnv, 
 	if depth > maxResolveDepth {
 		return pr.Affine{}
 	}
-	// Reaching definitions do not see `var x = e`, so a stride
-	// variable's one step can look like its unique definition.
-	sd := rv.soleDefOf(obj)
-	if sd != nil && sd.mul > 0 {
-		return rv.soleDefForm(obj, sd, env, depth)
-	}
 	r := rv.px.reachOf(env.u)
 	d := r.uniqueDef(obj, pos)
 	if d == nil {
-		if sd != nil {
-			return rv.soleDefForm(obj, sd, env, depth)
-		}
-		return rv.classified(obj)
+		return rv.strideForm(obj, r.defsAt(obj, pos), env, depth)
 	}
 	if d.site == nil {
 		// Entry def: a parameter without a frame binding, or a free
@@ -367,106 +355,69 @@ func (rv *resolver) resolveObj(obj types.Object, pos token.Pos, env resolveEnv, 
 	return rv.classified(obj)
 }
 
-// soleDef is a variable defined once (base, at site at) and otherwise
-// at most stepped by one positive multiple mul of vp.K(): a `var x = e`
-// never reassigned (reaching definitions do not see var declarations),
-// or the stride loop `ppmc emit` writes for a vp_count stride (`row :=
-// lo + vp.NodeRank(); for row < hi { …; row = row + int64(vp.K()) }`).
-type soleDef struct {
-	du   *unit
-	base ast.Expr
-	at   ast.Node
-	mul  int64
+// strideForm reads the stride loop `ppmc emit` writes for a vp_count
+// stride (`var row int64 = lo + r; for row < hi { …; row = row +
+// int64(vp.K()) }`) off the definitions ds that reach a use: one base,
+// and every other one a step by the same positive multiple m of vp.K().
+// The form is the base's plus Stride(m); anything else is classified.
+func (rv *resolver) strideForm(obj types.Object, ds []*def, env resolveEnv, depth int) pr.Affine {
+	var base ast.Expr
+	var at ast.Node
+	var mul int64
+	for _, d := range ds {
+		if d.addressed || d.site == nil {
+			return rv.classified(obj)
+		}
+		if m := rv.strideStep(obj, d, env.u); m > 0 && (mul == 0 || m == mul) {
+			mul = m
+			continue
+		}
+		rhs, _ := defRHS(rv.px.info, d)
+		if rhs == nil || base != nil {
+			return rv.classified(obj)
+		}
+		base, at = rhs, d.site
+	}
+	if base == nil || mul == 0 {
+		return rv.classified(obj)
+	}
+	denv := env
+	denv.loops = loopsAround(env.loops, at)
+	return rv.exprAffineD(base, denv, depth+1).Add(pr.Of(pr.Sym{Kind: pr.Stride, Key: obj, N: mul}))
 }
 
-// soleDefOf matches obj against soleDef's shape; nil when it is not one.
-func (rv *resolver) soleDefOf(obj types.Object) *soleDef {
-	if sd, ok := rv.soleDefs[obj]; ok {
-		return sd
+// strideStep returns m when d steps obj by m·vp.K() with m > 0 (`x = x
+// + m*vp.K()`, `x = m*vp.K() + x` or `x += m*vp.K()`), and 0 otherwise.
+func (rv *resolver) strideStep(obj types.Object, d *def, u *unit) int64 {
+	as, ok := d.site.(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return 0
 	}
-	rv.soleDefs[obj] = nil
-	du := rv.px.declaringUnit(obj.Pos())
-	if du == nil {
-		return nil
-	}
-	info := rv.px.info
+	inc := as.Rhs[0]
 	isObj := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && (info.Uses[id] == obj || info.Defs[id] == obj)
+		return ok && rv.px.info.Uses[id] == obj
 	}
-	sd := &soleDef{du: du}
-	ok := true
-	step := func(inc ast.Expr) {
-		a := rv.exprAffine(inc, resolveEnv{u: du})
-		m := a.Coef(kSym)
-		ok = ok && a.OK && a.C == 0 && len(a.T) == 1 && m > 0 && (sd.mul == 0 || m == sd.mul)
-		sd.mul = m
-	}
-	def := func(at ast.Node, rhs ast.Expr) {
-		if b, isAdd := ast.Unparen(rhs).(*ast.BinaryExpr); isAdd && b.Op == token.ADD {
-			switch {
-			case isObj(b.X):
-				step(b.Y)
-				return
-			case isObj(b.Y):
-				step(b.X)
-				return
-			}
+	if as.Tok == token.ASSIGN {
+		b, ok := ast.Unparen(inc).(*ast.BinaryExpr)
+		switch {
+		case !ok || b.Op != token.ADD:
+			return 0
+		case isObj(b.X):
+			inc = b.Y
+		case isObj(b.Y):
+			inc = b.X
+		default:
+			return 0
 		}
-		ok = ok && sd.base == nil
-		sd.base, sd.at = rhs, at
+	} else if as.Tok != token.ADD_ASSIGN {
+		return 0
 	}
-	ast.Inspect(du.body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.ValueSpec:
-			for i, name := range x.Names {
-				if info.Defs[name] == obj {
-					if ok = ok && len(x.Values) == len(x.Names); ok {
-						def(x, x.Values[i])
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range x.Lhs {
-				if !isObj(lhs) {
-					continue
-				}
-				switch {
-				case len(x.Rhs) != len(x.Lhs):
-					ok = false
-				case x.Tok == token.ADD_ASSIGN:
-					step(x.Rhs[i])
-				case x.Tok == token.ASSIGN || x.Tok == token.DEFINE:
-					def(x, x.Rhs[i])
-				default:
-					ok = false
-				}
-			}
-		case *ast.IncDecStmt:
-			ok = ok && !isObj(x.X)
-		case *ast.UnaryExpr:
-			ok = ok && !(x.Op == token.AND && isObj(x.X))
-		}
-		return ok
-	})
-	if ok && sd.base != nil {
-		rv.soleDefs[obj] = sd
+	a := rv.exprAffine(inc, resolveEnv{u: u})
+	if !a.OK || a.C != 0 || len(a.T) != 1 {
+		return 0
 	}
-	return rv.soleDefs[obj]
-}
-
-// soleDefForm lowers a soleDef to its base, plus Stride(mul) when it
-// steps, with the base resolved where it is defined.
-func (rv *resolver) soleDefForm(obj types.Object, sd *soleDef, env resolveEnv, depth int) pr.Affine {
-	denv := resolveEnv{u: sd.du}
-	if sd.du == env.u {
-		denv.fr, denv.loops = env.fr, loopsAround(env.loops, sd.at)
-	}
-	a := rv.exprAffineD(sd.base, denv, depth+1)
-	if sd.mul > 0 {
-		a = a.Add(pr.Of(pr.Sym{Kind: pr.Stride, Key: obj, N: sd.mul}))
-	}
-	return a
+	return a.Coef(kSym)
 }
 
 // isChunkRangeCall recognizes core.ChunkRange / ppm.ChunkRange.

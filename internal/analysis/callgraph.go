@@ -1,11 +1,11 @@
 package analysis
 
 // The interprocedural layer: every function declaration and function
-// literal in a package becomes a "unit" with a lazily built CFG and
-// reaching-definitions solution; call sites into package-local functions
-// are expanded by substituting the caller's argument expressions for the
-// callee's parameters (a "frame"), so a helper doing sh.Write(i, v) is
-// analyzed at each call site with the caller's arguments in place.
+// literal in a package becomes a "unit" with lazily built reaching
+// definitions; call sites into package-local functions are expanded by
+// substituting the caller's argument expressions for the callee's
+// parameters (a "frame"), so a helper doing sh.Write(i, v) is analyzed
+// at each call site with the caller's arguments in place.
 
 import (
 	"go/ast"
@@ -24,7 +24,6 @@ type unit struct {
 	vpParam types.Object
 	isDo    bool // Runtime.Do body literal
 
-	cfg   *CFG
 	reach *reaching
 }
 
@@ -188,16 +187,9 @@ func (px *PkgIndex) reachDo(body ast.Node, k ast.Expr, seen map[ast.Node]bool) {
 	})
 }
 
-func (px *PkgIndex) cfgOf(u *unit) *CFG {
-	if u.cfg == nil {
-		u.cfg = BuildCFG(u.body)
-	}
-	return u.cfg
-}
-
 func (px *PkgIndex) reachOf(u *unit) *reaching {
 	if u.reach == nil {
-		u.reach = buildReaching(px.info, u.node, px.cfgOf(u))
+		u.reach = buildReaching(px.info, u.node)
 	}
 	return u.reach
 }

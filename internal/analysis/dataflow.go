@@ -1,18 +1,25 @@
 package analysis
 
-// Reaching definitions over the CFG of cfg.go. Each definition is one
-// (variable, site) pair: an assignment, a declaration, an inc/dec, a
-// range-loop head, or the function's own parameter list. The classic
-// gen/kill bitset worklist computes, for every basic block, which
-// definitions can reach its entry; position queries then recover which
-// definitions of a variable reach a given use, which is what the affine
-// resolver needs ("the unique def of `vlo` reaching this Write call is
-// the ChunkRange multi-assign on line N").
+// Reaching definitions by one walk of a function body's syntax tree.
+// Each definition is one (variable, site) pair: an assignment, a var
+// declaration, an inc/dec, a range-loop head, or the function's own
+// parameter list. The walk carries the definitions in force from
+// statement to statement, joins them where control flow meets (after
+// if, switch and select, at loop heads, and where break, continue and
+// fallthrough land), runs each loop to a fixpoint and ends a path at
+// return. It records, at each use of a variable, which of its
+// definitions reach it, and at each function literal the whole state,
+// which is what the affine resolver asks ("the unique def of `vlo`
+// reaching this Write call is the ChunkRange multi-assign on line N").
+// A body with a goto answers every query with all the variable's
+// definitions instead of tracking labels.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 )
 
 // A def is one definition site of one object.
@@ -28,326 +35,417 @@ type def struct {
 	addressed bool
 }
 
-// reaching holds the fixpoint solution for one function body.
+// A state maps each variable to the definitions of it in force. Def
+// slices are never changed in place, so copying a state is shallow. A
+// nil state is an unreachable point.
+type state map[types.Object][]*def
+
+// join returns a's definitions together with b's, and whether b added
+// any. Neither argument is changed.
+func join(a, b state) (state, bool) {
+	if a == nil {
+		return b, b != nil
+	}
+	out, grew := a, false
+	for obj, ds := range b {
+		if u := joinDefs(out[obj], ds); len(u) > len(out[obj]) {
+			if !grew {
+				out, grew = maps.Clone(a), true
+			}
+			out[obj] = u
+		}
+	}
+	return out, grew
+}
+
+// joinDefs is the union of two def sets.
+func joinDefs(a, b []*def) []*def {
+	for _, d := range b {
+		if !slices.Contains(a, d) {
+			a = append(slices.Clip(a), d)
+		}
+	}
+	return a
+}
+
+type useKey struct {
+	obj types.Object
+	pos token.Pos
+}
+
+// reaching holds the walk's answers for one function body.
 type reaching struct {
 	info *types.Info
-	cfg  *CFG
-	defs []def
-	// byObj indexes the def list per object (for kill sets).
-	byObj map[types.Object][]int
-	// in[b] is the bitset of defs reaching block b's entry.
-	in []bitset
+	// uses holds the defs reaching each use (or defining mention) of a
+	// variable, and lits the state at each function literal of the body.
+	uses map[useKey][]*def
+	lits map[*ast.FuncLit]state
+	// byObj lists every def of each object, one per (object, site).
+	byObj map[types.Object][]*def
+	// hasGoto makes every query answer byObj.
+	hasGoto bool
 }
 
-type bitset []uint64
+// A target is where a break or continue lands: the state joined there.
+type target struct {
+	label     string
+	loop      bool
+	brk, cont state
+}
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+// walker carries the state through one body.
+type walker struct {
+	*reaching
+	cur     state
+	targets []*target
+	// label is set between a LabeledStmt and the statement it labels;
+	// fall holds the state a fallthrough carries into the next clause.
+	label string
+	fall  state
+}
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-func (b bitset) orInto(src bitset) bool {
-	changed := false
-	for i := range b {
-		n := b[i] | src[i]
-		if n != b[i] {
-			b[i] = n
-			changed = true
-		}
+// buildReaching walks one function: fn is the *ast.FuncDecl or
+// *ast.FuncLit. Its receiver, parameters and named results get entry
+// definitions, as does every variable the body uses that is declared
+// outside fn (free variables are defined "elsewhere").
+func buildReaching(info *types.Info, fn ast.Node) *reaching {
+	r := &reaching{
+		info:  info,
+		uses:  map[useKey][]*def{},
+		lits:  map[*ast.FuncLit]state{},
+		byObj: map[types.Object][]*def{},
 	}
-	return changed
-}
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
-// buildReaching runs reaching definitions over one function. fn is the
-// *ast.FuncDecl or *ast.FuncLit whose body produced cfg; its parameters
-// (and receiver) get entry definitions, as does every outer-scope object
-// the body references (free variables are defined "elsewhere").
-func buildReaching(info *types.Info, fn ast.Node, cfg *CFG) *reaching {
-	r := &reaching{info: info, cfg: cfg, byObj: map[types.Object][]int{}}
-
-	addDef := func(obj types.Object, site ast.Node, addressed bool) {
-		if obj == nil {
-			return
-		}
-		if v, ok := obj.(*types.Var); !ok || v.IsField() {
-			return
-		}
-		r.byObj[obj] = append(r.byObj[obj], len(r.defs))
-		r.defs = append(r.defs, def{obj: obj, site: site, addressed: addressed})
-	}
-
+	w := &walker{reaching: r, cur: state{}}
 	var body *ast.BlockStmt
 	var ftype *ast.FuncType
-	var recv *ast.FieldList
 	switch f := fn.(type) {
 	case *ast.FuncDecl:
-		body, ftype, recv = f.Body, f.Type, f.Recv
+		body, ftype = f.Body, f.Type
+		w.entryDefs(f.Recv)
 	case *ast.FuncLit:
 		body, ftype = f.Body, f.Type
 	}
-
-	// Entry definitions: receiver, parameters, named results.
-	entryDefs := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				addDef(info.Defs[name], nil, false)
-			}
-		}
-	}
-	entryDefs(recv)
-	if ftype != nil {
-		entryDefs(ftype.Params)
-		entryDefs(ftype.Results)
-	}
-
-	// Free variables referenced but not declared inside fn also get an
-	// entry def, so queries on them resolve to "defined elsewhere".
-	declared := map[types.Object]bool{}
+	w.entryDefs(ftype.Params)
+	w.entryDefs(ftype.Results)
 	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Defs[id]; obj != nil {
-				declared[obj] = true
+		switch x := n.(type) {
+		case *ast.Ident:
+			if obj := info.Uses[x]; obj != nil && (obj.Pos() < fn.Pos() || obj.Pos() >= fn.End()) {
+				w.define(obj, nil, false)
 			}
+		case *ast.BranchStmt:
+			r.hasGoto = r.hasGoto || x.Tok == token.GOTO
 		}
 		return true
 	})
-	seenFree := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			obj := info.Uses[id]
-			if v, isVar := obj.(*types.Var); isVar && !v.IsField() && !declared[obj] && !seenFree[obj] && len(r.byObj[obj]) == 0 {
-				seenFree[obj] = true
-				addDef(obj, nil, false)
-			}
-		}
-		return true
-	})
-
-	// Definition sites inside the body. Nested function literals are
-	// scanned only for assignments to objects of THIS function (closure
-	// mutation = conservative def at the literal's position); their own
-	// locals belong to their own reaching pass.
-	lhsObjs := func(e ast.Expr) types.Object {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := info.Defs[id]; obj != nil {
-				return obj
-			}
-			return info.Uses[id]
-		}
-		return nil
-	}
-	scanNode := func(n ast.Node, conservative bool) {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range st.Lhs {
-				addDef(lhsObjs(lhs), st, conservative)
-			}
-		case *ast.IncDecStmt:
-			addDef(lhsObjs(st.X), st, true) // value = old+1: treat as opaque
-		case *ast.DeclStmt:
-			if gd, ok := st.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, name := range vs.Names {
-							addDef(info.Defs[name], vs, conservative)
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			addDef(lhsObjs(st.Key), st, false)
-			addDef(lhsObjs(st.Value), st, false)
-		}
-	}
-	for _, blk := range cfg.Blocks {
-		for _, n := range blk.Nodes {
-			scanNode(n, false)
-			// Address-of and closure mutations: conservative defs.
-			ast.Inspect(n, func(sub ast.Node) bool {
-				switch x := sub.(type) {
-				case *ast.UnaryExpr:
-					if x.Op == token.AND {
-						if obj := recvRoot(info, x.X); obj != nil {
-							addDef(obj, n, true)
-						}
-					}
-				case *ast.FuncLit:
-					ast.Inspect(x.Body, func(inner ast.Node) bool {
-						switch ist := inner.(type) {
-						case *ast.AssignStmt:
-							for _, lhs := range ist.Lhs {
-								if obj := lhsObjs(lhs); obj != nil && !declaredIn(info, obj, x) {
-									addDef(obj, n, true)
-								}
-							}
-						case *ast.IncDecStmt:
-							if obj := lhsObjs(ist.X); obj != nil && !declaredIn(info, obj, x) {
-								addDef(obj, n, true)
-							}
-						}
-						return true
-					})
-					return false
-				}
-				return true
-			})
-		}
-	}
-
-	r.solve()
+	w.stmts(body.List)
 	return r
 }
 
-// declaredIn reports whether obj's declaration position lies inside lit.
-func declaredIn(info *types.Info, obj types.Object, lit *ast.FuncLit) bool {
-	return obj.Pos() >= lit.Pos() && obj.Pos() < lit.End()
+func (w *walker) entryDefs(fl *ast.FieldList) {
+	if fl == nil {
+		return
+	}
+	for _, field := range fl.List {
+		for _, name := range field.Names {
+			w.define(w.info.Defs[name], nil, false)
+		}
+	}
 }
 
-// solve runs the gen/kill worklist.
-func (r *reaching) solve() {
-	n := len(r.defs)
-	nb := len(r.cfg.Blocks)
-	gen := make([]bitset, nb)
-	kill := make([]bitset, nb)
-	out := make([]bitset, nb)
-	r.in = make([]bitset, nb)
-	for i := range r.cfg.Blocks {
-		gen[i] = newBitset(n)
-		kill[i] = newBitset(n)
-		out[i] = newBitset(n)
-		r.in[i] = newBitset(n)
+// objOf returns the variable an identifier names, or nil for a field,
+// a blank or a non-variable.
+func (r *reaching) objOf(e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
 	}
+	obj := r.info.Defs[id]
+	if obj == nil {
+		obj = r.info.Uses[id]
+	}
+	if v, ok := obj.(*types.Var); !ok || v.IsField() {
+		return nil
+	}
+	return obj
+}
 
-	// Per-block gen/kill: later defs of the same object kill earlier
-	// in-block ones; every def of obj kills all other defs of obj.
-	for bi, blk := range r.cfg.Blocks {
-		for _, node := range blk.Nodes {
-			for di, d := range r.defs {
-				if d.site == node {
-					for _, other := range r.byObj[d.obj] {
-						gen[bi].clear(other)
-						kill[bi].set(other)
+// define puts the def of obj at site in force, alone. The def is made
+// once per (object, site): a loop walked again reuses it.
+func (w *walker) define(obj types.Object, site ast.Node, addressed bool) {
+	if obj == nil || w.cur == nil {
+		return
+	}
+	if v, ok := obj.(*types.Var); !ok || v.IsField() {
+		return
+	}
+	var d *def
+	for _, x := range w.byObj[obj] {
+		if x.site == site {
+			d = x
+		}
+	}
+	if d == nil {
+		d = &def{obj: obj, site: site}
+		w.byObj[obj] = append(w.byObj[obj], d)
+	}
+	d.addressed = d.addressed || addressed
+	w.cur = maps.Clone(w.cur)
+	w.cur[obj] = []*def{d}
+}
+
+// simple walks one simple statement, var spec or control expression:
+// it records the defs reaching each variable it mentions, then puts in
+// force the defs it makes, and last the conservative ones of an
+// address taken or a variable a function literal in it assigns.
+func (w *walker) simple(n ast.Node) {
+	if n == nil || w.cur == nil {
+		return
+	}
+	var conservative []types.Object
+	ast.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.Ident:
+			if obj := w.objOf(x); obj != nil {
+				k := useKey{obj, x.Pos()}
+				w.uses[k] = joinDefs(w.uses[k], w.cur[obj])
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				conservative = append(conservative, recvRoot(w.info, x.X))
+			}
+		case *ast.FuncLit:
+			w.lits[x], _ = join(w.lits[x], w.cur)
+			ast.Inspect(x.Body, func(inner ast.Node) bool {
+				var lhs []ast.Expr
+				switch st := inner.(type) {
+				case *ast.AssignStmt:
+					lhs = st.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{st.X}
+				}
+				for _, e := range lhs {
+					if obj := w.objOf(e); obj != nil && (obj.Pos() < x.Pos() || obj.Pos() >= x.End()) {
+						conservative = append(conservative, obj)
 					}
-					gen[bi].set(di)
-					kill[bi].clear(di)
 				}
-			}
+				return true
+			})
+			return false
+		}
+		return true
+	})
+	switch st := n.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range st.Lhs {
+			w.define(w.objOf(lhs), st, false)
+		}
+	case *ast.IncDecStmt:
+		w.define(w.objOf(st.X), st, true) // value = old+1: treat as opaque
+	case *ast.ValueSpec:
+		for _, name := range st.Names {
+			w.define(w.objOf(name), st, false)
 		}
 	}
+	for _, obj := range conservative {
+		w.define(obj, n, true)
+	}
+}
 
-	// Entry block additionally generates the entry (site==nil) defs.
-	for di, d := range r.defs {
-		if d.site == nil && !kill[0].has(di) {
-			gen[0].set(di)
+func (w *walker) stmts(list []ast.Stmt) {
+	for _, s := range list {
+		w.stmt(s)
+	}
+}
+
+// push opens the break (and, for a loop, continue) target of a
+// statement, under the label that names it, if any.
+func (w *walker) push(label string, loop bool) *target {
+	t := &target{label: label, loop: loop}
+	w.targets = append(w.targets, t)
+	return t
+}
+
+func (w *walker) pop() { w.targets = w.targets[:len(w.targets)-1] }
+
+// branch joins the current state into the target a break or continue
+// names, and ends the path.
+func (w *walker) branch(label *ast.Ident, cont bool) {
+	for i := len(w.targets) - 1; i >= 0; i-- {
+		t := w.targets[i]
+		if label == nil && (t.loop || !cont) || label != nil && t.label == label.Name {
+			if cont {
+				t.cont, _ = join(t.cont, w.cur)
+			} else {
+				t.brk, _ = join(t.brk, w.cur)
+			}
+			break
 		}
 	}
+	w.cur = nil
+}
 
-	changed := true
-	for changed {
-		changed = false
-		for bi, blk := range r.cfg.Blocks {
-			if bi != 0 {
-				for i := range r.in[bi] {
-					r.in[bi][i] = 0
-				}
-				for _, p := range blk.Preds {
-					r.in[bi].orInto(out[p.Index])
-				}
-			}
-			newOut := r.in[bi].clone()
-			for i := range newOut {
-				newOut[i] = (newOut[i] &^ kill[bi][i]) | gen[bi][i]
-			}
-			for i := range newOut {
-				if newOut[i] != out[bi][i] {
-					out[bi] = newOut
-					changed = true
-					break
-				}
-			}
+// loop runs one pass of a loop body (iter) from the loop head until the
+// state at the head stops growing, and returns the head state.
+func (w *walker) loop(iter func()) state {
+	head := w.cur
+	for {
+		w.cur = head
+		iter()
+		var grew bool
+		if head, grew = join(head, w.cur); !grew {
+			return head
 		}
 	}
 }
 
-// nodeFor finds the block and in-block index of the smallest CFG node
-// whose span contains pos. Returns (-1, -1) when pos is not inside any
-// recorded node (e.g. inside a nested function literal's body).
-func (r *reaching) nodeFor(pos token.Pos) (blockIdx, nodeIdx int) {
-	blockIdx, nodeIdx = -1, -1
-	var bestSpan token.Pos = 1 << 60
-	for bi, blk := range r.cfg.Blocks {
-		for ni, n := range blk.Nodes {
-			if n.Pos() <= pos && pos < n.End() {
-				span := n.End() - n.Pos()
-				if span < bestSpan {
-					bestSpan = span
-					blockIdx, nodeIdx = bi, ni
-				}
+func (w *walker) stmt(s ast.Stmt) {
+	label := w.label
+	w.label = ""
+	switch st := s.(type) {
+	case *ast.BlockStmt:
+		w.stmts(st.List)
+
+	case *ast.LabeledStmt:
+		if w.cur == nil && w.hasGoto {
+			w.cur = state{} // reached by a goto: walk it for its defs
+		}
+		w.label = st.Label.Name
+		w.stmt(st.Stmt)
+
+	case *ast.DeclStmt:
+		if gd, ok := st.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				w.simple(spec)
 			}
 		}
+
+	case *ast.IfStmt:
+		w.simple(st.Init)
+		w.simple(st.Cond)
+		head := w.cur
+		w.stmt(st.Body)
+		then := w.cur
+		w.cur = head
+		if st.Else != nil {
+			w.stmt(st.Else)
+		}
+		w.cur, _ = join(then, w.cur)
+
+	case *ast.ForStmt:
+		w.simple(st.Init)
+		t := w.push(label, true)
+		var exit state
+		w.loop(func() {
+			w.simple(st.Cond)
+			if st.Cond != nil {
+				exit = w.cur
+			}
+			w.stmt(st.Body)
+			w.cur, _ = join(w.cur, t.cont)
+			w.simple(st.Post)
+		})
+		w.pop()
+		w.cur, _ = join(exit, t.brk)
+
+	case *ast.RangeStmt:
+		w.simple(st.X)
+		t := w.push(label, true)
+		head := w.loop(func() {
+			w.simple(st.Key)
+			w.simple(st.Value)
+			for _, e := range []ast.Expr{st.Key, st.Value} {
+				w.define(w.objOf(e), st, false)
+			}
+			w.stmt(st.Body)
+			w.cur, _ = join(w.cur, t.cont)
+		})
+		w.pop()
+		w.cur, _ = join(head, t.brk)
+
+	case *ast.SwitchStmt:
+		w.simple(st.Init)
+		w.simple(st.Tag)
+		w.clauses(label, st.Body)
+
+	case *ast.TypeSwitchStmt:
+		w.simple(st.Init)
+		w.simple(st.Assign)
+		w.clauses(label, st.Body)
+
+	case *ast.SelectStmt:
+		w.clauses(label, st.Body)
+
+	case *ast.ReturnStmt:
+		w.simple(st)
+		w.cur = nil
+
+	case *ast.BranchStmt:
+		switch st.Tok {
+		case token.BREAK, token.CONTINUE:
+			w.branch(st.Label, st.Tok == token.CONTINUE)
+		case token.FALLTHROUGH:
+			w.fall = w.cur
+		}
+		w.cur = nil
+
+	default:
+		w.simple(st)
 	}
-	return blockIdx, nodeIdx
 }
 
-// defsAt returns the definitions of obj that can reach the use at pos.
-// A def takes effect after its statement, so the defs in force at pos
-// are the block-entry set updated by the in-block nodes strictly before
-// the node containing pos.
-func (r *reaching) defsAt(obj types.Object, pos token.Pos) []def {
-	bi, ni := r.nodeFor(pos)
-	if bi < 0 {
-		return r.entryDefs(obj)
-	}
-	live := r.in[bi].clone()
-	blk := r.cfg.Blocks[bi]
-	if bi == 0 {
-		// Entry defs were folded into gen[0] by solve; re-apply them
-		// here since in[0] is empty.
-		for di, d := range r.defs {
-			if d.site == nil {
-				live.set(di)
+// clauses walks the case or comm clauses of a switch or select: each
+// starts from the head state (and a case from the state a fallthrough
+// carries), and they join after the statement. A switch without a
+// default also leaves from its head.
+func (w *walker) clauses(label string, body *ast.BlockStmt) {
+	head := w.cur
+	t := w.push(label, false)
+	var out state
+	exhaustive := false
+	for _, c := range body.List {
+		w.cur = head
+		switch cc := c.(type) {
+		case *ast.CaseClause:
+			exhaustive = exhaustive || cc.List == nil
+			for _, e := range cc.List {
+				w.simple(e)
 			}
-		}
-	}
-	for i := 0; i < ni; i++ {
-		node := blk.Nodes[i]
-		for di, d := range r.defs {
-			if d.site == node {
-				for _, other := range r.byObj[d.obj] {
-					live.clear(other)
-				}
-				live.set(di)
+			w.cur, _ = join(w.cur, w.fall)
+			w.fall = nil
+			w.stmts(cc.Body)
+		case *ast.CommClause:
+			exhaustive = true
+			if cc.Comm != nil {
+				w.stmt(cc.Comm)
 			}
+			w.stmts(cc.Body)
 		}
+		out, _ = join(out, w.cur)
 	}
-	var out []def
-	for _, di := range r.byObj[obj] {
-		if live.has(di) {
-			out = append(out, r.defs[di])
-		}
+	w.pop()
+	if !exhaustive {
+		out, _ = join(out, head)
 	}
-	return out
+	w.cur, _ = join(out, t.brk)
 }
 
-// entryDefs returns obj's site==nil defs (parameter / free variable).
-func (r *reaching) entryDefs(obj types.Object) []def {
-	var out []def
-	for _, di := range r.byObj[obj] {
-		if r.defs[di].site == nil {
-			out = append(out, r.defs[di])
+// defsAt returns the definitions of obj that can reach the use at pos:
+// the ones recorded at that use, or, for a position inside a function
+// literal of the body, the ones in force at the literal.
+func (r *reaching) defsAt(obj types.Object, pos token.Pos) []*def {
+	if r.hasGoto {
+		return r.byObj[obj]
+	}
+	if ds, ok := r.uses[useKey{obj, pos}]; ok {
+		return ds
+	}
+	for lit, st := range r.lits {
+		if lit.Pos() <= pos && pos < lit.End() {
+			return st[obj]
 		}
 	}
-	return out
+	return nil
 }
 
 // uniqueDef returns the single non-conservative definition of obj
@@ -359,7 +457,7 @@ func (r *reaching) uniqueDef(obj types.Object, pos token.Pos) *def {
 	if len(ds) != 1 || ds[0].addressed {
 		return nil
 	}
-	return &ds[0]
+	return ds[0]
 }
 
 // defRHS extracts the expression assigned to obj by d, for defs that

@@ -542,6 +542,7 @@ func TestPhaseRaceShapesMatchRuntime(t *testing.T) {
 		"TripRankFor":         shapes.TripRankFor,
 		"TripRankWhile":       shapes.TripRankWhile,
 		"TripRankVar":         shapes.TripRankVar,
+		"VarThenBranch":       shapes.VarThenBranch,
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "testdata/src/phaserace/phaserace.go", nil, parser.ParseComments)
 	if err != nil {

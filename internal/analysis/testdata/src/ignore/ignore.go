@@ -29,7 +29,7 @@ func Run(rt *ppm.Runtime) {
 			//ppmvet:ignore runerror -- wrong rule: must not suppress
 			d.Write(vp, 0, 1.0) // want `overlapping elements of d`
 
-			x := 0 //ppmvet:ignore phaserace -- end-of-line: own line only
+			x := 0              //ppmvet:ignore phaserace -- end-of-line: own line only
 			e.Write(vp, x, 1.0) // want `overlapping elements of e`
 		})
 	})

@@ -233,3 +233,55 @@ func TripRankVar(rt *ppm.Runtime) {
 		})
 	})
 }
+
+// VarThenBranch: every VP writes its own element, since K is never 1 in
+// Do(4); the analyzer cannot tell which definition of z reaches.
+func VarThenBranch(rt *ppm.Runtime) {
+	g := ppm.AllocGlobal[float64](rt, "g", 64)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			var z = vp.GlobalRank()
+			if vp.K() == 1 {
+				z = 2
+			}
+			g.Write(vp, z, 1.0) // want `cannot prove VP write sets of g disjoint`
+		})
+	})
+}
+
+// Reassigned: an index variable given a second value; the definition
+// that reaches each write decides its verdict.
+func Reassigned(rt *ppm.Runtime) {
+	a := ppm.AllocGlobal[float64](rt, "ra", 64)
+	b := ppm.AllocGlobal[float64](rt, "rb", 64)
+	c := ppm.AllocGlobal[float64](rt, "rc", 64)
+	d := ppm.AllocGlobal[float64](rt, "rd", 64)
+	e := ppm.AllocGlobal[float64](rt, "re", 64)
+	f := ppm.AllocGlobal[float64](rt, "rf", 64)
+	rt.Do(4, func(vp *ppm.VP) {
+		vp.GlobalPhase(func() {
+			i := 3
+			a.Write(vp, i, 1.0) // want `overlapping elements of a`
+			i = vp.GlobalRank()
+			b.Write(vp, i, 1.0)
+			var k int
+			k = vp.GlobalRank()
+			d.Write(vp, k, 1.0)
+			j := vp.GlobalRank()
+			if vp.K() > 2 {
+				j = 5
+			}
+			c.Write(vp, j, 1.0) // want `cannot prove VP write sets of c disjoint`
+			lo, hi := ppm.ChunkRange(64, vp.K(), vp.NodeRank())
+			lo = lo + 0
+			for x := lo; x < hi; x++ {
+				e.Write(vp, x, 1.0) // want `overlapping elements of e`
+			}
+			m := vp.GlobalRank()
+			for t := 0; t < 2; t++ {
+				f.Write(vp, m, 1.0) // want `cannot prove VP write sets of f disjoint`
+				m = 7
+			}
+		})
+	})
+}
